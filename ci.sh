@@ -71,6 +71,6 @@ done
 # thresholds than ns/op: allocation counts are near-deterministic here, so
 # drift means the engine's allocation behavior actually changed.
 go build -o /tmp/benchreg.ci ./cmd/benchreg
-go test -run '^$' -bench 'BenchmarkSubstitute(Parallel|TrialCache)$|BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkSubstituteScale$' -benchtime 1x -benchmem -timeout 60m . \
+go test -run '^$' -bench 'BenchmarkSubstituteParallel$|BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkSubstituteScale$' -benchtime 1x -benchmem -timeout 60m . \
   | /tmp/benchreg.ci -emit /tmp/BENCH_substitute.json
 /tmp/benchreg.ci -compare testdata/bench/BENCH_substitute.json /tmp/BENCH_substitute.json

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	bdsopt [-script A|B|C|algebraic|none] [-alg sis|basic|ext|extgdc|none]
-//	       [-j N] [-nocache] [-o out.blif] [-verify] [in.blif]
+//	       [-j N] [-o out.blif] [-verify] [in.blif]
 //
 // With no input file a benchmark name from the embedded suite may be given
 // via -bench. Examples:
@@ -38,7 +38,6 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress BLIF output, print statistics only")
 	redund := flag.Bool("redund", false, "finish with whole-network redundancy removal")
 	workers := flag.Int("j", 0, "substitution planner workers (0 = GOMAXPROCS); results identical at any value")
-	noCache := flag.Bool("nocache", false, "disable the trial memoization cache (identical results, every trial runs for real)")
 	prof := cliutil.ProfileFlags()
 	flag.Parse()
 	*workers = cliutil.ClampWorkers(*workers, os.Stderr)
@@ -57,7 +56,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "in:  %d nodes, %d lits (sop), %d lits (fac)\n",
 		nw.NumNodes(), nw.SOPLits(), nw.FactoredLits())
 
-	resub := resubFor(*alg, *workers, *noCache)
+	resub := resubFor(*alg, *workers)
 	switch *scriptName {
 	case "A":
 		script.A(nw)
@@ -131,9 +130,9 @@ func load(benchName, path string) (*network.Network, error) {
 	return blif.Parse(f)
 }
 
-func resubFor(alg string, workers int, noCache bool) script.Resub {
+func resubFor(alg string, workers int) script.Resub {
 	rar := func(cfg core.Config) script.Resub {
-		return script.ResubRARWith(core.Options{Config: cfg, POS: true, Pool: true, Workers: workers, NoTrialCache: noCache}, nil)
+		return script.ResubRARWith(core.Options{Config: cfg, POS: true, Pool: true, Workers: workers}, nil)
 	}
 	switch alg {
 	case "sis":

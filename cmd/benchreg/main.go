@@ -5,7 +5,7 @@
 //
 // Emit a snapshot (reads benchmark output on stdin):
 //
-//	go test -run '^$' -bench 'Substitute(Parallel|TrialCache)' -benchtime 1x . |
+//	go test -run '^$' -bench 'Substitute(Parallel|Scale)$' -benchtime 1x . |
 //	    benchreg -emit BENCH_substitute.json
 //
 // Compare a snapshot against the committed baseline (warn-only — the exit
@@ -19,7 +19,7 @@
 // allocation counts are deterministic for this engine, so they regress only
 // when the code's allocation behavior actually changed, and a much smaller
 // threshold than the timing one is appropriate. Other non-timing metrics
-// (lits, trials, hit%) are carried in the snapshot so a reviewer can see
+// (lits, trials, subs) are carried in the snapshot so a reader can see
 // whether a timing shift came with a behavior shift (results moving would
 // also trip the golden-table test), but are not compared.
 //
@@ -49,7 +49,7 @@ import (
 // snapshot is the committed baseline shape (testdata/bench/BENCH_substitute.json).
 type snapshot struct {
 	// Benchmarks maps a benchmark name (GOMAXPROCS suffix stripped, e.g.
-	// "SubstituteTrialCache/on") to its measurements.
+	// "SubstituteParallel/w4") to its measurements.
 	Benchmarks map[string]measure `json:"benchmarks"`
 	// ScalingFloors maps a benchmark family (e.g. "SubstituteScale/cone10k")
 	// to minimum w1/wN speedup ratios per worker variant (e.g. {"w8": 0.8}).
@@ -121,7 +121,7 @@ func runEmit(r io.Reader, path string) error {
 
 // parseBench reads `go test -bench` output: result lines look like
 //
-//	BenchmarkSubstituteTrialCache/on-8   1   290647451 ns/op   7.9 hit%   534 lits
+//	BenchmarkSubstituteParallel/w4-8   1   150647451 ns/op   534 lits   392 trials
 //
 // i.e. name-P, iteration count, then (value, unit) pairs.
 func parseBench(r io.Reader) (snapshot, error) {

@@ -5,18 +5,15 @@
 //
 // Usage:
 //
-//	experiments [-table N] [-circuits a,b,c] [-algs sis,ext] [-list] [-j N] [-v] [-json] [-nosigfilter] [-nocache] [-passes N]
+//	experiments [-table N] [-circuits a,b,c] [-algs sis,ext] [-list] [-j N] [-v] [-json] [-nosigfilter]
 //
 // With no flags all four tables run over the whole suite. -j bounds the
-// substitution engine's planner worker pool (results are bit-identical at
-// any value); -v additionally prints the engine's observability counters,
-// including the simulation-signature prefilter's reject/false-pass rates and
-// the trial memoization cache's hit rate; -nosigfilter disables the
-// prefilter (identical literal counts, more exact division trials);
-// -nocache disables trial memoization (identical literal counts, every
-// trial runs for real); -passes N runs each table N times over one shared
-// trial cache, so `-v -passes 2` shows the cache's cross-pass hit rate on
-// an unchanged suite.
+// worker pools of the substitution engine's batch scheduler and the SIS
+// baseline (results and counters are identical at any value); -v
+// additionally prints the engine's observability counters, including the
+// simulation-signature prefilter's reject/false-pass rates; -nosigfilter
+// disables the prefilter (identical literal counts, more exact division
+// trials).
 package main
 
 import (
@@ -28,7 +25,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cliutil"
-	"repro/internal/core"
 	"repro/internal/exp"
 )
 
@@ -39,16 +35,10 @@ func main() {
 	list := flag.Bool("list", false, "list benchmark names and exit")
 	asJSON := flag.Bool("json", false, "emit results as JSON instead of tables")
 	workers := flag.Int("j", 0, "substitution planner workers (0 = GOMAXPROCS); results identical at any value")
-	verbose := flag.Bool("v", false, "print substitution engine counters (trials, filter rejections, cache hits, pass times)")
+	verbose := flag.Bool("v", false, "print substitution engine counters (trials, filter rejections, batch speculation, pass times)")
 	noSigFilter := flag.Bool("nosigfilter", false, "disable the simulation-signature divisor prefilter (identical results, more trials)")
-	noCache := flag.Bool("nocache", false, "disable the trial memoization cache (identical results, every trial runs for real)")
-	passes := flag.Int("passes", 1, "run each table N times sharing one trial cache across passes (identical results every pass; -v shows per-pass hit rates)")
 	prof := cliutil.ProfileFlags()
 	flag.Parse()
-	if *passes < 1 {
-		fmt.Fprintln(os.Stderr, "experiments: -passes must be >= 1")
-		os.Exit(2)
-	}
 	*workers = cliutil.ClampWorkers(*workers, os.Stderr)
 	if err := prof.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -81,52 +71,28 @@ func main() {
 	ok := true
 	var results []exp.Table
 	for _, t := range tables {
-		// With -passes N the table runs N times over one shared trial
-		// cache: the first pass populates it, later passes replay stored
-		// verdicts (the cross-pass scenario the cache exists for). Every
-		// pass produces identical literal counts; only the final pass is
-		// printed as the table, with per-pass counters under -v.
-		var tc *core.TrialCache
-		if *passes > 1 && !*noCache {
-			tc = core.NewTrialCache()
+		res, err := exp.RunWith(t, names, exp.RunOptions{
+			Workers:     *workers,
+			Algorithms:  algNames,
+			NoSigFilter: *noSigFilter,
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			flag.Usage()
+			os.Exit(2)
 		}
-		for p := 1; p <= *passes; p++ {
-			res, err := exp.RunWith(t, names, exp.RunOptions{
-				Workers:      *workers,
-				Algorithms:   algNames,
-				NoSigFilter:  *noSigFilter,
-				NoTrialCache: *noCache,
-				TrialCache:   tc,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				flag.Usage()
-				os.Exit(2)
-			}
-			if !res.AllEquivalent() {
-				ok = false
-			}
-			if p < *passes {
-				if *verbose {
-					fmt.Printf("— suite pass %d/%d —\n", p, *passes)
-					res.PrintStats(os.Stdout)
-					fmt.Println()
-				}
-				continue
-			}
-			if *asJSON {
-				results = append(results, res)
-			} else {
-				res.Print(os.Stdout)
-				fmt.Println()
-				if *verbose {
-					if *passes > 1 {
-						fmt.Printf("— suite pass %d/%d —\n", p, *passes)
-					}
-					res.PrintStats(os.Stdout)
-					fmt.Println()
-				}
-			}
+		if !res.AllEquivalent() {
+			ok = false
+		}
+		if *asJSON {
+			results = append(results, res)
+			continue
+		}
+		res.Print(os.Stdout)
+		fmt.Println()
+		if *verbose {
+			res.PrintStats(os.Stdout)
+			fmt.Println()
 		}
 	}
 	if *asJSON {

@@ -42,14 +42,12 @@ type shell struct {
 	ref     *network.Network // checkpoint for verify/revert
 	out     *os.File
 	errf    func(format string, args ...any)
-	workers int  // planner pool bound for resub (0 = GOMAXPROCS)
-	noCache bool // disable the trial memoization cache in resub
+	workers int // batch worker pool bound for resub (0 = GOMAXPROCS)
 }
 
 func main() {
 	cmds := flag.String("c", "", "semicolon-separated commands to run non-interactively")
 	workers := flag.Int("j", 0, "substitution planner workers (0 = GOMAXPROCS); results identical at any value")
-	noCache := flag.Bool("nocache", false, "disable the trial memoization cache (identical results, every trial runs for real)")
 	prof := cliutil.ProfileFlags()
 	flag.Parse()
 	*workers = cliutil.ClampWorkers(*workers, os.Stderr)
@@ -59,7 +57,7 @@ func main() {
 	}
 	defer prof.StopAndReport("lshell", os.Stderr)
 
-	sh := &shell{out: os.Stdout, workers: *workers, noCache: *noCache}
+	sh := &shell{out: os.Stdout, workers: *workers}
 	sh.errf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, "lshell: "+format+"\n", args...) }
 
 	if *cmds != "" {
@@ -256,13 +254,9 @@ func (sh *shell) exec(line string) bool {
 			fmt.Fprintf(sh.out, "%d substitutions\n", opt.ResubBDD(sh.nw))
 		case "basic", "ext", "extgdc":
 			cfg := map[string]core.Config{"basic": core.Basic, "ext": core.Extended, "extgdc": core.ExtendedGDC}[alg]
-			st := core.Substitute(sh.nw, core.Options{Config: cfg, POS: true, Pool: true, Workers: sh.workers, NoTrialCache: sh.noCache})
+			st := core.Substitute(sh.nw, core.Options{Config: cfg, POS: true, Pool: true, Workers: sh.workers})
 			fmt.Fprintf(sh.out, "%d substitutions (%d POS, %d decompositions), %d RAR wires, lits %d -> %d\n",
 				st.Substitutions, st.POSSubstitutions, st.Decompositions, st.WiresRemoved, st.LitsBefore, st.LitsAfter)
-			if st.CacheHits+st.CacheMisses > 0 {
-				fmt.Fprintf(sh.out, "trial cache: %d hits / %d misses (%.1f%%), %d invalidated\n",
-					st.CacheHits, st.CacheMisses, 100*st.CacheHitRate(), st.CacheInvalidated)
-			}
 		default:
 			sh.errf("unknown resub engine %q", alg)
 		}

@@ -653,11 +653,11 @@ func growRandom(nw *network.Network, r *rand.Rand, prefix string, signals []stri
 // addSinkPOs marks every fanout-free node of nw as a primary output, in
 // name order.
 func addSinkPOs(nw *network.Network) {
-	fanout := nw.Fanouts()
+	fanouts := nw.FanoutIDs()
 	var pos []string
-	for _, n := range nw.Nodes() {
-		if len(fanout[n.Name]) == 0 {
-			pos = append(pos, n.Name)
+	for _, id := range nw.OrderIDs() {
+		if len(fanouts[id]) == 0 {
+			pos = append(pos, nw.SigName(id))
 		}
 	}
 	sort.Strings(pos)

@@ -91,10 +91,8 @@ func Parse(r io.Reader) (*network.Network, error) {
 				// Pre-check: AddPO panics on duplicates (an invariant
 				// violation for programmatic construction), but malformed
 				// input must come back as an error.
-				for _, po := range nw.POs() {
-					if po == f {
-						return nil, fmt.Errorf("blif: duplicate output %q", f)
-					}
+				if nw.IsPO(f) {
+					return nil, fmt.Errorf("blif: duplicate output %q", f)
 				}
 				nw.AddPO(f)
 			}

@@ -192,8 +192,8 @@ func tentativeCover(union []string, d string, qPart, rem cube.Cover, yPhase cube
 // removals). Returns the number of wires removed.
 //
 // Overlay trials with region-local implications take the patched path: the
-// base network's netlist is built once (memoized across a whole wave of
-// trials for the live network) and only f's two-level structure is patched
+// base network's netlist is built once (memoized across every trial of a
+// commit epoch for the live network) and only f's two-level structure is patched
 // in and rolled back per pass. GDC trials always rebuild: their capped
 // learning pass scans gates in id order, so they must see exactly the gate
 // numbering a fresh build of the working network produces. Both paths run

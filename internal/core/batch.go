@@ -10,17 +10,15 @@ import (
 
 // Cone-disjoint batched scheduling.
 //
-// The wave engine (engine.go) parallelizes the trials of ONE dividend and
-// throws the wave away as soon as a plan commits, so at w8 most speculation
-// dies — the committed baseline showed SubstituteParallel *regressing* from
-// w1 to w8. The batch scheduler inverts the decomposition: it speculates
-// across DIVIDENDS. A batch is the maximal prefix (in the pass's
+// The per-node driver (run.substituteNode) is strictly serial: within one
+// dividend every trial after the first positive-gain commit would be
+// wasted. The batch scheduler therefore speculates across DIVIDENDS — the
+// engine's only concurrency. A batch is the maximal prefix (in the pass's
 // outputs-first order) of dividends whose claimed cone footprints are
 // pairwise disjoint; each member's whole trial sequence runs on one worker
 // against the frozen pre-batch network, and a serial sweep then replays the
 // members in pass order, committing each surviving plan — so every
-// in-flight trial is work the sweep can commit, not a wave that dies with
-// the first winner.
+// in-flight trial is work the sweep can commit.
 //
 // Determinism argument (byte-identity with the serial driver, at any worker
 // count, batch on or off). The sweep visits members in exactly the order
@@ -42,8 +40,8 @@ import (
 //	     created or broken only by a commit whose target holds a fanin in
 //	     TFO(f) ∪ {f} (its path predecessor).
 //	E2   dirtyCone[d] for a listed candidate d: d's cone content changed,
-//	     so d's trial outcomes (a function of cone(f), cone(d), opts — the
-//	     trial-cache contract, trialcache.go) may differ.
+//	     so d's trial outcomes (a function of cone(f), cone(d), opts) may
+//	     differ.
 //	E3   dirtyCone[s] for s ∈ side, side = ∪ supp(X), X ∈ TFO(f): the
 //	     signature prefilter's observability terms (ObsCare/nodeOutDomTerm)
 //	     read sampled signatures of TFO side fanins; a cone change under
@@ -122,14 +120,8 @@ type batchMember struct {
 	candIDs []network.SigID // SigID of each candidate (rule E2)
 
 	// Phase-A precomputed per-candidate state: the signature filter's
-	// verdicts (the filter is not thread-safe) and the trial-cache keys and
-	// audit fingerprints (derived against the frozen pre-batch cones,
-	// exactly as ev.plans derives them serially).
+	// verdicts (the filter is not thread-safe).
 	filtered []bool
-	keys     []trialKey
-	keyOK    []bool
-	fings    [][2]network.ConeHash
-	fingOK   []bool
 	sf       *simSigFilter // for tally nil-ness and rule E3 applicability
 
 	fp    []network.SigID // claim footprint: node-driven {f} ∪ TFI ∪ TFO
@@ -144,21 +136,7 @@ type batchMember struct {
 	pooled   bool // plan came from the pooled fallback
 	plan     plan
 	hasPlan  bool
-	spec     int // speculative trial verdicts produced (incl. cache replays)
-
-	stores []storeIntent // buffered trial-cache stores, applied at the sweep
-}
-
-// storeIntent is one deferred TrialCache.store call. Workers buffer stores
-// instead of publishing them so the cache content every member sees during
-// phase B is the frozen batch-start content — store order (a worker race)
-// can then never influence anything.
-type storeIntent struct {
-	key     trialKey
-	p       plan
-	ok      bool
-	fing    [2]network.ConeHash
-	hasFing bool
+	spec     int // speculative trial verdicts produced
 }
 
 // batchObserver, when set (tests only), receives every multi-member batch
@@ -205,21 +183,16 @@ func (s *batchScheduler) runBatch(ids []network.SigID, i int) (int, bool) {
 	nw := r.nw
 
 	// Phase A (serial): rebuild the pass index for the current epoch, then
-	// refresh the signature/cone tables once for the whole batch — commits
-	// mark them dirty, so this is the per-batch replacement for the serial
-	// driver's per-node Refresh. The index is built first so both tables
-	// reuse its fanout/topo snapshots (RefreshScoped) instead of
-	// recomputing the O(V+E) adjacency a second and third time; the
-	// deferred NetHash refold is safe here because batching never runs
-	// under ExtendedGDC, the only config whose trial keys read it. Then
-	// scan members until a claim conflict, an over-cap footprint, the
-	// window cap, or the end of the pass.
+	// refresh the signature table once for the whole batch — commits mark
+	// it dirty, so this is the per-batch replacement for the serial
+	// driver's per-node Refresh. The index is built first so the table
+	// reuses its fanout/topo snapshots (RefreshScoped) instead of
+	// recomputing the O(V+E) adjacency a second time. Then scan members
+	// until a claim conflict, an over-cap footprint, the window cap, or the
+	// end of the pass.
 	ix := r.ev.index(nw)
 	if r.sigTab != nil {
 		r.sigTab.RefreshScoped(ix.fanouts, ix.topoIDs)
-	}
-	if r.coneTab != nil {
-		r.st.CacheInvalidated += r.coneTab.RefreshScoped(ix.fanouts, ix.topoIDs)
 	}
 	s.fanouts = ix.fanouts
 	s.members = s.members[:0]
@@ -283,45 +256,68 @@ scan:
 			work = append(work, m)
 		}
 	}
-	ev := r.ev
-	for _, sc := range ev.scratches {
-		sc.epoch = ev.epoch
-		sc.epochIdx = ix
-	}
-	if ev.workers == 1 || len(work) == 1 {
-		for _, m := range work {
-			s.runMember(m, ev.scratches[0])
-		}
-	} else {
-		n := ev.workers
-		if n > len(work) {
-			n = len(work)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			//bdslint:ignore spawn this is the batch scheduler's bounded member-dispatch pool, the cross-dividend counterpart of the evaluator's wave pool
-			go func(sc *scratch) {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(work) {
-						return
-					}
-					s.runMember(work[k], sc)
-				}
-			}(ev.scratches[w])
-		}
-		wg.Wait()
-	}
+	s.runMembers(work, ix)
 
 	// Phase C (serial): sweep the members in pass order.
 	return took, s.sweep()
 }
 
-// buildMember extracts member m's cones and precomputes its candidate list,
-// filter verdicts, and cache keys. ok=false flags an over-cap footprint.
+// runMembers is phase B: it runs every member's trial sequence on a bounded
+// pool of up to Options.Workers goroutines, one scratch per worker. A panic
+// in a worker (an Options.Audit tripwire, say) is recovered there and
+// re-raised on the calling goroutine once every worker has stopped, so it
+// reaches the caller's recover instead of killing the process.
+func (s *batchScheduler) runMembers(work []*batchMember, ix *passIndex) {
+	ev := s.r.ev
+	for _, sc := range ev.scratches {
+		sc.epoch = ev.epoch
+		sc.epochIdx = ix
+	}
+	n := ev.workers
+	if n > len(work) {
+		n = len(work)
+	}
+	if n <= 1 {
+		for _, m := range work {
+			s.runMember(m, ev.scratches[0])
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var failure any
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		//bdslint:ignore spawn this is the engine's one bounded worker pool: phase B of the batch scheduler
+		go func(sc *scratch) {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					mu.Lock()
+					if failure == nil {
+						failure = p
+					}
+					mu.Unlock()
+				}
+			}()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(work) {
+					return
+				}
+				s.runMember(work[k], sc)
+			}
+		}(ev.scratches[w])
+	}
+	wg.Wait()
+	if failure != nil {
+		panic(failure)
+	}
+}
+
+// buildMember extracts member m's cones and precomputes its candidate list
+// and filter verdicts. ok=false flags an over-cap footprint.
 func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, ix *passIndex) (*batchMember, bool) {
 	r := s.r
 	nw := r.nw
@@ -366,38 +362,14 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, ix *pa
 		m.candIDs[ci] = did
 		m.filtered[ci] = !m.sf.admits(c)
 	}
-	if r.tc != nil {
-		ct := nw.Cones()
-		m.keys = make([]trialKey, len(m.cands))
-		m.keyOK = make([]bool, len(m.cands))
-		audit := opt.Audit
-		var fFing network.ConeHash
-		if audit {
-			fFing = nw.ConeFingerprint(f)
-			m.fings = make([][2]network.ConeHash, len(m.cands))
-			m.fingOK = make([]bool, len(m.cands))
-		}
-		for ci, c := range m.cands {
-			if m.filtered[ci] {
-				continue
-			}
-			if k, kOK := trialCacheKey(ct, f, c, opt); kOK {
-				m.keys[ci], m.keyOK[ci] = k, true
-				if audit {
-					m.fings[ci] = [2]network.ConeHash{fFing, nw.ConeFingerprint(c.name)}
-					m.fingOK[ci] = true
-				}
-			}
-		}
-	}
 	return m, true
 }
 
 // runMember executes member m's whole trial sequence against the frozen
-// batch-start network on one worker: the wave engine's per-slot logic
-// (filter verdict, cache replay, real trial) at candidate granularity, with
-// first-positive early exit (or a full scan plus best-gain selection under
-// Options.BestGain) and the pooled fallback inline.
+// batch-start network on one worker: the serial driver's per-slot logic
+// (filter verdict, then the real trial), with first-positive early exit
+// (or a full scan plus best-gain selection under Options.BestGain) and the
+// pooled fallback inline.
 func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
 	r := s.r
 	nw := r.nw
@@ -406,33 +378,11 @@ func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
 	m.planIdx = -1
 
 	runTrial := func(i int) {
-		c := m.cands[i]
 		if m.filtered[i] {
 			m.res[i].filtered = true
 			return
 		}
-		if r.tc != nil && m.keyOK[i] {
-			if e, hit := r.tc.lookup(m.keys[i]); hit {
-				if m.fingOK != nil && m.fingOK[i] && e.hasFing && e.fing != m.fings[i] {
-					m.res[i].collided = true // degrade to a real trial
-				} else if p, pOK, usable := e.replay(nw, m.f, c.name, opt.NoOverlay); usable {
-					if opt.Audit {
-						auditCachedHit(sc, nw, m.f, c, opt, p, pOK)
-					}
-					m.res[i].p, m.res[i].ok, m.res[i].cached = p, pOK, true
-					return
-				}
-			}
-		}
-		m.res[i].p, m.res[i].ok = planPair(sc, nw, m.f, c, opt)
-		if r.tc != nil && m.keyOK[i] {
-			var fg [2]network.ConeHash
-			hasFg := m.fingOK != nil && m.fingOK[i]
-			if hasFg {
-				fg = m.fings[i]
-			}
-			m.stores = append(m.stores, storeIntent{m.keys[i], m.res[i].p, m.res[i].ok, fg, hasFg})
-		}
+		m.res[i].p, m.res[i].ok = planPair(sc, nw, m.f, m.cands[i], opt)
 	}
 
 	if opt.BestGain {
@@ -498,12 +448,6 @@ func (s *batchScheduler) sweep() bool {
 			continue
 		}
 		r.st.SpeculatedTrials += m.spec
-		// Publish the buffered cache stores before this member's slot runs:
-		// entries are keyed by batch-start cones, so they either still match
-		// (and replay the byte-identical outcome the store captured) or can
-		// never match again — and an eviction re-run below gets to replay
-		// them instead of re-trialing.
-		s.applyStores(m)
 		if s.evict(m) {
 			r.st.ConflictEvictions++
 			if m.hasPlan {
@@ -603,17 +547,11 @@ func planCreatesNames(p *plan) bool {
 }
 
 // tally folds the member's consumed result slots into the run statistics,
-// exactly as the wave engine tallies each wave.
+// exactly as the serial driver tallies each trial.
 func (s *batchScheduler) tally(m *batchMember) {
-	tallySigFilter(s.r.st, m.res[:m.consumed], m.sf, s.r.tc != nil)
-}
-
-// applyStores publishes the member's buffered trial-cache stores.
-func (s *batchScheduler) applyStores(m *batchMember) {
-	for _, in := range m.stores {
-		s.r.tc.store(in.key, in.p, in.ok, in.fing, in.hasFing)
+	for _, res := range m.res[:m.consumed] {
+		tallyTrial(s.r.st, res, m.sf)
 	}
-	m.stores = nil
 }
 
 // commitMarks carries one commit's conflict-mark state across the

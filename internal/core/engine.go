@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/algebraic"
 	"repro/internal/cube"
@@ -12,31 +10,25 @@ import (
 )
 
 // This file is the plan/commit substitution engine. Substitution splits
-// into three stages:
+// into two stages:
 //
 //	planner   — evaluates one (dividend, divisor) trial against a read-only
 //	            view of the network (network.Reader) and returns a pure-data
 //	            plan. Planners never mutate shared state: every division
-//	            runs on a private clone, and per-worker scratch arenas hold
-//	            all reusable buffers. Plans are therefore evaluable
-//	            concurrently.
-//	reducer   — walks completed plans in the deterministic candidate order
-//	            (the same order the serial driver tries them in) and picks
-//	            which plan to commit, so the result is bit-identical at any
-//	            worker count.
+//	            runs on a private overlay or clone, and per-worker scratch
+//	            arenas hold all reusable buffers. Plans are therefore
+//	            evaluable concurrently (the batch scheduler's phase B).
 //	committer — applies the chosen plan to the live network serially,
 //	            invalidates the pass caches, enforces the depth budget, and
 //	            updates statistics.
 //
-// Determinism argument: a plan captures the full replacement (node function
-// or whole rewritten network) and its gain, computed from the pre-commit
-// network state. The reducer visits plans in candidate order; committing
-// plan k and then consulting plan k+1 is equivalent to the serial schedule
-// because (a) a successful commit ends the node's trials exactly as the
-// serial first-positive rule does, and (b) a depth-rejected commit is
-// undone byte-exactly (the node's previous fanins/cover, or a whole-network
-// snapshot, are restored verbatim), so the state plan k+1 was evaluated
-// against is the state it commits against.
+// The per-node driver (run.substituteNode) is the paper's serial greedy
+// loop: it plans the candidates one at a time in the deterministic
+// candidate order and commits the first positive-gain plan (or, under
+// Options.BestGain, plans them all and commits the best). A depth-rejected
+// commit is undone byte-exactly (the node's previous fanins/cover, or a
+// whole-network snapshot, are restored verbatim), so the remaining plans of
+// the node stay valid against the state they were evaluated on.
 
 // plan is one evaluated division candidate, as pure data: the gain it
 // achieves and the replacement that realizes it. Exactly one of the two
@@ -60,8 +52,8 @@ type plan struct {
 	// extracting the delta when work is an overlay, copying wholesale when it
 	// is a deep clone — and invalidates the touched node names in the pass
 	// caches. core names the node extended division added when it decomposed
-	// the divisor ("" when none) — the trial cache stores work plans as
-	// {f, d, core} deltas.
+	// the divisor ("" when none); the overlay audit compares it alongside
+	// the dividend and divisor.
 	work    trialNet
 	touched []string
 	core    string
@@ -76,7 +68,7 @@ func (p *plan) isNode() bool { return p.work == nil }
 // concurrently on the same Reader as long as each call owns its scratch.
 //
 // planPair pins nw as the scratch's live reader — enabling the memoized
-// shared base build every overlay trial of the wave patches — and, under
+// shared base build every overlay trial of the epoch patches — and, under
 // Options.Audit, re-runs the whole trial on the historical deep-clone path
 // and panics unless the two plans agree byte-for-byte.
 //
@@ -116,6 +108,70 @@ func auditOverlayTrial(sc *scratch, got plan, gotOK bool, site string, run func(
 	if err := comparePlans(got, gotOK, want, wantOK); err != nil {
 		panic(fmt.Sprintf("core: overlay audit: %s: %v", site, err))
 	}
+}
+
+// comparePlans reports the first divergence between an overlay-path plan
+// and its clone-path reference, or nil when they agree.
+func comparePlans(got plan, gotOK bool, want plan, wantOK bool) error {
+	if gotOK != wantOK {
+		return fmt.Errorf("overlay ok=%v, clone ok=%v", gotOK, wantOK)
+	}
+	if !gotOK {
+		return nil
+	}
+	if got.gain != want.gain {
+		return fmt.Errorf("overlay gain=%d, clone gain=%d", got.gain, want.gain)
+	}
+	if got.pos != want.pos || got.dec != want.dec || got.removed != want.removed {
+		return fmt.Errorf("overlay form (pos=%v dec=%v removed=%d) != clone (pos=%v dec=%v removed=%d)",
+			got.pos, got.dec, got.removed, want.pos, want.dec, want.removed)
+	}
+	if got.isNode() != want.isNode() {
+		return fmt.Errorf("overlay isNode=%v, clone isNode=%v", got.isNode(), want.isNode())
+	}
+	if got.isNode() {
+		if err := compareNodeFn(got.newFanins, got.newCover, want.newFanins, want.newCover); err != nil {
+			return fmt.Errorf("node rewrite: %v", err)
+		}
+		return nil
+	}
+	for _, name := range []string{got.target, got.divisor, got.core} {
+		if name == "" {
+			continue
+		}
+		gn, wn := got.work.Node(name), want.work.Node(name)
+		if (gn == nil) != (wn == nil) {
+			return fmt.Errorf("work node %q present=%v, clone present=%v", name, gn != nil, wn != nil)
+		}
+		if gn == nil {
+			continue
+		}
+		if err := compareNodeFn(gn.Fanins, gn.Cover, wn.Fanins, wn.Cover); err != nil {
+			return fmt.Errorf("work node %q: %v", name, err)
+		}
+	}
+	return nil
+}
+
+func compareNodeFn(gotFanins []string, gotCover cube.Cover, wantFanins []string, wantCover cube.Cover) error {
+	if len(gotFanins) != len(wantFanins) {
+		return fmt.Errorf("fanin count %d != %d", len(gotFanins), len(wantFanins))
+	}
+	for i := range gotFanins {
+		if gotFanins[i] != wantFanins[i] {
+			return fmt.Errorf("fanin %d: %q != %q", i, gotFanins[i], wantFanins[i])
+		}
+	}
+	if gotCover.NumVars() != wantCover.NumVars() || gotCover.NumCubes() != wantCover.NumCubes() {
+		return fmt.Errorf("cover shape %dv/%dc != %dv/%dc",
+			gotCover.NumVars(), gotCover.NumCubes(), wantCover.NumVars(), wantCover.NumCubes())
+	}
+	for i := range gotCover.Cubes {
+		if !gotCover.Cubes[i].Equal(wantCover.Cubes[i]) {
+			return fmt.Errorf("cube %d differs", i)
+		}
+	}
+	return nil
 }
 
 // planPairImpl is planPair's trial body; sc.noOverlay/sc.pin are set by the
@@ -396,7 +452,7 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 	return true
 }
 
-// planResult is one slot of a fan-out batch.
+// planResult is the outcome of one candidate slot.
 type planResult struct {
 	p  plan
 	ok bool
@@ -404,22 +460,14 @@ type planResult struct {
 	// prefilter: planPair never ran (no clone, no netlist, no implication
 	// engine). A filtered candidate is one whose trial was guaranteed to
 	// produce no committable (positive-gain) plan, so downstream the slot
-	// behaves exactly like ok=false: the reducer would have skipped it.
+	// behaves exactly like ok=false: the driver would have skipped it.
 	filtered bool
-	// cached marks a result replayed from the trial memoization cache:
-	// planPair never ran, but p/ok are byte-identical to what it would have
-	// produced, so the slot still counts as a divisor trial in the stats.
-	cached bool
-	// collided marks a cache hit rejected by the Options.Audit structural
-	// fingerprint cross-check (two distinct cones on one cache key); the
-	// trial then ran for real and overwrote the colliding entry.
-	collided bool
 }
 
-// evaluator fans planPair calls over a bounded worker pool. Each worker
-// owns one scratch arena for its lifetime; results land in a slice indexed
-// by candidate position, so the reducer sees them in deterministic order
-// regardless of completion order.
+// evaluator owns the planner scratch arenas, the commit epoch and the
+// per-epoch graph index. The serial per-node path plans on scratches[0];
+// only the batch scheduler's phase B (batch.go) fans members out over all
+// workers, one scratch per worker.
 type evaluator struct {
 	workers   int
 	scratches []*scratch
@@ -446,119 +494,19 @@ func newEvaluator(workers int) *evaluator {
 	return ev
 }
 
-// plans evaluates every candidate in cands against nw and returns the
-// results in candidate order. The simulation-signature prefilter (sf, nil =
-// off) runs first, serially: candidates it rejects are marked filtered and
-// never reach planPair, so they skip the trial clone, the netlist build and
-// the implication engine. The trial memoization cache (tc, nil = off)
-// consults next, also serially: an admitted candidate whose fingerprint
-// hits replays the stored result without a trial; misses remember their key
-// so the worker that runs the trial can store the outcome. With one worker
-// (or one surviving candidate) the evaluation is inlined — no goroutines,
-// identical to the historical serial driver including allocation behavior.
-// plans takes the live network concretely (not as a Reader): the trial
-// cache key derivation and the audit fingerprints both need the cone
-// machinery only *Network carries, and every caller holds the live network.
-func (ev *evaluator) plans(nw *network.Network, f string, cands []candidate, opt Options, sf *simSigFilter, tc *TrialCache) []planResult {
-	ix := ev.index(nw)
-	for _, sc := range ev.scratches {
-		sc.epoch = ev.epoch
-		sc.epochIdx = ix
+// trial evaluates one candidate against nw on the serial scratch. The
+// simulation-signature prefilter (sf, nil = off) runs first: a candidate it
+// rejects is marked filtered and never reaches planPair, so it skips the
+// trial clone, the netlist build and the implication engine.
+func (ev *evaluator) trial(nw *network.Network, f string, c candidate, opt Options, sf *simSigFilter) planResult {
+	if !sf.admits(c) {
+		return planResult{filtered: true}
 	}
-	res := make([]planResult, len(cands))
-	todo := make([]int, 0, len(cands))
-	var keys []trialKey
-	var keyOK []bool
-	if tc != nil {
-		keys = make([]trialKey, len(cands))
-		keyOK = make([]bool, len(cands))
-	}
-	// Under Options.Audit every cache hit is collision-checked against an
-	// independently seeded structural fingerprint of the two cones (see
-	// network.ConeFingerprint): a 128-bit cache-key collision would replay
-	// the wrong verdict, and the byte-level auditCachedHit replay below
-	// would then panic on an honest hash accident. The fingerprint check
-	// runs first and degrades a mismatch to a real trial instead.
-	var fings [][2]network.ConeHash
-	var fingOK []bool
-	var fFing network.ConeHash
-	auditFing := tc != nil && opt.Audit
-	if auditFing {
-		fings = make([][2]network.ConeHash, len(cands))
-		fingOK = make([]bool, len(cands))
-		fFing = nw.ConeFingerprint(f)
-	}
-	ct := nw.Cones()
-	for i, c := range cands {
-		if !sf.admits(c) {
-			res[i].filtered = true
-			continue
-		}
-		if tc != nil {
-			if k, ok := trialCacheKey(ct, f, c, opt); ok {
-				if auditFing {
-					fings[i] = [2]network.ConeHash{fFing, nw.ConeFingerprint(c.name)}
-					fingOK[i] = true
-				}
-				if e, hit := tc.lookup(k); hit {
-					if fingOK != nil && fingOK[i] && e.hasFing && e.fing != fings[i] {
-						res[i].collided = true // fall through to a real trial
-					} else if p, pOK, usable := e.replay(nw, f, c.name, opt.NoOverlay); usable {
-						if opt.Audit {
-							auditCachedHit(ev.scratches[0], nw, f, c, opt, p, pOK)
-						}
-						res[i].p, res[i].ok, res[i].cached = p, pOK, true
-						continue
-					}
-				}
-				keys[i], keyOK[i] = k, true
-			}
-		}
-		todo = append(todo, i)
-	}
-	// runOne evaluates slot i for real and memoizes the outcome under the
-	// key computed (serially, against the pre-wave state) above. Entry data
-	// is deep-copied by store, so concurrent stores from workers only
-	// contend on the shard mutex.
-	runOne := func(sc *scratch, i int) {
-		res[i].p, res[i].ok = planPair(sc, nw, f, cands[i], opt)
-		if tc != nil && keyOK[i] {
-			var fg [2]network.ConeHash
-			hasFg := fingOK != nil && fingOK[i]
-			if hasFg {
-				fg = fings[i]
-			}
-			tc.store(keys[i], res[i].p, res[i].ok, fg, hasFg)
-		}
-	}
-	if ev.workers == 1 || len(todo) <= 1 {
-		for _, i := range todo {
-			runOne(ev.scratches[0], i)
-		}
-		return res
-	}
-	n := ev.workers
-	if n > len(todo) {
-		n = len(todo)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		//bdslint:ignore spawn this IS the bounded worker pool the spawn rule points engine code at
-		go func(sc *scratch) {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(todo) {
-					return
-				}
-				runOne(sc, todo[k])
-			}
-		}(ev.scratches[w])
-	}
-	wg.Wait()
-	return res
+	sc := ev.scratches[0]
+	sc.epoch = ev.epoch
+	sc.epochIdx = ev.index(nw)
+	p, ok := planPair(sc, nw, f, c, opt)
+	return planResult{p: p, ok: ok}
 }
 
 // commit applies a plan through commitPlan, bumping the epoch first so every

@@ -13,7 +13,8 @@ import (
 
 // substituteBothWays runs Substitute serially and with an 8-worker pool on
 // clones of base and asserts the committed networks are byte-identical
-// (BLIF-serialized). Returns the serial result for further checks.
+// (BLIF-serialized) and every Stats counter matches. Returns the serial
+// result for further checks.
 func substituteBothWays(t *testing.T, base *network.Network, opt Options, label string) *network.Network {
 	t.Helper()
 	serial := base.Clone()
@@ -28,8 +29,9 @@ func substituteBothWays(t *testing.T, base *network.Network, opt Options, label 
 		t.Fatalf("%s: Workers=8 diverged from Workers=1\nserial (stats %+v):\n%s\nparallel (stats %+v):\n%s",
 			label, stS, a, stP, b)
 	}
-	if stS.Substitutions != stP.Substitutions || stS.LitsAfter != stP.LitsAfter {
-		t.Errorf("%s: committed stats diverged: serial %+v parallel %+v", label, stS, stP)
+	stS.PassTimes, stP.PassTimes = nil, nil
+	if !reflect.DeepEqual(stS, stP) {
+		t.Errorf("%s: stats diverged: serial %+v parallel %+v", label, stS, stP)
 	}
 	return serial
 }
@@ -48,9 +50,9 @@ func TestSubstituteParallelMatchesSerial(t *testing.T) {
 }
 
 func TestSubstituteParallelMatchesSerialVariants(t *testing.T) {
-	// Option corners where the reducer schedule differs from the plain
+	// Option corners where the per-node schedule differs from the plain
 	// first-positive walk: best-gain acceptance, depth-budget rejection
-	// (commit-undo inside a wave), and windowed trials.
+	// (commit-undo mid-scan), and windowed trials.
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 4; trial++ {
 		base := randomDAG(r, 4, 7)
@@ -60,6 +62,48 @@ func TestSubstituteParallelMatchesSerialVariants(t *testing.T) {
 		substituteBothWays(t, base, Options{Config: Extended, POS: true, WindowDepth: 2}, "window")
 	}
 	substituteBothWays(t, gainNetwork(), Options{Config: Basic}, "gain")
+}
+
+// TestSubstituteStatsWorkerInvariant: the per-node path is strictly serial
+// and the batch partition never depends on the worker count, so every
+// Stats counter — not only the committed BLIF — is identical at any worker
+// count. Covered: ext+GDC (always on the serial path), NoBatch runs, and
+// batched runs, over multi-pass runs with Audit on. The committed BLIF
+// must also agree across the batch on/off axis.
+func TestSubstituteStatsWorkerInvariant(t *testing.T) {
+	r := rand.New(rand.NewSource(97531))
+	bases := []*network.Network{gainNetwork(), coneForestDAG(6)}
+	for i := 0; i < 4; i++ {
+		bases = append(bases, randomDAG(r, 4, 7))
+	}
+	for bi, base := range bases {
+		for _, cfg := range []Config{Basic, Extended, ExtendedGDC} {
+			wantBLIF := ""
+			for _, noBatch := range []bool{false, true} {
+				var want Stats
+				for wi, workers := range []int{1, 2, 4} {
+					nw := base.Clone()
+					st := Substitute(nw, Options{
+						Config: cfg, POS: true, Pool: true, MaxPasses: 3,
+						Workers: workers, Audit: true, NoBatch: noBatch,
+					})
+					st.PassTimes = nil
+					if got := blif.ToString(nw); wantBLIF == "" {
+						wantBLIF = got
+					} else if got != wantBLIF {
+						t.Fatalf("base %d cfg %v batch=%v workers=%d: committed network diverged\nwant:\n%s\ngot:\n%s",
+							bi, cfg, !noBatch, workers, wantBLIF, got)
+					}
+					if wi == 0 {
+						want = st
+					} else if !reflect.DeepEqual(st, want) {
+						t.Errorf("base %d cfg %v batch=%v: stats at workers=%d differ from workers=1:\nw1 %+v\nw%d %+v",
+							bi, cfg, !noBatch, workers, want, workers, st)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestStatsAccumulate(t *testing.T) {
@@ -77,8 +121,7 @@ func TestStatsAccumulate(t *testing.T) {
 // TestStatsAccumulateAssociative: folding (a then b) then c equals folding a
 // then (b accumulated with c) — the property that lets a multi-call flow
 // (script.ResubRARWith across passes, the experiment harness across cells)
-// merge stats in any grouping. Exercised with every counter populated,
-// including the trial-cache fields this property must extend to.
+// merge stats in any grouping. Exercised with every counter populated.
 func TestStatsAccumulateAssociative(t *testing.T) {
 	mk := func(k int) Stats {
 		return Stats{
@@ -95,9 +138,6 @@ func TestStatsAccumulateAssociative(t *testing.T) {
 			DepthRejected:      9 * k,
 			SigCacheHits:       10 * k,
 			SigCacheMisses:     11 * k,
-			CacheHits:          12 * k,
-			CacheMisses:        13 * k,
-			CacheInvalidated:   14 * k,
 			ComplCacheHits:     15 * k,
 			ComplCacheMisses:   16 * k,
 			SpeculatedTrials:   17 * k,
@@ -124,8 +164,8 @@ func TestStatsAccumulateAssociative(t *testing.T) {
 	if !reflect.DeepEqual(left, right) {
 		t.Errorf("Accumulate is not associative:\n(a+b)+c = %+v\na+(b+c) = %+v", left, right)
 	}
-	if left.CacheHits != 12*6 || left.CacheMisses != 13*6 || left.CacheInvalidated != 14*6 {
-		t.Errorf("cache counters not summed: %+v", left)
+	if left.ConflictEvictions != 20*6 || left.SigCacheHits != 10*6 {
+		t.Errorf("counters not summed: %+v", left)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blif"
@@ -49,25 +50,46 @@ func TestPropOverlayMatchesClonePlanForPlan(t *testing.T) {
 }
 
 // TestOverlayAuditDetectsCorruptedPlan proves the Audit cross-check is a
-// live tripwire, not a tautology: a hook corrupts every overlay-path plan
-// before the comparison, and the audit must panic on the first real trial.
+// live tripwire, not a tautology: a hook corrupts overlay-path plans before
+// the comparison, and the audit must panic on the first corrupted trial —
+// and the panic must reach the caller whether the trial ran on the serial
+// path or in a batch phase-B worker goroutine.
 func TestOverlayAuditDetectsCorruptedPlan(t *testing.T) {
-	overlayAuditCorrupt = func(p *plan) { p.gain += 1000 }
 	defer func() { overlayAuditCorrupt = nil }()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Audit accepted a corrupted overlay plan")
+	expectAuditPanic := func(label string, run func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatalf("%s: Audit accepted a corrupted overlay plan", label)
+			}
+			if !strings.Contains(fmt.Sprint(r), "overlay audit") {
+				t.Fatalf("%s: unexpected panic: %v", label, r)
+			}
+		}()
+		run()
+	}
+
+	// Serial path: every plan is corrupted, so the first trial trips.
+	overlayAuditCorrupt = func(p *plan) { p.gain += 1000 }
+	expectAuditPanic("serial", func() {
+		Substitute(gainNetwork(), Options{Config: Basic, Workers: 1, Audit: true})
+	})
+
+	// Batch path: corruption starts once a multi-member batch is dispatched,
+	// so the first corrupted trial runs in a phase-B worker goroutine and
+	// the scheduler must re-raise its panic on this goroutine.
+	var dispatched atomic.Bool
+	batchObserver = func([]*batchMember) { dispatched.Store(true) }
+	defer func() { batchObserver = nil }()
+	overlayAuditCorrupt = func(p *plan) {
+		if dispatched.Load() {
+			p.gain += 1000
 		}
-		if !strings.Contains(fmt.Sprint(r), "overlay audit") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	nw := gainNetwork()
-	// Workers=1 inlines the planners, so the audit panic reaches this
-	// goroutine and the recover above.
-	Substitute(nw, Options{Config: Basic, Workers: 1, Audit: true})
-	t.Fatal("Substitute returned; corrupted plan was never audited")
+	}
+	expectAuditPanic("batch", func() {
+		Substitute(coneForestDAG(12), Options{Config: Basic, Workers: 2, Audit: true})
+	})
 }
 
 // TestSubstituteOverlayInvariant is the result-invisibility contract of the

@@ -2,7 +2,7 @@ package core
 
 import "repro/internal/network"
 
-// PlannerBookkeepingProbe runs one wave of the planner's per-node
+// PlannerBookkeepingProbe runs one sweep of the planner's per-node
 // bookkeeping — divisor-candidate enumeration through the sigCache and
 // complCache, and SigID-memoized factored-literal costing — over every
 // node of nw, without planning or committing anything. It is the seam

@@ -21,7 +21,7 @@ import (
 //	          they must see exactly the netlist a fresh build produces).
 //	bShared — the base build of the pinned live network, built once per
 //	          commit epoch and then patched/rolled back by every trial of
-//	          the wave (see baseBuild).
+//	          the epoch (see baseBuild).
 //	bFresh  — base builds of any other reader (a window, an extended
 //	          decomposition's working overlay): one build per trial, still
 //	          patched between RAR passes instead of rebuilt.
@@ -44,7 +44,7 @@ type scratch struct {
 	// overlays die and their addresses recycle, but they can never equal the
 	// live network's address while it is pinned.
 	pin network.Reader
-	// epoch is the evaluator's commit epoch as of this wave; sharedFor and
+	// epoch is the evaluator's commit epoch as of this trial; sharedFor and
 	// sharedEpoch record which (reader, epoch) sharedBuild was built for. A
 	// commit bumps the evaluator's epoch, so stale base builds are never
 	// patched again.
@@ -53,7 +53,7 @@ type scratch struct {
 	sharedEpoch uint64
 	sharedBuild *netlist.Build
 
-	// epochIdx is the evaluator's per-epoch graph index as of this wave.
+	// epochIdx is the evaluator's per-epoch graph index as of this trial.
 	// windowFor consults it read-only (fanouts/topoPos are immutable after
 	// the serial-side rebuild); validity is re-checked against (reader,
 	// epoch) via passIndex.matches, so a stale pointer is harmless.
@@ -76,7 +76,7 @@ type scratch struct {
 
 	// flits memoizes FactorLits of LIVE network nodes per (pinned reader,
 	// commit epoch): within an epoch nothing mutates the live network, so
-	// the factored cost of a node (the before-cost every trial of a wave
+	// the factored cost of a node (the before-cost every trial of an epoch
 	// recomputes) is a pure function of its SigID. The arena is
 	// SigID-indexed with per-slot generation stamps — a slot is valid only
 	// while flitsGen[id] == flitsCur — so a pin or epoch change invalidates
@@ -140,7 +140,7 @@ func (sc *scratch) factorLits(id network.SigID, cov cube.Cover) int {
 // baseBuild returns a netlist build of r's current state for use as a
 // patch base (or as a read-only implication substrate, e.g. the vote
 // table). Builds of the pinned live reader are memoized per commit epoch —
-// every trial of a wave patches and rolls back the same build — while any
+// every trial of an epoch patches and rolls back the same build — while any
 // other reader gets a fresh single-trial build from the bFresh arena.
 //
 //bdslint:hotpath

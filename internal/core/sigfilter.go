@@ -65,7 +65,7 @@ import (
 //	validate), so the candidate is rejected unconditionally.
 //
 // Because a rejected candidate's trial provably either fails or yields a
-// plan with gain ≤ 0 — which the reducer never commits — the filter can
+// plan with gain ≤ 0 — which the driver never commits — the filter can
 // only skip trials, never change which plans commit: the committed network
 // is byte-identical with the filter on or off
 // (TestSubstituteSigFilterInvariant).

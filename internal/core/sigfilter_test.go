@@ -10,7 +10,7 @@ import (
 // TestSigFilterSoundness is the filter's core property: a candidate the
 // signature prefilter rejects is a candidate whose exact division trial
 // yields no committable plan — planPair either fails or reports a gain the
-// reducer would never commit (≤ 0). Checked on every rejected candidate of
+// driver would never commit (≤ 0). Checked on every rejected candidate of
 // random networks — any positive-gain success is a soundness bug (the
 // filter would have changed which plans commit).
 func TestSigFilterSoundness(t *testing.T) {

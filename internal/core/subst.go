@@ -45,11 +45,11 @@ type Options struct {
 	// the network's logic depth beyond the budget — the delay-aware mode
 	// (substitution reuses deep signals and can otherwise lengthen paths).
 	DepthBudget int
-	// Workers bounds the planner worker pool: divisor trials for a node are
-	// evaluated by up to this many goroutines against a read-only view of
-	// the network, then committed serially in deterministic order (0 =
-	// GOMAXPROCS). The committed network is bit-identical at any worker
-	// count; only wall time changes.
+	// Workers bounds the batch scheduler's phase-B worker pool: up to this
+	// many goroutines each run whole cone-disjoint members' trial sequences
+	// against the frozen batch-start network (0 = GOMAXPROCS). The per-node
+	// path is strictly serial. The committed network and every Stats
+	// counter are identical at any worker count; only wall time changes.
 	Workers int
 	// NoSigFilter disables the simulation-signature divisor prefilter. The
 	// filter (on by default) skips exact division trials whose signature
@@ -58,29 +58,17 @@ type Options struct {
 	// network is bit-identical either way; only the trial count and wall
 	// time change (see sigfilter.go).
 	NoSigFilter bool
-	// TrialCache supplies a shared trial memoization cache (see
-	// trialcache.go): division-trial outcomes keyed by the canonical
-	// structural fingerprint of the trial, replayed on a hit without the
-	// clone/netlist/implication work. nil = the run creates a private cache
-	// (entries live across that run's passes); supply one explicitly to
-	// share proven trials across Substitute calls. The cache is
-	// result-invisible: the committed network is bit-identical with the
-	// cache on or off, at any worker count.
-	TrialCache *TrialCache
-	// NoTrialCache disables trial memoization entirely (the `-nocache`
-	// flag). Only trial counts and wall time change; the result does not.
-	NoTrialCache bool
 	// NoBatch disables the cone-disjoint batch scheduler (batch.go): every
-	// dividend is then planned and committed one node at a time — the
-	// historical schedule, in which extra workers only widen a node's trial
-	// wave. The scheduler is result-invisible: the committed network is
-	// byte-identical with batching on or off, at any worker count (the
-	// invariant tests enforce it); only the scheduling statistics and wall
-	// time change. Batching is also disabled implicitly for ExtendedGDC
-	// (its trials are keyed on the whole-network state, so speculation
-	// across commits can never be validated) and under a DepthBudget
-	// (commit-time rejection re-opens a node's trial sequence, which only
-	// the serial schedule reproduces).
+	// dividend is then planned and committed one node at a time on the
+	// serial path, and extra workers stay idle. The scheduler is
+	// result-invisible: the committed network is byte-identical with
+	// batching on or off, at any worker count (the invariant tests enforce
+	// it); only the scheduling statistics and wall time change. Batching is
+	// also disabled implicitly for ExtendedGDC (its implications read the
+	// whole netlist, so a commit anywhere can change a trial and
+	// speculation across commits can never be validated) and under a
+	// DepthBudget (commit-time rejection re-opens a node's trial sequence,
+	// which only the serial schedule reproduces).
 	NoBatch bool
 	// NoOverlay disables the copy-on-write trial path: every division trial
 	// runs on a full deep clone of the network and every RAR pass rebuilds
@@ -90,12 +78,12 @@ type Options struct {
 	// Audit cross-check enforce it), so this is an escape hatch and the
 	// audit reference, not a tuning knob.
 	NoOverlay bool
-	// Audit runs network.Check after every committed substitution, re-runs
-	// every trial-cache hit for real, and re-runs every overlay-path trial
-	// on the deep-clone path, panicking unless the plans match
-	// byte-for-byte. The audits are O(network)/O(trial), so this is a
-	// debugging/testing mode, not a production default; the integration
-	// tests and the fuzz harness enable it.
+	// Audit runs network.Check after every committed substitution and
+	// re-runs every overlay-path trial on the deep-clone path, panicking
+	// unless the plans match byte-for-byte. The audits are
+	// O(network)/O(trial), so this is a debugging/testing mode, not a
+	// production default; the integration tests and the fuzz harness
+	// enable it.
 	Audit bool
 	// Clock supplies the wall-clock reads behind Stats.PassTimes (nil =
 	// WallClock). Timing is reporting-only — no engine decision reads it —
@@ -118,9 +106,7 @@ type Stats struct {
 	LitsBefore, LitsAfter int
 	// DivisorTrials counts exact division plans actually evaluated —
 	// candidates the signature prefilter rejected are not included (they are
-	// counted in SigFilterReject). With Workers > 1 the count can exceed a
-	// serial run's: a whole wave of trials is planned before the reducer
-	// knows the first one committed.
+	// counted in SigFilterReject).
 	DivisorTrials int
 	// SigFilterReject counts candidates the simulation-signature prefilter
 	// rejected: trials skipped without building a netlist or running
@@ -136,29 +122,17 @@ type Stats struct {
 	// SigCacheHits/SigCacheMisses count lookups of per-node cube literal
 	// signatures during candidate filtering.
 	SigCacheHits, SigCacheMisses int
-	// CacheHits counts divisor trials replayed from the trial memoization
-	// cache (no clone, netlist, or implication run — but still counted in
-	// DivisorTrials, since the verdict was consumed). CacheMisses counts
-	// trials that ran for real while the cache was active. CacheInvalidated
-	// totals the cone-hash entries committed rewrites changed or dropped
-	// (ConeTable.Refresh's changed count): the number of structural keys
-	// each commit killed, 0 for the initial hash computation.
+	// CacheHits, CacheMisses and CacheInvalidated are always 0: the trial
+	// memoization cache that counted them was removed. They stay only
+	// because the bdsbench benchmark reads them.
 	CacheHits, CacheMisses, CacheInvalidated int
-	// CacheCollisions counts trial-cache hits rejected under Options.Audit
-	// because the entry's structural cone fingerprint (an independently
-	// seeded recomputation — network.ConeFingerprint) disagreed with the
-	// current cones: two distinct cones folded onto one 128-bit cache key.
-	// The colliding hit degrades to a real trial, so a collision costs
-	// correctness nothing; a nonzero count is the signal that the cone-hash
-	// width is being stressed.
-	CacheCollisions int
 	// ComplCacheHits/ComplCacheMisses count memoized complement-cover
 	// lookups (POS and complement-phase filtering).
 	ComplCacheHits, ComplCacheMisses int
 	// SpeculatedTrials counts trial verdicts the batch scheduler produced
-	// speculatively: divisor trials (cache replays included) and pooled
-	// trials evaluated against a batch-start snapshot before the sweep
-	// decided whether their dividend's speculation was still valid.
+	// speculatively: divisor trials and pooled trials evaluated against a
+	// batch-start snapshot before the sweep decided whether their
+	// dividend's speculation was still valid.
 	SpeculatedTrials int
 	// DiscardedPlans counts accepted plans thrown away unused — their
 	// member was evicted from the sweep (a conflicting earlier commit
@@ -200,10 +174,6 @@ func (s *Stats) Accumulate(o Stats) {
 	s.DepthRejected += o.DepthRejected
 	s.SigCacheHits += o.SigCacheHits
 	s.SigCacheMisses += o.SigCacheMisses
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.CacheInvalidated += o.CacheInvalidated
-	s.CacheCollisions += o.CacheCollisions
 	s.ComplCacheHits += o.ComplCacheHits
 	s.ComplCacheMisses += o.ComplCacheMisses
 	s.SpeculatedTrials += o.SpeculatedTrials
@@ -224,26 +194,17 @@ func (s *Stats) FalsePassRate() float64 {
 	return float64(s.SigFilterFalsePass) / float64(s.SigFilterPass)
 }
 
-// CacheHitRate is the fraction of cache-consulted trials served from the
-// trial memoization cache (0 when the cache never saw a trial).
-func (s *Stats) CacheHitRate() float64 {
-	if s.CacheHits+s.CacheMisses == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
-}
-
 // Substitute runs Boolean substitution over the whole network with the
 // paper's locally greedy acceptance: for each node, divisors are tried in a
 // deterministic order and the first division with a positive factored-
 // literal gain is committed. Passes repeat until a fixed point (bounded by
 // MaxPasses).
 //
-// Trials are evaluated by the plan/commit engine (see engine.go): waves of
-// up to Options.Workers candidate divisions are planned concurrently
-// against a read-only view, then reduced in candidate order and committed
-// serially, so the result is identical to the serial schedule at any
-// worker count.
+// Trials are evaluated by the plan/commit engine (see engine.go), one
+// candidate at a time per node. The batch scheduler (batch.go) runs the
+// trial sequences of cone-disjoint dividends on up to Options.Workers
+// goroutines and commits them in one serial sweep, so the result is
+// identical to the serial schedule at any worker count.
 func Substitute(nw *network.Network, opt Options) Stats {
 	maxPasses := opt.MaxPasses
 	if maxPasses == 0 {
@@ -277,22 +238,6 @@ func Substitute(nw *network.Network, opt Options) Stats {
 		defer nw.DisableSigs()
 	}
 
-	// Trial memoization (see trialcache.go): structural cone hashes on the
-	// live network key a worker-shared cache of trial outcomes. A private
-	// cache still pays off — entries survive across the run's passes, and
-	// most second-pass trials replay. Invalidation is implicit: Refresh
-	// recomputes the hashes a commit changed, so stale keys never match.
-	var tc *TrialCache
-	var coneTab *network.ConeTable
-	if !opt.NoTrialCache {
-		tc = opt.TrialCache
-		if tc == nil {
-			tc = NewTrialCache()
-		}
-		coneTab = nw.EnableCones()
-		defer nw.DisableCones()
-	}
-
 	// The complement and signature caches survive across passes: commits
 	// invalidate every touched name (the same mechanism that keeps them
 	// correct across commits within a pass), so entries for untouched nodes
@@ -308,15 +253,12 @@ func Substitute(nw *network.Network, opt Options) Stats {
 		st:        &st,
 		cc:        cc,
 		sigs:      sigs,
-		tc:        tc,
 		sigTab:    sigTab,
-		coneTab:   coneTab,
 	}
 	// The cone-disjoint batch scheduler (batch.go) speculates whole groups
 	// of cone-disjoint dividends per worker dispatch and commits the
 	// surviving plans in one serial sweep, so every in-flight trial is
-	// committable work instead of a wave that dies with the first commit.
-	// See Options.NoBatch for when it must stay off.
+	// committable work. See Options.NoBatch for when it must stay off.
 	if !opt.NoBatch && opt.Config != ExtendedGDC && opt.DepthBudget <= 0 {
 		r.sched = newBatchScheduler(r)
 	}
@@ -371,9 +313,7 @@ type run struct {
 	st        *Stats
 	cc        *complCache
 	sigs      *sigCache
-	tc        *TrialCache
 	sigTab    *network.SigTable
-	coneTab   *network.ConeTable
 	sched     *batchScheduler // nil = batch scheduling off
 }
 
@@ -420,23 +360,35 @@ func (r *run) substituteNode(id network.SigID) bool {
 		if r.sigTab != nil {
 			r.sigTab.Refresh()
 		}
-		if r.coneTab != nil {
-			st.CacheInvalidated += r.coneTab.Refresh()
-		}
 		sf = newSimSigFilter(nw, f, r.cc, opt)
 	}
+	// Candidates are tried one at a time in candidate order. The paper's
+	// first-positive-gain rule commits the first plan with a positive gain;
+	// BestGain plans every candidate first.
 	changed := false
 	committed := false
+	var results []planResult // BestGain only
+	for _, c := range cands {
+		res := ev.trial(nw, f, c, opt, sf)
+		tallyTrial(st, res, sf)
+		if opt.BestGain {
+			results = append(results, res)
+			continue
+		}
+		if res.ok && res.p.gain > 0 && r.commit(res.p, opt) {
+			changed = true
+			committed = true
+			break // paper: take the first positive-gain division
+		}
+		// A depth-rejected commit was undone byte-exactly; keep scanning.
+	}
 	if opt.BestGain {
-		// Evaluate every candidate and commit the best gain (ties
-		// broken toward the earliest candidate, like the serial scan).
-		// When a commit is depth-rejected the next-best positive-gain
-		// plan is tried — the rejection was undone byte-exactly, so
-		// every other plan of the batch is still valid, and
-		// abandoning the node outright would make BestGain strictly
-		// weaker than the greedy rule under a DepthBudget.
-		results := ev.plans(nw, f, cands, opt, sf, r.tc)
-		tallySigFilter(st, results, sf, r.tc != nil)
+		// Commit the best gain (ties broken toward the earliest candidate,
+		// like the serial scan). When a commit is depth-rejected the
+		// next-best positive-gain plan is tried — the rejection was undone
+		// byte-exactly, so every other plan is still valid, and abandoning
+		// the node outright would make BestGain strictly weaker than the
+		// greedy rule under a DepthBudget.
 		order := make([]int, 0, len(results))
 		for i, res := range results {
 			if res.ok && res.p.gain > 0 {
@@ -451,33 +403,6 @@ func (r *run) substituteNode(id network.SigID) bool {
 				changed = true
 				committed = true
 				break
-			}
-		}
-	} else {
-		// First-positive-gain rule, in waves of one planner batch:
-		// the reducer walks each wave in candidate order and commits
-		// the first positive-gain plan, exactly like the serial scan
-		// (with Workers=1 the wave size is 1 and the schedule is the
-		// historical one, trial for trial).
-		wave := ev.workers
-		for start := 0; start < len(cands) && !committed; start += wave {
-			end := start + wave
-			if end > len(cands) {
-				end = len(cands)
-			}
-			results := ev.plans(nw, f, cands[start:end], opt, sf, r.tc)
-			tallySigFilter(st, results, sf, r.tc != nil)
-			for _, res := range results {
-				if !res.ok || res.p.gain <= 0 {
-					continue
-				}
-				if r.commit(res.p, opt) {
-					changed = true
-					committed = true
-					break // paper: take the first positive-gain division
-				}
-				// Depth-rejected commit was undone byte-exactly;
-				// the remaining plans of the wave are still valid.
 			}
 		}
 	}
@@ -496,38 +421,22 @@ func (r *run) substituteNode(id network.SigID) bool {
 	return changed
 }
 
-// tallySigFilter folds one planner batch into the statistics: filtered
-// slots count as signature rejections (no exact trial ran); the rest count
-// as divisor trials, and — when the filter was active — as filter passes,
-// with the failed ones among them recorded as false passes. Cached slots
-// are still divisor trials (the verdict was consumed; the sig-filter
-// arithmetic DivisorTrials + SigFilterReject is unchanged by caching) but
-// are additionally tallied as cache hits; the rest count as misses while
-// the cache is active.
+// tallyTrial folds one candidate slot into the statistics: a filtered slot
+// counts as a signature rejection (no exact trial ran); the rest count as
+// divisor trials, and — when the filter was active — as filter passes,
+// with the failed ones among them recorded as false passes.
 //
 //bdslint:hotpath
-func tallySigFilter(st *Stats, results []planResult, sf *simSigFilter, cacheOn bool) {
-	for _, r := range results {
-		if r.filtered {
-			st.SigFilterReject++
-			continue
-		}
-		st.DivisorTrials++
-		if cacheOn {
-			if r.cached {
-				st.CacheHits++
-			} else {
-				st.CacheMisses++
-				if r.collided {
-					st.CacheCollisions++
-				}
-			}
-		}
-		if sf != nil {
-			st.SigFilterPass++
-			if !r.ok || r.p.gain <= 0 {
-				st.SigFilterFalsePass++
-			}
+func tallyTrial(st *Stats, r planResult, sf *simSigFilter) {
+	if r.filtered {
+		st.SigFilterReject++
+		return
+	}
+	st.DivisorTrials++
+	if sf != nil {
+		st.SigFilterPass++
+		if !r.ok || r.p.gain <= 0 {
+			st.SigFilterFalsePass++
 		}
 	}
 }
@@ -671,7 +580,7 @@ func anyContainment(dSigs, fSigs [][]sigLit) bool {
 // first: candidates are ordered by shared-support size (descending, then
 // name, then form) so the paper's first-positive-gain rule sees the
 // likeliest divisors early. The order is deterministic — it is the trial
-// order the engine's reducer replays plans in.
+// order the driver tries them in.
 //
 // With a passIndex for nw, enumeration is support-local: only the fanouts
 // of f's fanins are visited (the set every candidate provably belongs to —

@@ -23,7 +23,7 @@ type winItem struct {
 // division results apply to the full network directly.
 //
 // When the scratch carries a valid passIndex for nw (the live network at
-// the current commit epoch — the common case inside evaluator waves), the
+// the current commit epoch — the common case for the planner), the
 // include/frontier sets live in reusable stamp arenas and node emission
 // order comes from the index's topoPos array, so a windowed trial costs
 // O(window) instead of O(network): the historical path paid two O(NumSigs)

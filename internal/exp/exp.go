@@ -55,18 +55,6 @@ type RunOptions struct {
 	// the substitution engine (threaded to core.Options.NoSigFilter).
 	// Results are identical either way; only trial counts change.
 	NoSigFilter bool
-	// NoTrialCache disables the trial memoization cache (threaded to
-	// core.Options.NoTrialCache, the `-nocache` flag). Results are identical
-	// either way; only trial costs and the cache counters change.
-	NoTrialCache bool
-	// TrialCache, when non-nil, is shared by every substitution run of the
-	// table (threaded to core.Options.TrialCache) — and, when the caller
-	// reuses it, across whole table runs. cmd/experiments' -passes flag
-	// uses this to demonstrate cross-pass memoization: on a second pass
-	// over an unchanged suite most divisor cones hash to keys the first
-	// pass stored, so trials replay instead of re-running. Results are
-	// identical with or without it.
-	TrialCache *core.TrialCache
 }
 
 // algs returns the algorithm set the options select.
@@ -133,7 +121,7 @@ func runAlgorithm(prepared *network.Network, alg string, o RunOptions) (Cell, er
 	var sub *core.Stats
 	start := time.Now()
 	if cfg, ok := rarConfig(alg); ok {
-		st := core.Substitute(nw, core.Options{Config: cfg, POS: true, Pool: true, Workers: o.Workers, NoSigFilter: o.NoSigFilter, NoTrialCache: o.NoTrialCache, TrialCache: o.TrialCache})
+		st := core.Substitute(nw, core.Options{Config: cfg, POS: true, Pool: true, Workers: o.Workers, NoSigFilter: o.NoSigFilter})
 		sub = &st
 	} else if alg == "sis" {
 		script.ResubSISJ(o.Workers)(nw)
@@ -153,7 +141,7 @@ func runAlgorithmFullFlow(raw *network.Network, alg string, table int, o RunOpti
 	var sub *core.Stats
 	if cfg, ok := rarConfig(alg); ok {
 		sub = &core.Stats{}
-		resub = script.ResubRARWith(core.Options{Config: cfg, POS: true, Pool: true, Workers: o.Workers, NoSigFilter: o.NoSigFilter, NoTrialCache: o.NoTrialCache, TrialCache: o.TrialCache}, sub)
+		resub = script.ResubRARWith(core.Options{Config: cfg, POS: true, Pool: true, Workers: o.Workers, NoSigFilter: o.NoSigFilter}, sub)
 	} else if alg == "sis" {
 		resub = script.ResubSISJ(o.Workers)
 	} else {
@@ -312,14 +300,14 @@ func (t Table) Print(w io.Writer) {
 }
 
 // PrintStats renders the substitution engine's observability counters for
-// every RAR cell: divisor trials, depth-budget rejections, cache traffic,
-// batch-scheduler speculation (spec/disc/bcmt/evict), and per-pass wall
+// every RAR cell: divisor trials, depth-budget rejections, signature and
+// complement cache traffic, batch-scheduler speculation (spec/disc/bcmt/evict), and per-pass wall
 // times (the `-v` view of cmd/experiments).
 func (t Table) PrintStats(w io.Writer) {
 	fmt.Fprintf(w, "substitution engine counters (table %s)\n", roman(t.Number))
-	fmt.Fprintf(w, "%-10s %-7s %6s %7s %7s %7s %7s %6s %13s %6s %6s %12s %12s %6s %6s %6s %6s  %s\n",
+	fmt.Fprintf(w, "%-10s %-7s %6s %7s %7s %7s %7s %6s %12s %12s %6s %6s %6s %6s  %s\n",
 		"circuit", "alg", "subs", "trials", "sigrej", "deprej", "fpass", "fp%",
-		"trialcache", "hit%", "inval", "sigcache", "complcache",
+		"sigcache", "complcache",
 		"spec", "disc", "bcmt", "evict", "pass times")
 	for _, r := range t.Rows {
 		for _, alg := range t.algorithms() {
@@ -334,10 +322,9 @@ func (t Table) PrintStats(w io.Writer) {
 				}
 				times += fmt.Sprintf("%.3fs", d.Seconds())
 			}
-			fmt.Fprintf(w, "%-10s %-7s %6d %7d %7d %7d %7d %5.1f%% %6d/%-6d %5.1f%% %6d %5d/%-6d %5d/%-6d %6d %6d %6d %6d  %s\n",
+			fmt.Fprintf(w, "%-10s %-7s %6d %7d %7d %7d %7d %5.1f%% %5d/%-6d %5d/%-6d %6d %6d %6d %6d  %s\n",
 				r.Circuit, alg, s.Substitutions, s.DivisorTrials, s.SigFilterReject,
 				s.DepthRejected, s.SigFilterFalsePass, 100*s.FalsePassRate(),
-				s.CacheHits, s.CacheMisses, 100*s.CacheHitRate(), s.CacheInvalidated,
 				s.SigCacheHits, s.SigCacheMisses, s.ComplCacheHits, s.ComplCacheMisses,
 				s.SpeculatedTrials, s.DiscardedPlans, s.BatchCommits, s.ConflictEvictions, times)
 		}

@@ -34,9 +34,9 @@ import (
 //
 // It returns the first violation found, or nil.
 func (nw *Network) Check() error {
-	if len(nw.defs) != nw.sym.Len() || len(nw.piMark) != nw.sym.Len() || len(nw.faninIDs) != nw.sym.Len() {
-		return fmt.Errorf("network %q: ID slices span %d/%d/%d signals, symbol table %d",
-			nw.Name, len(nw.defs), len(nw.piMark), len(nw.faninIDs), nw.sym.Len())
+	if len(nw.defs) != nw.sym.Len() || len(nw.piMark) != nw.sym.Len() || len(nw.poMark) != nw.sym.Len() || len(nw.faninIDs) != nw.sym.Len() {
+		return fmt.Errorf("network %q: ID slices span %d/%d/%d/%d signals, symbol table %d",
+			nw.Name, len(nw.defs), len(nw.piMark), len(nw.poMark), len(nw.faninIDs), nw.sym.Len())
 	}
 	if len(nw.piNames) != len(nw.pis) {
 		return fmt.Errorf("network %q: %d PI names for %d PI ids", nw.Name, len(nw.piNames), len(nw.pis))
@@ -63,17 +63,8 @@ func (nw *Network) Check() error {
 		}
 	}
 	for id, marked := range nw.piMark {
-		if marked {
-			found := false
-			for _, pi := range nw.pis {
-				if pi == SigID(id) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("network %q: signal %q marked as PI but absent from the PI list", nw.Name, nw.sym.Name(SigID(id)))
-			}
+		if marked && !seenPI[id] {
+			return fmt.Errorf("network %q: signal %q marked as PI but absent from the PI list", nw.Name, nw.sym.Name(SigID(id)))
 		}
 	}
 
@@ -89,6 +80,11 @@ func (nw *Network) Check() error {
 		seenPO[id] = true
 		if !nw.piMark[id] && nw.defs[id] == nil {
 			return fmt.Errorf("network %q: undriven primary output %q", nw.Name, po)
+		}
+	}
+	for id, marked := range nw.poMark {
+		if marked != seenPO[id] {
+			return fmt.Errorf("network %q: PO mark of %q out of sync with the PO list", nw.Name, nw.sym.Name(SigID(id)))
 		}
 	}
 
@@ -290,9 +286,8 @@ func (nw *Network) checkSigs() error {
 // hash equal to a fresh recomputation over its fanins' stored hashes, no
 // removed node may linger, and the whole-network digest must refold to the
 // stored value. A mismatch means an edit path forgot to mark its target
-// dirty — the class of bug that would let the trial memoization cache
-// replay a verdict against a cone that has since changed. While dirty marks
-// are pending, stored hashes are stale by design.
+// dirty, so two different cones could share a hash. While dirty marks are
+// pending, stored hashes are stale by design.
 func (nw *Network) checkCones() error {
 	t := nw.cones
 	if t == nil {
@@ -313,11 +308,6 @@ func (nw *Network) checkCones() error {
 		if want := t.compute(id, nw.defs[id]); t.h[id] != want {
 			return fmt.Errorf("network %q: stale cone hash for %q: stored %x, recomputed %x — an edit path missed markDirty", nw.Name, nw.defs[id].Name, t.h[id], want)
 		}
-	}
-	if t.netDirty {
-		// A RefreshScoped deferred the net refold; the stored digest is
-		// stale by design until NetHash or Refresh refolds it.
-		return nil
 	}
 	net := t.net
 	t.refoldNet()

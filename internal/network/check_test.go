@@ -49,6 +49,12 @@ func TestCheckDuplicatePO(t *testing.T) {
 	})
 }
 
+func TestCheckPOMarkDrift(t *testing.T) {
+	corrupt(t, "out of sync with the PO list", func(nw *Network) {
+		nw.poMark[mustID(t, nw, "g")] = true
+	})
+}
+
 func TestCheckUndrivenPO(t *testing.T) {
 	corrupt(t, "undriven primary output", func(nw *Network) {
 		nw.posIDs = append(nw.posIDs, nw.intern("ghost"))

@@ -6,10 +6,10 @@ package network
 // states in which a signal's hash agrees have byte-identical cones, so any
 // computation that reads only the cone (a division trial with region-local
 // implications, a window extraction) must produce the same result in both.
-// The substitution engine's trial memoization cache keys on these hashes:
-// a committed rewrite changes the hashes of exactly the rewritten signals
-// and their transitive fanout, so cache entries for untouched cones stay
-// live across commits and passes without any explicit invalidation walk.
+// A committed rewrite changes the hashes of exactly the rewritten signals
+// and their transitive fanout. The substitution engine does not read the
+// table: the per-commit refresh costs more than any trial cache keyed on it
+// saved (DESIGN.md "Trial memoization: deleted").
 //
 // Hashes are maintained incrementally, mirroring SigTable: structural edits
 // mark the rewritten signal dirty, and Refresh recomputes the dirty closure
@@ -24,9 +24,9 @@ package network
 // (FuzzConeHashOrderInvariance locks this). The whole-network digest
 // NetHash is the one exception — it folds the creation-order slice in,
 // because netlist gate numbering follows creation order and the
-// learning-capped ExtendedGDC implication passes are sensitive to it; a
-// trial whose outcome may depend on anything outside the two cones must be
-// keyed on NetHash and therefore dies with any commit.
+// learning-capped ExtendedGDC implication passes are sensitive to it, so a
+// result that may depend on anything outside a cone must be keyed on
+// NetHash and therefore dies with any commit.
 
 // ConeHash is a 128-bit structural hash of a signal's transitive fanin
 // cone.
@@ -90,9 +90,6 @@ const (
 	tagUndriven
 	tagNode
 	tagNet
-	// tagFinger seeds the independent ConeFingerprint domain (strash.go);
-	// three consecutive tags are reserved for its PI/undriven/node kinds.
-	tagFinger
 )
 
 // ConeTable holds the per-signal cone hashes of one network in a flat
@@ -108,7 +105,6 @@ type ConeTable struct {
 	dirtyList []SigID    // the marked IDs, in marking order
 	allDirty  bool       // whole-network rewrite (CopyFrom): recompute all
 	net       ConeHash   // order-sensitive whole-network digest
-	netDirty  bool       // node hashes refreshed but net not yet refolded
 }
 
 // EnableCones attaches (or returns the already attached, refreshed) cone
@@ -208,18 +204,10 @@ func (t *ConeTable) Hash(name string) (ConeHash, bool) {
 
 // NetHash returns the order-sensitive whole-network digest: every node's
 // cone hash folded in creation order, plus the PI and PO lists. Any
-// committed rewrite changes it. ok=false while an edit is pending. After a
-// RefreshScoped the first call refolds the digest lazily — that first call
-// must be serial; once refolded, concurrent calls are pure reads (Refresh
-// always leaves the digest folded, so the historical contract holds for
-// every Refresh caller).
+// committed rewrite changes it. ok=false while an edit is pending.
 func (t *ConeTable) NetHash() (ConeHash, bool) {
 	if t.allDirty || len(t.dirtyList) > 0 {
 		return ConeHash{}, false
-	}
-	if t.netDirty {
-		t.refoldNet()
-		t.netDirty = false
 	}
 	return t.net, true
 }
@@ -268,29 +256,6 @@ func (t *ConeTable) compute(id SigID, n *Node) ConeHash {
 // cone keys a committed rewrite killed; signals hashed for the first time
 // are not counted.
 func (t *ConeTable) Refresh() int {
-	n := t.refresh(nil, nil)
-	if t.netDirty {
-		t.refoldNet()
-		t.netDirty = false
-	}
-	return n
-}
-
-// RefreshScoped is Refresh with two costs deferred for the batch
-// scheduler's per-batch cadence: the caller supplies the current fanout
-// adjacency and topological order (the scheduler's pass index already has
-// both — recomputing them here doubled the per-batch O(V+E) rebuild), and
-// the whole-network digest is left stale until the next NetHash or Refresh
-// call refolds it. NetHash's lazy refold is NOT safe under concurrent
-// readers, so RefreshScoped is only for callers that never publish the
-// table to goroutines needing NetHash — the batch scheduler qualifies
-// because batching is disabled for ExtendedGDC, the one configuration
-// whose trial keys read the net digest.
-func (t *ConeTable) RefreshScoped(fanouts [][]SigID, topo []SigID) int {
-	return t.refresh(fanouts, topo)
-}
-
-func (t *ConeTable) refresh(fanouts [][]SigID, topo []SigID) int {
 	nw := t.nw
 	if !t.allDirty && len(t.dirtyList) == 0 {
 		return 0
@@ -304,9 +269,7 @@ func (t *ConeTable) refresh(fanouts [][]SigID, topo []SigID) int {
 			}
 		}
 	} else {
-		if fanouts == nil {
-			fanouts = nw.FanoutIDs()
-		}
+		fanouts := nw.FanoutIDs()
 		stack := append([]SigID(nil), t.dirtyList...)
 		for _, id := range t.dirtyList {
 			need[id] = true
@@ -327,11 +290,8 @@ func (t *ConeTable) refresh(fanouts [][]SigID, topo []SigID) int {
 			}
 		}
 	}
-	if topo == nil {
-		topo = nw.TopoOrderIDs()
-	}
 	invalidated := 0
-	for _, id := range topo {
+	for _, id := range nw.TopoOrderIDs() {
 		if !need[id] {
 			continue
 		}
@@ -354,7 +314,7 @@ func (t *ConeTable) refresh(fanouts [][]SigID, topo []SigID) int {
 	}
 	t.dirtyList = t.dirtyList[:0]
 	t.allDirty = false
-	t.netDirty = true
+	t.refoldNet()
 	return invalidated
 }
 

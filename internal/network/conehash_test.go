@@ -214,9 +214,9 @@ func randomConeDAG(r *rand.Rand, nPIs, nNodes int) *Network {
 	return nw
 }
 
-// FuzzConeHashOrderInvariance locks the key property the trial memoization
-// cache relies on for cross-run reuse: per-signal cone hashes are a function
-// of the cone's structure alone, not of node creation order. It rebuilds a
+// FuzzConeHashOrderInvariance locks the table's identity property:
+// per-signal cone hashes are a function of the cone's structure alone, not
+// of node creation order. It rebuilds a
 // random DAG with the node insertion order permuted (AddNode does not
 // require fanins to exist yet, so any permutation is constructible) and
 // demands bit-equal hashes for every signal — while the order-sensitive

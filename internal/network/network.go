@@ -50,8 +50,8 @@ func (n *Node) FaninIndex(s string) int {
 
 // Network is a combinational multilevel Boolean network with dense-ID,
 // slice-backed storage. The invariant tying the slices together: sym
-// assigns every seen name a SigID; defs, piMark and faninIDs are indexed by
-// SigID and always sym.Len() long; order lists node-creation IDs (stale
+// assigns every seen name a SigID; defs, piMark, poMark and faninIDs are
+// indexed by SigID and always sym.Len() long; order lists node-creation IDs (stale
 // entries of removed nodes are skipped on iteration, exactly like the
 // name-keyed core skipped deleted map entries).
 //
@@ -63,6 +63,7 @@ type Network struct {
 	sym      *SymTab
 	defs     []*Node   // by SigID; nil for PIs, undriven names, removed nodes
 	piMark   []bool    // by SigID
+	poMark   []bool    // by SigID: declared primary output (AddPO's O(1) duplicate check)
 	faninIDs [][]SigID // by SigID, parallel to defs[id].Fanins; immutable slices
 	pis      []SigID
 	piNames  []string // parallel to pis (the PIs() boundary slice)
@@ -85,6 +86,7 @@ func (nw *Network) intern(name string) SigID {
 	for len(nw.defs) < nw.sym.Len() {
 		nw.defs = append(nw.defs, nil)
 		nw.piMark = append(nw.piMark, false)
+		nw.poMark = append(nw.poMark, false)
 		nw.faninIDs = append(nw.faninIDs, nil)
 	}
 	return id
@@ -119,11 +121,10 @@ func (nw *Network) AddPI(name string) {
 // on networks assembled another way).
 func (nw *Network) AddPO(name string) {
 	id := nw.intern(name)
-	for _, po := range nw.posIDs {
-		if po == id {
-			panic(fmt.Sprintf("network: duplicate primary output %q", name))
-		}
+	if nw.poMark[id] {
+		panic(fmt.Sprintf("network: duplicate primary output %q", name))
 	}
+	nw.poMark[id] = true
 	nw.posIDs = append(nw.posIDs, id)
 	nw.poNames = append(nw.poNames, name)
 }
@@ -203,6 +204,12 @@ func (nw *Network) isPI(name string) bool {
 
 // IsPI reports whether name is a primary input.
 func (nw *Network) IsPI(name string) bool { return nw.isPI(name) }
+
+// IsPO reports whether name is declared as a primary output.
+func (nw *Network) IsPO(name string) bool {
+	id, ok := nw.sym.Lookup(name)
+	return ok && nw.poMark[id]
+}
 
 // --- Dense-ID surface -------------------------------------------------
 
@@ -284,6 +291,7 @@ func (nw *Network) Clone() *Network {
 		sym:      nw.sym.Clone(),
 		defs:     make([]*Node, len(nw.defs)),
 		piMark:   append([]bool(nil), nw.piMark...),
+		poMark:   append([]bool(nil), nw.poMark...),
 		faninIDs: append([][]SigID(nil), nw.faninIDs...),
 		pis:      append([]SigID(nil), nw.pis...),
 		piNames:  append([]string(nil), nw.piNames...),
@@ -307,6 +315,7 @@ func (nw *Network) CopyFrom(o *Network) {
 	nw.sym = c.sym
 	nw.defs = c.defs
 	nw.piMark = c.piMark
+	nw.poMark = c.poMark
 	nw.faninIDs = c.faninIDs
 	nw.pis = c.pis
 	nw.piNames = c.piNames

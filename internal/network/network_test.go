@@ -37,6 +37,25 @@ func TestAddPODuplicatePanics(t *testing.T) {
 	mustPanic(t, "duplicate primary output", func() { nw.AddPO("f") })
 }
 
+// TestPOMarkSurvivesCloneAndCopyFrom: the SigID-indexed PO mark behind
+// AddPO's O(1) duplicate check travels with Clone and CopyFrom, and is
+// private to each copy.
+func TestPOMarkSurvivesCloneAndCopyFrom(t *testing.T) {
+	nw := buildSmall()
+	c := nw.Clone()
+	mustPanic(t, "duplicate primary output", func() { c.AddPO("f") })
+	c.AddPO("g")
+	if nw.IsPO("g") || !c.IsPO("g") {
+		t.Fatalf("PO mark shared between clone and original: orig %v clone %v", nw.IsPO("g"), c.IsPO("g"))
+	}
+	dst := New("dst")
+	dst.CopyFrom(c)
+	mustPanic(t, "duplicate primary output", func() { dst.AddPO("g") })
+	if err := dst.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // buildSmall returns: PIs a,b,c; g = ab; f = g + c; PO f.
 func buildSmall() *Network {
 	nw := New("small")
