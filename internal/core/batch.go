@@ -73,10 +73,9 @@ import (
 // batchWindow caps how many claiming (candidate-bearing) members one batch
 // may hold: enough to keep every worker fed several times over, small
 // enough that early-member commits rarely invalidate the tail. On large
-// circuits the cap scales up (windowFor, see batchWindowFor): each batch
-// pays one O(V+E) table/index refresh, so the window must grow with V for
-// the refresh to amortize — 32-member batches on a 100k-gate circuit
-// would spend more time refreshing than trialing.
+// circuits the cap scales up (see batchWindowFor) so the per-batch fixed
+// costs — the phase-B dispatch and the sweep's mark generation — amortize
+// over more members.
 const batchWindow = 32
 
 // batchWindowMax bounds the adaptive window: beyond this, early-member
@@ -150,20 +149,15 @@ type batchScheduler struct {
 
 	arena network.ConeArena // footprint extraction (serial side)
 
-	// claim is the batch-construction stamp set: a signal stamped with
-	// claimCur is part of an earlier member's footprint.
-	claim    []uint32
-	claimCur uint32
+	// claim is the batch-construction stamp set: a marked signal is part of
+	// an earlier member's footprint.
+	claim network.ConeArena
 
 	// dirtyCone/dirtySupp are the sweep's conflict marks (one generation
 	// per sweep): dirtyCone holds touched targets plus their transitive
 	// fanout, dirtySupp holds the old and new fanins of touched nodes.
-	dirtyCone []uint32
-	dirtySupp []uint32
-	dirtyCur  uint32
-
-	fanouts [][]network.SigID // batch-start fanout snapshot (passIndex's)
-	stack   []network.SigID   // markConeTFO DFS scratch
+	dirtyCone, dirtySupp network.ConeArena
+	coneIDs              []network.SigID // markConeTFO's walk output (discarded)
 
 	sweeping  bool // run.commit routes commits through the marks while set
 	bdcDirty  bool // a commit touched the "bdc" fresh-name namespace
@@ -182,21 +176,17 @@ func (s *batchScheduler) runBatch(ids []network.SigID, i int) (int, bool) {
 	r := s.r
 	nw := r.nw
 
-	// Phase A (serial): rebuild the pass index for the current epoch, then
-	// refresh the signature table once for the whole batch — commits mark
-	// it dirty, so this is the per-batch replacement for the serial
-	// driver's per-node Refresh. The index is built first so the table
-	// reuses its fanout/topo snapshots (RefreshScoped) instead of
-	// recomputing the O(V+E) adjacency a second time. Then scan members
-	// until a claim conflict, an over-cap footprint, the window cap, or the
-	// end of the pass.
-	ix := r.ev.index(nw)
+	// Phase A (serial): refresh the signature table once for the whole
+	// batch — commits mark it dirty, so this is the per-batch replacement
+	// for the serial driver's per-node Refresh — then scan members until a
+	// claim conflict, an over-cap footprint, the window cap, or the end of
+	// the pass. Cone walks run on the network's live fanout lists, so
+	// nothing here rebuilds a whole-network index.
 	if r.sigTab != nil {
-		r.sigTab.RefreshScoped(ix.fanouts, ix.topoIDs)
+		r.sigTab.Refresh()
 	}
-	s.fanouts = ix.fanouts
 	s.members = s.members[:0]
-	s.claimReset()
+	s.claim.Reset()
 	claiming := 0
 	solo := false
 	took := 0
@@ -209,7 +199,7 @@ scan:
 			took++
 			continue
 		}
-		m, ok := s.buildMember(pos, id, fn.Name, ix)
+		m, ok := s.buildMember(pos, id, fn.Name)
 		if !ok {
 			// Unbatchable footprint: take it as a serial solo when nothing
 			// has claimed yet, otherwise end the batch before it.
@@ -234,13 +224,21 @@ scan:
 	}
 
 	// Fewer than two claiming members: batching buys nothing — run the
-	// prefix through the plain serial sequence.
+	// prefix through the plain serial sequence. Until something commits,
+	// the network is the one phase A built the members against, so their
+	// candidate lists and filters are exactly what substituteNode would
+	// rebuild; after that, each member starts from scratch.
 	if claiming <= 1 || solo {
 		changed := false
+		built := r.ev.epoch
 		for _, m := range s.members {
-			if r.substituteNode(m.id) {
-				changed = true
+			var ch bool
+			if m.trivial || m.solo || r.ev.epoch != built {
+				ch = r.substituteNode(m.id)
+			} else {
+				ch = r.tryCandidates(m.f, m.cands, m.sf)
 			}
+			changed = changed || ch
 		}
 		return took, changed
 	}
@@ -256,7 +254,7 @@ scan:
 			work = append(work, m)
 		}
 	}
-	s.runMembers(work, ix)
+	s.runMembers(work)
 
 	// Phase C (serial): sweep the members in pass order.
 	return took, s.sweep()
@@ -267,11 +265,10 @@ scan:
 // in a worker (an Options.Audit tripwire, say) is recovered there and
 // re-raised on the calling goroutine once every worker has stopped, so it
 // reaches the caller's recover instead of killing the process.
-func (s *batchScheduler) runMembers(work []*batchMember, ix *passIndex) {
+func (s *batchScheduler) runMembers(work []*batchMember) {
 	ev := s.r.ev
 	for _, sc := range ev.scratches {
 		sc.epoch = ev.epoch
-		sc.epochIdx = ix
 	}
 	n := ev.workers
 	if n > len(work) {
@@ -318,7 +315,7 @@ func (s *batchScheduler) runMembers(work []*batchMember, ix *passIndex) {
 
 // buildMember extracts member m's cones and precomputes its candidate list
 // and filter verdicts. ok=false flags an over-cap footprint.
-func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, ix *passIndex) (*batchMember, bool) {
+func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) (*batchMember, bool) {
 	r := s.r
 	nw := r.nw
 	opt := r.opt
@@ -330,7 +327,7 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, ix *pa
 	if !ok {
 		return nil, false
 	}
-	m.tfo, ok = nw.AppendFanoutConeIDs(id, s.fanouts, &s.arena, m.tfo[:0], batchConeCap)
+	m.tfo, ok = nw.AppendFanoutConeIDs(id, &s.arena, m.tfo[:0], batchConeCap)
 	if !ok {
 		return nil, false
 	}
@@ -338,7 +335,7 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, ix *pa
 	m.guard = append(append(m.guard[:0], id), nw.FaninIDsOf(id)...)
 	m.guard = append(m.guard, m.tfo...)
 
-	m.cands = candidateDivisors(nw, r.sigs, r.cc, f, opt, ix)
+	m.cands = candidateDivisors(nw, r.sigs, r.cc, f, opt, &r.enum)
 	if len(m.cands) > r.maxTrials {
 		m.cands = m.cands[:r.maxTrials]
 	}
@@ -429,7 +426,8 @@ func (s *batchScheduler) sweep() bool {
 	nw := r.nw
 	changed := false
 	s.sweeping = true
-	s.dirtyReset()
+	s.dirtyCone.Reset()
+	s.dirtySupp.Reset()
 	s.bdcDirty, s.allDirty = false, false
 	s.committed = 0
 	for _, m := range s.members {
@@ -503,22 +501,22 @@ func (s *batchScheduler) evict(m *batchMember) bool {
 	if s.allDirty {
 		return true
 	}
-	if s.coneDirty(m.id) { // E1a
+	if s.dirtyCone.Marked(m.id) { // E1a
 		return true
 	}
 	for _, g := range m.guard { // E1b
-		if s.suppDirty(g) {
+		if s.dirtySupp.Marked(g) {
 			return true
 		}
 	}
 	for _, d := range m.candIDs { // E2
-		if s.coneDirty(d) {
+		if s.dirtyCone.Marked(d) {
 			return true
 		}
 	}
 	if m.sf != nil { // E3
 		for _, x := range m.side {
-			if s.coneDirty(x) {
+			if s.dirtyCone.Marked(x) {
 				return true
 			}
 		}
@@ -610,10 +608,12 @@ func (s *batchScheduler) precommit(p *plan) commitMarks {
 // postcommit completes the marks after a successful commit: added names
 // resolve to IDs now, surviving touched nodes contribute their new fanins,
 // and every touched signal's transitive fanout goes cone-dirty. The TFO
-// walk runs on the batch-start fanout snapshot; that is complete because
-// the only edges a commit changes point INTO its touched nodes — any
-// post-state fanout path not in the snapshot passes through a node touched
-// by this commit (marked here) or by an earlier one (marked then).
+// walk runs on the live (post-commit) fanout lists. That covers every node
+// whose fanin cone the commit changed: the only edges a commit changes
+// point INTO its touched nodes, so a node that gained a touched node in its
+// cone reaches it by a post-state path, and a node that lost one had a
+// pre-state path whose last touched node u kept every edge after it — so
+// the node is still in u's post-state fanout.
 func (s *batchScheduler) postcommit(cm commitMarks) {
 	if cm.clone {
 		s.allDirty = true
@@ -634,81 +634,31 @@ func (s *batchScheduler) postcommit(cm commitMarks) {
 	}
 }
 
-// claimReset starts a fresh claim generation for a new batch.
-func (s *batchScheduler) claimReset() {
-	s.claimCur++
-	if s.claimCur == 0 {
-		for i := range s.claim {
-			s.claim[i] = 0
-		}
-		s.claimCur = 1
-	}
-}
-
 // claimAll atomically claims the footprint: it reports false (claiming
 // nothing) if any signal is already claimed by an earlier member.
 func (s *batchScheduler) claimAll(fp []network.SigID) bool {
 	for _, id := range fp {
-		if int(id) < len(s.claim) && s.claim[id] == s.claimCur {
+		if s.claim.Marked(id) {
 			return false
 		}
 	}
 	for _, id := range fp {
-		for int(id) >= len(s.claim) {
-			s.claim = append(s.claim, 0)
-		}
-		s.claim[id] = s.claimCur
+		s.claim.Mark(id)
 	}
 	return true
 }
 
-// dirtyReset starts a fresh dirty-mark generation for a new sweep.
-func (s *batchScheduler) dirtyReset() {
-	s.dirtyCur++
-	if s.dirtyCur == 0 {
-		for i := range s.dirtyCone {
-			s.dirtyCone[i] = 0
-		}
-		for i := range s.dirtySupp {
-			s.dirtySupp[i] = 0
-		}
-		s.dirtyCur = 1
-	}
-}
-
-func (s *batchScheduler) coneDirty(id network.SigID) bool {
-	return int(id) < len(s.dirtyCone) && s.dirtyCone[id] == s.dirtyCur
-}
-
-func (s *batchScheduler) suppDirty(id network.SigID) bool {
-	return int(id) < len(s.dirtySupp) && s.dirtySupp[id] == s.dirtyCur
-}
-
 func (s *batchScheduler) markSupp(ids []network.SigID) {
 	for _, id := range ids {
-		for int(id) >= len(s.dirtySupp) {
-			s.dirtySupp = append(s.dirtySupp, 0)
-		}
-		s.dirtySupp[id] = s.dirtyCur
+		s.dirtySupp.Mark(id)
 	}
 }
 
-// markConeTFO marks id and its transitive fanout (per the batch-start
-// snapshot) cone-dirty.
+// markConeTFO marks id and its transitive fanout cone-dirty. A signal
+// already marked ends the walk there: its fanout was marked with it.
 func (s *batchScheduler) markConeTFO(id network.SigID) {
-	s.stack = append(s.stack[:0], id)
-	for len(s.stack) > 0 {
-		x := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		for int(x) >= len(s.dirtyCone) {
-			s.dirtyCone = append(s.dirtyCone, 0)
-		}
-		if s.dirtyCone[x] == s.dirtyCur {
-			continue
-		}
-		s.dirtyCone[x] = s.dirtyCur
-		if int(x) < len(s.fanouts) {
-			s.stack = append(s.stack, s.fanouts[x]...)
-		}
+	if !s.dirtyCone.Mark(id) {
+		return
 	}
+	s.coneIDs, _ = s.r.nw.AppendFanoutConeIDs(id, &s.dirtyCone, s.coneIDs[:0], 0)
 }

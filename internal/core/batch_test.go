@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/blif"
@@ -131,14 +132,14 @@ func TestBatchPOReconvergentPairConflicts(t *testing.T) {
 	nw := mk()
 	xid, _ := nw.IDOf("x")
 	yid, _ := nw.IDOf("y")
-	fanouts := nw.FanoutIDs()
+	nw.EnableFanouts()
 	var arena network.ConeArena
 	arena.Reset()
 	fpx, _ := nw.AppendFaninConeIDs(xid, &arena, nil, 0)
-	fpx, _ = nw.AppendFanoutConeIDs(xid, fanouts, &arena, fpx, 0)
+	fpx, _ = nw.AppendFanoutConeIDs(xid, &arena, fpx, 0)
 	arena.Reset()
 	fpy, _ := nw.AppendFaninConeIDs(yid, &arena, nil, 0)
-	fpy, _ = nw.AppendFanoutConeIDs(yid, fanouts, &arena, fpy, 0)
+	fpy, _ = nw.AppendFanoutConeIDs(yid, &arena, fpy, 0)
 	overlap := false
 	for _, i := range fpx {
 		for _, j := range fpy {
@@ -206,21 +207,24 @@ func FuzzBatchDisjoint(f *testing.F) {
 }
 
 // TestCandidateEnumerationEquivalence locks the support-local enumeration
-// fast path to the historical full-scan enumeration: same candidates, same
-// forms, same order, on random DAGs across configs.
+// to a full scan of every node (the historical enumeration, kept here as
+// the oracle): same candidates, same forms, same order, on random DAGs
+// across configs, with live fanout lists on and off.
 func TestCandidateEnumerationEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(777))
 	for trial := 0; trial < 12; trial++ {
 		nw := randomDAG(r, 5, 12)
-		ev := newEvaluator(1)
-		ix := ev.index(nw)
+		if trial%2 == 0 {
+			nw.EnableFanouts()
+		}
+		var es enumScratch
 		for _, cfg := range []Config{Basic, Extended} {
 			opt := Options{Config: cfg, POS: true}
 			sigs := newSigCache(nw)
 			cc := newComplCache(DefaultMaxComplementCubes)
 			for _, f := range nw.SortedNodeNames() {
-				fast := candidateDivisors(nw, sigs, cc, f, opt, ix)
-				slow := candidateDivisors(nw, sigs, cc, f, opt, nil)
+				fast := candidateDivisors(nw, sigs, cc, f, opt, &es)
+				slow := fullScanCandidates(nw, sigs, cc, f, opt)
 				if len(fast) != len(slow) {
 					t.Fatalf("trial %d cfg %v f=%s: fast path found %d candidates, full scan %d",
 						trial, cfg, f, len(fast), len(slow))
@@ -253,4 +257,54 @@ func TestBatchSchedulerCommits(t *testing.T) {
 	if st.Substitutions < st.BatchCommits {
 		t.Errorf("BatchCommits %d exceeds Substitutions %d", st.BatchCommits, st.Substitutions)
 	}
+}
+
+// fullScanCandidates is the enumeration oracle: every node outside f's
+// transitive fanout, in sorted-name order, through the same form filters
+// and the same total sort key as candidateDivisors.
+func fullScanCandidates(nw *network.Network, sigs *sigCache, cc *complCache, f string, opt Options) []candidate {
+	fn := nw.Node(f)
+	fSigs := sigs.get(f)
+	var fcSigs [][]sigLit
+	if opt.POS {
+		if s, _, ok := cc.getSigs(nw, f, fn.Fanins); ok {
+			fcSigs = s
+		}
+	}
+	fid, _ := nw.IDOf(f)
+	tfo := nw.TFOSetIDs(fid)
+	var out []scored
+	for _, d := range nw.SortedNodeNames() {
+		dn := nw.Node(d)
+		if did, _ := nw.IDOf(d); d == f || tfo[did] {
+			continue
+		}
+		if dn.Cover.IsZero() || dn.Cover.NumCubes() == 0 ||
+			(dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {
+			continue
+		}
+		overlap := 0
+		for _, x := range dn.Fanins {
+			if fn.FaninIndex(x) >= 0 {
+				overlap++
+			}
+		}
+		if anyContainment(sigs.get(d), fSigs) {
+			out = append(out, scored{candidate{name: d}, overlap})
+		}
+		if dcSigs, _, ok := cc.getSigs(nw, d, dn.Fanins); ok {
+			if anyContainment(dcSigs, fSigs) {
+				out = append(out, scored{candidate{name: d, neg: true}, overlap})
+			}
+			if opt.POS && fcSigs != nil && anyContainment(dcSigs, fcSigs) {
+				out = append(out, scored{candidate{name: d, pos: true}, overlap})
+			}
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return lessScored(out[i], out[j]) })
+	cands := make([]candidate, len(out))
+	for i, s := range out {
+		cands[i] = s.c
+	}
+	return cands
 }

@@ -464,10 +464,10 @@ type planResult struct {
 	filtered bool
 }
 
-// evaluator owns the planner scratch arenas, the commit epoch and the
-// per-epoch graph index. The serial per-node path plans on scratches[0];
-// only the batch scheduler's phase B (batch.go) fans members out over all
-// workers, one scratch per worker.
+// evaluator owns the planner scratch arenas and the commit epoch. The
+// serial per-node path plans on scratches[0]; only the batch scheduler's
+// phase B (batch.go) fans members out over all workers, one scratch per
+// worker.
 type evaluator struct {
 	workers   int
 	scratches []*scratch
@@ -478,9 +478,6 @@ type evaluator struct {
 	// byte-exactly — bumps it: one redundant rebuild is cheaper than
 	// reasoning about undo fidelity here.
 	epoch uint64
-	// idx is the lazily rebuilt per-epoch graph index (fanouts + topo
-	// positions) shared read-only with workers; see passIndex.
-	idx *passIndex
 }
 
 func newEvaluator(workers int) *evaluator {
@@ -504,7 +501,6 @@ func (ev *evaluator) trial(nw *network.Network, f string, c candidate, opt Optio
 	}
 	sc := ev.scratches[0]
 	sc.epoch = ev.epoch
-	sc.epochIdx = ev.index(nw)
 	p, ok := planPair(sc, nw, f, c, opt)
 	return planResult{p: p, ok: ok}
 }

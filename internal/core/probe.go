@@ -17,8 +17,13 @@ func PlannerBookkeepingProbe(nw *network.Network, opt Options) (candidates, lits
 	if maxCompl <= 0 {
 		maxCompl = DefaultMaxComplementCubes
 	}
+	// The same live fanout lists Substitute runs on: enumeration walks
+	// them instead of scanning the network per fanin.
+	nw.EnableFanouts()
+	defer nw.DisableFanouts()
 	sigs := newSigCache(nw)
 	cc := newComplCache(maxCompl)
+	var es enumScratch
 	sc := newScratch()
 	sc.pin = nw
 	sc.epoch = 1
@@ -27,7 +32,7 @@ func PlannerBookkeepingProbe(nw *network.Network, opt Options) (candidates, lits
 		if fn == nil || fn.Cover.IsZero() {
 			continue
 		}
-		cands := candidateDivisors(nw, sigs, cc, fn.Name, opt, nil)
+		cands := candidateDivisors(nw, sigs, cc, fn.Name, opt, &es)
 		candidates += len(cands)
 		lits += sc.factorLits(id, fn.Cover)
 		for _, c := range cands {

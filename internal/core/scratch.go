@@ -53,21 +53,15 @@ type scratch struct {
 	sharedEpoch uint64
 	sharedBuild *netlist.Build
 
-	// epochIdx is the evaluator's per-epoch graph index as of this trial.
-	// windowFor consults it read-only (fanouts/topoPos are immutable after
-	// the serial-side rebuild); validity is re-checked against (reader,
-	// epoch) via passIndex.matches, so a stale pointer is harmless.
-	epochIdx *passIndex
-
-	// Window-extraction arenas (windowFor's fast path): stamp sets for the
-	// include and frontier signal sets plus reusable BFS/list buffers, so a
-	// windowed trial allocates nothing proportional to the full network.
-	winInc   []uint32
-	winFr    []uint32
-	winCur   uint32
-	winQueue []winItem
-	winNodes []network.SigID
-	winIns   []string
+	// Window-extraction arenas (windowFor): stamp sets for the included
+	// nodes, the frontier inputs and the ordering DFS, plus reusable
+	// BFS/DFS/list buffers, so a windowed trial allocates nothing
+	// proportional to the full network.
+	winInc, winFr, winDone network.ConeArena
+	winQueue               []winItem
+	winStack               []winItem
+	winNodes               []network.SigID
+	winIns                 []string
 
 	// noOverlay mirrors Options.NoOverlay for the running trial (set at the
 	// planner entry points): trialClone hands out deep clones and every RAR

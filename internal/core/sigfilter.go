@@ -146,7 +146,7 @@ type simSigFilter struct {
 // newSimSigFilter builds the filter for dividend f, on the serial side of
 // the engine (it reads the complement cache and assumes a refreshed table).
 // Returns nil when filtering is off or no signature information exists.
-func newSimSigFilter(nw network.Reader, f string, cc *complCache, opt Options) *simSigFilter {
+func newSimSigFilter(nw *network.Network, f string, cc *complCache, opt Options) *simSigFilter {
 	if opt.NoSigFilter {
 		return nil
 	}
@@ -220,22 +220,21 @@ func (sf *simSigFilter) posForm() *formSigs {
 // literal uses, or a positive and a negative use) has no such dominator and
 // the term is vacuous; a single negative use feeds the inverter, which has
 // no side pins; a single positive use makes the using cube's other literals
-// the dominator's side pins.
-func nodeOutDomTerm(t *network.SigTable, nw network.Reader, f string) network.Signature {
-	for _, po := range nw.POs() {
-		if po == f {
-			return network.AllOnes()
-		}
+// the dominator's side pins. The uses are read off f's fanout list: the
+// counts do not depend on its order, and when the term is not vacuous the
+// host is unique.
+func nodeOutDomTerm(t *network.SigTable, nw *network.Network, f string) network.Signature {
+	if nw.IsPO(f) {
+		return network.AllOnes()
 	}
 	posUses := 0
 	negUse := false
 	var host *network.Node
 	var hostCube cube.Cube
-	for _, h := range nw.Nodes() {
+	fid, _ := nw.IDOf(f)
+	for _, hid := range nw.FanoutsOf(fid) {
+		h := nw.NodeByID(hid)
 		v := indexOf(h.Fanins, f)
-		if v < 0 {
-			continue
-		}
 		for _, c := range h.Cover.Cubes {
 			switch c.Get(v) {
 			case cube.Pos:

@@ -229,6 +229,12 @@ func Substitute(nw *network.Network, opt Options) Stats {
 	}
 	st := Stats{LitsBefore: nw.FactoredLits()}
 
+	// Live fanout lists for candidate enumeration, batch cone walks and
+	// signature refreshes: every commit patches the edges it changes, so no
+	// step of the run rebuilds a whole-network adjacency.
+	nw.EnableFanouts()
+	defer nw.DisableFanouts()
+
 	// Simulation signatures for the divisor prefilter: enabled on the live
 	// network for the duration of the run, refreshed incrementally after
 	// commits (only a committed rewrite's transitive fanout is recomputed).
@@ -314,6 +320,7 @@ type run struct {
 	cc        *complCache
 	sigs      *sigCache
 	sigTab    *network.SigTable
+	enum      enumScratch     // candidateDivisors' stamp arenas (serial side)
 	sched     *batchScheduler // nil = batch scheduling off
 }
 
@@ -341,13 +348,12 @@ func (r *run) commit(p plan, opt Options) bool {
 // scheduler calls it for single-member batches and for members its sweep
 // evicted.
 func (r *run) substituteNode(id network.SigID) bool {
-	nw, opt, ev, st := r.nw, r.opt, r.ev, r.st
-	fn := nw.NodeByID(id)
+	fn := r.nw.NodeByID(id)
 	if fn == nil || fn.Cover.IsZero() {
 		return false
 	}
 	f := fn.Name
-	cands := candidateDivisors(nw, r.sigs, r.cc, f, opt, ev.index(nw))
+	cands := candidateDivisors(r.nw, r.sigs, r.cc, f, r.opt, &r.enum)
 	if len(cands) > r.maxTrials {
 		cands = cands[:r.maxTrials]
 	}
@@ -360,8 +366,16 @@ func (r *run) substituteNode(id network.SigID) bool {
 		if r.sigTab != nil {
 			r.sigTab.Refresh()
 		}
-		sf = newSimSigFilter(nw, f, r.cc, opt)
+		sf = newSimSigFilter(r.nw, f, r.cc, r.opt)
 	}
+	return r.tryCandidates(f, cands, sf)
+}
+
+// tryCandidates is substituteNode's trial-and-commit loop for dividend f
+// over its (truncated) candidate list and signature filter, which the
+// caller built against the current network.
+func (r *run) tryCandidates(f string, cands []candidate, sf *simSigFilter) bool {
+	nw, opt, ev, st := r.nw, r.opt, r.ev, r.st
 	// Candidates are tried one at a time in candidate order. The paper's
 	// first-positive-gain rule commits the first plan with a positive gain;
 	// BestGain plans every candidate first.
@@ -582,21 +596,24 @@ func anyContainment(dSigs, fSigs [][]sigLit) bool {
 // likeliest divisors early. The order is deterministic — it is the trial
 // order the driver tries them in.
 //
-// With a passIndex for nw, enumeration is support-local: only the fanouts
-// of f's fanins are visited (the set every candidate provably belongs to —
-// see below), replacing the historical all-nodes scan plus per-dividend
-// TFOSetIDs rebuild, which made a pass O(V²) on large circuits. ix == nil
-// (one-shot wrappers, probes, tests) falls back to the full scan. Both
-// enumerations return identical lists: every division form requires
+// Enumeration is support-local: only the fanouts of f's fanins are visited,
+// minus f's transitive fanout (divisors there would form cycles). That set
+// provably holds every candidate: every division form requires
 // anyContainment — a non-empty divisor-side cube whose literals are a
 // subset of a dividend-side cube's literals. Literal signatures are
 // (fanin-name, phase) pairs drawn from the respective nodes' own fanin
 // lists (complement covers keep their node's variable space), so a passing
 // candidate shares at least one fanin signal with f and is therefore a
-// fanout of one of f's fanins. The final sort key (overlap, name, form) is
-// total — no two candidates compare equal — so the enumeration order never
-// shows through (TestCandidateEnumerationEquivalence locks the claim).
-func candidateDivisors(nw *network.Network, sigs *sigCache, cc *complCache, f string, opt Options, ix *passIndex) []candidate {
+// fanout of one of f's fanins. On a network with live fanout lists (the
+// engine enables them for the whole run) the walk costs O(local fanouts +
+// TFO(f)). The final sort key (overlap, name, form) is total — no two
+// candidates compare equal — so the visiting order never shows through;
+// TestCandidateEnumerationEquivalence locks the result to a full scan of
+// every node. es holds the stamp arenas (nil = allocate fresh ones).
+func candidateDivisors(nw *network.Network, sigs *sigCache, cc *complCache, f string, opt Options, es *enumScratch) []candidate {
+	if es == nil {
+		es = new(enumScratch)
+	}
 	fSigs := sigs.get(f)
 	fn := nw.Node(f)
 	var fcSigs [][]sigLit
@@ -606,74 +623,53 @@ func candidateDivisors(nw *network.Network, sigs *sigCache, cc *complCache, f st
 		}
 	}
 	fid, _ := nw.IDOf(f)
+	es.tfo.Reset()
+	es.tfoIDs, _ = nw.AppendFanoutConeIDs(fid, &es.tfo, es.tfoIDs[:0], 0)
+	es.cand.Reset()
+	es.cand.Mark(fid)
 	var out []scored
-	consider := func(d string, dn *network.Node) {
-		if dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse() {
-			return
-		}
-		// Support overlap by slice scan: fanin lists are a handful of
-		// signals, so linear containment beats building a support set per
-		// dividend.
-		overlap := 0
-		for _, s := range dn.Fanins {
-			if fn.FaninIndex(s) >= 0 {
-				overlap++
-			}
-		}
-		if anyContainment(sigs.get(d), fSigs) {
-			out = append(out, scored{candidate{name: d}, overlap})
-		}
-		if dcSigs, dcov, ok := cc.getSigs(nw, d, dn.Fanins); ok {
-			// Complement-phase SOP division (f = q·d' + r) — the phase the
-			// SIS resub -d baseline exploits.
-			if anyContainment(dcSigs, fSigs) {
-				dc := dcov
-				out = append(out, scored{candidate{name: d, neg: true, dCompl: &dc}, overlap})
-			}
-			if opt.POS && fcSigs != nil && anyContainment(dcSigs, fcSigs) {
-				c := candidate{name: d, pos: true}
-				if dcm, ok := cc.getMin(nw, d); ok {
-					if fcm, ok := cc.getMin(nw, f); ok {
-						c.dComplMin, c.fComplMin = &dcm, &fcm
-					}
-				}
-				out = append(out, scored{c, overlap})
-			}
-		}
-	}
-	if ix != nil && ix.nw == nw {
-		ix.beginTFO(fid) // divisors inside f's fanout cone would form cycles
-		ix.beginCand()
-		ix.candMark(fid)
-		for _, s := range nw.FaninIDsOf(fid) {
-			if int(s) >= len(ix.fanouts) {
+	for _, s := range nw.FaninIDsOf(fid) {
+		for _, u := range nw.FanoutsOf(s) {
+			if es.tfo.Marked(u) || !es.cand.Mark(u) {
 				continue
 			}
-			for _, u := range ix.fanouts[s] {
-				if !ix.candMark(u) || ix.inTFO(u) {
-					continue
-				}
-				dn := nw.NodeByID(u)
-				if dn == nil || dn.Cover.IsZero() || dn.Cover.NumCubes() == 0 {
-					continue
-				}
-				consider(dn.Name, dn)
-			}
-		}
-	} else {
-		tfo := nw.TFOSetIDs(fid)
-		for _, d := range nw.SortedNodeNames() {
-			if d == f {
-				continue
-			}
-			dn := nw.Node(d)
+			dn := nw.NodeByID(u)
 			if dn == nil || dn.Cover.IsZero() || dn.Cover.NumCubes() == 0 {
 				continue
 			}
-			if did, ok := nw.IDOf(d); ok && tfo[did] {
+			if dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse() {
 				continue
 			}
-			consider(d, dn)
+			d := dn.Name
+			// Support overlap by slice scan: fanin lists are a handful of
+			// signals, so linear containment beats building a support set per
+			// dividend.
+			overlap := 0
+			for _, x := range dn.Fanins {
+				if fn.FaninIndex(x) >= 0 {
+					overlap++
+				}
+			}
+			if anyContainment(sigs.get(d), fSigs) {
+				out = append(out, scored{candidate{name: d}, overlap})
+			}
+			if dcSigs, dcov, ok := cc.getSigs(nw, d, dn.Fanins); ok {
+				// Complement-phase SOP division (f = q·d' + r) — the phase the
+				// SIS resub -d baseline exploits.
+				if anyContainment(dcSigs, fSigs) {
+					dc := dcov
+					out = append(out, scored{candidate{name: d, neg: true, dCompl: &dc}, overlap})
+				}
+				if opt.POS && fcSigs != nil && anyContainment(dcSigs, fcSigs) {
+					c := candidate{name: d, pos: true}
+					if dcm, ok := cc.getMin(nw, d); ok {
+						if fcm, ok := cc.getMin(nw, f); ok {
+							c.dComplMin, c.fComplMin = &dcm, &fcm
+						}
+					}
+					out = append(out, scored{c, overlap})
+				}
+			}
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return lessScored(out[i], out[j]) })
@@ -682,6 +678,14 @@ func candidateDivisors(nw *network.Network, sigs *sigCache, cc *complCache, f st
 		cands[i] = s.c
 	}
 	return cands
+}
+
+// enumScratch is candidateDivisors' reusable state: a stamp set for the
+// dividend's transitive fanout (with the walk's output buffer) and one for
+// the deduplicated candidate walk. Serial side only.
+type enumScratch struct {
+	tfo, cand network.ConeArena
+	tfoIDs    []network.SigID
 }
 
 // scored is a candidate divisor with its support-overlap score against the

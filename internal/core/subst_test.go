@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/blif"
 	"repro/internal/cube"
 	"repro/internal/network"
 	"repro/internal/verify"
@@ -240,6 +242,78 @@ func TestWindowForShape(t *testing.T) {
 	}
 	if err := w.Check(); err != nil {
 		t.Fatalf("window invalid: %v", err)
+	}
+}
+
+// TestWindowIsLocal pins windowFor's node order to the cones of f and d:
+// the same cones built in a different creation order, inside networks with
+// unrelated extra logic (including fanouts of window nodes created before
+// them), yield a byte-identical window whose node order is topological.
+func TestWindowIsLocal(t *testing.T) {
+	type def struct {
+		name   string
+		fanins []string
+		cover  string
+	}
+	cone := []def{
+		{"n1", []string{"a", "b"}, "ab"},
+		{"n2", []string{"b", "c"}, "a + b"},
+		{"n3", []string{"n1", "n2"}, "ab'"},
+		{"d", []string{"n2", "c"}, "a + b"},
+		{"f", []string{"n3", "n1", "c"}, "ab + c"},
+	}
+	build := func(order []int, extra bool) *network.Network {
+		nw := network.New("w")
+		for _, pi := range []string{"a", "b", "c"} {
+			nw.AddPI(pi)
+		}
+		if extra {
+			// Created before the cone, reading cone signals by name.
+			nw.AddNode("x1", []string{"n3", "a"}, cube.ParseCover(2, "ab"))
+			nw.AddNode("x2", []string{"n2", "x1"}, cube.ParseCover(2, "a'b"))
+		}
+		for _, i := range order {
+			c := cone[i]
+			nw.AddNode(c.name, c.fanins, cube.ParseCover(len(c.fanins), c.cover))
+		}
+		nw.AddPO("f")
+		nw.AddPO("d")
+		if extra {
+			nw.AddPO("x2")
+		}
+		return nw
+	}
+	// The BLIF prints nodes in the window's topological order; the node
+	// list pins its creation order too.
+	render := func(w *network.Network) string {
+		var names []string
+		for _, n := range w.Nodes() {
+			names = append(names, n.Name)
+		}
+		return strings.Join(names, " ") + "\n" + blif.ToString(w)
+	}
+	want := render(windowFor(newScratch(), build([]int{0, 1, 2, 3, 4}, false), "f", "d", 3))
+	for _, tc := range []struct {
+		order []int
+		extra bool
+	}{
+		{[]int{1, 0, 3, 2, 4}, false},
+		{[]int{4, 3, 2, 1, 0}, true},
+		{[]int{0, 1, 2, 3, 4}, true},
+	} {
+		w := windowFor(newScratch(), build(tc.order, tc.extra), "f", "d", 3)
+		if got := render(w); got != want {
+			t.Errorf("order %v extra=%v: window differs\ngot:\n%s\nwant:\n%s", tc.order, tc.extra, got, want)
+		}
+		seen := map[string]bool{}
+		for _, n := range w.Nodes() {
+			for _, fi := range n.Fanins {
+				if w.Node(fi) != nil && !seen[fi] {
+					t.Errorf("window node %s precedes its fanin %s", n.Name, fi)
+				}
+			}
+			seen[n.Name] = true
+		}
 	}
 }
 

@@ -29,6 +29,8 @@ import (
 //     list and no cube is empty or sized to a different space
 //   - the node graph is acyclic (explicit DFS — a cycle is reported as an
 //     error with its path, never a panic)
+//   - the live fanout lists, when enabled, hold exactly the fanouts a fresh
+//     FanoutIDs finds (see checkFanouts)
 //   - the signature table, when enabled, is consistent with the structure
 //     (see checkSigs)
 //
@@ -119,6 +121,9 @@ func (nw *Network) Check() error {
 	}
 
 	if err := nw.checkAcyclic(); err != nil {
+		return err
+	}
+	if err := nw.checkFanouts(); err != nil {
 		return err
 	}
 	if err := nw.checkSigs(); err != nil {

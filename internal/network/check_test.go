@@ -144,6 +144,21 @@ func TestCheckCycle(t *testing.T) {
 	})
 }
 
+func TestCheckLiveFanoutDrift(t *testing.T) {
+	// A live fanout list missing an edge would hide a divisor from candidate
+	// enumeration and a node from the batch scheduler's conflict marks.
+	corrupt(t, "live fanout list", func(nw *Network) {
+		nw.EnableFanouts()
+		gid := mustID(t, nw, "g")
+		nw.fanouts[gid] = nil
+	})
+	corrupt(t, "live fanout list", func(nw *Network) {
+		nw.EnableFanouts()
+		aid := mustID(t, nw, "a")
+		nw.fanouts[aid] = []SigID{mustID(t, nw, "f")}
+	})
+}
+
 func TestCheckSigTableStale(t *testing.T) {
 	// A clean signature table whose stored value disagrees with a fresh
 	// evaluation means some edit path missed markDirty — the divisor

@@ -75,11 +75,11 @@ func (nw *Network) AppendFaninConeIDs(id SigID, a *ConeArena, dst []SigID, limit
 }
 
 // AppendFanoutConeIDs appends the node-driven signals of id's transitive
-// fanout cone — id itself excluded — to dst, walking the caller-supplied
-// fanout index (a FanoutIDs snapshot; the walk is only meaningful against
-// the graph state the snapshot was taken in). Dedup and the limit behave as
-// in AppendFaninConeIDs.
-func (nw *Network) AppendFanoutConeIDs(id SigID, fanouts [][]SigID, a *ConeArena, dst []SigID, limit int) ([]SigID, bool) {
+// fanout cone — id itself excluded — to dst, walking the network's live
+// fanout lists (EnableFanouts; without them it walks a fresh FanoutIDs
+// snapshot). Dedup and the limit behave as in AppendFaninConeIDs.
+func (nw *Network) AppendFanoutConeIDs(id SigID, a *ConeArena, dst []SigID, limit int) ([]SigID, bool) {
+	fanouts := nw.fanoutIndex()
 	if int(id) >= len(fanouts) {
 		return dst, true
 	}

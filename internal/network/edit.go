@@ -122,6 +122,7 @@ func RemapCover(f cube.Cover, fanins []string, dst []string) cube.Cover {
 // their fanouts. Repeats to a fixed point; returns the number of nodes
 // removed.
 func (nw *Network) Sweep() int {
+	defer nw.bulkFanouts()()
 	removed := 0
 	for {
 		changed := false
@@ -175,17 +176,42 @@ func isSingleLiteral(f cube.Cover) bool {
 // Buffer nodes that drive a PO are kept (they name the output). Returns
 // whether anything changed.
 func (nw *Network) propagateSimple(n *Node) bool {
-	fanouts := nw.Fanouts()[n.Name]
-	if len(fanouts) == 0 {
-		return false
-	}
 	changed := false
-	for _, fo := range fanouts {
+	for _, fo := range nw.fanoutNames(n.Name) {
 		if nw.Compose(fo, n.Name) {
 			changed = true
 		}
 	}
 	return changed
+}
+
+// bulkFanouts attaches live fanout lists for the duration of a bulk edit
+// (Sweep, Eliminate), which reads a node's fanouts once per node it folds
+// or scores, and returns the call that restores the previous state. Every
+// fold composes into each fanout independently, so the lists' edit-history
+// order cannot change the result.
+func (nw *Network) bulkFanouts() func() {
+	if nw.fanouts != nil {
+		return func() {}
+	}
+	nw.EnableFanouts()
+	return nw.DisableFanouts
+}
+
+// fanoutNames returns the names of the nodes reading signal name, copied
+// out of the fanout lists so the caller may edit those nodes while it
+// iterates.
+func (nw *Network) fanoutNames(name string) []string {
+	id, ok := nw.sym.Lookup(name)
+	if !ok {
+		return nil
+	}
+	ids := nw.FanoutsOf(id)
+	out := make([]string, len(ids))
+	for i, fo := range ids {
+		out[i] = nw.sym.Name(fo)
+	}
+	return out
 }
 
 // ReplaceFaninSignal rewires node name to read signal `new` (in the given
@@ -274,23 +300,18 @@ func (nw *Network) ReplaceFaninSignal(name, old, new string, invert bool) bool {
 // fanout covers (positive or negative). Nodes driving POs get value +∞
 // (never auto-eliminated) unless allowPO.
 func (nw *Network) Value(name string, allowPO bool) int {
-	n := nw.Node(name)
-	if n == nil {
+	id, ok := nw.sym.Lookup(name)
+	if !ok || nw.defs[id] == nil {
 		return 1 << 30
 	}
-	if !allowPO {
-		for _, po := range nw.poNames {
-			if po == name {
-				return 1 << 30
-			}
-		}
+	n := nw.defs[id]
+	if !allowPO && nw.poMark[id] {
+		return 1 << 30
 	}
 	uses := 0
-	for _, fo := range nw.Nodes() {
+	for _, foID := range nw.FanoutsOf(id) {
+		fo := nw.defs[foID]
 		vi := fo.FaninIndex(name)
-		if vi < 0 {
-			continue
-		}
 		for _, c := range fo.Cover.Cubes {
 			if c.ContainsVar(vi) {
 				uses++
@@ -308,19 +329,13 @@ func (nw *Network) Value(name string, allowPO bool) int {
 // fanouts, repeating until stable (the SIS `eliminate` command). Returns the
 // number of nodes eliminated.
 func (nw *Network) Eliminate(threshold int) int {
+	defer nw.bulkFanouts()()
 	count := 0
 	for {
 		victim := ""
 		best := threshold + 1
 		for _, name := range nw.SortedNodeNames() {
-			isPO := false
-			for _, po := range nw.poNames {
-				if po == name {
-					isPO = true
-					break
-				}
-			}
-			if isPO {
+			if nw.IsPO(name) {
 				continue
 			}
 			if v := nw.Value(name, false); v <= threshold && v < best {
@@ -331,7 +346,7 @@ func (nw *Network) Eliminate(threshold int) int {
 			nw.Sweep()
 			return count
 		}
-		for _, fo := range nw.Fanouts()[victim] {
+		for _, fo := range nw.fanoutNames(victim) {
 			nw.Compose(fo, victim)
 		}
 		nw.RemoveNode(victim)

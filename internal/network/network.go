@@ -70,13 +70,27 @@ type Network struct {
 	posIDs   []SigID
 	poNames  []string   // parallel to posIDs (the POs() boundary slice)
 	order    []SigID    // node creation order, for deterministic iteration
+	fanouts  [][]SigID  // live fanout lists by SigID (nil unless EnableFanouts), see fanout.go
 	sigs     *SigTable  // simulation signatures (nil unless EnableSigs), see sig.go
 	cones    *ConeTable // structural cone hashes (nil unless EnableCones), see conehash.go
 }
 
 // New creates an empty network.
-func New(name string) *Network {
-	return &Network{Name: name, sym: NewSymTab()}
+func New(name string) *Network { return NewSized(name, 0) }
+
+// NewSized creates an empty network with room for nsig signals, so a
+// builder that knows its size up front (a trial window) interns without
+// growing the symbol table and the ID-indexed slices step by step.
+func NewSized(name string, nsig int) *Network {
+	return &Network{
+		Name:     name,
+		sym:      newSymTab(nsig),
+		defs:     make([]*Node, 0, nsig),
+		piMark:   make([]bool, 0, nsig),
+		poMark:   make([]bool, 0, nsig),
+		faninIDs: make([][]SigID, 0, nsig),
+		order:    make([]SigID, 0, nsig),
+	}
 }
 
 // intern assigns (or returns) the dense ID of name and grows the ID-indexed
@@ -149,6 +163,7 @@ func (nw *Network) AddNode(name string, fanins []string, cover cube.Cover) *Node
 	n := &Node{Name: name, Fanins: append([]string(nil), fanins...), Cover: cover}
 	nw.defs[id] = n
 	nw.faninIDs[id] = nw.internFanins(fanins)
+	nw.linkFanouts(id, nw.faninIDs[id])
 	nw.order = append(nw.order, id)
 	if nw.sigs != nil {
 		nw.sigs.markDirty(id)
@@ -270,6 +285,7 @@ func (nw *Network) RemoveNode(name string) {
 	if !ok {
 		return
 	}
+	nw.unlinkFanouts(id, nw.faninIDs[id])
 	nw.defs[id] = nil
 	nw.faninIDs[id] = nil
 	if nw.sigs != nil {
@@ -280,11 +296,12 @@ func (nw *Network) RemoveNode(name string) {
 	}
 }
 
-// Clone deep-copies the network. The signature and cone-hash tables
-// (EnableSigs/EnableCones) are NOT carried over: clones are speculative
-// scratch copies and must not pay for table maintenance. Fanin-ID slices
-// are shared with the original (they are immutable — every mutator installs
-// a fresh slice), so the copy is O(nodes) plus the node bodies.
+// Clone deep-copies the network. The signature and cone-hash tables and the
+// live fanout lists (EnableSigs/EnableCones/EnableFanouts) are NOT carried
+// over: clones are speculative scratch copies and must not pay for their
+// maintenance. Fanin-ID slices are shared with the original (they are
+// immutable — every mutator installs a fresh slice), so the copy is
+// O(nodes) plus the node bodies.
 func (nw *Network) Clone() *Network {
 	c := &Network{
 		Name:     nw.Name,
@@ -322,6 +339,9 @@ func (nw *Network) CopyFrom(o *Network) {
 	nw.posIDs = c.posIDs
 	nw.poNames = c.poNames
 	nw.order = c.order
+	if nw.fanouts != nil {
+		nw.fanouts = nw.FanoutIDs()
+	}
 	if nw.sigs != nil {
 		// A whole-network rewrite: every signature is suspect.
 		nw.sigs.markAllDirty()
@@ -332,11 +352,10 @@ func (nw *Network) CopyFrom(o *Network) {
 }
 
 // FanoutIDs returns, for every signal ID, the node IDs that read it as a
-// fanin, in deterministic (creation, then fanin-position) order. Built in
-// two counted passes over one flat backing array — the adjacency is
-// rebuilt once per commit epoch on the engine's hot path, so the naive
-// per-signal append-growth (O(V+E) allocations) showed up as the single
-// largest allocator on 100k-gate runs.
+// fanin, in deterministic (creation, then fanin-position) order: a fresh
+// O(V+E) snapshot (see EnableFanouts for lists kept live across edits).
+// Built in two counted passes over one flat backing array, each list capped
+// at its own length so appending to one never overwrites its neighbour.
 func (nw *Network) FanoutIDs() [][]SigID {
 	n := nw.sym.Len()
 	deg := make([]int32, n)
@@ -499,19 +518,8 @@ func (nw *Network) DependsOn(a, b string) bool {
 // TFOSetIDs returns a SigID-indexed membership slice of the nodes
 // transitively depending on signal id (excluding id itself).
 func (nw *Network) TFOSetIDs(id SigID) []bool {
-	fanouts := nw.FanoutIDs()
 	out := make([]bool, nw.sym.Len())
-	stack := []SigID{id}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, fo := range fanouts[s] {
-			if !out[fo] {
-				out[fo] = true
-				stack = append(stack, fo)
-			}
-		}
-	}
+	nw.closeFanout(out, nil, []SigID{id})
 	out[id] = false
 	return out
 }
@@ -628,8 +636,10 @@ func (n *Node) Render() string {
 // recorded).
 func (nw *Network) replaceInPlace(name string, n *Node) {
 	id := nw.intern(name)
+	nw.unlinkFanouts(id, nw.faninIDs[id])
 	nw.defs[id] = n
 	nw.faninIDs[id] = nw.internFanins(n.Fanins)
+	nw.linkFanouts(id, nw.faninIDs[id])
 }
 
 // installAppended binds n to name and appends it to the creation order,
@@ -638,6 +648,7 @@ func (nw *Network) installAppended(name string, n *Node) {
 	id := nw.intern(name)
 	nw.defs[id] = n
 	nw.faninIDs[id] = nw.internFanins(n.Fanins)
+	nw.linkFanouts(id, nw.faninIDs[id])
 	nw.order = append(nw.order, id)
 }
 
@@ -647,7 +658,9 @@ func (nw *Network) installAppended(name string, n *Node) {
 func (nw *Network) setNodeFunc(id SigID, n *Node, fanins []string, cover cube.Cover) {
 	n.Fanins = fanins
 	n.Cover = cover
+	nw.unlinkFanouts(id, nw.faninIDs[id])
 	nw.faninIDs[id] = nw.internFanins(fanins)
+	nw.linkFanouts(id, nw.faninIDs[id])
 }
 
 // ReplaceNodeFunction rewrites node name with a new fanin list and cover,

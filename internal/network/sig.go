@@ -99,8 +99,10 @@ func AllOnes() Signature {
 // SigID-indexed arrays. It is owned by the network's serial mutator: all
 // recomputation happens in Refresh, so between a Refresh and the next
 // mutation any number of goroutines may call Sig concurrently (it is a pure
-// slice read). Clones of the network do not carry the table — speculative
-// rewrites on planner clones never pay for signature maintenance.
+// slice read). Refresh and ObsCare share the table's walk scratch, so only
+// the serial owner calls them. Clones of the network do not carry the
+// table — speculative rewrites on planner clones never pay for signature
+// maintenance.
 type SigTable struct {
 	nw        *Network
 	piPat     []Signature // fixed random patterns by PI *position*, set once
@@ -109,6 +111,14 @@ type SigTable struct {
 	dirtyMark []bool      // by SigID: function changed since Refresh
 	dirtyList []SigID     // the marked IDs, in marking order
 	allDirty  bool        // whole-network rewrite (CopyFrom): recompute all
+
+	// Walk scratch, by SigID, reused so a Refresh or ObsCare costs its cone
+	// rather than O(signals) of fresh arrays: cone and flipped are all false
+	// between calls; val and flip hold values only during one.
+	cone    []bool
+	flipped []bool
+	flip    []Signature
+	val     []uint64
 }
 
 // splitmix64 is the pattern generator: a tiny, deterministic PRNG stepped
@@ -163,6 +173,12 @@ func (t *SigTable) grow() {
 	}
 	for len(t.dirtyMark) < n {
 		t.dirtyMark = append(t.dirtyMark, false)
+	}
+	for len(t.cone) < n {
+		t.cone = append(t.cone, false)
+		t.flipped = append(t.flipped, false)
+		t.flip = append(t.flip, Signature{})
+		t.val = append(t.val, 0)
 	}
 }
 
@@ -219,63 +235,46 @@ func (t *SigTable) SigByID(id SigID) (Signature, bool) {
 	return t.sig[id], t.known[id]
 }
 
-// Refresh brings the table up to date: it recomputes the dirty signals,
-// everything in their transitive fanout, and any node the table has never
-// seen (fresh nodes introduced by a committed rewrite), in topological
-// order through the word-parallel cover evaluation Simulate uses. Entries
-// for signals that no longer exist are dropped. With nothing dirty the call
+// Refresh brings the table up to date: it recomputes the dirty signals and
+// everything in their transitive fanout, in topological order through the
+// word-parallel cover evaluation Simulate uses, and drops the entries of
+// removed nodes. Every edit path marks the node it adds, rewrites or
+// removes dirty, so the dirty cone covers every stale or missing entry
+// (network.Check's deep audit enforces that). With nothing dirty the call
 // returns immediately.
+//
+// The cone is walked on the network's live fanout lists when they are
+// enabled and ordered by a fanin-first DFS over the cone alone, so an
+// incremental Refresh costs its dirty cone, never a whole-network
+// FanoutIDs/TopoOrderIDs rebuild or scan.
 func (t *SigTable) Refresh() {
-	t.refresh(nil, nil)
-}
-
-// RefreshScoped is Refresh with the fanout adjacency and topological order
-// supplied by a caller that already has both current (the batch
-// scheduler's pass index) — recomputing them per Refresh doubled the
-// per-batch O(V+E) rebuild on large circuits.
-func (t *SigTable) RefreshScoped(fanouts [][]SigID, topo []SigID) {
-	t.refresh(fanouts, topo)
-}
-
-func (t *SigTable) refresh(fanouts [][]SigID, topo []SigID) {
 	nw := t.nw
 	if !t.allDirty && len(t.dirtyList) == 0 {
 		return
 	}
 	t.grow()
-	need := make([]bool, nw.sym.Len())
+	var ids []SigID
 	if t.allDirty {
 		for _, id := range nw.order {
-			if nw.defs[id] != nil {
-				need[id] = true
+			if nw.defs[id] != nil && !t.cone[id] {
+				t.cone[id] = true
+				ids = append(ids, id)
+			}
+		}
+		// Removed nodes left no dirty mark behind: drop them here.
+		for id := range t.known {
+			if t.known[id] && !nw.piMark[id] && nw.defs[id] == nil {
+				t.known[id] = false
 			}
 		}
 	} else {
-		// Dirty closure: dirty signals plus their transitive fanout in the
-		// current graph.
-		if fanouts == nil {
-			fanouts = nw.FanoutIDs()
-		}
-		stack := append([]SigID(nil), t.dirtyList...)
 		for _, id := range t.dirtyList {
-			need[id] = true
-		}
-		for len(stack) > 0 {
-			s := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, fo := range fanouts[s] {
-				if !need[fo] {
-					need[fo] = true
-					stack = append(stack, fo)
-				}
+			if !t.cone[id] {
+				t.cone[id] = true
+				ids = append(ids, id)
 			}
 		}
-		// Nodes the table has never computed (added since the last Refresh).
-		for _, id := range nw.order {
-			if nw.defs[id] != nil && !t.known[id] {
-				need[id] = true
-			}
-		}
+		ids = nw.closeFanout(t.cone, ids, t.dirtyList)
 	}
 	// (Re)bind the fixed PI patterns to the current PI list by position.
 	for i, pi := range nw.pis {
@@ -284,15 +283,12 @@ func (t *SigTable) refresh(fanouts [][]SigID, topo []SigID) {
 			t.known[pi] = true
 		}
 	}
-	if topo == nil {
-		topo = nw.TopoOrderIDs()
-	}
-	val := make([]uint64, nw.sym.Len())
-	for _, id := range topo {
-		if !need[id] {
+	for _, id := range nw.topoOf(t.cone, ids) {
+		n := nw.defs[id]
+		if n == nil {
+			t.known[id] = false // removed node
 			continue
 		}
-		n := nw.defs[id]
 		fids := nw.faninIDs[id]
 		var out Signature
 		ok := true
@@ -302,10 +298,10 @@ func (t *SigTable) refresh(fanouts [][]SigID, topo []SigID) {
 					ok = false
 					break
 				}
-				val[f] = t.sig[f][w]
+				t.val[f] = t.sig[f][w]
 			}
 			if ok {
-				out[w] = evalCoverIDs(n.Cover, fids, val)
+				out[w] = evalCoverIDs(n.Cover, fids, t.val)
 			}
 		}
 		if ok {
@@ -313,12 +309,6 @@ func (t *SigTable) refresh(fanouts [][]SigID, topo []SigID) {
 			t.known[id] = true
 		} else {
 			t.known[id] = false // undriven fanin: leave unknown
-		}
-	}
-	// Drop signatures of removed nodes.
-	for id := range t.known {
-		if t.known[id] && !nw.piMark[id] && nw.defs[id] == nil {
-			t.known[id] = false
 		}
 	}
 	for _, id := range t.dirtyList {
@@ -332,9 +322,10 @@ func (t *SigTable) refresh(fanouts [][]SigID, topo []SigID) {
 // patterns on which complementing the signal's value changes at least one
 // primary output (a signal that is itself a PO is observable on every
 // pattern). It is computed by re-simulating the signal's transitive fanout
-// with the signal's signature inverted and XOR-comparing the PO signatures.
-// ok=false when the table is stale or a needed signature is missing —
-// callers must treat that as "everything may be observable".
+// with the signal's signature inverted and XOR-comparing the signatures of
+// the POs inside that cone. ok=false when the table is stale or a needed
+// signature is missing — callers must treat that as "everything may be
+// observable". The cost is the fanout cone's, not the network's.
 func (t *SigTable) ObsCare(name string) (Signature, bool) {
 	if t.allDirty || len(t.dirtyList) > 0 {
 		return Signature{}, false
@@ -344,43 +335,50 @@ func (t *SigTable) ObsCare(name string) (Signature, bool) {
 	if !ok || int(id) >= len(t.known) || !t.known[id] {
 		return Signature{}, false
 	}
-	flipped := make([]Signature, nw.sym.Len())
-	isFlipped := make([]bool, nw.sym.Len())
-	flipped[id] = t.sig[id].Not()
-	isFlipped[id] = true
-	tfo := nw.TFOSetIDs(id)
-	val := make([]uint64, nw.sym.Len())
-	for _, nid := range nw.TopoOrderIDs() {
-		if nid == id || !tfo[nid] {
-			continue
-		}
+	t.grow()
+	cone := nw.topoOf(t.cone, nw.closeFanout(t.cone, nil, []SigID{id}))
+	t.flip[id] = t.sig[id].Not()
+	t.flipped[id] = true
+	care, ok := t.obsCare(id, cone)
+	t.flipped[id] = false
+	for _, nid := range cone {
+		t.flipped[nid] = false
+	}
+	return care, ok
+}
+
+// obsCare is ObsCare's re-simulation over the ordered fanout cone of id.
+func (t *SigTable) obsCare(id SigID, cone []SigID) (Signature, bool) {
+	nw := t.nw
+	for _, nid := range cone {
 		node := nw.defs[nid]
 		fids := nw.faninIDs[nid]
 		var out Signature
 		for w := 0; w < SigWords; w++ {
 			for _, fi := range fids {
-				if isFlipped[fi] {
-					val[fi] = flipped[fi][w]
-				} else if int(fi) < len(t.known) && t.known[fi] {
-					val[fi] = t.sig[fi][w]
+				if t.flipped[fi] {
+					t.val[fi] = t.flip[fi][w]
+				} else if t.known[fi] {
+					t.val[fi] = t.sig[fi][w]
 				} else {
 					return Signature{}, false
 				}
 			}
-			out[w] = evalCoverIDs(node.Cover, fids, val)
+			out[w] = evalCoverIDs(node.Cover, fids, t.val)
 		}
-		flipped[nid] = out
-		isFlipped[nid] = true
+		t.flip[nid] = out
+		t.flipped[nid] = true
 	}
+	// Only POs the flip reaches — id itself or cone members — can differ.
 	var care Signature
-	for _, po := range nw.posIDs {
-		if int(po) >= len(isFlipped) || !isFlipped[po] {
-			continue // the flip never reaches this output
+	for _, x := range append(cone, id) {
+		if !nw.poMark[x] {
+			continue
 		}
-		if !t.known[po] {
+		if !t.known[x] {
 			return Signature{}, false
 		}
-		care = care.Or(flipped[po].Xor(t.sig[po]))
+		care = care.Or(t.flip[x].Xor(t.sig[x]))
 	}
 	return care, true
 }

@@ -75,6 +75,9 @@ func TestSigTableIncrementalMatchesScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(505))
 	for trial := 0; trial < 25; trial++ {
 		nw := randomNetwork(r, 4, 6)
+		if trial%2 == 1 {
+			nw.EnableFanouts() // Refresh walks the live lists instead of a snapshot
+		}
 		tab := nw.EnableSigs()
 		names := func() []string {
 			var out []string
@@ -178,5 +181,68 @@ func TestSignatureOps(t *testing.T) {
 	}
 	if x.Not().Not() != x {
 		t.Error("Not wrong")
+	}
+}
+
+// obsCareReference recomputes ObsCare by brute force: simulate the whole
+// network in topological order twice per pattern word — once as is, once
+// with the signal's value inverted — and OR the differences over every
+// primary output.
+func obsCareReference(t *SigTable, nw *Network, id SigID) Signature {
+	var care Signature
+	for w := 0; w < SigWords; w++ {
+		plain := make([]uint64, nw.NumSigs())
+		flip := make([]uint64, nw.NumSigs())
+		for i, pi := range nw.PIIDs() {
+			plain[pi] = t.piPat[i][w]
+			flip[pi] = t.piPat[i][w]
+		}
+		if nw.IsPIID(id) {
+			flip[id] = ^flip[id]
+		}
+		for _, n := range nw.TopoOrderIDs() {
+			fids := nw.FaninIDsOf(n)
+			plain[n] = evalCoverIDs(nw.NodeByID(n).Cover, fids, plain)
+			flip[n] = evalCoverIDs(nw.NodeByID(n).Cover, fids, flip)
+			if n == id {
+				flip[n] = ^flip[n]
+			}
+		}
+		for _, po := range nw.POIDs() {
+			care[w] |= plain[po] ^ flip[po]
+		}
+	}
+	return care
+}
+
+// TestObsCareMatchesReference checks the cone-local ObsCare against the
+// whole-network brute force for every signal of random multi-output
+// networks, calling it back to back on one table (its walk scratch must
+// come back clean after every call), with live fanout lists on and off.
+func TestObsCareMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 20; trial++ {
+		nw := randomNetwork(r, 4, 10)
+		for _, n := range nw.Nodes()[:4] {
+			if !nw.IsPO(n.Name) {
+				nw.AddPO(n.Name)
+			}
+		}
+		if trial%2 == 0 {
+			nw.EnableFanouts()
+		}
+		tab := nw.EnableSigs()
+		for pass := 0; pass < 2; pass++ {
+			for id := 0; id < nw.NumSigs(); id++ {
+				name := nw.SigName(SigID(id))
+				got, ok := tab.ObsCare(name)
+				if !ok {
+					t.Fatalf("trial %d: ObsCare(%s) unavailable on a clean table", trial, name)
+				}
+				if want := obsCareReference(tab, nw, SigID(id)); got != want {
+					t.Fatalf("trial %d pass %d: ObsCare(%s) = %x, brute force %x", trial, pass, name, got, want)
+				}
+			}
+		}
 	}
 }

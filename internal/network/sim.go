@@ -38,14 +38,14 @@ func evalCoverIDs(f cube.Cover, fanins []SigID, val []uint64) uint64 {
 	var out uint64
 	for _, c := range f.Cubes {
 		w := ^uint64(0)
-		for _, v := range c.Lits() {
-			x := val[fanins[v]]
-			if c.Get(v) == cube.Neg {
-				x = ^x
-			}
-			w &= x
-			if w == 0 {
-				break
+		// A direct scan of the cube's few variables: Lits would allocate a
+		// slice per cube per word on the signature refresh path.
+		for v := 0; v < c.NumVars() && w != 0; v++ {
+			switch c.Get(v) {
+			case cube.Pos:
+				w &= val[fanins[v]]
+			case cube.Neg:
+				w &= ^val[fanins[v]]
 			}
 		}
 		out |= w

@@ -23,9 +23,12 @@ type SymTab struct {
 }
 
 // NewSymTab returns an empty symbol table.
-func NewSymTab() *SymTab {
+func NewSymTab() *SymTab { return newSymTab(0) }
+
+// newSymTab returns an empty symbol table with room for n names.
+func newSymTab(n int) *SymTab {
 	//bdslint:ignore idmap constructs the sanctioned boundary table (see the byName field)
-	return &SymTab{byName: make(map[string]SigID)}
+	return &SymTab{names: make([]string, 0, n), byName: make(map[string]SigID, n)}
 }
 
 // Len returns the number of interned names (the dense ID space size).
