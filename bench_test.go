@@ -300,15 +300,38 @@ func BenchmarkFactoring(b *testing.B) {
 	}
 }
 
+// BenchmarkComplement measures the cube complement kernel: a small
+// six-cube SOP; the wide product of sums, the complement of eight cubes on
+// disjoint supports over 23 variables, which expands to 4374 cubes; and
+// the same cover rejected by a 24-cube ComplementAtMost budget, the way
+// the engine's size caps reject it.
 func BenchmarkComplement(b *testing.B) {
-	f := cube.ParseCover(10, "abc + de'f + ghi' + jb' + ac'e + fg'j")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f.Complement().IsZero() {
-			b.Fatal("complement regressed")
+	small := cube.ParseCover(10, "abc + de'f + ghi' + jb' + ac'e + fg'j")
+	wide := cube.ParseCover(23, "abc + def + ghi + jkl + mno + pqr + stu + vw")
+	b.Run("sop6", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if small.Complement().IsZero() {
+				b.Fatal("complement regressed")
+			}
 		}
-	}
+	})
+	b.Run("wide_pos", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if wide.Complement().NumCubes() != 4374 {
+				b.Fatal("complement regressed")
+			}
+		}
+	})
+	b.Run("wide_pos_atmost24", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := wide.ComplementAtMost(24); ok {
+				b.Fatal("ComplementAtMost accepted a 4374-cube complement")
+			}
+		}
+	})
 }
 
 func BenchmarkSimplifyNode(b *testing.B) {

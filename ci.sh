@@ -3,10 +3,11 @@
 # (tier-1) + race detector over the packages the parallel substitution
 # engine touches (including the batch scheduler driven over a 100k-gate
 # circuit regenerated from its committed recipe) + a fuzz smoke over every
-# fuzz target (BLIF parser, cube algebra, cone hashing, batch cone
-# disjointness) + a bench-regression check of the substitution engine
-# against the committed baseline — timing drift warns, scaling-floor
-# violations fail. Run from the repo root.
+# fuzz target (BLIF parser, cube algebra and complement, cone hashing,
+# batch cone disjointness) + a bench-regression check of the substitution
+# engine and the cube/minimizer kernels against the committed baseline —
+# timing drift warns, scaling-floor violations fail. Run from the repo
+# root.
 set -eux
 
 # Formatting gate: gofmt must have nothing to rewrite.
@@ -50,6 +51,7 @@ for target in \
   'FuzzParse ./internal/blif' \
   'FuzzParseNoSemanticsCrash ./internal/blif' \
   'FuzzCoverOps ./internal/cube' \
+  'FuzzComplement ./internal/cube' \
   'FuzzConeHashOrderInvariance ./internal/network' \
   'FuzzOverlayReadEquivalence ./internal/network' \
   'FuzzBatchDisjoint ./internal/core'
@@ -71,6 +73,6 @@ done
 # thresholds than ns/op: allocation counts are near-deterministic here, so
 # drift means the engine's allocation behavior actually changed.
 go build -o /tmp/benchreg.ci ./cmd/benchreg
-go test -run '^$' -bench 'BenchmarkSubstituteParallel$|BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkSubstituteScale$' -benchtime 1x -benchmem -timeout 60m . \
+go test -run '^$' -bench 'BenchmarkSubstituteParallel$|BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkSubstituteScale$|BenchmarkComplement$|BenchmarkSimplifyNode$' -benchtime 1x -benchmem -timeout 60m . \
   | /tmp/benchreg.ci -emit /tmp/BENCH_substitute.json
 /tmp/benchreg.ci -compare testdata/bench/BENCH_substitute.json /tmp/BENCH_substitute.json

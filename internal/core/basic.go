@@ -88,8 +88,8 @@ func basicDivideCompl(sc *scratch, nw network.Reader, f, d string, cfg Config, m
 	if pre != nil {
 		dc = *pre // already checked non-zero and within bound by complCache
 	} else {
-		dc = dn.Cover.Complement()
-		if dc.IsZero() || dc.NumCubes() > maxCompl {
+		var ok bool
+		if dc, ok = dn.Cover.ComplementAtMost(maxCompl); !ok || dc.IsZero() {
 			return nil, false
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/blif"
 	"repro/internal/cube"
 	"repro/internal/network"
 	"repro/internal/verify"
@@ -172,5 +174,31 @@ func TestPropExtendedDivisionSound(t *testing.T) {
 					trial, cfg, f, d, nw.String(), work.String())
 			}
 		}
+	}
+}
+
+// TestSubstituteReaddsRemovedCoreName is the engine-level check that a
+// node added under a reused name is listed once. An extended-division
+// commit adds its core node under the name FreshName picks, and FreshName
+// hands out the names of removed nodes; the overlay commit (ApplyTo) then
+// re-adds that name to the live network. The network must stay Check-clean
+// (Options.Audit checks after every commit) and end up exactly as if the
+// name had never been used before.
+func TestSubstituteReaddsRemovedCoreName(t *testing.T) {
+	opt := Options{Config: Extended, Audit: true}
+	fresh := bench.Get("pla_b")
+	if st := Substitute(fresh, opt); st.Decompositions == 0 || fresh.Node("bdc0") == nil {
+		t.Fatal("pla_b no longer commits an extended decomposition with core bdc0")
+	}
+	nw := bench.Get("pla_b")
+	pis := nw.PIs()
+	nw.AddNode("bdc0", pis[:2], cube.ParseCover(2, "ab"))
+	nw.RemoveNode("bdc0")
+	Substitute(nw, opt)
+	if err := nw.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := blif.ToString(nw), blif.ToString(fresh); got != want {
+		t.Fatalf("re-adding a removed name changed the result\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

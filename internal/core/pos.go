@@ -49,12 +49,11 @@ func posDivide(sc *scratch, nw network.Reader, f, d string, cfg Config, maxCompl
 	if preF != nil && preD != nil {
 		fc, dc = *preF, *preD
 	} else {
-		fc = fn.Cover.Complement()
-		if fc.IsZero() || fc.NumCubes() > maxCompl {
+		var ok bool
+		if fc, ok = fn.Cover.ComplementAtMost(maxCompl); !ok || fc.IsZero() {
 			return nil, false
 		}
-		dc = dn.Cover.Complement()
-		if dc.IsZero() || dc.NumCubes() > maxCompl {
+		if dc, ok = dn.Cover.ComplementAtMost(maxCompl); !ok || dc.IsZero() {
 			return nil, false
 		}
 		fc = mini.Minimize(fc, mini.Options{})
@@ -75,8 +74,8 @@ func posDivide(sc *scratch, nw network.Reader, f, d string, cfg Config, maxCompl
 		return nil, false
 	}
 	// res.Cover computes f̄; the node function is its complement.
-	final := res.Cover.Complement()
-	if final.NumCubes() > 4*maxCompl {
+	final, ok := res.Cover.ComplementAtMost(4 * maxCompl)
+	if !ok {
 		return nil, false
 	}
 	final = mini.Minimize(final, mini.Options{})
@@ -171,9 +170,9 @@ func (cc *complCache) get(nw network.Reader, name string) (cube.Cover, bool) {
 		}
 		return cube.Cover{}, false
 	}
-	c := n.Cover.Complement()
+	c, ok := n.Cover.ComplementAtMost(cc.max)
 	e := cc.slot(id)
-	if c.NumCubes() > cc.max || c.IsZero() {
+	if !ok || c.IsZero() {
 		e.bad = true
 		return cube.Cover{}, false
 	}

@@ -488,8 +488,8 @@ func (sf *simSigFilter) noRemovalGain(fU, dU cube.Cover, qPos []bool, union []st
 	if !posForm {
 		return sf.costBefore - algebraic.FactorLits(tentative)
 	}
-	final := tentative.Complement()
-	if final.NumCubes() > 4*sf.maxCompl {
+	final, ok := tentative.ComplementAtMost(4 * sf.maxCompl)
+	if !ok {
 		return fail
 	}
 	final = mini.Minimize(final, mini.Options{})

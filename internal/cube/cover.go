@@ -1,6 +1,8 @@
 package cube
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -178,64 +180,90 @@ func (f Cover) SCC() Cover {
 // IsTautology reports whether the cover equals the constant-1 function,
 // using the unate recursive paradigm.
 func (f Cover) IsTautology() bool {
-	return tautology(f, New(f.n), 0)
+	return tautology(f, New(f.n), nil, 0)
 }
 
 const maxTautDepth = 1 << 20 // recursion guard; never hit in practice
 
+// liveStackCubes is the largest cover whose live-cube bitset tautology
+// keeps on the stack; larger covers allocate one per recursion node.
+const liveStackCubes = 256
+
 // tautology reports whether f cofactored by the restriction cube r is the
 // constant-1 function. The cofactor is never materialized: cubes disjoint
 // from r are skipped, and variables bound by r read as Free. Branching
-// binds a variable of r in place (restored on return), so the whole
-// recursion allocates nothing.
-func tautology(f Cover, r Cube, depth int) bool {
+// binds a variable of r in place (restored on return). Each recursion node
+// tests a cube against r once and records the survivors in a bitset that
+// the branching-variable count and the children scan in place of the
+// cover; parent is the caller's bitset (nil at the root: every cube). A
+// child's restriction only grows, so its survivors are among its parent's.
+// For covers of up to liveStackCubes cubes the recursion allocates nothing.
+func tautology(f Cover, r Cube, parent []uint64, depth int) bool {
 	if depth > maxTautDepth {
 		panic("cube: tautology recursion blow-up")
 	}
+	nw := (len(f.Cubes) + 63) / 64
+	var buf [liveStackCubes / 64]uint64
+	live := buf[:min(nw, len(buf))]
+	if nw > len(buf) {
+		live = make([]uint64, nw)
+	}
 	// Quick exits: no surviving cube means constant 0; a cube whose
 	// cofactor is the universal cube means constant 1.
-	live := 0
-	for _, c := range f.Cubes {
-		if c.Disjoint(r) {
-			continue
+	any := false
+	for k := range live {
+		m := ^uint64(0)
+		if parent != nil {
+			m = parent[k]
+		} else if rest := len(f.Cubes) - 64*k; rest < 64 {
+			m = 1<<uint(rest) - 1
 		}
-		live++
-		universe := true
-		for i := range c.w {
-			m := fullMask(c.n, i)
-			if (c.w[i]|^r.w[i])&m != m {
-				universe = false
-				break
+		for b := m; b != 0; b &= b - 1 {
+			j := bits.TrailingZeros64(b)
+			c := f.Cubes[64*k+j]
+			if c.Disjoint(r) {
+				m &^= 1 << uint(j)
+				continue
+			}
+			universe := true
+			for i := range c.w {
+				full := fullMask(c.n, i)
+				if (c.w[i]|^r.w[i])&full != full {
+					universe = false
+					break
+				}
+			}
+			if universe {
+				return true
 			}
 		}
-		if universe {
-			return true
-		}
+		live[k] = m
+		any = any || m != 0
 	}
-	if live == 0 {
+	if !any {
 		return false
 	}
 	// Unate reduction: a unate cover is a tautology iff it contains the
 	// universal cube, and none was found above, so a unate residue is a no.
-	v, binate := mostBinateVarUnder(f, r)
+	v, binate := mostBinateVarUnder(f, r, live)
 	if !binate {
 		return false
 	}
 	r.Set(v, Pos)
-	if !tautology(f, r, depth+1) {
+	if !tautology(f, r, live, depth+1) {
 		r.Set(v, Free)
 		return false
 	}
 	r.Set(v, Neg)
-	ok := tautology(f, r, depth+1)
+	ok := tautology(f, r, live, depth+1)
 	r.Set(v, Free)
 	return ok
 }
 
 // mostBinateVarUnder is mostBinateVar evaluated on the (virtual) cofactor
-// of f by restriction r: cubes disjoint from r are skipped and variables
-// bound by r never count (they read as Free in the cofactor).
-func mostBinateVarUnder(f Cover, r Cube) (v int, binate bool) {
+// of f by restriction r: only the cubes in the live bitset count, and
+// variables bound by r never count (they read as Free in the cofactor).
+func mostBinateVarUnder(f Cover, r Cube, live []uint64) (v int, binate bool) {
 	best, bestCount := -1, -1
 	for u := 0; u < f.n; u++ {
 		i, s := u/varsPerWord, 2*uint(u%varsPerWord)
@@ -243,15 +271,14 @@ func mostBinateVarUnder(f Cover, r Cube) (v int, binate bool) {
 			continue
 		}
 		p, n := 0, 0
-		for _, c := range f.Cubes {
-			if c.Disjoint(r) {
-				continue
-			}
-			switch Phase(c.w[i] >> s & 0b11) {
-			case Pos:
-				p++
-			case Neg:
-				n++
+		for k, m := range live {
+			for ; m != 0; m &= m - 1 {
+				switch Phase(f.Cubes[64*k+bits.TrailingZeros64(m)].w[i] >> s & 0b11) {
+				case Pos:
+					p++
+				case Neg:
+					n++
+				}
 			}
 		}
 		if p > 0 && n > 0 && p+n > bestCount {
@@ -300,7 +327,7 @@ func (f Cover) ContainsCube(c Cube) bool {
 	if c.IsEmpty() {
 		return true
 	}
-	return tautology(f, c.Clone(), 0)
+	return tautology(f, c.Clone(), nil, 0)
 }
 
 // ContainsCubeUsing is ContainsCube with a caller-provided scratch cube of
@@ -312,7 +339,7 @@ func (f Cover) ContainsCubeUsing(c, scratch Cube) bool {
 		return true
 	}
 	copy(scratch.w, c.w)
-	return tautology(f, scratch, 0)
+	return tautology(f, scratch, nil, 0)
 }
 
 // ContainsCover reports whether g ⊆ f as functions.
@@ -331,87 +358,207 @@ func (f Cover) Equivalent(g Cover) bool {
 }
 
 // Complement returns a cover of the complement function, computed by the
-// recursive Shannon expansion with unate shortcuts and single-cube
-// containment cleanup.
+// recursive Shannon expansion with unate shortcuts. The cover is free of
+// single-cube containment, and its cubes come stably sorted by ascending
+// literal count — the order SCC leaves a cover in (see complementer).
 func (f Cover) Complement() Cover {
-	return complement(f).SCC()
+	g, _ := f.ComplementAtMost(math.MaxInt)
+	return g
 }
 
-func complement(f Cover) Cover {
-	n := f.n
+// ComplementAtMost returns the cover Complement builds when it has at most
+// max cubes, and false otherwise. It stops the recursion as soon as the
+// output passes max cubes, so rejecting a large complement costs about max
+// cubes rather than the whole complement.
+func (f Cover) ComplementAtMost(max int) (Cover, bool) {
+	cx, ok := complementRaw(f, max)
+	if !ok {
+		return Cover{}, false
+	}
+	return Cover{n: f.n, Cubes: cx.sorted()}, true
+}
+
+// complementRaw runs the complement recursion over f with a budget of max
+// cubes. Empty cubes are dropped first: they denote no minterms, and the
+// single-cube leaf would read one as the constant 0.
+func complementRaw(f Cover, max int) (*complementer, bool) {
+	if max < 0 {
+		return nil, false
+	}
+	for _, c := range f.Cubes {
+		if c.IsEmpty() {
+			f = CoverOf(f.n, f.Cubes...)
+			break
+		}
+	}
+	univ := New(f.n)
+	cx := &complementer{n: f.n, nw: len(univ.w), univ: univ, left: max}
+	return cx, cx.run(f)
+}
+
+// complementer is one run of the complement recursion. Its output needs no
+// containment pass: by induction on the recursion, no output cube contains
+// another. A leaf emits nothing, the universal cube, or single-literal
+// cubes on distinct variables. A merge binds the split variable v
+// positively on the complement of f_v and negatively on the complement of
+// f_v', and neither cofactor mentions v: cubes from the same side compare
+// as their sub-results did, and cubes from opposite sides are disjoint.
+//
+// Every emitted cube is a fresh window of words, so a merge binds v in
+// place. The recursion never drops an emitted cube, so the output count is
+// exact at every step and the budget can stop the run early. Cofactors
+// live on a stack that each level pops when its child returns, so the
+// recursion allocates only when a buffer grows.
+type complementer struct {
+	n, nw  int
+	univ   Cube     // universal cube: the template of every emitted cube
+	words  []uint64 // emitted cubes in leaf order, nw words each
+	count  int      // cubes emitted
+	left   int      // cubes the budget still allows
+	stack  []Cube   // cofactor cubes of the levels on the recursion path
+	stackW []uint64 // their words
+}
+
+// run appends the complement of f to the output, or returns false once the
+// output would pass the budget. The split variable and the leaves are
+// those of the textbook unate-recursive complement: the most binate
+// variable, else the most frequent one (lowest index on ties).
+func (cx *complementer) run(f Cover) bool {
 	if len(f.Cubes) == 0 {
-		g := NewCover(n)
-		g.Cubes = append(g.Cubes, New(n))
-		return g
+		return cx.emit()
 	}
 	for _, c := range f.Cubes {
 		if c.IsUniverse() {
-			return NewCover(n)
+			return true
 		}
 	}
 	if len(f.Cubes) == 1 {
-		return complementCube(f.Cubes[0])
-	}
-	v, binate := mostBinateVar(f)
-	if !binate {
-		// Pick the most frequent variable (lowest index on ties) to keep
-		// recursion shallow and deterministic.
-		best, bc := -1, -1
-		for u := 0; u < f.n; u++ {
-			i, s := u/varsPerWord, 2*uint(u%varsPerWord)
-			k := 0
-			for _, c := range f.Cubes {
-				if p := Phase(c.w[i] >> s & 0b11); p == Pos || p == Neg {
-					k++
-				}
+		// De Morgan: one cube per literal, in the opposite phase.
+		c := f.Cubes[0]
+		for v := 0; v < cx.n; v++ {
+			p := c.Get(v)
+			if p != Pos && p != Neg {
+				continue
 			}
-			if k > bc {
-				best, bc = u, k
+			if !cx.emit() {
+				return false
 			}
+			cx.bind(cx.count-1, cx.count, v, p^Free)
 		}
-		v = best
+		return true
 	}
-	pos := New(n)
-	pos.Set(v, Pos)
-	neg := New(n)
-	neg.Set(v, Neg)
-	cp := complement(f.Cofactor(pos))
-	cn := complement(f.Cofactor(neg))
-	g := NewCover(n)
-	for _, c := range cp.Cubes {
-		d := c.Clone()
-		if !d.ContainsVar(v) {
-			d.Set(v, Pos)
-		} else if d.Get(v) == Neg {
-			continue // x · (x'-cube) is empty
-		}
-		g.Cubes = append(g.Cubes, d)
+	v := splitVar(f)
+	start, top, wtop := cx.count, len(cx.stack), len(cx.stackW)
+	if !cx.run(cx.cofactor(f, v, Pos)) {
+		return false
 	}
-	for _, c := range cn.Cubes {
-		d := c.Clone()
-		if !d.ContainsVar(v) {
-			d.Set(v, Neg)
-		} else if d.Get(v) == Pos {
-			continue
-		}
-		g.Cubes = append(g.Cubes, d)
+	cx.stack, cx.stackW = cx.stack[:top], cx.stackW[:wtop]
+	mid := cx.count
+	if !cx.run(cx.cofactor(f, v, Neg)) {
+		return false
 	}
-	return g
+	cx.stack, cx.stackW = cx.stack[:top], cx.stackW[:wtop]
+	cx.bind(start, mid, v, Pos)
+	cx.bind(mid, cx.count, v, Neg)
+	return true
 }
 
-// complementCube applies De Morgan to a single cube.
-func complementCube(c Cube) Cover {
-	g := NewCover(c.n)
-	for _, v := range c.Lits() {
-		k := New(c.n)
-		if c.Get(v) == Pos {
-			k.Set(v, Neg)
-		} else {
-			k.Set(v, Pos)
+// cofactor pushes the cofactor of f by the literal v = p onto the stack
+// and returns it: Cover.Cofactor's cubes, in its order. No cube of the
+// recursion is empty, so a cube is disjoint from the literal exactly when
+// it holds the opposite one.
+func (cx *complementer) cofactor(f Cover, v int, p Phase) Cover {
+	i, s := v/varsPerWord, 2*uint(v%varsPerWord)
+	start := len(cx.stack)
+	for _, c := range f.Cubes {
+		if Phase(c.w[i]>>s&0b11) == p^Free {
+			continue
 		}
-		g.Cubes = append(g.Cubes, k)
+		k := len(cx.stackW)
+		cx.stackW = append(cx.stackW, c.w...)
+		w := cx.stackW[k : k+cx.nw : k+cx.nw]
+		w[i] |= 0b11 << s
+		cx.stack = append(cx.stack, Cube{w: w, n: cx.n})
 	}
-	return g
+	return Cover{n: cx.n, Cubes: cx.stack[start:len(cx.stack):len(cx.stack)]}
+}
+
+// emit appends a universal cube to the output, or returns false when the
+// budget is spent.
+func (cx *complementer) emit() bool {
+	if cx.left == 0 {
+		return false
+	}
+	cx.left--
+	cx.count++
+	cx.words = append(cx.words, cx.univ.w...)
+	return true
+}
+
+// bind sets variable v to phase p in output cubes [from, to).
+func (cx *complementer) bind(from, to, v int, p Phase) {
+	i, s := v/varsPerWord, 2*uint(v%varsPerWord)
+	for k := from; k < to; k++ {
+		w := &cx.words[k*cx.nw+i]
+		*w = *w&^(0b11<<s) | uint64(p)<<s
+	}
+}
+
+// cube returns output cube k, a capacity-limited window of the words.
+func (cx *complementer) cube(k int) Cube {
+	return Cube{w: cx.words[k*cx.nw : (k+1)*cx.nw : (k+1)*cx.nw], n: cx.n}
+}
+
+// sorted returns the output stably sorted by ascending literal count: a
+// bucket sort reproducing the order SCC's stable sort gives the same cubes.
+func (cx *complementer) sorted() []Cube {
+	if cx.count == 0 {
+		return nil
+	}
+	out := make([]Cube, cx.count)
+	// Count the cubes of each literal count l in next[l+1]; the prefix sums
+	// then make next[l] the slot of the next cube with l literals.
+	var buf [66]int
+	next := buf[:min(cx.n+2, len(buf))]
+	if cx.n+2 > len(buf) {
+		next = make([]int, cx.n+2)
+	}
+	for k := 0; k < cx.count; k++ {
+		next[cx.cube(k).NumLits()+1]++
+	}
+	for l := 1; l < len(next); l++ {
+		next[l] += next[l-1]
+	}
+	for k := 0; k < cx.count; k++ {
+		c := cx.cube(k)
+		l := c.NumLits()
+		out[next[l]] = c
+		next[l]++
+	}
+	return out
+}
+
+// splitVar picks the complement recursion's split variable: the most
+// binate variable, or for a unate cover the most frequent one (lowest
+// index on ties), to keep the recursion shallow and deterministic.
+func splitVar(f Cover) int {
+	if v, binate := mostBinateVar(f); binate {
+		return v
+	}
+	best, bc := -1, -1
+	for u := 0; u < f.n; u++ {
+		i, s := u/varsPerWord, 2*uint(u%varsPerWord)
+		k := 0
+		for _, c := range f.Cubes {
+			if p := Phase(c.w[i] >> s & 0b11); p == Pos || p == Neg {
+				k++
+			}
+		}
+		if k > bc {
+			best, bc = u, k
+		}
+	}
+	return best
 }
 
 // And returns the product of two covers (cube-pairwise intersection, SCC'd).

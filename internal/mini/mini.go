@@ -156,9 +156,12 @@ func Irredundant(f, dc cube.Cover) cube.Cover {
 	return out
 }
 
-// Reduce shrinks each cube to the smallest cube that still covers the
-// minterms only it covers (its essential part), enabling the next Expand to
-// escape local minima.
+// Reduce shrinks each cube, largest first, to the smallest cube that still
+// covers the minterms only it covers: its part outside the rest of the
+// cover (earlier cubes in their reduced form) and the don't-care set. The
+// next Expand can then grow the cube in a new direction and escape a local
+// minimum. A cube the rest covers entirely is kept as it is: Irredundant
+// owns removal decisions.
 func Reduce(f, dc cube.Cover) cube.Cover {
 	n := f.NumVars()
 	out := cube.NewCover(n)
@@ -167,6 +170,7 @@ func Reduce(f, dc cube.Cover) cube.Cover {
 	sortByLits(cs)
 	rest := cube.NewCover(n)
 	rest.Cubes = make([]cube.Cube, 0, len(cs)+len(dc.Cubes))
+	scratch := cube.New(n)
 	for i, c := range cs {
 		rest.Cubes = rest.Cubes[:0]
 		for j := range cs {
@@ -181,28 +185,39 @@ func Reduce(f, dc cube.Cover) cube.Cover {
 			}
 		}
 		rest.Cubes = append(rest.Cubes, dc.Cubes...)
-		out.Cubes = append(out.Cubes, reduceCube(c, rest))
+		out.Cubes = append(out.Cubes, reduceCube(c, rest, scratch))
 	}
 	return out
 }
 
-// reduceCube returns the supercube of the part of c not covered by rest,
-// which is the maximally reduced replacement for c.
-func reduceCube(c cube.Cube, rest cube.Cover) cube.Cube {
-	// Complement of rest cofactored by c, intersected with c, supercubed.
-	rc := rest.Cofactor(c).Complement()
-	if rc.IsZero() {
-		// c is fully covered by the others; keep it — Irredundant owns
-		// removal decisions.
-		return c
+// reduceCube returns the supercube of c ∧ ¬rest, the part of c that rest
+// leaves uncovered, or c itself when rest covers all of c. That supercube
+// is a property of the function: it carries u exactly when every
+// uncovered minterm has u = 1, that is when rest covers c·u'. So each free
+// variable of c takes two containment checks instead of a complement of
+// rest within c. Both halves covered means rest covers c. The checks run
+// on the cube reduced so far, which gives the same answers: it still holds
+// every uncovered minterm of c. scratch is ContainsCubeUsing's scratch.
+func reduceCube(c cube.Cube, rest cube.Cover, scratch cube.Cube) cube.Cube {
+	r := c.Clone()
+	for v := 0; v < r.NumVars(); v++ {
+		if r.Get(v) != cube.Free {
+			continue
+		}
+		r.Set(v, cube.Pos)
+		posCovered := rest.ContainsCubeUsing(r, scratch)
+		r.Set(v, cube.Neg)
+		negCovered := rest.ContainsCubeUsing(r, scratch)
+		switch {
+		case posCovered && negCovered:
+			return c
+		case negCovered:
+			r.Set(v, cube.Pos)
+		case !posCovered:
+			r.Set(v, cube.Free)
+		}
 	}
-	n := c.NumVars()
-	sup := rc.Cubes[0].Clone()
-	for _, k := range rc.Cubes[1:] {
-		sup = sup.Supercube(k)
-	}
-	_ = n
-	return sup.And(c)
+	return r
 }
 
 func sortByLits(cs []cube.Cube) {

@@ -20,8 +20,9 @@ import (
 //   - primary outputs are unique and driven by a PI or node
 //   - the symbol table and the ID-indexed slices agree: defs/piMark/faninIDs
 //     span the whole ID space, PI/PO name slices mirror their ID slices
-//   - every live node appears exactly once in the creation order and its
-//     Name matches its interned name (so Nodes() is a faithful enumeration)
+//   - the creation order lists no ID twice, inOrder marks exactly the IDs
+//     it lists, and every live node is among them with a Name matching its
+//     interned name (so Nodes() is a faithful enumeration)
 //   - fanins are distinct and driven, and each node's fanin-ID slice is the
 //     element-wise interning of its Fanins (the name-face/ID-core lockstep
 //     every ID-path consumer leans on)
@@ -36,9 +37,9 @@ import (
 //
 // It returns the first violation found, or nil.
 func (nw *Network) Check() error {
-	if len(nw.defs) != nw.sym.Len() || len(nw.piMark) != nw.sym.Len() || len(nw.poMark) != nw.sym.Len() || len(nw.faninIDs) != nw.sym.Len() {
-		return fmt.Errorf("network %q: ID slices span %d/%d/%d/%d signals, symbol table %d",
-			nw.Name, len(nw.defs), len(nw.piMark), len(nw.poMark), len(nw.faninIDs), nw.sym.Len())
+	if len(nw.defs) != nw.sym.Len() || len(nw.piMark) != nw.sym.Len() || len(nw.poMark) != nw.sym.Len() || len(nw.faninIDs) != nw.sym.Len() || len(nw.inOrder) != nw.sym.Len() {
+		return fmt.Errorf("network %q: ID slices span %d/%d/%d/%d/%d signals, symbol table %d",
+			nw.Name, len(nw.defs), len(nw.piMark), len(nw.poMark), len(nw.faninIDs), len(nw.inOrder), nw.sym.Len())
 	}
 	if len(nw.piNames) != len(nw.pis) {
 		return fmt.Errorf("network %q: %d PI names for %d PI ids", nw.Name, len(nw.piNames), len(nw.pis))
@@ -92,25 +93,26 @@ func (nw *Network) Check() error {
 
 	// Nodes() walks nw.order, so a node that is missing from the order (or
 	// listed twice after a remove/re-add) silently skews every enumeration.
-	orderCount := make([]int, nw.sym.Len())
+	listed := make([]bool, nw.sym.Len())
 	for _, id := range nw.order {
 		if int(id) >= nw.sym.Len() {
 			return fmt.Errorf("network %q: creation order holds out-of-range id %d", nw.Name, id)
 		}
-		if nw.defs[id] != nil {
-			orderCount[id]++
+		if listed[id] {
+			return fmt.Errorf("network %q: %q appears twice in the creation order", nw.Name, nw.sym.Name(id))
 		}
+		listed[id] = true
 	}
 	for id, n := range nw.defs {
-		if n == nil {
-			continue
-		}
 		name := nw.sym.Name(SigID(id))
-		if n.Name != name {
+		if n != nil && n.Name != name {
 			return fmt.Errorf("network %q: node keyed %q carries name %q", nw.Name, name, n.Name)
 		}
-		if c := orderCount[id]; c != 1 {
-			return fmt.Errorf("network %q: node %q appears %d times in the creation order, want 1", nw.Name, name, c)
+		if n != nil && !listed[id] {
+			return fmt.Errorf("network %q: node %q is missing from the creation order", nw.Name, name)
+		}
+		if nw.inOrder[id] != listed[id] {
+			return fmt.Errorf("network %q: inOrder mark of %q out of sync with the creation order", nw.Name, name)
 		}
 	}
 

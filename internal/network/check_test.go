@@ -77,6 +77,53 @@ func TestCheckOrderDrift(t *testing.T) {
 	corrupt(t, "creation order", func(nw *Network) {
 		nw.order = append(nw.order, mustID(t, nw, "g"))
 	})
+	corrupt(t, "creation order", func(nw *Network) {
+		nw.inOrder[mustID(t, nw, "a")] = true
+	})
+}
+
+// TestReaddRemovedNodeListedOnce re-adds removed names through both entry
+// points, AddNode and an overlay's ApplyTo, and checks that the node is
+// listed once, last, with every other node in its place — the order an
+// overlay view and its materialized clone report.
+func TestReaddRemovedNodeListedOnce(t *testing.T) {
+	names := func(ns []*Node) string {
+		var b strings.Builder
+		for _, n := range ns {
+			b.WriteString(n.Name + " ")
+		}
+		return b.String()
+	}
+	nw := buildSmall()
+	nw.AddNode("h", []string{"b", "c"}, cube.ParseCover(2, "a + b"))
+	nw.AddNode("k", []string{"a", "c"}, cube.ParseCover(2, "ab"))
+	nw.RemoveNode("h")
+	nw.RemoveNode("k")
+	nw.AddNode("h", []string{"a", "b"}, cube.ParseCover(2, "a'b"))
+	if err := nw.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := names(nw.Nodes()), "g f h "; got != want {
+		t.Fatalf("Nodes() after re-adding h = %q, want %q", got, want)
+	}
+
+	ov := NewOverlay(nw)
+	ov.AddNode("k", []string{"g", "c"}, cube.ParseCover(2, "a + b"))
+	view, clone := names(ov.Nodes()), names(ov.Clone().Nodes())
+	if err := ov.ApplyTo(nw); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Check(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "g f h k "
+	for _, got := range []struct{ what, order string }{
+		{"overlay view", view}, {"overlay clone", clone}, {"ApplyTo", names(nw.Nodes())},
+	} {
+		if got.order != want {
+			t.Errorf("%s lists %q, want %q", got.what, got.order, want)
+		}
+	}
 }
 
 func TestCheckFaninIDDrift(t *testing.T) {

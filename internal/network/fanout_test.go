@@ -1,7 +1,6 @@
 package network
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -64,6 +63,7 @@ func TestFanoutsOfWithoutLiveLists(t *testing.T) {
 // after every edit.
 func TestLiveFanoutsTrackEdits(t *testing.T) {
 	r := rand.New(rand.NewSource(909))
+	reused := 0
 	for trial := 0; trial < 30; trial++ {
 		nw := randomNetwork(r, 4, 8)
 		for _, n := range nw.Nodes()[:len(nw.Nodes())/2] {
@@ -96,8 +96,8 @@ func TestLiveFanoutsTrackEdits(t *testing.T) {
 			}
 			return out
 		}
-		// Fresh names carry the edit index: re-adding a removed name would
-		// append a second creation-order entry, which Check rejects.
+		// Fresh names share one prefix per mutator, so FreshName hands out
+		// the names of nodes a Sweep removed and additions re-add them.
 		for edit := 0; edit < 12 && nw.NumNodes() > 1; edit++ {
 			var step string
 			switch r.Intn(8) {
@@ -128,7 +128,11 @@ func TestLiveFanoutsTrackEdits(t *testing.T) {
 				step = "AddNode"
 				sigs := signals()
 				perm := r.Perm(len(sigs))
-				nw.AddNode(nw.FreshName(fmt.Sprintf("x%d_", edit)), []string{sigs[perm[0]], sigs[perm[1]]}, cube.ParseCover(2, "a + b'"))
+				name := nw.FreshName("x")
+				if _, seen := nw.sym.Lookup(name); seen {
+					reused++
+				}
+				nw.AddNode(name, []string{sigs[perm[0]], sigs[perm[1]]}, cube.ParseCover(2, "a + b'"))
 			case 4:
 				step = "NormalizeNode"
 				n := withFanins()
@@ -146,7 +150,10 @@ func TestLiveFanoutsTrackEdits(t *testing.T) {
 				step = "overlay ApplyTo"
 				ov := NewOverlay(nw)
 				n := ov.Node(pick().Name)
-				core := ov.FreshName(fmt.Sprintf("ov%d_", edit))
+				core := ov.FreshName("ov")
+				if _, seen := nw.sym.Lookup(core); seen {
+					reused++
+				}
 				ov.AddNode(core, n.Fanins, n.Cover.Clone())
 				if err := ov.ReplaceNodeFunction(n.Name, []string{core}, cube.ParseCover(1, "a")); err == nil {
 					if err := ov.ApplyTo(nw); err != nil {
@@ -165,5 +172,8 @@ func TestLiveFanoutsTrackEdits(t *testing.T) {
 		}
 		nw.Eliminate(0)
 		assertLiveFanouts(t, nw, "Eliminate")
+	}
+	if reused == 0 {
+		t.Error("no addition re-added a removed name")
 	}
 }

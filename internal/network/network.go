@@ -53,7 +53,8 @@ func (n *Node) FaninIndex(s string) int {
 // assigns every seen name a SigID; defs, piMark, poMark and faninIDs are
 // indexed by SigID and always sym.Len() long; order lists node-creation IDs (stale
 // entries of removed nodes are skipped on iteration, exactly like the
-// name-keyed core skipped deleted map entries).
+// name-keyed core skipped deleted map entries), each ID at most once, and
+// inOrder marks the IDs it lists.
 //
 // faninIDs slices are immutable once installed: every mutator installs a
 // freshly built slice instead of editing in place, so Clone can share them
@@ -70,6 +71,7 @@ type Network struct {
 	posIDs   []SigID
 	poNames  []string   // parallel to posIDs (the POs() boundary slice)
 	order    []SigID    // node creation order, for deterministic iteration
+	inOrder  []bool     // by SigID: listed in order (a live node, or a removed node's stale entry)
 	fanouts  [][]SigID  // live fanout lists by SigID (nil unless EnableFanouts), see fanout.go
 	sigs     *SigTable  // simulation signatures (nil unless EnableSigs), see sig.go
 	cones    *ConeTable // structural cone hashes (nil unless EnableCones), see conehash.go
@@ -90,6 +92,7 @@ func NewSized(name string, nsig int) *Network {
 		poMark:   make([]bool, 0, nsig),
 		faninIDs: make([][]SigID, 0, nsig),
 		order:    make([]SigID, 0, nsig),
+		inOrder:  make([]bool, 0, nsig),
 	}
 }
 
@@ -102,6 +105,7 @@ func (nw *Network) intern(name string) SigID {
 		nw.piMark = append(nw.piMark, false)
 		nw.poMark = append(nw.poMark, false)
 		nw.faninIDs = append(nw.faninIDs, nil)
+		nw.inOrder = append(nw.inOrder, false)
 	}
 	return id
 }
@@ -164,7 +168,7 @@ func (nw *Network) AddNode(name string, fanins []string, cover cube.Cover) *Node
 	nw.defs[id] = n
 	nw.faninIDs[id] = nw.internFanins(fanins)
 	nw.linkFanouts(id, nw.faninIDs[id])
-	nw.order = append(nw.order, id)
+	nw.appendOrder(id)
 	if nw.sigs != nil {
 		nw.sigs.markDirty(id)
 	}
@@ -315,6 +319,7 @@ func (nw *Network) Clone() *Network {
 		posIDs:   append([]SigID(nil), nw.posIDs...),
 		poNames:  append([]string(nil), nw.poNames...),
 		order:    append([]SigID(nil), nw.order...),
+		inOrder:  append([]bool(nil), nw.inOrder...),
 	}
 	for id, n := range nw.defs {
 		if n != nil {
@@ -339,6 +344,7 @@ func (nw *Network) CopyFrom(o *Network) {
 	nw.posIDs = c.posIDs
 	nw.poNames = c.poNames
 	nw.order = c.order
+	nw.inOrder = c.inOrder
 	if nw.fanouts != nil {
 		nw.fanouts = nw.FanoutIDs()
 	}
@@ -649,6 +655,24 @@ func (nw *Network) installAppended(name string, n *Node) {
 	nw.defs[id] = n
 	nw.faninIDs[id] = nw.internFanins(n.Fanins)
 	nw.linkFanouts(id, nw.faninIDs[id])
+	nw.appendOrder(id)
+}
+
+// appendOrder makes node id the newest entry of the creation order.
+// RemoveNode leaves a removed node's entry in place (iteration skips it),
+// so a name re-added after removal — FreshName hands such names out —
+// first drops its stale entry. The node is listed once, at the end, where
+// an Overlay lists the nodes it adds, and every other node keeps its place.
+func (nw *Network) appendOrder(id SigID) {
+	if nw.inOrder[id] {
+		for i, o := range nw.order {
+			if o == id {
+				nw.order = append(nw.order[:i], nw.order[i+1:]...)
+				break
+			}
+		}
+	}
+	nw.inOrder[id] = true
 	nw.order = append(nw.order, id)
 }
 

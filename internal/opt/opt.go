@@ -149,8 +149,7 @@ func planAlgebraicResub(nw network.Reader, f, d string, useComplement bool) []al
 		out = append(out, p)
 	}
 	if useComplement {
-		dc := dn.Cover.Complement()
-		if !dc.IsZero() && dc.NumCubes() <= 24 {
+		if dc, ok := dn.Cover.ComplementAtMost(24); ok && !dc.IsZero() {
 			dcU := network.RemapCover(dc, dn.Fanins, union)
 			if p, ok := planQuotient(union, fU, dcU, d, cube.Neg, before); ok {
 				out = append(out, p)
