@@ -157,6 +157,7 @@ func BenchmarkAblationLearning(b *testing.B) {
 			name = "learn1"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				found := 0
 				for _, bn := range bench.Names() {

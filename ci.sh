@@ -4,10 +4,11 @@
 # engine touches (including the batch scheduler driven over a 100k-gate
 # circuit regenerated from its committed recipe) + a fuzz smoke over every
 # fuzz target (BLIF parser, cube algebra and complement, cone hashing,
-# batch cone disjointness) + a bench-regression check of the substitution
-# engine and the cube/minimizer kernels against the committed baseline —
-# timing drift warns, scaling-floor violations fail. Run from the repo
-# root.
+# batch cone disjointness, the implication engine against its pre-change
+# reference) + a bench-regression check of the substitution engine, the
+# cube/minimizer kernels and the implication engine against the committed
+# baseline — timing drift warns, scaling-floor violations fail. Run from
+# the repo root.
 set -eux
 
 # Formatting gate: gofmt must have nothing to rewrite.
@@ -46,7 +47,7 @@ BDS_SCALE_RACE=1 BDS_SCALE_GATES=100000 \
 # fuzz target (no -fuzz flag: deterministic, fails on any regressed seed).
 # Then each target explores for a few seconds — Go accepts only one -fuzz
 # pattern per invocation, so the loop pairs each target with its package.
-go test -run Fuzz ./internal/blif ./internal/cube ./internal/network ./internal/core
+go test -run Fuzz ./internal/blif ./internal/cube ./internal/network ./internal/core ./internal/atpg
 for target in \
   'FuzzParse ./internal/blif' \
   'FuzzParseNoSemanticsCrash ./internal/blif' \
@@ -54,7 +55,8 @@ for target in \
   'FuzzComplement ./internal/cube' \
   'FuzzConeHashOrderInvariance ./internal/network' \
   'FuzzOverlayReadEquivalence ./internal/network' \
-  'FuzzBatchDisjoint ./internal/core'
+  'FuzzBatchDisjoint ./internal/core' \
+  'FuzzImplications ./internal/atpg'
 do
   set -- $target
   go test -run '^$' -fuzz "^$1\$" -fuzztime=5s "$2"
@@ -73,6 +75,6 @@ done
 # thresholds than ns/op: allocation counts are near-deterministic here, so
 # drift means the engine's allocation behavior actually changed.
 go build -o /tmp/benchreg.ci ./cmd/benchreg
-go test -run '^$' -bench 'BenchmarkSubstituteParallel$|BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkSubstituteScale$|BenchmarkComplement$|BenchmarkSimplifyNode$' -benchtime 1x -benchmem -timeout 60m . \
+go test -run '^$' -bench 'BenchmarkSubstituteParallel$|BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkSubstituteScale$|BenchmarkComplement$|BenchmarkSimplifyNode$|BenchmarkAblationLearning$|BenchmarkImplicationEngine$' -benchtime 1x -benchmem -timeout 60m . \
   | /tmp/benchreg.ci -emit /tmp/BENCH_substitute.json
 /tmp/benchreg.ci -compare testdata/bench/BENCH_substitute.json /tmp/BENCH_substitute.json

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,6 +30,10 @@ func main() {
 	learn := flag.Int("learn", 1, "recursive learning depth for the implication engine")
 	limit := flag.Int("limit", 0, "PODEM backtrack limit (0 = default)")
 	flag.Parse()
+	if !validMode(*mode) {
+		fmt.Fprintln(os.Stderr, "atpgtool: unknown mode", *mode)
+		os.Exit(2)
+	}
 
 	nw, err := load(*benchName, flag.Arg(0))
 	if err != nil {
@@ -120,20 +125,29 @@ func main() {
 		for _, d := range redundantDescs {
 			fmt.Println(d)
 		}
-	case "report", "vectors":
+	default: // report or vectors; validMode rejected anything else
 		fmt.Printf("circuit: %s — %d gates, %d wire faults\n", nw.Name, nl.NumGates(), len(faults))
 		fmt.Printf("testable:   %5d (%.1f%% coverage)\n", testable, 100*float64(testable)/float64(len(faults)))
 		fmt.Printf("redundant:  %5d\n", redundant)
 		fmt.Printf("aborted:    %5d\n", aborted)
 		fmt.Printf("implication-engine untestability proofs: %d (all confirmed by PODEM)\n", implicationProofs)
-	default:
-		fmt.Fprintln(os.Stderr, "atpgtool: unknown mode", *mode)
-		os.Exit(2)
 	}
+}
+
+// validMode reports whether mode is one of the -mode values.
+func validMode(mode string) bool {
+	switch mode {
+	case "report", "grade", "testset", "redundancies", "vectors":
+		return true
+	}
+	return false
 }
 
 func load(benchName, path string) (*network.Network, error) {
 	if benchName != "" {
+		if !slices.Contains(bench.Names(), benchName) {
+			return nil, fmt.Errorf("unknown benchmark %q (see cmd/blifgen -list)", benchName)
+		}
 		return bench.Get(benchName), nil
 	}
 	if path == "" {

@@ -14,7 +14,7 @@
 package atpg
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/netlist"
 )
@@ -33,10 +33,12 @@ const (
 
 // Options configure an implication run.
 type Options struct {
-	// Scope restricts implication processing to the given gates when
+	// Scope restricts implication processing to the listed gates when
 	// non-nil: implications are neither derived at nor propagated through
-	// gates outside the scope.
-	Scope map[int]bool
+	// gates outside the scope. NewEngine and Rebind copy the list into the
+	// engine, so the caller may reuse its backing array afterwards;
+	// duplicates are harmless.
+	Scope []int
 	// Learn enables recursive learning: unjustified gates are case-split
 	// and assignments common to all consistent cases asserted.
 	Learn bool
@@ -45,10 +47,11 @@ type Options struct {
 	// sandboxes too, converging on complete implication at the cost of
 	// exponential work).
 	LearnDepth int
-	// MaxLearnGates caps how many unjustified gates a learning pass
-	// examines (0 = 32).
-	MaxLearnGates int
 }
+
+// maxLearnGates caps how many unjustified gates one learning pass
+// examines, at every depth.
+const maxLearnGates = 32
 
 // Engine performs implications over a netlist. Create one per netlist;
 // Reset between fault tests reuses the allocations.
@@ -59,6 +62,13 @@ type Engine struct {
 	queue []int
 	inQ   []bool
 	opt   Options
+	// Scope marking: with scoped set, scopeStamp[g] == scopeGen marks g as
+	// inside Options.Scope. Bumping scopeGen invalidates the previous
+	// binding's scope in O(1), so NewEngine and Rebind pay only for the
+	// listed gates.
+	scoped     bool
+	scopeStamp []uint32
+	scopeGen   uint32
 	// TFO marking scratch (see markTFO): tfoStamp[g] == tfoGen marks g as
 	// inside the current fault's transitive fanout. Bumping tfoGen
 	// invalidates the whole marking in O(1), so per-fault TFO sets need no
@@ -66,15 +76,27 @@ type Engine struct {
 	tfoStamp []uint32
 	tfoGen   uint32
 	tfoStack []int
+	// learn[d-1] is the scratch of the learning pass running at depth d.
+	// A recursion chain holds at most one pass per depth, so the buffers
+	// never alias, and a warmed engine learns without allocating.
+	learn []learnScratch
+}
+
+// learnScratch holds one learning pass's buffers.
+type learnScratch struct {
+	cands  []int // in-scope unjustified gates, ascending
+	alts   []alt // justification alternatives of the gate under examination
+	common []alt // assignments shared by every consistent alternative so far
 }
 
 // NewEngine builds an engine for nl.
 func NewEngine(nl *netlist.Netlist, opt Options) *Engine {
 	n := nl.NumGates()
-	e := &Engine{nl: nl, val: make([]Value, n), inQ: make([]bool, n), opt: opt}
+	e := &Engine{nl: nl, val: make([]Value, n), inQ: make([]bool, n)}
 	for i := range e.val {
 		e.val[i] = Unknown
 	}
+	e.setOptions(opt)
 	return e
 }
 
@@ -87,10 +109,10 @@ func NewEngine(nl *netlist.Netlist, opt Options) *Engine {
 // Rebinding to the netlist the engine is already bound to — the patched-
 // netlist trial path, where gates were appended or the arena rolled back
 // between faults — takes a fast path proportional to the previous
-// assignment set plus the gate-count delta, not the netlist size. The
-// arrays never shrink there: a rolled-back arena can regrow under different
-// ids, and Reset's invariant (everything outside the trail is Unknown)
-// already keeps the tail slots clean.
+// assignment set, the gate-count delta and the scope list, not the netlist
+// size. The arrays never shrink there: a rolled-back arena can regrow under
+// different ids, and Reset's invariant (everything outside the trail is
+// Unknown) already keeps the tail slots clean.
 func (e *Engine) Rebind(nl *netlist.Netlist, opt Options) {
 	n := nl.NumGates()
 	if nl == e.nl {
@@ -98,12 +120,11 @@ func (e *Engine) Rebind(nl *netlist.Netlist, opt Options) {
 			e.val = append(e.val, Unknown)
 			e.inQ = append(e.inQ, false)
 		}
-		e.opt = opt
 		e.Reset()
+		e.setOptions(opt)
 		return
 	}
 	e.nl = nl
-	e.opt = opt
 	if cap(e.val) < n {
 		e.val = make([]Value, n)
 		e.inQ = make([]bool, n)
@@ -117,17 +138,60 @@ func (e *Engine) Rebind(nl *netlist.Netlist, opt Options) {
 	}
 	e.trail = e.trail[:0]
 	e.queue = e.queue[:0]
+	e.setOptions(opt)
+}
+
+// setOptions installs opt: it stamps the scope list into the dense scope
+// marks (the engine keeps no reference to the list) and sizes the
+// per-depth learning scratch.
+func (e *Engine) setOptions(opt Options) {
+	e.scoped = opt.Scope != nil
+	if e.scoped {
+		if n := len(e.val); len(e.scopeStamp) < n {
+			e.scopeStamp = append(e.scopeStamp, make([]uint32, n-len(e.scopeStamp))...)
+		}
+		e.scopeGen++
+		if e.scopeGen == 0 {
+			// Generation wrapped: stale stamps could alias, so clear once.
+			clear(e.scopeStamp)
+			e.scopeGen = 1
+		}
+		for _, g := range opt.Scope {
+			e.scopeStamp[g] = e.scopeGen
+		}
+		opt.Scope = nil
+	}
+	e.opt = opt
+	if opt.Learn {
+		for len(e.learn) < e.learnDepth() {
+			e.learn = append(e.learn, learnScratch{})
+		}
+	}
+}
+
+// learnDepth is the depth of the learning pass Propagate runs.
+func (e *Engine) learnDepth() int {
+	return max(e.opt.LearnDepth, 1)
 }
 
 // Reset clears all assignments. It is proportional to the trail and pending
 // queue, not the netlist: inQ[g] is true exactly for the gates currently in
 // the queue (enqueue sets both together, the propagation loops clear both
 // together), so draining the queue restores inQ without a full sweep.
-func (e *Engine) Reset() {
-	for _, g := range e.trail {
+func (e *Engine) Reset() { e.undo(0) }
+
+// undo retracts every assignment made since the trail had length mark and
+// drains the queue. Everything off the trail is Unknown (Reset's
+// invariant), so truncating the trail restores exactly the values at mark;
+// draining the queue restores the state at mark whenever the queue was
+// empty then, as it is on entry to a learning pass.
+//
+//bdslint:hotpath
+func (e *Engine) undo(mark int) {
+	for _, g := range e.trail[mark:] {
 		e.val[g] = Unknown
 	}
-	e.trail = e.trail[:0]
+	e.trail = e.trail[:mark]
 	for _, g := range e.queue {
 		e.inQ[g] = false
 	}
@@ -174,11 +238,13 @@ func (e *Engine) inTFO(g int) bool {
 
 // inScope reports whether implications may be derived at gate g.
 func (e *Engine) inScope(g int) bool {
-	return e.opt.Scope == nil || e.opt.Scope[g]
+	return !e.scoped || e.scopeStamp[g] == e.scopeGen
 }
 
 // Assign records gate g := v. It returns false on conflict with an existing
 // assignment. The gate and its neighborhood are queued for implication.
+//
+//bdslint:hotpath
 func (e *Engine) Assign(g int, v Value) bool {
 	if cur := e.val[g]; cur != Unknown {
 		return cur == v
@@ -195,6 +261,10 @@ func (e *Engine) Assign(g int, v Value) bool {
 	return true
 }
 
+// enqueue queues gate g for implication unless it is queued already or
+// out of scope.
+//
+//bdslint:hotpath
 func (e *Engine) enqueue(g int) {
 	if !e.inQ[g] && e.inScope(g) {
 		e.inQ[g] = true
@@ -207,22 +277,13 @@ func (e *Engine) enqueue(g int) {
 // whenever direct implications reach a quiet fixed point.
 func (e *Engine) Propagate() bool {
 	for {
-		for len(e.queue) > 0 {
-			g := e.queue[len(e.queue)-1]
-			e.queue = e.queue[:len(e.queue)-1]
-			e.inQ[g] = false
-			if !e.implyAt(g) {
-				return false
-			}
+		if !e.propagateDirect() {
+			return false
 		}
 		if !e.opt.Learn {
 			return true
 		}
-		depth := e.opt.LearnDepth
-		if depth < 1 {
-			depth = 1
-		}
-		progressed, ok := e.learnPass(depth)
+		progressed, ok := e.learnPass(e.learnDepth())
 		if !ok {
 			return false
 		}
@@ -234,6 +295,8 @@ func (e *Engine) Propagate() bool {
 
 // implyAt derives all direct implications at gate g from its current input
 // and output values. Returns false on conflict.
+//
+//bdslint:hotpath
 func (e *Engine) implyAt(g int) bool {
 	nl := e.nl
 	switch nl.KindOf(g) {
@@ -260,6 +323,8 @@ func (e *Engine) implyAt(g int) bool {
 }
 
 // implyAndOr handles AND (ctrl=0, nonctrl=1) and OR (ctrl=1, nonctrl=0).
+//
+//bdslint:hotpath
 func (e *Engine) implyAndOr(g int, ctrl, nonctrl Value) bool {
 	fan := e.nl.Fanins(g)
 	nCtrl := 0
@@ -316,71 +381,75 @@ func (e *Engine) implyAndOr(g int, ctrl, nonctrl Value) bool {
 // if all alternatives conflict the assignment set is inconsistent,
 // otherwise assignments common to the surviving alternatives are asserted.
 // Returns (progressed, consistent).
+//
+// The sandboxes run in place. learnPass is entered only with an empty
+// queue (Propagate and propagateLearn drain it first, and every sandbox
+// drains it on undo), so an alternative is asserted on the engine itself,
+// propagated, read off the trail suffix it appended, and undone back to
+// the mark. Candidates come from the trail: an unjustified gate carries
+// its controlling value, so it is assigned, and sorting the trail's
+// candidates by id examines the same gates in the same order as a scan of
+// every gate id would. See DESIGN.md, "Implication engine: in-place
+// learning and dense scope".
+//
+//bdslint:hotpath
 func (e *Engine) learnPass(depth int) (bool, bool) {
-	max := e.opt.MaxLearnGates
-	if max == 0 {
-		max = 32
+	s := &e.learn[depth-1]
+	s.cands = s.cands[:0]
+	for _, g := range e.trail {
+		if e.inScope(g) && len(e.justifications(s.alts[:0], g)) > 0 {
+			s.cands = append(s.cands, g)
+		}
 	}
-	progressed := false
-	examined := 0
-	for g := 0; g < e.nl.NumGates() && examined < max; g++ {
-		if !e.inScope(g) {
-			continue
-		}
-		alts := e.justifications(g)
-		if alts == nil {
-			continue
-		}
-		examined++
-		var common map[int]Value
+	slices.Sort(s.cands)
+	if len(s.cands) > maxLearnGates {
+		s.cands = s.cands[:maxLearnGates]
+	}
+	for _, g := range s.cands {
+		s.alts = e.justifications(s.alts[:0], g)
+		s.common = s.common[:0]
 		consistentAlts := 0
-		for _, alt := range alts {
-			sandbox := e.fork()
-			ok := sandbox.Assign(alt.gate, alt.val) && sandbox.propagateLearn(depth-1)
-			if !ok {
-				continue
-			}
-			consistentAlts++
-			if common == nil {
-				common = make(map[int]Value)
-				for _, x := range sandbox.trail {
-					common[x] = sandbox.val[x]
-				}
-			} else {
-				//bdslint:ignore maporder order-invisible set intersection: entries are tested and deleted independently
-				for x, v := range common {
-					if sandbox.val[x] != v {
-						delete(common, x)
+		for _, a := range s.alts {
+			mark := len(e.trail)
+			if e.Assign(a.gate, a.val) && e.propagateLearn(depth-1) {
+				if consistentAlts == 0 {
+					for _, x := range e.trail[mark:] {
+						s.common = append(s.common, alt{x, e.val[x]})
 					}
+				} else {
+					kept := s.common[:0]
+					for _, c := range s.common {
+						if e.val[c.gate] == c.val {
+							kept = append(kept, c)
+						}
+					}
+					s.common = kept
 				}
+				consistentAlts++
+			}
+			e.undo(mark)
+			if consistentAlts > 0 && len(s.common) == 0 {
+				// Nothing left to learn from g, and g is consistent: the
+				// remaining alternatives cannot change the outcome.
+				break
 			}
 		}
 		if consistentAlts == 0 {
 			return false, false
 		}
-		// Assign runs implications, so the order forced assignments are
-		// applied in is observable (which assignment hits a contradiction
-		// first); sort for a reproducible schedule.
-		forced := make([]int, 0, len(common))
-		//bdslint:ignore maporder keys collected then sorted before use
-		for x := range common {
-			forced = append(forced, x)
-		}
-		sort.Ints(forced)
-		for _, x := range forced {
-			if e.val[x] == Unknown {
-				if !e.Assign(x, common[x]) {
-					return false, false
-				}
-				progressed = true
+		if len(s.common) > 0 {
+			// Every learned gate was Unknown at the mark, and Assign only
+			// queues, so each assertion succeeds. Gate order fixes the
+			// queue order, and with it the propagation schedule.
+			slices.SortFunc(s.common, byGate)
+			for _, c := range s.common {
+				e.Assign(c.gate, c.val)
 			}
-		}
-		if progressed {
 			// Let direct implications settle before learning further.
 			return true, true
 		}
 	}
-	return progressed, true
+	return false, true
 }
 
 // propagateLearn runs direct implications plus recursive learning at the
@@ -403,15 +472,21 @@ func (e *Engine) propagateLearn(depth int) bool {
 	}
 }
 
+// alt is one gate assignment: a justification alternative or a learned
+// implication.
 type alt struct {
 	gate int
 	val  Value
 }
 
-// justifications returns the alternative assignments that could justify an
-// unjustified gate g (controlled output with no controlling input and ≥2
-// unknowns), or nil when g is justified.
-func (e *Engine) justifications(g int) []alt {
+// byGate orders assignments by gate id.
+func byGate(a, b alt) int { return a.gate - b.gate }
+
+// justifications appends to dst the alternative assignments that could
+// justify an unjustified gate g (controlled output with no controlling
+// input and ≥2 unknowns) and returns it; the result is empty when g is
+// justified.
+func (e *Engine) justifications(dst []alt, g int) []alt {
 	var ctrl Value
 	switch e.nl.KindOf(g) {
 	case netlist.And:
@@ -419,35 +494,28 @@ func (e *Engine) justifications(g int) []alt {
 	case netlist.Or:
 		ctrl = One
 	default:
-		return nil
+		return dst[:0]
 	}
 	if e.val[g] != ctrl {
-		return nil
+		return dst[:0]
 	}
-	var out []alt
+	out := dst[:0]
 	for _, f := range e.nl.Fanins(g) {
 		switch e.val[f] {
 		case ctrl:
-			return nil // already justified
+			return dst[:0] // already justified
 		case Unknown:
 			out = append(out, alt{f, ctrl})
 		}
 	}
 	if len(out) < 2 {
-		return nil // direct implication territory
+		return dst[:0] // direct implication territory
 	}
 	return out
 }
 
-// fork clones the engine state for sandboxed propagation (learning only,
-// without further learning recursion).
-func (e *Engine) fork() *Engine {
-	c := &Engine{nl: e.nl, val: make([]Value, len(e.val)), inQ: make([]bool, len(e.inQ)), opt: Options{Scope: e.opt.Scope}}
-	copy(c.val, e.val)
-	return c
-}
-
-// propagateDirect is Propagate without learning (used inside sandboxes).
+// propagateDirect drains the queue through direct implications, without
+// learning.
 func (e *Engine) propagateDirect() bool {
 	for len(e.queue) > 0 {
 		g := e.queue[len(e.queue)-1]

@@ -162,7 +162,7 @@ func TestScopeRestriction(t *testing.T) {
 	nl, c := redundantCircuit()
 	// Exclude g2/nb from scope: the untestability proof for wire b→g1 needs
 	// implications through them, so it must fail in restricted scope.
-	scope := map[int]bool{c.a: true, c.b: true, c.g1: true, c.out: true}
+	scope := []int{c.a, c.b, c.g1, c.out}
 	e := NewEngine(nl, Options{Scope: scope})
 	if Untestable(e, nl, Fault{Wire: Wire{Gate: c.g1, Pin: 1}, Stuck: One}, -1) {
 		t.Error("proof should not go through outside scope")

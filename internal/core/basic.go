@@ -193,13 +193,14 @@ func tentativeCover(union []string, d string, qPart, rem cube.Cover, yPhase cube
 //
 // Overlay trials with region-local implications take the patched path: the
 // base network's netlist is built once (memoized across every trial of a
-// commit epoch for the live network) and only f's two-level structure is patched
-// in and rolled back per pass. GDC trials always rebuild: their capped
-// learning pass scans gates in id order, so they must see exactly the gate
-// numbering a fresh build of the working network produces. Both paths run
-// identical implications — the patched netlist differs from a fresh build
-// only by orphaned cube gates with no live fanout, which region scopes,
-// dominator walks, and TFO marks never reach.
+// commit epoch for the live network) and only f's two-level structure is
+// patched in and rolled back per pass. Both paths run identical region-local
+// implications — the patched netlist differs from a fresh build only by
+// orphaned cube gates with no live fanout, which region scopes, dominator
+// walks, and TFO marks never reach. GDC trials always rebuild: their
+// learning pass examines at most 32 unjustified gates, lowest id first, so
+// which gates it examines depends on the gate numbering, and only a fresh
+// build numbers the gates as a build of the working network does.
 func runRegionRAR(sc *scratch, work trialNet, f, d string, cfg Config) int {
 	if ov, ok := work.(*network.Overlay); ok && cfg != ExtendedGDC {
 		return regionRARPatched(sc, ov, f, d)
@@ -222,7 +223,8 @@ func regionRARRebuild(sc *scratch, work trialNet, f, d string, cfg Config) int {
 			opt.Learn = true
 			stopAfter = -1 // walk real dominators: global don't cares
 		default:
-			opt.Scope = localScope(b, nl, f, d)
+			sc.scope = localScope(sc.scope[:0], b, nl, f, d)
+			opt.Scope = sc.scope
 		}
 		e := sc.engine(nl, opt)
 
@@ -255,8 +257,8 @@ func regionRARPatched(sc *scratch, work *network.Overlay, f, d string) int {
 			nl.RollbackTx()
 		}
 		ng := b.PatchNode(f, work.Node(f))
-		opt := atpg.Options{Scope: localScope(b, nl, f, d)}
-		e := sc.engine(nl, opt)
+		sc.scope = localScope(sc.scope[:0], b, nl, f, d)
+		e := sc.engine(nl, atpg.Options{Scope: sc.scope})
 
 		changed, n := rarPass(e, nl, b, ng, d, 1)
 		removed += n
@@ -353,30 +355,33 @@ func extractNode(nl *netlist.Netlist, b *netlist.Build, fn *network.Node, f stri
 	return cov.SCC()
 }
 
-// localScope builds the paper's region-restricted implication scope: the
-// two-level structures of f and d, the literal gates (signals and
-// inverters) feeding them, and the signal gates of their fanins.
-func localScope(b *netlist.Build, nl *netlist.Netlist, f, d string) map[int]bool {
-	scope := make(map[int]bool)
-	addNode := func(name string) {
-		ng := b.Nodes[name]
-		if ng == nil {
-			return
-		}
-		scope[ng.Out] = true
-		for _, cg := range ng.Cubes {
-			scope[cg] = true
-			for _, lg := range nl.Fanins(cg) {
-				scope[lg] = true
-				for _, x := range nl.Fanins(lg) {
-					scope[x] = true
-				}
-			}
+// localScope appends to dst the paper's region-restricted implication
+// scope for dividing f by d (see appendNodeScope) and returns the list.
+func localScope(dst []int, b *netlist.Build, nl *netlist.Netlist, f, d string) []int {
+	return appendNodeScope(appendNodeScope(dst, b, nl, f), b, nl, d)
+}
+
+// appendNodeScope appends one node's share of a region scope to dst: the
+// node's OR gate, its cube gates, and for every cube pin the literal gate
+// and that gate's fanins. For a positive literal the literal gate is the
+// fanin's signal gate, so the fanin node's cube gates come along (a primary
+// input adds nothing more); for a negative literal they are the inverter
+// and the signal gate it inverts. Gates may repeat; a node that has no
+// gates adds nothing.
+func appendNodeScope(dst []int, b *netlist.Build, nl *netlist.Netlist, name string) []int {
+	ng := b.Nodes[name]
+	if ng == nil {
+		return dst
+	}
+	dst = append(dst, ng.Out)
+	for _, cg := range ng.Cubes {
+		dst = append(dst, cg)
+		for _, lg := range nl.Fanins(cg) {
+			dst = append(dst, lg)
+			dst = append(dst, nl.Fanins(lg)...)
 		}
 	}
-	addNode(f)
-	addNode(d)
-	return scope
+	return dst
 }
 
 // unionSignals returns a followed by b's signals not already in a,

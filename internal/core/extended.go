@@ -56,7 +56,8 @@ func voteTable(sc *scratch, nw network.Reader, f, d string, cfg Config) ([]Vote,
 		opt.Learn = true
 		stopAfter = -1
 	} else {
-		opt.Scope = localScope(b, nl, f, d)
+		sc.scope = localScope(sc.scope[:0], b, nl, f, d)
+		opt.Scope = sc.scope
 	}
 	e := sc.engine(nl, opt)
 

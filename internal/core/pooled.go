@@ -62,14 +62,12 @@ func pooledVoteTable(sc *scratch, nw network.Reader, f string, divisors []string
 		opt.Learn = true
 		stopAfter = -1
 	} else {
-		scope := localScope(b, nl, f, divisors[0])
-		for _, d := range divisors[1:] {
-			//bdslint:ignore maporder order-invisible set union into scope
-			for g := range localScope(b, nl, f, d) {
-				scope[g] = true
-			}
+		// The scope is a set: the union is the concatenation.
+		sc.scope = appendNodeScope(sc.scope[:0], b, nl, f)
+		for _, d := range divisors {
+			sc.scope = appendNodeScope(sc.scope, b, nl, d)
 		}
-		opt.Scope = scope
+		opt.Scope = sc.scope
 	}
 	e := sc.engine(nl, opt)
 

@@ -36,6 +36,9 @@ type scratch struct {
 	// already bound to — the cheap O(delta) path — instead of ping-ponging
 	// one engine between arenas with O(gates) clears.
 	engines map[*netlist.Netlist]*atpg.Engine
+	// scope is the region-scope list handed to the next engine() call,
+	// which copies it; it is rebuilt in place for every trial.
+	scope []int
 
 	// pin is the one reader whose base build may be memoized in bShared: the
 	// live network the evaluator is currently planning against, set by
