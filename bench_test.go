@@ -559,9 +559,12 @@ func BenchmarkGoodFactor(b *testing.B) {
 }
 
 // BenchmarkAblationWindow measures windowed vs whole-network division on
-// the largest suite circuits: quality (literals) vs wall time.
+// the largest suite circuits: quality (literals) vs wall time. Basic
+// division's implications stay in the dividend's and divisor's region,
+// which reaches two levels into a window, so depth2 and depth4 must report
+// the same lits (core.Options.WindowDepth).
 func BenchmarkAblationWindow(b *testing.B) {
-	for _, depth := range []int{0, 2, 4} {
+	for _, depth := range []int{0, 1, 2, 4} {
 		name := "whole"
 		if depth > 0 {
 			name = "depth" + string(rune('0'+depth))
@@ -631,29 +634,37 @@ func BenchmarkSubstituteParallel(b *testing.B) {
 }
 
 // BenchmarkSubstituteScale measures worker scaling on size-tiered generated
-// circuits (bench.Generate "cone" shape, regenerated in-process from the
-// seeded recipe — nothing this size is committed). The cone forest is the
-// batch scheduler's target regime: cones are pairwise disjoint, so whole
-// batches of speculative trials commit without conflict and extra workers
-// do useful work. The per-tier wN/w1 wall-clock ratios are the committed
+// circuits (bench.Generate, regenerated in-process from the seeded recipe —
+// nothing this size is committed). The cone forest is the batch
+// scheduler's target regime: cones are pairwise disjoint, so whole batches
+// of speculative trials commit without conflict and extra workers do
+// useful work. The per-tier wN/w1 wall-clock ratios are the committed
 // scaling floors that `benchreg -compare` hard-fails on
-// (testdata/bench/BENCH_substitute.json, "scaling_floors"). Options keep the per-trial cost size-independent
-// (windowed basic division, one pass, capped trials) so the tiers measure
-// scheduling, not algorithmic tails.
+// (testdata/bench/BENCH_substitute.json, "scaling_floors"). The rand10k
+// tier is entangled random logic, where the scheduler claims nothing and
+// every node runs the serial driver: it tracks the per-trial cost, and
+// its w2 leg checks that extra workers cost nothing there. Options keep the
+// per-trial cost size-independent (windowed basic division, one pass,
+// capped trials) so the tiers measure scheduling and trials, not
+// algorithmic tails.
 func BenchmarkSubstituteScale(b *testing.B) {
 	tiers := []struct {
-		name  string
-		gates int
+		name    string
+		shape   string
+		gates   int
+		pis     int
+		workers []int
 	}{
-		{"cone10k", 10_000},
-		{"cone100k", 100_000},
+		{"cone10k", "cone", 10_000, 0, []int{1, 2, 4, 8}},
+		{"cone100k", "cone", 100_000, 0, []int{1, 2, 4, 8}},
+		{"rand10k", "rand", 10_000, 64, []int{1, 2}},
 	}
 	for _, tier := range tiers {
-		base, err := bench.Generate("cone", tier.gates, 0, 1)
+		base, err := bench.Generate(tier.shape, tier.gates, tier.pis, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, workers := range []int{1, 4, 8} {
+		for _, workers := range tier.workers {
 			b.Run(fmt.Sprintf("%s/w%d", tier.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

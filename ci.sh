@@ -5,7 +5,8 @@
 # circuit regenerated from its committed recipe) + a fuzz smoke over every
 # fuzz target (BLIF parser, cube algebra and complement, cone hashing,
 # batch cone disjointness, the implication engine against its pre-change
-# reference) + a bench-regression check of the substitution engine, the
+# reference, windowed trials against the full-depth reference window) + a
+# bench-regression check of the substitution engine, the
 # cube/minimizer kernels and the implication engine against the committed
 # baseline — timing drift warns, scaling-floor violations fail. Run from
 # the repo root.
@@ -56,6 +57,7 @@ for target in \
   'FuzzConeHashOrderInvariance ./internal/network' \
   'FuzzOverlayReadEquivalence ./internal/network' \
   'FuzzBatchDisjoint ./internal/core' \
+  'FuzzWindowTrial ./internal/core' \
   'FuzzImplications ./internal/atpg'
 do
   set -- $target
@@ -69,8 +71,8 @@ done
 # so noise cancels, and a floor miss means multi-worker scheduling really
 # regressed (the pre-batch wave scheduler scores ~0.5 against the 0.8
 # floors). BenchmarkSubstituteScale regenerates its 10k/100k cone-forest
-# circuits in-process from the committed recipe; the scale tiers dominate
-# this step's wall time.
+# and 10k random-logic circuits in-process from the committed recipe; the
+# scale tiers dominate this step's wall time.
 # -benchmem adds allocs/op and B/op, which benchreg compares with tighter
 # thresholds than ns/op: allocation counts are near-deterministic here, so
 # drift means the engine's allocation behavior actually changed.

@@ -32,12 +32,13 @@ type DivideResult struct {
 // d is not usable (no cube of f is contained by a cube of d, or using d
 // would create a cycle).
 func BasicDivide(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
-	return basicDivide(newScratch(), nw, f, d, cfg)
+	return basicDivide(newScratch(), nw, nil, f, d, cfg)
 }
 
 // basicDivide is BasicDivide with an explicit scratch arena (the engine's
-// worker pool hands each worker its own).
-func basicDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
+// worker pool hands each worker its own). win, when non-nil, is the window
+// carved around f and d that the trial runs in (see divideWithParts).
+func basicDivide(sc *scratch, nw network.Reader, win *window, f, d string, cfg Config) (*DivideResult, bool) {
 	fn, dn := nw.Node(f), nw.Node(d)
 	if fn == nil || dn == nil || f == d {
 		return nil, false
@@ -45,7 +46,7 @@ func basicDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (*Divi
 	if dn.Cover.IsZero() || (dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {
 		return nil, false // constant divisor
 	}
-	if nw.DependsOn(d, f) {
+	if divisorDependsOn(nw, win, f, d) {
 		return nil, false // substitution would create a cycle
 	}
 	union := unionSignals(fn.Fanins, dn.Fanins)
@@ -55,7 +56,7 @@ func basicDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (*Divi
 	if qPart.IsZero() {
 		return nil, false
 	}
-	return divideWithParts(sc, nw, f, d, union, qPart, rem, cfg, cube.Pos, false)
+	return divideWithParts(sc, nw, win, f, d, union, qPart, rem, cfg, cube.Pos, false)
 }
 
 // BasicDivideCompl divides node f by the COMPLEMENT of node d: the quotient
@@ -64,13 +65,14 @@ func basicDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (*Divi
 // redundancy removal making it Boolean. maxCompl bounds the divisor
 // complement size (0 = default).
 func BasicDivideCompl(nw network.Reader, f, d string, cfg Config, maxCompl int) (*DivideResult, bool) {
-	return basicDivideCompl(newScratch(), nw, f, d, cfg, maxCompl, nil)
+	return basicDivideCompl(newScratch(), nw, nil, f, d, cfg, maxCompl, nil)
 }
 
-// basicDivideCompl is BasicDivideCompl with an explicit scratch arena.
-// pre, when non-nil, is d's complement carried from candidate enumeration
-// (byte-identical to recomputing it — see candidate).
-func basicDivideCompl(sc *scratch, nw network.Reader, f, d string, cfg Config, maxCompl int, pre *cube.Cover) (*DivideResult, bool) {
+// basicDivideCompl is BasicDivideCompl with an explicit scratch arena and
+// an optional carved window (see basicDivide). pre, when non-nil, is d's
+// complement carried from candidate enumeration (byte-identical to
+// recomputing it — see candidate).
+func basicDivideCompl(sc *scratch, nw network.Reader, win *window, f, d string, cfg Config, maxCompl int, pre *cube.Cover) (*DivideResult, bool) {
 	if maxCompl <= 0 {
 		maxCompl = DefaultMaxComplementCubes
 	}
@@ -81,7 +83,7 @@ func basicDivideCompl(sc *scratch, nw network.Reader, f, d string, cfg Config, m
 	if dn.Cover.IsZero() || (dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {
 		return nil, false
 	}
-	if nw.DependsOn(d, f) {
+	if divisorDependsOn(nw, win, f, d) {
 		return nil, false
 	}
 	var dc cube.Cover
@@ -100,36 +102,61 @@ func basicDivideCompl(sc *scratch, nw network.Reader, f, d string, cfg Config, m
 	if qPart.IsZero() {
 		return nil, false
 	}
-	return divideWithParts(sc, nw, f, d, union, qPart, rem, cfg, cube.Neg, false)
+	return divideWithParts(sc, nw, win, f, d, union, qPart, rem, cfg, cube.Neg, false)
+}
+
+// divisorDependsOn reports whether d depends on f, so that dividing f by d
+// would close a cycle: inside the carved window when win is non-nil (as
+// the materialized window would answer), in nw otherwise.
+func divisorDependsOn(nw network.Reader, win *window, f, d string) bool {
+	if win != nil {
+		return win.dependsOn(nw)
+	}
+	return nw.DependsOn(d, f)
 }
 
 // divideWithParts finishes a division given the SOS split: it installs the
-// tentative structure f = (qPart ∧ y) + rem in a working copy of the network
-// (a copy-on-write overlay, or a deep clone under NoOverlay; y in the given
-// phase — negative for complement-phase division and for the POS dual, where
-// the caller post-processes the complement), runs RAR redundancy removal in
+// tentative structure f = (qPart ∧ y) + rem (y in the given phase —
+// negative for complement-phase division and for the POS dual, where the
+// caller post-processes the complement), runs RAR redundancy removal in
 // the region, and extracts the result.
-func divideWithParts(sc *scratch, nw network.Reader, f, d string, union []string, qPart, rem cube.Cover, cfg Config, yPhase cube.Phase, markPOS bool) (*DivideResult, bool) {
-	tentative, space := tentativeCover(union, d, qPart, rem, yPhase)
-
-	work := sc.trialClone(nw)
-	if err := work.ReplaceNodeFunction(f, space, tentative); err != nil {
-		return nil, false
+//
+// Without a window the structure goes into a working copy of nw (a
+// copy-on-write overlay, or a deep clone under NoOverlay) and runRegionRAR
+// proves on a netlist of that copy. With a carved window (the default
+// path for Basic and Extended trials) nothing is copied: the window's
+// netlist is built straight from nw and f's structure is patched into it
+// per pass — the gates, in the same order, that the overlay path would
+// build over the materialized window (windowFor) and patch the same way.
+// The divisor-cycle check has already passed, and f's and d's fanins are
+// in the window, so the rewrite the working copy would have refused
+// cannot occur.
+func divideWithParts(sc *scratch, nw network.Reader, win *window, f, d string, union []string, qPart, rem cube.Cover, cfg Config, yPhase cube.Phase, markPOS bool) (*DivideResult, bool) {
+	cov, fanins := tentativeCover(union, d, qPart, rem, yPhase)
+	var removed int
+	if win != nil {
+		b := sc.bFresh.BuildRegion(nw, win.ins, win.nodes, win.outs[:])
+		cov, removed = rarPatched(sc, b, f, d, fanins, cov)
+	} else {
+		work := sc.trialClone(nw)
+		if err := work.ReplaceNodeFunction(f, fanins, cov); err != nil {
+			return nil, false
+		}
+		removed = runRegionRAR(sc, work, f, d, cfg)
+		fn := work.Node(f)
+		fanins, cov = fn.Fanins, fn.Cover
 	}
 
-	removed := runRegionRAR(sc, work, f, d, cfg)
-
-	fn := work.Node(f)
 	res := &DivideResult{
-		Fanins:       fn.Fanins,
-		Cover:        fn.Cover,
+		Fanins:       fanins,
+		Cover:        cov,
 		WiresRemoved: removed,
 		POS:          markPOS,
 	}
 	// Split informational quotient/remainder back out.
-	q, r := cube.NewCover(len(fn.Fanins)), cube.NewCover(len(fn.Fanins))
-	yNow := indexOf(fn.Fanins, d)
-	for _, c := range fn.Cover.Cubes {
+	q, r := cube.NewCover(len(fanins)), cube.NewCover(len(fanins))
+	yNow := indexOf(fanins, d)
+	for _, c := range cov.Cubes {
 		if yNow >= 0 && c.Get(yNow) == yPhase {
 			q.Cubes = append(q.Cubes, c.With(yNow, cube.Free))
 		} else {
@@ -233,17 +260,31 @@ func regionRARRebuild(sc *scratch, work trialNet, f, d string, cfg Config) int {
 		if !changed {
 			return removed
 		}
-		work.SetNodeCover(f, extractNode(nl, b, work.Node(f), f))
+		fn := work.Node(f)
+		work.SetNodeCover(f, extractNode(nl, b, fn.Fanins, f))
 	}
 	return removed
 }
 
-// regionRARPatched is the copy-on-write RAR loop: one base build, patched
-// with f's tentative structure per pass and rolled back byte-exactly
-// in between. Only region-local (stopAfter=1, scoped) implications run
-// here — see runRegionRAR.
+// regionRARPatched is the copy-on-write RAR loop: rarPatched over the base
+// build of the overlay's base, with the result written back to the
+// overlay.
 func regionRARPatched(sc *scratch, work *network.Overlay, f, d string) int {
-	b := sc.baseBuild(work.Base())
+	fn := work.Node(f)
+	cov, removed := rarPatched(sc, sc.baseBuild(work.Base()), f, d, fn.Fanins, fn.Cover)
+	if removed > 0 {
+		work.SetNodeCover(f, cov)
+	}
+	return removed
+}
+
+// rarPatched runs RAR on base build b for f's working function (fanins,
+// cov): f's structure is patched in per pass and rolled back byte-exactly
+// in between and on return, so b is unchanged afterwards. Only
+// region-local (stopAfter=1, scoped) implications run here — see
+// runRegionRAR. Returns f's cover after the removals and the number of
+// wires removed.
+func rarPatched(sc *scratch, b *netlist.Build, f, d string, fanins []string, cov cube.Cover) (cube.Cover, int) {
 	nl := b.NL
 	oldNG := b.Nodes[f]
 	nl.BeginTx()
@@ -251,23 +292,25 @@ func regionRARPatched(sc *scratch, work *network.Overlay, f, d string) int {
 		nl.EndTx()
 		b.Nodes[f] = oldNG
 	}()
+	work := network.Node{Name: f, Fanins: fanins}
 	removed := 0
 	for pass := 0; pass < 8; pass++ {
 		if pass > 0 {
 			nl.RollbackTx()
 		}
-		ng := b.PatchNode(f, work.Node(f))
+		work.Cover = cov
+		ng := b.PatchNode(f, &work)
 		sc.scope = localScope(sc.scope[:0], b, nl, f, d)
 		e := sc.engine(nl, atpg.Options{Scope: sc.scope})
 
 		changed, n := rarPass(e, nl, b, ng, d, 1)
 		removed += n
 		if !changed {
-			return removed
+			break
 		}
-		work.SetNodeCover(f, extractNode(nl, b, work.Node(f), f))
+		cov = extractNode(nl, b, fanins, f)
 	}
-	return removed
+	return cov, removed
 }
 
 // rarPass runs one removal sweep over node f's gates (ng): every unprotected
@@ -313,17 +356,16 @@ func rarPass(e *atpg.Engine, nl *netlist.Netlist, b *netlist.Build, ng *netlist.
 }
 
 // extractNode reads node f's two-level structure back out of the (mutated)
-// netlist into a cover over the node's current fanins (fn is the working
-// copy's node).
-func extractNode(nl *netlist.Netlist, b *netlist.Build, fn *network.Node, f string) cube.Cover {
+// netlist into a cover over the node's current fanins.
+func extractNode(nl *netlist.Netlist, b *netlist.Build, fanins []string, f string) cube.Cover {
 	ng := b.Nodes[f]
-	n := len(fn.Fanins)
+	n := len(fanins)
 	// Map literal gates back to (var, phase).
 	lit := make(map[int]struct {
 		v int
 		p cube.Phase
 	})
-	for v, sig := range fn.Fanins {
+	for v, sig := range fanins {
 		g := nl.Signal[sig]
 		lit[g] = struct {
 			v int

@@ -153,6 +153,14 @@ type batchScheduler struct {
 	// an earlier member's footprint.
 	claim network.ConeArena
 
+	// carry is the member whose claim conflict ended the previous batch,
+	// built against the network of commit epoch carryEpoch. The next batch
+	// starts at its slot and reuses it there when nothing has committed
+	// since: the network it was built against is then the current one, so
+	// rebuilding would reproduce it exactly. Cleared at pass start.
+	carry      *batchMember
+	carryEpoch uint64
+
 	// dirtyCone/dirtySupp are the sweep's conflict marks (one generation
 	// per sweep): dirtyCone holds touched targets plus their transitive
 	// fanout, dirtySupp holds the old and new fanins of touched nodes.
@@ -199,7 +207,10 @@ scan:
 			took++
 			continue
 		}
-		m, ok := s.buildMember(pos, id, fn.Name)
+		m, ok := s.takeCarry(pos, id)
+		if m == nil {
+			m, ok = s.buildMember(pos, id, fn.Name)
+		}
 		if !ok {
 			// Unbatchable footprint: take it as a serial solo when nothing
 			// has claimed yet, otherwise end the batch before it.
@@ -212,7 +223,10 @@ scan:
 		}
 		if len(m.cands) > 0 {
 			if !s.claimAll(m.fp) {
-				break scan // cone conflict: batch ends before m
+				// Cone conflict: the batch ends before m, and the next
+				// batch starts at m.
+				s.carry, s.carryEpoch = m, r.ev.epoch
+				break scan
 			}
 			claiming++
 		}
@@ -311,6 +325,21 @@ func (s *batchScheduler) runMembers(work []*batchMember) {
 	if failure != nil {
 		panic(failure)
 	}
+}
+
+// startPass drops the carried member: a new pass snapshots a new id order.
+func (s *batchScheduler) startPass() { s.carry = nil }
+
+// takeCarry returns the carried member when it was built for this slot of
+// the pass and nothing has committed since, and nil otherwise; either way
+// the carry is consumed.
+func (s *batchScheduler) takeCarry(pos int, id network.SigID) (*batchMember, bool) {
+	m := s.carry
+	s.carry = nil
+	if m == nil || m.pos != pos || m.id != id || s.carryEpoch != s.r.ev.epoch {
+		return nil, false
+	}
+	return m, true
 }
 
 // buildMember extracts member m's cones and precomputes its candidate list

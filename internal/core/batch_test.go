@@ -308,3 +308,58 @@ func fullScanCandidates(nw *network.Network, sigs *sigCache, cc *complCache, f s
 	}
 	return cands
 }
+
+// TestBatchCarryRebuiltAfterCommit pins when the batch-ending member is
+// reused. g reads f, and d = y + z is a divisor of both. Outputs first, g
+// and then f are scanned, and f's claim conflicts with g's, so the first
+// batch is {g} alone and f carries over to the next batch. The carried f
+// is reused there only when nothing committed in between: when g's trial
+// commits (g = fy + fz by d) f must be built afresh, and when it does not
+// (g = fy) the carried member must be the one the next batch starts with.
+func TestBatchCarryRebuiltAfterCommit(t *testing.T) {
+	for _, tc := range []struct {
+		gFanins []string
+		gCover  string
+		commits bool
+	}{
+		{[]string{"f", "y", "z"}, "ab + ac", true},
+		{[]string{"f", "y"}, "ab", false},
+	} {
+		nw := network.New("carry")
+		for _, pi := range []string{"x", "y", "z"} {
+			nw.AddPI(pi)
+		}
+		nw.AddNode("d", []string{"y", "z"}, cube.ParseCover(2, "a + b"))
+		nw.AddNode("f", []string{"x", "y", "z"}, cube.ParseCover(3, "ab + ac"))
+		nw.AddNode("g", tc.gFanins, cube.ParseCover(len(tc.gFanins), tc.gCover))
+		nw.AddPO("g")
+		nw.AddPO("d")
+		nw.EnableFanouts()
+		opt := Options{Config: Basic, NoSigFilter: true}
+		r := &run{
+			nw: nw, opt: opt, maxTrials: 32, ev: newEvaluator(1), st: new(Stats),
+			cc: newComplCache(DefaultMaxComplementCubes), sigs: newSigCache(nw),
+		}
+		s := newBatchScheduler(r)
+		r.sched = s
+		s.startPass()
+
+		ids := nw.TopoOrderIDs()
+		top := len(ids) - 1
+		took, _ := s.runBatch(ids, top)
+		carried := s.carry
+		if took != 1 || carried == nil || carried.pos != top-1 || carried.f != "f" {
+			t.Fatalf("commits=%v: first batch took %d with carry %+v, want {g} and f carried", tc.commits, took, carried)
+		}
+		if got := r.st.Substitutions == 1; got != tc.commits {
+			t.Fatalf("commits=%v: g's trial committed %d substitutions", tc.commits, r.st.Substitutions)
+		}
+		s.runBatch(ids, top-took)
+		if reused := s.members[0] == carried; reused == tc.commits {
+			t.Errorf("commits=%v: carried member reused=%v", tc.commits, reused)
+		}
+		if s.carry != nil {
+			t.Errorf("commits=%v: the carry was not consumed", tc.commits)
+		}
+	}
+}

@@ -180,11 +180,20 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 	d := cand.name
 	fn := nw.Node(f)
 	fid, _ := nw.IDOf(f)
+	did, _ := nw.IDOf(d)
 	costBefore := sc.factorLits(fid, fn.Cover)
-	// Windowed division: bound the sub-network the division sees.
+	// Windowed division: bound the sub-network the basic, complement and
+	// POS divisions see. The reference paths materialize the window as a
+	// network (see windowFor); the default path carves it as ID lists of
+	// nw, no deeper than a region-local trial can see (regionReach).
 	nwd := nw
-	if opt.WindowDepth > 0 {
-		nwd = windowFor(sc, nw, f, d, opt.WindowDepth)
+	var win *window
+	if depth := opt.WindowDepth; depth > 0 {
+		if opt.NoOverlay || opt.Config == ExtendedGDC {
+			nwd = windowFor(sc, nw, f, d, depth)
+		} else {
+			win = sc.win.carve(nw, fid, did, min(depth, regionReach))
+		}
 	}
 
 	nodePlan := func(res *DivideResult, pos bool) plan {
@@ -200,14 +209,14 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 	}
 
 	if cand.neg {
-		res, ok := basicDivideCompl(sc, nwd, f, d, opt.Config, opt.MaxComplementCubes, cand.dCompl)
+		res, ok := basicDivideCompl(sc, nwd, win, f, d, opt.Config, opt.MaxComplementCubes, cand.dCompl)
 		if !ok {
 			return plan{}, false
 		}
 		return nodePlan(res, false), true
 	}
 	if cand.pos {
-		res, ok := posDivide(sc, nwd, f, d, opt.Config, opt.MaxComplementCubes, cand.fComplMin, cand.dComplMin)
+		res, ok := posDivide(sc, nwd, win, f, d, opt.Config, opt.MaxComplementCubes, cand.fComplMin, cand.dComplMin)
 		if !ok {
 			return plan{}, false
 		}
@@ -216,7 +225,7 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 
 	switch opt.Config {
 	case Basic:
-		res, ok := basicDivide(sc, nwd, f, d, opt.Config)
+		res, ok := basicDivide(sc, nwd, win, f, d, opt.Config)
 		if !ok {
 			return plan{}, false
 		}
@@ -224,7 +233,6 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 
 	default: // Extended / ExtendedGDC
 		dn := nw.Node(d)
-		did, _ := nw.IDOf(d)
 		before := costBefore + sc.factorLits(did, dn.Cover)
 
 		// Extended division generalizes basic division; evaluate both and
@@ -244,7 +252,7 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 		}
 		basicGain := -1 << 30
 		var basicRes *DivideResult
-		if res, ok := basicDivide(sc, nwd, f, d, opt.Config); ok {
+		if res, ok := basicDivide(sc, nwd, win, f, d, opt.Config); ok {
 			basicGain = costBefore - algebraic.FactorLits(res.Cover)
 			basicRes = res
 		}

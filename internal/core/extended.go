@@ -219,7 +219,7 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (tr
 	}
 	if mask == maskAll(nD) && nD == dn.Cover.NumCubes() {
 		// Core is the whole divisor: plain basic division.
-		res, ok := basicDivide(sc, nw, f, d, cfg)
+		res, ok := basicDivide(sc, nw, nil, f, d, cfg)
 		if !ok {
 			return nil, nil, nil, false
 		}
@@ -264,7 +264,7 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (tr
 	}
 	work.NormalizeNode(d)
 
-	res, ok := basicDivide(sc, work, f, coreName, cfg)
+	res, ok := basicDivide(sc, work, nil, f, coreName, cfg)
 	if !ok {
 		return nil, nil, nil, false
 	}

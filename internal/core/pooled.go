@@ -233,7 +233,7 @@ func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []s
 	work.AddNode(coreName, union, coreCover.SCC())
 	work.NormalizeNode(coreName)
 
-	res, ok := basicDivide(sc, work, f, coreName, cfg)
+	res, ok := basicDivide(sc, work, nil, f, coreName, cfg)
 	if !ok {
 		return nil, nil, nil, false
 	}

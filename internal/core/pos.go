@@ -22,13 +22,14 @@ const DefaultMaxComplementCubes = 24
 // complement structure must not be observed downstream), so cfg degrades
 // ExtendedGDC to Extended internally.
 func PosDivide(nw network.Reader, f, d string, cfg Config, maxCompl int) (*DivideResult, bool) {
-	return posDivide(newScratch(), nw, f, d, cfg, maxCompl, nil, nil)
+	return posDivide(newScratch(), nw, nil, f, d, cfg, maxCompl, nil, nil)
 }
 
-// posDivide is PosDivide with an explicit scratch arena. preF/preD, when
-// non-nil, are the minimized complements of f and d carried from candidate
-// enumeration (byte-identical to recomputing them — see candidate).
-func posDivide(sc *scratch, nw network.Reader, f, d string, cfg Config, maxCompl int, preF, preD *cube.Cover) (*DivideResult, bool) {
+// posDivide is PosDivide with an explicit scratch arena and an optional
+// carved window (see basicDivide). preF/preD, when non-nil, are the
+// minimized complements of f and d carried from candidate enumeration
+// (byte-identical to recomputing them — see candidate).
+func posDivide(sc *scratch, nw network.Reader, win *window, f, d string, cfg Config, maxCompl int, preF, preD *cube.Cover) (*DivideResult, bool) {
 	if maxCompl <= 0 {
 		maxCompl = DefaultMaxComplementCubes
 	}
@@ -39,7 +40,7 @@ func posDivide(sc *scratch, nw network.Reader, f, d string, cfg Config, maxCompl
 	if dn.Cover.IsZero() || (dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {
 		return nil, false
 	}
-	if nw.DependsOn(d, f) {
+	if divisorDependsOn(nw, win, f, d) {
 		return nil, false
 	}
 	// Minimal complements give clean sum terms to match against. The raw
@@ -69,7 +70,7 @@ func posDivide(sc *scratch, nw network.Reader, f, d string, cfg Config, maxCompl
 	if cfg == ExtendedGDC {
 		cfg = Extended
 	}
-	res, ok := divideWithParts(sc, nw, f, d, union, qPart, rem, cfg, cube.Neg, true)
+	res, ok := divideWithParts(sc, nw, win, f, d, union, qPart, rem, cfg, cube.Neg, true)
 	if !ok {
 		return nil, false
 	}

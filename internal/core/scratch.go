@@ -22,9 +22,10 @@ import (
 //	bShared — the base build of the pinned live network, built once per
 //	          commit epoch and then patched/rolled back by every trial of
 //	          the epoch (see baseBuild).
-//	bFresh  — base builds of any other reader (a window, an extended
-//	          decomposition's working overlay): one build per trial, still
-//	          patched between RAR passes instead of rebuilt.
+//	bFresh  — single-trial base builds: a carved window's region of the
+//	          live network, or any other reader (a materialized window, an
+//	          extended decomposition's working overlay); still patched
+//	          between RAR passes instead of rebuilt.
 type scratch struct {
 	b       *netlist.Builder
 	bShared *netlist.Builder
@@ -56,15 +57,9 @@ type scratch struct {
 	sharedEpoch uint64
 	sharedBuild *netlist.Build
 
-	// Window-extraction arenas (windowFor): stamp sets for the included
-	// nodes, the frontier inputs and the ordering DFS, plus reusable
-	// BFS/DFS/list buffers, so a windowed trial allocates nothing
-	// proportional to the full network.
-	winInc, winFr, winDone network.ConeArena
-	winQueue               []winItem
-	winStack               []winItem
-	winNodes               []network.SigID
-	winIns                 []string
+	// win is the window every windowed trial carves (window.carve), with
+	// its stamp sets and buffers.
+	win window
 
 	// noOverlay mirrors Options.NoOverlay for the running trial (set at the
 	// planner entry points): trialClone hands out deep clones and every RAR

@@ -18,10 +18,10 @@ type Options struct {
 	POS bool
 	// MaxComplementCubes bounds POS complement sizes (0 = default).
 	MaxComplementCubes int
-	// MaxPasses bounds the outer sweeps over the network (0 = 2).
+	// MaxPasses bounds the outer sweeps over the network (≤ 0 = 2).
 	MaxPasses int
 	// MaxDivisorTrials caps how many divisors are tried per dividend after
-	// filtering (0 = 32).
+	// filtering (≤ 0 = 32).
 	MaxDivisorTrials int
 	// Pool also tries multi-node divisor pooling (Section IV's
 	// generalization) when no single divisor yields a gain. Only used by
@@ -33,13 +33,20 @@ type Options struct {
 	// the greedy rule; this option exists to measure that explanation
 	// (BenchmarkAblationAcceptance).
 	BestGain bool
-	// WindowDepth, when positive, runs each basic/complement/POS division
-	// on a sub-network windowed to the dividend's and divisor's fanin cones
-	// of that depth, making the per-trial cost independent of circuit size.
-	// Implications in the window are a subset of whole-network implications,
-	// so every windowed division remains sound; deep Boolean relationships
-	// beyond the window are simply not exploited. Extended division (and
-	// GDC) always uses the whole network.
+	// WindowDepth, when positive, runs each basic, complement-phase and POS
+	// division on a sub-network windowed to the dividend's and divisor's
+	// fanin cones of that depth, making the per-trial cost independent of
+	// circuit size. Implications in the window are a subset of
+	// whole-network implications, so every windowed division remains
+	// sound; deep Boolean relationships beyond the window are simply not
+	// exploited. Under Basic and Extended the implications stay in the
+	// dividend's and divisor's region, which reaches two levels into the
+	// window, so every depth ≥ 2 behaves exactly as depth 2. Under
+	// ExtendedGDC the windowed basic and complement-phase divisions run
+	// global implications with recursive learning inside the window (POS
+	// division stays region-local), so a deeper window can prove more.
+	// Extended division's divisor decomposition and pooled division always
+	// use the whole network.
 	WindowDepth int
 	// DepthBudget, when positive, rejects any substitution that would push
 	// the network's logic depth beyond the budget — the delay-aware mode
@@ -207,11 +214,11 @@ func (s *Stats) FalsePassRate() float64 {
 // identical to the serial schedule at any worker count.
 func Substitute(nw *network.Network, opt Options) Stats {
 	maxPasses := opt.MaxPasses
-	if maxPasses == 0 {
+	if maxPasses <= 0 {
 		maxPasses = 2
 	}
 	maxTrials := opt.MaxDivisorTrials
-	if maxTrials == 0 {
+	if maxTrials <= 0 {
 		maxTrials = 32
 	}
 	maxCompl := opt.MaxComplementCubes
@@ -281,6 +288,7 @@ func Substitute(nw *network.Network, opt Options) Stats {
 		// Work outputs-first: substituting into later nodes first tends to
 		// expose more sharing.
 		if r.sched != nil {
+			r.sched.startPass()
 			for i := len(ids) - 1; i >= 0; {
 				n, ch := r.sched.runBatch(ids, i)
 				changed = changed || ch

@@ -317,6 +317,35 @@ func TestWindowIsLocal(t *testing.T) {
 	}
 }
 
+// TestSubstituteNegativeLimitsUseDefaults: a negative MaxPasses or
+// MaxDivisorTrials means the default, as zero does — not zero passes, and
+// not a panic slicing the candidate list — on the serial and the batch
+// path alike.
+func TestSubstituteNegativeLimitsUseDefaults(t *testing.T) {
+	base := randomDAG(rand.New(rand.NewSource(4242)), 5, 14)
+	for _, cfg := range []Config{Basic, Extended} {
+		for _, noBatch := range []bool{false, true} {
+			opt := Options{Config: cfg, POS: true, NoBatch: noBatch}
+			want := base.Clone()
+			wantSt := Substitute(want, opt)
+			if wantSt.Passes == 0 || wantSt.DivisorTrials == 0 {
+				t.Fatalf("cfg %v noBatch=%v: default run did no work: %+v", cfg, noBatch, wantSt)
+			}
+			for _, neg := range []Options{{MaxPasses: -1}, {MaxDivisorTrials: -1}} {
+				o := opt
+				o.MaxPasses, o.MaxDivisorTrials = neg.MaxPasses, neg.MaxDivisorTrials
+				got := base.Clone()
+				gotSt := Substitute(got, o)
+				if gotSt.Passes != wantSt.Passes || gotSt.DivisorTrials != wantSt.DivisorTrials ||
+					gotSt.Substitutions != wantSt.Substitutions || blif.ToString(got) != blif.ToString(want) {
+					t.Errorf("cfg %v noBatch=%v MaxPasses=%d MaxDivisorTrials=%d: %+v, default %+v",
+						cfg, noBatch, o.MaxPasses, o.MaxDivisorTrials, gotSt, wantSt)
+				}
+			}
+		}
+	}
+}
+
 func TestDepthBudgetEnforced(t *testing.T) {
 	// Without a budget the Fig. 2 substitution deepens f (g becomes a
 	// fanin, adding a level); with the budget pinned at the current depth

@@ -70,14 +70,13 @@ type Netlist struct {
 }
 
 // NodeGates records the two-level structure built for one network node.
+// The pins of each cube gate carry the cube's literals in ascending
+// variable order.
 type NodeGates struct {
 	// Out is the node's OR gate.
 	Out int
 	// Cubes holds one AND gate per cube, in cover order.
 	Cubes []int
-	// CubeLits[i][j] is the pin index on Cubes[i] carrying the j-th literal
-	// (in ascending variable order) of cube i.
-	CubeLits [][]int
 }
 
 // New returns an empty netlist.
@@ -202,6 +201,8 @@ type Build struct {
 	// Nodes maps node name to its two-level structure.
 	//bdslint:ignore idmap exported name→structure boundary for callers that inspect a node's decomposition by name (fault reports, tests); not touched inside simulation loops
 	Nodes map[string]*NodeGates
+	// fan is the cube-gate fanin buffer PatchNode reuses across calls.
+	fan []int
 }
 
 // FromNetwork decomposes the whole network. Node order follows TopoOrder,
@@ -228,6 +229,8 @@ type Builder struct {
 	sigGate  []int32
 	sigEpoch []uint32
 	epoch    uint32
+	// ins and outs are Build's primary-input and primary-output ID lists.
+	ins, outs []network.SigID
 }
 
 // NewBuilder returns an empty Builder ready for its first Build call.
@@ -243,21 +246,54 @@ func (b *Builder) setGate(id network.SigID, g int) {
 	b.sigEpoch[id] = b.epoch
 }
 
+// bound reports whether signal id has a gate in the current build.
+func (b *Builder) bound(id network.SigID) bool {
+	return int(id) < len(b.sigEpoch) && b.sigEpoch[id] == b.epoch
+}
+
 // gateAt resolves signal id to its gate in the current build. An unbound id
 // (undriven fanin) resolves to gate 0, matching the historical missing-map
 // read.
 func (b *Builder) gateAt(id network.SigID) int {
-	if int(id) < len(b.sigEpoch) && b.sigEpoch[id] == b.epoch {
+	if b.bound(id) {
 		return int(b.sigGate[id])
 	}
 	return 0
 }
 
 // Build decomposes the network into the canonical two-level netlist exactly
-// like FromNetwork, reusing the arenas of the previous Build. The returned
-// Build aliases the Builder's internal state: it remains valid only until
-// the next Build call.
+// like FromNetwork, reusing the arenas of the previous Build: BuildRegion
+// over the primary inputs, every node in TopoOrderIDs order and the
+// primary outputs. The returned Build aliases the Builder's internal state:
+// it remains valid only until the next Build call.
 func (b *Builder) Build(nw network.Reader) *Build {
+	b.ins = appendIDs(b.ins[:0], nw, nw.PIs())
+	b.outs = appendIDs(b.outs[:0], nw, nw.POs())
+	return b.BuildRegion(nw, b.ins, nw.TopoOrderIDs(), b.outs)
+}
+
+// appendIDs appends the IDs of the named signals to dst.
+func appendIDs(dst []network.SigID, nw network.Reader, names []string) []network.SigID {
+	for _, name := range names {
+		id, ok := nw.IDOf(name)
+		if !ok {
+			panic(fmt.Sprintf("netlist: signal %q has no ID", name))
+		}
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+// BuildRegion decomposes part of nw into the canonical two-level netlist:
+// one input gate per signal of ins, in list order; then the two-level
+// structure of each node of nodes, in list order, which must put every
+// node after the nodes among its fanins; then the signals of outs, in
+// order, as primary outputs. The gates are those a Build of a network
+// holding exactly that region would create, in the same order, so a
+// region carved out of a larger network needs no copy of its nodes. Like
+// Build it reuses the Builder's arenas, and its result is valid until the
+// next build.
+func (b *Builder) BuildRegion(nw network.Reader, ins, nodes, outs []network.SigID) *Build {
 	if b.build.NL == nil {
 		b.build.NL = New()
 		//bdslint:ignore idmap constructs the exported Nodes boundary map (see the field); first Build only, cleared and reused afterwards
@@ -272,13 +308,10 @@ func (b *Builder) Build(nw network.Reader) *Build {
 		b.epoch = 1
 	}
 	nl := b.build.NL
-	for _, pi := range nw.PIs() {
-		g := nl.AddInput(pi)
-		if id, ok := nw.IDOf(pi); ok {
-			b.setGate(id, g)
-		}
+	for _, id := range ins {
+		b.setGate(id, nl.AddInput(nw.SigName(id)))
 	}
-	for _, id := range nw.TopoOrderIDs() {
+	for _, id := range nodes {
 		n := nw.NodeByID(id)
 		ng := b.buildNode(n, nw.FaninIDsOf(id))
 		nl.gates[ng.Out].name = n.Name
@@ -286,13 +319,13 @@ func (b *Builder) Build(nw network.Reader) *Build {
 		b.build.Nodes[n.Name] = ng
 		b.setGate(id, ng.Out)
 	}
-	for _, po := range nw.POs() {
-		g, ok := nl.Signal[po]
-		if !ok {
-			panic(fmt.Sprintf("netlist: PO %q has no driver", po))
+	for _, id := range outs {
+		if !b.bound(id) {
+			panic(fmt.Sprintf("netlist: PO %q has no driver", nw.SigName(id)))
 		}
+		g := b.gateAt(id)
 		nl.POs = append(nl.POs, g)
-		nl.PONames = append(nl.PONames, po)
+		nl.PONames = append(nl.PONames, nw.SigName(id))
 		nl.isPO[g] = true
 	}
 	return &b.build
@@ -302,24 +335,19 @@ func (b *Builder) Build(nw network.Reader) *Build {
 // fanins through the dense-ID arena (fids is parallel to n.Fanins).
 func (b *Builder) buildNode(n *network.Node, fids []network.SigID) *NodeGates {
 	nl := b.build.NL
-	ng := &NodeGates{}
+	ng := &NodeGates{Cubes: make([]int, 0, n.Cover.NumCubes())}
 	for _, c := range n.Cover.Cubes {
-		lits := c.Lits()
-		pins := make([]int, 0, len(lits))
-		var fan []int
-		for _, v := range lits {
-			src := b.gateAt(fids[v])
-			if c.Get(v) == cube.Neg {
-				src = nl.Invert(src)
+		fan := b.build.fan[:0]
+		for v := 0; v < c.NumVars(); v++ {
+			switch c.Get(v) {
+			case cube.Pos:
+				fan = append(fan, b.gateAt(fids[v]))
+			case cube.Neg:
+				fan = append(fan, nl.Invert(b.gateAt(fids[v])))
 			}
-			fan = append(fan, src)
 		}
-		g := nl.AddGate(And, fan...)
-		for j := range lits {
-			pins = append(pins, j)
-		}
-		ng.Cubes = append(ng.Cubes, g)
-		ng.CubeLits = append(ng.CubeLits, pins)
+		b.build.fan = fan
+		ng.Cubes = append(ng.Cubes, nl.AddGate(And, fan...))
 	}
 	ng.Out = nl.AddGate(Or, ng.Cubes...)
 	return ng

@@ -133,24 +133,20 @@ func (b *Build) PatchNode(name string, n *network.Node) *NodeGates {
 	for pin := len(nl.gates[out].fanins) - 1; pin >= 0; pin-- {
 		nl.RemovePin(out, pin)
 	}
-	ng := &NodeGates{Out: out}
+	ng := &NodeGates{Out: out, Cubes: make([]int, 0, n.Cover.NumCubes())}
 	for _, c := range n.Cover.Cubes {
-		lits := c.Lits()
-		pins := make([]int, 0, len(lits))
-		var fan []int
-		for _, v := range lits {
-			src := nl.Signal[n.Fanins[v]]
-			if c.Get(v) == cube.Neg {
-				src = nl.Invert(src)
+		fan := b.fan[:0]
+		for v := 0; v < c.NumVars(); v++ {
+			switch c.Get(v) {
+			case cube.Pos:
+				fan = append(fan, nl.Signal[n.Fanins[v]])
+			case cube.Neg:
+				fan = append(fan, nl.Invert(nl.Signal[n.Fanins[v]]))
 			}
-			fan = append(fan, src)
 		}
+		b.fan = fan
 		g := nl.AddGate(And, fan...)
-		for j := range lits {
-			pins = append(pins, j)
-		}
 		ng.Cubes = append(ng.Cubes, g)
-		ng.CubeLits = append(ng.CubeLits, pins)
 		nl.AddPin(out, g)
 	}
 	b.Nodes[name] = ng
