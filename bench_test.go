@@ -641,9 +641,10 @@ func BenchmarkSubstituteParallel(b *testing.B) {
 // useful work. The per-tier wN/w1 wall-clock ratios are the committed
 // scaling floors that `benchreg -compare` hard-fails on
 // (testdata/bench/BENCH_substitute.json, "scaling_floors"). The rand10k
-// tier is entangled random logic, where the scheduler claims nothing and
-// every node runs the serial driver: it tracks the per-trial cost, and
-// its w2 leg checks that extra workers cost nothing there. Options keep the
+// tier is entangled random logic: overlapping claims end batches early
+// and over-cap fanout cones run as serial solos, so it tracks the
+// per-trial and phase-A cost under frequent claim conflicts, and its w2
+// leg shows what a second worker buys there. Options keep the
 // per-trial cost size-independent (windowed basic division, one pass,
 // capped trials) so the tiers measure scheduling and trials, not
 // algorithmic tails.

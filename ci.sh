@@ -36,12 +36,14 @@ go test ./...
 go test -race ./internal/core ./internal/atpg ./internal/netlist
 
 # Batch-scheduler race + identity check at scale: regenerate the 100k-gate
-# cone-forest corpus circuit in-process from its committed recipe
-# (bench.Generate("cone", 100000, 0, seed 1) — nothing large is checked in)
-# and assert byte-identical committed BLIF across workers {1,4,8} × batch
-# on/off under the race detector. Phase B speculation is the engine's only
-# concurrent region, and small unit circuits don't fill the claim windows
-# the way 100k gates do.
+# cone forest and the 10k-gate random-logic circuit in-process from their
+# committed recipes (bench.Generate("cone", 100000, 0, 1) and
+# bench.Generate("rand", 10000, 64, 1) — nothing large is checked in) and
+# assert byte-identical committed BLIF across workers {1,4,8} (× batch
+# on/off on the random logic) and a seeded random-simulation miter of every
+# output against the input, under the race detector. Phase B speculation
+# is the engine's only concurrent region, and small unit circuits don't
+# fill the claim windows the way these circuits do.
 BDS_SCALE_RACE=1 BDS_SCALE_GATES=100000 \
   go test -race -run 'TestSubstituteBatchScaleRace$' -timeout 60m ./internal/core
 # Fuzz smoke. The first line replays the committed seed corpora for every

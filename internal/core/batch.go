@@ -14,8 +14,8 @@ import (
 // dividend every trial after the first positive-gain commit would be
 // wasted. The batch scheduler therefore speculates across DIVIDENDS — the
 // engine's only concurrency. A batch is the maximal prefix (in the pass's
-// outputs-first order) of dividends whose claimed cone footprints are
-// pairwise disjoint; each member's whole trial sequence runs on one worker
+// outputs-first order) of dividends whose claim footprints are pairwise
+// disjoint; each member's whole trial sequence runs on one worker
 // against the frozen pre-batch network, and a serial sweep then replays the
 // members in pass order, committing each surviving plan — so every
 // in-flight trial is work the sweep can commit.
@@ -63,12 +63,20 @@ import (
 // Commits performed by eviction re-runs route through run.commit and fold
 // into the same dirty marks, keeping later members' checks sound.
 //
-// Conflict-claim soundness note: the claims (pairwise-disjoint TFI∪TFO
-// footprints) make conflicts *unlikely*, maximizing surviving speculation;
-// the eviction rules alone carry correctness. That is deliberate — rules
-// E1b/E3/E4 see through interactions (shared fanin names, observability
-// side inputs, the global fresh-name counter) that cone disjointness does
-// not capture.
+// Conflict-claim soundness note: the claims make conflicts *unlikely*,
+// maximizing surviving speculation; the eviction rules alone carry
+// correctness. A member claims the node-driven signals of {f} ∪ fanins(f) ∪
+// TFO(f) ∪ its truncated candidate list — exactly the signals rules E1a, E1b
+// and E2 read when an earlier member commits a node plan. Such a commit at
+// g marks {g} ∪ TFO(g) cone-dirty and g's old and new fanins, a subset of
+// fanins(g) ∪ {d}, support-dirty; all of those lie in g's claim, so a
+// disjoint claim keeps f, its guard and its candidates clean. f's fanin
+// cone beyond its direct fanins is not claimed: a commit at g dirties f
+// only when f ∈ TFO(g), and g's claim holds TFO(g). Claims leave the rest
+// to the rules on purpose — rules E1b/E3/E4/E5 see through interactions
+// (shared primary-input fanins, observability side inputs, the global
+// fresh-name counter, multi-node overlay and clone plans) that claim
+// disjointness does not capture.
 
 // batchWindow caps how many claiming (candidate-bearing) members one batch
 // may hold: enough to keep every worker fed several times over, small
@@ -99,10 +107,10 @@ func batchWindowFor(n int) int {
 	return w
 }
 
-// batchConeCap caps a member's extracted footprint. A dividend whose
-// TFI+TFO cone exceeds it (e.g. the carry spine of a ripple adder, whose
-// fanout cone is half the circuit) is unbatchable: claiming it would serialize
-// the batch anyway, and extracting megabyte cones per node would be O(V²).
+// batchConeCap caps a member's fanout-cone walk. A dividend whose TFO
+// exceeds it (e.g. the carry spine of a ripple adder, whose fanout cone is
+// half the circuit) is unbatchable: claiming it would serialize the batch
+// anyway, and extracting megabyte cones per node would be O(V²).
 const batchConeCap = 4096
 
 // batchMember is one dividend of a batch, with everything its worker needs
@@ -114,6 +122,7 @@ type batchMember struct {
 	f       string        // dividend name at batch-build time
 	trivial bool          // node was nil/zero-cover at scan time: nothing to do
 	solo    bool          // over-cap footprint: run via the serial fallback
+	build   int           // build serial number (tells a reuse from a rebuild)
 
 	cands   []candidate
 	candIDs []network.SigID // SigID of each candidate (rule E2)
@@ -123,8 +132,8 @@ type batchMember struct {
 	filtered []bool
 	sf       *simSigFilter // for tally nil-ness and rule E3 applicability
 
-	fp    []network.SigID // claim footprint: node-driven {f} ∪ TFI ∪ TFO
-	tfo   []network.SigID // node-driven TFO(f) (shared tail of fp)
+	fp    []network.SigID // claim: node-driven {f} ∪ fanins(f) ∪ TFO(f) ∪ candIDs
+	tfo   []network.SigID // TFO(f), all node-driven
 	guard []network.SigID // {f} ∪ raw fanin IDs of f ∪ TFO(f) (rule E1b)
 	side  []network.SigID // non-PI fanins of TFO nodes (rule E3)
 
@@ -146,8 +155,14 @@ var batchObserver func(members []*batchMember)
 type batchScheduler struct {
 	r       *run
 	members []*batchMember
+	work    []*batchMember // phase B's claiming members (reused)
 
-	arena network.ConeArena // footprint extraction (serial side)
+	// free holds released members; member reuses them with their slices'
+	// capacity, so phase A does not regrow a member's slices per dividend.
+	free   []*batchMember
+	builds int // members built so far (see batchMember.build)
+
+	arena network.ConeArena // footprint dedup (serial side)
 
 	// claim is the batch-construction stamp set: a marked signal is part of
 	// an earlier member's footprint.
@@ -193,6 +208,9 @@ func (s *batchScheduler) runBatch(ids []network.SigID, i int) (int, bool) {
 	if r.sigTab != nil {
 		r.sigTab.Refresh()
 	}
+	for _, m := range s.members {
+		s.release(m)
+	}
 	s.members = s.members[:0]
 	s.claim.Reset()
 	claiming := 0
@@ -203,19 +221,23 @@ scan:
 		id := ids[pos]
 		fn := nw.NodeByID(id)
 		if fn == nil || fn.Cover.IsZero() {
-			s.members = append(s.members, &batchMember{pos: pos, id: id, trivial: true})
+			m := s.member(pos, id)
+			m.trivial = true
+			s.members = append(s.members, m)
 			took++
 			continue
 		}
-		m, ok := s.takeCarry(pos, id)
+		m := s.takeCarry(pos, id)
 		if m == nil {
-			m, ok = s.buildMember(pos, id, fn.Name)
+			m = s.buildMember(pos, id, fn.Name)
 		}
-		if !ok {
+		if m == nil {
 			// Unbatchable footprint: take it as a serial solo when nothing
 			// has claimed yet, otherwise end the batch before it.
 			if claiming == 0 {
-				s.members = append(s.members, &batchMember{pos: pos, id: id, solo: true})
+				m := s.member(pos, id)
+				m.solo = true
+				s.members = append(s.members, m)
 				took++
 				solo = true
 			}
@@ -262,13 +284,13 @@ scan:
 	}
 
 	// Phase B (parallel): each member's whole trial sequence on one worker.
-	work := make([]*batchMember, 0, claiming)
+	s.work = s.work[:0]
 	for _, m := range s.members {
 		if !m.trivial && len(m.cands) > 0 {
-			work = append(work, m)
+			s.work = append(s.work, m)
 		}
 	}
-	s.runMembers(work)
+	s.runMembers(s.work)
 
 	// Phase C (serial): sweep the members in pass order.
 	return took, s.sweep()
@@ -328,48 +350,108 @@ func (s *batchScheduler) runMembers(work []*batchMember) {
 }
 
 // startPass drops the carried member: a new pass snapshots a new id order.
-func (s *batchScheduler) startPass() { s.carry = nil }
+func (s *batchScheduler) startPass() {
+	if s.carry != nil {
+		s.release(s.carry)
+		s.carry = nil
+	}
+}
 
 // takeCarry returns the carried member when it was built for this slot of
 // the pass and nothing has committed since, and nil otherwise; either way
 // the carry is consumed.
-func (s *batchScheduler) takeCarry(pos int, id network.SigID) (*batchMember, bool) {
+func (s *batchScheduler) takeCarry(pos int, id network.SigID) *batchMember {
 	m := s.carry
 	s.carry = nil
-	if m == nil || m.pos != pos || m.id != id || s.carryEpoch != s.r.ev.epoch {
-		return nil, false
+	if m == nil {
+		return nil
 	}
-	return m, true
+	if m.pos != pos || m.id != id || s.carryEpoch != s.r.ev.epoch {
+		s.release(m)
+		return nil
+	}
+	return m
 }
 
-// buildMember extracts member m's cones and precomputes its candidate list
-// and filter verdicts. ok=false flags an over-cap footprint.
-func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) (*batchMember, bool) {
+// member returns an empty member for slot pos, reusing a released one.
+func (s *batchScheduler) member(pos int, id network.SigID) *batchMember {
+	var m *batchMember
+	if n := len(s.free); n > 0 {
+		m = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		m = new(batchMember)
+	}
+	m.pos, m.id = pos, id
+	return m
+}
+
+// release clears m and keeps it, with its slices' capacity, for member.
+// The cleared candidate and result slots drop their covers and plans (the
+// candidate list may have been truncated, so it is cleared to capacity).
+func (s *batchScheduler) release(m *batchMember) {
+	clear(m.cands[:cap(m.cands)])
+	clear(m.res)
+	*m = batchMember{
+		cands: m.cands[:0], candIDs: m.candIDs[:0], filtered: m.filtered[:0],
+		fp: m.fp[:0], tfo: m.tfo[:0], guard: m.guard[:0], side: m.side[:0],
+		res: m.res[:0],
+	}
+	s.free = append(s.free, m)
+}
+
+// buildMember walks dividend f's fanout cone once, capped at batchConeCap,
+// and precomputes from it the member's candidate list, filter verdicts,
+// claim footprint and rule inputs. It returns nil for an over-cap cone.
+func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) *batchMember {
 	r := s.r
 	nw := r.nw
 	opt := r.opt
-	m := &batchMember{pos: pos, id: id, f: f}
+	es := &r.enum
+	m := s.member(pos, id)
+	m.f = f
+	s.builds++
+	m.build = s.builds
 
-	s.arena.Reset()
+	// The walk's marks are exactly TFO(f), which is what enumeration needs.
+	es.tfo.Reset()
 	var ok bool
-	m.fp, ok = nw.AppendFaninConeIDs(id, &s.arena, m.fp[:0], batchConeCap)
+	m.tfo, ok = nw.AppendFanoutConeIDs(id, &es.tfo, m.tfo, batchConeCap)
 	if !ok {
-		return nil, false
+		s.release(m)
+		return nil
 	}
-	m.tfo, ok = nw.AppendFanoutConeIDs(id, &s.arena, m.tfo[:0], batchConeCap)
-	if !ok {
-		return nil, false
-	}
-	m.fp = append(m.fp, m.tfo...)
-	m.guard = append(append(m.guard[:0], id), nw.FaninIDsOf(id)...)
-	m.guard = append(m.guard, m.tfo...)
-
-	m.cands = candidateDivisors(nw, r.sigs, r.cc, f, opt, &r.enum)
+	m.cands = enumerateCandidates(nw, r.sigs, r.cc, id, opt, es, m.cands)
 	if len(m.cands) > r.maxTrials {
 		m.cands = m.cands[:r.maxTrials]
 	}
+	fanins := nw.FaninIDsOf(id)
+	m.guard = append(append(append(m.guard, id), fanins...), m.tfo...)
+	for _, c := range m.cands {
+		m.candIDs = append(m.candIDs, c.id)
+	}
+
+	// The claim. TFO(f) is disjoint from f and its fanins (the network is
+	// acyclic) and from the candidates (enumeration skips it), so only the
+	// fanins and the candidates — which repeat across forms and may be
+	// fanins of f — need deduplicating.
+	s.arena.Reset()
+	s.arena.Mark(id)
+	m.fp = append(m.fp, id)
+	for _, x := range fanins {
+		if nw.NodeByID(x) != nil && s.arena.Mark(x) {
+			m.fp = append(m.fp, x)
+		}
+	}
+	m.fp = append(m.fp, m.tfo...)
+	for _, d := range m.candIDs {
+		if s.arena.Mark(d) {
+			m.fp = append(m.fp, d)
+		}
+	}
+
 	if len(m.cands) == 0 {
-		return m, true
+		return m
 	}
 	m.sf = newSimSigFilter(nw, f, r.cc, opt)
 	if m.sf != nil {
@@ -381,14 +463,10 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) (*batc
 			}
 		}
 	}
-	m.filtered = make([]bool, len(m.cands))
-	m.candIDs = make([]network.SigID, len(m.cands))
-	for ci, c := range m.cands {
-		did, _ := nw.IDOf(c.name)
-		m.candIDs[ci] = did
-		m.filtered[ci] = !m.sf.admits(c)
+	for _, c := range m.cands {
+		m.filtered = append(m.filtered, !m.sf.admits(c))
 	}
-	return m, true
+	return m
 }
 
 // runMember executes member m's whole trial sequence against the frozen
@@ -400,7 +478,7 @@ func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
 	r := s.r
 	nw := r.nw
 	opt := r.opt
-	m.res = make([]planResult, len(m.cands))
+	m.res = append(m.res[:0], make([]planResult, len(m.cands))...)
 	m.planIdx = -1
 
 	runTrial := func(i int) {

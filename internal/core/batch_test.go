@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/blif"
 	"repro/internal/cube"
 	"repro/internal/network"
@@ -49,10 +50,11 @@ func coneForestDAG(g int) *network.Network {
 }
 
 // observeBatches installs a batchObserver that fails the test if any two
-// claiming members of one batch have intersecting claim footprints, and
-// counts multi-member batches. Returns the counter; the caller must defer
-// the returned teardown.
-func observeBatches(t *testing.T) (*int, func()) {
+// claiming members of one batch have intersecting claim footprints, runs
+// check (unless nil) on every claiming member, and counts multi-member
+// batches. Returns the counter; the caller must defer the returned
+// teardown.
+func observeBatches(t *testing.T, check func(m *batchMember)) (*int, func()) {
 	t.Helper()
 	batches := new(int)
 	batchObserver = func(members []*batchMember) {
@@ -63,6 +65,9 @@ func observeBatches(t *testing.T) (*int, func()) {
 				continue
 			}
 			claiming++
+			if check != nil {
+				check(m)
+			}
 			for _, id := range m.fp {
 				if prev, dup := owner[id]; dup {
 					t.Errorf("batch members %d and %d share footprint signal %d — cones not disjoint",
@@ -78,13 +83,13 @@ func observeBatches(t *testing.T) (*int, func()) {
 	return batches, func() { batchObserver = nil }
 }
 
-// TestBatchConesDisjoint is the scheduler's claim-soundness property test:
-// over networks engineered to have many disjoint cones AND over random
-// DAGs, any two candidates scheduled in one batch have disjoint TFI∪TFO
-// footprints. The cone forest guarantees the test actually observes
+// TestBatchConesDisjoint is the scheduler's claim-disjointness property
+// test: over networks engineered to have many disjoint cones AND over
+// random DAGs, any two candidates scheduled in one batch have disjoint
+// claim footprints. The cone forest guarantees the test actually observes
 // multi-member batches (a vacuous pass is rejected).
 func TestBatchConesDisjoint(t *testing.T) {
-	batches, done := observeBatches(t)
+	batches, done := observeBatches(t, nil)
 	defer done()
 
 	Substitute(coneForestDAG(12), Options{Config: Extended, POS: true, Workers: 4})
@@ -101,8 +106,8 @@ func TestBatchConesDisjoint(t *testing.T) {
 // TestBatchPOReconvergentPairConflicts pins the conflict model on the
 // canonical reconvergence: x = a·b and y = b·c both feed z = x + y, so
 // z sits in BOTH fanout cones — the pair MUST conflict (footprint overlap)
-// and must never claim places in the same batch, even though their fanin
-// cones are disjoint apart from the shared PI.
+// and must never claim places in the same batch, even though their fanins
+// are disjoint apart from the shared PI.
 func TestBatchPOReconvergentPairConflicts(t *testing.T) {
 	mk := func() *network.Network {
 		nw := network.New("reconv")
@@ -128,21 +133,20 @@ func TestBatchPOReconvergentPairConflicts(t *testing.T) {
 		return nw
 	}
 
-	// Direct conflict check on the scheduler's own cone extraction.
+	// Direct conflict check on the scheduler's own footprint builder.
 	nw := mk()
 	xid, _ := nw.IDOf("x")
 	yid, _ := nw.IDOf("y")
 	nw.EnableFanouts()
-	var arena network.ConeArena
-	arena.Reset()
-	fpx, _ := nw.AppendFaninConeIDs(xid, &arena, nil, 0)
-	fpx, _ = nw.AppendFanoutConeIDs(xid, &arena, fpx, 0)
-	arena.Reset()
-	fpy, _ := nw.AppendFaninConeIDs(yid, &arena, nil, 0)
-	fpy, _ = nw.AppendFanoutConeIDs(yid, &arena, fpy, 0)
+	s := newBatchScheduler(newTestRun(nw, Options{Config: Extended, POS: true}))
+	mx := s.buildMember(0, xid, "x")
+	my := s.buildMember(1, yid, "y")
+	if mx == nil || my == nil {
+		t.Fatal("footprint builder rejected a three-node cone as over-cap")
+	}
 	overlap := false
-	for _, i := range fpx {
-		for _, j := range fpy {
+	for _, i := range mx.fp {
+		for _, j := range my.fp {
 			if i == j {
 				overlap = true
 			}
@@ -185,7 +189,7 @@ func FuzzBatchDisjoint(f *testing.F) {
 		nodes := 2 + int(nNode)%16
 		base := randomDAG(rand.New(rand.NewSource(seed)), pi, nodes)
 
-		batches, done := observeBatches(t)
+		batches, done := observeBatches(t, nil)
 		defer done()
 		_ = batches
 
@@ -264,19 +268,20 @@ func TestBatchSchedulerCommits(t *testing.T) {
 // and the same total sort key as candidateDivisors.
 func fullScanCandidates(nw *network.Network, sigs *sigCache, cc *complCache, f string, opt Options) []candidate {
 	fn := nw.Node(f)
-	fSigs := sigs.get(f)
+	fid, _ := nw.IDOf(f)
+	fSigs := sigs.get(fid)
 	var fcSigs [][]sigLit
 	if opt.POS {
-		if s, _, ok := cc.getSigs(nw, f, fn.Fanins); ok {
+		if s, _, ok := cc.getSigs(nw, fid); ok {
 			fcSigs = s
 		}
 	}
-	fid, _ := nw.IDOf(f)
 	tfo := nw.TFOSetIDs(fid)
 	var out []scored
 	for _, d := range nw.SortedNodeNames() {
 		dn := nw.Node(d)
-		if did, _ := nw.IDOf(d); d == f || tfo[did] {
+		did, _ := nw.IDOf(d)
+		if d == f || tfo[did] {
 			continue
 		}
 		if dn.Cover.IsZero() || dn.Cover.NumCubes() == 0 ||
@@ -289,10 +294,10 @@ func fullScanCandidates(nw *network.Network, sigs *sigCache, cc *complCache, f s
 				overlap++
 			}
 		}
-		if anyContainment(sigs.get(d), fSigs) {
+		if anyContainment(sigs.get(did), fSigs) {
 			out = append(out, scored{candidate{name: d}, overlap})
 		}
-		if dcSigs, _, ok := cc.getSigs(nw, d, dn.Fanins); ok {
+		if dcSigs, _, ok := cc.getSigs(nw, did); ok {
 			if anyContainment(dcSigs, fSigs) {
 				out = append(out, scored{candidate{name: d, neg: true}, overlap})
 			}
@@ -316,6 +321,8 @@ func fullScanCandidates(nw *network.Network, sigs *sigCache, cc *complCache, f s
 // is reused there only when nothing committed in between: when g's trial
 // commits (g = fy + fz by d) f must be built afresh, and when it does not
 // (g = fy) the carried member must be the one the next batch starts with.
+// Released members are recycled, so a rebuilt f may occupy the carried
+// struct: the build serial number, not the pointer, tells them apart.
 func TestBatchCarryRebuiltAfterCommit(t *testing.T) {
 	for _, tc := range []struct {
 		gFanins []string
@@ -335,11 +342,7 @@ func TestBatchCarryRebuiltAfterCommit(t *testing.T) {
 		nw.AddPO("g")
 		nw.AddPO("d")
 		nw.EnableFanouts()
-		opt := Options{Config: Basic, NoSigFilter: true}
-		r := &run{
-			nw: nw, opt: opt, maxTrials: 32, ev: newEvaluator(1), st: new(Stats),
-			cc: newComplCache(DefaultMaxComplementCubes), sigs: newSigCache(nw),
-		}
+		r := newTestRun(nw, Options{Config: Basic, NoSigFilter: true})
 		s := newBatchScheduler(r)
 		r.sched = s
 		s.startPass()
@@ -351,15 +354,128 @@ func TestBatchCarryRebuiltAfterCommit(t *testing.T) {
 		if took != 1 || carried == nil || carried.pos != top-1 || carried.f != "f" {
 			t.Fatalf("commits=%v: first batch took %d with carry %+v, want {g} and f carried", tc.commits, took, carried)
 		}
+		carriedBuild := carried.build
 		if got := r.st.Substitutions == 1; got != tc.commits {
 			t.Fatalf("commits=%v: g's trial committed %d substitutions", tc.commits, r.st.Substitutions)
 		}
 		s.runBatch(ids, top-took)
-		if reused := s.members[0] == carried; reused == tc.commits {
+		if head := s.members[0]; head.f != "f" {
+			t.Fatalf("commits=%v: second batch starts at %q, want f", tc.commits, head.f)
+		}
+		if reused := s.members[0].build == carriedBuild; reused == tc.commits {
 			t.Errorf("commits=%v: carried member reused=%v", tc.commits, reused)
 		}
 		if s.carry != nil {
 			t.Errorf("commits=%v: the carry was not consumed", tc.commits)
+		}
+	}
+}
+
+// newTestRun is the run state Substitute builds, for driving one scheduler
+// step at a time. The caller enables nw's fanout lists.
+func newTestRun(nw *network.Network, opt Options) *run {
+	return &run{
+		nw: nw, opt: opt, maxTrials: 32, ev: newEvaluator(1), st: new(Stats),
+		cc: newComplCache(DefaultMaxComplementCubes), sigs: newSigCache(nw),
+	}
+}
+
+// TestBatchClaimCoversRuleInputs checks the claim against what the eviction
+// rules read: every claiming member's footprint holds the node-driven
+// signals of {f} ∪ fanins(f) ∪ TFO(f) ∪ its candidates, computed here
+// independently of the scheduler's walk, and nothing else, and the claims
+// of one batch stay pairwise disjoint. Cone forests, random DAGs and
+// entangled random logic all have to form batches, so the check cannot
+// pass vacuously.
+func TestBatchClaimCoversRuleInputs(t *testing.T) {
+	var nw *network.Network
+	batches, done := observeBatches(t, func(m *batchMember) {
+		need := append([]network.SigID{m.id}, nw.FaninIDsOf(m.id)...)
+		for id, inTFO := range nw.TFOSetIDs(m.id) {
+			if inTFO {
+				need = append(need, network.SigID(id))
+			}
+		}
+		for _, c := range m.cands {
+			did, _ := nw.IDOf(c.name)
+			need = append(need, did)
+		}
+		want := make(map[network.SigID]bool, len(need))
+		for _, id := range need {
+			if nw.NodeByID(id) != nil {
+				want[id] = true
+			}
+		}
+		in := make(map[network.SigID]bool, len(m.fp))
+		for _, id := range m.fp {
+			if !want[id] {
+				t.Errorf("%s: claim holds %s, which no rule E1a/E1b/E2 reads", m.f, nw.SigName(id))
+			}
+			in[id] = true
+		}
+		for id := range want {
+			if !in[id] {
+				t.Errorf("%s: claim misses %s, which rules E1a/E1b/E2 read", m.f, nw.SigName(id))
+			}
+		}
+	})
+	defer done()
+
+	check := func(label string, base *network.Network, opt Options) {
+		t.Helper()
+		nw = base
+		*batches = 0
+		Substitute(nw, opt)
+		if *batches == 0 {
+			t.Errorf("%s formed no multi-member batch — the check never fired", label)
+		}
+	}
+	check("cone forest", coneForestDAG(12), Options{Config: Extended, POS: true, Workers: 2})
+	r := rand.New(rand.NewSource(2024))
+	for trial := 0; trial < 4; trial++ {
+		check("random DAG", randomDAG(r, 6, 24), Options{Config: Extended, POS: true, Pool: true, Workers: 2})
+	}
+	ent, err := bench.Generate("rand", 2000, 32, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("rand2000", ent, scaleOptions(2))
+}
+
+// scaleOptions is the scale-tier recipe of BenchmarkSubstituteScale and
+// the bdsbench generated workloads: the per-trial cost stays independent of
+// circuit size, so a run is dominated by scheduling.
+func scaleOptions(workers int) Options {
+	return Options{
+		Config: Basic, WindowDepth: 3, NoSigFilter: true,
+		MaxPasses: 1, MaxDivisorTrials: 8, Workers: workers,
+	}
+}
+
+// TestBatchFormsOnEntangledLogic pins that entangled random logic batches:
+// a claim covers only what the eviction rules read, not f's whole fanin
+// cone, so generated random circuits speculate trials — and still commit
+// the BLIF of the batch-off run at every worker count.
+func TestBatchFormsOnEntangledLogic(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		base, err := bench.Generate("rand", 2000, 32, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := base.Clone()
+		off := scaleOptions(1)
+		off.NoBatch = true
+		Substitute(ref, off)
+		want := blif.ToString(ref)
+		for _, workers := range []int{1, 2, 4} {
+			nw := base.Clone()
+			st := Substitute(nw, scaleOptions(workers))
+			if st.SpeculatedTrials == 0 {
+				t.Errorf("seed %d w%d: no trial speculated (%d batch commits)", seed, workers, st.BatchCommits)
+			}
+			if blif.ToString(nw) != want {
+				t.Fatalf("seed %d w%d: batched BLIF differs from the batch-off run", seed, workers)
+			}
 		}
 	}
 }

@@ -131,30 +131,33 @@ func (cc *complCache) slot(id network.SigID) *complEntry {
 	return &cc.e[id]
 }
 
-// getSigs returns the literal signatures of name's complement cover against
-// the node's fanins, memoized with the complement itself (and invalidated
-// with it — the fanin list is part of the node state the commit touched).
+// getSigs returns the literal signatures of node id's complement cover
+// against the node's fanins, memoized with the complement itself (and
+// invalidated with it — the fanin list is part of the node state the commit
+// touched).
 //
 //bdslint:hotpath
-func (cc *complCache) getSigs(nw network.Reader, name string, fanins []string) ([][]sigLit, cube.Cover, bool) {
-	c, ok := cc.get(nw, name)
+func (cc *complCache) getSigs(nw network.Reader, id network.SigID) ([][]sigLit, cube.Cover, bool) {
+	c, ok := cc.get(nw, id)
 	if !ok {
 		return nil, cube.Cover{}, false
 	}
-	id, _ := nw.IDOf(name) // interned: get just cached its complement
-	e := cc.slot(id)
+	e := cc.slot(id) // get just cached the complement
 	if e.hasSig {
 		return e.sigs, c, true
 	}
-	e.sigs = coverSigs(c, fanins)
+	e.sigs = coverSigs(c, nw.FaninIDsOf(id))
 	e.hasSig = true
 	return e.sigs, c, true
 }
 
+// get returns node id's complement cover, computing and memoizing it on a
+// miss; ok=false when id drives no node or the complement is zero or over
+// the size cap.
+//
 //bdslint:hotpath
-func (cc *complCache) get(nw network.Reader, name string) (cube.Cover, bool) {
-	id, interned := nw.IDOf(name)
-	if interned && int(id) < len(cc.e) {
+func (cc *complCache) get(nw network.Reader, id network.SigID) (cube.Cover, bool) {
+	if int(id) < len(cc.e) {
 		if e := &cc.e[id]; e.bad {
 			cc.hits++
 			return cube.Cover{}, false
@@ -164,11 +167,9 @@ func (cc *complCache) get(nw network.Reader, name string) (cube.Cover, bool) {
 		}
 	}
 	cc.misses++
-	n := nw.Node(name)
+	n := nw.NodeByID(id)
 	if n == nil {
-		if interned {
-			cc.slot(id).bad = true
-		}
+		cc.slot(id).bad = true
 		return cube.Cover{}, false
 	}
 	c, ok := n.Cover.ComplementAtMost(cc.max)
@@ -182,18 +183,17 @@ func (cc *complCache) get(nw network.Reader, name string) (cube.Cover, bool) {
 	return c, true
 }
 
-// getMin returns the node's minimized complement — the cover posDivide's
+// getMin returns node id's minimized complement — the cover posDivide's
 // Minimize(Complement(...)) produces — memoized alongside the plain
 // complement. The returned cover is shared: callers must not mutate it.
-func (cc *complCache) getMin(nw network.Reader, name string) (cube.Cover, bool) {
-	if id, ok := nw.IDOf(name); ok && int(id) < len(cc.e) && cc.e[id].hasMin {
+func (cc *complCache) getMin(nw network.Reader, id network.SigID) (cube.Cover, bool) {
+	if int(id) < len(cc.e) && cc.e[id].hasMin {
 		return cc.e[id].min, true
 	}
-	raw, ok := cc.get(nw, name)
+	raw, ok := cc.get(nw, id)
 	if !ok {
 		return cube.Cover{}, false
 	}
-	id, _ := nw.IDOf(name) // interned: get succeeded on a live node
 	e := cc.slot(id)
 	e.min = mini.Minimize(raw.Clone(), mini.Options{})
 	e.hasMin = true

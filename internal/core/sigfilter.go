@@ -204,7 +204,8 @@ func (sf *simSigFilter) posForm() *formSigs {
 		sf.posInit = true
 		// posDivide minimizes the complement before the SOS split; the
 		// witnesses must be stated over those same cubes.
-		if fcMin, ok := sf.cc.getMin(sf.nw, sf.f); ok {
+		fid, _ := sf.nw.IDOf(sf.f)
+		if fcMin, ok := sf.cc.getMin(sf.nw, fid); ok {
 			if pos, ok := newFormSigs(sf.table, fcMin, sf.fn.Fanins); ok {
 				sf.pos = pos
 			}
@@ -312,14 +313,18 @@ func (sf *simSigFilter) admits(cand candidate) bool {
 	if sf == nil {
 		return true
 	}
-	dn := sf.nw.Node(cand.name)
+	did, ok := sf.nw.IDOf(cand.name)
+	if !ok {
+		return true
+	}
+	dn := sf.nw.NodeByID(did)
 	if dn == nil {
 		return true
 	}
 	switch {
 	case cand.neg:
 		// f = q·d' + r: division runs against d's complement cover.
-		dcov, ok := sf.cc.get(sf.nw, cand.name)
+		dcov, ok := sf.cc.get(sf.nw, did)
 		if !ok {
 			return true
 		}
@@ -330,7 +335,7 @@ func (sf *simSigFilter) admits(cand candidate) bool {
 		if fs == nil {
 			return true
 		}
-		dcov, ok := sf.cc.getMin(sf.nw, cand.name)
+		dcov, ok := sf.cc.getMin(sf.nw, did)
 		if !ok {
 			return true
 		}

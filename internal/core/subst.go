@@ -476,6 +476,7 @@ func tallyTrial(st *Stats, r planResult, sf *simSigFilter) {
 // (public one-shot wrappers, hand-built candidates in tests).
 type candidate struct {
 	name string
+	id   network.SigID // name's SigID (set by enumeration; rule E2)
 	pos  bool
 	neg  bool
 
@@ -495,8 +496,12 @@ type sigCache struct {
 	hits, misses int
 }
 
+// sigLit is one literal of a cube signature: the fanin's SigID and its
+// phase. Rows are sorted by (SigID, positive first); any total order works
+// for the subset tests as long as every row uses the same one, so keying by
+// ID instead of name leaves every containment answer unchanged.
 type sigLit struct {
-	sig string
+	sig network.SigID
 	neg bool
 }
 
@@ -504,19 +509,20 @@ func newSigCache(nw *network.Network) *sigCache {
 	return &sigCache{nw: nw}
 }
 
+// get returns node id's cube signatures (nil when id drives no node).
+//
 //bdslint:hotpath
-func (sc *sigCache) get(name string) [][]sigLit {
-	id, interned := sc.nw.IDOf(name)
-	if interned && int(id) < len(sc.has) && sc.has[id] {
+func (sc *sigCache) get(id network.SigID) [][]sigLit {
+	if int(id) < len(sc.has) && sc.has[id] {
 		sc.hits++
 		return sc.sigs[id]
 	}
 	sc.misses++
-	n := sc.nw.Node(name)
+	n := sc.nw.NodeByID(id)
 	if n == nil {
 		return nil
 	}
-	s := coverSigs(n.Cover, n.Fanins)
+	s := coverSigs(n.Cover, sc.nw.FaninIDsOf(id))
 	for int(id) >= len(sc.has) {
 		sc.has = append(sc.has, false)
 		sc.sigs = append(sc.sigs, nil)
@@ -541,7 +547,7 @@ func (sc *sigCache) reset() {
 	}
 }
 
-func coverSigs(cov cube.Cover, fanins []string) [][]sigLit {
+func coverSigs(cov cube.Cover, fanins []network.SigID) [][]sigLit {
 	out := make([][]sigLit, 0, cov.NumCubes())
 	for _, c := range cov.Cubes {
 		row := make([]sigLit, 0, c.NumLits())
@@ -551,7 +557,7 @@ func coverSigs(cov cube.Cover, fanins []string) [][]sigLit {
 			}
 		}
 		// Stable-by-construction insertion sort on (sig, pos-first); keys
-		// are unique (one entry per variable, fanin names distinct), so the
+		// are unique (one entry per variable, fanin IDs distinct), so the
 		// order matches what any comparison sort produces.
 		for i := 1; i < len(row); i++ {
 			for j := i; j > 0 && lessSigLit(row[j], row[j-1]); j-- {
@@ -604,39 +610,51 @@ func anyContainment(dSigs, fSigs [][]sigLit) bool {
 // likeliest divisors early. The order is deterministic — it is the trial
 // order the driver tries them in.
 //
+// It walks f's transitive fanout into es.tfo and hands the marks to
+// enumerateCandidates; the batch scheduler runs its own capped walk and
+// calls enumerateCandidates directly. es holds the stamp arenas (nil =
+// allocate fresh ones).
+func candidateDivisors(nw *network.Network, sigs *sigCache, cc *complCache, f string, opt Options, es *enumScratch) []candidate {
+	if es == nil {
+		es = new(enumScratch)
+	}
+	fid, _ := nw.IDOf(f)
+	es.tfo.Reset()
+	es.tfoIDs, _ = nw.AppendFanoutConeIDs(fid, &es.tfo, es.tfoIDs[:0], 0)
+	return enumerateCandidates(nw, sigs, cc, fid, opt, es, nil)
+}
+
+// enumerateCandidates is candidateDivisors' body: it appends f's candidates
+// to dst, in trial order, given es.tfo marking exactly f's transitive
+// fanout in its current generation.
+//
 // Enumeration is support-local: only the fanouts of f's fanins are visited,
 // minus f's transitive fanout (divisors there would form cycles). That set
 // provably holds every candidate: every division form requires
 // anyContainment — a non-empty divisor-side cube whose literals are a
 // subset of a dividend-side cube's literals. Literal signatures are
-// (fanin-name, phase) pairs drawn from the respective nodes' own fanin
-// lists (complement covers keep their node's variable space), so a passing
+// (fanin, phase) pairs drawn from the respective nodes' own fanin lists
+// (complement covers keep their node's variable space), so a passing
 // candidate shares at least one fanin signal with f and is therefore a
 // fanout of one of f's fanins. On a network with live fanout lists (the
-// engine enables them for the whole run) the walk costs O(local fanouts +
-// TFO(f)). The final sort key (overlap, name, form) is total — no two
-// candidates compare equal — so the visiting order never shows through;
+// engine enables them for the whole run) the walk costs O(local fanouts).
+// The final sort key (overlap, name, form) is total — no two candidates
+// compare equal — so the visiting order never shows through;
 // TestCandidateEnumerationEquivalence locks the result to a full scan of
-// every node. es holds the stamp arenas (nil = allocate fresh ones).
-func candidateDivisors(nw *network.Network, sigs *sigCache, cc *complCache, f string, opt Options, es *enumScratch) []candidate {
-	if es == nil {
-		es = new(enumScratch)
-	}
-	fSigs := sigs.get(f)
-	fn := nw.Node(f)
+// every node.
+func enumerateCandidates(nw *network.Network, sigs *sigCache, cc *complCache, fid network.SigID, opt Options, es *enumScratch, dst []candidate) []candidate {
+	fSigs := sigs.get(fid)
+	fFanins := nw.FaninIDsOf(fid)
 	var fcSigs [][]sigLit
 	if opt.POS {
-		if s, _, ok := cc.getSigs(nw, f, fn.Fanins); ok {
+		if s, _, ok := cc.getSigs(nw, fid); ok {
 			fcSigs = s
 		}
 	}
-	fid, _ := nw.IDOf(f)
-	es.tfo.Reset()
-	es.tfoIDs, _ = nw.AppendFanoutConeIDs(fid, &es.tfo, es.tfoIDs[:0], 0)
 	es.cand.Reset()
 	es.cand.Mark(fid)
-	var out []scored
-	for _, s := range nw.FaninIDsOf(fid) {
+	out := es.scored[:0]
+	for _, s := range fFanins {
 		for _, u := range nw.FanoutsOf(s) {
 			if es.tfo.Marked(u) || !es.cand.Mark(u) {
 				continue
@@ -648,30 +666,32 @@ func candidateDivisors(nw *network.Network, sigs *sigCache, cc *complCache, f st
 			if dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse() {
 				continue
 			}
-			d := dn.Name
 			// Support overlap by slice scan: fanin lists are a handful of
 			// signals, so linear containment beats building a support set per
 			// dividend.
 			overlap := 0
-			for _, x := range dn.Fanins {
-				if fn.FaninIndex(x) >= 0 {
-					overlap++
+			for _, x := range nw.FaninIDsOf(u) {
+				for _, y := range fFanins {
+					if x == y {
+						overlap++
+						break
+					}
 				}
 			}
-			if anyContainment(sigs.get(d), fSigs) {
-				out = append(out, scored{candidate{name: d}, overlap})
+			if anyContainment(sigs.get(u), fSigs) {
+				out = append(out, scored{candidate{name: dn.Name, id: u}, overlap})
 			}
-			if dcSigs, dcov, ok := cc.getSigs(nw, d, dn.Fanins); ok {
+			if dcSigs, dcov, ok := cc.getSigs(nw, u); ok {
 				// Complement-phase SOP division (f = q·d' + r) — the phase the
 				// SIS resub -d baseline exploits.
 				if anyContainment(dcSigs, fSigs) {
 					dc := dcov
-					out = append(out, scored{candidate{name: d, neg: true, dCompl: &dc}, overlap})
+					out = append(out, scored{candidate{name: dn.Name, id: u, neg: true, dCompl: &dc}, overlap})
 				}
 				if opt.POS && fcSigs != nil && anyContainment(dcSigs, fcSigs) {
-					c := candidate{name: d, pos: true}
-					if dcm, ok := cc.getMin(nw, d); ok {
-						if fcm, ok := cc.getMin(nw, f); ok {
+					c := candidate{name: dn.Name, id: u, pos: true}
+					if dcm, ok := cc.getMin(nw, u); ok {
+						if fcm, ok := cc.getMin(nw, fid); ok {
 							c.dComplMin, c.fComplMin = &dcm, &fcm
 						}
 					}
@@ -681,19 +701,22 @@ func candidateDivisors(nw *network.Network, sigs *sigCache, cc *complCache, f st
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return lessScored(out[i], out[j]) })
-	cands := make([]candidate, len(out))
-	for i, s := range out {
-		cands[i] = s.c
+	for _, s := range out {
+		dst = append(dst, s.c)
 	}
-	return cands
+	clear(out)
+	es.scored = out[:0]
+	return dst
 }
 
-// enumScratch is candidateDivisors' reusable state: a stamp set for the
-// dividend's transitive fanout (with the walk's output buffer) and one for
-// the deduplicated candidate walk. Serial side only.
+// enumScratch is candidate enumeration's reusable state: a stamp set for
+// the dividend's transitive fanout (with candidateDivisors' walk buffer),
+// one for the deduplicated candidate walk, and the scored-candidate buffer.
+// Serial side only.
 type enumScratch struct {
 	tfo, cand network.ConeArena
 	tfoIDs    []network.SigID
+	scored    []scored
 }
 
 // scored is a candidate divisor with its support-overlap score against the

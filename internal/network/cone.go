@@ -1,13 +1,13 @@
 package network
 
-// Flat cone extraction for the batch scheduler (internal/core): the
-// scheduler partitions a pass's candidate dividends into conflict groups by
-// SigID-set overlap of their fanin/fanout cones, so it needs the cones as
-// flat dense-ID lists, deduplicated against a reusable stamp arena instead
-// of a per-call map or bool slice. Only node-driven signals are appended —
-// primary inputs are never rewritten, so they cannot witness a conflict —
-// but every visited signal is stamped, which lets one arena generation
-// union several walks (a dividend's TFI and TFO share the dividend itself).
+// Flat fanout-cone extraction for the substitution engine (internal/core):
+// candidate enumeration excludes a dividend's transitive fanout, the batch
+// scheduler claims it as part of a member's footprint, and the sweep marks
+// a commit's fanout cone dirty. Each needs the cone as a flat dense-ID list,
+// deduplicated against a reusable stamp arena instead of a per-call map or
+// bool slice. Only node-driven signals are appended, but every visited
+// signal is stamped, so the arena doubles as the cone's membership test and
+// one generation can union several walks.
 
 // ConeArena is a reusable stamp set over SigIDs. A Reset starts a new
 // generation in O(1); Mark/Marked are O(1) slice probes. The zero value is
@@ -48,36 +48,13 @@ func (a *ConeArena) Mark(id SigID) bool {
 	return true
 }
 
-// AppendFaninConeIDs appends the node-driven signals of id's transitive
-// fanin cone — id itself included when it is a node — to dst, deduplicated
-// against the arena's current generation (already-marked signals are
-// skipped, so successive calls on one generation build a union). limit > 0
-// caps the total cone size: ok=false reports the walk gave up because dst
-// grew past the cap, with dst holding the partial cone.
-func (nw *Network) AppendFaninConeIDs(id SigID, a *ConeArena, dst []SigID, limit int) ([]SigID, bool) {
-	a.stack = append(a.stack[:0], id)
-	for len(a.stack) > 0 {
-		s := a.stack[len(a.stack)-1]
-		a.stack = a.stack[:len(a.stack)-1]
-		if !a.Mark(s) {
-			continue
-		}
-		if nw.defs[s] == nil {
-			continue // PI or undriven: stamped for dedup, never appended
-		}
-		dst = append(dst, s)
-		if limit > 0 && len(dst) > limit {
-			return dst, false
-		}
-		a.stack = append(a.stack, nw.faninIDs[s]...)
-	}
-	return dst, true
-}
-
 // AppendFanoutConeIDs appends the node-driven signals of id's transitive
 // fanout cone — id itself excluded — to dst, walking the network's live
 // fanout lists (EnableFanouts; without them it walks a fresh FanoutIDs
-// snapshot). Dedup and the limit behave as in AppendFaninConeIDs.
+// snapshot). Signals already marked in the arena's current generation are
+// skipped, so successive calls on one generation build a union. limit > 0
+// caps the size of dst: ok=false reports the walk gave up because dst grew
+// past the cap, with dst holding the partial cone.
 func (nw *Network) AppendFanoutConeIDs(id SigID, a *ConeArena, dst []SigID, limit int) ([]SigID, bool) {
 	fanouts := nw.fanoutIndex()
 	if int(id) >= len(fanouts) {

@@ -92,29 +92,50 @@ func sigIndex(list []string, s string) int {
 }
 
 // remap translates a cover from a fanin-name list into the destination
-// variable space named by dst (variable i of the result is dst[i]).
+// variable space named by dst (variable i of the result is dst[i]). Every
+// fanin some cube uses must appear in dst.
 func remap(f cube.Cover, fanins []string, dst []string) cube.Cover {
-	n := len(dst)
+	var buf [16]int
+	return remapAt(f, appendIndexes(buf[:0], fanins, dst), len(dst))
+}
+
+// RemapCover is the exported form of remap for other packages: it moves f
+// from the variable space named by fanins into the space named by dst,
+// which must hold every fanin.
+func RemapCover(f cube.Cover, fanins []string, dst []string) cube.Cover {
+	var buf [16]int
+	at := appendIndexes(buf[:0], fanins, dst)
+	for v, to := range at {
+		if to < 0 {
+			panic("network: RemapCover destination missing signal " + fanins[v])
+		}
+	}
+	return remapAt(f, at, len(dst))
+}
+
+// appendIndexes appends each fanin's position in dst (-1 if absent) to at.
+func appendIndexes(at []int, fanins, dst []string) []int {
+	for _, s := range fanins {
+		at = append(at, sigIndex(dst, s))
+	}
+	return at
+}
+
+// remapAt moves f into an n-variable space, variable v going to at[v]. Only
+// literals are copied, so a variable no cube uses may map to -1.
+func remapAt(f cube.Cover, at []int, n int) cube.Cover {
 	out := cube.NewCover(n)
+	out.Cubes = make([]cube.Cube, 0, len(f.Cubes))
 	for _, c := range f.Cubes {
 		k := cube.New(n)
-		for _, v := range c.Lits() {
-			k.Set(sigIndex(dst, fanins[v]), c.Get(v))
+		for v, to := range at {
+			if p := c.Get(v); p == cube.Pos || p == cube.Neg {
+				k.Set(to, p)
+			}
 		}
 		out.Cubes = append(out.Cubes, k)
 	}
 	return out
-}
-
-// RemapCover is the exported form of remap for other packages: it moves f
-// from the variable space named by fanins into the space named by dst.
-func RemapCover(f cube.Cover, fanins []string, dst []string) cube.Cover {
-	for _, s := range fanins {
-		if sigIndex(dst, s) < 0 {
-			panic("network: RemapCover destination missing signal " + s)
-		}
-	}
-	return remap(f, fanins, dst)
 }
 
 // Sweep removes nodes not reachable from any primary output, propagates

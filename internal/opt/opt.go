@@ -418,10 +418,18 @@ func bestKernel(nw *network.Network) (globalKernel, int) {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
+	nodes := nw.Nodes()
 	for _, key := range keys {
 		gk := seen[key]
 		gain := -gk.cover.NumLits() // cost of the new node
-		for _, n := range nw.Nodes() {
+		for _, n := range nodes {
+			// The quotient is empty unless every kernel signal is a fanin of
+			// n: each one appears in some kernel cube (liftKernel keeps only
+			// used signals), and a kernel cube divides a node cube only if
+			// the node cube carries all of its literals.
+			if !hasSignals(n, gk.fanins) {
+				continue
+			}
 			union := unionSignals(n.Fanins, gk.fanins)
 			fU := network.RemapCover(n.Cover, n.Fanins, union)
 			kU := network.RemapCover(gk.cover, gk.fanins, union)
@@ -439,6 +447,16 @@ func bestKernel(nw *network.Network) (globalKernel, int) {
 		}
 	}
 	return bestK, bestGain
+}
+
+// hasSignals reports whether every signal in sigs is a fanin of n.
+func hasSignals(n *network.Node, sigs []string) bool {
+	for _, s := range sigs {
+		if n.FaninIndex(s) < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func liftKernel(k cube.Cover, fanins []string) globalKernel {
