@@ -673,7 +673,7 @@ func BenchmarkSubstituteScale(b *testing.B) {
 					nw := base.Clone()
 					b.StartTimer()
 					st := core.Substitute(nw, core.Options{
-						Config: core.Basic, WindowDepth: 3, NoSigFilter: true,
+						Config: core.Basic, WindowDepth: 3,
 						MaxPasses: 1, MaxDivisorTrials: 8,
 						Workers: workers,
 					})
@@ -683,43 +683,6 @@ func BenchmarkSubstituteScale(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkSubstituteOverlay measures the copy-on-write trial path: with
-// overlays on (the default), every division trial runs on an O(delta)
-// overlay of the network and RAR passes patch a memoized base netlist
-// instead of rebuilding; off (Options.NoOverlay) is the historical
-// clone-and-rebuild engine. The committed networks are bit-identical either
-// way (TestSubstituteOverlayInvariant); allocs/op and B/op are the headline
-// metrics here, lits confirms results did not move.
-func BenchmarkSubstituteOverlay(b *testing.B) {
-	circuits := []string{"rnd_d", "rnd_e", "csel8", "mult3", "pla_c"}
-	prepared := make([]*network.Network, len(circuits))
-	for i, name := range circuits {
-		nw := bench.Get(name)
-		script.A(nw)
-		prepared[i] = nw
-	}
-	for _, mode := range []struct {
-		name      string
-		noOverlay bool
-	}{{"off", true}, {"on", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				total := 0
-				for _, base := range prepared {
-					nw := base.Clone()
-					core.Substitute(nw, core.Options{
-						Config: core.Extended, POS: true, Pool: true,
-						NoOverlay: mode.noOverlay,
-					})
-					total += nw.FactoredLits()
-				}
-				b.ReportMetric(float64(total), "lits")
-			}
-		})
 	}
 }
 
@@ -801,46 +764,4 @@ func BenchmarkNodeLookup(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSubstituteSigFilter measures the simulation-signature divisor
-// prefilter: with the filter on, candidates whose signature necessary
-// condition fails skip the exact trial (clone + netlist + implication
-// engine) entirely. The committed networks are bit-identical either way
-// (TestSubstituteSigFilterInvariant); the trials metric shows how many
-// exact trials each mode evaluates and lits confirms results did not move.
-func BenchmarkSubstituteSigFilter(b *testing.B) {
-	circuits := []string{"rnd_d", "rnd_e", "csel8", "mult3", "pla_c"}
-	prepared := make([]*network.Network, len(circuits))
-	for i, name := range circuits {
-		nw := bench.Get(name)
-		script.A(nw)
-		prepared[i] = nw
-	}
-	for _, mode := range []struct {
-		name     string
-		noFilter bool
-	}{{"off", true}, {"on", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				total, trials, rejected, fpass := 0, 0, 0, 0
-				for _, base := range prepared {
-					nw := base.Clone()
-					st := core.Substitute(nw, core.Options{
-						Config: core.Extended, POS: true, Pool: true,
-						NoSigFilter: mode.noFilter,
-					})
-					total += nw.FactoredLits()
-					trials += st.DivisorTrials
-					rejected += st.SigFilterReject
-					fpass += st.SigFilterFalsePass
-				}
-				b.ReportMetric(float64(total), "lits")
-				b.ReportMetric(float64(trials), "trials")
-				b.ReportMetric(float64(rejected), "rejected")
-				b.ReportMetric(float64(fpass), "fpass")
-			}
-		})
-	}
 }

@@ -5,7 +5,10 @@
 # circuit regenerated from its committed recipe) + a fuzz smoke over every
 # fuzz target (BLIF parser, cube algebra and complement, cone hashing,
 # batch cone disjointness, the implication engine against its pre-change
-# reference, windowed trials against the full-depth reference window) + a
+# reference, windowed trials against the full-depth reference window, and
+# FuzzSubstitute: the whole optimizer over random DAGs × the Options
+# matrix, checked for equivalence, network.Check and BLIF identity across
+# schedules) + a
 # bench-regression check of the substitution engine, the
 # cube/minimizer kernels and the implication engine against the committed
 # baseline — timing drift warns, scaling-floor violations fail. Run from
@@ -60,6 +63,7 @@ for target in \
   'FuzzOverlayReadEquivalence ./internal/network' \
   'FuzzBatchDisjoint ./internal/core' \
   'FuzzWindowTrial ./internal/core' \
+  'FuzzSubstitute ./internal/core' \
   'FuzzImplications ./internal/atpg'
 do
   set -- $target

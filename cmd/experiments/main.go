@@ -5,15 +5,12 @@
 //
 // Usage:
 //
-//	experiments [-table N] [-circuits a,b,c] [-algs sis,ext] [-list] [-j N] [-v] [-json] [-nosigfilter]
+//	experiments [-table N] [-circuits a,b,c] [-algs sis,ext] [-list] [-j N] [-v] [-json]
 //
 // With no flags all four tables run over the whole suite. -j bounds the
 // worker pools of the substitution engine's batch scheduler and the SIS
 // baseline (results and counters are identical at any value); -v
-// additionally prints the engine's observability counters, including the
-// simulation-signature prefilter's reject/false-pass rates; -nosigfilter
-// disables the prefilter (identical literal counts, more exact division
-// trials).
+// additionally prints the engine's observability counters.
 package main
 
 import (
@@ -35,8 +32,7 @@ func main() {
 	list := flag.Bool("list", false, "list benchmark names and exit")
 	asJSON := flag.Bool("json", false, "emit results as JSON instead of tables")
 	workers := flag.Int("j", 0, "substitution planner workers (0 = GOMAXPROCS); results identical at any value")
-	verbose := flag.Bool("v", false, "print substitution engine counters (trials, filter rejections, batch speculation, pass times)")
-	noSigFilter := flag.Bool("nosigfilter", false, "disable the simulation-signature divisor prefilter (identical results, more trials)")
+	verbose := flag.Bool("v", false, "print substitution engine counters (trials, cache traffic, batch speculation, pass times)")
 	prof := cliutil.ProfileFlags()
 	flag.Parse()
 	*workers = cliutil.ClampWorkers(*workers, os.Stderr)
@@ -72,9 +68,8 @@ func main() {
 	var results []exp.Table
 	for _, t := range tables {
 		res, err := exp.RunWith(t, names, exp.RunOptions{
-			Workers:     *workers,
-			Algorithms:  algNames,
-			NoSigFilter: *noSigFilter,
+			Workers:    *workers,
+			Algorithms: algNames,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)

@@ -5,6 +5,7 @@
 package repro_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
@@ -13,14 +14,15 @@ import (
 	"repro/internal/script"
 )
 
-// TestSubstituteSigFilterInvariant is the acceptance test for the
-// simulation-signature divisor prefilter: over the bench suite and all
-// three configurations, the committed BLIF must be byte-identical with the
-// filter off, on, and on with a parallel planner pool — the filter may only
-// skip trials that would have failed, never change what commits.
+// TestSubstituteSigFilterInvariant guards the contract of the deprecated
+// Options.NoSigFilter, which the bdsbench benchmark still sets: over the
+// bench suite and all three configurations the field must change nothing.
+// The committed BLIF must be byte-identical with it set and unset, serially
+// and with a parallel worker pool, every Stats counter but the pass times
+// must match, and the SigFilter counters must read 0.
 func TestSubstituteSigFilterInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-suite sig-filter sweep skipped in -short mode")
+		t.Skip("full-suite NoSigFilter sweep skipped in -short mode")
 	}
 	configs := []struct {
 		name string
@@ -37,21 +39,27 @@ func TestSubstituteSigFilterInvariant(t *testing.T) {
 			prepared := bench.Get(name)
 			script.Prepare(2, prepared)
 			for _, c := range configs {
-				run := func(noFilter bool, workers int) string {
+				run := func(noFilter bool, workers int) (string, core.Stats) {
 					nw := prepared.Clone()
-					core.Substitute(nw, core.Options{
+					st := core.Substitute(nw, core.Options{
 						Config: c.cfg, POS: true, Pool: true,
 						Workers: workers, NoSigFilter: noFilter,
 					})
-					return blif.ToString(nw)
+					if st.SigFilterReject != 0 || st.SigFilterPass != 0 || st.SigFilterFalsePass != 0 {
+						t.Errorf("%s/%s: SigFilter counters not 0: %+v", name, c.name, st)
+					}
+					st.PassTimes = nil
+					return blif.ToString(nw), st
 				}
-				off := run(true, 1)
-				if on := run(false, 1); on != off {
-					t.Errorf("%s/%s: filter on (serial) differs from filter off\n--- off ---\n%s\n--- on ---\n%s",
+				off, stOff := run(true, 1)
+				if on, stOn := run(false, 1); on != off {
+					t.Errorf("%s/%s: NoSigFilter unset (serial) differs from set\n--- set ---\n%s\n--- unset ---\n%s",
 						name, c.name, off, on)
+				} else if !reflect.DeepEqual(stOn, stOff) {
+					t.Errorf("%s/%s: NoSigFilter changed the stats\nset   %+v\nunset %+v", name, c.name, stOff, stOn)
 				}
-				if on8 := run(false, 8); on8 != off {
-					t.Errorf("%s/%s: filter on (Workers=8) differs from filter off\n--- off ---\n%s\n--- on ---\n%s",
+				if on8, _ := run(false, 8); on8 != off {
+					t.Errorf("%s/%s: NoSigFilter unset (Workers=8) differs from set\n--- set ---\n%s\n--- unset ---\n%s",
 						name, c.name, off, on8)
 				}
 			}

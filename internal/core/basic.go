@@ -122,7 +122,7 @@ func divisorDependsOn(nw network.Reader, win *window, f, d string) bool {
 // the region, and extracts the result.
 //
 // Without a window the structure goes into a working copy of nw (a
-// copy-on-write overlay, or a deep clone under NoOverlay) and runRegionRAR
+// copy-on-write overlay, or a deep clone under noOverlay) and runRegionRAR
 // proves on a netlist of that copy. With a carved window (the default
 // path for Basic and Extended trials) nothing is copied: the window's
 // netlist is built straight from nw and f's structure is patched into it
@@ -167,10 +167,8 @@ func divideWithParts(sc *scratch, nw network.Reader, win *window, f, d string, u
 	return res, true
 }
 
-// tentativeCover builds the pre-removal division structure f = (qPart ∧ y)
-// + rem over the union space plus the divisor signal (shared by
-// divideWithParts and the signature prefilter's exact no-removal gain
-// computation — the two must stay cube-for-cube identical).
+// tentativeCover builds divideWithParts' pre-removal division structure
+// f = (qPart ∧ y) + rem over the union space plus the divisor signal.
 func tentativeCover(union []string, d string, qPart, rem cube.Cover, yPhase cube.Phase) (cube.Cover, []string) {
 	// Variable space: union signals plus the divisor signal.
 	space := union
@@ -236,7 +234,7 @@ func runRegionRAR(sc *scratch, work trialNet, f, d string, cfg Config) int {
 }
 
 // regionRARRebuild is the rebuild-per-pass RAR loop (the historical path):
-// NoOverlay clones and GDC trials.
+// noOverlay clones and GDC trials.
 func regionRARRebuild(sc *scratch, work trialNet, f, d string, cfg Config) int {
 	removed := 0
 	for pass := 0; pass < 8; pass++ {

@@ -29,8 +29,8 @@ import (
 // j's serial computation is identical in S_0 and S_{j-1}:
 //
 //	E1a  dirtyCone[f]: f itself or f's fanin-cone content changed — covers
-//	     the dividend's node data, its trial windows, and its filter
-//	     signature inputs (a cone change puts f in TFO(target)).
+//	     the dividend's node data and its trial windows (a cone change puts
+//	     f in TFO(target)).
 //	E1b  dirtySupp ∩ guard, guard = {f} ∪ supp(f) ∪ TFO(f): any commit
 //	     whose touched nodes gained or lost a fanin in the guard. This
 //	     catches candidate-set drift — every enumeration candidate shares a
@@ -42,17 +42,11 @@ import (
 //	E2   dirtyCone[d] for a listed candidate d: d's cone content changed,
 //	     so d's trial outcomes (a function of cone(f), cone(d), opts) may
 //	     differ.
-//	E3   dirtyCone[s] for s ∈ side, side = ∪ supp(X), X ∈ TFO(f): the
-//	     signature prefilter's observability terms (ObsCare/nodeOutDomTerm)
-//	     read sampled signatures of TFO side fanins; a cone change under
-//	     such a fanin drifts which trials the filter skips. Structural
-//	     changes IN the TFO region are already E1b (a touched TFO node
-//	     holds its path predecessor, a guard signal, as fanin).
-//	E4   bdcDirty and the plan creates nodes: a commit added or deleted a
+//	E3   bdcDirty and the plan creates nodes: a commit added or deleted a
 //	     "bdc"-prefixed name (or swapped the whole network), so the fresh
 //	     core name the speculated plan embeds may no longer be the name
 //	     FreshName would pick at this slot.
-//	E5   a whole-network-clone plan with any prior sweep commit: the clone
+//	E4   a whole-network-clone plan with any prior sweep commit: the clone
 //	     embeds S_0 wholesale; committing it by CopyFrom would revert the
 //	     earlier commits. (Overlay plans commit by delta and are exempt.)
 //
@@ -73,10 +67,9 @@ import (
 // disjoint claim keeps f, its guard and its candidates clean. f's fanin
 // cone beyond its direct fanins is not claimed: a commit at g dirties f
 // only when f ∈ TFO(g), and g's claim holds TFO(g). Claims leave the rest
-// to the rules on purpose — rules E1b/E3/E4/E5 see through interactions
-// (shared primary-input fanins, observability side inputs, the global
-// fresh-name counter, multi-node overlay and clone plans) that claim
-// disjointness does not capture.
+// to the rules on purpose — rules E1b/E3/E4 see through interactions
+// (shared primary-input fanins, the global fresh-name counter, multi-node
+// overlay and clone plans) that claim disjointness does not capture.
 
 // batchWindow caps how many claiming (candidate-bearing) members one batch
 // may hold: enough to keep every worker fed several times over, small
@@ -127,15 +120,9 @@ type batchMember struct {
 	cands   []candidate
 	candIDs []network.SigID // SigID of each candidate (rule E2)
 
-	// Phase-A precomputed per-candidate state: the signature filter's
-	// verdicts (the filter is not thread-safe).
-	filtered []bool
-	sf       *simSigFilter // for tally nil-ness and rule E3 applicability
-
 	fp    []network.SigID // claim: node-driven {f} ∪ fanins(f) ∪ TFO(f) ∪ candIDs
 	tfo   []network.SigID // TFO(f), all node-driven
 	guard []network.SigID // {f} ∪ raw fanin IDs of f ∪ TFO(f) (rule E1b)
-	side  []network.SigID // non-PI fanins of TFO nodes (rule E3)
 
 	// Phase-B results.
 	res      []planResult
@@ -185,7 +172,7 @@ type batchScheduler struct {
 	sweeping  bool // run.commit routes commits through the marks while set
 	bdcDirty  bool // a commit touched the "bdc" fresh-name namespace
 	allDirty  bool // a whole-network CopyFrom happened: evict everything
-	committed int  // commits so far in this sweep (rule E5)
+	committed int  // commits so far in this sweep (rule E4)
 }
 
 func newBatchScheduler(r *run) *batchScheduler {
@@ -199,15 +186,10 @@ func (s *batchScheduler) runBatch(ids []network.SigID, i int) (int, bool) {
 	r := s.r
 	nw := r.nw
 
-	// Phase A (serial): refresh the signature table once for the whole
-	// batch — commits mark it dirty, so this is the per-batch replacement
-	// for the serial driver's per-node Refresh — then scan members until a
-	// claim conflict, an over-cap footprint, the window cap, or the end of
-	// the pass. Cone walks run on the network's live fanout lists, so
-	// nothing here rebuilds a whole-network index.
-	if r.sigTab != nil {
-		r.sigTab.Refresh()
-	}
+	// Phase A (serial): scan members until a claim conflict, an over-cap
+	// footprint, the window cap, or the end of the pass. Cone walks run on
+	// the network's live fanout lists, so nothing here rebuilds a
+	// whole-network index.
 	for _, m := range s.members {
 		s.release(m)
 	}
@@ -262,8 +244,8 @@ scan:
 	// Fewer than two claiming members: batching buys nothing — run the
 	// prefix through the plain serial sequence. Until something commits,
 	// the network is the one phase A built the members against, so their
-	// candidate lists and filters are exactly what substituteNode would
-	// rebuild; after that, each member starts from scratch.
+	// candidate lists are exactly what substituteNode would rebuild; after
+	// that, each member starts from scratch.
 	if claiming <= 1 || solo {
 		changed := false
 		built := r.ev.epoch
@@ -272,7 +254,7 @@ scan:
 			if m.trivial || m.solo || r.ev.epoch != built {
 				ch = r.substituteNode(m.id)
 			} else {
-				ch = r.tryCandidates(m.f, m.cands, m.sf)
+				ch = r.tryCandidates(m.f, m.cands)
 			}
 			changed = changed || ch
 		}
@@ -393,16 +375,16 @@ func (s *batchScheduler) release(m *batchMember) {
 	clear(m.cands[:cap(m.cands)])
 	clear(m.res)
 	*m = batchMember{
-		cands: m.cands[:0], candIDs: m.candIDs[:0], filtered: m.filtered[:0],
-		fp: m.fp[:0], tfo: m.tfo[:0], guard: m.guard[:0], side: m.side[:0],
+		cands: m.cands[:0], candIDs: m.candIDs[:0],
+		fp: m.fp[:0], tfo: m.tfo[:0], guard: m.guard[:0],
 		res: m.res[:0],
 	}
 	s.free = append(s.free, m)
 }
 
 // buildMember walks dividend f's fanout cone once, capped at batchConeCap,
-// and precomputes from it the member's candidate list, filter verdicts,
-// claim footprint and rule inputs. It returns nil for an over-cap cone.
+// and precomputes from it the member's candidate list, claim footprint and
+// rule inputs. It returns nil for an over-cap cone.
 func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) *batchMember {
 	r := s.r
 	nw := r.nw
@@ -449,31 +431,13 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) *batch
 			m.fp = append(m.fp, d)
 		}
 	}
-
-	if len(m.cands) == 0 {
-		return m
-	}
-	m.sf = newSimSigFilter(nw, f, r.cc, opt)
-	if m.sf != nil {
-		for _, x := range m.tfo {
-			for _, fi := range nw.FaninIDsOf(x) {
-				if !nw.IsPIID(fi) {
-					m.side = append(m.side, fi)
-				}
-			}
-		}
-	}
-	for _, c := range m.cands {
-		m.filtered = append(m.filtered, !m.sf.admits(c))
-	}
 	return m
 }
 
 // runMember executes member m's whole trial sequence against the frozen
-// batch-start network on one worker: the serial driver's per-slot logic
-// (filter verdict, then the real trial), with first-positive early exit
-// (or a full scan plus best-gain selection under Options.BestGain) and the
-// pooled fallback inline.
+// batch-start network on one worker: the serial driver's per-slot trials,
+// with first-positive early exit (or a full scan plus best-gain selection
+// under Options.BestGain) and the pooled fallback inline.
 func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
 	r := s.r
 	nw := r.nw
@@ -482,10 +446,6 @@ func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
 	m.planIdx = -1
 
 	runTrial := func(i int) {
-		if m.filtered[i] {
-			m.res[i].filtered = true
-			return
-		}
 		m.res[i].p, m.res[i].ok = planPair(sc, nw, m.f, m.cands[i], opt)
 	}
 
@@ -518,11 +478,7 @@ func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
 		}
 		m.spec++ // the pooled attempt is speculation too
 	}
-	for i := 0; i < m.consumed; i++ {
-		if !m.res[i].filtered {
-			m.spec++
-		}
-	}
+	m.spec += m.consumed
 }
 
 // sweep replays the batch's members in pass order against the live network:
@@ -602,7 +558,7 @@ func (s *batchScheduler) sweep() bool {
 	return changed
 }
 
-// evict applies rules E1–E5 (see the file comment) to member m at its
+// evict applies rules E1–E4 (see the file comment) to member m at its
 // sweep slot.
 func (s *batchScheduler) evict(m *batchMember) bool {
 	if s.allDirty {
@@ -621,18 +577,11 @@ func (s *batchScheduler) evict(m *batchMember) bool {
 			return true
 		}
 	}
-	if m.sf != nil { // E3
-		for _, x := range m.side {
-			if s.dirtyCone.Marked(x) {
-				return true
-			}
-		}
-	}
 	if m.hasPlan && !m.plan.isNode() {
-		if s.bdcDirty && planCreatesNames(&m.plan) { // E4
+		if s.bdcDirty && planCreatesNames(&m.plan) { // E3
 			return true
 		}
-		if _, clone := m.plan.work.(*network.Network); clone && s.committed > 0 { // E5
+		if _, clone := m.plan.work.(*network.Network); clone && s.committed > 0 { // E4
 			return true
 		}
 	}
@@ -640,7 +589,7 @@ func (s *batchScheduler) evict(m *batchMember) bool {
 }
 
 // planCreatesNames reports whether committing p interns fresh node names
-// (rule E4's precondition). Clone plans are conservatively assumed to.
+// (rule E3's precondition). Clone plans are conservatively assumed to.
 func planCreatesNames(p *plan) bool {
 	if p.isNode() {
 		return false
@@ -654,9 +603,7 @@ func planCreatesNames(p *plan) bool {
 // tally folds the member's consumed result slots into the run statistics,
 // exactly as the serial driver tallies each trial.
 func (s *batchScheduler) tally(m *batchMember) {
-	for _, res := range m.res[:m.consumed] {
-		tallyTrial(s.r.st, res, m.sf)
-	}
+	s.r.st.DivisorTrials += m.consumed
 }
 
 // commitMarks carries one commit's conflict-mark state across the

@@ -342,7 +342,7 @@ func TestBatchCarryRebuiltAfterCommit(t *testing.T) {
 		nw.AddPO("g")
 		nw.AddPO("d")
 		nw.EnableFanouts()
-		r := newTestRun(nw, Options{Config: Basic, NoSigFilter: true})
+		r := newTestRun(nw, Options{Config: Basic})
 		s := newBatchScheduler(r)
 		r.sched = s
 		s.startPass()
@@ -447,7 +447,7 @@ func TestBatchClaimCoversRuleInputs(t *testing.T) {
 // circuit size, so a run is dominated by scheduling.
 func scaleOptions(workers int) Options {
 	return Options{
-		Config: Basic, WindowDepth: 3, NoSigFilter: true,
+		Config: Basic, WindowDepth: 3,
 		MaxPasses: 1, MaxDivisorTrials: 8, Workers: workers,
 	}
 }

@@ -74,10 +74,10 @@ func (p *plan) isNode() bool { return p.work == nil }
 //
 //bdslint:hotpath
 func planPair(sc *scratch, nw network.Reader, f string, cand candidate, opt Options) (plan, bool) {
-	sc.noOverlay = opt.NoOverlay
+	sc.noOverlay = opt.noOverlay
 	sc.pin = nw
 	p, ok := planPairImpl(sc, nw, f, cand, opt)
-	if opt.Audit && !opt.NoOverlay {
+	if opt.Audit && !opt.noOverlay {
 		//bdslint:ignore hotalloc Audit-only branch: the label and re-trial closure exist only in the testing/debug cross-check mode
 		auditOverlayTrial(sc, p, ok, fmt.Sprintf("f=%s d=%s", f, cand.name), func(aopt Options) (plan, bool) {
 			return planPairImpl(sc, nw, f, cand, aopt)
@@ -97,11 +97,11 @@ var overlayAuditCorrupt func(*plan)
 // testing/debugging mode.
 func auditOverlayTrial(sc *scratch, got plan, gotOK bool, site string, run func(Options) (plan, bool), opt Options) {
 	aopt := opt
-	aopt.NoOverlay = true
+	aopt.noOverlay = true
 	aopt.Audit = false
 	sc.noOverlay = true
 	want, wantOK := run(aopt)
-	sc.noOverlay = opt.NoOverlay
+	sc.noOverlay = opt.noOverlay
 	if overlayAuditCorrupt != nil {
 		overlayAuditCorrupt(&got)
 	}
@@ -189,7 +189,7 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 	nwd := nw
 	var win *window
 	if depth := opt.WindowDepth; depth > 0 {
-		if opt.NoOverlay || opt.Config == ExtendedGDC {
+		if opt.noOverlay || opt.Config == ExtendedGDC {
 			nwd = windowFor(sc, nw, f, d, depth)
 		} else {
 			win = sc.win.carve(nw, fid, did, min(depth, regionReach))
@@ -287,10 +287,10 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 // any created/rewritten nodes) exists. Like planPair it pins nw for the
 // shared base build and cross-checks the clone path under Options.Audit.
 func planPooled(sc *scratch, nw network.Reader, f string, cands []candidate, opt Options) (plan, bool) {
-	sc.noOverlay = opt.NoOverlay
+	sc.noOverlay = opt.noOverlay
 	sc.pin = nw
 	p, ok := planPooledImpl(sc, nw, f, cands, opt)
-	if opt.Audit && !opt.NoOverlay {
+	if opt.Audit && !opt.noOverlay {
 		auditOverlayTrial(sc, p, ok, "pooled f="+f, func(aopt Options) (plan, bool) {
 			return planPooledImpl(sc, nw, f, cands, aopt)
 		}, opt)
@@ -370,7 +370,8 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 			// p.touched is only the {f, d} summary and extended division can
 			// rewrite nodes beyond the pair. A name missed here keeps a
 			// complement cover cached over its OLD fanin space, and the next
-			// filter probe indexes the new (shorter) fanin list with it.
+			// candidate enumeration indexes the new (shorter) fanin list with
+			// it.
 			for _, n := range ov.Added() {
 				cc.invalidate(nw, n.Name)
 				sigs.invalidate(n.Name)
@@ -420,9 +421,9 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 		}
 		// An overlay plan commits by applying its recorded delta to the live
 		// network — byte-identical to copying a materialized clone, but
-		// O(delta), and only the touched signals go dirty in the sig/cone
-		// tables. A clone plan (NoOverlay, or pooled division's cross-node
-		// path, which needs Sweep) still commits by wholesale copy.
+		// O(delta). A clone plan (the reference path, or pooled division's
+		// cross-node path, which needs Sweep) still commits by wholesale
+		// copy.
 		if ov, ok := p.work.(*network.Overlay); ok {
 			if err := ov.ApplyTo(nw); err != nil {
 				panic("core: overlay commit: " + err.Error())
@@ -464,12 +465,6 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 type planResult struct {
 	p  plan
 	ok bool
-	// filtered marks a candidate rejected by the simulation-signature
-	// prefilter: planPair never ran (no clone, no netlist, no implication
-	// engine). A filtered candidate is one whose trial was guaranteed to
-	// produce no committable (positive-gain) plan, so downstream the slot
-	// behaves exactly like ok=false: the driver would have skipped it.
-	filtered bool
 }
 
 // evaluator owns the planner scratch arenas and the commit epoch. The
@@ -499,14 +494,8 @@ func newEvaluator(workers int) *evaluator {
 	return ev
 }
 
-// trial evaluates one candidate against nw on the serial scratch. The
-// simulation-signature prefilter (sf, nil = off) runs first: a candidate it
-// rejects is marked filtered and never reaches planPair, so it skips the
-// trial clone, the netlist build and the implication engine.
-func (ev *evaluator) trial(nw *network.Network, f string, c candidate, opt Options, sf *simSigFilter) planResult {
-	if !sf.admits(c) {
-		return planResult{filtered: true}
-	}
+// trial evaluates one candidate against nw on the serial scratch.
+func (ev *evaluator) trial(nw *network.Network, f string, c candidate, opt Options) planResult {
 	sc := ev.scratches[0]
 	sc.epoch = ev.epoch
 	p, ok := planPair(sc, nw, f, c, opt)

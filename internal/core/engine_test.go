@@ -125,27 +125,24 @@ func TestStatsAccumulate(t *testing.T) {
 func TestStatsAccumulateAssociative(t *testing.T) {
 	mk := func(k int) Stats {
 		return Stats{
-			Substitutions:      k,
-			POSSubstitutions:   2 * k,
-			Decompositions:     3 * k,
-			WiresRemoved:       4 * k,
-			LitsBefore:         100 + k,
-			LitsAfter:          90 + k,
-			DivisorTrials:      5 * k,
-			SigFilterReject:    6 * k,
-			SigFilterPass:      7 * k,
-			SigFilterFalsePass: 8 * k,
-			DepthRejected:      9 * k,
-			SigCacheHits:       10 * k,
-			SigCacheMisses:     11 * k,
-			ComplCacheHits:     15 * k,
-			ComplCacheMisses:   16 * k,
-			SpeculatedTrials:   17 * k,
-			DiscardedPlans:     18 * k,
-			BatchCommits:       19 * k,
-			ConflictEvictions:  20 * k,
-			Passes:             k,
-			PassTimes:          []time.Duration{time.Duration(k) * time.Millisecond},
+			Substitutions:     k,
+			POSSubstitutions:  2 * k,
+			Decompositions:    3 * k,
+			WiresRemoved:      4 * k,
+			LitsBefore:        100 + k,
+			LitsAfter:         90 + k,
+			DivisorTrials:     5 * k,
+			DepthRejected:     9 * k,
+			SigCacheHits:      10 * k,
+			SigCacheMisses:    11 * k,
+			ComplCacheHits:    15 * k,
+			ComplCacheMisses:  16 * k,
+			SpeculatedTrials:  17 * k,
+			DiscardedPlans:    18 * k,
+			BatchCommits:      19 * k,
+			ConflictEvictions: 20 * k,
+			Passes:            k,
+			PassTimes:         []time.Duration{time.Duration(k) * time.Millisecond},
 		}
 	}
 	a, b, c := mk(1), mk(2), mk(3)

@@ -195,7 +195,7 @@ func ExtendedDivide(nw network.Reader, f, d string, cfg Config) (*network.Networ
 
 // extendedDivide is ExtendedDivide with an explicit scratch arena. The
 // returned working copy is a trialNet (an overlay on the copy-on-write path,
-// a deep clone under NoOverlay); the engine commits it via commitPlan and
+// a deep clone under noOverlay); the engine commits it via commitPlan and
 // the public wrapper materializes it.
 func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (trialNet, *DivideResult, *Decomposition, bool) {
 	fn, dn := nw.Node(f), nw.Node(d)

@@ -17,7 +17,7 @@ import (
 // the historical deep-clone path and the engine panics unless the two plans
 // agree byte-for-byte — so a clean run certifies plan-for-plan equality,
 // not just equal committed results. The committed networks are additionally
-// compared against a NoOverlay run. Runs under -race in ci.sh, so the
+// compared against a noOverlay run. Runs under -race in ci.sh, so the
 // worker=4 case also proves the audit re-runs are race-clean.
 func TestPropOverlayMatchesClonePlanForPlan(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
@@ -34,7 +34,7 @@ func TestPropOverlayMatchesClonePlanForPlan(t *testing.T) {
 
 				off := base.Clone()
 				optOff := opt
-				optOff.NoOverlay = true
+				optOff.noOverlay = true
 				Substitute(off, optOff)
 
 				if a, b := blif.ToString(on), blif.ToString(off); a != b {
@@ -109,7 +109,7 @@ func TestSubstituteOverlayInvariant(t *testing.T) {
 					nw := base.Clone()
 					Substitute(nw, Options{
 						Config: Extended, POS: true, Pool: true,
-						Workers: w, NoOverlay: noOverlay, NoBatch: noBatch,
+						Workers: w, noOverlay: noOverlay, NoBatch: noBatch,
 					})
 					got := blif.ToString(nw)
 					if want == "" {

@@ -92,8 +92,8 @@ func posDivide(sc *scratch, nw network.Reader, win *window, f, d string, cfg Con
 }
 
 // complEntry is one node's slot in the complement cache: the complement
-// cover, its minimized form (signature prefilter), its literal signatures
-// (candidate enumeration), and the bad mark (complement too big, zero, or
+// cover, its minimized form (the covers a POS candidate carries), its
+// literal signatures (candidate enumeration), and the bad mark (complement too big, zero, or
 // node gone). The has* flags distinguish "never computed" from a cached
 // zero value.
 type complEntry struct {

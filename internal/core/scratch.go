@@ -16,7 +16,7 @@ import (
 // Three builders with distinct roles keep the overlay trial path's netlists
 // alive across trials without aliasing:
 //
-//	b       — full per-trial rebuilds: the NoOverlay clone path and GDC
+//	b       — full per-trial rebuilds: the noOverlay clone path and GDC
 //	          trials (whose learning pass is gate-id-order sensitive, so
 //	          they must see exactly the netlist a fresh build produces).
 //	bShared — the base build of the pinned live network, built once per
@@ -61,7 +61,7 @@ type scratch struct {
 	// its stamp sets and buffers.
 	win window
 
-	// noOverlay mirrors Options.NoOverlay for the running trial (set at the
+	// noOverlay mirrors Options.noOverlay for the running trial (set at the
 	// planner entry points): trialClone hands out deep clones and every RAR
 	// pass rebuilds its netlist, exactly the historical engine.
 	noOverlay bool

@@ -58,12 +58,10 @@ type Options struct {
 	// path is strictly serial. The committed network and every Stats
 	// counter are identical at any worker count; only wall time changes.
 	Workers int
-	// NoSigFilter disables the simulation-signature divisor prefilter. The
-	// filter (on by default) skips exact division trials whose signature
-	// necessary condition fails — it can only skip trials that would not
-	// have produced a committable (positive-gain) plan, so the committed
-	// network is bit-identical either way; only the trial count and wall
-	// time change (see sigfilter.go).
+	// Deprecated: ignored. NoSigFilter switched off the simulation-signature
+	// divisor prefilter, which was deleted (every candidate now goes
+	// straight to its trial). The field stays only because the bdsbench
+	// benchmark still sets it.
 	NoSigFilter bool
 	// NoBatch disables the cone-disjoint batch scheduler (batch.go): every
 	// dividend is then planned and committed one node at a time on the
@@ -77,26 +75,25 @@ type Options struct {
 	// DepthBudget (commit-time rejection re-opens a node's trial sequence,
 	// which only the serial schedule reproduces).
 	NoBatch bool
-	// NoOverlay disables the copy-on-write trial path: every division trial
-	// runs on a full deep clone of the network and every RAR pass rebuilds
-	// its netlist from scratch — the historical engine. The overlay path is
-	// result-invisible (the committed network is byte-identical with
-	// overlays on or off, at any worker count; the invariant tests and the
-	// Audit cross-check enforce it), so this is an escape hatch and the
-	// audit reference, not a tuning knob.
-	NoOverlay bool
 	// Audit runs network.Check after every committed substitution and
-	// re-runs every overlay-path trial on the deep-clone path, panicking
-	// unless the plans match byte-for-byte. The audits are
-	// O(network)/O(trial), so this is a debugging/testing mode, not a
-	// production default; the integration tests and the fuzz harness
-	// enable it.
+	// re-runs every trial on the reference clone path (a full deep clone of
+	// the network, full-depth materialized windows, and a netlist rebuilt
+	// from scratch per RAR pass), panicking unless the plans match
+	// byte-for-byte. The audits are O(network)/O(trial), so this is a
+	// debugging/testing mode, not a production default; the integration
+	// tests and the fuzz harness enable it.
 	Audit bool
 	// Clock supplies the wall-clock reads behind Stats.PassTimes (nil =
 	// WallClock). Timing is reporting-only — no engine decision reads it —
 	// and the seam exists so tests can fake it and so the noclock analyzer
 	// can confine real clock reads to the one sanctioned WallClock site.
 	Clock Clock
+
+	// noOverlay runs every trial on the reference clone path that Audit
+	// replays trials on. The committed network is byte-identical either
+	// way; only the Audit replay and this package's tests set it, to
+	// compare the default path against the reference.
+	noOverlay bool
 }
 
 // Stats summarizes a substitution run.
@@ -111,17 +108,12 @@ type Stats struct {
 	WiresRemoved int
 	// LitsBefore/LitsAfter are factored-form literal totals.
 	LitsBefore, LitsAfter int
-	// DivisorTrials counts exact division plans actually evaluated —
-	// candidates the signature prefilter rejected are not included (they are
-	// counted in SigFilterReject).
+	// DivisorTrials counts exact division plans evaluated: one per
+	// candidate the driver reached.
 	DivisorTrials int
-	// SigFilterReject counts candidates the simulation-signature prefilter
-	// rejected: trials skipped without building a netlist or running
-	// implications. SigFilterPass counts candidates that passed the filter
-	// while it was active, and SigFilterFalsePass counts the passed
-	// candidates whose exact trial then produced no committable
-	// (positive-gain) plan anyway — the filter's false-pass population
-	// (passes − false passes yielded a commit-worthy plan).
+	// SigFilterReject, SigFilterPass and SigFilterFalsePass are always 0:
+	// the simulation-signature divisor prefilter that counted them was
+	// removed. They stay only because the bdsbench benchmark reads them.
 	SigFilterReject, SigFilterPass, SigFilterFalsePass int
 	// DepthRejected counts plans whose commit was undone because the result
 	// exceeded Options.DepthBudget.
@@ -175,9 +167,6 @@ func (s *Stats) Accumulate(o Stats) {
 	s.Decompositions += o.Decompositions
 	s.WiresRemoved += o.WiresRemoved
 	s.DivisorTrials += o.DivisorTrials
-	s.SigFilterReject += o.SigFilterReject
-	s.SigFilterPass += o.SigFilterPass
-	s.SigFilterFalsePass += o.SigFilterFalsePass
 	s.DepthRejected += o.DepthRejected
 	s.SigCacheHits += o.SigCacheHits
 	s.SigCacheMisses += o.SigCacheMisses
@@ -189,16 +178,6 @@ func (s *Stats) Accumulate(o Stats) {
 	s.ConflictEvictions += o.ConflictEvictions
 	s.Passes += o.Passes
 	s.PassTimes = append(s.PassTimes, o.PassTimes...)
-}
-
-// FalsePassRate is the fraction of filter-passed candidates whose exact
-// trial found no division anyway (0 when the filter never passed anything).
-// Low is good: the signature test predicted trial failure well.
-func (s *Stats) FalsePassRate() float64 {
-	if s.SigFilterPass == 0 {
-		return 0
-	}
-	return float64(s.SigFilterFalsePass) / float64(s.SigFilterPass)
 }
 
 // Substitute runs Boolean substitution over the whole network with the
@@ -236,20 +215,11 @@ func Substitute(nw *network.Network, opt Options) Stats {
 	}
 	st := Stats{LitsBefore: nw.FactoredLits()}
 
-	// Live fanout lists for candidate enumeration, batch cone walks and
-	// signature refreshes: every commit patches the edges it changes, so no
-	// step of the run rebuilds a whole-network adjacency.
+	// Live fanout lists for candidate enumeration and batch cone walks:
+	// every commit patches the edges it changes, so no step of the run
+	// rebuilds a whole-network adjacency.
 	nw.EnableFanouts()
 	defer nw.DisableFanouts()
-
-	// Simulation signatures for the divisor prefilter: enabled on the live
-	// network for the duration of the run, refreshed incrementally after
-	// commits (only a committed rewrite's transitive fanout is recomputed).
-	var sigTab *network.SigTable
-	if !opt.NoSigFilter {
-		sigTab = nw.EnableSigs()
-		defer nw.DisableSigs()
-	}
 
 	// The complement and signature caches survive across passes: commits
 	// invalidate every touched name (the same mechanism that keeps them
@@ -266,7 +236,6 @@ func Substitute(nw *network.Network, opt Options) Stats {
 		st:        &st,
 		cc:        cc,
 		sigs:      sigs,
-		sigTab:    sigTab,
 	}
 	// The cone-disjoint batch scheduler (batch.go) speculates whole groups
 	// of cone-disjoint dividends per worker dispatch and commits the
@@ -327,7 +296,6 @@ type run struct {
 	st        *Stats
 	cc        *complCache
 	sigs      *sigCache
-	sigTab    *network.SigTable
 	enum      enumScratch     // candidateDivisors' stamp arenas (serial side)
 	sched     *batchScheduler // nil = batch scheduling off
 }
@@ -365,24 +333,13 @@ func (r *run) substituteNode(id network.SigID) bool {
 	if len(cands) > r.maxTrials {
 		cands = cands[:r.maxTrials]
 	}
-	// The candidate list above is fixed before filtering: the
-	// signature prefilter only short-circuits trials inside it (it
-	// never reorders or reveals extra candidates), which is what
-	// keeps the committed network identical with the filter off.
-	var sf *simSigFilter
-	if len(cands) > 0 {
-		if r.sigTab != nil {
-			r.sigTab.Refresh()
-		}
-		sf = newSimSigFilter(r.nw, f, r.cc, r.opt)
-	}
-	return r.tryCandidates(f, cands, sf)
+	return r.tryCandidates(f, cands)
 }
 
 // tryCandidates is substituteNode's trial-and-commit loop for dividend f
-// over its (truncated) candidate list and signature filter, which the
-// caller built against the current network.
-func (r *run) tryCandidates(f string, cands []candidate, sf *simSigFilter) bool {
+// over its (truncated) candidate list, which the caller built against the
+// current network.
+func (r *run) tryCandidates(f string, cands []candidate) bool {
 	nw, opt, ev, st := r.nw, r.opt, r.ev, r.st
 	// Candidates are tried one at a time in candidate order. The paper's
 	// first-positive-gain rule commits the first plan with a positive gain;
@@ -391,8 +348,8 @@ func (r *run) tryCandidates(f string, cands []candidate, sf *simSigFilter) bool 
 	committed := false
 	var results []planResult // BestGain only
 	for _, c := range cands {
-		res := ev.trial(nw, f, c, opt, sf)
-		tallyTrial(st, res, sf)
+		res := ev.trial(nw, f, c, opt)
+		st.DivisorTrials++
 		if opt.BestGain {
 			results = append(results, res)
 			continue
@@ -441,26 +398,6 @@ func (r *run) tryCandidates(f string, cands []candidate, sf *simSigFilter) bool 
 		}
 	}
 	return changed
-}
-
-// tallyTrial folds one candidate slot into the statistics: a filtered slot
-// counts as a signature rejection (no exact trial ran); the rest count as
-// divisor trials, and — when the filter was active — as filter passes,
-// with the failed ones among them recorded as false passes.
-//
-//bdslint:hotpath
-func tallyTrial(st *Stats, r planResult, sf *simSigFilter) {
-	if r.filtered {
-		st.SigFilterReject++
-		return
-	}
-	st.DivisorTrials++
-	if sf != nil {
-		st.SigFilterPass++
-		if !r.ok || r.p.gain <= 0 {
-			st.SigFilterFalsePass++
-		}
-	}
 }
 
 // candidate pairs a divisor node with the form that passed the structural

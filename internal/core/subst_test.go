@@ -431,3 +431,58 @@ func TestPropDepthBudgetSound(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSubstitute runs the whole optimizer over a random DAG crossed with
+// the Options matrix: Config × POS × Pool × BestGain × WindowDepth 0–3 ×
+// DepthBudget {0, 2, 3, 4} × MaxPasses 1–3 × MaxDivisorTrials {0, 1, 4}.
+// Each input runs under Audit (network.Check after every commit, every
+// overlay trial replayed on the clone path) at Workers 1 and 3 with the
+// batch scheduler on and off. The four committed networks must print the
+// same BLIF, compute the input's functions and pass network.Check.
+//
+// The two seeded configurations run depth-rejected extended divisions,
+// whose rollback reinstalls the whole network, so any state that holds a
+// *Node across the commit reads a replaced node. Both crashed the signature
+// prefilter the engine once ran in front of its trials.
+func FuzzSubstitute(f *testing.F) {
+	const pos, pool = 1, 2
+	f.Add(int64(94), uint8(2), uint8(pos), uint8(2), uint8(2), uint8(1), uint8(2))
+	f.Add(int64(1260), uint8(2), uint8(pos|pool), uint8(1), uint8(1), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, cfg, flags, window, budget, passes, trials uint8) {
+		r := rand.New(rand.NewSource(seed))
+		base := randomDAG(r, 4+r.Intn(4), 6+r.Intn(10))
+		opt := Options{
+			Config:           []Config{Basic, Extended, ExtendedGDC}[cfg%3],
+			POS:              flags&pos != 0,
+			Pool:             flags&pool != 0,
+			BestGain:         flags&4 != 0,
+			WindowDepth:      int(window % 4),
+			DepthBudget:      []int{0, 2, 3, 4}[budget%4],
+			MaxPasses:        1 + int(passes%3),
+			MaxDivisorTrials: []int{0, 1, 4}[trials%3],
+			Audit:            true,
+		}
+		want := ""
+		for _, workers := range []int{1, 3} {
+			for _, noBatch := range []bool{false, true} {
+				run := opt
+				run.Workers, run.NoBatch = workers, noBatch
+				nw := base.Clone()
+				Substitute(nw, run)
+				got := blif.ToString(nw)
+				if want == "" {
+					want = got
+				} else if got != want {
+					t.Fatalf("seed %d %+v: workers %d batch %v diverged\nwant:\n%s\ngot:\n%s",
+						seed, opt, workers, !noBatch, want, got)
+				}
+				if !verify.Equivalent(base, nw) {
+					t.Fatalf("seed %d %+v: workers %d batch %v broke equivalence", seed, opt, workers, !noBatch)
+				}
+				if err := nw.Check(); err != nil {
+					t.Fatalf("seed %d %+v: workers %d batch %v: %v", seed, opt, workers, !noBatch, err)
+				}
+			}
+		}
+	})
+}

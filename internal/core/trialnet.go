@@ -9,7 +9,7 @@ import (
 // plus the four mutators the engine applies to its working copy. Both
 // *network.Network (the historical deep-clone path) and *network.Overlay
 // (the copy-on-write path) satisfy it, so every divider is written once and
-// Options.NoOverlay just changes which one trialClone hands out. It is a
+// Options.noOverlay just changes which one trialClone hands out. It is a
 // named interface distinct from network.Reader on purpose: the roview
 // analyzer freezes anything read through a Reader, while a trialNet is
 // exactly the thing a planner owns and may mutate.
@@ -22,7 +22,7 @@ type trialNet interface {
 }
 
 // trialClone returns the working copy a division trial mutates: a free
-// copy-on-write overlay over nw, or — under Options.NoOverlay — a full deep
+// copy-on-write overlay over nw, or — under Options.noOverlay — a full deep
 // clone (the historical path, kept as the escape hatch and as the Audit
 // cross-check reference).
 func (sc *scratch) trialClone(nw network.Reader) trialNet {

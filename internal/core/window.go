@@ -148,7 +148,7 @@ func (w *window) dependsOn(nw network.Reader) bool {
 // standalone network: the window inputs become primary inputs, the
 // included nodes are copied with their real signal names (so division
 // results apply to the full network directly), and f and d are the
-// outputs. Only the reference trial paths build it — Options.NoOverlay,
+// outputs. Only the reference trial paths build it — Options.noOverlay,
 // which Options.Audit replays every trial on, and ExtendedGDC, whose
 // learning pass examines at most 32 gates in gate-id order and so must
 // see exactly the netlist a build of this network numbers. The default

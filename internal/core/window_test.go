@@ -21,7 +21,7 @@ type windowTrialTally struct {
 
 // checkWindowTrials plans every enumerated candidate of every node of nw
 // on the default path (the window carved from nw, at most regionReach
-// deep) and on the reference path (Options.NoOverlay: the full-depth
+// deep) and on the reference path (Options.noOverlay: the full-depth
 // window materialized as a network and rebuilt per RAR pass), and fails
 // unless the plans agree byte for byte. For every trial it also builds
 // the carved window's netlist at the full depth straight from nw and
@@ -35,7 +35,7 @@ type windowTrialTally struct {
 func checkWindowTrials(t *testing.T, label string, nw *network.Network, opt Options, tally *windowTrialTally) {
 	t.Helper()
 	ref := opt
-	ref.NoOverlay = true
+	ref.noOverlay = true
 	sigs := newSigCache(nw)
 	cc := newComplCache(DefaultMaxComplementCubes)
 	var es enumScratch
@@ -145,7 +145,7 @@ func sameNetlist(a, b *netlist.Build) error {
 // TestWindowTrialMatchesReference is the windowed trial path's proof
 // obligation. The default path carves the window as SigID lists, caps it
 // at regionReach, and builds its netlist straight from the live network;
-// the reference (NoOverlay, the path Options.Audit replays every trial
+// the reference (noOverlay, the path Options.Audit replays every trial
 // on) materializes the full-depth window. Every enumerated candidate must
 // get the same plan on both, at every depth, and the direct build must
 // number the gates exactly as a build of the materialized window does.

@@ -51,10 +51,6 @@ type RunOptions struct {
 	// (nil = all of exp.Algorithms). Unknown names are rejected by RunWith
 	// before any circuit is processed.
 	Algorithms []string
-	// NoSigFilter disables the simulation-signature divisor prefilter in
-	// the substitution engine (threaded to core.Options.NoSigFilter).
-	// Results are identical either way; only trial counts change.
-	NoSigFilter bool
 }
 
 // algs returns the algorithm set the options select.
@@ -121,7 +117,7 @@ func runAlgorithm(prepared *network.Network, alg string, o RunOptions) (Cell, er
 	var sub *core.Stats
 	start := time.Now()
 	if cfg, ok := rarConfig(alg); ok {
-		st := core.Substitute(nw, core.Options{Config: cfg, POS: true, Pool: true, Workers: o.Workers, NoSigFilter: o.NoSigFilter})
+		st := core.Substitute(nw, core.Options{Config: cfg, POS: true, Pool: true, Workers: o.Workers})
 		sub = &st
 	} else if alg == "sis" {
 		script.ResubSISJ(o.Workers)(nw)
@@ -141,7 +137,7 @@ func runAlgorithmFullFlow(raw *network.Network, alg string, table int, o RunOpti
 	var sub *core.Stats
 	if cfg, ok := rarConfig(alg); ok {
 		sub = &core.Stats{}
-		resub = script.ResubRARWith(core.Options{Config: cfg, POS: true, Pool: true, Workers: o.Workers, NoSigFilter: o.NoSigFilter}, sub)
+		resub = script.ResubRARWith(core.Options{Config: cfg, POS: true, Pool: true, Workers: o.Workers}, sub)
 	} else if alg == "sis" {
 		resub = script.ResubSISJ(o.Workers)
 	} else {
@@ -301,12 +297,13 @@ func (t Table) Print(w io.Writer) {
 
 // PrintStats renders the substitution engine's observability counters for
 // every RAR cell: divisor trials, depth-budget rejections, signature and
-// complement cache traffic, batch-scheduler speculation (spec/disc/bcmt/evict), and per-pass wall
-// times (the `-v` view of cmd/experiments).
+// complement cache traffic, batch-scheduler speculation
+// (spec/disc/bcmt/evict), and per-pass wall times (the `-v` view of
+// cmd/experiments).
 func (t Table) PrintStats(w io.Writer) {
 	fmt.Fprintf(w, "substitution engine counters (table %s)\n", roman(t.Number))
-	fmt.Fprintf(w, "%-10s %-7s %6s %7s %7s %7s %7s %6s %12s %12s %6s %6s %6s %6s  %s\n",
-		"circuit", "alg", "subs", "trials", "sigrej", "deprej", "fpass", "fp%",
+	fmt.Fprintf(w, "%-10s %-7s %6s %7s %7s %12s %12s %6s %6s %6s %6s  %s\n",
+		"circuit", "alg", "subs", "trials", "deprej",
 		"sigcache", "complcache",
 		"spec", "disc", "bcmt", "evict", "pass times")
 	for _, r := range t.Rows {
@@ -322,9 +319,8 @@ func (t Table) PrintStats(w io.Writer) {
 				}
 				times += fmt.Sprintf("%.3fs", d.Seconds())
 			}
-			fmt.Fprintf(w, "%-10s %-7s %6d %7d %7d %7d %7d %5.1f%% %5d/%-6d %5d/%-6d %6d %6d %6d %6d  %s\n",
-				r.Circuit, alg, s.Substitutions, s.DivisorTrials, s.SigFilterReject,
-				s.DepthRejected, s.SigFilterFalsePass, 100*s.FalsePassRate(),
+			fmt.Fprintf(w, "%-10s %-7s %6d %7d %7d %5d/%-6d %5d/%-6d %6d %6d %6d %6d  %s\n",
+				r.Circuit, alg, s.Substitutions, s.DivisorTrials, s.DepthRejected,
 				s.SigCacheHits, s.SigCacheMisses, s.ComplCacheHits, s.ComplCacheMisses,
 				s.SpeculatedTrials, s.DiscardedPlans, s.BatchCommits, s.ConflictEvictions, times)
 		}

@@ -229,8 +229,7 @@ func (nw *Network) checkAcyclic() error {
 // primary input must carry a pattern signature. When the table is clean (no
 // pending dirty marks) the deep audit also recomputes every node's
 // signature from its fanins' stored signatures and compares — a mismatch
-// means an edit path forgot to mark its target dirty, exactly the class of
-// bug that silently corrupts the divisor prefilter. While dirty marks are
+// means an edit path forgot to mark its target dirty. While dirty marks are
 // pending, stored signatures are stale by design (callers Refresh before
 // reading), so only the shallow audit applies.
 func (nw *Network) checkSigs() error {

@@ -427,14 +427,6 @@ func (o *Overlay) FactoredLits() int {
 	return n
 }
 
-// Sigs returns nil: like a clone, an overlay is a speculative scratch view
-// and carries no signature table (Network.Clone drops it for the same
-// reason).
-func (o *Overlay) Sigs() *SigTable { return nil }
-
-// Cones returns nil — see Sigs.
-func (o *Overlay) Cones() *ConeTable { return nil }
-
 // FreshName generates an unused signal name with the given prefix against
 // the overlay's name space (deleted base names count as free, exactly as
 // they would on a mutated clone).

@@ -1,15 +1,11 @@
 package network
 
-import "repro/internal/cube"
-
 // Simulation signatures: every signal carries a SigWords×64-bit word of
 // random-pattern simulation values, computed through the same word-parallel
-// evaluation the Simulate path uses. The substitution engine consults them
-// as a semantic prefilter — a divisor whose signature cannot cover the
-// dividend's care patterns cannot divide it, so the exact (netlist +
-// implication) trial is skipped. Signatures are maintained incrementally:
-// structural edits mark the rewritten signal dirty, and Refresh recomputes
-// only the dirty set plus its transitive fanout.
+// evaluation the Simulate path uses. Signatures are maintained
+// incrementally: structural edits mark the rewritten signal dirty, and
+// Refresh recomputes only the dirty set plus its transitive fanout.
+// network.Check audits the table whenever one is attached.
 //
 // Storage is a flat SigID-indexed array pair (sig, known) plus a dirty
 // mark/list pair — no maps, no iteration-order hazards: every walk below
@@ -24,85 +20,12 @@ const SigWords = 4
 // 64*w+k.
 type Signature [SigWords]uint64
 
-// And returns the bitwise AND of two signatures.
-func (s Signature) And(o Signature) Signature {
-	for w := range s {
-		s[w] &= o[w]
-	}
-	return s
-}
-
-// Or returns the bitwise OR of two signatures.
-func (s Signature) Or(o Signature) Signature {
-	for w := range s {
-		s[w] |= o[w]
-	}
-	return s
-}
-
-// Xor returns the bitwise XOR of two signatures.
-func (s Signature) Xor(o Signature) Signature {
-	for w := range s {
-		s[w] ^= o[w]
-	}
-	return s
-}
-
-// Not returns the bitwise complement.
-func (s Signature) Not() Signature {
-	for w := range s {
-		s[w] = ^s[w]
-	}
-	return s
-}
-
-// Covers reports whether every pattern set in o is also set in s (o ⊆ s).
-func (s Signature) Covers(o Signature) bool {
-	for w := range s {
-		if o[w]&^s[w] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Disjoint reports whether s and o share no pattern.
-func (s Signature) Disjoint(o Signature) bool {
-	for w := range s {
-		if s[w]&o[w] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// IsZero reports whether the signature is 0 on every pattern.
-func (s Signature) IsZero() bool {
-	for w := range s {
-		if s[w] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// AllOnes returns the signature that is 1 on every pattern.
-func AllOnes() Signature {
-	var s Signature
-	for w := range s {
-		s[w] = ^uint64(0)
-	}
-	return s
-}
-
 // SigTable holds the per-signal signatures of one network, in flat
 // SigID-indexed arrays. It is owned by the network's serial mutator: all
 // recomputation happens in Refresh, so between a Refresh and the next
 // mutation any number of goroutines may call Sig concurrently (it is a pure
-// slice read). Refresh and ObsCare share the table's walk scratch, so only
-// the serial owner calls them. Clones of the network do not carry the
-// table — speculative rewrites on planner clones never pay for signature
-// maintenance.
+// slice read). Refresh uses the table's walk scratch, so only the serial
+// owner calls it. Clones of the network do not carry the table.
 type SigTable struct {
 	nw        *Network
 	piPat     []Signature // fixed random patterns by PI *position*, set once
@@ -112,13 +35,11 @@ type SigTable struct {
 	dirtyList []SigID     // the marked IDs, in marking order
 	allDirty  bool        // whole-network rewrite (CopyFrom): recompute all
 
-	// Walk scratch, by SigID, reused so a Refresh or ObsCare costs its cone
-	// rather than O(signals) of fresh arrays: cone and flipped are all false
-	// between calls; val and flip hold values only during one.
-	cone    []bool
-	flipped []bool
-	flip    []Signature
-	val     []uint64
+	// Walk scratch, by SigID, reused so a Refresh costs its cone rather
+	// than O(signals) of fresh arrays: cone is all false between calls;
+	// val holds values only during one.
+	cone []bool
+	val  []uint64
 }
 
 // splitmix64 is the pattern generator: a tiny, deterministic PRNG stepped
@@ -160,8 +81,7 @@ func (nw *Network) EnableSigs() *SigTable {
 func (nw *Network) DisableSigs() { nw.sigs = nil }
 
 // Sigs returns the attached signature table, or nil when signatures are not
-// enabled. Part of the Reader surface: the table's Sig method is a pure
-// read between refreshes.
+// enabled. The table's Sig method is a pure read between refreshes.
 func (nw *Network) Sigs() *SigTable { return nw.sigs }
 
 // grow extends the ID-indexed slices to the current symbol-table size.
@@ -176,8 +96,6 @@ func (t *SigTable) grow() {
 	}
 	for len(t.cone) < n {
 		t.cone = append(t.cone, false)
-		t.flipped = append(t.flipped, false)
-		t.flip = append(t.flip, Signature{})
 		t.val = append(t.val, 0)
 	}
 }
@@ -216,17 +134,6 @@ func (t *SigTable) Sig(name string) (Signature, bool) {
 	}
 	id, ok := t.nw.sym.Lookup(name)
 	if !ok || int(id) >= len(t.known) {
-		return Signature{}, false
-	}
-	if int(id) < len(t.dirtyMark) && t.dirtyMark[id] {
-		return Signature{}, false
-	}
-	return t.sig[id], t.known[id]
-}
-
-// SigByID is Sig on the dense-ID surface.
-func (t *SigTable) SigByID(id SigID) (Signature, bool) {
-	if t.allDirty || int(id) >= len(t.known) {
 		return Signature{}, false
 	}
 	if int(id) < len(t.dirtyMark) && t.dirtyMark[id] {
@@ -316,87 +223,4 @@ func (t *SigTable) Refresh() {
 	}
 	t.dirtyList = t.dirtyList[:0]
 	t.allDirty = false
-}
-
-// ObsCare returns the observability signature of a signal: the sampled
-// patterns on which complementing the signal's value changes at least one
-// primary output (a signal that is itself a PO is observable on every
-// pattern). It is computed by re-simulating the signal's transitive fanout
-// with the signal's signature inverted and XOR-comparing the signatures of
-// the POs inside that cone. ok=false when the table is stale or a needed
-// signature is missing — callers must treat that as "everything may be
-// observable". The cost is the fanout cone's, not the network's.
-func (t *SigTable) ObsCare(name string) (Signature, bool) {
-	if t.allDirty || len(t.dirtyList) > 0 {
-		return Signature{}, false
-	}
-	nw := t.nw
-	id, ok := nw.sym.Lookup(name)
-	if !ok || int(id) >= len(t.known) || !t.known[id] {
-		return Signature{}, false
-	}
-	t.grow()
-	cone := nw.topoOf(t.cone, nw.closeFanout(t.cone, nil, []SigID{id}))
-	t.flip[id] = t.sig[id].Not()
-	t.flipped[id] = true
-	care, ok := t.obsCare(id, cone)
-	t.flipped[id] = false
-	for _, nid := range cone {
-		t.flipped[nid] = false
-	}
-	return care, ok
-}
-
-// obsCare is ObsCare's re-simulation over the ordered fanout cone of id.
-func (t *SigTable) obsCare(id SigID, cone []SigID) (Signature, bool) {
-	nw := t.nw
-	for _, nid := range cone {
-		node := nw.defs[nid]
-		fids := nw.faninIDs[nid]
-		var out Signature
-		for w := 0; w < SigWords; w++ {
-			for _, fi := range fids {
-				if t.flipped[fi] {
-					t.val[fi] = t.flip[fi][w]
-				} else if t.known[fi] {
-					t.val[fi] = t.sig[fi][w]
-				} else {
-					return Signature{}, false
-				}
-			}
-			out[w] = evalCoverIDs(node.Cover, fids, t.val)
-		}
-		t.flip[nid] = out
-		t.flipped[nid] = true
-	}
-	// Only POs the flip reaches — id itself or cone members — can differ.
-	var care Signature
-	for _, x := range append(cone, id) {
-		if !nw.poMark[x] {
-			continue
-		}
-		if !t.known[x] {
-			return Signature{}, false
-		}
-		care = care.Or(t.flip[x].Xor(t.sig[x]))
-	}
-	return care, true
-}
-
-// CubeSig evaluates one cube over the given fanin signals: the AND of the
-// fanin signatures in the cube's phases (the sampled-pattern set on which
-// the cube is 1). ok=false when a fanin signature is unavailable.
-func (t *SigTable) CubeSig(c cube.Cube, fanins []string) (Signature, bool) {
-	s := AllOnes()
-	for _, v := range c.Lits() {
-		fs, ok := t.Sig(fanins[v])
-		if !ok {
-			return Signature{}, false
-		}
-		if c.Get(v) == cube.Neg {
-			fs = fs.Not()
-		}
-		s = s.And(fs)
-	}
-	return s, true
 }

@@ -44,14 +44,6 @@ type Reader interface {
 	Levels() (map[string]int, int)
 	// FactoredLits returns the factored-form literal total.
 	FactoredLits() int
-	// Sigs returns the network's simulation-signature table, or nil when
-	// signatures are not enabled. Between the owner's serial Refresh calls
-	// the table's read methods are pure, so concurrent planners may share it.
-	Sigs() *SigTable
-	// Cones returns the network's structural cone-hash table, or nil when
-	// cone hashing is not enabled. Like Sigs, pure reads between the owner's
-	// serial Refresh calls.
-	Cones() *ConeTable
 	// FreshName returns an unused signal name with the given prefix — a pure
 	// probe against the current name space (it reserves nothing).
 	FreshName(prefix string) string
