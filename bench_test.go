@@ -120,7 +120,7 @@ func BenchmarkFig4Clique(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mask, _ := core.SelectCore(votes, hU, fU)
+		mask, _ := core.SelectCore(votes, hU.Cubes, fU)
 		if mask == 0 {
 			b.Fatal("selection regressed")
 		}
@@ -226,7 +226,7 @@ func BenchmarkAblationClique(b *testing.B) {
 	hU := network.RemapCover(hn.Cover, hn.Fanins, union)
 	b.Run("closure", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, score := core.SelectCore(votes, hU, fU)
+			_, score := core.SelectCore(votes, hU.Cubes, fU)
 			b.ReportMetric(float64(score), "wires")
 		}
 	})

@@ -1,6 +1,8 @@
 #!/bin/sh
 # CI gate: formatting + vet + the bdslint invariant suite + full test suite
-# (tier-1) + race detector over the packages the parallel substitution
+# (tier-1) + vet and tests of the cmd/bdsbench module (its own go.mod, so
+# ./... skips it, yet it compiles against core, network and script) + race
+# detector over the packages the parallel substitution
 # engine touches (including the batch scheduler driven over a 100k-gate
 # circuit regenerated from its committed recipe) + a fuzz smoke over every
 # fuzz target (BLIF parser, cube algebra and complement, cone hashing,
@@ -36,6 +38,9 @@ go vet -vettool=/tmp/bdslint.ci ./internal/core
 echo "bdslint ignore report:" && cat /tmp/bdslint_ignores.json
 
 go test ./...
+# The benchmark is a nested module: vet and test it against this tree.
+go -C cmd/bdsbench vet ./...
+go -C cmd/bdsbench test ./...
 go test -race ./internal/core ./internal/atpg ./internal/netlist
 
 # Batch-scheduler race + identity check at scale: regenerate the 100k-gate

@@ -136,7 +136,7 @@ func resubFor(alg string, workers int) script.Resub {
 	}
 	switch alg {
 	case "sis":
-		return script.ResubSISJ(workers)
+		return script.ResubSIS
 	case "basic":
 		return rar(core.Basic)
 	case "ext":

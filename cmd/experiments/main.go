@@ -8,8 +8,8 @@
 //	experiments [-table N] [-circuits a,b,c] [-algs sis,ext] [-list] [-j N] [-v] [-json]
 //
 // With no flags all four tables run over the whole suite. -j bounds the
-// worker pools of the substitution engine's batch scheduler and the SIS
-// baseline (results and counters are identical at any value); -v
+// worker pool of the substitution engine's batch scheduler (results and
+// counters are identical at any value; the SIS baseline runs serially); -v
 // additionally prints the engine's observability counters.
 package main
 

@@ -249,7 +249,7 @@ func (sh *shell) exec(line string) bool {
 		}
 		switch alg {
 		case "sis":
-			fmt.Fprintf(sh.out, "%d substitutions\n", opt.ResubAlgebraicJ(sh.nw, true, sh.workers))
+			fmt.Fprintf(sh.out, "%d substitutions\n", opt.ResubAlgebraic(sh.nw, true))
 		case "bdd":
 			fmt.Fprintf(sh.out, "%d substitutions\n", opt.ResubBDD(sh.nw))
 		case "basic", "ext", "extgdc":

@@ -11,7 +11,7 @@
 // map[string]T composite literals, and make calls producing a string-keyed
 // map. Boundary code is exempted structurally rather than by annotation: a
 // function whose own signature mentions a string-keyed map (Simulate,
-// Fanouts, TFOSet, Levels, Eval, ...) IS the name-keyed boundary API, so
+// Fanouts, Levels, Eval, ...) IS the name-keyed boundary API, so
 // its body is skipped entirely, as are all function-type expressions
 // (signatures declare interfaces, they don't allocate). Deliberate
 // boundary state that remains — the symbol table itself, the overlay's

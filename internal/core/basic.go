@@ -121,30 +121,31 @@ func divisorDependsOn(nw network.Reader, win *window, f, d string) bool {
 // caller post-processes the complement), runs RAR redundancy removal in
 // the region, and extracts the result.
 //
-// Without a window the structure goes into a working copy of nw (a
-// copy-on-write overlay, or a deep clone under noOverlay) and runRegionRAR
-// proves on a netlist of that copy. With a carved window (the default
-// path for Basic and Extended trials) nothing is copied: the window's
-// netlist is built straight from nw and f's structure is patched into it
-// per pass — the gates, in the same order, that the overlay path would
-// build over the materialized window (windowFor) and patch the same way.
-// The divisor-cycle check has already passed, and f's and d's fanins are
-// in the window, so the rewrite the working copy would have refused
-// cannot occur.
+// Only the dividend is rewritten, so the default paths take no working
+// copy: f's structure is patched into a netlist of nw per pass — the
+// carved window's region when win is set, else nw's base build (memoized
+// per commit epoch for the live network). The divisor-cycle check has
+// already refused d, and every other new fanin is one of f's or d's own,
+// so the rewrite cannot close a cycle. The clone path (noOverlay, the
+// Audit reference) and GDC trials instead install f's structure in a
+// working copy and rebuild its netlist every pass (regionRARRebuild).
 func divideWithParts(sc *scratch, nw network.Reader, win *window, f, d string, union []string, qPart, rem cube.Cover, cfg Config, yPhase cube.Phase, markPOS bool) (*DivideResult, bool) {
 	cov, fanins := tentativeCover(union, d, qPart, rem, yPhase)
 	var removed int
-	if win != nil {
+	switch {
+	case win != nil:
 		b := sc.bFresh.BuildRegion(nw, win.ins, win.nodes, win.outs[:])
 		cov, removed = rarPatched(sc, b, f, d, fanins, cov)
-	} else {
+	case sc.noOverlay || cfg == ExtendedGDC:
 		work := sc.trialClone(nw)
 		if err := work.ReplaceNodeFunction(f, fanins, cov); err != nil {
 			return nil, false
 		}
-		removed = runRegionRAR(sc, work, f, d, cfg)
+		removed = regionRARRebuild(sc, work, f, d, cfg)
 		fn := work.Node(f)
 		fanins, cov = fn.Fanins, fn.Cover
+	default:
+		cov, removed = rarPatched(sc, sc.baseBuild(nw), f, d, fanins, cov)
 	}
 
 	res := &DivideResult{
@@ -209,32 +210,23 @@ func tentativeCover(union []string, d string, qPart, rem cube.Cover, yPhase cube
 	return tentative, space
 }
 
-// runRegionRAR removes redundant wires inside node f's region: literal pins
-// of f's cubes (stuck-at-1) and cube pins at the node's OR (stuck-at-0).
-// Pins carrying the divisor literal are never tested — they realize the
-// added redundancy and define the division form. Removals are extracted back
-// into the node's SOP after every pass (a removal can enable further
-// removals). Returns the number of wires removed.
+// regionRARRebuild removes redundant wires inside node f's region of a
+// working copy: literal pins of f's cubes (stuck-at-1) and cube pins at the
+// node's OR (stuck-at-0). Pins carrying the divisor literal are never
+// tested — they realize the added redundancy and define the division form.
+// Removals are extracted back into the node's SOP after every pass (a
+// removal can enable further removals). Returns the number of wires
+// removed.
 //
-// Overlay trials with region-local implications take the patched path: the
-// base network's netlist is built once (memoized across every trial of a
-// commit epoch for the live network) and only f's two-level structure is
-// patched in and rolled back per pass. Both paths run identical region-local
-// implications — the patched netlist differs from a fresh build only by
-// orphaned cube gates with no live fanout, which region scopes, dominator
-// walks, and TFO marks never reach. GDC trials always rebuild: their
-// learning pass examines at most 32 unjustified gates, lowest id first, so
-// which gates it examines depends on the gate numbering, and only a fresh
-// build numbers the gates as a build of the working network does.
-func runRegionRAR(sc *scratch, work trialNet, f, d string, cfg Config) int {
-	if ov, ok := work.(*network.Overlay); ok && cfg != ExtendedGDC {
-		return regionRARPatched(sc, ov, f, d)
-	}
-	return regionRARRebuild(sc, work, f, d, cfg)
-}
-
-// regionRARRebuild is the rebuild-per-pass RAR loop (the historical path):
-// noOverlay clones and GDC trials.
+// Every pass rebuilds the working copy's netlist: the clone path (the
+// Audit reference) and GDC trials. GDC trials must rebuild: their learning
+// pass examines at most 32 unjustified gates, lowest id first, so which
+// gates it examines depends on the gate numbering, and only a fresh build
+// numbers the gates as a build of the working network does. The other
+// trials patch (rarPatched) and run identical region-local implications —
+// the patched netlist differs from a fresh build only by orphaned cube
+// gates with no live fanout, which region scopes, dominator walks, and TFO
+// marks never reach.
 func regionRARRebuild(sc *scratch, work trialNet, f, d string, cfg Config) int {
 	removed := 0
 	for pass := 0; pass < 8; pass++ {
@@ -264,23 +256,11 @@ func regionRARRebuild(sc *scratch, work trialNet, f, d string, cfg Config) int {
 	return removed
 }
 
-// regionRARPatched is the copy-on-write RAR loop: rarPatched over the base
-// build of the overlay's base, with the result written back to the
-// overlay.
-func regionRARPatched(sc *scratch, work *network.Overlay, f, d string) int {
-	fn := work.Node(f)
-	cov, removed := rarPatched(sc, sc.baseBuild(work.Base()), f, d, fn.Fanins, fn.Cover)
-	if removed > 0 {
-		work.SetNodeCover(f, cov)
-	}
-	return removed
-}
-
 // rarPatched runs RAR on base build b for f's working function (fanins,
 // cov): f's structure is patched in per pass and rolled back byte-exactly
 // in between and on return, so b is unchanged afterwards. Only
 // region-local (stopAfter=1, scoped) implications run here — see
-// runRegionRAR. Returns f's cover after the removals and the number of
+// regionRARRebuild. Returns f's cover after the removals and the number of
 // wires removed.
 func rarPatched(sc *scratch, b *netlist.Build, f, d string, fanins []string, cov cube.Cover) (cube.Cover, int) {
 	nl := b.NL

@@ -42,8 +42,9 @@ import (
 //	E2   dirtyCone[d] for a listed candidate d: d's cone content changed,
 //	     so d's trial outcomes (a function of cone(f), cone(d), opts) may
 //	     differ.
-//	E3   bdcDirty and the plan creates nodes: a commit added or deleted a
-//	     "bdc"-prefixed name (or swapped the whole network), so the fresh
+//	E3   bdcDirty and the plan creates nodes: a commit added a
+//	     "bdc"-prefixed name, or swapped the whole network (the only way a
+//	     "bdc" name is deleted: overlay plans never delete), so the fresh
 //	     core name the speculated plan embeds may no longer be the name
 //	     FreshName would pick at this slot.
 //	E4   a whole-network-clone plan with any prior sweep commit: the clone
@@ -643,15 +644,6 @@ func (s *batchScheduler) precommit(p *plan) commitMarks {
 	}
 	for _, n := range ov.Changed() {
 		if id, idOK := nw.IDOf(n.Name); idOK {
-			cm.touched = append(cm.touched, id)
-			s.markSupp(nw.FaninIDsOf(id))
-		}
-	}
-	for _, name := range ov.Deleted() {
-		if strings.HasPrefix(name, "bdc") {
-			s.bdcDirty = true
-		}
-		if id, idOK := nw.IDOf(name); idOK {
 			cm.touched = append(cm.touched, id)
 			s.markSupp(nw.FaninIDsOf(id))
 		}

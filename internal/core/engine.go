@@ -14,10 +14,12 @@ import (
 //
 //	planner   — evaluates one (dividend, divisor) trial against a read-only
 //	            view of the network (network.Reader) and returns a pure-data
-//	            plan. Planners never mutate shared state: every division
-//	            runs on a private overlay or clone, and per-worker scratch
-//	            arenas hold all reusable buffers. Plans are therefore
-//	            evaluable concurrently (the batch scheduler's phase B).
+//	            plan. Planners never mutate shared state: a node-form
+//	            division patches f into a per-worker netlist, a
+//	            whole-network rewrite edits a private overlay or clone, and
+//	            per-worker scratch arenas hold all reusable buffers. Plans
+//	            are therefore evaluable concurrently (the batch scheduler's
+//	            phase B).
 //	committer — applies the chosen plan to the live network serially,
 //	            invalidates the pass caches, enforces the depth budget, and
 //	            updates statistics.
@@ -51,12 +53,9 @@ type plan struct {
 	// Whole-network rewrite: commit applies work to the live network —
 	// extracting the delta when work is an overlay, copying wholesale when it
 	// is a deep clone — and invalidates the touched node names in the pass
-	// caches. core names the node extended division added when it decomposed
-	// the divisor ("" when none); the overlay audit compares it alongside
-	// the dividend and divisor.
+	// caches.
 	work    trialNet
 	touched []string
-	core    string
 }
 
 // isNode reports whether the plan is a node-function rewrite.
@@ -68,7 +67,7 @@ func (p *plan) isNode() bool { return p.work == nil }
 // concurrently on the same Reader as long as each call owns its scratch.
 //
 // planPair pins nw as the scratch's live reader — enabling the memoized
-// shared base build every overlay trial of the epoch patches — and, under
+// shared base build every node-form trial of the epoch patches — and, under
 // Options.Audit, re-runs the whole trial on the historical deep-clone path
 // and panics unless the two plans agree byte-for-byte.
 //
@@ -135,19 +134,18 @@ func comparePlans(got plan, gotOK bool, want plan, wantOK bool) error {
 		}
 		return nil
 	}
-	for _, name := range []string{got.target, got.divisor, got.core} {
-		if name == "" {
-			continue
+	// Every node of the two working networks, in creation order: a pooled
+	// plan names no divisor, and a rewrite may touch nodes beyond the pair.
+	gn, wn := got.work.Nodes(), want.work.Nodes()
+	if len(gn) != len(wn) {
+		return fmt.Errorf("work node count %d != clone %d", len(gn), len(wn))
+	}
+	for i := range gn {
+		if gn[i].Name != wn[i].Name {
+			return fmt.Errorf("work node %d: %q != clone %q", i, gn[i].Name, wn[i].Name)
 		}
-		gn, wn := got.work.Node(name), want.work.Node(name)
-		if (gn == nil) != (wn == nil) {
-			return fmt.Errorf("work node %q present=%v, clone present=%v", name, gn != nil, wn != nil)
-		}
-		if gn == nil {
-			continue
-		}
-		if err := compareNodeFn(gn.Fanins, gn.Cover, wn.Fanins, wn.Cover); err != nil {
-			return fmt.Errorf("work node %q: %v", name, err)
+		if err := compareNodeFn(gn[i].Fanins, gn[i].Cover, wn[i].Fanins, wn[i].Cover); err != nil {
+			return fmt.Errorf("work node %q: %v", gn[i].Name, err)
 		}
 	}
 	return nil
@@ -264,10 +262,6 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 			p.gain = basicGain
 			return p, true
 		}
-		core := ""
-		if extDec != nil {
-			core = extDec.CoreName
-		}
 		return plan{
 			target:  f,
 			divisor: d,
@@ -276,7 +270,6 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 			removed: extRes.WiresRemoved,
 			work:    extWork,
 			touched: []string{f, d},
-			core:    core,
 		}, true
 	}
 }
@@ -379,10 +372,6 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 			for _, n := range ov.Changed() {
 				cc.invalidate(nw, n.Name)
 				sigs.invalidate(n.Name)
-			}
-			for _, name := range ov.Deleted() {
-				cc.invalidate(nw, name)
-				sigs.invalidate(name)
 			}
 			return
 		}

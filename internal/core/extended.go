@@ -12,6 +12,8 @@ import (
 // dividend together with the divisor cubes whose implied value is 0 when
 // the wire's stuck-at-1 fault is injected — the wire's candidate core
 // divisor. Valid reflects the SOS check against the cube driving the wire.
+// A pooled vote table (PooledVoteTable) has the same rows over the pooled
+// cubes of several divisors.
 type Vote struct {
 	// CubeIdx / Var / Phase identify the wire: the literal (Var, Phase) in
 	// cube CubeIdx of the dividend, in the dividend's local space.
@@ -19,7 +21,7 @@ type Vote struct {
 	Var     int
 	Phase   cube.Phase
 	// Candidate is a bitmask over the divisor's cubes (bit k = cube k of
-	// the divisor implied to 0).
+	// the divisor, or pool entry k, implied to 0).
 	Candidate uint64
 	// Valid is the paper's redundancy precondition: the candidate core
 	// divisor is an SOS of the cube connected to the wire.
@@ -35,20 +37,34 @@ const maxCoreCubes = 64
 // run implications, and record the divisor cubes implied to 0. Returns
 // ok=false when the pair is structurally unusable.
 func VoteTable(nw network.Reader, f, d string, cfg Config) ([]Vote, bool) {
-	return voteTable(newScratch(), nw, f, d, cfg)
+	votes, _, _, ok := voteTable(newScratch(), nw, f, []string{d}, cfg)
+	return votes, ok
 }
 
-// voteTable is VoteTable with an explicit scratch arena. The votes are
-// extracted as plain values before the scratch is reused, so a single
-// scratch can serve the vote table and the division that follows it.
-func voteTable(sc *scratch, nw network.Reader, f, d string, cfg Config) ([]Vote, bool) {
-	fn, dn := nw.Node(f), nw.Node(d)
-	if fn == nil || dn == nil || f == d || nw.DependsOn(d, f) {
-		return nil, false
+// voteTable computes the vote table of f over the pooled cubes of the given
+// divisor nodes — single-divisor voting is the pool of one node. The first
+// maxCoreCubes pooled cubes vote; bit k of a candidate mask is pool[k].
+// Returns the votes, the pool layout, and the union signal space of f and
+// the divisors (the space validity is checked in). The votes are extracted
+// as plain values before the scratch is reused, so a single scratch can
+// serve the vote table and the division that follows it.
+func voteTable(sc *scratch, nw network.Reader, f string, divisors []string, cfg Config) ([]Vote, []PoolEntry, []string, bool) {
+	fn := nw.Node(f)
+	if fn == nil || len(divisors) == 0 {
+		return nil, nil, nil, false
 	}
+	union := append([]string(nil), fn.Fanins...)
+	for _, d := range divisors {
+		dn := nw.Node(d)
+		if dn == nil || d == f || nw.DependsOn(d, f) {
+			return nil, nil, nil, false
+		}
+		union = unionSignals(union, dn.Fanins)
+	}
+
 	b := sc.baseBuild(nw)
 	nl := b.NL
-	ngF, ngD := b.Nodes[f], b.Nodes[d]
+	ngF := b.Nodes[f]
 
 	opt := atpg.Options{}
 	stopAfter := 1
@@ -56,49 +72,60 @@ func voteTable(sc *scratch, nw network.Reader, f, d string, cfg Config) ([]Vote,
 		opt.Learn = true
 		stopAfter = -1
 	} else {
-		sc.scope = localScope(sc.scope[:0], b, nl, f, d)
+		// The scope is a set: the union is the concatenation.
+		sc.scope = appendNodeScope(sc.scope[:0], b, nl, f)
+		for _, d := range divisors {
+			sc.scope = appendNodeScope(sc.scope, b, nl, d)
+		}
 		opt.Scope = sc.scope
 	}
 	e := sc.engine(nl, opt)
 
-	// Containment data in the union space for validity checks.
-	union := unionSignals(fn.Fanins, dn.Fanins)
-	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
-	dU := network.RemapCover(dn.Cover, dn.Fanins, union)
-
-	nD := len(ngD.Cubes)
-	if nD > maxCoreCubes {
-		nD = maxCoreCubes
+	// Pool layout and per-entry cube in the union space.
+	var pool []PoolEntry
+	var poolGates []int
+	var poolCubesU []cube.Cube
+	for _, d := range divisors {
+		dn := nw.Node(d)
+		dU := network.RemapCover(dn.Cover, dn.Fanins, union)
+		for k := range dn.Cover.Cubes {
+			if len(pool) >= maxCoreCubes {
+				break
+			}
+			pool = append(pool, PoolEntry{Node: d, CubeIdx: k})
+			poolGates = append(poolGates, b.Nodes[d].Cubes[k])
+			poolCubesU = append(poolCubesU, dU.Cubes[k])
+		}
 	}
+	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
 
 	var votes []Vote
 	for ci, g := range ngF.Cubes {
 		c := fn.Cover.Cubes[ci]
-		lits := c.Lits()
-		for pi, v := range lits {
+		for pi, v := range c.Lits() {
 			vote := Vote{CubeIdx: ci, Var: v, Phase: c.Get(v)}
 			e.Reset()
 			fault := atpg.Fault{Wire: atpg.Wire{Gate: g, Pin: pi}, Stuck: atpg.One}
 			consistent := atpg.MandatoryAssignments(e, nl, fault, stopAfter) && e.Propagate()
 			if !consistent {
 				// The wire is redundant outright: it supports any core.
-				vote.Candidate = maskAll(nD)
+				vote.Candidate = maskAll(len(pool))
 				vote.Valid = true
 				votes = append(votes, vote)
 				continue
 			}
-			for k := 0; k < nD; k++ {
-				if e.Val(ngD.Cubes[k]) == atpg.Zero {
+			for k, pg := range poolGates {
+				if e.Val(pg) == atpg.Zero {
 					vote.Candidate |= 1 << k
 				}
 			}
 			if vote.Candidate != 0 {
-				vote.Valid = candidateValid(vote.Candidate, dU, fU.Cubes[ci])
+				vote.Valid = candidateValid(vote.Candidate, poolCubesU, fU.Cubes[ci])
 			}
 			votes = append(votes, vote)
 		}
 	}
-	return votes, true
+	return votes, pool, union, true
 }
 
 func maskAll(n int) uint64 {
@@ -111,9 +138,9 @@ func maskAll(n int) uint64 {
 // candidateValid implements the paper's validity filter: the candidate core
 // divisor (the masked divisor cubes) must be an SOS of the single cube
 // connected to the voting wire — i.e. some masked cube contains it.
-func candidateValid(mask uint64, dU cube.Cover, fCube cube.Cube) bool {
-	for k := 0; k < len(dU.Cubes) && k < maxCoreCubes; k++ {
-		if mask&(1<<k) != 0 && dU.Cubes[k].Contains(fCube) {
+func candidateValid(mask uint64, divCubes []cube.Cube, fCube cube.Cube) bool {
+	for k := 0; k < len(divCubes) && k < maxCoreCubes; k++ {
+		if mask&(1<<k) != 0 && divCubes[k].Contains(fCube) {
 			return true
 		}
 	}
@@ -126,9 +153,11 @@ func candidateValid(mask uint64, dU cube.Cover, fCube cube.Cube) bool {
 // a clique whose intersection is the core that removes them all. The
 // intersection closure of the candidate masks contains every maximal
 // clique's core, so scoring each closure element and keeping the best is
-// exact up to the closure cap. Returns the chosen mask and its expected
-// removals (0 mask when no useful core exists).
-func SelectCore(votes []Vote, dU cube.Cover, fU cube.Cover) (uint64, int) {
+// exact up to the closure cap. divCubes are the voting divisor cubes (a
+// divisor's cover or a pool's cubes) and fU the dividend, both in the
+// union space. Returns the chosen mask and its expected removals (0 mask
+// when no useful core exists).
+func SelectCore(votes []Vote, divCubes []cube.Cube, fU cube.Cover) (uint64, int) {
 	// Distinct candidate masks of valid votes.
 	seen := make(map[uint64]bool)
 	var masks []uint64
@@ -160,7 +189,7 @@ func SelectCore(votes []Vote, dU cube.Cover, fU cube.Cover) (uint64, int) {
 				continue
 			}
 			// Re-check validity against this specific core.
-			if candidateValid(m, dU, fU.Cubes[v.CubeIdx]) {
+			if candidateValid(m, divCubes, fU.Cubes[v.CubeIdx]) {
 				score++
 			}
 		}
@@ -202,14 +231,13 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (tr
 	if fn == nil || dn == nil {
 		return nil, nil, nil, false
 	}
-	votes, ok := voteTable(sc, nw, f, d, cfg)
+	votes, _, union, ok := voteTable(sc, nw, f, []string{d}, cfg)
 	if !ok {
 		return nil, nil, nil, false
 	}
-	union := unionSignals(fn.Fanins, dn.Fanins)
 	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
 	dU := network.RemapCover(dn.Cover, dn.Fanins, union)
-	mask, score := SelectCore(votes, dU, fU)
+	mask, score := SelectCore(votes, dU.Cubes, fU)
 	if mask == 0 || score == 0 {
 		return nil, nil, nil, false
 	}

@@ -92,7 +92,7 @@ func TestSelectCorePicksSharedIntersection(t *testing.T) {
 	union := unionSignals(fn.Fanins, hn.Fanins)
 	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
 	hU := network.RemapCover(hn.Cover, hn.Fanins, union)
-	mask, score := SelectCore(votes, hU, fU)
+	mask, score := SelectCore(votes, hU.Cubes, fU)
 	if mask == 0 {
 		t.Fatal("no core selected")
 	}

@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/blif"
+	"repro/internal/network"
 	"repro/internal/verify"
 )
 
@@ -90,6 +92,29 @@ func TestOverlayAuditDetectsCorruptedPlan(t *testing.T) {
 	expectAuditPanic("batch", func() {
 		Substitute(coneForestDAG(12), Options{Config: Basic, Workers: 2, Audit: true})
 	})
+
+	// Pooled path: a cross-node core is neither the plan's target nor its
+	// divisor, so only a comparison of every working node sees it change.
+	// The corruption drops the core's last cube on the plan's private clone.
+	corrupted := 0
+	overlayAuditCorrupt = func(p *plan) {
+		work, ok := p.work.(*network.Network)
+		if !ok {
+			return
+		}
+		for _, n := range work.Nodes() {
+			if strings.HasPrefix(n.Name, "bdp") && n.Cover.NumCubes() > 0 {
+				n.Cover.Cubes = n.Cover.Cubes[:n.Cover.NumCubes()-1]
+				corrupted++
+			}
+		}
+	}
+	expectAuditPanic("pooled", func() {
+		Substitute(bench.Get("rnd_a"), Options{Config: Extended, POS: true, Pool: true, Workers: 1, Audit: true})
+	})
+	if corrupted == 0 {
+		t.Fatal("pooled: no cross-node core was corrupted")
+	}
 }
 
 // TestSubstituteOverlayInvariant is the result-invisibility contract of the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/atpg"
 	"repro/internal/cube"
 	"repro/internal/network"
 )
@@ -21,155 +20,12 @@ type PoolEntry struct {
 	CubeIdx int
 }
 
-// PooledVote is a vote over the pooled cube set.
-type PooledVote struct {
-	CubeIdx   int // cube of f owning the wire
-	Var       int // wire's variable in f's local space
-	Candidate uint64
-	Valid     bool
-}
-
 // PooledVoteTable computes votes for dividing f over the pooled cubes of
 // the given divisor nodes (first maxCoreCubes pooled cubes vote). Returns
 // the votes, the pool layout, the union signal space used for validity
 // checks, and ok.
-func PooledVoteTable(nw network.Reader, f string, divisors []string, cfg Config) ([]PooledVote, []PoolEntry, []string, bool) {
-	return pooledVoteTable(newScratch(), nw, f, divisors, cfg)
-}
-
-// pooledVoteTable is PooledVoteTable with an explicit scratch arena.
-func pooledVoteTable(sc *scratch, nw network.Reader, f string, divisors []string, cfg Config) ([]PooledVote, []PoolEntry, []string, bool) {
-	fn := nw.Node(f)
-	if fn == nil || len(divisors) == 0 {
-		return nil, nil, nil, false
-	}
-	union := append([]string(nil), fn.Fanins...)
-	for _, d := range divisors {
-		dn := nw.Node(d)
-		if dn == nil || d == f || nw.DependsOn(d, f) {
-			return nil, nil, nil, false
-		}
-		union = unionSignals(union, dn.Fanins)
-	}
-
-	b := sc.baseBuild(nw)
-	nl := b.NL
-	ngF := b.Nodes[f]
-
-	opt := atpg.Options{}
-	stopAfter := 1
-	if cfg == ExtendedGDC {
-		opt.Learn = true
-		stopAfter = -1
-	} else {
-		// The scope is a set: the union is the concatenation.
-		sc.scope = appendNodeScope(sc.scope[:0], b, nl, f)
-		for _, d := range divisors {
-			sc.scope = appendNodeScope(sc.scope, b, nl, d)
-		}
-		opt.Scope = sc.scope
-	}
-	e := sc.engine(nl, opt)
-
-	// Pool layout and per-entry cube in the union space.
-	var pool []PoolEntry
-	var poolGates []int
-	var poolCubesU []cube.Cube
-	for _, d := range divisors {
-		dn := nw.Node(d)
-		dU := network.RemapCover(dn.Cover, dn.Fanins, union)
-		for k := range dn.Cover.Cubes {
-			if len(pool) >= maxCoreCubes {
-				break
-			}
-			pool = append(pool, PoolEntry{Node: d, CubeIdx: k})
-			poolGates = append(poolGates, b.Nodes[d].Cubes[k])
-			poolCubesU = append(poolCubesU, dU.Cubes[k])
-		}
-	}
-	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
-
-	var votes []PooledVote
-	for ci, g := range ngF.Cubes {
-		c := fn.Cover.Cubes[ci]
-		for pi, v := range c.Lits() {
-			vote := PooledVote{CubeIdx: ci, Var: v}
-			e.Reset()
-			fault := atpg.Fault{Wire: atpg.Wire{Gate: g, Pin: pi}, Stuck: atpg.One}
-			consistent := atpg.MandatoryAssignments(e, nl, fault, stopAfter) && e.Propagate()
-			if !consistent {
-				vote.Candidate = maskAll(len(pool))
-				vote.Valid = true
-				votes = append(votes, vote)
-				continue
-			}
-			for k, pg := range poolGates {
-				if e.Val(pg) == atpg.Zero {
-					vote.Candidate |= 1 << k
-				}
-			}
-			if vote.Candidate != 0 {
-				vote.Valid = pooledCandidateValid(vote.Candidate, poolCubesU, fU.Cubes[ci])
-			}
-			votes = append(votes, vote)
-		}
-	}
-	return votes, pool, union, true
-}
-
-func pooledCandidateValid(mask uint64, poolCubes []cube.Cube, fCube cube.Cube) bool {
-	for k := range poolCubes {
-		if mask&(1<<k) != 0 && poolCubes[k].Contains(fCube) {
-			return true
-		}
-	}
-	return false
-}
-
-// SelectPooledCore mirrors SelectCore over the pool.
-func SelectPooledCore(votes []PooledVote, poolCubes []cube.Cube, fU cube.Cover) (uint64, int) {
-	seen := make(map[uint64]bool)
-	var masks []uint64
-	for _, v := range votes {
-		if v.Valid && v.Candidate != 0 && !seen[v.Candidate] {
-			seen[v.Candidate] = true
-			masks = append(masks, v.Candidate)
-		}
-	}
-	if len(masks) == 0 {
-		return 0, 0
-	}
-	const closureCap = 512
-	for i := 0; i < len(masks) && len(masks) < closureCap; i++ {
-		for j := i + 1; j < len(masks) && len(masks) < closureCap; j++ {
-			m := masks[i] & masks[j]
-			if m != 0 && !seen[m] {
-				seen[m] = true
-				masks = append(masks, m)
-			}
-		}
-	}
-	best, bestScore := uint64(0), 0
-	for _, m := range masks {
-		score := 0
-		for _, v := range votes {
-			if v.Valid && v.Candidate&m == m && pooledCandidateValid(m, poolCubes, fU.Cubes[v.CubeIdx]) {
-				score++
-			}
-		}
-		if score > bestScore || (score == bestScore && onesCount(m) > onesCount(best)) {
-			best, bestScore = m, score
-		}
-	}
-	return best, bestScore
-}
-
-func onesCount(m uint64) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
+func PooledVoteTable(nw network.Reader, f string, divisors []string, cfg Config) ([]Vote, []PoolEntry, []string, bool) {
+	return voteTable(newScratch(), nw, f, divisors, cfg)
 }
 
 // PooledExtendedDivide runs extended division of f over a divisor pool. The
@@ -189,7 +45,7 @@ func PooledExtendedDivide(nw network.Reader, f string, divisors []string, cfg Co
 // on the copy-on-write path); the cross-node core path always returns a deep
 // clone — it needs Sweep, which only a materialized network supports.
 func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []string, cfg Config) (trialNet, *DivideResult, *Decomposition, bool) {
-	votes, pool, union, ok := pooledVoteTable(sc, nw, f, divisors, cfg)
+	votes, pool, union, ok := voteTable(sc, nw, f, divisors, cfg)
 	if !ok {
 		return nil, nil, nil, false
 	}
@@ -201,7 +57,7 @@ func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []s
 		dU := network.RemapCover(dn.Cover, dn.Fanins, union)
 		poolCubesU[k] = dU.Cubes[pe.CubeIdx]
 	}
-	mask, score := SelectPooledCore(votes, poolCubesU, fU)
+	mask, score := SelectCore(votes, poolCubesU, fU)
 	if mask == 0 || score == 0 {
 		return nil, nil, nil, false
 	}

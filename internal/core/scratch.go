@@ -13,19 +13,21 @@ import (
 // is owned by exactly one goroutine at a time and carries no result-visible
 // state across trials — only raw capacity and the memoized base build below.
 //
-// Three builders with distinct roles keep the overlay trial path's netlists
+// Three builders with distinct roles keep the patched trials' netlists
 // alive across trials without aliasing:
 //
-//	b       — full per-trial rebuilds: the noOverlay clone path and GDC
-//	          trials (whose learning pass is gate-id-order sensitive, so
-//	          they must see exactly the netlist a fresh build produces).
+//	b       — full per-pass rebuilds of a working copy: the noOverlay
+//	          clone path and GDC trials (whose learning pass is
+//	          gate-id-order sensitive, so they must see exactly the netlist
+//	          a fresh build produces).
 //	bShared — the base build of the pinned live network, built once per
-//	          commit epoch and then patched/rolled back by every trial of
-//	          the epoch (see baseBuild).
+//	          commit epoch and then patched/rolled back by every
+//	          unwindowed node-form trial of the epoch (see baseBuild).
 //	bFresh  — single-trial base builds: a carved window's region of the
-//	          live network, or any other reader (a materialized window, an
-//	          extended decomposition's working overlay); still patched
-//	          between RAR passes instead of rebuilt.
+//	          live network, or any other reader (the materialized window
+//	          of a POS trial under ExtendedGDC, an extended
+//	          decomposition's working overlay); still patched between RAR
+//	          passes instead of rebuilt.
 type scratch struct {
 	b       *netlist.Builder
 	bShared *netlist.Builder

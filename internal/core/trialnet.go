@@ -5,14 +5,18 @@ import (
 	"repro/internal/network"
 )
 
-// trialNet is the mutable surface a division trial edits: the read interface
-// plus the four mutators the engine applies to its working copy. Both
-// *network.Network (the historical deep-clone path) and *network.Overlay
-// (the copy-on-write path) satisfy it, so every divider is written once and
-// Options.noOverlay just changes which one trialClone hands out. It is a
-// named interface distinct from network.Reader on purpose: the roview
-// analyzer freezes anything read through a Reader, while a trialNet is
-// exactly the thing a planner owns and may mutate.
+// trialNet is the mutable surface of a trial that needs a working network:
+// the read interface plus the four mutators the engine applies to its
+// working copy — extended division's divisor decomposition, and the
+// rebuild-per-pass RAR loop of GDC and clone-path trials. (Node-form
+// trials on the default path take no working copy: they patch f into a
+// netlist, see divideWithParts.) Both *network.Network (the historical
+// deep-clone path) and *network.Overlay (the copy-on-write path) satisfy
+// it, so every divider is written once and Options.noOverlay just changes
+// which one trialClone hands out. It is a named interface distinct from
+// network.Reader on purpose: the roview analyzer freezes anything read
+// through a Reader, while a trialNet is exactly the thing a planner owns
+// and may mutate.
 type trialNet interface {
 	network.Reader
 	AddNode(name string, fanins []string, cover cube.Cover) *network.Node

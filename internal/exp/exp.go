@@ -120,7 +120,7 @@ func runAlgorithm(prepared *network.Network, alg string, o RunOptions) (Cell, er
 		st := core.Substitute(nw, core.Options{Config: cfg, POS: true, Pool: true, Workers: o.Workers})
 		sub = &st
 	} else if alg == "sis" {
-		script.ResubSISJ(o.Workers)(nw)
+		script.ResubSIS(nw)
 	} else {
 		return Cell{}, validateAlgs([]string{alg})
 	}
@@ -139,7 +139,7 @@ func runAlgorithmFullFlow(raw *network.Network, alg string, table int, o RunOpti
 		sub = &core.Stats{}
 		resub = script.ResubRARWith(core.Options{Config: cfg, POS: true, Pool: true, Workers: o.Workers}, sub)
 	} else if alg == "sis" {
-		resub = script.ResubSISJ(o.Workers)
+		resub = script.ResubSIS
 	} else {
 		return Cell{}, validateAlgs([]string{alg})
 	}

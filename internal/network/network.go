@@ -252,11 +252,6 @@ func (nw *Network) SigName(id SigID) string { return nw.sym.Name(id) }
 //bdslint:hotpath
 func (nw *Network) NodeByID(id SigID) *Node { return nw.defs[id] }
 
-// IsPIID reports whether id is a primary input.
-//
-//bdslint:hotpath
-func (nw *Network) IsPIID(id SigID) bool { return nw.piMark[id] }
-
 // FaninIDsOf returns node id's fanin IDs, parallel to its Fanins slice (do
 // not modify — the slice is shared with clones). Nil for PIs/unknown.
 //
@@ -530,24 +525,6 @@ func (nw *Network) TFOSetIDs(id SigID) []bool {
 	return out
 }
 
-// TFOSet returns the set of node names transitively depending on signal
-// name (excluding name itself) — one graph pass instead of per-pair
-// DependsOn probes.
-func (nw *Network) TFOSet(name string) map[string]bool {
-	out := make(map[string]bool)
-	id, ok := nw.sym.Lookup(name)
-	if !ok {
-		return out
-	}
-	marks := nw.TFOSetIDs(id)
-	for i, m := range marks {
-		if m {
-			out[nw.sym.Name(SigID(i))] = true
-		}
-	}
-	return out
-}
-
 // SOPLits returns the total SOP literal count over all nodes.
 func (nw *Network) SOPLits() int {
 	n := 0
@@ -695,7 +672,6 @@ func (nw *Network) ReplaceNodeFunction(name string, fanins []string, cover cube.
 	if !ok || nw.defs[id] == nil {
 		return fmt.Errorf("network: no node %q", name)
 	}
-	n := nw.defs[id]
 	if cover.NumVars() != len(fanins) {
 		return fmt.Errorf("network: cover space mismatch for %q", name)
 	}
@@ -707,14 +683,22 @@ func (nw *Network) ReplaceNodeFunction(name string, fanins []string, cover cube.
 			return fmt.Errorf("network: self-loop on %q", name)
 		}
 	}
-	nw.setNodeFunc(id, n, append([]string(nil), fanins...), cover)
+	nw.replaceFunc(id, fanins, cover)
+	return nil
+}
+
+// replaceFunc installs a copy of fanins and cover on node id without
+// validation and marks id dirty in the signature and cone tables: the
+// shared tail of ReplaceNodeFunction and Overlay.ApplyTo, whose bodies the
+// overlay validated against its own view.
+func (nw *Network) replaceFunc(id SigID, fanins []string, cover cube.Cover) {
+	nw.setNodeFunc(id, nw.defs[id], append([]string(nil), fanins...), cover)
 	if nw.sigs != nil {
 		nw.sigs.markDirty(id)
 	}
 	if nw.cones != nil {
 		nw.cones.markDirty(id)
 	}
-	return nil
 }
 
 // NormalizeNode drops fanins that no longer appear in the node's cover,

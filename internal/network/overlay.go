@@ -2,28 +2,28 @@ package network
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/algebraic"
 	"repro/internal/cube"
 )
 
-// Overlay is a copy-on-write editing view over a Reader: node replacements,
-// additions, and deletions are recorded in a private delta while every
-// untouched node reads through to the base. It satisfies Reader itself, so
-// the whole division machinery (netlist building, window extraction,
-// dependency walks) runs on an overlay exactly as it would on a deep clone —
-// but creating one is O(1), mutating it is O(touched nodes), and discarding
-// it is free. Committing extracts the delta (Added/Changed/Deleted, or
-// ApplyTo) instead of copying the network back.
+// Overlay is a copy-on-write editing view over a Reader: node replacements
+// and additions are recorded in a private delta while every untouched node
+// reads through to the base. It satisfies Reader itself, so the division
+// machinery (netlist building, dependency walks, a nested division) runs on
+// an overlay exactly as it would on a deep clone — but creating one is
+// O(1), mutating it is O(touched nodes), and discarding it is free.
+// Committing extracts the delta (Added/Changed, or ApplyTo) instead of
+// copying the network back. The engine uses one where a trial needs a
+// working network: extended division's divisor decomposition, and GDC
+// trials, which rebuild their netlist from the working copy every pass.
+// Overlays never delete nodes.
 //
 // Result invisibility is the design contract: every read an Overlay answers
 // is byte-identical to the same read on base.Clone() with the same mutations
 // applied — node identity, iteration order (replaced nodes keep their base
-// creation-order slot, added nodes append), TopoOrder visiting sequence,
-// FreshName probes, and the absence of signature/cone tables (clones do not
-// carry them, so Sigs/Cones return nil). FuzzOverlayReadEquivalence locks
-// this down against the materialized clone.
+// creation-order slot, added nodes append), the TopoOrderIDs visiting
+// sequence, and FreshName probes. FuzzOverlayReadEquivalence locks this
+// down against the materialized clone.
 //
 // ID space: the overlay shares its base's dense SigIDs for every base
 // signal and extends the space with overlay-local IDs (baseN, baseN+1, …)
@@ -31,9 +31,8 @@ import (
 // entry points — reads are pure, so overlays stack: an overlay over an
 // overlay snapshots a base ID space that cannot grow underneath it. The
 // delta itself stays a tiny name-keyed map: a trial touches a handful of
-// nodes, and thousands of short-lived overlays are concurrently live during
-// a wave — a per-overlay O(baseN) slot array would swamp the trial path in
-// allocation.
+// nodes, so a per-overlay O(baseN) slot array would cost more to allocate
+// than the trial's edits.
 //
 // An Overlay is owned by a single goroutine; concurrent overlays over one
 // shared base are safe because their deltas (and extension symbol tables)
@@ -43,18 +42,15 @@ type Overlay struct {
 	// baseN is the base ID-space size captured at creation; IDs below it are
 	// base IDs, IDs at or above it are overlay-local extensions.
 	baseN int
-	// nodes holds the delta bodies: a non-nil entry replaces (or adds) the
-	// node, a nil entry marks a base node deleted.
-	//bdslint:ignore idmap deliberate name-keyed delta: a trial touches a handful of nodes while thousands of overlays are live at once — a per-overlay O(baseN) SigID array would swamp the trial path in allocation (ROADMAP defers an ID-keyed delta)
+	// nodes holds the delta bodies: each entry replaces (or adds) the node.
+	//bdslint:ignore idmap deliberate name-keyed delta: a trial touches a handful of nodes, so a per-overlay O(baseN) SigID array would cost more to allocate than the edits it records
 	nodes map[string]*Node
 	// added lists names created on the overlay, in creation order (the order
 	// a clone's AddNode calls would append them to the network's order).
 	added []string
-	// changed lists base node names the overlay replaced or deleted, in
-	// first-touch order (deterministic delta extraction without map ranging).
+	// changed lists base node names the overlay replaced, in first-touch
+	// order (deterministic delta extraction without map ranging).
 	changed []string
-	// dels counts deleted base nodes (for NumNodes).
-	dels int
 	// extNames/extByName are the overlay-local extension symbol table:
 	// extNames[k] has ID baseN+k.
 	extNames []string
@@ -68,14 +64,11 @@ func NewOverlay(base Reader) *Overlay {
 	return &Overlay{base: base, baseN: base.NumSigs(), nodes: make(map[string]*Node)}
 }
 
-// Base returns the reader the overlay was created over.
-func (o *Overlay) Base() Reader { return o.base }
-
 // NetName returns the base network's name.
 func (o *Overlay) NetName() string { return o.base.NetName() }
 
 // Node returns the node driving name under the overlay: the delta body when
-// touched (nil when deleted), the base node otherwise.
+// touched, the base node otherwise.
 //
 //bdslint:hotpath
 func (o *Overlay) Node(name string) *Node {
@@ -175,14 +168,6 @@ func (o *Overlay) NodeByID(id SigID) *Node {
 	return nil
 }
 
-// IsPIID reports whether id is a base primary input (overlay-local IDs
-// never are).
-//
-//bdslint:hotpath
-func (o *Overlay) IsPIID(id SigID) bool {
-	return int(id) < o.baseN && o.base.IsPIID(id)
-}
-
 // FaninIDsOf returns node id's fanin IDs under the overlay. Untouched base
 // nodes share the base's slice (allocation-free, the common case); delta
 // bodies intern on demand.
@@ -211,71 +196,35 @@ func (o *Overlay) FaninIDsOf(id SigID) []SigID {
 	return ids
 }
 
-// TopoOrderIDs returns node IDs in topological order — TopoOrder's visiting
-// sequence, signal for signal.
-func (o *Overlay) TopoOrderIDs() []SigID {
-	names := o.TopoOrder()
-	out := make([]SigID, len(names))
-	for i, s := range names {
-		id := o.idOf(s)
-		if id == NoSig {
-			panic(fmt.Sprintf("network: overlay node %q was never interned", s))
-		}
-		out[i] = id
-	}
-	return out
-}
-
-// isAdded reports whether name was created on the overlay. The added list
-// stays tiny (a division trial adds at most one core node), so a scan beats
-// a second map.
-func (o *Overlay) isAdded(name string) bool {
-	for _, a := range o.added {
-		if a == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Nodes returns all live nodes in deterministic order: the base's creation
-// order with replacements substituted and deletions skipped, then the
-// overlay's additions in creation order — exactly the order a mutated clone
-// would report.
+// Nodes returns all nodes in deterministic order: the base's creation order
+// with replacements substituted, then the overlay's additions in creation
+// order — exactly the order a mutated clone would report.
 func (o *Overlay) Nodes() []*Node {
 	base := o.base.Nodes()
 	out := make([]*Node, 0, len(base)+len(o.added))
 	for _, n := range base {
 		if d, ok := o.nodes[n.Name]; ok {
-			if d != nil {
-				out = append(out, d)
-			}
-			continue
+			n = d
 		}
 		out = append(out, n)
 	}
 	for _, name := range o.added {
-		if n := o.nodes[name]; n != nil {
-			out = append(out, n)
-		}
+		out = append(out, o.nodes[name])
 	}
 	return out
 }
 
-// NumNodes returns the live node count under the overlay.
-func (o *Overlay) NumNodes() int { return o.base.NumNodes() + len(o.added) - o.dels }
-
-// TopoOrder returns node names topologically sorted, mirroring
-// Network.TopoOrder over the overlay view (same visiting sequence as a
+// TopoOrderIDs returns node IDs in topological order, mirroring
+// Network.TopoOrderIDs over the overlay view (same visiting sequence as a
 // mutated clone, panicking on a combinational cycle).
-func (o *Overlay) TopoOrder() []string {
+func (o *Overlay) TopoOrderIDs() []SigID {
 	// SigID-indexed DFS marks: every signal with a driving node is interned
 	// (mutating entry points intern their fanins), so the dense slice
 	// replaces a name-keyed map that rehashed every visit. For a full-
 	// network overlay the walk touches most of the ID space anyway, so the
 	// O(NumSigs) slice is also the cheaper allocation.
 	state := make([]uint8, o.NumSigs()) // 0 unvisited, 1 visiting, 2 done
-	var out []string
+	var out []SigID
 	var visit func(string)
 	visit = func(s string) {
 		if o.IsPI(s) {
@@ -300,7 +249,7 @@ func (o *Overlay) TopoOrder() []string {
 			visit(f)
 		}
 		state[id] = 2
-		out = append(out, s)
+		out = append(out, id)
 	}
 	for _, n := range o.base.Nodes() {
 		visit(n.Name)
@@ -311,24 +260,13 @@ func (o *Overlay) TopoOrder() []string {
 	return out
 }
 
-// SortedNodeNames returns live node names sorted lexicographically.
-func (o *Overlay) SortedNodeNames() []string {
-	nodes := o.Nodes()
-	out := make([]string, len(nodes))
-	for i, n := range nodes {
-		out[i] = n.Name
-	}
-	sort.Strings(out)
-	return out
-}
-
 // DependsOn reports whether signal a transitively depends on signal b under
 // the overlay.
 func (o *Overlay) DependsOn(a, b string) bool {
 	if a == b {
 		return true
 	}
-	// SigID-indexed visited marks (see TopoOrder): the walk only marks
+	// SigID-indexed visited marks (see TopoOrderIDs): the walk only marks
 	// signals it recurses through, all of which have driving nodes and are
 	// therefore interned.
 	seen := make([]bool, o.NumSigs())
@@ -357,79 +295,8 @@ func (o *Overlay) DependsOn(a, b string) bool {
 	return walk(a)
 }
 
-// TFOSet returns the transitive-fanout node set of a signal under the
-// overlay.
-func (o *Overlay) TFOSet(name string) map[string]bool {
-	fanouts := o.Fanouts()
-	out := make(map[string]bool)
-	stack := []string{name}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, fo := range fanouts[s] {
-			if !out[fo] {
-				out[fo] = true
-				stack = append(stack, fo)
-			}
-		}
-	}
-	return out
-}
-
-// Fanouts returns the fanout map of the overlay view, in the same
-// deterministic order as Network.Fanouts.
-func (o *Overlay) Fanouts() map[string][]string {
-	out := make(map[string][]string)
-	for _, n := range o.Nodes() {
-		for _, f := range n.Fanins {
-			out[f] = append(out[f], n.Name)
-		}
-	}
-	return out
-}
-
-// Levels returns per-signal logic depths and the maximum PO depth under the
-// overlay, mirroring Network.Levels.
-func (o *Overlay) Levels() (map[string]int, int) {
-	pis := o.PIs()
-	lv := make(map[string]int, o.NumNodes()+len(pis))
-	for _, pi := range pis {
-		lv[pi] = 0
-	}
-	for _, name := range o.TopoOrder() {
-		n := o.Node(name)
-		d := 0
-		for _, f := range n.Fanins {
-			if lv[f] >= d {
-				d = lv[f] + 1
-			}
-		}
-		if len(n.Fanins) == 0 {
-			d = 0
-		}
-		lv[name] = d
-	}
-	max := 0
-	for _, po := range o.POs() {
-		if lv[po] > max {
-			max = lv[po]
-		}
-	}
-	return lv, max
-}
-
-// FactoredLits returns the factored-form literal total of the overlay view.
-func (o *Overlay) FactoredLits() int {
-	n := 0
-	for _, nd := range o.Nodes() {
-		n += algebraic.FactorLits(nd.Cover)
-	}
-	return n
-}
-
 // FreshName generates an unused signal name with the given prefix against
-// the overlay's name space (deleted base names count as free, exactly as
-// they would on a mutated clone).
+// the overlay's name space, exactly as a mutated clone would.
 func (o *Overlay) FreshName(prefix string) string {
 	for i := 0; ; i++ {
 		name := fmt.Sprintf("%s%d", prefix, i)
@@ -446,14 +313,9 @@ func (o *Overlay) FreshName(prefix string) string {
 func (o *Overlay) Clone() *Network {
 	c := o.base.Clone()
 	for _, name := range o.changed {
-		n := o.nodes[name]
-		if n == nil {
-			c.RemoveNode(name)
-			continue
-		}
 		// Replaced nodes keep their creation-order slot; install directly
 		// (the overlay already validated the rewrite).
-		c.replaceInPlace(name, n.Clone())
+		c.replaceInPlace(name, o.nodes[name].Clone())
 	}
 	for _, name := range o.added {
 		c.installAppended(name, o.nodes[name].Clone())
@@ -465,7 +327,7 @@ func (o *Overlay) Clone() *Network {
 // returns the delta body to mutate, copying the base node on first touch.
 func (o *Overlay) touch(name string) *Node {
 	if n, ok := o.nodes[name]; ok {
-		return n // nil for deleted: callers check first
+		return n
 	}
 	n := o.base.Node(name).Clone()
 	o.nodes[name] = n
@@ -479,12 +341,7 @@ func (o *Overlay) AddNode(name string, fanins []string, cover cube.Cover) *Node 
 	if cover.NumVars() != len(fanins) {
 		panic(fmt.Sprintf("network: node %q cover space %d != fanins %d", name, cover.NumVars(), len(fanins)))
 	}
-	if _, touched := o.nodes[name]; touched {
-		// A non-nil entry is a live duplicate; re-adding a name the overlay
-		// deleted would need order-slot bookkeeping no trial performs.
-		panic(fmt.Sprintf("network: overlay duplicate or re-added signal %q", name))
-	}
-	if o.base.Node(name) != nil || o.IsPI(name) {
+	if o.Node(name) != nil || o.IsPI(name) {
 		panic(fmt.Sprintf("network: duplicate signal %q", name))
 	}
 	for i, f := range fanins {
@@ -502,23 +359,6 @@ func (o *Overlay) AddNode(name string, fanins []string, cover cube.Cover) *Node 
 		o.internName(f)
 	}
 	return n
-}
-
-// RemoveNode deletes the node driving name from the overlay view. Removing
-// an unknown name is a no-op (as on Network); removing a node added on the
-// overlay itself is unsupported.
-func (o *Overlay) RemoveNode(name string) {
-	if o.Node(name) == nil {
-		return
-	}
-	if o.isAdded(name) {
-		panic(fmt.Sprintf("network: overlay cannot remove its own addition %q", name))
-	}
-	if _, touched := o.nodes[name]; !touched {
-		o.changed = append(o.changed, name)
-	}
-	o.nodes[name] = nil
-	o.dels++
 }
 
 // ReplaceNodeFunction rewrites node name on the overlay with a new fanin
@@ -596,61 +436,46 @@ func (o *Overlay) NormalizeNode(name string) {
 // returned nodes are the overlay's own delta bodies (the overlay is
 // discarded after delta extraction).
 func (o *Overlay) Added() []*Node {
-	out := make([]*Node, 0, len(o.added))
-	for _, name := range o.added {
-		if n := o.nodes[name]; n != nil {
-			out = append(out, n)
-		}
+	out := make([]*Node, len(o.added))
+	for i, name := range o.added {
+		out[i] = o.nodes[name]
 	}
 	return out
 }
 
-// Changed returns the base nodes the overlay replaced, in first-touch order
-// (deletions are excluded — see Deleted).
-func (o *Overlay) Changed() []*Node {
-	out := make([]*Node, 0, len(o.changed))
-	for _, name := range o.changed {
-		if n := o.nodes[name]; n != nil {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Deleted returns the base node names the overlay removed, in first-touch
+// Changed returns the base nodes the overlay replaced, in first-touch
 // order.
-func (o *Overlay) Deleted() []string {
-	var out []string
-	for _, name := range o.changed {
-		if o.nodes[name] == nil {
-			out = append(out, name)
-		}
+func (o *Overlay) Changed() []*Node {
+	out := make([]*Node, len(o.changed))
+	for i, name := range o.changed {
+		out[i] = o.nodes[name]
 	}
 	return out
 }
 
 // ApplyTo commits the overlay's delta to dst: additions first (in creation
-// order, so replacement bodies may reference them), then replacements (in
-// first-touch order), then deletions. When dst is the overlay's base in the
-// state the overlay was created over — the plan/commit engine's invariant —
-// the result is byte-identical to dst.CopyFrom(o.Clone()), including the
-// node creation order, while only marking the touched signals dirty in dst's
-// signature/cone tables. An application error means dst diverged from the
-// base state; the caller treats that as an engine bug.
+// order, so replacement bodies may reference them), then the final body of
+// every replaced node (in first-touch order). When dst is the overlay's base
+// in the state the overlay was created over — the plan/commit engine's
+// invariant — the result is byte-identical to dst.CopyFrom(o.Clone()),
+// including the node creation order, while only marking the touched
+// signals dirty in dst's signature/cone tables. Replacements install
+// without a cycle check: the overlay refused every cycle on its own view,
+// and checking each body against a half-applied delta can refuse a valid
+// one. An application error means dst diverged from the base state; the
+// caller treats that as an engine bug.
 func (o *Overlay) ApplyTo(dst *Network) error {
 	for _, name := range o.added {
 		n := o.nodes[name]
 		dst.AddNode(name, n.Fanins, n.Cover)
 	}
 	for _, name := range o.changed {
+		id, ok := dst.sym.Lookup(name)
+		if !ok || dst.defs[id] == nil {
+			return fmt.Errorf("network: no node %q", name)
+		}
 		n := o.nodes[name]
-		if n == nil {
-			dst.RemoveNode(name)
-			continue
-		}
-		if err := dst.ReplaceNodeFunction(name, n.Fanins, n.Cover); err != nil {
-			return err
-		}
+		dst.replaceFunc(id, n.Fanins, n.Cover)
 	}
 	return nil
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
@@ -33,11 +33,10 @@ func randOverlayCover(r *rand.Rand, k int) cube.Cover {
 
 // FuzzOverlayReadEquivalence locks down the Overlay design contract the
 // plan/commit engine rests on: after an arbitrary mutation sequence, every
-// Reader method answers byte-identically on the overlay and on a
-// materialized clone that received the same mutations. The op generator
-// never re-adds a deleted base name (additions use the "t" prefix, the
-// generator's nodes the "n" prefix), matching the engine's usage — Overlay
-// documents re-adding as unsupported.
+// Reader method — the ID surface netlist builds read included — answers
+// byte-identically on the overlay and on a materialized clone that received
+// the same mutations, and committing the delta with ApplyTo onto a fresh
+// copy of the base reproduces that clone.
 func FuzzOverlayReadEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(42), int64(7))
@@ -49,8 +48,6 @@ func FuzzOverlayReadEquivalence(f *testing.F) {
 		o := NewOverlay(base)
 
 		opr := rand.New(rand.NewSource(opSeed))
-		added := map[string]bool{}
-		var deleted []string
 		for op := 0; op < 3+opr.Intn(6); op++ {
 			live := ref.SortedNodeNames()
 			if len(live) == 0 {
@@ -59,7 +56,7 @@ func FuzzOverlayReadEquivalence(f *testing.F) {
 			// Fanin candidates for rewrites/additions: PIs then live nodes —
 			// identical on both views by the equivalence being established.
 			signals := append(append([]string(nil), ref.PIs()...), live...)
-			switch opr.Intn(5) {
+			switch opr.Intn(4) {
 			case 0: // ReplaceNodeFunction (cycle refusals must agree too)
 				name := live[opr.Intn(len(live))]
 				var cands []string
@@ -105,23 +102,7 @@ func FuzzOverlayReadEquivalence(f *testing.F) {
 				cov := randOverlayCover(opr, k)
 				o.AddNode(n1, fanins, cov.Clone())
 				ref.AddNode(n1, fanins, cov.Clone())
-				added[n1] = true
-			case 3: // RemoveNode: fanout-free base nodes only (engine usage)
-				fanouts := ref.Fanouts()
-				var cands []string
-				for _, name := range live {
-					if !added[name] && len(fanouts[name]) == 0 {
-						cands = append(cands, name)
-					}
-				}
-				if len(cands) == 0 {
-					continue
-				}
-				name := cands[opr.Intn(len(cands))]
-				o.RemoveNode(name)
-				ref.RemoveNode(name)
-				deleted = append(deleted, name)
-			case 4: // NormalizeNode
+			case 3: // NormalizeNode
 				name := live[opr.Intn(len(live))]
 				o.NormalizeNode(name)
 				ref.NormalizeNode(name)
@@ -132,20 +113,14 @@ func FuzzOverlayReadEquivalence(f *testing.F) {
 		if o.NetName() != ref.NetName() {
 			t.Errorf("NetName: %q vs %q", o.NetName(), ref.NetName())
 		}
-		if o.NumNodes() != ref.NumNodes() {
-			t.Errorf("NumNodes: %d vs %d", o.NumNodes(), ref.NumNodes())
-		}
 		if !reflect.DeepEqual(o.PIs(), ref.PIs()) {
 			t.Errorf("PIs: %v vs %v", o.PIs(), ref.PIs())
 		}
 		if !reflect.DeepEqual(o.POs(), ref.POs()) {
 			t.Errorf("POs: %v vs %v", o.POs(), ref.POs())
 		}
-		if got, want := o.TopoOrder(), ref.TopoOrder(); !reflect.DeepEqual(got, want) {
-			t.Errorf("TopoOrder: %v vs %v", got, want)
-		}
-		if got, want := o.SortedNodeNames(), ref.SortedNodeNames(); !reflect.DeepEqual(got, want) {
-			t.Errorf("SortedNodeNames: %v vs %v", got, want)
+		if got, want := sigNames(o, o.TopoOrderIDs()), ref.TopoOrder(); !slices.Equal(got, want) {
+			t.Errorf("TopoOrderIDs: %v vs %v", got, want)
 		}
 		on, rn := o.Nodes(), ref.Nodes()
 		if len(on) != len(rn) {
@@ -157,20 +132,31 @@ func FuzzOverlayReadEquivalence(f *testing.F) {
 			}
 		}
 
-		// Per-signal queries over the full name space (plus deleted and
-		// never-existed names for the nil answers).
+		// Per-signal queries over the full name space (plus a never-existed
+		// name for the nil answers).
 		signals := append(append([]string(nil), ref.PIs()...), ref.SortedNodeNames()...)
-		probes := append(append([]string(nil), signals...), deleted...)
-		probes = append(probes, "no_such_signal")
-		for _, name := range probes {
+		for _, name := range append(signals, "no_such_signal") {
 			if err := sameNode(o.Node(name), ref.Node(name)); err != nil {
 				t.Errorf("Node(%q): %v", name, err)
 			}
 			if o.IsPI(name) != ref.IsPI(name) {
 				t.Errorf("IsPI(%q): %v vs %v", name, o.IsPI(name), ref.IsPI(name))
 			}
-			if got, want := o.TFOSet(name), ref.TFOSet(name); !reflect.DeepEqual(got, want) {
-				t.Errorf("TFOSet(%q): %v vs %v", name, got, want)
+		}
+		// The ID surface: every signal resolves, round-trips through
+		// SigName, and reads the same node and fanins by ID.
+		for _, name := range signals {
+			id, ok := o.IDOf(name)
+			if !ok || o.SigName(id) != name {
+				t.Errorf("IDOf(%q) = %d, %v; SigName round-trip failed", name, id, ok)
+				continue
+			}
+			rid, _ := ref.IDOf(name)
+			if err := sameNode(o.NodeByID(id), ref.NodeByID(rid)); err != nil {
+				t.Errorf("NodeByID(%q): %v", name, err)
+			}
+			if got, want := sigNames(o, o.FaninIDsOf(id)), sigNames(ref, ref.FaninIDsOf(rid)); !slices.Equal(got, want) {
+				t.Errorf("FaninIDsOf(%q): %v vs %v", name, got, want)
 			}
 		}
 		for _, a := range signals {
@@ -180,17 +166,6 @@ func FuzzOverlayReadEquivalence(f *testing.F) {
 				}
 			}
 		}
-		if got, want := o.Fanouts(), ref.Fanouts(); !sameFanouts(got, want) {
-			t.Errorf("Fanouts: %v vs %v", got, want)
-		}
-		oLv, oD := o.Levels()
-		rLv, rD := ref.Levels()
-		if oD != rD || !reflect.DeepEqual(oLv, rLv) {
-			t.Errorf("Levels: (%v, %d) vs (%v, %d)", oLv, oD, rLv, rD)
-		}
-		if o.FactoredLits() != ref.FactoredLits() {
-			t.Errorf("FactoredLits: %d vs %d", o.FactoredLits(), ref.FactoredLits())
-		}
 		for _, prefix := range []string{"t", "n", "i"} {
 			if got, want := o.FreshName(prefix), ref.FreshName(prefix); got != want {
 				t.Errorf("FreshName(%q): %q vs %q", prefix, got, want)
@@ -199,7 +174,27 @@ func FuzzOverlayReadEquivalence(f *testing.F) {
 		if got, want := o.Clone().String(), ref.String(); got != want {
 			t.Errorf("Clone diverged from mutated clone:\n%s\nvs:\n%s", got, want)
 		}
+		// Committing the delta onto the state the overlay was created over.
+		dst := base.Clone()
+		if err := o.ApplyTo(dst); err != nil {
+			t.Fatalf("ApplyTo: %v", err)
+		}
+		if got, want := dst.String(), ref.String(); got != want {
+			t.Errorf("ApplyTo diverged from mutated clone:\n%s\nvs:\n%s", got, want)
+		}
+		if err := dst.Check(); err != nil {
+			t.Errorf("ApplyTo result fails Check: %v", err)
+		}
 	})
+}
+
+// sigNames maps IDs to names through r.
+func sigNames(r Reader, ids []SigID) []string {
+	var out []string
+	for _, id := range ids {
+		out = append(out, r.SigName(id))
+	}
+	return out
 }
 
 func sameNode(a, b *Node) error {
@@ -219,26 +214,4 @@ func sameNode(a, b *Node) error {
 		return fmt.Errorf("cover %v vs %v", a.Cover, b.Cover)
 	}
 	return nil
-}
-
-func sameFanouts(a, b map[string][]string) bool {
-	keys := func(m map[string][]string) []string {
-		var out []string
-		//bdslint:ignore maporder keys collected then sorted before use
-		for k := range m {
-			out = append(out, k)
-		}
-		sort.Strings(out)
-		return out
-	}
-	ka, kb := keys(a), keys(b)
-	if !reflect.DeepEqual(ka, kb) {
-		return false
-	}
-	for _, k := range ka {
-		if !reflect.DeepEqual(a[k], b[k]) {
-			return false
-		}
-	}
-	return true
 }

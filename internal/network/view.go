@@ -28,22 +28,8 @@ type Reader interface {
 	IsPI(name string) bool
 	// Nodes returns all nodes in deterministic order (do not modify).
 	Nodes() []*Node
-	// NumNodes returns the internal node count.
-	NumNodes() int
-	// TopoOrder returns node names in topological order.
-	TopoOrder() []string
-	// SortedNodeNames returns node names sorted lexicographically.
-	SortedNodeNames() []string
-	// TFOSet returns the transitive-fanout node set of a signal.
-	TFOSet(name string) map[string]bool
 	// DependsOn reports whether a transitively depends on b.
 	DependsOn(a, b string) bool
-	// Fanouts returns the fanout map of the network.
-	Fanouts() map[string][]string
-	// Levels returns per-signal logic depths and the maximum PO depth.
-	Levels() (map[string]int, int)
-	// FactoredLits returns the factored-form literal total.
-	FactoredLits() int
 	// FreshName returns an unused signal name with the given prefix — a pure
 	// probe against the current name space (it reserves nothing).
 	FreshName(prefix string) string
@@ -64,13 +50,11 @@ type Reader interface {
 	SigName(id SigID) string
 	// NodeByID returns the node driving signal id, or nil (read-only).
 	NodeByID(id SigID) *Node
-	// IsPIID reports whether id is a primary input.
-	IsPIID(id SigID) bool
 	// FaninIDsOf returns node id's fanin IDs, parallel to its Fanins slice
 	// (do not modify). Nil for PIs/unknown.
 	FaninIDsOf(id SigID) []SigID
 	// TopoOrderIDs returns node IDs in topological order — the same visiting
-	// sequence as TopoOrder, signal for signal.
+	// sequence as Network.TopoOrder, signal for signal.
 	TopoOrderIDs() []SigID
 }
 

@@ -7,10 +7,7 @@
 package opt
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/algebraic"
 	"repro/internal/cube"
@@ -39,21 +36,10 @@ func SimplifyAll(nw *network.Network) int {
 // SIS `resub -d` baseline: every node is tried as an algebraic divisor of
 // every other node, in both phases when useComplement is set (the -d flag).
 // Acceptance is locally greedy on factored literals, mirroring the paper's
-// acceptance rule for its own algorithm. Returns the substitution count.
+// acceptance rule for its own algorithm: for each dividend the candidate
+// divisors are tried in name order and the first positive-gain plan is
+// committed. Returns the substitution count.
 func ResubAlgebraic(nw *network.Network, useComplement bool) int {
-	return ResubAlgebraicJ(nw, useComplement, 1)
-}
-
-// ResubAlgebraicJ is ResubAlgebraic with a bounded worker pool, following
-// the same plan/commit split as internal/core's engine: candidate divisors
-// for a node are planned concurrently against the read-only network in
-// waves of the worker count, then the first positive-gain plan in candidate
-// order is committed serially. The committed network is identical at any
-// worker count (workers <= 0 selects GOMAXPROCS).
-func ResubAlgebraicJ(nw *network.Network, useComplement bool, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	count := 0
 	for pass := 0; pass < 2; pass++ {
 		changed := false
@@ -64,54 +50,7 @@ func ResubAlgebraicJ(nw *network.Network, useComplement bool, workers int) int {
 			if fn == nil || fn.Cover.IsZero() {
 				continue
 			}
-			var cands []string
-			for _, d := range nw.SortedNodeNames() {
-				if d == f || nw.DependsOn(d, f) {
-					continue
-				}
-				cands = append(cands, d)
-			}
-			committed := false
-			for start := 0; start < len(cands) && !committed; start += workers {
-				end := start + workers
-				if end > len(cands) {
-					end = len(cands)
-				}
-				batch := cands[start:end]
-				plans := make([][]algPlan, len(batch))
-				if workers == 1 || len(batch) == 1 {
-					plans[0] = planAlgebraicResub(nw, f, batch[0], useComplement)
-				} else {
-					var next atomic.Int64
-					var wg sync.WaitGroup
-					for w := 0; w < workers && w < len(batch); w++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for {
-								j := int(next.Add(1)) - 1
-								if j >= len(batch) {
-									return
-								}
-								plans[j] = planAlgebraicResub(nw, f, batch[j], useComplement)
-							}
-						}()
-					}
-					wg.Wait()
-				}
-				for _, ps := range plans {
-					for _, p := range ps {
-						if commitAlgPlan(nw, f, p) {
-							committed = true
-							break // first positive-gain divisor wins
-						}
-					}
-					if committed {
-						break
-					}
-				}
-			}
-			if committed {
+			if resubNode(nw, f, useComplement) {
 				count++
 				changed = true
 			}
@@ -123,6 +62,23 @@ func ResubAlgebraicJ(nw *network.Network, useComplement bool, workers int) int {
 	return count
 }
 
+// resubNode commits the first positive-gain algebraic resubstitution of f,
+// trying every node that does not depend on f as the divisor. Reports
+// whether one was committed.
+func resubNode(nw *network.Network, f string, useComplement bool) bool {
+	for _, d := range nw.SortedNodeNames() {
+		if d == f || nw.DependsOn(d, f) {
+			continue
+		}
+		for _, p := range planAlgebraicResub(nw, f, d, useComplement) {
+			if commitAlgPlan(nw, f, p) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // algPlan is one planned algebraic resubstitution: the replacement node
 // function for the dividend, as pure data.
 type algPlan struct {
@@ -132,8 +88,8 @@ type algPlan struct {
 
 // planAlgebraicResub plans f = q·d + r (and the complement-phase variant
 // when useComplement is set) without mutating the network. The returned
-// plans are in the order the serial driver would have tried them (positive
-// phase first); the committer takes the first that applies.
+// plans are in the order resubNode tries them (positive phase first); it
+// commits the first that applies.
 func planAlgebraicResub(nw network.Reader, f, d string, useComplement bool) []algPlan {
 	fn, dn := nw.Node(f), nw.Node(d)
 	if dn.Cover.IsZero() || (dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {

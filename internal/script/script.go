@@ -18,11 +18,11 @@ type Resub func(nw *network.Network)
 // (the paper's `resub -d`).
 func ResubSIS(nw *network.Network) { opt.ResubAlgebraic(nw, true) }
 
-// ResubSISJ is ResubSIS with the worker-pool knob threaded through to
-// opt.ResubAlgebraicJ.
-func ResubSISJ(workers int) Resub {
-	return func(nw *network.Network) { opt.ResubAlgebraicJ(nw, true, workers) }
-}
+// ResubSISJ returns ResubSIS.
+//
+// Deprecated: workers is ignored — the SIS baseline runs serially. Use
+// ResubSIS.
+func ResubSISJ(workers int) Resub { return ResubSIS }
 
 // ResubRAR returns the paper's Boolean substitution in the given
 // configuration; POS-form substitution and multi-node divisor pooling are
