@@ -6,13 +6,22 @@
 package algebraic
 
 import (
+	"slices"
+
 	"repro/internal/cube"
 )
 
 // WeakDivide performs algebraic (weak) division of f by the divisor d,
 // returning quotient q and remainder r with f = q·d + r as algebraic
 // expressions (set-of-cubes semantics, no Boolean identities). The quotient
-// is zero when d does not algebraically divide f.
+// is zero when d does not algebraically divide f. q is in cube.Canon order
+// and r in f's order (r shares f's cubes; when the quotient is zero it is
+// a clone of f). Quotient cubes are compared by key: a nonempty cube by
+// its words, and every empty cube by one shared key, so q holds at most
+// one empty cube, the last one d's first cube yields; an empty cube of f
+// always lands in r. The work runs on a pooled cube arena (see arena.go),
+// so the call allocates only q and r. It is safe for concurrent use and
+// never writes f or d.
 func WeakDivide(f, d cube.Cover) (q, r cube.Cover) {
 	n := f.NumVars()
 	q = cube.NewCover(n)
@@ -21,48 +30,22 @@ func WeakDivide(f, d cube.Cover) (q, r cube.Cover) {
 		r = f.Clone()
 		return q, r
 	}
-	// Quotient = intersection over divisor cubes of { c/dk : dk ⊆-lits c }.
-	var qset map[string]cube.Cube
-	for i, dk := range d.Cubes {
-		cur := make(map[string]cube.Cube)
-		for _, c := range f.Cubes {
-			if qc, ok := divideCube(c, dk); ok {
-				cur[coverKey(qc)] = qc
-			}
-		}
-		if i == 0 {
-			qset = cur
-		} else {
-			for k := range qset {
-				if _, ok := cur[k]; !ok {
-					delete(qset, k)
-				}
-			}
-		}
-		if len(qset) == 0 {
-			r = f.Clone()
-			return q, r
-		}
+	a := getArena()
+	fs, ds := a.push(f.Cubes), a.push(d.Cubes)
+	qs := a.weakQuotient(fs, ds)
+	if qs.len() == 0 {
+		putArena(a)
+		r = f.Clone()
+		return q, r
 	}
-	for _, c := range qset {
-		q.Cubes = append(q.Cubes, c)
+	q.Cubes = make([]cube.Cube, qs.len())
+	for i := range q.Cubes {
+		q.Cubes[i] = a.stk[qs.lo+i].Clone()
 	}
-	cube.Canon(q.Cubes)
-	// Remainder: cubes of f not produced by q·d.
-	prod := make(map[string]bool)
-	for _, qc := range q.Cubes {
-		for _, dk := range d.Cubes {
-			p := qc.And(dk)
-			if !p.IsEmpty() {
-				prod[coverKey(p)] = true
-			}
-		}
+	if rs := a.remainder(fs, qs, ds); rs.len() > 0 {
+		r.Cubes = slices.Clone(a.stk[rs.lo:rs.hi])
 	}
-	for _, c := range f.Cubes {
-		if !prod[coverKey(c)] {
-			r.Cubes = append(r.Cubes, c)
-		}
-	}
+	putArena(a)
 	return q, r
 }
 
@@ -90,12 +73,6 @@ func DivideByLiteral(f cube.Cover, v int, p cube.Phase) (q, r cube.Cover) {
 		}
 	}
 	return q, r
-}
-
-// coverKey gives a canonical map key for a cube.
-func coverKey(c cube.Cube) string {
-	// Reuse String: canonical per-cube since literal order is by variable.
-	return c.String()
 }
 
 // CommonCube returns the largest cube dividing every cube of f (its

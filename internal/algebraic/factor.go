@@ -246,56 +246,20 @@ func flattenOr(e *Expr) *Expr {
 // of the paper's experimental tables (SIS "lits(fac)"). It mirrors Factor's
 // recursion decision for decision (same divisions, same comparisons) while
 // only tallying counts, so no expression tree is built: FactorLits(f) ==
-// Factor(f).Lits() always, at a fraction of the allocations. This is the
-// inner-loop cost metric of every division trial, hence the duplication.
+// Factor(f).Lits() for every cover without empty cubes (Cover.Add never
+// stores one). This is the inner-loop cost metric of every division trial,
+// hence the duplication. The recursion runs on a pooled cube arena (see
+// arena.go): every intermediate cover is a span of cube headers and every
+// derived cube is bump-allocated and released per frame, so a warmed call
+// allocates nothing. It is safe for concurrent use and never writes f.
 func FactorLits(f cube.Cover) int {
-	return factorLitsRec(f.SCC(), 0)
-}
-
-// factorLitsRec is factorRec without the tree. The count identities:
-// Lits(flattenAnd(cubeExpr(cc), e)) = NumLits(cc)+Lits(e) (cc has a literal,
-// e is never constant-0 here since ff is nonzero); Lits(buildQDR(d, q, r)) =
-// Lits(q)+Lits(d)+Lits(r) (q is never zero at its call sites, and a
-// universal-cube q counts 0 exactly like flattenAnd dropping the constant).
-func factorLitsRec(f cube.Cover, depth int) int {
-	f = f.SCC()
 	if f.IsZero() {
 		return 0
 	}
-	if f.NumCubes() == 1 {
-		return f.Cubes[0].NumLits()
-	}
-	if depth > maxFactorDepth {
-		return f.NumLits()
-	}
-	ff, cc := MakeCubeFree(f)
-	if cc.NumLits() > 0 {
-		return cc.NumLits() + factorLitsRec(ff, depth+1)
-	}
-	lit, ok := repeatedLiteral(f)
-	if !ok {
-		return f.NumLits() // sopExpr
-	}
-	qL, rL := DivideByLiteral(f, lit.v, lit.p)
-	best := countQDR(1, qL, rL, depth)
-	if k, ok := Level0Kernel(f); ok && k.NumCubes() >= 2 && k.NumCubes() < f.NumCubes() {
-		q, r := WeakDivide(f, k)
-		if !q.IsZero() && q.NumCubes()*k.NumCubes() >= q.NumCubes()+k.NumCubes() {
-			if candK := countQDR(factorLitsRec(k, depth+1), q, r, depth); candK < best {
-				best = candK
-			}
-		}
-	}
-	return best
-}
-
-// countQDR is buildQDR's literal count: q·d + r.
-func countQDR(dLits int, q, r cube.Cover, depth int) int {
-	n := factorLitsRec(q, depth+1) + dLits
-	if r.IsZero() {
-		return n
-	}
-	return n + factorLitsRec(r, depth+1)
+	a := getArena()
+	n := a.factorLits(a.push(f.Cubes), 0)
+	putArena(a)
+	return n
 }
 
 // GoodFactor computes a factored form like Factor but searches all kernels

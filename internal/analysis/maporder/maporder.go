@@ -21,7 +21,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "flag range over a map in result-affecting packages: iteration " +
 		"order is randomized, so any order-observing body is a determinism bug " +
 		"unless the site is justified with //bdslint:ignore maporder",
-	Guarded: []string{"internal/core", "internal/network", "internal/netlist", "internal/atpg"},
+	Guarded: []string{"internal/core", "internal/network", "internal/netlist", "internal/atpg", "internal/algebraic"},
 	Run:     run,
 }
 

@@ -19,7 +19,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "forbid goroutine creation in engine packages outside the bounded " +
 		"worker pool (core/batch.go), which carries the one sanctioned " +
 		"//bdslint:ignore spawn site",
-	Guarded: []string{"internal/core", "internal/network", "internal/netlist", "internal/atpg"},
+	Guarded: []string{"internal/core", "internal/network", "internal/netlist", "internal/atpg", "internal/algebraic"},
 	Run:     run,
 }
 

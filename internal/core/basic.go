@@ -251,7 +251,7 @@ func regionRARRebuild(sc *scratch, work trialNet, f, d string, cfg Config) int {
 			return removed
 		}
 		fn := work.Node(f)
-		work.SetNodeCover(f, extractNode(nl, b, fn.Fanins, f))
+		work.SetNodeCover(f, extractNode(sc, nl, b, fn.Fanins, f))
 	}
 	return removed
 }
@@ -286,7 +286,7 @@ func rarPatched(sc *scratch, b *netlist.Build, f, d string, fanins []string, cov
 		if !changed {
 			break
 		}
-		cov = extractNode(nl, b, fanins, f)
+		cov = extractNode(sc, nl, b, fanins, f)
 	}
 	return cov, removed
 }
@@ -334,45 +334,49 @@ func rarPass(e *atpg.Engine, nl *netlist.Netlist, b *netlist.Build, ng *netlist.
 }
 
 // extractNode reads node f's two-level structure back out of the (mutated)
-// netlist into a cover over the node's current fanins.
-func extractNode(nl *netlist.Netlist, b *netlist.Build, fanins []string, f string) cube.Cover {
+// netlist into a cover over the node's current fanins. sc.fanGates holds
+// the fanins' signal gates while it runs.
+func extractNode(sc *scratch, nl *netlist.Netlist, b *netlist.Build, fanins []string, f string) cube.Cover {
 	ng := b.Nodes[f]
 	n := len(fanins)
-	// Map literal gates back to (var, phase).
-	lit := make(map[int]struct {
-		v int
-		p cube.Phase
-	})
-	for v, sig := range fanins {
-		g := nl.Signal[sig]
-		lit[g] = struct {
-			v int
-			p cube.Phase
-		}{v, cube.Pos}
-		for _, fo := range nl.Fanouts(g) {
-			if nl.KindOf(fo) == netlist.Not && nl.Fanins(fo)[0] == g {
-				lit[fo] = struct {
-					v int
-					p cube.Phase
-				}{v, cube.Neg}
-			}
-		}
+	sigs := sc.fanGates[:0]
+	for _, sig := range fanins {
+		sigs = append(sigs, nl.Signal[sig])
 	}
+	sc.fanGates = sigs
 	cov := cube.NewCover(n)
 	for _, pin := range nl.Fanins(ng.Out) {
 		// pin is a cube AND gate.
 		c := cube.New(n)
 		for _, lg := range nl.Fanins(pin) {
-			l, ok := lit[lg]
-			if !ok {
-				// Not a literal of this node (shouldn't happen).
-				continue
+			// A gate that is no literal of this node is skipped (shouldn't
+			// happen).
+			if v, p, ok := literalOf(nl, sigs, lg); ok {
+				c.Set(v, p)
 			}
-			c.Set(l.v, l.p)
 		}
 		cov.Cubes = append(cov.Cubes, c)
 	}
 	return cov.SCC()
+}
+
+// literalOf maps literal gate lg back to (var, phase) given the fanins'
+// signal gates: fanin v's signal gate reads as v, a NOT gate over it as v'.
+// When several fanins match, the last one wins.
+func literalOf(nl *netlist.Netlist, sigs []int, lg int) (int, cube.Phase, bool) {
+	src := -1
+	if nl.KindOf(lg) == netlist.Not {
+		src = nl.Fanins(lg)[0]
+	}
+	for v := len(sigs) - 1; v >= 0; v-- {
+		switch sigs[v] {
+		case lg:
+			return v, cube.Pos, true
+		case src:
+			return v, cube.Neg, true
+		}
+	}
+	return 0, 0, false
 }
 
 // localScope appends to dst the paper's region-restricted implication

@@ -115,7 +115,7 @@ type batchMember struct {
 	id      network.SigID // dividend signal
 	f       string        // dividend name at batch-build time
 	trivial bool          // node was nil/zero-cover at scan time: nothing to do
-	solo    bool          // over-cap footprint: run via the serial fallback
+	solo    bool          // over-cap footprint: no claim, run via the serial fallback
 	build   int           // build serial number (tells a reuse from a rebuild)
 
 	cands   []candidate
@@ -212,18 +212,17 @@ scan:
 		}
 		m := s.takeCarry(pos, id)
 		if m == nil {
-			m = s.buildMember(pos, id, fn.Name)
+			m = s.buildMember(pos, id, fn.Name, claiming == 0)
 		}
 		if m == nil {
-			// Unbatchable footprint: take it as a serial solo when nothing
-			// has claimed yet, otherwise end the batch before it.
-			if claiming == 0 {
-				m := s.member(pos, id)
-				m.solo = true
-				s.members = append(s.members, m)
-				took++
-				solo = true
-			}
+			// Unbatchable footprint behind a claiming member: end the batch
+			// before it.
+			break scan
+		}
+		if m.solo {
+			s.members = append(s.members, m)
+			took++
+			solo = true
 			break scan
 		}
 		if len(m.cands) > 0 {
@@ -252,7 +251,7 @@ scan:
 		built := r.ev.epoch
 		for _, m := range s.members {
 			var ch bool
-			if m.trivial || m.solo || r.ev.epoch != built {
+			if m.trivial || r.ev.epoch != built {
 				ch = r.substituteNode(m.id)
 			} else {
 				ch = r.tryCandidates(m.f, m.cands)
@@ -385,8 +384,12 @@ func (s *batchScheduler) release(m *batchMember) {
 
 // buildMember walks dividend f's fanout cone once, capped at batchConeCap,
 // and precomputes from it the member's candidate list, claim footprint and
-// rule inputs. It returns nil for an over-cap cone.
-func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) *batchMember {
+// rule inputs. An over-cap cone makes f unbatchable: buildMember returns
+// nil, unless alone is set (no earlier member of the batch claims), in
+// which case it finishes the walk uncapped and returns a solo member with
+// its candidate list and no claim — the list substituteNode would build,
+// without walking the cone's capped part a second time.
+func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, alone bool) *batchMember {
 	r := s.r
 	nw := r.nw
 	opt := r.opt
@@ -401,12 +404,19 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) *batch
 	var ok bool
 	m.tfo, ok = nw.AppendFanoutConeIDs(id, &es.tfo, m.tfo, batchConeCap)
 	if !ok {
-		s.release(m)
-		return nil
+		if !alone {
+			s.release(m)
+			return nil
+		}
+		es.tfoIDs = nw.ResumeFanoutConeIDs(&es.tfo, es.tfoIDs[:0])
+		m.solo = true
 	}
 	m.cands = enumerateCandidates(nw, r.sigs, r.cc, id, opt, es, m.cands)
 	if len(m.cands) > r.maxTrials {
 		m.cands = m.cands[:r.maxTrials]
+	}
+	if m.solo {
+		return m
 	}
 	fanins := nw.FaninIDsOf(id)
 	m.guard = append(append(append(m.guard, id), fanins...), m.tfo...)

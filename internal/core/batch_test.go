@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -139,8 +140,8 @@ func TestBatchPOReconvergentPairConflicts(t *testing.T) {
 	yid, _ := nw.IDOf("y")
 	nw.EnableFanouts()
 	s := newBatchScheduler(newTestRun(nw, Options{Config: Extended, POS: true}))
-	mx := s.buildMember(0, xid, "x")
-	my := s.buildMember(1, yid, "y")
+	mx := s.buildMember(0, xid, "x", false)
+	my := s.buildMember(1, yid, "y", false)
 	if mx == nil || my == nil {
 		t.Fatal("footprint builder rejected a three-node cone as over-cap")
 	}
@@ -477,5 +478,70 @@ func TestBatchFormsOnEntangledLogic(t *testing.T) {
 				t.Fatalf("seed %d w%d: batched BLIF differs from the batch-off run", seed, workers)
 			}
 		}
+	}
+}
+
+// chainDAG builds a chain of n nodes over 32 PIs: node i reads node i-1
+// and two PIs, so its fanout cone holds every later node, and the cubes
+// repeat along the chain, so dividends have divisor candidates.
+func chainDAG(n int) *network.Network {
+	const k = 32
+	nw := network.New("chain")
+	for i := 0; i < k; i++ {
+		nw.AddPI(fmt.Sprintf("p%d", i))
+	}
+	prev := fmt.Sprintf("p%d", k-1)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("n%d", i)
+		fanins := []string{prev, fmt.Sprintf("p%d", i%k), fmt.Sprintf("p%d", (i+7)%k)}
+		nw.AddNode(name, fanins, cube.ParseCover(3, "ab + ac + b'c"))
+		prev = name
+	}
+	nw.AddPO(prev)
+	return nw
+}
+
+// TestBatchSoloResumesCappedWalk pins the over-cap path of phase A. Behind
+// a claiming member, an over-cap dividend is not built at all; with none
+// ahead of it, its capped walk resumes uncapped and it becomes a solo
+// member carrying the candidate list substituteNode would build. The whole
+// run still commits the batch-off BLIF.
+func TestBatchSoloResumesCappedWalk(t *testing.T) {
+	base := chainDAG(batchConeCap + 200)
+	nw := base.Clone()
+	nw.EnableFanouts()
+	r := newTestRun(nw, scaleOptions(1))
+	s := newBatchScheduler(r)
+	for _, f := range []string{"n40", "n100", "n190"} {
+		id, _ := nw.IDOf(f)
+		if m := s.buildMember(0, id, f, false); m != nil {
+			t.Fatalf("%s: over-cap dividend built behind a claiming member", f)
+		}
+		m := s.buildMember(0, id, f, true)
+		if m == nil || !m.solo || len(m.fp) != 0 {
+			t.Fatalf("%s: over-cap dividend alone in its batch is not an unclaimed solo: %+v", f, m)
+		}
+		want := candidateDivisors(nw, r.sigs, r.cc, f, r.opt, nil)
+		if len(want) > r.maxTrials {
+			want = want[:r.maxTrials]
+		}
+		if len(want) == 0 || len(m.cands) != len(want) {
+			t.Fatalf("%s: solo carries %d candidates, substituteNode builds %d", f, len(m.cands), len(want))
+		}
+		for i := range want {
+			if m.cands[i].name != want[i].name || m.cands[i].neg != want[i].neg || m.cands[i].pos != want[i].pos {
+				t.Fatalf("%s slot %d: solo candidate %+v, substituteNode's %+v", f, i, m.cands[i], want[i])
+			}
+		}
+		s.release(m)
+	}
+
+	on, off := base.Clone(), base.Clone()
+	opt := scaleOptions(2)
+	Substitute(on, opt)
+	opt.NoBatch = true
+	Substitute(off, opt)
+	if blif.ToString(on) != blif.ToString(off) {
+		t.Fatal("batched run over solo members differs from the batch-off run")
 	}
 }

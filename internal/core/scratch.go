@@ -42,6 +42,8 @@ type scratch struct {
 	// scope is the region-scope list handed to the next engine() call,
 	// which copies it; it is rebuilt in place for every trial.
 	scope []int
+	// fanGates is extractNode's list of the node's fanin signal gates.
+	fanGates []int
 
 	// pin is the one reader whose base build may be memoized in bShared: the
 	// live network the evaluator is currently planning against, set by

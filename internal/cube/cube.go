@@ -266,13 +266,32 @@ func (c Cube) FreeLitsOf(d Cube) Cube {
 	}
 	out := c.Clone()
 	for i := range out.w {
-		w := d.w[i]
-		lo := w & 0x5555555555555555
-		hi := (w >> 1) & 0x5555555555555555
-		lit := lo ^ hi // slots where d has exactly one phase bit set
-		out.w[i] |= lit | lit<<1
+		out.w[i] |= litSlots(d.w[i])
 	}
 	return out
+}
+
+// FreeLitsOfEquals reports whether c.FreeLitsOf(d) equals t word for word,
+// without building the quotient.
+func (c Cube) FreeLitsOfEquals(d, t Cube) bool {
+	if c.n != d.n || c.n != t.n {
+		panic("cube: mismatched variable spaces")
+	}
+	for i := range c.w {
+		if c.w[i]|litSlots(d.w[i]) != t.w[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// litSlots returns both bits of every slot of word w that holds a literal
+// (exactly one phase bit set).
+func litSlots(w uint64) uint64 {
+	lo := w & 0x5555555555555555
+	hi := (w >> 1) & 0x5555555555555555
+	lit := lo ^ hi
+	return lit | lit<<1
 }
 
 // Disjoint reports whether c∩p is empty (some variable slot of the

@@ -54,13 +54,29 @@ func (a *ConeArena) Mark(id SigID) bool {
 // snapshot). Signals already marked in the arena's current generation are
 // skipped, so successive calls on one generation build a union. limit > 0
 // caps the size of dst: ok=false reports the walk gave up because dst grew
-// past the cap, with dst holding the partial cone.
+// past the cap, with dst holding the partial cone and the arena the rest
+// of the walk, which ResumeFanoutConeIDs finishes.
 func (nw *Network) AppendFanoutConeIDs(id SigID, a *ConeArena, dst []SigID, limit int) ([]SigID, bool) {
 	fanouts := nw.fanoutIndex()
-	if int(id) >= len(fanouts) {
-		return dst, true
+	a.stack = a.stack[:0]
+	if int(id) < len(fanouts) {
+		a.stack = append(a.stack, fanouts[id]...)
 	}
-	a.stack = append(a.stack[:0], fanouts[id]...)
+	return nw.walkFanouts(fanouts, a, dst, limit)
+}
+
+// ResumeFanoutConeIDs finishes, uncapped, the walk a capped
+// AppendFanoutConeIDs gave up on, appending the rest of the cone to dst:
+// afterwards the arena marks the whole cone, exactly as an uncapped walk
+// would have. The network must not have changed in between.
+func (nw *Network) ResumeFanoutConeIDs(a *ConeArena, dst []SigID) []SigID {
+	dst, _ = nw.walkFanouts(nw.fanoutIndex(), a, dst, 0)
+	return dst
+}
+
+// walkFanouts runs the walk on the arena's stack. A signal's fanouts are
+// stacked before the cap check, so a capped walk leaves a resumable stack.
+func (nw *Network) walkFanouts(fanouts [][]SigID, a *ConeArena, dst []SigID, limit int) ([]SigID, bool) {
 	for len(a.stack) > 0 {
 		s := a.stack[len(a.stack)-1]
 		a.stack = a.stack[:len(a.stack)-1]
@@ -71,11 +87,11 @@ func (nw *Network) AppendFanoutConeIDs(id SigID, a *ConeArena, dst []SigID, limi
 			continue
 		}
 		dst = append(dst, s)
-		if limit > 0 && len(dst) > limit {
-			return dst, false
-		}
 		if int(s) < len(fanouts) {
 			a.stack = append(a.stack, fanouts[s]...)
+		}
+		if limit > 0 && len(dst) > limit {
+			return dst, false
 		}
 	}
 	return dst, true

@@ -177,3 +177,36 @@ func TestLiveFanoutsTrackEdits(t *testing.T) {
 		t.Error("no addition re-added a removed name")
 	}
 }
+
+// TestResumedConeWalkCoversCone caps fanout-cone walks at every small
+// limit and resumes the ones that give up: the capped part and the resumed
+// rest must list and mark exactly the cone an uncapped walk finds.
+func TestResumedConeWalkCoversCone(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		nw := randomNetwork(r, 4, 12)
+		nw.EnableFanouts()
+		for id := SigID(0); int(id) < nw.NumSigs(); id++ {
+			var full ConeArena
+			full.Reset()
+			want, _ := nw.AppendFanoutConeIDs(id, &full, nil, 0)
+			tfo := nw.TFOSetIDs(id)
+			for limit := 1; limit <= 3; limit++ {
+				var a ConeArena
+				a.Reset()
+				got, ok := nw.AppendFanoutConeIDs(id, &a, nil, limit)
+				if !ok {
+					got = nw.ResumeFanoutConeIDs(&a, got)
+				}
+				if !sameIDSet(got, want) {
+					t.Fatalf("cone of %s at limit %d: %v, uncapped %v", nw.SigName(id), limit, got, want)
+				}
+				for s := range tfo {
+					if a.Marked(SigID(s)) != tfo[s] {
+						t.Fatalf("cone of %s at limit %d: mark of %s is %v", nw.SigName(id), limit, nw.SigName(SigID(s)), a.Marked(SigID(s)))
+					}
+				}
+			}
+		}
+	}
+}

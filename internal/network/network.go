@@ -13,6 +13,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -666,7 +667,8 @@ func (nw *Network) setNodeFunc(id SigID, n *Node, fanins []string, cover cube.Co
 
 // ReplaceNodeFunction rewrites node name with a new fanin list and cover,
 // preserving its name (fanouts are untouched). It refuses changes that would
-// create a combinational cycle.
+// create a combinational cycle. Only new fanins need the fanin-cone walk: a
+// fanin the node already reads cannot depend on it in an acyclic network.
 func (nw *Network) ReplaceNodeFunction(name string, fanins []string, cover cube.Cover) error {
 	id, ok := nw.sym.Lookup(name)
 	if !ok || nw.defs[id] == nil {
@@ -676,11 +678,11 @@ func (nw *Network) ReplaceNodeFunction(name string, fanins []string, cover cube.
 		return fmt.Errorf("network: cover space mismatch for %q", name)
 	}
 	for _, f := range fanins {
-		if f != name && nw.DependsOn(f, name) {
-			return fmt.Errorf("network: fanin %q of %q would create a cycle", f, name)
-		}
 		if f == name {
 			return fmt.Errorf("network: self-loop on %q", name)
+		}
+		if !slices.Contains(nw.defs[id].Fanins, f) && nw.DependsOn(f, name) {
+			return fmt.Errorf("network: fanin %q of %q would create a cycle", f, name)
 		}
 	}
 	nw.replaceFunc(id, fanins, cover)

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cube"
 )
@@ -363,9 +364,11 @@ func (o *Overlay) AddNode(name string, fanins []string, cover cube.Cover) *Node 
 
 // ReplaceNodeFunction rewrites node name on the overlay with a new fanin
 // list and cover, with Network.ReplaceNodeFunction's cycle refusal evaluated
-// against the overlay view.
+// against the overlay view (a fanin the node already reads skips the walk
+// there too).
 func (o *Overlay) ReplaceNodeFunction(name string, fanins []string, cover cube.Cover) error {
-	if o.Node(name) == nil {
+	old := o.Node(name)
+	if old == nil {
 		return fmt.Errorf("network: no node %q", name)
 	}
 	if cover.NumVars() != len(fanins) {
@@ -375,7 +378,7 @@ func (o *Overlay) ReplaceNodeFunction(name string, fanins []string, cover cube.C
 		if f == name {
 			return fmt.Errorf("network: self-loop on %q", name)
 		}
-		if o.DependsOn(f, name) {
+		if !slices.Contains(old.Fanins, f) && o.DependsOn(f, name) {
 			return fmt.Errorf("network: fanin %q of %q would create a cycle", f, name)
 		}
 	}
