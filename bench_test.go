@@ -310,12 +310,16 @@ func BenchmarkFactoring(b *testing.B) {
 // six-cube SOP; the wide product of sums, the complement of eight cubes on
 // disjoint supports over 23 variables, which expands to 4374 cubes; and
 // the same cover rejected by a 24-cube ComplementAtMost budget, the way
-// the engine's size caps reject it.
+// the engine's size caps reject it. Each leg warms the kernel's pooled
+// buffers before timing, so a -benchtime 1x run reads the steady state:
+// the result's header slice and word block, and nothing for a rejection.
 func BenchmarkComplement(b *testing.B) {
 	small := cube.ParseCover(10, "abc + de'f + ghi' + jb' + ac'e + fg'j")
 	wide := cube.ParseCover(23, "abc + def + ghi + jkl + mno + pqr + stu + vw")
 	b.Run("sop6", func(b *testing.B) {
+		small.Complement()
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if small.Complement().IsZero() {
 				b.Fatal("complement regressed")
@@ -323,7 +327,9 @@ func BenchmarkComplement(b *testing.B) {
 		}
 	})
 	b.Run("wide_pos", func(b *testing.B) {
+		wide.Complement()
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if wide.Complement().NumCubes() != 4374 {
 				b.Fatal("complement regressed")
@@ -331,7 +337,9 @@ func BenchmarkComplement(b *testing.B) {
 		}
 	})
 	b.Run("wide_pos_atmost24", func(b *testing.B) {
+		wide.ComplementAtMost(24)
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, ok := wide.ComplementAtMost(24); ok {
 				b.Fatal("ComplementAtMost accepted a 4374-cube complement")
@@ -340,8 +348,29 @@ func BenchmarkComplement(b *testing.B) {
 	})
 }
 
+// BenchmarkMinimize is shaped like posDivide's final minimization: Minimize
+// of a complement cover, here the 31-cube complement of
+// BenchmarkComplement's sop6, which it shrinks to 26 cubes. It warms the
+// minimizer's pooled scratch before timing, so a -benchtime 1x run reads
+// the steady state: only the result's header slice and word block.
+func BenchmarkMinimize(b *testing.B) {
+	f := cube.ParseCover(10, "abc + de'f + ghi' + jb' + ac'e + fg'j").Complement()
+	mini.Minimize(f, mini.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if mini.Minimize(f, mini.Options{}).NumCubes() != 26 {
+			b.Fatal("minimizer regressed")
+		}
+	}
+}
+
+// BenchmarkSimplifyNode warms the minimizer's and the complement's pooled
+// scratch before timing, so a -benchtime 1x run (the CI bench step) reads
+// the steady state instead of the pools' first growth.
 func BenchmarkSimplifyNode(b *testing.B) {
 	nw := bench.Get("sym6")
+	opt.SimplifyAll(nw.Clone())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

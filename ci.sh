@@ -3,19 +3,20 @@
 # (tier-1) + vet and tests of the cmd/bdsbench module (its own go.mod, so
 # ./... skips it, yet it compiles against core, network and script) + race
 # detector over the packages the parallel substitution engine touches,
-# the pooled factoring kernel among them (including the batch scheduler
-# driven over a 100k-gate circuit regenerated from its committed recipe)
-# + a fuzz smoke over every fuzz target (BLIF parser, cube algebra and
-# complement, the factoring kernel and weak division against their
+# the pooled factoring kernel and the pooled minimizer among them
+# (including the batch scheduler driven over a 100k-gate circuit
+# regenerated from its committed recipe) + a fuzz smoke over every fuzz
+# target (BLIF parser, cube algebra and the pooled complement, the
+# minimizer, the factoring kernel and weak division against their
 # pre-arena references, cone hashing, batch cone disjointness, the
 # implication engine against its pre-change reference, windowed trials
 # against the full-depth reference window, and FuzzSubstitute: the whole
 # optimizer over random DAGs × the Options matrix, checked for
 # equivalence, network.Check and BLIF identity across schedules) + a
-# bench-regression check of the substitution engine, the cube/minimizer
-# and factoring kernels and the implication engine against the committed
-# baseline — timing drift warns, scaling-floor violations fail. Run from
-# the repo root.
+# bench-regression check of the substitution engine, the cube complement,
+# minimizer and factoring kernels and the implication engine against the
+# committed baseline — timing drift warns, scaling-floor violations fail.
+# Run from the repo root.
 set -eux
 
 # Formatting gate: gofmt must have nothing to rewrite.
@@ -42,7 +43,7 @@ go test ./...
 # The benchmark is a nested module: vet and test it against this tree.
 go -C cmd/bdsbench vet ./...
 go -C cmd/bdsbench test ./...
-go test -race ./internal/core ./internal/atpg ./internal/netlist ./internal/algebraic
+go test -race ./internal/core ./internal/atpg ./internal/netlist ./internal/algebraic ./internal/mini
 
 # Batch-scheduler race + identity check at scale: regenerate the 100k-gate
 # cone forest and the 10k-gate random-logic circuit in-process from their
@@ -59,12 +60,13 @@ BDS_SCALE_RACE=1 BDS_SCALE_GATES=100000 \
 # fuzz target (no -fuzz flag: deterministic, fails on any regressed seed).
 # Then each target explores for a few seconds — Go accepts only one -fuzz
 # pattern per invocation, so the loop pairs each target with its package.
-go test -run Fuzz ./internal/blif ./internal/cube ./internal/algebraic ./internal/network ./internal/core ./internal/atpg
+go test -run Fuzz ./internal/blif ./internal/cube ./internal/mini ./internal/algebraic ./internal/network ./internal/core ./internal/atpg
 for target in \
   'FuzzParse ./internal/blif' \
   'FuzzParseNoSemanticsCrash ./internal/blif' \
   'FuzzCoverOps ./internal/cube' \
   'FuzzComplement ./internal/cube' \
+  'FuzzMinimize ./internal/mini' \
   'FuzzFactorLits ./internal/algebraic' \
   'FuzzWeakDivide ./internal/algebraic' \
   'FuzzConeHashOrderInvariance ./internal/network' \
@@ -89,8 +91,9 @@ done
 # scale tiers dominate this step's wall time.
 # -benchmem adds allocs/op and B/op, which benchreg compares with tighter
 # thresholds than ns/op: allocation counts are near-deterministic here, so
-# drift means the engine's allocation behavior actually changed.
+# drift means the engine's allocation behavior actually changed, and a
+# benchmark recorded allocation-free warns as soon as it allocates.
 go build -o /tmp/benchreg.ci ./cmd/benchreg
-go test -run '^$' -bench 'BenchmarkSubstituteParallel$|BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkSubstituteScale$|BenchmarkComplement$|BenchmarkFactoring$|BenchmarkWeakDivision$|BenchmarkKernels$|BenchmarkSimplifyNode$|BenchmarkAblationLearning$|BenchmarkImplicationEngine$' -benchtime 1x -benchmem -timeout 60m . \
+go test -run '^$' -bench 'BenchmarkSubstituteParallel$|BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkSubstituteScale$|BenchmarkComplement$|BenchmarkMinimize$|BenchmarkFactoring$|BenchmarkWeakDivision$|BenchmarkKernels$|BenchmarkSimplifyNode$|BenchmarkAblationLearning$|BenchmarkImplicationEngine$' -benchtime 1x -benchmem -timeout 60m . \
   | /tmp/benchreg.ci -emit /tmp/BENCH_substitute.json
 /tmp/benchreg.ci -compare testdata/bench/BENCH_substitute.json /tmp/BENCH_substitute.json

@@ -18,7 +18,9 @@
 // snapshot fields and compared with their own (tighter) drift thresholds:
 // allocation counts are deterministic for this engine, so they regress only
 // when the code's allocation behavior actually changed, and a much smaller
-// threshold than the timing one is appropriate. Other non-timing metrics
+// threshold than the timing one is appropriate. A measured 0 is recorded
+// as 0, and a field is left out only when the run did not measure it, so a
+// benchmark recorded allocation-free warns as soon as it allocates at all. Other non-timing metrics
 // (lits, trials, subs) are carried in the snapshot so a reader can see
 // whether a timing shift came with a behavior shift (results moving would
 // also trip the golden-table test), but are not compared.
@@ -58,10 +60,13 @@ type snapshot struct {
 	ScalingFloors map[string]map[string]float64 `json:"scaling_floors,omitempty"`
 }
 
+// measure is one benchmark's result. AllocsPerOp and BytesPerOp are nil
+// when the run did not measure them (no -benchmem) and point at the
+// measured value otherwise, 0 included.
 type measure struct {
 	NsPerOp     float64            `json:"ns_per_op"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
+	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -151,9 +156,9 @@ func parseBench(r io.Reader) (snapshot, error) {
 				m.NsPerOp = v
 				ok = true
 			case "allocs/op":
-				m.AllocsPerOp = v
+				m.AllocsPerOp = &v
 			case "B/op":
-				m.BytesPerOp = v
+				m.BytesPerOp = &v
 			default:
 				m.Metrics[fields[i+1]] = v
 			}
@@ -209,7 +214,7 @@ func runCompare(w io.Writer, basePath, curPath string, th thresholds) error {
 			warned++
 			continue
 		}
-		warned += compareDim(w, name, "ns/op", b.NsPerOp, c.NsPerOp, th.ns)
+		warned += compareDim(w, name, "ns/op", &b.NsPerOp, &c.NsPerOp, th.ns)
 		warned += compareDim(w, name, "allocs/op", b.AllocsPerOp, c.AllocsPerOp, th.allocs)
 		warned += compareDim(w, name, "B/op", b.BytesPerOp, c.BytesPerOp, th.bytes)
 	}
@@ -270,19 +275,31 @@ func checkScalingFloors(w io.Writer, base, cur snapshot) error {
 }
 
 // compareDim reports one benchmark dimension, returning 1 if it warned. A
-// dimension absent from the baseline (zero) is skipped — old snapshots that
-// predate -benchmem stay comparable on ns/op alone.
-func compareDim(w io.Writer, name, unit string, base, cur, threshold float64) int {
-	if base <= 0 {
+// dimension the baseline did not measure (nil) is skipped — old snapshots
+// that predate -benchmem stay comparable on ns/op alone. One the baseline
+// measured but this run did not warns, and so does any growth from a
+// measured 0, where a percentage has no meaning.
+func compareDim(w io.Writer, name, unit string, base, cur *float64, threshold float64) int {
+	switch {
+	case base == nil:
+		return 0
+	case cur == nil:
+		fmt.Fprintf(w, "benchreg: WARNING: %s %s is in the baseline (%.0f) but not measured in this run\n", name, unit, *base)
+		return 1
+	case *base <= 0 && *cur > 0:
+		fmt.Fprintf(w, "benchreg: WARNING: %s regressed from 0 %s to %.0f %s\n", name, unit, *cur, unit)
+		return 1
+	case *base <= 0:
+		fmt.Fprintf(w, "benchreg: %-30s still 0 %s\n", name, unit)
 		return 0
 	}
-	delta := 100 * (cur - base) / base
+	delta := 100 * (*cur - *base) / *base
 	if delta > threshold {
 		fmt.Fprintf(w, "benchreg: WARNING: %s regressed %.1f%% (baseline %.0f %s, now %.0f %s; threshold %.0f%%)\n",
-			name, delta, base, unit, cur, unit, threshold)
+			name, delta, *base, unit, *cur, unit, threshold)
 		return 1
 	}
 	fmt.Fprintf(w, "benchreg: %-30s %+.1f%% (baseline %.0f %s, now %.0f %s)\n",
-		name, delta, base, unit, cur, unit)
+		name, delta, *base, unit, *cur, unit)
 	return 0
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -66,5 +68,65 @@ func TestScalingFloorsNoFloorsIsNoop(t *testing.T) {
 	var buf strings.Builder
 	if err := checkScalingFloors(&buf, scaleSnap(100, 110, 120), scaleSnap(1, 1, 1)); err != nil {
 		t.Fatalf("no floors committed but checkScalingFloors failed: %v", err)
+	}
+}
+
+// TestEmitRecordsMeasuredZero: -emit keeps a measured 0 allocs/op and B/op
+// through the JSON round trip, and leaves the fields out only for a run
+// that did not measure them.
+func TestEmitRecordsMeasuredZero(t *testing.T) {
+	out := `goos: linux
+BenchmarkFactoring-2        	       1	     13400 ns/op	       0 B/op	       0 allocs/op
+BenchmarkWeakDivision-2     	       1	      1700 ns/op	     384 B/op	       6 allocs/op
+BenchmarkNoMem-2            	       1	      2500 ns/op
+PASS
+`
+	path := filepath.Join(t.TempDir(), "snap.json")
+	if err := runEmit(strings.NewReader(out), path); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][2]float64{"Factoring": {0, 0}, "WeakDivision": {6, 384}}
+	for name, w := range want {
+		m := snap.Benchmarks[name]
+		if m.AllocsPerOp == nil || *m.AllocsPerOp != w[0] || m.BytesPerOp == nil || *m.BytesPerOp != w[1] {
+			t.Errorf("%s round-tripped as allocs %v, bytes %v; want %v\n%s", name, m.AllocsPerOp, m.BytesPerOp, w, buf)
+		}
+	}
+	if m := snap.Benchmarks["NoMem"]; m.AllocsPerOp != nil || m.BytesPerOp != nil {
+		t.Errorf("a run without -benchmem recorded allocs %v, bytes %v\n%s", m.AllocsPerOp, m.BytesPerOp, buf)
+	}
+}
+
+func ptr(v float64) *float64 { return &v }
+
+// TestCompareWarnsWhenZeroBaselineAllocates: growth from a recorded 0
+// warns, a 0 that stays 0 does not, a dimension the baseline did not
+// measure is skipped, and one this run did not measure warns.
+func TestCompareWarnsWhenZeroBaselineAllocates(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		base, cur *float64
+		warn      bool
+	}{
+		{"zero becomes nonzero", ptr(0), ptr(1), true},
+		{"zero stays zero", ptr(0), ptr(0), false},
+		{"not measured in the baseline", nil, ptr(5), false},
+		{"not measured in this run", ptr(0), nil, true},
+		{"within threshold", ptr(100), ptr(104), false},
+		{"past threshold", ptr(100), ptr(106), true},
+	} {
+		var buf strings.Builder
+		got := compareDim(&buf, "Factoring", "allocs/op", tc.base, tc.cur, 5)
+		if (got == 1) != tc.warn || strings.Contains(buf.String(), "WARNING") != tc.warn {
+			t.Errorf("%s: compareDim returned %d and printed %q; want warning %v", tc.name, got, buf.String(), tc.warn)
+		}
 	}
 }

@@ -61,6 +61,11 @@ type Engine struct {
 	trail []int
 	queue []int
 	inQ   []bool
+	// dirty[g] is set when g's value or an input's value changes, and
+	// cleared when g is evaluated: a clean gate with a fanin derives
+	// nothing if evaluated again, so propagateDirect skips it (see
+	// DESIGN.md, "Implication engine: skipping unchanged gates").
+	dirty []bool
 	opt   Options
 	// Scope marking: with scoped set, scopeStamp[g] == scopeGen marks g as
 	// inside Options.Scope. Bumping scopeGen invalidates the previous
@@ -92,7 +97,7 @@ type learnScratch struct {
 // NewEngine builds an engine for nl.
 func NewEngine(nl *netlist.Netlist, opt Options) *Engine {
 	n := nl.NumGates()
-	e := &Engine{nl: nl, val: make([]Value, n), inQ: make([]bool, n)}
+	e := &Engine{nl: nl, val: make([]Value, n), inQ: make([]bool, n), dirty: make([]bool, n)}
 	for i := range e.val {
 		e.val[i] = Unknown
 	}
@@ -119,6 +124,7 @@ func (e *Engine) Rebind(nl *netlist.Netlist, opt Options) {
 		for len(e.val) < n {
 			e.val = append(e.val, Unknown)
 			e.inQ = append(e.inQ, false)
+			e.dirty = append(e.dirty, false)
 		}
 		e.Reset()
 		e.setOptions(opt)
@@ -128,13 +134,16 @@ func (e *Engine) Rebind(nl *netlist.Netlist, opt Options) {
 	if cap(e.val) < n {
 		e.val = make([]Value, n)
 		e.inQ = make([]bool, n)
+		e.dirty = make([]bool, n)
 	} else {
 		e.val = e.val[:n]
 		e.inQ = e.inQ[:n]
+		e.dirty = e.dirty[:n]
 	}
 	for i := range e.val {
 		e.val[i] = Unknown
 		e.inQ[i] = false
+		e.dirty[i] = false
 	}
 	e.trail = e.trail[:0]
 	e.queue = e.queue[:0]
@@ -242,7 +251,8 @@ func (e *Engine) inScope(g int) bool {
 }
 
 // Assign records gate g := v. It returns false on conflict with an existing
-// assignment. The gate and its neighborhood are queued for implication.
+// assignment. The gate and its neighborhood are queued for implication, and
+// g and its fanouts, whose evaluations read g's value, are marked dirty.
 //
 //bdslint:hotpath
 func (e *Engine) Assign(g int, v Value) bool {
@@ -251,8 +261,10 @@ func (e *Engine) Assign(g int, v Value) bool {
 	}
 	e.val[g] = v
 	e.trail = append(e.trail, g)
+	e.dirty[g] = true
 	e.enqueue(g)
 	for _, fo := range e.nl.Fanouts(g) {
+		e.dirty[fo] = true
 		e.enqueue(fo)
 	}
 	for _, fi := range e.nl.Fanins(g) {
@@ -515,13 +527,25 @@ func (e *Engine) justifications(dst []alt, g int) []alt {
 }
 
 // propagateDirect drains the queue through direct implications, without
-// learning.
+// learning. A popped gate that is clean and has a fanin is skipped: nothing
+// it reads changed since an evaluation that derived nothing, so evaluating
+// it again would derive nothing either. Gates without fanins (inputs, and
+// constant AND/OR gates, whose evaluation assigns their value) are always
+// evaluated. An evaluation that assigns anything marks the gate dirty
+// again through Assign, and so does a conflict, which stops it midway.
+//
+//bdslint:hotpath
 func (e *Engine) propagateDirect() bool {
 	for len(e.queue) > 0 {
 		g := e.queue[len(e.queue)-1]
 		e.queue = e.queue[:len(e.queue)-1]
 		e.inQ[g] = false
+		if !e.dirty[g] && len(e.nl.Fanins(g)) > 0 {
+			continue
+		}
+		e.dirty[g] = false
 		if !e.implyAt(g) {
+			e.dirty[g] = true
 			return false
 		}
 	}

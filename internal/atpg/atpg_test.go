@@ -355,3 +355,27 @@ func TestLearningDepthMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestConstantGateAlwaysEvaluated: a constant gate has no fanins, so no
+// assignment ever marks it dirty, yet evaluating it assigns its value.
+// propagateDirect must evaluate it whenever it is popped: with c0 = OR()
+// (constant 0) and o = OR(c0, x), asserting o = 1 pops c0 as a fanin of o,
+// and c0 = 0 leaves x as o's only possible 1.
+func TestConstantGateAlwaysEvaluated(t *testing.T) {
+	nl := netlist.New()
+	x := nl.AddInput("x")
+	c0 := nl.AddGate(netlist.Or)
+	o := nl.AddGate(netlist.Or, c0, x)
+	for _, opt := range []Options{{}, {Learn: true}} {
+		e := NewEngine(nl, opt)
+		for round := 0; round < 2; round++ { // fresh, then after a Reset
+			if !e.Assign(o, One) || !e.Propagate() {
+				t.Fatalf("%+v round %d: o = 1 conflicted", opt, round)
+			}
+			if e.Val(c0) != Zero || e.Val(x) != One {
+				t.Errorf("%+v round %d: o = 1 gave c0 = %v, x = %v; want 0, 1", opt, round, e.Val(c0), e.Val(x))
+			}
+			e.Reset()
+		}
+	}
+}

@@ -185,7 +185,9 @@ func (cc *complCache) get(nw network.Reader, id network.SigID) (cube.Cover, bool
 
 // getMin returns node id's minimized complement — the cover posDivide's
 // Minimize(Complement(...)) produces — memoized alongside the plain
-// complement. The returned cover is shared: callers must not mutate it.
+// complement. Minimize neither writes the cached complement nor returns
+// words of it, so the two entries are independent. The returned cover is
+// shared: callers must not mutate it.
 func (cc *complCache) getMin(nw network.Reader, id network.SigID) (cube.Cover, bool) {
 	if int(id) < len(cc.e) && cc.e[id].hasMin {
 		return cc.e[id].min, true
@@ -195,7 +197,7 @@ func (cc *complCache) getMin(nw network.Reader, id network.SigID) (cube.Cover, b
 		return cube.Cover{}, false
 	}
 	e := cc.slot(id)
-	e.min = mini.Minimize(raw.Clone(), mini.Options{})
+	e.min = mini.Minimize(raw, mini.Options{})
 	e.hasMin = true
 	return e.min, true
 }

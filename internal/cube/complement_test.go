@@ -2,6 +2,7 @@ package cube
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -50,7 +51,10 @@ func withoutEmpty(f Cover) Cover {
 	return g
 }
 
-// rawCubes returns the recursion's output in leaf order, before sorting.
+// rawCubes returns the recursion's output in leaf order, before sorting:
+// windows of cx's words, valid while cx is not run again. Tests run it on
+// a complementer of their own, never on one the pool can hand to another
+// call.
 func (cx *complementer) rawCubes() []Cube {
 	out := make([]Cube, cx.count)
 	for k := range out {
@@ -72,21 +76,37 @@ func sameCubes(t *testing.T, what string, got, want Cover) {
 }
 
 // FuzzComplement checks the budgeted in-place complement against the
-// reference recursion: the same cubes in the same order, a raw recursion
-// output free of contained and duplicate cubes (the reason the SCC pass
-// could go), and ComplementAtMost accepting exactly the budgets the
-// reference's cube count fits.
+// reference recursion: the same cubes in the same order, the input left
+// unwritten, a result that shares no words with the pooled buffers, a raw
+// recursion output free of contained and duplicate cubes (the reason the
+// SCC pass could go), and ComplementAtMost accepting exactly the budgets
+// the reference's cube count fits.
 func FuzzComplement(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0b1001, 0b0110, 0b1111})
 	f.Add([]byte{241, 0b1110, 0b1011}) // a lone empty cube: constant 1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cov := decodeCover(data)
+		in := cov.Clone()
 		want := referenceComplement(withoutEmpty(cov))
-		sameCubes(t, "Complement", cov.Complement(), want)
+		got := cov.Complement()
+		sameCubes(t, "Complement", got, want)
+		sameCubes(t, "input after Complement", cov, in)
 
-		cx, ok := complementRaw(cov, math.MaxInt)
-		if !ok {
+		// Scribble on the result, then complement again: a result aliasing
+		// a pooled buffer would corrupt the next run, or be overwritten by it.
+		for _, c := range got.Cubes {
+			c.Set(0, Empty)
+		}
+		sameCubes(t, "Complement after writing the last result", cov.Complement(), want)
+		for i, c := range got.Cubes {
+			if c.Get(0) != Empty {
+				t.Fatalf("the next run rewrote cube %d of an earlier result to %v", i, c)
+			}
+		}
+
+		var cx complementer
+		if !cx.complement(cov, math.MaxInt) {
 			t.Fatal("unbounded complement reported over budget")
 		}
 		raw := cx.rawCubes()
@@ -146,4 +166,113 @@ func TestComplementAtMostWideCover(t *testing.T) {
 		t.Fatal("ComplementAtMost(4374) rejected a 4374-cube complement")
 	}
 	sameCubes(t, "ComplementAtMost(4374)", g, full)
+}
+
+// sparseCover draws one to maxCubes cubes over n variables, each variable
+// a literal with probability 1/2, so unate covers and universal cubes occur.
+func sparseCover(rng *rand.Rand, n, maxCubes int) Cover {
+	f := NewCover(n)
+	for k := 1 + rng.Intn(maxCubes); k > 0; k-- {
+		c := New(n)
+		for v := 0; v < n; v++ {
+			switch rng.Intn(4) {
+			case 0:
+				c.Set(v, Pos)
+			case 1:
+				c.Set(v, Neg)
+			}
+		}
+		f.Add(c)
+	}
+	return f
+}
+
+// TestTallyPicksMatchScans checks the literal tally's branching variables
+// against the variable-major scans it replaced, on one- to three-word
+// covers: mostBinateVarUnder under random restrictions and live sets, and
+// splitVar against mostBinateVar with the most-frequent fallback. The
+// complement of those covers must still match the reference cube for cube.
+func TestTallyPicksMatchScans(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 2000; trial++ {
+		f := sparseCover(rng, 1+rng.Intn(70), 12)
+		n := f.NumVars()
+		r := New(n)
+		for v := 0; v < n; v++ {
+			if rng.Intn(5) == 0 {
+				r.Set(v, Phase(1+rng.Intn(2)))
+			}
+		}
+		live := []uint64{uint64(rng.Int63()) & (1<<uint(len(f.Cubes)) - 1)}
+		gv, gb := mostBinateVarUnder(f, r, live)
+		wv, wb := mostBinateVarUnderRef(f, r, live)
+		if gv != wv || gb != wb {
+			t.Fatalf("mostBinateVarUnder(%v, %v, %b) = %d, %v; the scan gives %d, %v", f, r, live[0], gv, gb, wv, wb)
+		}
+		if len(f.Cubes) < 2 {
+			continue
+		}
+		want, binate := mostBinateVar(f)
+		if !binate {
+			want = -1
+			for u, bc := 0, -1; u < n; u++ {
+				k := 0
+				for _, c := range f.Cubes {
+					if c.ContainsVar(u) {
+						k++
+					}
+				}
+				if k > bc {
+					want, bc = u, k
+				}
+			}
+		}
+		universal := false
+		for _, c := range f.Cubes {
+			universal = universal || c.IsUniverse()
+		}
+		if !universal {
+			if got := splitVar(f); got != want {
+				t.Fatalf("splitVar(%v) = %d, the scan gives %d", f, got, want)
+			}
+		}
+		if trial%10 == 0 {
+			sameCubes(t, "Complement", f.Complement(), referenceComplement(f))
+		}
+	}
+}
+
+// TestComplementAllocatesOnlyResult locks the allocation claim of the
+// recursion's buffers: once they have grown, a complement allocates only
+// its copied-out header slice and word block, and a rejected one nothing.
+// It runs on a private complementer, because the pool is free to drop
+// complementers (and does at random under -race); BenchmarkComplement
+// measures the pooled call.
+func TestComplementAllocatesOnlyResult(t *testing.T) {
+	small := ParseCover(10, "abc + de'f + ghi' + jb' + ac'e + fg'j")
+	wide := wideCover()
+	var cx complementer
+	for _, c := range []struct {
+		name string
+		f    Cover
+	}{{"sop6", small}, {"wide_pos", wide}} {
+		run := func() {
+			if !cx.complement(c.f, math.MaxInt) || len(cx.sorted()) == 0 {
+				t.Fatalf("%s: complement regressed", c.name)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs > 2 {
+			t.Errorf("%s: a warmed complement allocated %.0f times, want at most 2", c.name, allocs)
+		}
+	}
+	reject := func() {
+		if cx.complement(wide, 24) {
+			t.Fatal("a 24-cube budget accepted a 4374-cube complement")
+		}
+	}
+	reject()
+	if allocs := testing.AllocsPerRun(20, reject); allocs != 0 {
+		t.Errorf("a rejected complement allocated %.0f times", allocs)
+	}
 }

@@ -3,8 +3,10 @@ package cube
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Cover is a sum-of-products: the OR of its cubes, all over the same
@@ -260,30 +262,29 @@ func tautology(f Cover, r Cube, parent []uint64, depth int) bool {
 	return ok
 }
 
-// mostBinateVarUnder is mostBinateVar evaluated on the (virtual) cofactor
-// of f by restriction r: only the cubes in the live bitset count, and
-// variables bound by r never count (they read as Free in the cofactor).
+// mostBinateVarUnder picks, on the (virtual) cofactor of f by restriction
+// r, the variable appearing in both phases in the most cubes, lowest index
+// on ties; binate is false when the cofactor is unate. Only the cubes in
+// the live bitset count, and variables bound by r never count (they read
+// as Free in the cofactor). Each live cube's literal bits are read once,
+// one word at a time.
+//
+//bdslint:hotpath
 func mostBinateVarUnder(f Cover, r Cube, live []uint64) (v int, binate bool) {
+	var t litTally
 	best, bestCount := -1, -1
-	for u := 0; u < f.n; u++ {
-		i, s := u/varsPerWord, 2*uint(u%varsPerWord)
-		if Phase(r.w[i]>>s&0b11) != Free {
+	for i, rw := range r.w {
+		free := rw & (rw >> 1) & loBits // slots r leaves Free
+		if free == 0 {
 			continue
 		}
-		p, n := 0, 0
+		t.reset()
 		for k, m := range live {
 			for ; m != 0; m &= m - 1 {
-				switch Phase(f.Cubes[64*k+bits.TrailingZeros64(m)].w[i] >> s & 0b11) {
-				case Pos:
-					p++
-				case Neg:
-					n++
-				}
+				t.add(f.Cubes[64*k+bits.TrailingZeros64(m)].w[i], free)
 			}
 		}
-		if p > 0 && n > 0 && p+n > bestCount {
-			best, bestCount = u, p+n
-		}
+		t.fold(t.anyPos&t.anyNeg, i, &best, &bestCount) // binate variables
 	}
 	if best < 0 {
 		return 0, false
@@ -291,32 +292,51 @@ func mostBinateVarUnder(f Cover, r Cube, live []uint64) (v int, binate bool) {
 	return best, true
 }
 
-// mostBinateVar picks the variable appearing in both phases in the most
-// cubes (lowest index on ties, for determinism); binate is false when the
-// cover is unate (no such variable). Counts are taken variable-major with
-// word-level phase tests — this sits on the recursion path of tautology and
-// complement, so it must not allocate.
-func mostBinateVar(f Cover) (v int, binate bool) {
-	best, bestCount := -1, -1
-	for u := 0; u < f.n; u++ {
-		i, s := u/varsPerWord, 2*uint(u%varsPerWord)
-		p, n := 0, 0
-		for _, c := range f.Cubes {
-			switch Phase(c.w[i] >> s & 0b11) {
-			case Pos:
-				p++
-			case Neg:
-				n++
-			}
-		}
-		if p > 0 && n > 0 && p+n > bestCount {
-			best, bestCount = u, p+n
+// loBits is the low bit of every two-bit variable slot of a word.
+const loBits = 0x5555555555555555
+
+// litTally counts, for the variables of one cube word, the cubes holding
+// each phase of each variable: the input of the branching-variable choice
+// of both the tautology and the complement recursions. Filling it reads
+// each cube's literal bits once, where a variable-by-variable scan reads
+// every cube once per variable.
+type litTally struct {
+	pos, neg       [varsPerWord]int32
+	anyPos, anyNeg uint64 // low bit of each slot some counted cube holds Pos / Neg
+}
+
+func (t *litTally) reset() { *t = litTally{} }
+
+// add counts the literals of cube word w in the slots whose low bit is set
+// in keep.
+//
+//bdslint:hotpath
+func (t *litTally) add(w, keep uint64) {
+	lo, hi := w&loBits, w>>1&loBits
+	p, n := hi&^lo&keep, lo&^hi&keep
+	t.anyPos |= p
+	t.anyNeg |= n
+	for ; p != 0; p &= p - 1 {
+		t.pos[bits.TrailingZeros64(p)/2]++
+	}
+	for ; n != 0; n &= n - 1 {
+		t.neg[bits.TrailingZeros64(n)/2]++
+	}
+}
+
+// fold folds the variables of word i whose slots are set in vars into a
+// running pick of the variable in the most cubes. Words are folded in
+// ascending order and a later variable must beat the count strictly, so
+// the lowest index wins ties.
+//
+//bdslint:hotpath
+func (t *litTally) fold(vars uint64, i int, best, bestCount *int) {
+	for ; vars != 0; vars &= vars - 1 {
+		k := bits.TrailingZeros64(vars) / 2
+		if c := int(t.pos[k] + t.neg[k]); c > *bestCount {
+			*best, *bestCount = i*varsPerWord+k, c
 		}
 	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
 }
 
 // ContainsCube reports whether cube c is contained in the cover (every
@@ -369,32 +389,27 @@ func (f Cover) Complement() Cover {
 // ComplementAtMost returns the cover Complement builds when it has at most
 // max cubes, and false otherwise. It stops the recursion as soon as the
 // output passes max cubes, so rejecting a large complement costs about max
-// cubes rather than the whole complement.
+// cubes rather than the whole complement. The recursion runs on pooled
+// buffers and only the returned cubes are copied out, in one header slice
+// and one word block: a rejected complement allocates nothing. f is never
+// written, and the result shares no words with f or with the pool.
 func (f Cover) ComplementAtMost(max int) (Cover, bool) {
-	cx, ok := complementRaw(f, max)
-	if !ok {
+	if max < 0 {
 		return Cover{}, false
 	}
-	return Cover{n: f.n, Cubes: cx.sorted()}, true
+	cx := complementers.Get().(*complementer)
+	var g Cover
+	ok := cx.complement(f, max)
+	if ok {
+		g = Cover{n: f.n, Cubes: cx.sorted()}
+	}
+	complementers.Put(cx)
+	return g, ok
 }
 
-// complementRaw runs the complement recursion over f with a budget of max
-// cubes. Empty cubes are dropped first: they denote no minterms, and the
-// single-cube leaf would read one as the constant 0.
-func complementRaw(f Cover, max int) (*complementer, bool) {
-	if max < 0 {
-		return nil, false
-	}
-	for _, c := range f.Cubes {
-		if c.IsEmpty() {
-			f = CoverOf(f.n, f.Cubes...)
-			break
-		}
-	}
-	univ := New(f.n)
-	cx := &complementer{n: f.n, nw: len(univ.w), univ: univ, left: max}
-	return cx, cx.run(f)
-}
+// complementers recycles the recursion's buffers across calls. Each call
+// takes a complementer of its own, so concurrent callers never share one.
+var complementers = sync.Pool{New: func() any { return new(complementer) }}
 
 // complementer is one run of the complement recursion. Its output needs no
 // containment pass: by induction on the recursion, no output cube contains
@@ -407,8 +422,9 @@ func complementRaw(f Cover, max int) (*complementer, bool) {
 // Every emitted cube is a fresh window of words, so a merge binds v in
 // place. The recursion never drops an emitted cube, so the output count is
 // exact at every step and the budget can stop the run early. Cofactors
-// live on a stack that each level pops when its child returns, so the
-// recursion allocates only when a buffer grows.
+// live on a stack that each level pops when its child returns. Every
+// buffer survives the run in the pool, so a warmed recursion allocates
+// nothing; the input's cubes are only read, and cofactors are copies.
 type complementer struct {
 	n, nw  int
 	univ   Cube     // universal cube: the template of every emitted cube
@@ -417,12 +433,60 @@ type complementer struct {
 	left   int      // cubes the budget still allows
 	stack  []Cube   // cofactor cubes of the levels on the recursion path
 	stackW []uint64 // their words
+	out    []Cube   // sorted's output order, before the copy-out
+	next   []int    // sorted's bucket offsets
+}
+
+// complement runs the complement recursion over f with a budget of max ≥ 0
+// cubes, leaving the output in cx; false means the budget stopped it.
+// Empty cubes are dropped first: they denote no minterms, and the
+// single-cube leaf would read one as the constant 0.
+//
+//bdslint:hotpath
+func (cx *complementer) complement(f Cover, max int) bool {
+	cx.reset(f.n, max)
+	for _, c := range f.Cubes {
+		if c.IsEmpty() {
+			f = cx.nonEmpty(f)
+			break
+		}
+	}
+	return cx.run(f)
+}
+
+// reset readies cx for a run over n variables with a budget of max cubes.
+//
+//bdslint:hotpath
+func (cx *complementer) reset(n, max int) {
+	cx.n, cx.nw = n, (n+varsPerWord-1)/varsPerWord
+	w := cx.univ.w[:0]
+	for i := 0; i < cx.nw; i++ {
+		w = append(w, fullMask(n, i))
+	}
+	cx.univ = Cube{w: w, n: n}
+	cx.words, cx.count, cx.left = cx.words[:0], 0, max
+	cx.stack, cx.stackW = cx.stack[:0], cx.stackW[:0]
+}
+
+// nonEmpty pushes the headers of f's non-empty cubes onto the stack, in
+// order, as the recursion's root cover.
+//
+//bdslint:hotpath
+func (cx *complementer) nonEmpty(f Cover) Cover {
+	for _, c := range f.Cubes {
+		if !c.IsEmpty() {
+			cx.stack = append(cx.stack, c)
+		}
+	}
+	return Cover{n: cx.n, Cubes: cx.stack[:len(cx.stack):len(cx.stack)]}
 }
 
 // run appends the complement of f to the output, or returns false once the
 // output would pass the budget. The split variable and the leaves are
 // those of the textbook unate-recursive complement: the most binate
 // variable, else the most frequent one (lowest index on ties).
+//
+//bdslint:hotpath
 func (cx *complementer) run(f Cover) bool {
 	if len(f.Cubes) == 0 {
 		return cx.emit()
@@ -467,6 +531,8 @@ func (cx *complementer) run(f Cover) bool {
 // and returns it: Cover.Cofactor's cubes, in its order. No cube of the
 // recursion is empty, so a cube is disjoint from the literal exactly when
 // it holds the opposite one.
+//
+//bdslint:hotpath
 func (cx *complementer) cofactor(f Cover, v int, p Phase) Cover {
 	i, s := v/varsPerWord, 2*uint(v%varsPerWord)
 	start := len(cx.stack)
@@ -485,6 +551,8 @@ func (cx *complementer) cofactor(f Cover, v int, p Phase) Cover {
 
 // emit appends a universal cube to the output, or returns false when the
 // budget is spent.
+//
+//bdslint:hotpath
 func (cx *complementer) emit() bool {
 	if cx.left == 0 {
 		return false
@@ -496,6 +564,8 @@ func (cx *complementer) emit() bool {
 }
 
 // bind sets variable v to phase p in output cubes [from, to).
+//
+//bdslint:hotpath
 func (cx *complementer) bind(from, to, v int, p Phase) {
 	i, s := v/varsPerWord, 2*uint(v%varsPerWord)
 	for k := from; k < to; k++ {
@@ -509,20 +579,19 @@ func (cx *complementer) cube(k int) Cube {
 	return Cube{w: cx.words[k*cx.nw : (k+1)*cx.nw : (k+1)*cx.nw], n: cx.n}
 }
 
-// sorted returns the output stably sorted by ascending literal count: a
-// bucket sort reproducing the order SCC's stable sort gives the same cubes.
+// sorted returns a copy of the output stably sorted by ascending literal
+// count: a bucket sort, in pooled buffers, reproducing the order SCC's
+// stable sort gives the same cubes. Only the copy-out allocates.
 func (cx *complementer) sorted() []Cube {
 	if cx.count == 0 {
 		return nil
 	}
-	out := make([]Cube, cx.count)
+	cx.out = slices.Grow(cx.out[:0], cx.count)[:cx.count]
 	// Count the cubes of each literal count l in next[l+1]; the prefix sums
 	// then make next[l] the slot of the next cube with l literals.
-	var buf [66]int
-	next := buf[:min(cx.n+2, len(buf))]
-	if cx.n+2 > len(buf) {
-		next = make([]int, cx.n+2)
-	}
+	next := slices.Grow(cx.next[:0], cx.n+2)[:cx.n+2]
+	clear(next)
+	cx.next = next
 	for k := 0; k < cx.count; k++ {
 		next[cx.cube(k).NumLits()+1]++
 	}
@@ -532,33 +601,35 @@ func (cx *complementer) sorted() []Cube {
 	for k := 0; k < cx.count; k++ {
 		c := cx.cube(k)
 		l := c.NumLits()
-		out[next[l]] = c
+		cx.out[next[l]] = c
 		next[l]++
 	}
-	return out
+	return CloneCubes(cx.out)
 }
 
-// splitVar picks the complement recursion's split variable: the most
-// binate variable, or for a unate cover the most frequent one (lowest
-// index on ties), to keep the recursion shallow and deterministic.
+// splitVar picks the complement recursion's split variable: the variable
+// in both phases in the most cubes, or for a unate cover the one in the
+// most cubes (lowest index on ties, both times), to keep the recursion
+// shallow and deterministic. The recursion reaches it only with two or
+// more cubes, none universal or empty, so some variable appears.
+//
+//bdslint:hotpath
 func splitVar(f Cover) int {
-	if v, binate := mostBinateVar(f); binate {
-		return v
-	}
-	best, bc := -1, -1
-	for u := 0; u < f.n; u++ {
-		i, s := u/varsPerWord, 2*uint(u%varsPerWord)
-		k := 0
+	var t litTally
+	binate, binCount := -1, -1
+	freq, freqCount := 0, -1
+	for i := 0; i < (f.n+varsPerWord-1)/varsPerWord; i++ {
+		t.reset()
 		for _, c := range f.Cubes {
-			if p := Phase(c.w[i] >> s & 0b11); p == Pos || p == Neg {
-				k++
-			}
+			t.add(c.w[i], loBits)
 		}
-		if k > bc {
-			best, bc = u, k
-		}
+		t.fold(t.anyPos&t.anyNeg, i, &binate, &binCount)
+		t.fold(t.anyPos|t.anyNeg, i, &freq, &freqCount)
 	}
-	return best
+	if binate >= 0 {
+		return binate
+	}
+	return freq
 }
 
 // And returns the product of two covers (cube-pairwise intersection, SCC'd).

@@ -89,6 +89,26 @@ func (c Cube) Clone() Cube {
 	return Cube{w: w, n: c.n}
 }
 
+// CloneCubes returns independent copies of cs, in order, in one fresh
+// header slice whose cubes share one fresh word block: two allocations
+// however many cubes there are, and none for an empty cs. Each cube's
+// words are a capacity-limited window of the block. The kernels that
+// build their covers in pooled scratch copy their results out with it.
+func CloneCubes(cs []Cube) []Cube {
+	if len(cs) == 0 {
+		return nil
+	}
+	nw := len(cs[0].w)
+	out := make([]Cube, len(cs))
+	words := make([]uint64, len(cs)*nw)
+	for i, c := range cs {
+		w := words[i*nw : (i+1)*nw : (i+1)*nw]
+		copy(w, c.w)
+		out[i] = Cube{w: w, n: c.n}
+	}
+	return out
+}
+
 // Get returns the phase of variable v in c.
 func (c Cube) Get(v int) Phase {
 	return Phase(c.w[v/varsPerWord] >> (2 * uint(v%varsPerWord)) & 0b11)

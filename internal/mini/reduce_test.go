@@ -36,8 +36,8 @@ func randomCube(r *rand.Rand, n int) cube.Cube {
 }
 
 // TestReduceCubeMatchesComplementFormula checks the containment-check
-// reduction against the complement formula it replaces, cube for cube,
-// over random covers with and without don't-cares.
+// reduction, on the arena, against the complement formula it replaces,
+// cube for cube, over random covers with and without don't-cares.
 func TestReduceCubeMatchesComplementFormula(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 3000; trial++ {
@@ -50,16 +50,17 @@ func TestReduceCubeMatchesComplementFormula(t *testing.T) {
 		for k := r.Intn(3); k > 0; k-- {
 			dc.Add(randomCube(r, n))
 		}
-		scratch := cube.New(n)
+		m := getArena(f)
 		for i, c := range f.Cubes {
 			rest := cube.NewCover(n)
 			rest.Cubes = append(rest.Cubes, f.Cubes[:i]...)
 			rest.Cubes = append(rest.Cubes, f.Cubes[i+1:]...)
 			rest.Cubes = append(rest.Cubes, dc.Cubes...)
-			got, want := reduceCube(c, rest, scratch), complementReduceCube(c, rest)
+			got, want := m.reduceCube(c, rest), complementReduceCube(c, rest)
 			if !got.Equal(want) {
 				t.Fatalf("f = %v, dc = %v, cube %v: reduceCube = %v, complement formula = %v", f, dc, c, got, want)
 			}
 		}
+		putArena(m)
 	}
 }

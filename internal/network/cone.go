@@ -10,9 +10,11 @@ package network
 // one generation can union several walks.
 
 // ConeArena is a reusable stamp set over SigIDs. A Reset starts a new
-// generation in O(1); Mark/Marked are O(1) slice probes. The zero value is
-// ready to use. Not safe for concurrent use — each goroutine owns its own
-// arena (the batch scheduler only walks cones on the serial side).
+// generation in O(1); Mark/Marked are O(1) slice probes. Generations start
+// at 1, because Mark grows new slots with stamp 0; a zero arena starts its
+// first generation at its first Mark, so the zero value is ready to use
+// and reads empty. Not safe for concurrent use — each goroutine owns its
+// own arena (the batch scheduler only walks cones on the serial side).
 type ConeArena struct {
 	stamp []uint32
 	cur   uint32
@@ -38,6 +40,9 @@ func (a *ConeArena) Marked(id SigID) bool {
 // Mark marks id in the current generation, reporting whether it was newly
 // marked.
 func (a *ConeArena) Mark(id SigID) bool {
+	if a.cur == 0 { // a zero arena: start the first generation
+		a.cur = 1
+	}
 	for int(id) >= len(a.stamp) {
 		a.stamp = append(a.stamp, 0)
 	}

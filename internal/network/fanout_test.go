@@ -210,3 +210,34 @@ func TestResumedConeWalkCoversCone(t *testing.T) {
 		}
 	}
 }
+
+// TestFreshConeArenaWalksWholeCone: a zero ConeArena is ready to use. A
+// walk on a fresh, never-Reset arena lists and marks the same cone as a
+// walk on a Reset one, and a Reset afterwards clears its marks.
+func TestFreshConeArenaWalksWholeCone(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 20; trial++ {
+		nw := randomNetwork(r, 4, 12)
+		nw.EnableFanouts()
+		for id := SigID(0); int(id) < nw.NumSigs(); id++ {
+			var reset, fresh ConeArena
+			reset.Reset()
+			want, _ := nw.AppendFanoutConeIDs(id, &reset, nil, 0)
+			got, ok := nw.AppendFanoutConeIDs(id, &fresh, nil, 0)
+			if !ok || !sameIDSet(got, want) {
+				t.Fatalf("cone of %s on a fresh arena: %v, on a Reset one %v", nw.SigName(id), got, want)
+			}
+			for s := SigID(0); int(s) < nw.NumSigs(); s++ {
+				if fresh.Marked(s) != reset.Marked(s) {
+					t.Fatalf("cone of %s: fresh arena marks %s %v, Reset arena %v", nw.SigName(id), nw.SigName(s), fresh.Marked(s), reset.Marked(s))
+				}
+			}
+			fresh.Reset()
+			for s := SigID(0); int(s) < nw.NumSigs(); s++ {
+				if fresh.Marked(s) {
+					t.Fatalf("%s still marked after Reset", nw.SigName(s))
+				}
+			}
+		}
+	}
+}
