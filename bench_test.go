@@ -348,7 +348,7 @@ func BenchmarkComplement(b *testing.B) {
 	})
 }
 
-// BenchmarkMinimize is shaped like posDivide's final minimization: Minimize
+// BenchmarkMinimize is shaped like POS division's final minimization: Minimize
 // of a complement cover, here the 31-cube complement of
 // BenchmarkComplement's sop6, which it shrinks to 26 cubes. It warms the
 // minimizer's pooled scratch before timing, so a -benchtime 1x run reads
@@ -721,12 +721,12 @@ func BenchmarkSubstituteScale(b *testing.B) {
 }
 
 // BenchmarkPlannerBookkeeping measures one sweep of the planner's per-node
-// bookkeeping — divisor-candidate enumeration plus SigID-memoized
-// factored-literal costing — over the suite circuits, with no trials and
-// no commits. allocs/op is the headline metric: this state used to live
-// in per-node string-keyed maps and now lives in SigID-indexed epoch
-// arenas, so allocation growth here means the bookkeeping regressed back
-// to name hashing (the same surface the idmap/hotalloc analyzers guard
+// bookkeeping — divisor-candidate enumeration through the SigID-indexed
+// node cache plus factored-literal costing of each dividend and candidate
+// — over the suite circuits, with no trials and no commits. allocs/op is
+// the headline metric: this state used to live in per-node string-keyed
+// maps, so allocation growth here means the bookkeeping regressed back to
+// name hashing (the same surface the idmap/hotalloc analyzers guard
 // statically). cands confirms the enumeration did not move.
 func BenchmarkPlannerBookkeeping(b *testing.B) {
 	circuits := []string{"rnd_d", "rnd_e", "csel8", "mult3", "pla_c"}

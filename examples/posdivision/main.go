@@ -32,7 +32,7 @@ func main() {
 	fmt.Printf("f factored: %s (%d literals)\n",
 		algebraic.Factor(nw.Node("f").Cover), algebraic.FactorLits(nw.Node("f").Cover))
 
-	res, ok := core.PosDivide(nw, "f", "d0", core.Extended, 0)
+	res, ok := core.PosDivide(nw, "f", "d0", core.Extended)
 	if !ok {
 		panic("POS division failed")
 	}

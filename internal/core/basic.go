@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/atpg"
 	"repro/internal/cube"
+	"repro/internal/mini"
 	"repro/internal/netlist"
 	"repro/internal/network"
 )
@@ -24,6 +25,32 @@ type DivideResult struct {
 	POS bool
 }
 
+// maxComplementCubes bounds the complement covers complement-phase and
+// POS-form division manipulate; a larger complement skips the form (plain
+// SOP division remains).
+const maxComplementCubes = 24
+
+// form is the shape of a node-form division: which covers the SOS split
+// runs on, and the phase of the divisor literal. The values are the
+// trial-order tie-break between a divisor's forms (see lessScored).
+type form uint8
+
+const (
+	// formSOP is the paper's basic division (Section III-B): split f by d
+	// and AND the quotient part with d.
+	formSOP form = iota
+	// formCompl divides f by the COMPLEMENT of d: f = q·d' + r, the phase
+	// the SIS `resub -d` baseline exploits, made Boolean by the same RAR
+	// removal.
+	formCompl
+	// formPOS is product-of-sum-form division. Lemma 2 (the POS dual of
+	// Lemma 1) justifies f = (d + q)·r, which by De Morgan is the SOS
+	// machinery on the minimized complement covers, f̄ = q̄·d̄ + r̄, with a
+	// negative divisor literal; the final node function is the complement
+	// of the reduced cover.
+	formPOS
+)
+
 // BasicDivide performs the paper's basic Boolean division of node f by node
 // d within network nw (Section III-B): split off the remainder, AND the
 // rest with d (redundant by Lemma 1 — realized as a d-literal in every
@@ -32,13 +59,31 @@ type DivideResult struct {
 // d is not usable (no cube of f is contained by a cube of d, or using d
 // would create a cycle).
 func BasicDivide(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
-	return basicDivide(newScratch(), nw, nil, f, d, cfg)
+	return divide(newScratch(), nw, nil, f, candidate{name: d}, cfg)
 }
 
-// basicDivide is BasicDivide with an explicit scratch arena (the engine's
+// BasicDivideCompl divides node f by the COMPLEMENT of node d: the quotient
+// cubes receive a negative divisor literal, f = q·d' + r (formCompl).
+func BasicDivideCompl(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
+	return divide(newScratch(), nw, nil, f, candidate{name: d, form: formCompl}, cfg)
+}
+
+// PosDivide performs the paper's product-of-sum-form division of node f by
+// node d (formPOS). POS division always uses region-local implications (the
+// scratch complement structure must not be observed downstream), so cfg
+// degrades ExtendedGDC to Extended internally.
+func PosDivide(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
+	return divide(newScratch(), nw, nil, f, candidate{name: d, form: formPOS}, cfg)
+}
+
+// divide is the one node-form division routine: it divides node f by the
+// divisor c.name in c.form with an explicit scratch arena (the engine's
 // worker pool hands each worker its own). win, when non-nil, is the window
-// carved around f and d that the trial runs in (see divideWithParts).
-func basicDivide(sc *scratch, nw network.Reader, win *window, f, d string, cfg Config) (*DivideResult, bool) {
+// carved around f and d that the trial runs in (see divideWithParts). The
+// covers c carries, when set, replace the complements divide would compute
+// (see candidate).
+func divide(sc *scratch, nw network.Reader, win *window, f string, c candidate, cfg Config) (*DivideResult, bool) {
+	d := c.name
 	fn, dn := nw.Node(f), nw.Node(d)
 	if fn == nil || dn == nil || f == d {
 		return nil, false
@@ -49,60 +94,70 @@ func basicDivide(sc *scratch, nw network.Reader, win *window, f, d string, cfg C
 	if divisorDependsOn(nw, win, f, d) {
 		return nil, false // substitution would create a cycle
 	}
+	fc, dc, ok := c.covers(fn, dn)
+	if !ok {
+		return nil, false
+	}
 	union := unionSignals(fn.Fanins, dn.Fanins)
-	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
-	dU := network.RemapCover(dn.Cover, dn.Fanins, union)
+	fU := network.RemapCover(fc, fn.Fanins, union)
+	dU := network.RemapCover(dc, dn.Fanins, union)
 	qPart, rem := SplitSOS(fU, dU)
 	if qPart.IsZero() {
 		return nil, false
 	}
-	return divideWithParts(sc, nw, win, f, d, union, qPart, rem, cfg, cube.Pos, false)
+	yPhase := cube.Neg
+	if c.form == formSOP {
+		yPhase = cube.Pos
+	}
+	if c.form == formPOS && cfg == ExtendedGDC {
+		cfg = Extended // see PosDivide
+	}
+	res, ok := divideWithParts(sc, nw, win, f, d, union, qPart, rem, cfg, yPhase)
+	if !ok || c.form != formPOS {
+		return res, ok
+	}
+	// res.Cover computes f̄; the node function is its complement.
+	final, ok := res.Cover.ComplementAtMost(4 * maxComplementCubes)
+	if !ok {
+		return nil, false
+	}
+	res.Cover = mini.Minimize(final, mini.Options{})
+	res.POS = true
+	return res, true
 }
 
-// BasicDivideCompl divides node f by the COMPLEMENT of node d: the quotient
-// cubes receive a negative divisor literal, f = q·d' + r. This covers the
-// complement phase the SIS `resub -d` baseline exploits, with the same RAR
-// redundancy removal making it Boolean. maxCompl bounds the divisor
-// complement size (0 = default).
-func BasicDivideCompl(nw network.Reader, f, d string, cfg Config, maxCompl int) (*DivideResult, bool) {
-	return basicDivideCompl(newScratch(), nw, nil, f, d, cfg, maxCompl, nil)
-}
-
-// basicDivideCompl is BasicDivideCompl with an explicit scratch arena and
-// an optional carved window (see basicDivide). pre, when non-nil, is d's
-// complement carried from candidate enumeration (byte-identical to
-// recomputing it — see candidate).
-func basicDivideCompl(sc *scratch, nw network.Reader, win *window, f, d string, cfg Config, maxCompl int, pre *cube.Cover) (*DivideResult, bool) {
-	if maxCompl <= 0 {
-		maxCompl = DefaultMaxComplementCubes
-	}
-	fn, dn := nw.Node(f), nw.Node(d)
-	if fn == nil || dn == nil || f == d {
-		return nil, false
-	}
-	if dn.Cover.IsZero() || (dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {
-		return nil, false
-	}
-	if divisorDependsOn(nw, win, f, d) {
-		return nil, false
-	}
-	var dc cube.Cover
-	if pre != nil {
-		dc = *pre // already checked non-zero and within bound by complCache
-	} else {
-		var ok bool
-		if dc, ok = dn.Cover.ComplementAtMost(maxCompl); !ok || dc.IsZero() {
-			return nil, false
+// covers returns the dividend- and divisor-side covers c's form splits:
+// f and d, f and d̄, or the minimized f̄ and d̄. Carried covers are taken
+// as they are (enumeration already checked them); otherwise ok=false when
+// a complement is zero or larger than maxComplementCubes.
+func (c candidate) covers(fn, dn *network.Node) (fc, dc cube.Cover, ok bool) {
+	switch c.form {
+	case formSOP:
+		return fn.Cover, dn.Cover, true
+	case formCompl:
+		if c.dc != nil {
+			return fn.Cover, *c.dc, true
 		}
+		dc, ok = boundedComplement(dn.Cover)
+		return fn.Cover, dc, ok
 	}
-	union := unionSignals(fn.Fanins, dn.Fanins)
-	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
-	dcU := network.RemapCover(dc, dn.Fanins, union)
-	qPart, rem := SplitSOS(fU, dcU)
-	if qPart.IsZero() {
-		return nil, false
+	if c.fc != nil && c.dc != nil {
+		return *c.fc, *c.dc, true
 	}
-	return divideWithParts(sc, nw, win, f, d, union, qPart, rem, cfg, cube.Neg, false)
+	if fc, ok = boundedComplement(fn.Cover); !ok {
+		return fc, dc, false
+	}
+	if dc, ok = boundedComplement(dn.Cover); !ok {
+		return fc, dc, false
+	}
+	return mini.Minimize(fc, mini.Options{}), mini.Minimize(dc, mini.Options{}), true
+}
+
+// boundedComplement returns cov's complement, ok=false when it is zero or
+// has more than maxComplementCubes cubes.
+func boundedComplement(cov cube.Cover) (cube.Cover, bool) {
+	c, ok := cov.ComplementAtMost(maxComplementCubes)
+	return c, ok && !c.IsZero()
 }
 
 // divisorDependsOn reports whether d depends on f, so that dividing f by d
@@ -129,7 +184,7 @@ func divisorDependsOn(nw network.Reader, win *window, f, d string) bool {
 // so the rewrite cannot close a cycle. The clone path (noOverlay, the
 // Audit reference) and GDC trials instead install f's structure in a
 // working copy and rebuild its netlist every pass (regionRARRebuild).
-func divideWithParts(sc *scratch, nw network.Reader, win *window, f, d string, union []string, qPart, rem cube.Cover, cfg Config, yPhase cube.Phase, markPOS bool) (*DivideResult, bool) {
+func divideWithParts(sc *scratch, nw network.Reader, win *window, f, d string, union []string, qPart, rem cube.Cover, cfg Config, yPhase cube.Phase) (*DivideResult, bool) {
 	cov, fanins := tentativeCover(union, d, qPart, rem, yPhase)
 	var removed int
 	switch {
@@ -152,7 +207,6 @@ func divideWithParts(sc *scratch, nw network.Reader, win *window, f, d string, u
 		Fanins:       fanins,
 		Cover:        cov,
 		WiresRemoved: removed,
-		POS:          markPOS,
 	}
 	// Split informational quotient/remainder back out.
 	q, r := cube.NewCover(len(fanins)), cube.NewCover(len(fanins))

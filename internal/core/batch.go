@@ -411,7 +411,7 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, alone 
 		es.tfoIDs = nw.ResumeFanoutConeIDs(&es.tfo, es.tfoIDs[:0])
 		m.solo = true
 	}
-	m.cands = enumerateCandidates(nw, r.sigs, r.cc, id, opt, es, m.cands)
+	m.cands = enumerateCandidates(nw, r.nc, id, opt, es, m.cands)
 	if len(m.cands) > r.maxTrials {
 		m.cands = m.cands[:r.maxTrials]
 	}

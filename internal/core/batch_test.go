@@ -225,21 +225,18 @@ func TestCandidateEnumerationEquivalence(t *testing.T) {
 		var es enumScratch
 		for _, cfg := range []Config{Basic, Extended} {
 			opt := Options{Config: cfg, POS: true}
-			sigs := newSigCache(nw)
-			cc := newComplCache(DefaultMaxComplementCubes)
+			nc := newNodeCache(nw)
 			for _, f := range nw.SortedNodeNames() {
-				fast := candidateDivisors(nw, sigs, cc, f, opt, &es)
-				slow := fullScanCandidates(nw, sigs, cc, f, opt)
+				fast := candidateDivisors(nw, nc, f, opt, &es)
+				slow := fullScanCandidates(nw, nc, f, opt)
 				if len(fast) != len(slow) {
 					t.Fatalf("trial %d cfg %v f=%s: fast path found %d candidates, full scan %d",
 						trial, cfg, f, len(fast), len(slow))
 				}
 				for i := range fast {
-					if fast[i].name != slow[i].name || fast[i].neg != slow[i].neg || fast[i].pos != slow[i].pos {
-						t.Fatalf("trial %d cfg %v f=%s slot %d: fast (%s neg=%v pos=%v) != slow (%s neg=%v pos=%v)",
-							trial, cfg, f, i,
-							fast[i].name, fast[i].neg, fast[i].pos,
-							slow[i].name, slow[i].neg, slow[i].pos)
+					if fast[i].name != slow[i].name || fast[i].form != slow[i].form {
+						t.Fatalf("trial %d cfg %v f=%s slot %d: fast (%s form %d) != slow (%s form %d)",
+							trial, cfg, f, i, fast[i].name, fast[i].form, slow[i].name, slow[i].form)
 					}
 				}
 			}
@@ -267,13 +264,13 @@ func TestBatchSchedulerCommits(t *testing.T) {
 // fullScanCandidates is the enumeration oracle: every node outside f's
 // transitive fanout, in sorted-name order, through the same form filters
 // and the same total sort key as candidateDivisors.
-func fullScanCandidates(nw *network.Network, sigs *sigCache, cc *complCache, f string, opt Options) []candidate {
+func fullScanCandidates(nw *network.Network, nc *nodeCache, f string, opt Options) []candidate {
 	fn := nw.Node(f)
 	fid, _ := nw.IDOf(f)
-	fSigs := sigs.get(fid)
+	fSigs := nc.sigs(fid)
 	var fcSigs [][]sigLit
 	if opt.POS {
-		if s, _, ok := cc.getSigs(nw, fid); ok {
+		if s, _, ok := nc.complSigs(fid); ok {
 			fcSigs = s
 		}
 	}
@@ -295,15 +292,15 @@ func fullScanCandidates(nw *network.Network, sigs *sigCache, cc *complCache, f s
 				overlap++
 			}
 		}
-		if anyContainment(sigs.get(did), fSigs) {
+		if anyContainment(nc.sigs(did), fSigs) {
 			out = append(out, scored{candidate{name: d}, overlap})
 		}
-		if dcSigs, _, ok := cc.getSigs(nw, did); ok {
+		if dcSigs, _, ok := nc.complSigs(did); ok {
 			if anyContainment(dcSigs, fSigs) {
-				out = append(out, scored{candidate{name: d, neg: true}, overlap})
+				out = append(out, scored{candidate{name: d, form: formCompl}, overlap})
 			}
 			if opt.POS && fcSigs != nil && anyContainment(dcSigs, fcSigs) {
-				out = append(out, scored{candidate{name: d, pos: true}, overlap})
+				out = append(out, scored{candidate{name: d, form: formPOS}, overlap})
 			}
 		}
 	}
@@ -377,7 +374,7 @@ func TestBatchCarryRebuiltAfterCommit(t *testing.T) {
 func newTestRun(nw *network.Network, opt Options) *run {
 	return &run{
 		nw: nw, opt: opt, maxTrials: 32, ev: newEvaluator(1), st: new(Stats),
-		cc: newComplCache(DefaultMaxComplementCubes), sigs: newSigCache(nw),
+		nc: newNodeCache(nw),
 	}
 }
 
@@ -521,7 +518,7 @@ func TestBatchSoloResumesCappedWalk(t *testing.T) {
 		if m == nil || !m.solo || len(m.fp) != 0 {
 			t.Fatalf("%s: over-cap dividend alone in its batch is not an unclaimed solo: %+v", f, m)
 		}
-		want := candidateDivisors(nw, r.sigs, r.cc, f, r.opt, nil)
+		want := candidateDivisors(nw, r.nc, f, r.opt, nil)
 		if len(want) > r.maxTrials {
 			want = want[:r.maxTrials]
 		}
@@ -529,7 +526,7 @@ func TestBatchSoloResumesCappedWalk(t *testing.T) {
 			t.Fatalf("%s: solo carries %d candidates, substituteNode builds %d", f, len(m.cands), len(want))
 		}
 		for i := range want {
-			if m.cands[i].name != want[i].name || m.cands[i].neg != want[i].neg || m.cands[i].pos != want[i].pos {
+			if m.cands[i].name != want[i].name || m.cands[i].form != want[i].form {
 				t.Fatalf("%s slot %d: solo candidate %+v, substituteNode's %+v", f, i, m.cands[i], want[i])
 			}
 		}

@@ -177,9 +177,7 @@ func compareNodeFn(gotFanins []string, gotCover cube.Cover, wantFanins []string,
 func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt Options) (plan, bool) {
 	d := cand.name
 	fn := nw.Node(f)
-	fid, _ := nw.IDOf(f)
-	did, _ := nw.IDOf(d)
-	costBefore := sc.factorLits(fid, fn.Cover)
+	costBefore := algebraic.FactorLits(fn.Cover)
 	// Windowed division: bound the sub-network the basic, complement and
 	// POS divisions see. The reference paths materialize the window as a
 	// network (see windowFor); the default path carves it as ID lists of
@@ -190,88 +188,70 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 		if opt.noOverlay || opt.Config == ExtendedGDC {
 			nwd = windowFor(sc, nw, f, d, depth)
 		} else {
+			fid, _ := nw.IDOf(f)
+			did, _ := nw.IDOf(d)
 			win = sc.win.carve(nw, fid, did, min(depth, regionReach))
 		}
 	}
 
-	nodePlan := func(res *DivideResult, pos bool) plan {
+	nodePlan := func(res *DivideResult) plan {
 		return plan{
 			target:    f,
 			divisor:   d,
 			gain:      costBefore - algebraic.FactorLits(res.Cover),
-			pos:       pos,
+			pos:       res.POS,
 			removed:   res.WiresRemoved,
 			newFanins: res.Fanins,
 			newCover:  res.Cover,
 		}
 	}
 
-	if cand.neg {
-		res, ok := basicDivideCompl(sc, nwd, win, f, d, opt.Config, opt.MaxComplementCubes, cand.dCompl)
+	if cand.form != formSOP || opt.Config == Basic {
+		res, ok := divide(sc, nwd, win, f, cand, opt.Config)
 		if !ok {
 			return plan{}, false
 		}
-		return nodePlan(res, false), true
-	}
-	if cand.pos {
-		res, ok := posDivide(sc, nwd, win, f, d, opt.Config, opt.MaxComplementCubes, cand.fComplMin, cand.dComplMin)
-		if !ok {
-			return plan{}, false
-		}
-		return nodePlan(res, true), true
+		return nodePlan(res), true
 	}
 
-	switch opt.Config {
-	case Basic:
-		res, ok := basicDivide(sc, nwd, win, f, d, opt.Config)
-		if !ok {
-			return plan{}, false
+	// Extended / ExtendedGDC SOP: extended division generalizes basic
+	// division; evaluate both and keep the better (the core-selection
+	// heuristic can otherwise pick a decomposition where the whole divisor
+	// would gain more).
+	before := costBefore + algebraic.FactorLits(nw.Node(d).Cover)
+	extGain := -1 << 30
+	var extWork trialNet
+	var extRes *DivideResult
+	var extDec *Decomposition
+	if work, res, dec, ok := extendedDivide(sc, nw, f, d, opt.Config); ok {
+		after := algebraic.FactorLits(work.Node(f).Cover) + algebraic.FactorLits(work.Node(d).Cover)
+		if dec != nil {
+			after += algebraic.FactorLits(work.Node(dec.CoreName).Cover)
 		}
-		return nodePlan(res, false), true
-
-	default: // Extended / ExtendedGDC
-		dn := nw.Node(d)
-		before := costBefore + sc.factorLits(did, dn.Cover)
-
-		// Extended division generalizes basic division; evaluate both and
-		// keep the better (the core-selection heuristic can otherwise pick
-		// a decomposition where the whole divisor would gain more).
-		extGain := -1 << 30
-		var extWork trialNet
-		var extRes *DivideResult
-		var extDec *Decomposition
-		if work, res, dec, ok := extendedDivide(sc, nw, f, d, opt.Config); ok {
-			after := algebraic.FactorLits(work.Node(f).Cover) + algebraic.FactorLits(work.Node(d).Cover)
-			if dec != nil {
-				after += algebraic.FactorLits(work.Node(dec.CoreName).Cover)
-			}
-			extGain = before - after
-			extWork, extRes, extDec = work, res, dec
-		}
-		basicGain := -1 << 30
-		var basicRes *DivideResult
-		if res, ok := basicDivide(sc, nwd, win, f, d, opt.Config); ok {
-			basicGain = costBefore - algebraic.FactorLits(res.Cover)
-			basicRes = res
-		}
-		if basicRes == nil && extWork == nil {
-			return plan{}, false
-		}
-		if basicGain >= extGain {
-			p := nodePlan(basicRes, false)
-			p.gain = basicGain
-			return p, true
-		}
-		return plan{
-			target:  f,
-			divisor: d,
-			gain:    extGain,
-			dec:     extDec != nil,
-			removed: extRes.WiresRemoved,
-			work:    extWork,
-			touched: []string{f, d},
-		}, true
+		extGain = before - after
+		extWork, extRes, extDec = work, res, dec
 	}
+	basicGain := -1 << 30
+	var basicRes *DivideResult
+	if res, ok := divide(sc, nwd, win, f, cand, opt.Config); ok {
+		basicGain = costBefore - algebraic.FactorLits(res.Cover)
+		basicRes = res
+	}
+	if basicRes == nil && extWork == nil {
+		return plan{}, false
+	}
+	if basicGain >= extGain {
+		return nodePlan(basicRes), true
+	}
+	return plan{
+		target:  f,
+		divisor: d,
+		gain:    extGain,
+		dec:     extDec != nil,
+		removed: extRes.WiresRemoved,
+		work:    extWork,
+		touched: []string{f, d},
+	}, true
 }
 
 // planPooled evaluates one multi-node pooled extended division for f using
@@ -298,7 +278,7 @@ func planPooled(sc *scratch, nw network.Reader, f string, cands []candidate, opt
 func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate, opt Options) (plan, bool) {
 	var pool []string
 	for _, c := range cands {
-		if c.pos || c.neg || indexOf(pool, c.name) >= 0 {
+		if c.form != formSOP || indexOf(pool, c.name) >= 0 {
 			continue
 		}
 		pool = append(pool, c.name)
@@ -351,11 +331,10 @@ func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate,
 // network, invalidates the pass caches for every name the plan touches,
 // enforces the depth budget when set (undoing the commit byte-exactly on
 // violation), and updates statistics. Returns whether the plan stuck.
-func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *sigCache, st *Stats) bool {
+func commitPlan(nw *network.Network, p plan, opt Options, nc *nodeCache, st *Stats) bool {
 	invalidate := func() {
 		if p.isNode() {
-			cc.invalidate(nw, p.target)
-			sigs.invalidate(p.target)
+			nc.invalidate(p.target)
 			return
 		}
 		if ov, ok := p.work.(*network.Overlay); ok {
@@ -366,20 +345,17 @@ func commitPlan(nw *network.Network, p plan, opt Options, cc *complCache, sigs *
 			// candidate enumeration indexes the new (shorter) fanin list with
 			// it.
 			for _, n := range ov.Added() {
-				cc.invalidate(nw, n.Name)
-				sigs.invalidate(n.Name)
+				nc.invalidate(n.Name)
 			}
 			for _, n := range ov.Changed() {
-				cc.invalidate(nw, n.Name)
-				sigs.invalidate(n.Name)
+				nc.invalidate(n.Name)
 			}
 			return
 		}
 		// Clone commit (CopyFrom): the rewrite set is not enumerable from
 		// the plan — the pooled path's Sweep can delete dead nodes p.touched
 		// never lists — so drop everything.
-		cc.reset()
-		sigs.reset()
+		nc.reset()
 	}
 
 	if p.isNode() {
@@ -494,7 +470,7 @@ func (ev *evaluator) trial(nw *network.Network, f string, c candidate, opt Optio
 // commit applies a plan through commitPlan, bumping the epoch first so every
 // scratch's memoized base build of the live network is invalidated before
 // the network can change.
-func (ev *evaluator) commit(nw *network.Network, p plan, opt Options, cc *complCache, sigs *sigCache, st *Stats) bool {
+func (ev *evaluator) commit(nw *network.Network, p plan, opt Options, nc *nodeCache, st *Stats) bool {
 	ev.epoch++
-	return commitPlan(nw, p, opt, cc, sigs, st)
+	return commitPlan(nw, p, opt, nc, st)
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/blif"
 	"repro/internal/network"
 	"repro/internal/verify"
@@ -177,5 +179,109 @@ func TestSubstituteObservabilityCounters(t *testing.T) {
 	}
 	if st.SigCacheHits+st.SigCacheMisses == 0 {
 		t.Errorf("no signature cache traffic recorded: %+v", st)
+	}
+}
+
+// TestCommitInvalidatesNodeCache drives commitPlan with each kind of plan
+// on the suite circuits — a node rewrite, an overlay rewrite (extended
+// division's decomposition) and a clone rewrite (a pooled cross-node core,
+// committed by CopyFrom) — and after every commit compares each filled
+// entry of the node cache with a fresh cache for the same ID. An entry the
+// commit should have dropped reads the node's old cover or fanin space.
+func TestCommitInvalidatesNodeCache(t *testing.T) {
+	const (
+		nodeKind = iota
+		overlayKind
+		cloneKind
+	)
+	var commits [3]int
+	opt := Options{Config: Extended, POS: true, Pool: true}
+	for _, name := range bench.Names() {
+		nw := bench.Get(name)
+		nw.EnableFanouts()
+		nc := newNodeCache(nw)
+		var st Stats
+		commit := func(p plan) {
+			kind := nodeKind
+			if !p.isNode() {
+				kind = cloneKind
+				if _, ok := p.work.(*network.Overlay); ok {
+					kind = overlayKind
+				}
+			}
+			fillNodeCache(nw, nc)
+			if !commitPlan(nw, p, opt, nc, &st) {
+				t.Fatalf("%s: commit of f=%s d=%s failed", name, p.target, p.divisor)
+			}
+			commits[kind]++
+			checkNodeCache(t, nw, nc, fmt.Sprintf("%s kind %d f=%s d=%s", name, kind, p.target, p.divisor))
+		}
+		ids := append([]network.SigID(nil), nw.TopoOrderIDs()...)
+		for i := len(ids) - 1; i >= 0; i-- {
+			fn := nw.NodeByID(ids[i])
+			if fn == nil || fn.Cover.IsZero() {
+				continue
+			}
+			cands := candidateDivisors(nw, nc, fn.Name, opt, nil)
+			committed := false
+			for _, c := range cands {
+				if p, ok := planPair(newScratch(), nw, fn.Name, c, opt); ok && p.gain > 0 {
+					commit(p)
+					committed = true
+					break
+				}
+			}
+			if !committed {
+				if p, ok := planPooled(newScratch(), nw, fn.Name, cands, opt); ok {
+					commit(p)
+				}
+			}
+		}
+	}
+	for kind, n := range commits {
+		if n == 0 {
+			t.Errorf("plan kind %d never committed on the suite (%v)", kind, commits)
+		}
+	}
+}
+
+// fillNodeCache fills every entry of nc for the live nodes of nw.
+func fillNodeCache(nw *network.Network, nc *nodeCache) {
+	for _, id := range nw.OrderIDs() {
+		if nw.NodeByID(id) != nil {
+			nc.sigs(id)
+			nc.complSigs(id)
+			nc.complMin(id)
+		}
+	}
+}
+
+// checkNodeCache compares every filled entry of nc with a fresh cache of
+// nw's current state.
+func checkNodeCache(t *testing.T, nw *network.Network, nc *nodeCache, site string) {
+	t.Helper()
+	fresh := newNodeCache(nw)
+	for i := range nc.e {
+		id, e := network.SigID(i), nc.e[i]
+		label := fmt.Sprintf("%s: entry of %s", site, nw.SigName(id))
+		if e.hasSigs && !reflect.DeepEqual(e.sigs, fresh.sigs(id)) {
+			t.Fatalf("%s: stale cube signatures", label)
+		}
+		if e.hasCompl || e.complBad {
+			c, ok := fresh.compl(id)
+			if ok == e.complBad || (ok && compareNodeFn(nil, e.compl, nil, c) != nil) {
+				t.Fatalf("%s: stale complement", label)
+			}
+		}
+		if e.hasComplSigs {
+			if s, _, _ := fresh.complSigs(id); !reflect.DeepEqual(e.complSigs, s) {
+				t.Fatalf("%s: stale complement signatures", label)
+			}
+		}
+		if e.hasMin {
+			if m, _ := fresh.complMin(id); compareNodeFn(nil, e.min, nil, m) != nil {
+				t.Fatalf("%s: stale minimized complement", label)
+			}
+		}
 	}
 }

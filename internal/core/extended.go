@@ -37,27 +37,38 @@ const maxCoreCubes = 64
 // run implications, and record the divisor cubes implied to 0. Returns
 // ok=false when the pair is structurally unusable.
 func VoteTable(nw network.Reader, f, d string, cfg Config) ([]Vote, bool) {
-	votes, _, _, ok := voteTable(newScratch(), nw, f, []string{d}, cfg)
-	return votes, ok
+	t, ok := voteTable(newScratch(), nw, f, []string{d}, cfg)
+	return t.votes, ok
+}
+
+// voteSet is a vote table with the layout it was computed over: the pool
+// entries, the union signal space of f and the divisors (the space
+// validity is checked in), and f's cover and the voting pool cubes in that
+// space — the covers core selection scores against.
+type voteSet struct {
+	votes     []Vote
+	pool      []PoolEntry
+	union     []string
+	fU        cube.Cover
+	poolCubes []cube.Cube
 }
 
 // voteTable computes the vote table of f over the pooled cubes of the given
 // divisor nodes — single-divisor voting is the pool of one node. The first
 // maxCoreCubes pooled cubes vote; bit k of a candidate mask is pool[k].
-// Returns the votes, the pool layout, and the union signal space of f and
-// the divisors (the space validity is checked in). The votes are extracted
-// as plain values before the scratch is reused, so a single scratch can
-// serve the vote table and the division that follows it.
-func voteTable(sc *scratch, nw network.Reader, f string, divisors []string, cfg Config) ([]Vote, []PoolEntry, []string, bool) {
+// The votes are extracted as plain values before the scratch is reused, so
+// a single scratch can serve the vote table and the division that follows
+// it.
+func voteTable(sc *scratch, nw network.Reader, f string, divisors []string, cfg Config) (voteSet, bool) {
 	fn := nw.Node(f)
 	if fn == nil || len(divisors) == 0 {
-		return nil, nil, nil, false
+		return voteSet{}, false
 	}
 	union := append([]string(nil), fn.Fanins...)
 	for _, d := range divisors {
 		dn := nw.Node(d)
 		if dn == nil || d == f || nw.DependsOn(d, f) {
-			return nil, nil, nil, false
+			return voteSet{}, false
 		}
 		union = unionSignals(union, dn.Fanins)
 	}
@@ -125,7 +136,7 @@ func voteTable(sc *scratch, nw network.Reader, f string, divisors []string, cfg 
 			votes = append(votes, vote)
 		}
 	}
-	return votes, pool, union, true
+	return voteSet{votes, pool, union, fU, poolCubesU}, true
 }
 
 func maskAll(n int) uint64 {
@@ -227,17 +238,14 @@ func ExtendedDivide(nw network.Reader, f, d string, cfg Config) (*network.Networ
 // a deep clone under noOverlay); the engine commits it via commitPlan and
 // the public wrapper materializes it.
 func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (trialNet, *DivideResult, *Decomposition, bool) {
-	fn, dn := nw.Node(f), nw.Node(d)
-	if fn == nil || dn == nil {
-		return nil, nil, nil, false
-	}
-	votes, _, union, ok := voteTable(sc, nw, f, []string{d}, cfg)
+	t, ok := voteTable(sc, nw, f, []string{d}, cfg) // fails when f or d drives no node
 	if !ok {
 		return nil, nil, nil, false
 	}
-	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
-	dU := network.RemapCover(dn.Cover, dn.Fanins, union)
-	mask, score := SelectCore(votes, dU.Cubes, fU)
+	dn := nw.Node(d)
+	// The pool cubes are d's first maxCoreCubes cubes: exactly the ones
+	// SelectCore's validity check reads.
+	mask, score := SelectCore(t.votes, t.poolCubes, t.fU)
 	if mask == 0 || score == 0 {
 		return nil, nil, nil, false
 	}
@@ -247,7 +255,7 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (tr
 	}
 	if mask == maskAll(nD) && nD == dn.Cover.NumCubes() {
 		// Core is the whole divisor: plain basic division.
-		res, ok := basicDivide(sc, nw, nil, f, d, cfg)
+		res, ok := divide(sc, nw, nil, f, candidate{name: d}, cfg)
 		if !ok {
 			return nil, nil, nil, false
 		}
@@ -292,7 +300,7 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (tr
 	}
 	work.NormalizeNode(d)
 
-	res, ok := basicDivide(sc, work, nil, f, coreName, cfg)
+	res, ok := divide(sc, work, nil, f, candidate{name: coreName}, cfg)
 	if !ok {
 		return nil, nil, nil, false
 	}

@@ -25,7 +25,8 @@ type PoolEntry struct {
 // the votes, the pool layout, the union signal space used for validity
 // checks, and ok.
 func PooledVoteTable(nw network.Reader, f string, divisors []string, cfg Config) ([]Vote, []PoolEntry, []string, bool) {
-	return voteTable(newScratch(), nw, f, divisors, cfg)
+	t, ok := voteTable(newScratch(), nw, f, divisors, cfg)
+	return t.votes, t.pool, t.union, ok
 }
 
 // PooledExtendedDivide runs extended division of f over a divisor pool. The
@@ -45,19 +46,12 @@ func PooledExtendedDivide(nw network.Reader, f string, divisors []string, cfg Co
 // on the copy-on-write path); the cross-node core path always returns a deep
 // clone — it needs Sweep, which only a materialized network supports.
 func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []string, cfg Config) (trialNet, *DivideResult, *Decomposition, bool) {
-	votes, pool, union, ok := voteTable(sc, nw, f, divisors, cfg)
+	t, ok := voteTable(sc, nw, f, divisors, cfg)
 	if !ok {
 		return nil, nil, nil, false
 	}
-	fn := nw.Node(f)
-	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
-	poolCubesU := make([]cube.Cube, len(pool))
-	for k, pe := range pool {
-		dn := nw.Node(pe.Node)
-		dU := network.RemapCover(dn.Cover, dn.Fanins, union)
-		poolCubesU[k] = dU.Cubes[pe.CubeIdx]
-	}
-	mask, score := SelectCore(votes, poolCubesU, fU)
+	pool := t.pool
+	mask, score := SelectCore(t.votes, t.poolCubes, t.fU)
 	if mask == 0 || score == 0 {
 		return nil, nil, nil, false
 	}
@@ -80,16 +74,16 @@ func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []s
 	// of the contributing cubes' signals, then basic-divide f by it.
 	work := nw.Clone()
 	coreName := work.FreshName("bdp")
-	coreCover := cube.NewCover(len(union))
+	coreCover := cube.NewCover(len(t.union))
 	for k := range pool {
 		if mask&(1<<k) != 0 {
-			coreCover.Cubes = append(coreCover.Cubes, poolCubesU[k].Clone())
+			coreCover.Cubes = append(coreCover.Cubes, t.poolCubes[k].Clone())
 		}
 	}
-	work.AddNode(coreName, union, coreCover.SCC())
+	work.AddNode(coreName, t.union, coreCover.SCC())
 	work.NormalizeNode(coreName)
 
-	res, ok := basicDivide(sc, work, nil, f, coreName, cfg)
+	res, ok := divide(sc, work, nil, f, candidate{name: coreName}, cfg)
 	if !ok {
 		return nil, nil, nil, false
 	}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"repro/internal/algebraic"
 	"repro/internal/atpg"
-	"repro/internal/cube"
 	"repro/internal/netlist"
 	"repro/internal/network"
 )
@@ -69,21 +67,6 @@ type scratch struct {
 	// planner entry points): trialClone hands out deep clones and every RAR
 	// pass rebuilds its netlist, exactly the historical engine.
 	noOverlay bool
-
-	// flits memoizes FactorLits of LIVE network nodes per (pinned reader,
-	// commit epoch): within an epoch nothing mutates the live network, so
-	// the factored cost of a node (the before-cost every trial of an epoch
-	// recomputes) is a pure function of its SigID. The arena is
-	// SigID-indexed with per-slot generation stamps — a slot is valid only
-	// while flitsGen[id] == flitsCur — so a pin or epoch change invalidates
-	// every entry by bumping flitsCur in O(1) instead of reallocating.
-	// Holding flitsFor keeps the reader alive, so the identity comparison
-	// cannot be fooled by address reuse.
-	flits      []int
-	flitsGen   []uint64
-	flitsCur   uint64
-	flitsFor   network.Reader
-	flitsEpoch uint64
 }
 
 func newScratch() *scratch {
@@ -107,30 +90,6 @@ func (sc *scratch) engine(nl *netlist.Netlist, opt atpg.Options) *atpg.Engine {
 	e := atpg.NewEngine(nl, opt)
 	sc.engines[nl] = e
 	return e
-}
-
-// factorLits returns algebraic.FactorLits(cov) memoized by live-node SigID
-// and commit epoch. Callers must pass IDs and covers of live network nodes
-// only — overlay extension IDs are not stable across trials.
-//
-//bdslint:hotpath
-func (sc *scratch) factorLits(id network.SigID, cov cube.Cover) int {
-	if sc.flitsCur == 0 || sc.flitsEpoch != sc.epoch || sc.flitsFor != sc.pin {
-		sc.flitsCur++
-		sc.flitsFor = sc.pin
-		sc.flitsEpoch = sc.epoch
-	}
-	for int(id) >= len(sc.flits) {
-		sc.flits = append(sc.flits, 0)
-		sc.flitsGen = append(sc.flitsGen, 0)
-	}
-	if sc.flitsGen[id] == sc.flitsCur {
-		return sc.flits[id]
-	}
-	v := algebraic.FactorLits(cov)
-	sc.flits[id] = v
-	sc.flitsGen[id] = sc.flitsCur
-	return v
 }
 
 // baseBuild returns a netlist build of r's current state for use as a

@@ -16,8 +16,6 @@ type Options struct {
 	Config Config
 	// POS also tries product-of-sum-form substitution for every pair.
 	POS bool
-	// MaxComplementCubes bounds POS complement sizes (0 = default).
-	MaxComplementCubes int
 	// MaxPasses bounds the outer sweeps over the network (≤ 0 = 2).
 	MaxPasses int
 	// MaxDivisorTrials caps how many divisors are tried per dividend after
@@ -200,10 +198,6 @@ func Substitute(nw *network.Network, opt Options) Stats {
 	if maxTrials <= 0 {
 		maxTrials = 32
 	}
-	maxCompl := opt.MaxComplementCubes
-	if maxCompl <= 0 {
-		maxCompl = DefaultMaxComplementCubes
-	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -221,12 +215,11 @@ func Substitute(nw *network.Network, opt Options) Stats {
 	nw.EnableFanouts()
 	defer nw.DisableFanouts()
 
-	// The complement and signature caches survive across passes: commits
-	// invalidate every touched name (the same mechanism that keeps them
-	// correct across commits within a pass), so entries for untouched nodes
-	// stay valid and the second pass skips their recomputation entirely.
-	cc := newComplCache(maxCompl)
-	sigs := newSigCache(nw)
+	// The node cache survives across passes: commits invalidate every
+	// touched name (the same mechanism that keeps it correct across commits
+	// within a pass), so entries for untouched nodes stay valid and the
+	// second pass skips their recomputation entirely.
+	nc := newNodeCache(nw)
 
 	r := &run{
 		nw:        nw,
@@ -234,8 +227,7 @@ func Substitute(nw *network.Network, opt Options) Stats {
 		maxTrials: maxTrials,
 		ev:        ev,
 		st:        &st,
-		cc:        cc,
-		sigs:      sigs,
+		nc:        nc,
 	}
 	// The cone-disjoint batch scheduler (batch.go) speculates whole groups
 	// of cone-disjoint dividends per worker dispatch and commits the
@@ -276,16 +268,14 @@ func Substitute(nw *network.Network, opt Options) Stats {
 			break
 		}
 	}
-	st.SigCacheHits = sigs.hits
-	st.SigCacheMisses = sigs.misses
-	st.ComplCacheHits = cc.hits
-	st.ComplCacheMisses = cc.misses
+	st.SigCacheHits, st.SigCacheMisses = nc.sigHits, nc.sigMisses
+	st.ComplCacheHits, st.ComplCacheMisses = nc.complHits, nc.complMisses
 	st.LitsAfter = nw.FactoredLits()
 	return st
 }
 
 // run bundles one Substitute call's live state: the network, the resolved
-// options, the evaluator and its caches. It exists so the per-dividend
+// options, the evaluator and its node cache. It exists so the per-dividend
 // trial-and-commit sequence (substituteNode) is callable from both the
 // serial driver loop and the batch scheduler's eviction path.
 type run struct {
@@ -294,8 +284,7 @@ type run struct {
 	maxTrials int
 	ev        *evaluator
 	st        *Stats
-	cc        *complCache
-	sigs      *sigCache
+	nc        *nodeCache
 	enum      enumScratch     // candidateDivisors' stamp arenas (serial side)
 	sched     *batchScheduler // nil = batch scheduling off
 }
@@ -308,10 +297,10 @@ type run struct {
 func (r *run) commit(p plan, opt Options) bool {
 	s := r.sched
 	if s == nil || !s.sweeping {
-		return r.ev.commit(r.nw, p, opt, r.cc, r.sigs, r.st)
+		return r.ev.commit(r.nw, p, opt, r.nc, r.st)
 	}
 	pre := s.precommit(&p)
-	ok := r.ev.commit(r.nw, p, opt, r.cc, r.sigs, r.st)
+	ok := r.ev.commit(r.nw, p, opt, r.nc, r.st)
 	if ok {
 		s.postcommit(pre)
 	}
@@ -329,7 +318,7 @@ func (r *run) substituteNode(id network.SigID) bool {
 		return false
 	}
 	f := fn.Name
-	cands := candidateDivisors(r.nw, r.sigs, r.cc, f, r.opt, &r.enum)
+	cands := candidateDivisors(r.nw, r.nc, f, r.opt, &r.enum)
 	if len(cands) > r.maxTrials {
 		cands = cands[:r.maxTrials]
 	}
@@ -403,34 +392,49 @@ func (r *run) tryCandidates(f string, cands []candidate) bool {
 // candidate pairs a divisor node with the form that passed the structural
 // prefilter: plain SOP, complement-phase SOP (divide by d'), or POS.
 //
-// The complement covers the form needs are memoized here at enumeration
-// time (they are complCache results the prefilter computed anyway), so the
-// parallel trials skip the per-trial Complement/Minimize recomputation.
-// Safe to share: nothing commits between enumeration and this node's
-// trials, the covers are never mutated, and Complement/Minimize are
-// deterministic — a trial reading the carried cover is byte-identical to
-// one recomputing it. nil = not prefetched; the divide routines recompute
-// (public one-shot wrappers, hand-built candidates in tests).
+// The complement covers the form splits are memoized here at enumeration
+// time (they are nodeCache results the prefilter computed anyway), so the
+// trials skip the per-trial Complement/Minimize recomputation. Safe to
+// share: nothing commits between enumeration and this node's trials, the
+// covers are never mutated, and Complement/Minimize are deterministic — a
+// trial reading the carried cover is byte-identical to one recomputing it.
+// nil = not carried; divide recomputes (public one-shot wrappers,
+// hand-built candidates in tests).
 type candidate struct {
 	name string
 	id   network.SigID // name's SigID (set by enumeration; rule E2)
-	pos  bool
-	neg  bool
+	form form
 
-	dCompl    *cube.Cover // d's complement (complement-phase SOP form)
-	dComplMin *cube.Cover // minimized d complement (POS form)
-	fComplMin *cube.Cover // minimized f complement (POS form)
+	// dc is d's complement (formCompl) or minimized complement (formPOS);
+	// fc is f's minimized complement (formPOS).
+	fc, dc *cube.Cover
 }
 
-// sigCache caches per-node cube literal signatures ((signal, phase) sets)
-// for the containment prefilter, indexed by the live network's dense SigID
-// (stable across commits — the symbol table is append-only). Like
-// complCache it is only read and written on the serial side of the engine.
-type sigCache struct {
-	nw           *network.Network
-	sigs         [][][]sigLit
-	has          []bool
-	hits, misses int
+// nodeCache memoizes, per live node, what candidate enumeration reads: the
+// cube literal signatures of the node's cover ((signal, phase) sets for the
+// containment prefilter), and its complement cover with that cover's
+// minimized form (the covers a POS candidate carries) and signatures. It is
+// indexed by the live network's dense SigID (the symbol table is
+// append-only, so a node's ID is stable across commits and rebinds to the
+// same slot if the name is ever re-added). It lives on the serial side of
+// the engine (candidate enumeration and commit); planners never touch it,
+// so it needs no locking. The hit/miss counters feed Stats.
+type nodeCache struct {
+	nw                     *network.Network
+	e                      []nodeEntry
+	sigHits, sigMisses     int
+	complHits, complMisses int
+}
+
+// nodeEntry is one node's slot. The has* flags distinguish "never
+// computed" from a cached zero value; complBad marks a complement that is
+// too big or zero, or a node that is gone.
+type nodeEntry struct {
+	hasSigs, hasCompl, hasMin, hasComplSigs, complBad bool
+
+	sigs       [][]sigLit
+	compl, min cube.Cover
+	complSigs  [][]sigLit
 }
 
 // sigLit is one literal of a cube signature: the fanin's SigID and its
@@ -442,46 +446,118 @@ type sigLit struct {
 	neg bool
 }
 
-func newSigCache(nw *network.Network) *sigCache {
-	return &sigCache{nw: nw}
+func newNodeCache(nw *network.Network) *nodeCache {
+	return &nodeCache{nw: nw}
 }
 
-// get returns node id's cube signatures (nil when id drives no node).
+// slot grows the entry arena to cover id and returns its entry.
+func (nc *nodeCache) slot(id network.SigID) *nodeEntry {
+	for int(id) >= len(nc.e) {
+		nc.e = append(nc.e, nodeEntry{})
+	}
+	return &nc.e[id]
+}
+
+// sigs returns node id's cube signatures (nil when id drives no node).
 //
 //bdslint:hotpath
-func (sc *sigCache) get(id network.SigID) [][]sigLit {
-	if int(id) < len(sc.has) && sc.has[id] {
-		sc.hits++
-		return sc.sigs[id]
+func (nc *nodeCache) sigs(id network.SigID) [][]sigLit {
+	if int(id) < len(nc.e) && nc.e[id].hasSigs {
+		nc.sigHits++
+		return nc.e[id].sigs
 	}
-	sc.misses++
-	n := sc.nw.NodeByID(id)
+	nc.sigMisses++
+	n := nc.nw.NodeByID(id)
 	if n == nil {
 		return nil
 	}
-	s := coverSigs(n.Cover, sc.nw.FaninIDsOf(id))
-	for int(id) >= len(sc.has) {
-		sc.has = append(sc.has, false)
-		sc.sigs = append(sc.sigs, nil)
-	}
-	sc.sigs[id] = s
-	sc.has[id] = true
-	return s
+	e := nc.slot(id)
+	e.sigs = coverSigs(n.Cover, nc.nw.FaninIDsOf(id))
+	e.hasSigs = true
+	return e.sigs
 }
 
-func (sc *sigCache) invalidate(name string) {
-	if id, ok := sc.nw.IDOf(name); ok && int(id) < len(sc.has) {
-		sc.has[id] = false
-		sc.sigs[id] = nil
+// complSigs returns the literal signatures of node id's complement cover
+// against the node's fanins, memoized with the complement itself (and
+// invalidated with it — the fanin list is part of the node state the commit
+// touched).
+//
+//bdslint:hotpath
+func (nc *nodeCache) complSigs(id network.SigID) ([][]sigLit, cube.Cover, bool) {
+	c, ok := nc.compl(id)
+	if !ok {
+		return nil, cube.Cover{}, false
+	}
+	e := nc.slot(id) // compl just cached the complement
+	if !e.hasComplSigs {
+		e.complSigs = coverSigs(c, nc.nw.FaninIDsOf(id))
+		e.hasComplSigs = true
+	}
+	return e.complSigs, c, true
+}
+
+// compl returns node id's complement cover, computing and memoizing it on
+// a miss; ok=false when id drives no node or the complement is zero or
+// over maxComplementCubes.
+//
+//bdslint:hotpath
+func (nc *nodeCache) compl(id network.SigID) (cube.Cover, bool) {
+	if int(id) < len(nc.e) {
+		if e := &nc.e[id]; e.complBad {
+			nc.complHits++
+			return cube.Cover{}, false
+		} else if e.hasCompl {
+			nc.complHits++
+			return e.compl, true
+		}
+	}
+	nc.complMisses++
+	n := nc.nw.NodeByID(id)
+	if n == nil {
+		nc.slot(id).complBad = true
+		return cube.Cover{}, false
+	}
+	c, ok := boundedComplement(n.Cover)
+	e := nc.slot(id)
+	if !ok {
+		e.complBad = true
+		return cube.Cover{}, false
+	}
+	e.compl = c
+	e.hasCompl = true
+	return c, true
+}
+
+// complMin returns node id's minimized complement — the cover formPOS
+// division splits — memoized alongside the plain complement. Minimize
+// neither writes the cached complement nor returns words of it, so the two
+// entries are independent. The returned cover is shared: callers must not
+// mutate it.
+func (nc *nodeCache) complMin(id network.SigID) (cube.Cover, bool) {
+	if int(id) < len(nc.e) && nc.e[id].hasMin {
+		return nc.e[id].min, true
+	}
+	raw, ok := nc.compl(id)
+	if !ok {
+		return cube.Cover{}, false
+	}
+	e := nc.slot(id)
+	e.min = mini.Minimize(raw, mini.Options{})
+	e.hasMin = true
+	return e.min, true
+}
+
+// invalidate drops the entry of the node a commit rewrote.
+func (nc *nodeCache) invalidate(name string) {
+	if id, ok := nc.nw.IDOf(name); ok && int(id) < len(nc.e) {
+		nc.e[id] = nodeEntry{}
 	}
 }
 
-// reset drops every entry (see complCache.reset).
-func (sc *sigCache) reset() {
-	for i := range sc.has {
-		sc.has[i] = false
-		sc.sigs[i] = nil
-	}
+// reset drops every entry: the wholesale invalidation a clone (CopyFrom)
+// commit needs, since its rewrite set is not enumerable from the plan.
+func (nc *nodeCache) reset() {
+	clear(nc.e)
 }
 
 func coverSigs(cov cube.Cover, fanins []network.SigID) [][]sigLit {
@@ -551,14 +627,14 @@ func anyContainment(dSigs, fSigs [][]sigLit) bool {
 // enumerateCandidates; the batch scheduler runs its own capped walk and
 // calls enumerateCandidates directly. es holds the stamp arenas (nil =
 // allocate fresh ones).
-func candidateDivisors(nw *network.Network, sigs *sigCache, cc *complCache, f string, opt Options, es *enumScratch) []candidate {
+func candidateDivisors(nw *network.Network, nc *nodeCache, f string, opt Options, es *enumScratch) []candidate {
 	if es == nil {
 		es = new(enumScratch)
 	}
 	fid, _ := nw.IDOf(f)
 	es.tfo.Reset()
 	es.tfoIDs, _ = nw.AppendFanoutConeIDs(fid, &es.tfo, es.tfoIDs[:0], 0)
-	return enumerateCandidates(nw, sigs, cc, fid, opt, es, nil)
+	return enumerateCandidates(nw, nc, fid, opt, es, nil)
 }
 
 // enumerateCandidates is candidateDivisors' body: it appends f's candidates
@@ -579,12 +655,12 @@ func candidateDivisors(nw *network.Network, sigs *sigCache, cc *complCache, f st
 // compare equal — so the visiting order never shows through;
 // TestCandidateEnumerationEquivalence locks the result to a full scan of
 // every node.
-func enumerateCandidates(nw *network.Network, sigs *sigCache, cc *complCache, fid network.SigID, opt Options, es *enumScratch, dst []candidate) []candidate {
-	fSigs := sigs.get(fid)
+func enumerateCandidates(nw *network.Network, nc *nodeCache, fid network.SigID, opt Options, es *enumScratch, dst []candidate) []candidate {
+	fSigs := nc.sigs(fid)
 	fFanins := nw.FaninIDsOf(fid)
 	var fcSigs [][]sigLit
 	if opt.POS {
-		if s, _, ok := cc.getSigs(nw, fid); ok {
+		if s, _, ok := nc.complSigs(fid); ok {
 			fcSigs = s
 		}
 	}
@@ -615,21 +691,21 @@ func enumerateCandidates(nw *network.Network, sigs *sigCache, cc *complCache, fi
 					}
 				}
 			}
-			if anyContainment(sigs.get(u), fSigs) {
+			if anyContainment(nc.sigs(u), fSigs) {
 				out = append(out, scored{candidate{name: dn.Name, id: u}, overlap})
 			}
-			if dcSigs, dcov, ok := cc.getSigs(nw, u); ok {
+			if dcSigs, dcov, ok := nc.complSigs(u); ok {
 				// Complement-phase SOP division (f = q·d' + r) — the phase the
 				// SIS resub -d baseline exploits.
 				if anyContainment(dcSigs, fSigs) {
 					dc := dcov
-					out = append(out, scored{candidate{name: dn.Name, id: u, neg: true, dCompl: &dc}, overlap})
+					out = append(out, scored{candidate{name: dn.Name, id: u, form: formCompl, dc: &dc}, overlap})
 				}
 				if opt.POS && fcSigs != nil && anyContainment(dcSigs, fcSigs) {
-					c := candidate{name: dn.Name, id: u, pos: true}
-					if dcm, ok := cc.getMin(nw, u); ok {
-						if fcm, ok := cc.getMin(nw, fid); ok {
-							c.dComplMin, c.fComplMin = &dcm, &fcm
+					c := candidate{name: dn.Name, id: u, form: formPOS}
+					if dcm, ok := nc.complMin(u); ok {
+						if fcm, ok := nc.complMin(fid); ok {
+							c.fc, c.dc = &fcm, &dcm
 						}
 					}
 					out = append(out, scored{c, overlap})
@@ -677,19 +753,7 @@ func lessScored(a, b scored) bool {
 	if a.c.name != b.c.name {
 		return a.c.name < b.c.name
 	}
-	return formRank(a.c) < formRank(b.c)
-}
-
-// formRank orders a divisor's forms for the tie-break: plain SOP division
-// first, then complement-phase SOP, then POS.
-func formRank(c candidate) int {
-	switch {
-	case c.neg:
-		return 1
-	case c.pos:
-		return 2
-	}
-	return 0
+	return a.c.form < b.c.form
 }
 
 // commitNode installs a replacement node function, minimizing the cover
@@ -705,16 +769,4 @@ func commitNode(nw *network.Network, f string, fanins []string, cover cube.Cover
 	}
 	nw.NormalizeNode(f)
 	return true
-}
-
-// tryPair plans one candidate and commits it when the gain is positive
-// (the paper's first-positive-gain rule), serially. Kept as the one-shot
-// entry the tests exercise; Substitute drives planPair/commitPlan through
-// the evaluator instead.
-func tryPair(nw *network.Network, f string, cand candidate, opt Options, cc *complCache, sigs *sigCache, st *Stats) bool {
-	p, ok := planPair(newScratch(), nw, f, cand, opt)
-	if !ok || p.gain <= 0 {
-		return false
-	}
-	return commitPlan(nw, p, opt, cc, sigs, st)
 }

@@ -67,12 +67,10 @@ func TestSubstitutePOSCandidateOfferedAndCommitSound(t *testing.T) {
 	// driver must offer the POS candidate and commit a sound substitution
 	// (the SOP form wins the race, which is fine — the forms converge).
 	nw := posNetwork()
-	cc := newComplCache(DefaultMaxComplementCubes)
-	sigs := newSigCache(nw)
-	cands := candidateDivisors(nw, sigs, cc, "f", Options{Config: Basic, POS: true}, nil)
+	cands := candidateDivisors(nw, newNodeCache(nw), "f", Options{Config: Basic, POS: true}, nil)
 	foundPOS := false
 	for _, c := range cands {
-		if c.name == "d0" && c.pos {
+		if c.name == "d0" && c.form == formPOS {
 			foundPOS = true
 		}
 	}
@@ -93,15 +91,25 @@ func TestSubstitutePOSCandidateOfferedAndCommitSound(t *testing.T) {
 	}
 }
 
+// tryPair plans one candidate and commits it when the gain is positive
+// (the paper's first-positive-gain rule), serially: the one-shot entry
+// these tests drive instead of Substitute's evaluator.
+func tryPair(nw *network.Network, f string, cand candidate, opt Options, nc *nodeCache, st *Stats) bool {
+	p, ok := planPair(newScratch(), nw, f, cand, opt)
+	if !ok || p.gain <= 0 {
+		return false
+	}
+	return commitPlan(nw, p, opt, nc, st)
+}
+
 func TestSubstitutePOSOnlyPath(t *testing.T) {
-	// Force the POS path by running tryPair with pos=true directly on the
-	// product-form network; the commit must be sound and use the divisor.
+	// Force the POS path by running tryPair with the POS form directly on
+	// the product-form network; the commit must be sound and use the
+	// divisor.
 	nw := posNetwork()
 	ref := nw.Clone()
-	cc := newComplCache(DefaultMaxComplementCubes)
-	sigs := newSigCache(nw)
 	var st Stats
-	if !tryPair(nw, "f", candidate{name: "d0", pos: true}, Options{Config: Basic, POS: true}, cc, sigs, &st) {
+	if !tryPair(nw, "f", candidate{name: "d0", form: formPOS}, Options{Config: Basic, POS: true}, newNodeCache(nw), &st) {
 		t.Fatal("POS tryPair did not commit")
 	}
 	if st.POSSubstitutions != 1 {

@@ -18,10 +18,10 @@ func TestLessScoredFullKey(t *testing.T) {
 	canonical := []scored{
 		{candidate{name: "deep"}, 3},
 		{candidate{name: "apple"}, 2},
-		{candidate{name: "apple", neg: true}, 2},
-		{candidate{name: "apple", pos: true}, 2},
+		{candidate{name: "apple", form: formCompl}, 2},
+		{candidate{name: "apple", form: formPOS}, 2},
 		{candidate{name: "banana"}, 2},
-		{candidate{name: "banana", pos: true}, 2},
+		{candidate{name: "banana", form: formPOS}, 2},
 		{candidate{name: "zeta"}, 1},
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -55,7 +55,7 @@ func TestCandidateDivisorsSortedByFullKey(t *testing.T) {
 		nw.AddPO(po)
 	}
 	opt := Options{Config: Basic, POS: true}
-	cands := candidateDivisors(nw, newSigCache(nw), newComplCache(DefaultMaxComplementCubes), "f", opt, nil)
+	cands := candidateDivisors(nw, newNodeCache(nw), "f", opt, nil)
 	if len(cands) < 2 {
 		t.Fatalf("network yields only %d candidate(s); the tie test needs several", len(cands))
 	}

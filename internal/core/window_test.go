@@ -36,17 +36,16 @@ func checkWindowTrials(t *testing.T, label string, nw *network.Network, opt Opti
 	t.Helper()
 	ref := opt
 	ref.noOverlay = true
-	sigs := newSigCache(nw)
-	cc := newComplCache(DefaultMaxComplementCubes)
+	nc := newNodeCache(nw)
 	var es enumScratch
 	sc, scRef := newScratch(), newScratch()
 	for _, f := range nw.SortedNodeNames() {
 		if nw.Node(f).Cover.IsZero() {
 			continue
 		}
-		for _, c := range candidateDivisors(nw, sigs, cc, f, opt, &es) {
-			site := fmt.Sprintf("%s depth %d cfg %v pos=%v: f=%s d=%s neg=%v posForm=%v",
-				label, opt.WindowDepth, opt.Config, opt.POS, f, c.name, c.neg, c.pos)
+		for _, c := range candidateDivisors(nw, nc, f, opt, &es) {
+			site := fmt.Sprintf("%s depth %d cfg %v pos=%v: f=%s d=%s form=%d",
+				label, opt.WindowDepth, opt.Config, opt.POS, f, c.name, c.form)
 			got, gotOK := planPair(sc, nw, f, c, opt)
 			want, wantOK := planPair(scRef, nw, f, c, ref)
 			if err := comparePlans(got, gotOK, want, wantOK); err != nil {

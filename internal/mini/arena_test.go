@@ -138,7 +138,7 @@ func FuzzMinimize(f *testing.F) {
 	})
 }
 
-// posFinal is shaped like posDivide's final minimization: the minimized
+// posFinal is shaped like POS division's final minimization: the minimized
 // complement of a small SOP node function.
 func posFinal() cube.Cover {
 	return cube.ParseCover(10, "abc + de'f + ghi' + jb' + ac'e + fg'j").Complement()

@@ -62,9 +62,6 @@ func (nl *Netlist) EndTx() {
 	nl.txOn = false
 }
 
-// InTx reports whether a transaction is open.
-func (nl *Netlist) InTx() bool { return nl.txOn }
-
 func (nl *Netlist) undo(op txOp) {
 	switch op.kind {
 	case txAddGate:

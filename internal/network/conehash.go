@@ -124,11 +124,6 @@ func (nw *Network) EnableCones() *ConeTable {
 // (cheap) dirty-marking cost.
 func (nw *Network) DisableCones() { nw.cones = nil }
 
-// Cones returns the attached cone table, or nil when cone hashing is not
-// enabled. Part of the Reader surface: between the owner's serial Refresh
-// calls the table's read methods are pure.
-func (nw *Network) Cones() *ConeTable { return nw.cones }
-
 // grow extends the ID-indexed slices to the current symbol-table size.
 func (t *ConeTable) grow() {
 	n := t.nw.sym.Len()

@@ -7,8 +7,8 @@ import "repro/internal/cube"
 // It returns a word per signal (PIs included). Every PI must be present in
 // piWords; a missing entry panics (like the package's other invariant
 // violations) rather than silently simulating the PI as constant 0.
-// Internally the evaluation runs on the dense ID core (one slice index per
-// fanin read); the maps exist only at this boundary.
+// Internally the evaluation runs on the dense ID core (SimulateInto); the
+// maps exist only at this boundary.
 func (nw *Network) Simulate(piWords map[string]uint64) map[string]uint64 {
 	val := make([]uint64, nw.sym.Len())
 	for i, pi := range nw.pis {
@@ -19,16 +19,29 @@ func (nw *Network) Simulate(piWords map[string]uint64) map[string]uint64 {
 		val[pi] = w
 	}
 	ids := nw.TopoOrderIDs()
+	nw.SimulateInto(val, ids)
 	out := make(map[string]uint64, len(ids)+len(nw.pis))
 	for i, pi := range nw.pis {
 		out[nw.piNames[i]] = val[pi]
 	}
 	for _, id := range ids {
-		n := nw.defs[id]
-		val[id] = evalCoverIDs(n.Cover, nw.faninIDs[id], val)
 		out[nw.sym.Name(id)] = val[id]
 	}
 	return out
+}
+
+// SimulateInto evaluates one 64-pattern word on the dense ID core: val is a
+// caller-owned, SigID-indexed slice of at least NumSigs() words whose PI
+// entries hold the input words, and topo is a TopoOrderIDs result for the
+// network as it stands. It writes the word of every node in topo and no
+// other entry, so a caller simulating many words reuses one slice and one
+// order, and an entry no node drives keeps the value it was given.
+//
+//bdslint:hotpath
+func (nw *Network) SimulateInto(val []uint64, topo []SigID) {
+	for _, id := range topo {
+		val[id] = evalCoverIDs(nw.defs[id].Cover, nw.faninIDs[id], val)
+	}
 }
 
 // evalCoverIDs evaluates a cover bit-parallel given a SigID-indexed word

@@ -22,9 +22,6 @@ type SymTab struct {
 	byName map[string]SigID
 }
 
-// NewSymTab returns an empty symbol table.
-func NewSymTab() *SymTab { return newSymTab(0) }
-
 // newSymTab returns an empty symbol table with room for n names.
 func newSymTab(n int) *SymTab {
 	//bdslint:ignore idmap constructs the sanctioned boundary table (see the byName field)

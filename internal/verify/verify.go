@@ -98,29 +98,26 @@ func exhaustive(a, b *network.Network, pis, pos []string) Result {
 		}
 		lowMasks[i] = w
 	}
-	step := uint64(64)
-	if total < step {
-		step = total
-	}
+	sa, sb := newWordSim(a, pis, pos), newWordSim(b, pis, pos)
+	words := make([]uint64, n)
 	for base := uint64(0); base < total; base += 64 {
-		words := make(map[string]uint64, n)
-		for i, pi := range pis {
+		for i := range pis {
 			if i < 6 {
-				words[pi] = lowMasks[i]
+				words[i] = lowMasks[i]
 			} else if base>>uint(i)&1 == 1 {
-				words[pi] = ^uint64(0)
+				words[i] = ^uint64(0)
 			} else {
-				words[pi] = 0
+				words[i] = 0
 			}
 		}
-		va := a.Simulate(words)
-		vb := b.Simulate(words)
+		sa.run(words)
+		sb.run(words)
 		valid := ^uint64(0)
 		if total-base < 64 {
 			valid = (uint64(1) << (total - base)) - 1
 		}
-		for _, po := range pos {
-			if d := (va[po] ^ vb[po]) & valid; d != 0 {
+		for j, po := range pos {
+			if d := (sa.po(j) ^ sb.po(j)) & valid; d != 0 {
 				k := trailingBit(d)
 				res.Equivalent = false
 				res.FailingPO = po
@@ -137,21 +134,22 @@ func exhaustive(a, b *network.Network, pis, pos []string) Result {
 func randomized(a, b *network.Network, pis, pos []string, words int) Result {
 	r := rand.New(rand.NewSource(0x5EED))
 	res := Result{Equivalent: true}
+	sa, sb := newWordSim(a, pis, pos), newWordSim(b, pis, pos)
+	in := make([]uint64, len(pis))
 	for w := 0; w < words; w++ {
-		in := make(map[string]uint64, len(pis))
-		for _, pi := range pis {
-			in[pi] = r.Uint64()
+		for i := range pis {
+			in[i] = r.Uint64()
 		}
-		va := a.Simulate(in)
-		vb := b.Simulate(in)
-		for _, po := range pos {
-			if d := va[po] ^ vb[po]; d != 0 {
+		sa.run(in)
+		sb.run(in)
+		for j, po := range pos {
+			if d := sa.po(j) ^ sb.po(j); d != 0 {
 				k := trailingBit(d)
 				res.Equivalent = false
 				res.FailingPO = po
 				res.FailingPattern = map[string]bool{}
-				for _, pi := range pis {
-					res.FailingPattern[pi] = in[pi]>>k&1 == 1
+				for i, pi := range pis {
+					res.FailingPattern[pi] = in[i]>>k&1 == 1
 				}
 				res.PatternsTried = w*64 + k + 1
 				return res
@@ -161,6 +159,42 @@ func randomized(a, b *network.Network, pis, pos []string, words int) Result {
 	res.PatternsTried = words * 64
 	return res
 }
+
+// wordSim simulates one network a 64-pattern word at a time on one reused
+// SigID-indexed slice, writing the check's PIs and reading its POs by ID.
+type wordSim struct {
+	nw       *network.Network
+	topo     []network.SigID
+	val      []uint64
+	pis, pos []network.SigID
+}
+
+// newWordSim prepares nw for simulating words over the check's PI and PO
+// names, which are nw's own (sameSet checked both interfaces).
+func newWordSim(nw *network.Network, pis, pos []string) *wordSim {
+	s := &wordSim{
+		nw: nw, topo: nw.TopoOrderIDs(), val: make([]uint64, nw.NumSigs()),
+		pis: make([]network.SigID, len(pis)), pos: make([]network.SigID, len(pos)),
+	}
+	for i, pi := range pis {
+		s.pis[i], _ = nw.IDOf(pi)
+	}
+	for j, po := range pos {
+		s.pos[j], _ = nw.IDOf(po)
+	}
+	return s
+}
+
+// run simulates the word whose PI i, in the check's order, is in[i].
+func (s *wordSim) run(in []uint64) {
+	for i, id := range s.pis {
+		s.val[id] = in[i]
+	}
+	s.nw.SimulateInto(s.val, s.topo)
+}
+
+// po returns the simulated word of the check's PO j.
+func (s *wordSim) po(j int) uint64 { return s.val[s.pos[j]] }
 
 // ShrinkCounterexample greedily simplifies a failing pattern: each PI in
 // turn is flipped to false, and the flip is kept when the networks still

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cube"
@@ -102,6 +103,43 @@ func TestManyInputsExhaustive(t *testing.T) {
 	}
 	if !r.Equivalent || r.PatternsTried != 128 {
 		t.Errorf("result = %+v", r)
+	}
+}
+
+// TestExhaustiveAllocationsIndependentOfWords bounds an exhaustive check's
+// allocations by a constant: each network is simulated on one reused
+// SigID-indexed slice, so 4 words and 4,096 words (8 and 18 inputs)
+// allocate the same set-up and nothing per word.
+func TestExhaustiveAllocationsIndependentOfWords(t *testing.T) {
+	mk := func(n int, name string) *network.Network {
+		nw := network.New(name)
+		var prev string
+		for i := 0; i < n; i++ {
+			pi := fmt.Sprintf("x%02d", i)
+			nw.AddPI(pi)
+			if i == 0 {
+				prev = pi
+				continue
+			}
+			// A chain of 2-input XORs, so every word exercises every node.
+			g := fmt.Sprintf("g%02d", i)
+			nw.AddNode(g, []string{prev, pi}, cube.ParseCover(2, "ab' + a'b"))
+			prev = g
+		}
+		nw.AddPO(prev)
+		return nw
+	}
+	const bound = 64
+	for _, n := range []int{8, 18} {
+		a, b := mk(n, "a"), mk(n, "b")
+		allocs := testing.AllocsPerRun(3, func() {
+			if r, err := Check(a, b, 0); err != nil || !r.Equivalent || !r.Exhaustive {
+				t.Fatalf("%d inputs: %+v, %v", n, r, err)
+			}
+		})
+		if allocs > bound {
+			t.Errorf("%d inputs (%d words): %.0f allocations per check, want at most %d", n, 1<<(n-6), allocs, bound)
+		}
 	}
 }
 
