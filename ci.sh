@@ -3,8 +3,10 @@
 # (tier-1) + vet and tests of the cmd/bdsbench module (its own go.mod, so
 # ./... skips it, yet it compiles against core, network and script) + race
 # detector over the packages the parallel substitution engine touches,
-# the pooled factoring kernel and the pooled minimizer among them
-# (including the batch scheduler driven over a 100k-gate circuit
+# the pooled factoring kernel, the pooled minimizer and the pooled
+# complementer among them, plus the experiment runner, which runs whole
+# table rows on parallel goroutines (including the batch scheduler driven
+# over a 100k-gate circuit
 # regenerated from its committed recipe) + a fuzz smoke over every fuzz
 # target (BLIF parser, cube algebra and the pooled complement, the
 # minimizer, the factoring kernel and weak division against their
@@ -43,7 +45,7 @@ go test ./...
 # The benchmark is a nested module: vet and test it against this tree.
 go -C cmd/bdsbench vet ./...
 go -C cmd/bdsbench test ./...
-go test -race ./internal/core ./internal/atpg ./internal/netlist ./internal/algebraic ./internal/mini
+go test -race ./internal/core ./internal/atpg ./internal/netlist ./internal/algebraic ./internal/mini ./internal/cube ./internal/network ./internal/exp
 
 # Batch-scheduler race + identity check at scale: regenerate the 100k-gate
 # cone forest and the 10k-gate random-logic circuit in-process from their

@@ -42,6 +42,37 @@ func TestFullPipelineEveryBenchmark(t *testing.T) {
 	}
 }
 
+// TestPooledCommitsHonourDepthBudget is the regression test for pooled
+// plans committed past Options.DepthBudget: the two suite cells where a
+// pooled extended division used to end the run one level too deep (pla_c
+// after Script B under Extended at depth + 1, rnd_a after Script C under
+// ExtendedGDC at depth + 0, both with POS and Pool) must end within their
+// budget, equivalent to their input.
+func TestPooledCommitsHonourDepthBudget(t *testing.T) {
+	for _, tc := range []struct {
+		circuit string
+		prep    func(*network.Network)
+		cfg     core.Config
+		slack   int
+	}{
+		{"pla_c", script.B, core.Extended, 1},
+		{"rnd_a", script.C, core.ExtendedGDC, 0},
+	} {
+		nw := bench.Get(tc.circuit)
+		tc.prep(nw)
+		prepared := nw.Clone()
+		_, depth := nw.Levels()
+		budget := depth + tc.slack
+		st := core.Substitute(nw, core.Options{Config: tc.cfg, POS: true, Pool: true, DepthBudget: budget, Audit: true})
+		if _, d := nw.Levels(); d > budget {
+			t.Errorf("%s %v: depth %d exceeds budget %d (stats %+v)", tc.circuit, tc.cfg, d, budget, st)
+		}
+		if !verify.Equivalent(prepared, nw) {
+			t.Fatalf("%s %v: equivalence broken", tc.circuit, tc.cfg)
+		}
+	}
+}
+
 // TestOptimizedCircuitsRoundTripBlif writes optimized circuits as BLIF and
 // reads them back.
 func TestOptimizedCircuitsRoundTripBlif(t *testing.T) {

@@ -16,7 +16,9 @@ type DivideResult struct {
 	Fanins []string
 	Cover  cube.Cover
 	// Quotient and Remainder are over the same Fanins space (informational;
-	// the quotient excludes the divisor literal itself).
+	// the quotient excludes the divisor literal itself). The public
+	// division functions fill them; the substitution engine never reads
+	// them and leaves them zero.
 	Quotient  cube.Cover
 	Remainder cube.Cover
 	// WiresRemoved counts RAR removals performed during the division.
@@ -59,13 +61,13 @@ const (
 // d is not usable (no cube of f is contained by a cube of d, or using d
 // would create a cycle).
 func BasicDivide(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
-	return divide(newScratch(), nw, nil, f, candidate{name: d}, cfg)
+	return divide(oneShot(), nw, nil, f, candidate{name: d}, cfg)
 }
 
 // BasicDivideCompl divides node f by the COMPLEMENT of node d: the quotient
 // cubes receive a negative divisor literal, f = q·d' + r (formCompl).
 func BasicDivideCompl(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
-	return divide(newScratch(), nw, nil, f, candidate{name: d, form: formCompl}, cfg)
+	return divide(oneShot(), nw, nil, f, candidate{name: d, form: formCompl}, cfg)
 }
 
 // PosDivide performs the paper's product-of-sum-form division of node f by
@@ -73,7 +75,7 @@ func BasicDivideCompl(nw network.Reader, f, d string, cfg Config) (*DivideResult
 // scratch complement structure must not be observed downstream), so cfg
 // degrades ExtendedGDC to Extended internally.
 func PosDivide(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
-	return divide(newScratch(), nw, nil, f, candidate{name: d, form: formPOS}, cfg)
+	return divide(oneShot(), nw, nil, f, candidate{name: d, form: formPOS}, cfg)
 }
 
 // divide is the one node-form division routine: it divides node f by the
@@ -208,17 +210,19 @@ func divideWithParts(sc *scratch, nw network.Reader, win *window, f, d string, u
 		Cover:        cov,
 		WiresRemoved: removed,
 	}
-	// Split informational quotient/remainder back out.
-	q, r := cube.NewCover(len(fanins)), cube.NewCover(len(fanins))
-	yNow := indexOf(fanins, d)
-	for _, c := range cov.Cubes {
-		if yNow >= 0 && c.Get(yNow) == yPhase {
-			q.Cubes = append(q.Cubes, c.With(yNow, cube.Free))
-		} else {
-			r.Cubes = append(r.Cubes, c)
+	if sc.parts {
+		// Split the informational quotient/remainder back out.
+		q, r := cube.NewCover(len(fanins)), cube.NewCover(len(fanins))
+		yNow := indexOf(fanins, d)
+		for _, c := range cov.Cubes {
+			if yNow >= 0 && c.Get(yNow) == yPhase {
+				q.Cubes = append(q.Cubes, c.With(yNow, cube.Free))
+			} else {
+				r.Cubes = append(r.Cubes, c)
+			}
 		}
+		res.Quotient, res.Remainder = q, r
 	}
-	res.Quotient, res.Remainder = q, r
 	return res, true
 }
 

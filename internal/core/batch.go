@@ -42,19 +42,22 @@ import (
 //	E2   dirtyCone[d] for a listed candidate d: d's cone content changed,
 //	     so d's trial outcomes (a function of cone(f), cone(d), opts) may
 //	     differ.
-//	E3   bdcDirty and the plan creates nodes: a commit added a
-//	     "bdc"-prefixed name, or swapped the whole network (the only way a
-//	     "bdc" name is deleted: overlay plans never delete), so the fresh
-//	     core name the speculated plan embeds may no longer be the name
-//	     FreshName would pick at this slot.
-//	E4   a whole-network-clone plan with any prior sweep commit: the clone
+//	E3   bdcDirty and the plan has added nodes or a clone: a commit added
+//	     a "bdc"-prefixed name, or copied a clone (the only way a "bdc"
+//	     name is deleted: body plans never delete), so the fresh core name
+//	     the speculated plan embeds may no longer be the name FreshName
+//	     would pick at this slot. A clone plan is assumed to create names.
+//	E4   a plan with a clone and any prior commit in the sweep: the clone
 //	     embeds S_0 wholesale; committing it by CopyFrom would revert the
-//	     earlier commits. (Overlay plans commit by delta and are exempt.)
+//	     earlier commits. (Body plans install only their own nodes and are
+//	     exempt.)
 //
 // A member that passes every rule behaves, by the rules' coverage of its
-// inputs, exactly as the serial driver would at S_{j-1}; a member that
-// fails any rule is evicted and literally re-run through the serial
-// per-node sequence (substituteNode) — so the induction closes either way.
+// inputs, exactly as the serial driver would at S_{j-1}: phase B advanced
+// the same trial sequence (trialSeq) the serial driver runs, to the same
+// first plan. A member that fails any rule is evicted and literally re-run
+// through the serial per-node sequence (substituteNode) — so the induction
+// closes either way.
 // Commits performed by eviction re-runs route through run.commit and fold
 // into the same dirty marks, keeping later members' checks sound.
 //
@@ -70,7 +73,7 @@ import (
 // only when f ∈ TFO(g), and g's claim holds TFO(g). Claims leave the rest
 // to the rules on purpose — rules E1b/E3/E4 see through interactions
 // (shared primary-input fanins, the global fresh-name counter, multi-node
-// overlay and clone plans) that claim disjointness does not capture.
+// body plans and clone plans) that claim disjointness does not capture.
 
 // batchWindow caps how many claiming (candidate-bearing) members one batch
 // may hold: enough to keep every worker fed several times over, small
@@ -109,30 +112,27 @@ const batchConeCap = 4096
 
 // batchMember is one dividend of a batch, with everything its worker needs
 // precomputed on the serial side (phase A) and everything the sweep needs
-// to validate or evict it (phase C).
+// to validate or evict it (phase C). Its trial sequence (f and the
+// truncated candidate list) is built in phase A and advanced in phase B.
 type batchMember struct {
+	trialSeq
 	pos     int           // position in the pass's id order (diagnostic)
 	id      network.SigID // dividend signal
-	f       string        // dividend name at batch-build time
 	trivial bool          // node was nil/zero-cover at scan time: nothing to do
 	solo    bool          // over-cap footprint: no claim, run via the serial fallback
 	build   int           // build serial number (tells a reuse from a rebuild)
 
-	cands   []candidate
 	candIDs []network.SigID // SigID of each candidate (rule E2)
 
 	fp    []network.SigID // claim: node-driven {f} ∪ fanins(f) ∪ TFO(f) ∪ candIDs
 	tfo   []network.SigID // TFO(f), all node-driven
 	guard []network.SigID // {f} ∪ raw fanin IDs of f ∪ TFO(f) (rule E1b)
 
-	// Phase-B results.
-	res      []planResult
-	consumed int  // slots the serial schedule would have evaluated
-	planIdx  int  // first-positive (or best-gain) slot; -1 = none
-	pooled   bool // plan came from the pooled fallback
-	plan     plan
-	hasPlan  bool
-	spec     int // speculative trial verdicts produced
+	// Phase-B results: the sequence's first plan, and how many trial
+	// verdicts phase B produced (Stats.SpeculatedTrials).
+	p    plan
+	ok   bool
+	spec int
 }
 
 // batchObserver, when set (tests only), receives every multi-member batch
@@ -254,7 +254,7 @@ scan:
 			if m.trivial || r.ev.epoch != built {
 				ch = r.substituteNode(m.id)
 			} else {
-				ch = r.tryCandidates(m.f, m.cands)
+				ch = r.runSeq(&m.trialSeq)
 			}
 			changed = changed || ch
 		}
@@ -369,15 +369,15 @@ func (s *batchScheduler) member(pos int, id network.SigID) *batchMember {
 }
 
 // release clears m and keeps it, with its slices' capacity, for member.
-// The cleared candidate and result slots drop their covers and plans (the
+// The cleared candidate and plan slots drop their covers and bodies (the
 // candidate list may have been truncated, so it is cleared to capacity).
 func (s *batchScheduler) release(m *batchMember) {
 	clear(m.cands[:cap(m.cands)])
-	clear(m.res)
+	clear(m.best)
 	*m = batchMember{
-		cands: m.cands[:0], candIDs: m.candIDs[:0],
-		fp: m.fp[:0], tfo: m.tfo[:0], guard: m.guard[:0],
-		res: m.res[:0],
+		trialSeq: trialSeq{cands: m.cands[:0], best: m.best[:0]},
+		candIDs:  m.candIDs[:0],
+		fp:       m.fp[:0], tfo: m.tfo[:0], guard: m.guard[:0],
 	}
 	s.free = append(s.free, m)
 }
@@ -445,51 +445,16 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, alone 
 	return m
 }
 
-// runMember executes member m's whole trial sequence against the frozen
-// batch-start network on one worker: the serial driver's per-slot trials,
-// with first-positive early exit (or a full scan plus best-gain selection
-// under Options.BestGain) and the pooled fallback inline.
+// runMember is phase B for member m: it advances m's trial sequence once
+// against the frozen batch-start network on one worker — exactly the
+// serial driver's planning up to its first commit attempt, with the chosen
+// node-form body already finished.
 func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
-	r := s.r
-	nw := r.nw
-	opt := r.opt
-	m.res = append(m.res[:0], make([]planResult, len(m.cands))...)
-	m.planIdx = -1
-
-	runTrial := func(i int) {
-		m.res[i].p, m.res[i].ok = planPair(sc, nw, m.f, m.cands[i], opt)
-	}
-
-	if opt.BestGain {
-		for i := range m.cands {
-			runTrial(i)
-		}
-		m.consumed = len(m.cands)
-		for i, res := range m.res {
-			if res.ok && res.p.gain > 0 &&
-				(m.planIdx < 0 || res.p.gain > m.res[m.planIdx].p.gain) {
-				m.planIdx = i // strict > keeps the earliest slot on ties
-			}
-		}
-	} else {
-		for i := range m.cands {
-			runTrial(i)
-			m.consumed = i + 1
-			if m.res[i].ok && m.res[i].p.gain > 0 {
-				m.planIdx = i
-				break // paper: take the first positive-gain division
-			}
-		}
-	}
-	if m.planIdx >= 0 {
-		m.plan, m.hasPlan = m.res[m.planIdx].p, true
-	} else if opt.Pool && opt.Config != Basic {
-		if p, ok := planPooled(sc, nw, m.f, m.cands, opt); ok {
-			m.plan, m.hasPlan, m.pooled = p, true, true
-		}
+	m.p, m.ok = m.advance(sc, s.r.nw, s.r.opt)
+	m.spec = m.trials
+	if m.pooled {
 		m.spec++ // the pooled attempt is speculation too
 	}
-	m.spec += m.consumed
 }
 
 // sweep replays the batch's members in pass order against the live network:
@@ -507,9 +472,9 @@ func (s *batchScheduler) sweep() bool {
 	for _, m := range s.members {
 		if m.trivial {
 			// Exact re-check at the member's slot: an earlier commit can
-			// re-create a scan-time-dead signal (an overlay AddNode reusing
-			// its interned ID), in which case the serial driver would have
-			// processed it here.
+			// re-create a scan-time-dead signal (an installed addition
+			// reusing its interned ID), in which case the serial driver
+			// would have processed it here.
 			if fn := nw.NodeByID(m.id); fn == nil || fn.Cover.IsZero() {
 				continue
 			}
@@ -522,7 +487,7 @@ func (s *batchScheduler) sweep() bool {
 		r.st.SpeculatedTrials += m.spec
 		if s.evict(m) {
 			r.st.ConflictEvictions++
-			if m.hasPlan {
+			if m.ok {
 				r.st.DiscardedPlans++
 			}
 			if r.substituteNode(m.id) {
@@ -530,39 +495,14 @@ func (s *batchScheduler) sweep() bool {
 			}
 			continue
 		}
-		if !m.hasPlan {
-			s.tally(m)
-			continue
-		}
-		if m.pooled {
-			// Pooled plans follow the full candidate scan serially, so the
-			// scan tallies regardless of the commit's fate, and a failed
-			// pooled commit ends the node without a re-run.
-			s.tally(m)
-			poolOpt := r.opt
-			poolOpt.DepthBudget = 0
-			if r.commit(m.plan, poolOpt) {
-				changed = true
-				r.st.BatchCommits++
-				s.committed++
-			} else {
-				r.st.DiscardedPlans++
-			}
-			continue
-		}
-		if r.commit(m.plan, r.opt) {
+		// The member's speculation is the serial driver's at this slot, so
+		// settle commits it as the serial driver would. No commit is
+		// rejected here — batching is off under a DepthBudget, the only
+		// rule that rejects one — so a committed plan is the speculated
+		// one.
+		if r.settle(&m.trialSeq, m.p, m.ok) {
 			changed = true
 			r.st.BatchCommits++
-			s.committed++
-			s.tally(m)
-		} else {
-			// The serial driver keeps scanning candidates after a failed
-			// commit; re-run the node serially (without tallying the
-			// speculated slots — the re-run tallies its own trials).
-			r.st.DiscardedPlans++
-			if r.substituteNode(m.id) {
-				changed = true
-			}
 		}
 	}
 	s.sweeping = false
@@ -588,101 +528,63 @@ func (s *batchScheduler) evict(m *batchMember) bool {
 			return true
 		}
 	}
-	if m.hasPlan && !m.plan.isNode() {
-		if s.bdcDirty && planCreatesNames(&m.plan) { // E3
-			return true
-		}
-		if _, clone := m.plan.work.(*network.Network); clone && s.committed > 0 { // E4
-			return true
-		}
-	}
-	return false
-}
-
-// planCreatesNames reports whether committing p interns fresh node names
-// (rule E3's precondition). Clone plans are conservatively assumed to.
-func planCreatesNames(p *plan) bool {
-	if p.isNode() {
+	if !m.ok {
 		return false
 	}
-	if ov, ok := p.work.(*network.Overlay); ok {
-		return len(ov.Added()) > 0
+	// E3: the plan creates names (a clone plan conservatively does).
+	if s.bdcDirty && (len(m.p.added) > 0 || m.p.clone != nil) {
+		return true
 	}
-	return true
+	return m.p.clone != nil && s.committed > 0 // E4
 }
 
-// tally folds the member's consumed result slots into the run statistics,
-// exactly as the serial driver tallies each trial.
-func (s *batchScheduler) tally(m *batchMember) {
-	s.r.st.DivisorTrials += m.consumed
-}
-
-// commitMarks carries one commit's conflict-mark state across the
-// pre/post-commit boundary: touched node IDs resolved before the mutation
-// (their old fanins are only readable then) and added names resolved after
-// (they are only interned then).
-type commitMarks struct {
-	touched []network.SigID
-	added   []string
-	clone   bool
-}
-
-// precommit records the commit's touched set and old-fanin support marks
-// against the pre-mutation network. Called by run.commit while sweeping.
-func (s *batchScheduler) precommit(p *plan) commitMarks {
-	var cm commitMarks
+// precommit records the commit's old-fanin support marks and the "bdc"
+// namespace against the pre-mutation network, and returns the IDs of the
+// nodes the plan replaces (their old fanins are only readable now). Called
+// by run.commit while sweeping.
+func (s *batchScheduler) precommit(p *plan) []network.SigID {
+	if p.clone != nil {
+		return nil // a wholesale copy: postcommit poisons everything
+	}
 	nw := s.r.nw
-	if p.isNode() {
-		if id, ok := nw.IDOf(p.target); ok {
-			cm.touched = append(cm.touched, id)
-			s.markSupp(nw.FaninIDsOf(id))
-		}
-		return cm
-	}
-	ov, ok := p.work.(*network.Overlay)
-	if !ok {
-		cm.clone = true // CopyFrom commit: poison everything in postcommit
-		return cm
-	}
-	// The overlay's recorded delta is the complete touched set — p.touched
-	// is only the {f, d} summary and may omit nodes the trial rewrote.
-	for _, n := range ov.Added() {
-		cm.added = append(cm.added, n.Name)
+	for _, n := range p.added {
 		if strings.HasPrefix(n.Name, "bdc") {
 			s.bdcDirty = true
 		}
 	}
-	for _, n := range ov.Changed() {
-		if id, idOK := nw.IDOf(n.Name); idOK {
-			cm.touched = append(cm.touched, id)
+	var touched []network.SigID
+	for _, n := range p.bodies {
+		if id, ok := nw.IDOf(n.Name); ok {
+			touched = append(touched, id)
 			s.markSupp(nw.FaninIDsOf(id))
 		}
 	}
-	return cm
+	return touched
 }
 
-// postcommit completes the marks after a successful commit: added names
-// resolve to IDs now, surviving touched nodes contribute their new fanins,
-// and every touched signal's transitive fanout goes cone-dirty. The TFO
-// walk runs on the live (post-commit) fanout lists. That covers every node
+// postcommit completes the marks after a successful commit: added nodes
+// resolve to IDs now, every touched node contributes its new fanins, and
+// every touched signal's transitive fanout goes cone-dirty. The TFO walk
+// runs on the live (post-commit) fanout lists. That covers every node
 // whose fanin cone the commit changed: the only edges a commit changes
 // point INTO its touched nodes, so a node that gained a touched node in its
 // cone reaches it by a post-state path, and a node that lost one had a
 // pre-state path whose last touched node u kept every edge after it — so
 // the node is still in u's post-state fanout.
-func (s *batchScheduler) postcommit(cm commitMarks) {
-	if cm.clone {
+func (s *batchScheduler) postcommit(p *plan, touched []network.SigID) {
+	s.committed++
+	if p.clone != nil {
 		s.allDirty = true
 		s.bdcDirty = true
 		return
 	}
 	nw := s.r.nw
-	for _, name := range cm.added {
-		if id, ok := nw.IDOf(name); ok {
-			cm.touched = append(cm.touched, id)
+	for _, n := range p.added {
+		if id, ok := nw.IDOf(n.Name); ok {
+			touched = append(touched, id)
 		}
 	}
-	for _, id := range cm.touched {
+	for _, id := range touched {
 		if nw.NodeByID(id) != nil {
 			s.markSupp(nw.FaninIDsOf(id))
 		}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/algebraic"
 	"repro/internal/cube"
+	"repro/internal/mini"
 	"repro/internal/network"
 )
 
@@ -13,53 +15,89 @@ import (
 // into two stages:
 //
 //	planner   — evaluates one (dividend, divisor) trial against a read-only
-//	            view of the network (network.Reader) and returns a pure-data
-//	            plan. Planners never mutate shared state: a node-form
-//	            division patches f into a per-worker netlist, a
-//	            whole-network rewrite edits a private overlay or clone, and
-//	            per-worker scratch arenas hold all reusable buffers. Plans
-//	            are therefore evaluable concurrently (the batch scheduler's
-//	            phase B).
-//	committer — applies the chosen plan to the live network serially,
-//	            invalidates the pass caches, enforces the depth budget, and
+//	            view of the network (network.Reader) and returns a plan:
+//	            plain data, the node bodies its commit installs. Planners
+//	            never mutate shared state: a node-form division patches f
+//	            into a per-worker netlist, a whole-network rewrite edits a
+//	            private overlay or clone, and per-worker scratch arenas hold
+//	            all reusable buffers. Plans are therefore evaluable
+//	            concurrently (the batch scheduler's phase B).
+//	committer — installs the chosen plan in the live network serially,
+//	            invalidates the node cache, enforces the depth budget, and
 //	            updates statistics.
 //
-// The per-node driver (run.substituteNode) is the paper's serial greedy
-// loop: it plans the candidates one at a time in the deterministic
-// candidate order and commits the first positive-gain plan (or, under
-// Options.BestGain, plans them all and commits the best). A depth-rejected
-// commit is undone byte-exactly (the node's previous fanins/cover, or a
-// whole-network snapshot, are restored verbatim), so the remaining plans of
-// the node stay valid against the state they were evaluated on.
+// One routine plans a dividend (trialSeq): the paper's serial greedy scan
+// over the candidates in the deterministic candidate order, stopping at the
+// first positive-gain plan (or, under Options.BestGain, planning them all
+// and offering the best first), then the pooled fallback. The serial driver
+// (run.substituteNode) and batch phase B both run it. A depth-rejected
+// commit is undone byte-exactly (the replaced nodes' old bodies, or a
+// whole-network snapshot, are restored verbatim), so the sequence resumes
+// at its next slot against the state its plans were evaluated on.
 
-// plan is one evaluated division candidate, as pure data: the gain it
-// achieves and the replacement that realizes it. Exactly one of the two
-// replacement shapes is set: a node-function rewrite (newFanins/newCover,
-// for basic, complement-phase, and POS division) or a whole-network rewrite
-// (work/touched, for extended division's divisor decomposition and for
-// pooled division).
+// plan is one evaluated division candidate as plain data: the gain it
+// achieves and the node bodies its commit installs.
+//
+//   - A node-form plan (basic, complement-phase or POS division) replaces f
+//     alone: bodies[0] is f's division, raw as planned; once the plan is
+//     chosen, finish replaces it with the body the commit installs.
+//   - An extended or single-node pooled plan holds the nodes its overlay
+//     added (the decomposition's core) and the final bodies of the nodes it
+//     replaced (Overlay.Added and Overlay.Changed). When the core is the
+//     whole divisor, bodies is f's normalized basic division (wholePlan).
+//   - A pooled cross-node plan, whose trial sweeps its working network, and
+//     an extended or pooled plan on the noOverlay reference path hold that
+//     whole network in clone instead; the commit copies it.
 type plan struct {
 	target  string // dividend node the plan rewrites
-	divisor string // divisor the plan used (informational)
 	gain    int    // factored-literal gain (positive = smaller)
+	node    bool   // plan is node-form
 	pos     bool   // plan is a POS-form substitution
 	dec     bool   // plan decomposes the divisor
 	removed int    // RAR wire removals performed by the division
 
-	// Node-function rewrite (work == nil).
-	newFanins []string
-	newCover  cube.Cover
-
-	// Whole-network rewrite: commit applies work to the live network —
-	// extracting the delta when work is an overlay, copying wholesale when it
-	// is a deep clone — and invalidates the touched node names in the pass
-	// caches.
-	work    trialNet
-	touched []string
+	added  []*network.Node // nodes the commit creates, in creation order
+	bodies []*network.Node // final bodies of the nodes the commit replaces
+	clone  *network.Network
 }
 
-// isNode reports whether the plan is a node-function rewrite.
-func (p *plan) isNode() bool { return p.work == nil }
+// setWork records a trial's working network as the plan's contents: an
+// overlay's delta bodies, or a deep clone kept whole.
+func (p *plan) setWork(work trialNet) {
+	if ov, ok := work.(*network.Overlay); ok {
+		p.added, p.bodies = ov.Added(), ov.Changed()
+		return
+	}
+	p.clone = work.(*network.Network)
+}
+
+// finish turns a chosen node-form plan's division into the body the
+// committed node reads: the minimized cover when it is no larger (a prime
+// irredundant cover keeps the downstream algebraic steps of a larger flow
+// effective), without the fanins it no longer reads. Other plans are final
+// as planned.
+func (p *plan) finish() {
+	if !p.node {
+		return
+	}
+	b := p.bodies[0]
+	cover := b.Cover
+	if m := mini.Minimize(cover, mini.Options{}); m.NumCubes() <= cover.NumCubes() && m.NumLits() <= cover.NumLits() {
+		cover = m
+	}
+	b.Fanins, b.Cover = network.Normalize(b.Fanins, cover)
+}
+
+// installed returns the network p's commit leaves when applied to nw: its
+// clone, or a clone of nw with its bodies installed.
+func installed(nw network.Reader, p plan) *network.Network {
+	if p.clone != nil {
+		return p.clone
+	}
+	c := nw.Clone()
+	c.Install(p.added, p.bodies)
+	return c
+}
 
 // planPair evaluates one (dividend, divisor) division in the given form
 // against a read-only view of the network, without committing anything.
@@ -78,7 +116,7 @@ func planPair(sc *scratch, nw network.Reader, f string, cand candidate, opt Opti
 	p, ok := planPairImpl(sc, nw, f, cand, opt)
 	if opt.Audit && !opt.noOverlay {
 		//bdslint:ignore hotalloc Audit-only branch: the label and re-trial closure exist only in the testing/debug cross-check mode
-		auditOverlayTrial(sc, p, ok, fmt.Sprintf("f=%s d=%s", f, cand.name), func(aopt Options) (plan, bool) {
+		auditOverlayTrial(sc, nw, p, ok, fmt.Sprintf("f=%s d=%s", f, cand.name), func(aopt Options) (plan, bool) {
 			return planPairImpl(sc, nw, f, cand, aopt)
 		}, opt)
 	}
@@ -94,7 +132,7 @@ var overlayAuditCorrupt func(*plan)
 // deep-clone engine) and panics unless the overlay-path plan matches the
 // clone-path plan byte-for-byte. O(trial) — Options.Audit is a
 // testing/debugging mode.
-func auditOverlayTrial(sc *scratch, got plan, gotOK bool, site string, run func(Options) (plan, bool), opt Options) {
+func auditOverlayTrial(sc *scratch, nw network.Reader, got plan, gotOK bool, site string, run func(Options) (plan, bool), opt Options) {
 	aopt := opt
 	aopt.noOverlay = true
 	aopt.Audit = false
@@ -104,14 +142,17 @@ func auditOverlayTrial(sc *scratch, got plan, gotOK bool, site string, run func(
 	if overlayAuditCorrupt != nil {
 		overlayAuditCorrupt(&got)
 	}
-	if err := comparePlans(got, gotOK, want, wantOK); err != nil {
+	if err := comparePlans(nw, got, gotOK, want, wantOK); err != nil {
 		panic(fmt.Sprintf("core: overlay audit: %s: %v", site, err))
 	}
 }
 
 // comparePlans reports the first divergence between an overlay-path plan
-// and its clone-path reference, or nil when they agree.
-func comparePlans(got plan, gotOK bool, want plan, wantOK bool) error {
+// and its clone-path reference, or nil when they agree. Two body plans are
+// compared body by body; otherwise both are compared as the networks their
+// commits would leave on nw, node by node in creation order: a pooled plan
+// names no divisor, and a rewrite may touch nodes beyond the pair.
+func comparePlans(nw network.Reader, got plan, gotOK bool, want plan, wantOK bool) error {
 	if gotOK != wantOK {
 		return fmt.Errorf("overlay ok=%v, clone ok=%v", gotOK, wantOK)
 	}
@@ -121,22 +162,14 @@ func comparePlans(got plan, gotOK bool, want plan, wantOK bool) error {
 	if got.gain != want.gain {
 		return fmt.Errorf("overlay gain=%d, clone gain=%d", got.gain, want.gain)
 	}
-	if got.pos != want.pos || got.dec != want.dec || got.removed != want.removed {
-		return fmt.Errorf("overlay form (pos=%v dec=%v removed=%d) != clone (pos=%v dec=%v removed=%d)",
-			got.pos, got.dec, got.removed, want.pos, want.dec, want.removed)
+	if got.node != want.node || got.pos != want.pos || got.dec != want.dec || got.removed != want.removed {
+		return fmt.Errorf("overlay form (node=%v pos=%v dec=%v removed=%d) != clone (node=%v pos=%v dec=%v removed=%d)",
+			got.node, got.pos, got.dec, got.removed, want.node, want.pos, want.dec, want.removed)
 	}
-	if got.isNode() != want.isNode() {
-		return fmt.Errorf("overlay isNode=%v, clone isNode=%v", got.isNode(), want.isNode())
+	gn, wn := slices.Concat(got.added, got.bodies), slices.Concat(want.added, want.bodies)
+	if got.clone != nil || want.clone != nil {
+		gn, wn = installed(nw, got).Nodes(), installed(nw, want).Nodes()
 	}
-	if got.isNode() {
-		if err := compareNodeFn(got.newFanins, got.newCover, want.newFanins, want.newCover); err != nil {
-			return fmt.Errorf("node rewrite: %v", err)
-		}
-		return nil
-	}
-	// Every node of the two working networks, in creation order: a pooled
-	// plan names no divisor, and a rewrite may touch nodes beyond the pair.
-	gn, wn := got.work.Nodes(), want.work.Nodes()
 	if len(gn) != len(wn) {
 		return fmt.Errorf("work node count %d != clone %d", len(gn), len(wn))
 	}
@@ -196,13 +229,12 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 
 	nodePlan := func(res *DivideResult) plan {
 		return plan{
-			target:    f,
-			divisor:   d,
-			gain:      costBefore - algebraic.FactorLits(res.Cover),
-			pos:       res.POS,
-			removed:   res.WiresRemoved,
-			newFanins: res.Fanins,
-			newCover:  res.Cover,
+			target:  f,
+			gain:    costBefore - algebraic.FactorLits(res.Cover),
+			node:    true,
+			pos:     res.POS,
+			removed: res.WiresRemoved,
+			bodies:  []*network.Node{{Name: f, Fanins: res.Fanins, Cover: res.Cover}},
 		}
 	}
 
@@ -218,40 +250,32 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 	// division; evaluate both and keep the better (the core-selection
 	// heuristic can otherwise pick a decomposition where the whole divisor
 	// would gain more).
-	before := costBefore + algebraic.FactorLits(nw.Node(d).Cover)
-	extGain := -1 << 30
-	var extWork trialNet
-	var extRes *DivideResult
-	var extDec *Decomposition
-	if work, res, dec, ok := extendedDivide(sc, nw, f, d, opt.Config); ok {
-		after := algebraic.FactorLits(work.Node(f).Cover) + algebraic.FactorLits(work.Node(d).Cover)
-		if dec != nil {
-			after += algebraic.FactorLits(work.Node(dec.CoreName).Cover)
-		}
-		extGain = before - after
-		extWork, extRes, extDec = work, res, dec
+	var ext plan
+	hasExt := false
+	x, ok := extendedDivide(sc, nw, f, d, opt.Config)
+	switch {
+	case ok && x.whole == "":
+		before := costBefore + algebraic.FactorLits(nw.Node(d).Cover)
+		after := algebraic.FactorLits(x.work.Node(f).Cover) + algebraic.FactorLits(x.work.Node(d).Cover) +
+			algebraic.FactorLits(x.work.Node(x.dec.CoreName).Cover)
+		ext = plan{target: f, gain: before - after, dec: true, removed: x.res.WiresRemoved}
+		ext.setWork(x.work)
+		hasExt = true
+	case ok && opt.WindowDepth > 0:
+		// A whole-divisor core makes extended division the basic division
+		// of f by d. Unwindowed, that is the division below, whose plan
+		// keeps every tie; in a window, the whole-network division can
+		// prove more than the windowed one, so it runs on its own.
+		ext, _, hasExt = wholePlan(sc, nw, f, d, opt.Config)
 	}
-	basicGain := -1 << 30
-	var basicRes *DivideResult
-	if res, ok := divide(sc, nwd, win, f, cand, opt.Config); ok {
-		basicGain = costBefore - algebraic.FactorLits(res.Cover)
-		basicRes = res
+	res, ok := divide(sc, nwd, win, f, cand, opt.Config)
+	if !ok {
+		return ext, hasExt
 	}
-	if basicRes == nil && extWork == nil {
-		return plan{}, false
+	if p := nodePlan(res); !hasExt || p.gain >= ext.gain {
+		return p, true
 	}
-	if basicGain >= extGain {
-		return nodePlan(basicRes), true
-	}
-	return plan{
-		target:  f,
-		divisor: d,
-		gain:    extGain,
-		dec:     extDec != nil,
-		removed: extRes.WiresRemoved,
-		work:    extWork,
-		touched: []string{f, d},
-	}, true
+	return ext, true
 }
 
 // planPooled evaluates one multi-node pooled extended division for f using
@@ -259,23 +283,31 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 // pure; ok=false when no pooled division with positive total gain (f plus
 // any created/rewritten nodes) exists. Like planPair it pins nw for the
 // shared base build and cross-checks the clone path under Options.Audit.
-func planPooled(sc *scratch, nw network.Reader, f string, cands []candidate, opt Options) (plan, bool) {
+//
+// A core from one pool node d makes the pooled division d's own extended
+// division of f, which f's trial sequence has already planned in its SOP
+// slot for d: the unchanged pool covers cancel out of the pooled gain,
+// leaving that division's gain, and the slot's plan — the better of it and
+// the basic division, which a whole-divisor core at WindowDepth 0 is —
+// gained at least as much. So once every slot has been planned, only a d
+// in gained (the SOP slots whose plan gained, and whose commit a
+// DepthBudget then refused) is divided again; any other gains nothing.
+func planPooled(sc *scratch, nw network.Reader, f string, cands []candidate, gained []string, opt Options) (plan, bool) {
 	sc.noOverlay = opt.noOverlay
 	sc.pin = nw
-	p, ok := planPooledImpl(sc, nw, f, cands, opt)
+	p, ok := planPooledImpl(sc, nw, f, cands, gained, opt)
 	if opt.Audit && !opt.noOverlay {
-		auditOverlayTrial(sc, p, ok, "pooled f="+f, func(aopt Options) (plan, bool) {
-			return planPooledImpl(sc, nw, f, cands, aopt)
+		auditOverlayTrial(sc, nw, p, ok, "pooled f="+f, func(aopt Options) (plan, bool) {
+			return planPooledImpl(sc, nw, f, cands, gained, aopt)
 		}, opt)
 	}
 	return p, ok
 }
 
 // planPooledImpl is planPooled's trial body. The candidate dedup and the
-// touched-name set are plain slice scans: the pool is capped at four
-// entries, so linear containment beats hashing and the bookkeeping
-// allocates nothing beyond the name lists the plan carries anyway.
-func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate, opt Options) (plan, bool) {
+// costed-name list are plain slice scans: the pool is capped at four
+// entries, so linear containment beats hashing.
+func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate, gained []string, opt Options) (plan, bool) {
 	var pool []string
 	for _, c := range cands {
 		if c.form != formSOP || indexOf(pool, c.name) >= 0 {
@@ -289,121 +321,147 @@ func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate,
 	if len(pool) < 2 {
 		return plan{}, false
 	}
-	fn := nw.Node(f)
-	before := algebraic.FactorLits(fn.Cover)
-	names := make([]string, 0, len(pool)+2)
-	names = append(names, f)
-	for _, d := range pool {
-		before += algebraic.FactorLits(nw.Node(d).Cover)
-		names = append(names, d)
+	x, single, ok := pooledExtendedDivide(sc, nw, f, pool, opt.Config)
+	if single != "" {
+		if indexOf(gained, single) < 0 {
+			return plan{}, false // see planPooled
+		}
+		x, ok = extendedDivide(sc, nw, f, single, opt.Config)
 	}
-	work, res, dec, ok := pooledExtendedDivide(sc, nw, f, pool, opt.Config)
 	if !ok {
 		return plan{}, false
 	}
-	after := 0
-	if dec != nil && work.Node(dec.CoreName) != nil {
-		after += algebraic.FactorLits(work.Node(dec.CoreName).Cover)
+	if x.whole != "" {
+		// The core is one pool node's whole cover: f's basic division by
+		// it, with every pool node unchanged.
+		if p, _, ok := wholePlan(sc, nw, f, x.whole, opt.Config); ok && p.gain > 0 {
+			return p, true
+		}
+		return plan{}, false
 	}
-	for _, name := range names {
-		if n := work.Node(name); n != nil {
+	before := algebraic.FactorLits(nw.Node(f).Cover)
+	for _, d := range pool {
+		before += algebraic.FactorLits(nw.Node(d).Cover)
+	}
+	after := 0
+	for _, name := range append([]string{f, x.dec.CoreName}, pool...) {
+		if n := x.work.Node(name); n != nil {
 			after += algebraic.FactorLits(n.Cover)
 		}
-	}
-	if dec != nil {
-		names = append(names, dec.CoreName)
 	}
 	if before-after <= 0 {
 		return plan{}, false
 	}
-	sort.Strings(names)
-	return plan{
-		target:  f,
-		gain:    before - after,
-		dec:     dec != nil,
-		removed: res.WiresRemoved,
-		work:    work,
-		touched: names,
-	}, true
+	p := plan{target: f, gain: before - after, dec: true, removed: x.res.WiresRemoved}
+	p.setWork(x.work)
+	return p, true
 }
 
-// commitPlan is the serial committer: it applies a plan to the live
-// network, invalidates the pass caches for every name the plan touches,
-// enforces the depth budget when set (undoing the commit byte-exactly on
-// violation), and updates statistics. Returns whether the plan stuck.
-func commitPlan(nw *network.Network, p plan, opt Options, nc *nodeCache, st *Stats) bool {
-	invalidate := func() {
-		if p.isNode() {
-			nc.invalidate(p.target)
-			return
-		}
-		if ov, ok := p.work.(*network.Overlay); ok {
-			// The overlay's recorded delta is the complete rewrite set —
-			// p.touched is only the {f, d} summary and extended division can
-			// rewrite nodes beyond the pair. A name missed here keeps a
-			// complement cover cached over its OLD fanin space, and the next
-			// candidate enumeration indexes the new (shorter) fanin list with
-			// it.
-			for _, n := range ov.Added() {
-				nc.invalidate(n.Name)
-			}
-			for _, n := range ov.Changed() {
-				nc.invalidate(n.Name)
-			}
-			return
-		}
-		// Clone commit (CopyFrom): the rewrite set is not enumerable from
-		// the plan — the pooled path's Sweep can delete dead nodes p.touched
-		// never lists — so drop everything.
-		nc.reset()
-	}
+// trialSeq is one dividend's trial sequence over its (truncated)
+// candidate list, in candidate order: the paper's first-positive-gain
+// scan, or under Options.BestGain every slot planned and the positive
+// ones offered best first (ties to the earliest slot); then, once nothing
+// else is left, the pooled fallback. It is the one routine that plans a
+// dividend: batch phase B advances it once per member, and the serial
+// driver advances it again after each rejected commit, so it resumes at
+// the next slot — under BestGain the next-best plan, which keeps BestGain
+// from being weaker than the greedy scan under a DepthBudget. A
+// depth-rejected commit is undone byte-exactly, so the plans still to
+// come stay valid.
+type trialSeq struct {
+	f     string
+	cands []candidate
 
-	if p.isNode() {
-		// Snapshot for undo only when a depth budget can reject the commit.
-		var oldFanins []string
-		var oldCover cube.Cover
-		if opt.DepthBudget > 0 {
-			old := nw.Node(p.target)
-			oldFanins = append([]string(nil), old.Fanins...)
-			oldCover = old.Cover.Clone()
-		}
-		if !commitNode(nw, p.target, p.newFanins, p.newCover) {
-			return false
-		}
-		invalidate()
-		if opt.DepthBudget > 0 {
-			if _, depth := nw.Levels(); depth > opt.DepthBudget {
-				_ = nw.ReplaceNodeFunction(p.target, oldFanins, oldCover)
-				invalidate()
-				st.DepthRejected++
-				return false
+	next   int      // greedy: next slot to plan; BestGain: next entry of best
+	trials int      // slots planned (Stats.DivisorTrials)
+	best   []plan   // BestGain: the positive-gain plans, best first
+	gained []string // divisors of the SOP slots whose plan gained (see planPooled)
+	pooled bool     // the pooled fallback has been planned
+}
+
+// markGained records that slot c planned a positive-gain plan.
+func (t *trialSeq) markGained(c candidate) {
+	if c.form == formSOP {
+		t.gained = append(t.gained, c.name)
+	}
+}
+
+// advance plans t forward to the next plan worth committing and returns it
+// finished; ok=false when the sequence is spent. nw is the network the
+// caller commits to (or, in phase B, the frozen batch-start network).
+func (t *trialSeq) advance(sc *scratch, nw network.Reader, opt Options) (plan, bool) {
+	if opt.BestGain {
+		if t.trials < len(t.cands) {
+			for _, c := range t.cands {
+				if p, ok := planPair(sc, nw, t.f, c, opt); ok && p.gain > 0 {
+					t.best = append(t.best, p)
+					t.markGained(c)
+				}
 			}
+			t.trials = len(t.cands)
+			sort.SliceStable(t.best, func(a, b int) bool { return t.best[a].gain > t.best[b].gain })
 		}
-	} else {
-		var snapshot *network.Network
-		if opt.DepthBudget > 0 {
+		if t.next < len(t.best) {
+			p := t.best[t.next]
+			t.next++
+			p.finish()
+			return p, true
+		}
+	}
+	for !opt.BestGain && t.next < len(t.cands) {
+		c := t.cands[t.next]
+		p, ok := planPair(sc, nw, t.f, c, opt)
+		t.next++
+		t.trials++
+		if ok && p.gain > 0 {
+			t.markGained(c)
+			p.finish()
+			return p, true // paper: take the first positive-gain division
+		}
+	}
+	if t.pooled || !opt.Pool || opt.Config == Basic {
+		return plan{}, false
+	}
+	t.pooled = true
+	return planPooled(sc, nw, t.f, t.cands, t.gained, opt)
+}
+
+// commitPlan is the serial committer: it installs a plan in the live
+// network (copying a clone plan's network wholesale), invalidates the node
+// cache for every node the plan adds or replaces, enforces the depth
+// budget when set (undoing the commit byte-exactly on violation), and
+// updates statistics. Returns whether the plan stuck.
+func commitPlan(nw *network.Network, p plan, opt Options, nc *nodeCache, st *Stats) bool {
+	// Undo state, only when a depth budget can reject the commit: the old
+	// bodies of a plan that only replaces nodes, a whole-network snapshot
+	// for one that adds nodes or copies a clone.
+	var snapshot *network.Network
+	var old []*network.Node
+	if opt.DepthBudget > 0 {
+		if p.clone != nil || len(p.added) > 0 {
 			snapshot = nw.Clone()
-		}
-		// An overlay plan commits by applying its recorded delta to the live
-		// network — byte-identical to copying a materialized clone, but
-		// O(delta). A clone plan (the reference path, or pooled division's
-		// cross-node path, which needs Sweep) still commits by wholesale
-		// copy.
-		if ov, ok := p.work.(*network.Overlay); ok {
-			if err := ov.ApplyTo(nw); err != nil {
-				panic("core: overlay commit: " + err.Error())
-			}
 		} else {
-			nw.CopyFrom(p.work.(*network.Network))
-		}
-		invalidate()
-		if opt.DepthBudget > 0 {
-			if _, depth := nw.Levels(); depth > opt.DepthBudget {
-				nw.CopyFrom(snapshot)
-				invalidate()
-				st.DepthRejected++
-				return false
+			for _, b := range p.bodies {
+				old = append(old, nw.Node(b.Name).Clone())
 			}
+		}
+	}
+	if p.clone != nil {
+		nw.CopyFrom(p.clone)
+	} else {
+		nw.Install(p.added, p.bodies)
+	}
+	nc.invalidate(&p)
+	if opt.DepthBudget > 0 {
+		if _, depth := nw.Levels(); depth > opt.DepthBudget {
+			if snapshot != nil {
+				nw.CopyFrom(snapshot)
+			} else {
+				nw.Install(nil, old)
+			}
+			nc.invalidate(&p)
+			st.DepthRejected++
+			return false
 		}
 	}
 
@@ -426,16 +484,9 @@ func commitPlan(nw *network.Network, p plan, opt Options, nc *nodeCache, st *Sta
 	return true
 }
 
-// planResult is the outcome of one candidate slot.
-type planResult struct {
-	p  plan
-	ok bool
-}
-
 // evaluator owns the planner scratch arenas and the commit epoch. The
-// serial per-node path plans on scratches[0]; only the batch scheduler's
-// phase B (batch.go) fans members out over all workers, one scratch per
-// worker.
+// serial path plans on scratches[0]; only the batch scheduler's phase B
+// (batch.go) fans members out over all workers, one scratch per worker.
 type evaluator struct {
 	workers   int
 	scratches []*scratch
@@ -459,18 +510,10 @@ func newEvaluator(workers int) *evaluator {
 	return ev
 }
 
-// trial evaluates one candidate against nw on the serial scratch.
-func (ev *evaluator) trial(nw *network.Network, f string, c candidate, opt Options) planResult {
+// serial returns the serial path's scratch, tagged with the current commit
+// epoch.
+func (ev *evaluator) serial() *scratch {
 	sc := ev.scratches[0]
 	sc.epoch = ev.epoch
-	p, ok := planPair(sc, nw, f, c, opt)
-	return planResult{p: p, ok: ok}
-}
-
-// commit applies a plan through commitPlan, bumping the epoch first so every
-// scratch's memoized base build of the live network is invalidated before
-// the network can change.
-func (ev *evaluator) commit(nw *network.Network, p plan, opt Options, nc *nodeCache, st *Stats) bool {
-	ev.epoch++
-	return commitPlan(nw, p, opt, nc, st)
+	return sc
 }

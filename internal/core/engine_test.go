@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/blif"
+	"repro/internal/mini"
 	"repro/internal/network"
 	"repro/internal/verify"
 )
@@ -183,65 +184,155 @@ func TestSubstituteObservabilityCounters(t *testing.T) {
 }
 
 // TestCommitInvalidatesNodeCache drives commitPlan with each kind of plan
-// on the suite circuits — a node rewrite, an overlay rewrite (extended
-// division's decomposition) and a clone rewrite (a pooled cross-node core,
-// committed by CopyFrom) — and after every commit compares each filled
-// entry of the node cache with a fresh cache for the same ID. An entry the
-// commit should have dropped reads the node's old cover or fanin space.
+// on the suite circuits — node bodies without additions (a node-form
+// division, or a whole-divisor extended one), node bodies with an added
+// core (extended division's decomposition) and a clone (a pooled
+// cross-node core, committed by CopyFrom) — and after every commit
+// compares each filled entry of the node cache with a fresh cache for the
+// same ID. An entry the commit should have dropped reads the node's old
+// cover or fanin space.
 func TestCommitInvalidatesNodeCache(t *testing.T) {
 	const (
-		nodeKind = iota
-		overlayKind
+		bodiesKind = iota
+		addedKind
 		cloneKind
 	)
 	var commits [3]int
-	opt := Options{Config: Extended, POS: true, Pool: true}
+	suiteCommits(t, Options{Config: Extended, POS: true, Pool: true}, func(c suiteCommit) {
+		if !c.committed {
+			fillNodeCache(c.nw, c.nc)
+			return
+		}
+		kind := bodiesKind
+		if c.p.clone != nil {
+			kind = cloneKind
+		} else if len(c.p.added) > 0 {
+			kind = addedKind
+		}
+		commits[kind]++
+		checkNodeCache(t, c.nw, c.nc, fmt.Sprintf("%s kind %d f=%s", c.name, kind, c.p.target))
+	})
+	for kind, n := range commits {
+		if n == 0 {
+			t.Errorf("plan kind %d never committed on the suite (%v)", kind, commits)
+		}
+	}
+}
+
+// suiteCommit is one chosen plan of suiteCommits, seen before and after
+// its commit.
+type suiteCommit struct {
+	name      string // suite circuit
+	nw        *network.Network
+	nc        *nodeCache
+	seq       *trialSeq // the dividend's sequence; seq.next-1 is the plan's slot
+	p         plan
+	committed bool
+}
+
+// suiteCommits drives the engine's planning routine and committer over
+// every suite circuit, outputs first, one trial sequence per dividend as
+// the serial driver runs it, and calls check with each chosen plan before
+// and after its commit.
+func suiteCommits(t *testing.T, opt Options, check func(suiteCommit)) {
+	t.Helper()
 	for _, name := range bench.Names() {
 		nw := bench.Get(name)
 		nw.EnableFanouts()
 		nc := newNodeCache(nw)
 		var st Stats
-		commit := func(p plan) {
-			kind := nodeKind
-			if !p.isNode() {
-				kind = cloneKind
-				if _, ok := p.work.(*network.Overlay); ok {
-					kind = overlayKind
-				}
-			}
-			fillNodeCache(nw, nc)
-			if !commitPlan(nw, p, opt, nc, &st) {
-				t.Fatalf("%s: commit of f=%s d=%s failed", name, p.target, p.divisor)
-			}
-			commits[kind]++
-			checkNodeCache(t, nw, nc, fmt.Sprintf("%s kind %d f=%s d=%s", name, kind, p.target, p.divisor))
-		}
 		ids := append([]network.SigID(nil), nw.TopoOrderIDs()...)
 		for i := len(ids) - 1; i >= 0; i-- {
 			fn := nw.NodeByID(ids[i])
 			if fn == nil || fn.Cover.IsZero() {
 				continue
 			}
-			cands := candidateDivisors(nw, nc, fn.Name, opt, nil)
-			committed := false
-			for _, c := range cands {
-				if p, ok := planPair(newScratch(), nw, fn.Name, c, opt); ok && p.gain > 0 {
-					commit(p)
-					committed = true
-					break
-				}
+			seq := trialSeq{f: fn.Name, cands: candidateDivisors(nw, nc, fn.Name, opt, nil)}
+			p, ok := seq.advance(newScratch(), nw, opt)
+			if !ok {
+				continue
 			}
-			if !committed {
-				if p, ok := planPooled(newScratch(), nw, fn.Name, cands, opt); ok {
-					commit(p)
-				}
+			check(suiteCommit{name, nw, nc, &seq, p, false})
+			if !commitPlan(nw, p, opt, nc, &st) {
+				t.Fatalf("%s: commit of f=%s failed", name, p.target)
 			}
+			check(suiteCommit{name, nw, nc, &seq, p, true})
 		}
 	}
-	for kind, n := range commits {
-		if n == 0 {
-			t.Errorf("plan kind %d never committed on the suite (%v)", kind, commits)
+}
+
+// TestChosenNodePlanInstalledUnchanged checks that the planner, not the
+// committer, finishes a node-form plan: the chosen plan's body is the raw
+// division (the same slot planned again) minimized when no larger and
+// normalized, and after the commit the dividend's fanins and cover equal
+// that body byte for byte.
+func TestChosenNodePlanInstalledUnchanged(t *testing.T) {
+	nodeCommits := 0
+	for _, opt := range []Options{{Config: Basic, POS: true}, {Config: Extended, POS: true, WindowDepth: 2}} {
+		suiteCommits(t, opt, func(c suiteCommit) {
+			name, nw, p := c.name, c.nw, c.p
+			if !p.node {
+				return
+			}
+			body := p.bodies[0]
+			if !c.committed {
+				raw, ok := planPair(newScratch(), nw, p.target, c.seq.cands[c.seq.next-1], opt)
+				if !ok || !raw.node {
+					t.Fatalf("%s f=%s: the chosen slot plans no node-form division", name, p.target)
+				}
+				want := raw.bodies[0].Cover
+				if m := mini.Minimize(want, mini.Options{}); m.NumCubes() <= want.NumCubes() && m.NumLits() <= want.NumLits() {
+					want = m
+				}
+				fanins, cover := network.Normalize(raw.bodies[0].Fanins, want)
+				if err := compareNodeFn(body.Fanins, body.Cover, fanins, cover); err != nil {
+					t.Fatalf("%s f=%s: chosen body is not the finished division: %v", name, p.target, err)
+				}
+				return
+			}
+			got := nw.Node(p.target)
+			if err := compareNodeFn(got.Fanins, got.Cover, body.Fanins, body.Cover); err != nil {
+				t.Fatalf("%s f=%s: committed node differs from the plan body: %v", name, p.target, err)
+			}
+			nodeCommits++
+		})
+	}
+	if nodeCommits == 0 {
+		t.Fatal("no node-form plan committed on the suite")
+	}
+}
+
+// TestWindowedWholeDivisorCommitsNormalizedCover covers the depth-1 suite
+// cells where extended division's core is the whole divisor and its
+// unwindowed division beats the windowed basic one: the plan is not
+// node-form, so the planner does not minimize it, and the commit installs
+// the unwindowed division's cover normalized and nothing else.
+func TestWindowedWholeDivisorCommitsNormalizedCover(t *testing.T) {
+	opt := Options{Config: Extended, WindowDepth: 1}
+	wins := 0
+	var want *network.Node
+	suiteCommits(t, opt, func(c suiteCommit) {
+		name, nw, p := c.name, c.nw, c.p
+		if p.node || p.clone != nil || len(p.added) > 0 {
+			return
 		}
+		if !c.committed {
+			res, ok := divide(newScratch(), nw, nil, p.target, c.seq.cands[c.seq.next-1], opt.Config)
+			if !ok {
+				t.Fatalf("%s f=%s: whole-divisor plan without an unwindowed division", name, p.target)
+			}
+			fanins, cover := network.Normalize(res.Fanins, res.Cover)
+			want = &network.Node{Name: p.target, Fanins: fanins, Cover: cover}
+			return
+		}
+		got := nw.Node(p.target)
+		if err := compareNodeFn(got.Fanins, got.Cover, want.Fanins, want.Cover); err != nil {
+			t.Fatalf("%s f=%s: committed node is not the normalized unwindowed division: %v", name, p.target, err)
+		}
+		wins++
+	})
+	if wins == 0 {
+		t.Fatal("no whole-divisor plan won at depth 1 on the suite")
 	}
 }
 

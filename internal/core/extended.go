@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"repro/internal/algebraic"
 	"repro/internal/atpg"
 	"repro/internal/cube"
 	"repro/internal/network"
@@ -226,45 +227,82 @@ type Decomposition struct {
 // replaced; d decomposed when needed); the caller decides acceptance by
 // comparing costs. ok=false when no division is possible.
 func ExtendedDivide(nw network.Reader, f, d string, cfg Config) (*network.Network, *DivideResult, *Decomposition, bool) {
-	work, res, dec, ok := extendedDivide(newScratch(), nw, f, d, cfg)
+	sc := oneShot()
+	x, ok := extendedDivide(sc, nw, f, d, cfg)
 	if !ok {
 		return nil, nil, nil, false
 	}
-	return materializeTrial(work), res, dec, true
+	return x.materialize(sc, nw, f, cfg)
 }
 
-// extendedDivide is ExtendedDivide with an explicit scratch arena. The
-// returned working copy is a trialNet (an overlay on the copy-on-write path,
-// a deep clone under noOverlay); the engine commits it via commitPlan and
-// the public wrapper materializes it.
-func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (trialNet, *DivideResult, *Decomposition, bool) {
+// extDivision is one extended (or pooled) division of f: the working copy
+// holding its edits (an overlay on the copy-on-write path, a deep clone
+// under noOverlay or for a pooled cross-node core), f's division by the
+// core, and the decomposition. The division ends with a basic division by
+// the selected core, so when the core is one whole divisor extended
+// division IS f's basic division by it: the division then names that
+// divisor in whole, holds nothing else, and leaves the basic division to
+// its caller — wholePlan, or at WindowDepth 0 the engine's own basic
+// division of the pair.
+type extDivision struct {
+	work  trialNet
+	res   *DivideResult
+	dec   *Decomposition
+	whole string
+}
+
+// materialize returns x as the public one-shot wrappers report it: a clone
+// of nw with x's edits, or f's whole-divisor division, installed.
+func (x extDivision) materialize(sc *scratch, nw network.Reader, f string, cfg Config) (*network.Network, *DivideResult, *Decomposition, bool) {
+	var p plan
+	if x.whole != "" {
+		var ok bool
+		if p, x.res, ok = wholePlan(sc, nw, f, x.whole, cfg); !ok {
+			return nil, nil, nil, false
+		}
+	} else {
+		p.setWork(x.work)
+	}
+	return installed(nw, p), x.res, x.dec, true
+}
+
+// wholePlan is the plan of extended division of f whose core is the whole
+// divisor d: f's basic division by d over the whole network, installed
+// normalized but not minimized. d is unchanged, so the gain is f's alone.
+func wholePlan(sc *scratch, nw network.Reader, f, d string, cfg Config) (plan, *DivideResult, bool) {
+	res, ok := divide(sc, nw, nil, f, candidate{name: d}, cfg)
+	if !ok {
+		return plan{}, nil, false
+	}
+	fanins, cover := network.Normalize(res.Fanins, res.Cover)
+	return plan{
+		target:  f,
+		gain:    algebraic.FactorLits(nw.Node(f).Cover) - algebraic.FactorLits(cover),
+		removed: res.WiresRemoved,
+		bodies:  []*network.Node{{Name: f, Fanins: fanins, Cover: cover}},
+	}, res, true
+}
+
+// extendedDivide is extended division of f by d with an explicit scratch
+// arena; ok=false when no division is possible.
+func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (extDivision, bool) {
 	t, ok := voteTable(sc, nw, f, []string{d}, cfg) // fails when f or d drives no node
 	if !ok {
-		return nil, nil, nil, false
+		return extDivision{}, false
 	}
 	dn := nw.Node(d)
 	// The pool cubes are d's first maxCoreCubes cubes: exactly the ones
 	// SelectCore's validity check reads.
 	mask, score := SelectCore(t.votes, t.poolCubes, t.fU)
 	if mask == 0 || score == 0 {
-		return nil, nil, nil, false
+		return extDivision{}, false
 	}
 	nD := dn.Cover.NumCubes()
 	if nD > maxCoreCubes {
 		nD = maxCoreCubes
 	}
 	if mask == maskAll(nD) && nD == dn.Cover.NumCubes() {
-		// Core is the whole divisor: plain basic division.
-		res, ok := divide(sc, nw, nil, f, candidate{name: d}, cfg)
-		if !ok {
-			return nil, nil, nil, false
-		}
-		work := sc.trialClone(nw)
-		if err := work.ReplaceNodeFunction(f, res.Fanins, res.Cover); err != nil {
-			return nil, nil, nil, false
-		}
-		work.NormalizeNode(f)
-		return work, res, nil, true
+		return extDivision{whole: d}, true
 	}
 
 	// Decompose d = core + rest.
@@ -296,17 +334,17 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (tr
 	yc.Set(nd-1, cube.Pos)
 	newD.Cubes = append(newD.Cubes, yc)
 	if err := work.ReplaceNodeFunction(d, dFanins, newD); err != nil {
-		return nil, nil, nil, false
+		return extDivision{}, false
 	}
 	work.NormalizeNode(d)
 
 	res, ok := divide(sc, work, nil, f, candidate{name: coreName}, cfg)
 	if !ok {
-		return nil, nil, nil, false
+		return extDivision{}, false
 	}
 	if err := work.ReplaceNodeFunction(f, res.Fanins, res.Cover); err != nil {
-		return nil, nil, nil, false
+		return extDivision{}, false
 	}
 	work.NormalizeNode(f)
-	return work, res, &Decomposition{CoreName: coreName, CoreMask: mask}, true
+	return extDivision{work, res, &Decomposition{CoreName: coreName, CoreMask: mask}, ""}, true
 }

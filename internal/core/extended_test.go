@@ -180,8 +180,8 @@ func TestPropExtendedDivisionSound(t *testing.T) {
 // TestSubstituteReaddsRemovedCoreName is the engine-level check that a
 // node added under a reused name is listed once. An extended-division
 // commit adds its core node under the name FreshName picks, and FreshName
-// hands out the names of removed nodes; the overlay commit (ApplyTo) then
-// re-adds that name to the live network. The network must stay Check-clean
+// hands out the names of removed nodes; the commit (Network.Install of the
+// plan's added core) then re-adds that name to the live network. The network must stay Check-clean
 // (Options.Audit checks after every commit) and end up exactly as if the
 // name had never been used before.
 func TestSubstituteReaddsRemovedCoreName(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/blif"
-	"repro/internal/network"
 	"repro/internal/verify"
 )
 
@@ -98,11 +97,10 @@ func TestOverlayAuditDetectsCorruptedPlan(t *testing.T) {
 	// The corruption drops the core's last cube on the plan's private clone.
 	corrupted := 0
 	overlayAuditCorrupt = func(p *plan) {
-		work, ok := p.work.(*network.Network)
-		if !ok {
+		if p.clone == nil {
 			return
 		}
-		for _, n := range work.Nodes() {
+		for _, n := range p.clone.Nodes() {
 			if strings.HasPrefix(n.Name, "bdp") && n.Cover.NumCubes() > 0 {
 				n.Cover.Cubes = n.Cover.Cubes[:n.Cover.NumCubes()-1]
 				corrupted++

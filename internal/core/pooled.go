@@ -34,26 +34,31 @@ func PooledVoteTable(nw network.Reader, f string, divisors []string, cfg Config)
 // (dec.CoreName is the new core node; when the core spans several divisor
 // nodes, no divisor is rewritten and the core stands alone).
 func PooledExtendedDivide(nw network.Reader, f string, divisors []string, cfg Config) (*network.Network, *DivideResult, *Decomposition, bool) {
-	work, res, dec, ok := pooledExtendedDivide(newScratch(), nw, f, divisors, cfg)
+	sc := oneShot()
+	x, single, ok := pooledExtendedDivide(sc, nw, f, divisors, cfg)
+	if single != "" {
+		x, ok = extendedDivide(sc, nw, f, single, cfg)
+	}
 	if !ok {
 		return nil, nil, nil, false
 	}
-	return materializeTrial(work), res, dec, true
+	return x.materialize(sc, nw, f, cfg)
 }
 
 // pooledExtendedDivide is PooledExtendedDivide with an explicit scratch
-// arena. Single-node cores return extendedDivide's working copy (an overlay
-// on the copy-on-write path); the cross-node core path always returns a deep
-// clone — it needs Sweep, which only a materialized network supports.
-func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []string, cfg Config) (trialNet, *DivideResult, *Decomposition, bool) {
+// arena. A core from one node d is d's own extended division of f: it
+// reports d in single and leaves that division to its caller (see
+// extendedDivide). A cross-node core works on a deep clone — it needs
+// Sweep, which only a materialized network supports.
+func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []string, cfg Config) (x extDivision, single string, ok bool) {
 	t, ok := voteTable(sc, nw, f, divisors, cfg)
 	if !ok {
-		return nil, nil, nil, false
+		return extDivision{}, "", false
 	}
 	pool := t.pool
 	mask, score := SelectCore(t.votes, t.poolCubes, t.fU)
 	if mask == 0 || score == 0 {
-		return nil, nil, nil, false
+		return extDivision{}, "", false
 	}
 
 	// Which nodes contribute to the core? The pool holds at most four
@@ -67,7 +72,7 @@ func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []s
 		}
 	}
 	if len(contribNodes) == 1 {
-		return extendedDivide(sc, nw, f, contribNodes[0], cfg)
+		return extDivision{}, contribNodes[0], true
 	}
 
 	// Cross-node core: materialize it as a standalone node over the union
@@ -85,16 +90,16 @@ func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []s
 
 	res, ok := divide(sc, work, nil, f, candidate{name: coreName}, cfg)
 	if !ok {
-		return nil, nil, nil, false
+		return extDivision{}, "", false
 	}
 	if err := work.ReplaceNodeFunction(f, res.Fanins, res.Cover); err != nil {
-		return nil, nil, nil, false
+		return extDivision{}, "", false
 	}
 	work.NormalizeNode(f)
 	work.Sweep()
 	if work.Node(coreName) == nil {
 		// The division ended up not using the core: nothing gained.
-		return nil, nil, nil, false
+		return extDivision{}, "", false
 	}
-	return work, res, &Decomposition{CoreName: coreName, CoreMask: mask}, true
+	return extDivision{work, res, &Decomposition{CoreName: coreName, CoreMask: mask}, ""}, "", true
 }

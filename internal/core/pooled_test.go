@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cube"
 	"repro/internal/network"
 	"repro/internal/verify"
@@ -137,4 +138,54 @@ func TestSubstituteWithPooling(t *testing.T) {
 	if st.LitsAfter > st.LitsBefore {
 		t.Errorf("literals grew %d → %d", st.LitsBefore, st.LitsAfter)
 	}
+}
+
+// TestPooledSkipsSingleNodeCoresThatGainedNothing checks the fact
+// planPooled's skip rests on: when a trial sequence reaches the pooled
+// fallback and the pooled core comes from one pool node d whose slot
+// gained nothing, dividing f by d's extended division again gains nothing
+// either. On every suite circuit it plans each dividend's sequence and,
+// where the fallback found no plan, re-plans the fallback as if every SOP
+// slot had gained, which skips nothing.
+func TestPooledSkipsSingleNodeCoresThatGainedNothing(t *testing.T) {
+	skipped := 0
+	for _, opt := range []Options{
+		{Config: Extended, POS: true, Pool: true},
+		{Config: ExtendedGDC, POS: true, Pool: true, WindowDepth: 1},
+	} {
+		for _, name := range bench.Names() {
+			nw := bench.Get(name)
+			nw.EnableFanouts()
+			nc := newNodeCache(nw)
+			for _, f := range nw.SortedNodeNames() {
+				seq := trialSeq{f: f, cands: candidateDivisors(nw, nc, f, opt, nil)}
+				if _, ok := seq.advance(newScratch(), nw, opt); ok || !seq.pooled {
+					continue
+				}
+				var pool, all []string
+				for _, c := range seq.cands {
+					if c.form == formSOP && indexOf(all, c.name) < 0 {
+						all = append(all, c.name)
+						if len(pool) < 4 {
+							pool = append(pool, c.name)
+						}
+					}
+				}
+				if len(pool) < 2 {
+					continue
+				}
+				if _, single, ok := pooledExtendedDivide(newScratch(), nw, f, pool, opt.Config); !ok || single == "" || indexOf(seq.gained, single) >= 0 {
+					continue
+				}
+				skipped++
+				if p, ok := planPooled(newScratch(), nw, f, seq.cands, all, opt); ok {
+					t.Fatalf("%s %+v f=%s: a skipped single-node pooled core gains %d", name, opt, f, p.gain)
+				}
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no single-node pooled core was skipped on the suite")
+	}
+	t.Logf("%d single-node pooled cores skipped", skipped)
 }

@@ -67,6 +67,10 @@ type scratch struct {
 	// planner entry points): trialClone hands out deep clones and every RAR
 	// pass rebuilds its netlist, exactly the historical engine.
 	noOverlay bool
+	// parts makes every division fill DivideResult's informational
+	// Quotient and Remainder. Only the public one-shot wrappers read them
+	// (see oneShot); engine trials skip the split and its allocations.
+	parts bool
 }
 
 func newScratch() *scratch {
@@ -76,6 +80,14 @@ func newScratch() *scratch {
 		bFresh:  netlist.NewBuilder(),
 		engines: make(map[*netlist.Netlist]*atpg.Engine),
 	}
+}
+
+// oneShot returns the scratch a public one-shot division wrapper runs on:
+// a fresh arena whose divisions report their quotient and remainder.
+func oneShot() *scratch {
+	sc := newScratch()
+	sc.parts = true
+	return sc
 }
 
 // engine returns the scratch's implication engine for nl rebound with the

@@ -131,11 +131,10 @@ type Stats struct {
 	// batch-start snapshot before the sweep decided whether their
 	// dividend's speculation was still valid.
 	SpeculatedTrials int
-	// DiscardedPlans counts accepted plans thrown away unused — their
+	// DiscardedPlans counts accepted plans thrown away unused because their
 	// member was evicted from the sweep (a conflicting earlier commit
-	// invalidated the speculation) or its commit failed. The classic
-	// wasted-speculation number: work that produced a committable plan the
-	// network never saw.
+	// invalidated the speculation). The classic wasted-speculation number:
+	// work that produced a committable plan the network never saw.
 	DiscardedPlans int
 	// BatchCommits counts plans committed straight out of a batch sweep
 	// (serial re-run commits after an eviction are ordinary Substitutions
@@ -289,20 +288,23 @@ type run struct {
 	sched     *batchScheduler // nil = batch scheduling off
 }
 
-// commit routes a plan through the evaluator's serial committer. While a
-// batch sweep is active it also folds the commit's touched and support
-// sets into the scheduler's conflict marks, so eviction checks for later
-// members of the sweep see serial re-run commits too — not only the
-// sweep's own plan commits.
-func (r *run) commit(p plan, opt Options) bool {
+// commit routes a plan through the serial committer, bumping the
+// evaluator's epoch first so every scratch's memoized base build of the
+// live network is invalidated before the network can change. While a batch
+// sweep is active it also folds the commit's touched and support sets into
+// the scheduler's conflict marks, so eviction checks for later members of
+// the sweep see serial re-run commits too — not only the sweep's own plan
+// commits.
+func (r *run) commit(p plan) bool {
+	r.ev.epoch++
 	s := r.sched
 	if s == nil || !s.sweeping {
-		return r.ev.commit(r.nw, p, opt, r.nc, r.st)
+		return commitPlan(r.nw, p, r.opt, r.nc, r.st)
 	}
-	pre := s.precommit(&p)
-	ok := r.ev.commit(r.nw, p, opt, r.nc, r.st)
+	touched := s.precommit(&p)
+	ok := commitPlan(r.nw, p, r.opt, r.nc, r.st)
 	if ok {
-		s.postcommit(pre)
+		s.postcommit(&p, touched)
 	}
 	return ok
 }
@@ -317,76 +319,32 @@ func (r *run) substituteNode(id network.SigID) bool {
 	if fn == nil || fn.Cover.IsZero() {
 		return false
 	}
-	f := fn.Name
-	cands := candidateDivisors(r.nw, r.nc, f, r.opt, &r.enum)
+	cands := candidateDivisors(r.nw, r.nc, fn.Name, r.opt, &r.enum)
 	if len(cands) > r.maxTrials {
 		cands = cands[:r.maxTrials]
 	}
-	return r.tryCandidates(f, cands)
+	return r.runSeq(&trialSeq{f: fn.Name, cands: cands})
 }
 
-// tryCandidates is substituteNode's trial-and-commit loop for dividend f
-// over its (truncated) candidate list, which the caller built against the
-// current network.
-func (r *run) tryCandidates(f string, cands []candidate) bool {
-	nw, opt, ev, st := r.nw, r.opt, r.ev, r.st
-	// Candidates are tried one at a time in candidate order. The paper's
-	// first-positive-gain rule commits the first plan with a positive gain;
-	// BestGain plans every candidate first.
-	changed := false
+// runSeq plans dividend t on the serial scratch, against the current
+// network, and commits its plans until one sticks.
+func (r *run) runSeq(t *trialSeq) bool {
+	p, ok := t.advance(r.ev.serial(), r.nw, r.opt)
+	return r.settle(t, p, ok)
+}
+
+// settle commits plan p of sequence t and, while a commit is rejected,
+// the plans t offers next; it tallies t's divisor trials and reports
+// whether a plan committed.
+func (r *run) settle(t *trialSeq, p plan, ok bool) bool {
 	committed := false
-	var results []planResult // BestGain only
-	for _, c := range cands {
-		res := ev.trial(nw, f, c, opt)
-		st.DivisorTrials++
-		if opt.BestGain {
-			results = append(results, res)
-			continue
-		}
-		if res.ok && res.p.gain > 0 && r.commit(res.p, opt) {
-			changed = true
-			committed = true
-			break // paper: take the first positive-gain division
-		}
-		// A depth-rejected commit was undone byte-exactly; keep scanning.
-	}
-	if opt.BestGain {
-		// Commit the best gain (ties broken toward the earliest candidate,
-		// like the serial scan). When a commit is depth-rejected the
-		// next-best positive-gain plan is tried — the rejection was undone
-		// byte-exactly, so every other plan is still valid, and abandoning
-		// the node outright would make BestGain strictly weaker than the
-		// greedy rule under a DepthBudget.
-		order := make([]int, 0, len(results))
-		for i, res := range results {
-			if res.ok && res.p.gain > 0 {
-				order = append(order, i)
-			}
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return results[order[a]].p.gain > results[order[b]].p.gain
-		})
-		for _, i := range order {
-			if r.commit(results[i].p, opt) {
-				changed = true
-				committed = true
-				break
-			}
+	for ok && !committed {
+		if committed = r.commit(p); !committed {
+			p, ok = t.advance(r.ev.serial(), r.nw, r.opt)
 		}
 	}
-	if !committed && opt.Pool && opt.Config != Basic {
-		ev.scratches[0].epoch = ev.epoch
-		if p, ok := planPooled(ev.scratches[0], nw, f, cands, opt); ok {
-			// Pooled divisions historically bypass the depth budget:
-			// they only run when nothing else committed.
-			poolOpt := opt
-			poolOpt.DepthBudget = 0
-			if r.commit(p, poolOpt) {
-				changed = true
-			}
-		}
-	}
-	return changed
+	r.st.DivisorTrials += t.trials
+	return committed
 }
 
 // candidate pairs a divisor node with the form that passed the structural
@@ -547,17 +505,23 @@ func (nc *nodeCache) complMin(id network.SigID) (cube.Cover, bool) {
 	return e.min, true
 }
 
-// invalidate drops the entry of the node a commit rewrote.
-func (nc *nodeCache) invalidate(name string) {
-	if id, ok := nc.nw.IDOf(name); ok && int(id) < len(nc.e) {
-		nc.e[id] = nodeEntry{}
+// invalidate drops the entries of every node p's commit adds or replaces.
+// A clone plan's rewrite set is not enumerable from the plan — the pooled
+// path's Sweep can delete nodes it never lists — so it drops every entry.
+func (nc *nodeCache) invalidate(p *plan) {
+	if p.clone != nil {
+		clear(nc.e)
+		return
 	}
-}
-
-// reset drops every entry: the wholesale invalidation a clone (CopyFrom)
-// commit needs, since its rewrite set is not enumerable from the plan.
-func (nc *nodeCache) reset() {
-	clear(nc.e)
+	drop := func(ns []*network.Node) {
+		for _, n := range ns {
+			if id, ok := nc.nw.IDOf(n.Name); ok && int(id) < len(nc.e) {
+				nc.e[id] = nodeEntry{}
+			}
+		}
+	}
+	drop(p.added)
+	drop(p.bodies)
 }
 
 func coverSigs(cov cube.Cover, fanins []network.SigID) [][]sigLit {
@@ -754,19 +718,4 @@ func lessScored(a, b scored) bool {
 		return a.c.name < b.c.name
 	}
 	return a.c.form < b.c.form
-}
-
-// commitNode installs a replacement node function, minimizing the cover
-// first (a prime irredundant cover keeps the downstream algebraic steps of
-// a larger flow effective) and compacting the fanin list.
-func commitNode(nw *network.Network, f string, fanins []string, cover cube.Cover) bool {
-	m := mini.Minimize(cover, mini.Options{})
-	if m.NumCubes() <= cover.NumCubes() && m.NumLits() <= cover.NumLits() {
-		cover = m
-	}
-	if err := nw.ReplaceNodeFunction(f, fanins, cover); err != nil {
-		return false
-	}
-	nw.NormalizeNode(f)
-	return true
 }

@@ -95,11 +95,9 @@ func TestSubstitutePOSCandidateOfferedAndCommitSound(t *testing.T) {
 // (the paper's first-positive-gain rule), serially: the one-shot entry
 // these tests drive instead of Substitute's evaluator.
 func tryPair(nw *network.Network, f string, cand candidate, opt Options, nc *nodeCache, st *Stats) bool {
-	p, ok := planPair(newScratch(), nw, f, cand, opt)
-	if !ok || p.gain <= 0 {
-		return false
-	}
-	return commitPlan(nw, p, opt, nc, st)
+	seq := trialSeq{f: f, cands: []candidate{cand}}
+	p, ok := seq.advance(newScratch(), nw, opt)
+	return ok && commitPlan(nw, p, opt, nc, st)
 }
 
 func TestSubstitutePOSOnlyPath(t *testing.T) {
@@ -430,7 +428,7 @@ func TestPropDepthBudgetSound(t *testing.T) {
 		base := randomDAG(r, 4, 6)
 		_, budget := base.Levels()
 		nw := base.Clone()
-		Substitute(nw, Options{Config: Extended, POS: true, DepthBudget: budget, MaxPasses: 1})
+		Substitute(nw, Options{Config: Extended, POS: true, Pool: true, DepthBudget: budget, MaxPasses: 1})
 		if _, d := nw.Levels(); d > budget {
 			t.Fatalf("trial %d: depth %d exceeds budget %d", trial, d, budget)
 		}
@@ -446,7 +444,11 @@ func TestPropDepthBudgetSound(t *testing.T) {
 // Each input runs under Audit (network.Check after every commit, every
 // overlay trial replayed on the clone path) at Workers 1 and 3 with the
 // batch scheduler on and off. The four committed networks must print the
-// same BLIF, compute the input's functions and pass network.Check.
+// same BLIF, compute the input's functions and pass network.Check, and a
+// set budget must hold: the final depth is at most the budget or the
+// input's own depth, whichever is larger (a random DAG can start deeper
+// than the budget, and then every commit that leaves it too deep is
+// rejected).
 //
 // The two seeded configurations run depth-rejected extended divisions,
 // whose rollback reinstalls the whole network, so any state that holds a
@@ -459,6 +461,7 @@ func FuzzSubstitute(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, cfg, flags, window, budget, passes, trials uint8) {
 		r := rand.New(rand.NewSource(seed))
 		base := randomDAG(r, 4+r.Intn(4), 6+r.Intn(10))
+		_, inDepth := base.Levels()
 		opt := Options{
 			Config:           []Config{Basic, Extended, ExtendedGDC}[cfg%3],
 			POS:              flags&pos != 0,
@@ -489,6 +492,10 @@ func FuzzSubstitute(f *testing.F) {
 				}
 				if err := nw.Check(); err != nil {
 					t.Fatalf("seed %d %+v: workers %d batch %v: %v", seed, opt, workers, !noBatch, err)
+				}
+				if _, d := nw.Levels(); opt.DepthBudget > 0 && d > max(opt.DepthBudget, inDepth) {
+					t.Fatalf("seed %d %+v: workers %d batch %v: depth %d exceeds budget %d (input depth %d)",
+						seed, opt, workers, !noBatch, d, opt.DepthBudget, inDepth)
 				}
 			}
 		}

@@ -35,13 +35,3 @@ func (sc *scratch) trialClone(nw network.Reader) trialNet {
 	}
 	return network.NewOverlay(nw)
 }
-
-// materializeTrial converts a trial's working copy into a standalone
-// *network.Network for the public one-shot entry points (ExtendedDivide,
-// PooledExtendedDivide), whose callers expect an independent network.
-func materializeTrial(work trialNet) *network.Network {
-	if ov, ok := work.(*network.Overlay); ok {
-		return ov.Clone()
-	}
-	return work.(*network.Network)
-}

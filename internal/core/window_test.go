@@ -48,7 +48,7 @@ func checkWindowTrials(t *testing.T, label string, nw *network.Network, opt Opti
 				label, opt.WindowDepth, opt.Config, opt.POS, f, c.name, c.form)
 			got, gotOK := planPair(sc, nw, f, c, opt)
 			want, wantOK := planPair(scRef, nw, f, c, ref)
-			if err := comparePlans(got, gotOK, want, wantOK); err != nil {
+			if err := comparePlans(nw, got, gotOK, want, wantOK); err != nil {
 				t.Fatalf("%s: default path differs from the reference window: %v", site, err)
 			}
 			tally.trials++
@@ -87,7 +87,7 @@ func checkWindowTrials(t *testing.T, label string, nw *network.Network, opt Opti
 			c := candidate{name: nw.SigName(u.id)}
 			got, gotOK := planPair(sc, nw, f, c, opt)
 			want, wantOK := planPair(scRef, nw, f, c, ref)
-			if err := comparePlans(got, gotOK, want, wantOK); err != nil {
+			if err := comparePlans(nw, got, gotOK, want, wantOK); err != nil {
 				t.Fatalf("%s depth %d cfg %v: f=%s reader %s: %v", label, opt.WindowDepth, opt.Config, f, c.name, err)
 			}
 			if u.steps > opt.WindowDepth {

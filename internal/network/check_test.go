@@ -83,7 +83,7 @@ func TestCheckOrderDrift(t *testing.T) {
 }
 
 // TestReaddRemovedNodeListedOnce re-adds removed names through both entry
-// points, AddNode and an overlay's ApplyTo, and checks that the node is
+// points, AddNode and Install of an overlay's delta, and checks that the node is
 // listed once, last, with every other node in its place — the order an
 // overlay view and its materialized clone report.
 func TestReaddRemovedNodeListedOnce(t *testing.T) {
@@ -110,15 +110,13 @@ func TestReaddRemovedNodeListedOnce(t *testing.T) {
 	ov := NewOverlay(nw)
 	ov.AddNode("k", []string{"g", "c"}, cube.ParseCover(2, "a + b"))
 	view, clone := names(ov.Nodes()), names(ov.Clone().Nodes())
-	if err := ov.ApplyTo(nw); err != nil {
-		t.Fatal(err)
-	}
+	nw.Install(ov.Added(), ov.Changed())
 	if err := nw.Check(); err != nil {
 		t.Fatal(err)
 	}
 	const want = "g f h k "
 	for _, got := range []struct{ what, order string }{
-		{"overlay view", view}, {"overlay clone", clone}, {"ApplyTo", names(nw.Nodes())},
+		{"overlay view", view}, {"overlay clone", clone}, {"Install", names(nw.Nodes())},
 	} {
 		if got.order != want {
 			t.Errorf("%s lists %q, want %q", got.what, got.order, want)

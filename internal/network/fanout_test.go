@@ -147,7 +147,7 @@ func TestLiveFanoutsTrackEdits(t *testing.T) {
 				step = "Sweep"
 				nw.Sweep()
 			case 6:
-				step = "overlay ApplyTo"
+				step = "overlay Install"
 				ov := NewOverlay(nw)
 				n := ov.Node(pick().Name)
 				core := ov.FreshName("ov")
@@ -156,9 +156,7 @@ func TestLiveFanoutsTrackEdits(t *testing.T) {
 				}
 				ov.AddNode(core, n.Fanins, n.Cover.Clone())
 				if err := ov.ReplaceNodeFunction(n.Name, []string{core}, cube.ParseCover(1, "a")); err == nil {
-					if err := ov.ApplyTo(nw); err != nil {
-						t.Fatal(err)
-					}
+					nw.Install(ov.Added(), ov.Changed())
 				}
 			case 7:
 				step = "CopyFrom"

@@ -614,28 +614,6 @@ func (n *Node) Render() string {
 	return strings.Join(terms, " + ")
 }
 
-// replaceInPlace binds n to name's existing creation-order slot, bypassing
-// validation — Overlay.Clone's install path for already-validated delta
-// bodies (the overlay checked cycles and cover spaces when the mutation was
-// recorded).
-func (nw *Network) replaceInPlace(name string, n *Node) {
-	id := nw.intern(name)
-	nw.unlinkFanouts(id, nw.faninIDs[id])
-	nw.defs[id] = n
-	nw.faninIDs[id] = nw.internFanins(n.Fanins)
-	nw.linkFanouts(id, nw.faninIDs[id])
-}
-
-// installAppended binds n to name and appends it to the creation order,
-// bypassing validation — Overlay.Clone's install path for added nodes.
-func (nw *Network) installAppended(name string, n *Node) {
-	id := nw.intern(name)
-	nw.defs[id] = n
-	nw.faninIDs[id] = nw.internFanins(n.Fanins)
-	nw.linkFanouts(id, nw.faninIDs[id])
-	nw.appendOrder(id)
-}
-
 // appendOrder makes node id the newest entry of the creation order.
 // RemoveNode leaves a removed node's entry in place (iteration skips it),
 // so a name re-added after removal — FreshName hands such names out —
@@ -691,8 +669,7 @@ func (nw *Network) ReplaceNodeFunction(name string, fanins []string, cover cube.
 
 // replaceFunc installs a copy of fanins and cover on node id without
 // validation and marks id dirty in the signature and cone tables: the
-// shared tail of ReplaceNodeFunction and Overlay.ApplyTo, whose bodies the
-// overlay validated against its own view.
+// shared tail of ReplaceNodeFunction and Install.
 func (nw *Network) replaceFunc(id SigID, fanins []string, cover cube.Cover) {
 	nw.setNodeFunc(id, nw.defs[id], append([]string(nil), fanins...), cover)
 	if nw.sigs != nil {
@@ -711,30 +688,67 @@ func (nw *Network) NormalizeNode(name string) {
 		return
 	}
 	n := nw.defs[id]
-	used := n.Cover.Support()
-	if len(used) == len(n.Fanins) {
+	fanins, cover := Normalize(n.Fanins, n.Cover)
+	if len(fanins) == len(n.Fanins) {
 		return
+	}
+	nw.setNodeFunc(id, n, fanins, cover)
+	// Semantically invisible (the function is unchanged, so signatures stay
+	// valid) but structurally visible: the cone hash covers the fanin list
+	// and cover bytes.
+	if nw.cones != nil {
+		nw.cones.markDirty(id)
+	}
+}
+
+// Normalize returns the node function (fanins, cover) without the fanins
+// its cover no longer reads, the remaining variables keeping their order.
+// When every fanin is read it returns its arguments unchanged; otherwise
+// the results are fresh. Network.NormalizeNode and Overlay.NormalizeNode
+// apply it to a node, and a planner to a replacement it has not installed.
+func Normalize(fanins []string, cover cube.Cover) ([]string, cube.Cover) {
+	used := cover.Support()
+	if len(used) == len(fanins) {
+		return fanins, cover
 	}
 	idx := make(map[int]int, len(used))
 	newFanins := make([]string, 0, len(used))
 	for newV, oldV := range used {
 		idx[oldV] = newV
-		newFanins = append(newFanins, n.Fanins[oldV])
+		newFanins = append(newFanins, fanins[oldV])
 	}
 	nc := cube.NewCover(len(used))
-	for _, c := range n.Cover.Cubes {
+	for _, c := range cover.Cubes {
 		k := cube.New(len(used))
 		for _, v := range c.Lits() {
 			k.Set(idx[v], c.Get(v))
 		}
 		nc.Add(k)
 	}
-	nw.setNodeFunc(id, n, newFanins, nc)
-	// Semantically invisible (the function is unchanged, so signatures stay
-	// valid) but structurally visible: the cone hash covers the fanin list
-	// and cover bytes.
-	if nw.cones != nil {
-		nw.cones.markDirty(id)
+	return newFanins, nc
+}
+
+// Install commits recorded node bodies to nw: each added node is created
+// in order, appended to the creation order, and then each replaced node
+// takes its body's fanins and cover in place, in order, so a replacement
+// may read an addition. It is the one way recorded bodies reach a network:
+// the substitution engine's commit of a plan, and Overlay.Clone. Bodies
+// install without a cycle check: their producer refused every cycle on its
+// own view (an overlay checks each mutation, a node-form planner its
+// divisor), and checking each body against a half-installed set can refuse
+// a valid one. Fanin lists are copied; covers are kept, so the caller must
+// not mutate them afterwards. A replaced name that drives no node panics:
+// the bodies were recorded against another network.
+func (nw *Network) Install(added, replaced []*Node) {
+	for _, n := range added {
+		nw.AddNode(n.Name, n.Fanins, n.Cover)
+	}
+	for _, n := range replaced {
+		id, ok := nw.sym.Lookup(n.Name)
+		if !ok || nw.defs[id] == nil {
+			panic(fmt.Sprintf("network: install: no node %q", n.Name))
+		}
+		nw.replaceFunc(id, n.Fanins, n.Cover)
 	}
 }
 

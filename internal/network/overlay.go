@@ -13,11 +13,11 @@ import (
 // machinery (netlist building, dependency walks, a nested division) runs on
 // an overlay exactly as it would on a deep clone — but creating one is
 // O(1), mutating it is O(touched nodes), and discarding it is free.
-// Committing extracts the delta (Added/Changed, or ApplyTo) instead of
-// copying the network back. The engine uses one where a trial needs a
-// working network: extended division's divisor decomposition, and GDC
-// trials, which rebuild their netlist from the working copy every pass.
-// Overlays never delete nodes.
+// Committing installs the delta (Added/Changed, through Network.Install)
+// instead of copying the network back. The engine uses one where a trial
+// needs a working network: extended division's divisor decomposition, and
+// GDC trials, which rebuild their netlist from the working copy every
+// pass. Overlays never delete nodes.
 //
 // Result invisibility is the design contract: every read an Overlay answers
 // is byte-identical to the same read on base.Clone() with the same mutations
@@ -308,19 +308,18 @@ func (o *Overlay) FreshName(prefix string) string {
 }
 
 // Clone materializes the overlay into a private *Network: a clone of the
-// base with the delta applied — byte-identical (node bodies and creation
-// order included) to cloning the base first and replaying the overlay's
-// mutations on the clone.
+// base with copies of the delta bodies installed (Network.Install) —
+// byte-identical (node bodies and creation order included) to cloning the
+// base first and replaying the overlay's mutations on the clone.
 func (o *Overlay) Clone() *Network {
+	added, changed := o.Added(), o.Changed()
+	for _, ns := range [][]*Node{added, changed} {
+		for i, n := range ns {
+			ns[i] = n.Clone()
+		}
+	}
 	c := o.base.Clone()
-	for _, name := range o.changed {
-		// Replaced nodes keep their creation-order slot; install directly
-		// (the overlay already validated the rewrite).
-		c.replaceInPlace(name, o.nodes[name].Clone())
-	}
-	for _, name := range o.added {
-		c.installAppended(name, o.nodes[name].Clone())
-	}
+	c.Install(added, changed)
 	return c
 }
 
@@ -412,27 +411,13 @@ func (o *Overlay) NormalizeNode(name string) {
 	if n == nil {
 		return
 	}
-	used := n.Cover.Support()
-	if len(used) == len(n.Fanins) {
+	fanins, cover := Normalize(n.Fanins, n.Cover)
+	if len(fanins) == len(n.Fanins) {
 		return
 	}
-	idx := make(map[int]int, len(used))
-	newFanins := make([]string, 0, len(used))
-	for newV, oldV := range used {
-		idx[oldV] = newV
-		newFanins = append(newFanins, n.Fanins[oldV])
-	}
-	nc := cube.NewCover(len(used))
-	for _, c := range n.Cover.Cubes {
-		k := cube.New(len(used))
-		for _, v := range c.Lits() {
-			k.Set(idx[v], c.Get(v))
-		}
-		nc.Add(k)
-	}
 	t := o.touch(name)
-	t.Fanins = newFanins
-	t.Cover = nc
+	t.Fanins = fanins
+	t.Cover = cover
 }
 
 // Added returns the nodes created on the overlay, in creation order. The
@@ -454,33 +439,6 @@ func (o *Overlay) Changed() []*Node {
 		out[i] = o.nodes[name]
 	}
 	return out
-}
-
-// ApplyTo commits the overlay's delta to dst: additions first (in creation
-// order, so replacement bodies may reference them), then the final body of
-// every replaced node (in first-touch order). When dst is the overlay's base
-// in the state the overlay was created over — the plan/commit engine's
-// invariant — the result is byte-identical to dst.CopyFrom(o.Clone()),
-// including the node creation order, while only marking the touched
-// signals dirty in dst's signature/cone tables. Replacements install
-// without a cycle check: the overlay refused every cycle on its own view,
-// and checking each body against a half-applied delta can refuse a valid
-// one. An application error means dst diverged from the base state; the
-// caller treats that as an engine bug.
-func (o *Overlay) ApplyTo(dst *Network) error {
-	for _, name := range o.added {
-		n := o.nodes[name]
-		dst.AddNode(name, n.Fanins, n.Cover)
-	}
-	for _, name := range o.changed {
-		id, ok := dst.sym.Lookup(name)
-		if !ok || dst.defs[id] == nil {
-			return fmt.Errorf("network: no node %q", name)
-		}
-		n := o.nodes[name]
-		dst.replaceFunc(id, n.Fanins, n.Cover)
-	}
-	return nil
 }
 
 // compile-time check: *Overlay is a Reader.

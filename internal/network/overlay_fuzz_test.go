@@ -35,8 +35,8 @@ func randOverlayCover(r *rand.Rand, k int) cube.Cover {
 // plan/commit engine rests on: after an arbitrary mutation sequence, every
 // Reader method — the ID surface netlist builds read included — answers
 // byte-identically on the overlay and on a materialized clone that received
-// the same mutations, and committing the delta with ApplyTo onto a fresh
-// copy of the base reproduces that clone.
+// the same mutations, and installing the delta (Network.Install) onto a
+// fresh copy of the base reproduces that clone.
 func FuzzOverlayReadEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(42), int64(7))
@@ -176,14 +176,12 @@ func FuzzOverlayReadEquivalence(f *testing.F) {
 		}
 		// Committing the delta onto the state the overlay was created over.
 		dst := base.Clone()
-		if err := o.ApplyTo(dst); err != nil {
-			t.Fatalf("ApplyTo: %v", err)
-		}
+		dst.Install(o.Added(), o.Changed())
 		if got, want := dst.String(), ref.String(); got != want {
-			t.Errorf("ApplyTo diverged from mutated clone:\n%s\nvs:\n%s", got, want)
+			t.Errorf("Install diverged from mutated clone:\n%s\nvs:\n%s", got, want)
 		}
 		if err := dst.Check(); err != nil {
-			t.Errorf("ApplyTo result fails Check: %v", err)
+			t.Errorf("Install result fails Check: %v", err)
 		}
 	})
 }

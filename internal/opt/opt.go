@@ -386,10 +386,10 @@ func bestKernel(nw *network.Network) (globalKernel, int) {
 			if !hasSignals(n, gk.fanins) {
 				continue
 			}
-			union := unionSignals(n.Fanins, gk.fanins)
-			fU := network.RemapCover(n.Cover, n.Fanins, union)
-			kU := network.RemapCover(gk.cover, gk.fanins, union)
-			q, r := algebraic.WeakDivide(fU, kU)
+			// Every kernel signal is a fanin of n, so the union of the two
+			// signal lists is n's fanin list: divide n's own cover by the
+			// kernel moved into it.
+			q, r := algebraic.WeakDivide(n.Cover, network.RemapCover(gk.cover, gk.fanins, n.Fanins))
 			if q.IsZero() {
 				continue
 			}
@@ -665,15 +665,13 @@ func sigKey(ls []sigLit) string {
 	return out
 }
 
+// unionSignals returns a followed by b's signals not already in a,
+// preserving first-appearance order. Fanin lists are a handful of signals,
+// so a linear containment scan beats allocating a hash set per call.
 func unionSignals(a, b []string) []string {
 	out := append([]string(nil), a...)
-	seen := make(map[string]bool, len(a))
-	for _, s := range a {
-		seen[s] = true
-	}
 	for _, s := range b {
-		if !seen[s] {
-			seen[s] = true
+		if indexOf(out, s) < 0 {
 			out = append(out, s)
 		}
 	}
