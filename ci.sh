@@ -96,13 +96,15 @@ done
 # drift means the engine's allocation behavior actually changed, and a
 # benchmark recorded allocation-free warns as soon as it allocates.
 # The pooled kernels (complement, minimizer, factoring, weak division,
-# kernels, node simplification) run in their own invocation at 100
+# kernels, node simplification) and one node-form division trial on a
+# warmed scratch (BenchmarkNodeTrial in internal/core, whose legs without
+# gain are recorded at 0 allocs/op) run in their own invocation at 100
 # iterations: a GC inside a single timed iteration empties sync.Pool, and
 # the one re-allocation that follows would read as a whole extra alloc/op
 # at -benchtime 1x. Both invocations feed one snapshot.
 go build -o /tmp/benchreg.ci ./cmd/benchreg
 {
   go test -run '^$' -bench 'BenchmarkSubstituteParallel$|BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkSubstituteScale$|BenchmarkAblationLearning$|BenchmarkImplicationEngine$' -benchtime 1x -benchmem -timeout 60m .
-  go test -run '^$' -bench 'BenchmarkComplement$|BenchmarkMinimize$|BenchmarkFactoring$|BenchmarkWeakDivision$|BenchmarkKernels$|BenchmarkSimplifyNode$' -benchtime 100x -benchmem -timeout 60m .
+  go test -run '^$' -bench 'BenchmarkComplement$|BenchmarkMinimize$|BenchmarkFactoring$|BenchmarkWeakDivision$|BenchmarkKernels$|BenchmarkSimplifyNode$|BenchmarkNodeTrial$' -benchtime 100x -benchmem -timeout 60m . ./internal/core
 } | /tmp/benchreg.ci -emit /tmp/BENCH_substitute.json
 /tmp/benchreg.ci -compare testdata/bench/BENCH_substitute.json /tmp/BENCH_substitute.json

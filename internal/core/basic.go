@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/atpg"
 	"repro/internal/cube"
 	"repro/internal/mini"
@@ -61,13 +63,13 @@ const (
 // d is not usable (no cube of f is contained by a cube of d, or using d
 // would create a cycle).
 func BasicDivide(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
-	return divide(oneShot(), nw, nil, f, candidate{name: d}, cfg)
+	return oneShotDivide(nw, f, candidate{name: d}, cfg)
 }
 
 // BasicDivideCompl divides node f by the COMPLEMENT of node d: the quotient
 // cubes receive a negative divisor literal, f = q·d' + r (formCompl).
 func BasicDivideCompl(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
-	return divide(oneShot(), nw, nil, f, candidate{name: d, form: formCompl}, cfg)
+	return oneShotDivide(nw, f, candidate{name: d, form: formCompl}, cfg)
 }
 
 // PosDivide performs the paper's product-of-sum-form division of node f by
@@ -75,7 +77,27 @@ func BasicDivideCompl(nw network.Reader, f, d string, cfg Config) (*DivideResult
 // scratch complement structure must not be observed downstream), so cfg
 // degrades ExtendedGDC to Extended internally.
 func PosDivide(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool) {
-	return divide(oneShot(), nw, nil, f, candidate{name: d, form: formPOS}, cfg)
+	return oneShotDivide(nw, f, candidate{name: d, form: formPOS}, cfg)
+}
+
+// oneShotDivide runs one division on a one-shot scratch, whose divisions
+// build their results on the heap.
+func oneShotDivide(nw network.Reader, f string, c candidate, cfg Config) (*DivideResult, bool) {
+	res, ok := divide(oneShot(), nw, nil, f, c, cfg)
+	if !ok {
+		return nil, false
+	}
+	return &res, true
+}
+
+// keep copies r's fanins and cover out of the trial memory they may live
+// in (see trialArena), for a caller that keeps them past the scratch's
+// next division: three allocations however many cubes the cover has.
+func (r *DivideResult) keep() {
+	r.Fanins = slices.Clone(r.Fanins)
+	cov := cube.NewCover(r.Cover.NumVars())
+	cov.Cubes = cube.CloneCubes(r.Cover.Cubes)
+	r.Cover = cov
 }
 
 // divide is the one node-form division routine: it divides node f by the
@@ -83,29 +105,37 @@ func PosDivide(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool)
 // worker pool hands each worker its own). win, when non-nil, is the window
 // carved around f and d that the trial runs in (see divideWithParts). The
 // covers c carries, when set, replace the complements divide would compute
-// (see candidate).
-func divide(sc *scratch, nw network.Reader, win *window, f string, c candidate, cfg Config) (*DivideResult, bool) {
+// (see candidate). Everything the division builds lives in the scratch's
+// trial memory, the result's fanins and cover included, until the
+// scratch's next division (see trialArena); only POS division's final
+// complement is built on the heap.
+//
+//bdslint:hotpath
+func divide(sc *scratch, nw network.Reader, win *window, f string, c candidate, cfg Config) (DivideResult, bool) {
 	d := c.name
 	fn, dn := nw.Node(f), nw.Node(d)
 	if fn == nil || dn == nil || f == d {
-		return nil, false
+		return DivideResult{}, false
 	}
 	if dn.Cover.IsZero() || (dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {
-		return nil, false // constant divisor
+		return DivideResult{}, false // constant divisor
 	}
 	if divisorDependsOn(nw, win, f, d) {
-		return nil, false // substitution would create a cycle
+		return DivideResult{}, false // substitution would create a cycle
 	}
 	fc, dc, ok := c.covers(fn, dn)
 	if !ok {
-		return nil, false
+		return DivideResult{}, false
 	}
-	union := unionSignals(fn.Fanins, dn.Fanins)
-	fU := network.RemapCover(fc, fn.Fanins, union)
-	dU := network.RemapCover(dc, dn.Fanins, union)
-	qPart, rem := SplitSOS(fU, dU)
+	t := sc.trialMem()
+	t.space = appendUnion(t.space[:0], fn.Fanins, dn.Fanins)
+	union := t.space
+	fU := t.remap(&t.fU, fc, fn.Fanins, union)
+	dU := t.remap(&t.dU, dc, dn.Fanins, union)
+	qPart, rem := splitSOS(fU, dU, t.q, t.r)
+	t.q, t.r = qPart.Cubes, rem.Cubes
 	if qPart.IsZero() {
-		return nil, false
+		return DivideResult{}, false
 	}
 	yPhase := cube.Neg
 	if c.form == formSOP {
@@ -114,14 +144,14 @@ func divide(sc *scratch, nw network.Reader, win *window, f string, c candidate, 
 	if c.form == formPOS && cfg == ExtendedGDC {
 		cfg = Extended // see PosDivide
 	}
-	res, ok := divideWithParts(sc, nw, win, f, d, union, qPart, rem, cfg, yPhase)
+	res, ok := divideWithParts(sc, t, nw, win, f, d, qPart, rem, cfg, yPhase)
 	if !ok || c.form != formPOS {
 		return res, ok
 	}
 	// res.Cover computes f̄; the node function is its complement.
 	final, ok := res.Cover.ComplementAtMost(4 * maxComplementCubes)
 	if !ok {
-		return nil, false
+		return DivideResult{}, false
 	}
 	res.Cover = mini.Minimize(final, mini.Options{})
 	res.POS = true
@@ -186,26 +216,28 @@ func divisorDependsOn(nw network.Reader, win *window, f, d string) bool {
 // so the rewrite cannot close a cycle. The clone path (noOverlay, the
 // Audit reference) and GDC trials instead install f's structure in a
 // working copy and rebuild its netlist every pass (regionRARRebuild).
-func divideWithParts(sc *scratch, nw network.Reader, win *window, f, d string, union []string, qPart, rem cube.Cover, cfg Config, yPhase cube.Phase) (*DivideResult, bool) {
-	cov, fanins := tentativeCover(union, d, qPart, rem, yPhase)
+//
+//bdslint:hotpath
+func divideWithParts(sc *scratch, t *trialArena, nw network.Reader, win *window, f, d string, qPart, rem cube.Cover, cfg Config, yPhase cube.Phase) (DivideResult, bool) {
+	cov, fanins := tentativeCover(t, d, qPart, rem, yPhase)
 	var removed int
 	switch {
 	case win != nil:
 		b := sc.bFresh.BuildRegion(nw, win.ins, win.nodes, win.outs[:])
-		cov, removed = rarPatched(sc, b, f, d, fanins, cov)
+		cov, removed = rarPatched(sc, t, b, f, d, fanins, cov)
 	case sc.noOverlay || cfg == ExtendedGDC:
 		work := sc.trialClone(nw)
 		if err := work.ReplaceNodeFunction(f, fanins, cov); err != nil {
-			return nil, false
+			return DivideResult{}, false
 		}
-		removed = regionRARRebuild(sc, work, f, d, cfg)
+		removed = regionRARRebuild(sc, t, work, f, d, cfg)
 		fn := work.Node(f)
 		fanins, cov = fn.Fanins, fn.Cover
 	default:
-		cov, removed = rarPatched(sc, sc.baseBuild(nw), f, d, fanins, cov)
+		cov, removed = rarPatched(sc, t, sc.baseBuild(nw), f, d, fanins, cov)
 	}
 
-	res := &DivideResult{
+	res := DivideResult{
 		Fanins:       fanins,
 		Cover:        cov,
 		WiresRemoved: removed,
@@ -227,44 +259,44 @@ func divideWithParts(sc *scratch, nw network.Reader, win *window, f, d string, u
 }
 
 // tentativeCover builds divideWithParts' pre-removal division structure
-// f = (qPart ∧ y) + rem over the union space plus the divisor signal.
-func tentativeCover(union []string, d string, qPart, rem cube.Cover, yPhase cube.Phase) (cube.Cover, []string) {
+// f = (qPart ∧ y) + rem over the union space (t.space) plus the divisor
+// signal, in t: the space extends the union in place, and the cover's
+// cubes are built on t's arena and listed in t.tent.
+//
+//bdslint:hotpath
+func tentativeCover(t *trialArena, d string, qPart, rem cube.Cover, yPhase cube.Phase) (cube.Cover, []string) {
 	// Variable space: union signals plus the divisor signal.
-	space := union
-	yIdx := indexOf(union, d)
+	space := t.space
+	yIdx := indexOf(space, d)
 	if yIdx < 0 {
 		yIdx = len(space)
-		space = append(append([]string(nil), union...), d)
+		space = append(space, d)
+		t.space = space
 	}
 	n := len(space)
 
-	grow := func(c cube.Cube, withY bool) (cube.Cube, bool) {
-		k := cube.New(n)
-		for _, v := range c.Lits() {
-			k.Set(v, c.Get(v))
-		}
-		if withY {
-			if p := k.Get(yIdx); p != cube.Free && p != yPhase {
-				// The cube already carries the opposite divisor literal.
-				// Being contained in a divisor cube it also implies the
-				// divisor, so it is functionally empty in context: drop it.
-				return cube.Cube{}, false
-			}
-			k.Set(yIdx, yPhase)
-		}
-		return k, true
+	// The parts' variables keep their positions in the space.
+	at := t.at[:0]
+	for v := 0; v < qPart.NumVars(); v++ {
+		at = append(at, v)
 	}
+	t.at = at
+	tent := network.AppendRemapped(t.tent[:0], &t.cubes, qPart, at, n)
+	kept := tent[:0]
+	for _, k := range tent {
+		if p := k.Get(yIdx); p != cube.Free && p != yPhase {
+			// The cube already carries the opposite divisor literal. Being
+			// contained in a divisor cube it also implies the divisor, so it
+			// is functionally empty in context: drop it.
+			continue
+		}
+		k.Set(yIdx, yPhase)
+		kept = append(kept, k)
+	}
+	tent = network.AppendRemapped(kept, &t.cubes, rem, at, n)
+	t.tent = tent
 	tentative := cube.NewCover(n)
-	for _, c := range qPart.Cubes {
-		if k, ok := grow(c, true); ok {
-			tentative.Cubes = append(tentative.Cubes, k)
-		}
-	}
-	for _, c := range rem.Cubes {
-		if k, ok := grow(c, false); ok {
-			tentative.Cubes = append(tentative.Cubes, k)
-		}
-	}
+	tentative.Cubes = tent
 	return tentative, space
 }
 
@@ -285,7 +317,7 @@ func tentativeCover(union []string, d string, qPart, rem cube.Cover, yPhase cube
 // the patched netlist differs from a fresh build only by orphaned cube
 // gates with no live fanout, which region scopes, dominator walks, and TFO
 // marks never reach.
-func regionRARRebuild(sc *scratch, work trialNet, f, d string, cfg Config) int {
+func regionRARRebuild(sc *scratch, t *trialArena, work trialNet, f, d string, cfg Config) int {
 	removed := 0
 	for pass := 0; pass < 8; pass++ {
 		b := sc.b.Build(work)
@@ -309,7 +341,7 @@ func regionRARRebuild(sc *scratch, work trialNet, f, d string, cfg Config) int {
 			return removed
 		}
 		fn := work.Node(f)
-		work.SetNodeCover(f, extractNode(sc, nl, b, fn.Fanins, f))
+		work.SetNodeCover(f, extractNode(t, nl, b, fn.Fanins, f))
 	}
 	return removed
 }
@@ -318,16 +350,15 @@ func regionRARRebuild(sc *scratch, work trialNet, f, d string, cfg Config) int {
 // cov): f's structure is patched in per pass and rolled back byte-exactly
 // in between and on return, so b is unchanged afterwards. Only
 // region-local (stopAfter=1, scoped) implications run here — see
-// regionRARRebuild. Returns f's cover after the removals and the number of
-// wires removed.
-func rarPatched(sc *scratch, b *netlist.Build, f, d string, fanins []string, cov cube.Cover) (cube.Cover, int) {
+// regionRARRebuild. Returns f's cover after the removals, in t, and the
+// number of wires removed.
+//
+//bdslint:hotpath
+func rarPatched(sc *scratch, t *trialArena, b *netlist.Build, f, d string, fanins []string, cov cube.Cover) (cube.Cover, int) {
 	nl := b.NL
 	oldNG := b.Nodes[f]
 	nl.BeginTx()
-	defer func() {
-		nl.EndTx()
-		b.Nodes[f] = oldNG
-	}()
+	defer nl.EndTx()
 	work := network.Node{Name: f, Fanins: fanins}
 	removed := 0
 	for pass := 0; pass < 8; pass++ {
@@ -344,8 +375,9 @@ func rarPatched(sc *scratch, b *netlist.Build, f, d string, fanins []string, cov
 		if !changed {
 			break
 		}
-		cov = extractNode(sc, nl, b, fanins, f)
+		cov = extractNode(t, nl, b, fanins, f)
 	}
+	b.Nodes[f] = oldNG
 	return cov, removed
 }
 
@@ -392,20 +424,24 @@ func rarPass(e *atpg.Engine, nl *netlist.Netlist, b *netlist.Build, ng *netlist.
 }
 
 // extractNode reads node f's two-level structure back out of the (mutated)
-// netlist into a cover over the node's current fanins. sc.fanGates holds
-// the fanins' signal gates while it runs.
-func extractNode(sc *scratch, nl *netlist.Netlist, b *netlist.Build, fanins []string, f string) cube.Cover {
+// netlist into a cover over the node's current fanins, single-cube
+// containment minimized, in t: its cubes are built on t's arena and listed
+// in t.ext, which the previous extraction's cover is no longer read from.
+// t.fanGates holds the fanins' signal gates while it runs.
+//
+//bdslint:hotpath
+func extractNode(t *trialArena, nl *netlist.Netlist, b *netlist.Build, fanins []string, f string) cube.Cover {
 	ng := b.Nodes[f]
 	n := len(fanins)
-	sigs := sc.fanGates[:0]
+	sigs := t.fanGates[:0]
 	for _, sig := range fanins {
 		sigs = append(sigs, nl.Signal[sig])
 	}
-	sc.fanGates = sigs
-	cov := cube.NewCover(n)
+	t.fanGates = sigs
+	cubes := t.ext[:0]
 	for _, pin := range nl.Fanins(ng.Out) {
 		// pin is a cube AND gate.
-		c := cube.New(n)
+		c := t.cubes.New(n)
 		for _, lg := range nl.Fanins(pin) {
 			// A gate that is no literal of this node is skipped (shouldn't
 			// happen).
@@ -413,9 +449,12 @@ func extractNode(sc *scratch, nl *netlist.Netlist, b *netlist.Build, fanins []st
 				c.Set(v, p)
 			}
 		}
-		cov.Cubes = append(cov.Cubes, c)
+		cubes = append(cubes, c)
 	}
-	return cov.SCC()
+	t.ext = cubes
+	cov := cube.NewCover(n)
+	cov.Cubes = cubes
+	return cov.SCCInPlace()
 }
 
 // literalOf maps literal gate lg back to (var, phase) given the fanins'
@@ -466,18 +505,20 @@ func appendNodeScope(dst []int, b *netlist.Build, nl *netlist.Netlist, name stri
 	return dst
 }
 
-// unionSignals returns a followed by b's signals not already in a,
+// appendUnion appends a and then b's signals not already in a to dst,
 // preserving first-appearance order. Fanin lists are a handful of signals,
-// so a linear containment scan beats allocating a hash set per call on the
-// trial path.
-func unionSignals(a, b []string) []string {
-	out := append([]string(nil), a...)
+// so a linear containment scan beats a hash set.
+//
+//bdslint:hotpath
+func appendUnion(dst, a, b []string) []string {
+	start := len(dst)
+	dst = append(dst, a...)
 	for _, s := range b {
-		if indexOf(out, s) < 0 {
-			out = append(out, s)
+		if indexOf(dst[start:], s) < 0 {
+			dst = append(dst, s)
 		}
 	}
-	return out
+	return dst
 }
 
 func indexOf(ss []string, s string) int {

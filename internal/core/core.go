@@ -69,15 +69,24 @@ func anyCubeContains(g cube.Cover, c cube.Cube) bool {
 // cubes contained by some cube of d (so d is an SOS of quotientPart) and
 // remainder gets the rest — the first step of basic division (Fig. 2(b)).
 func SplitSOS(f, d cube.Cover) (quotientPart, remainder cube.Cover) {
+	return splitSOS(f, d, nil, nil)
+}
+
+// splitSOS is SplitSOS listing the two parts' cubes in q[:0] and r[:0].
+//
+//bdslint:hotpath
+func splitSOS(f, d cube.Cover, q, r []cube.Cube) (quotientPart, remainder cube.Cover) {
 	n := f.NumVars()
 	quotientPart, remainder = cube.NewCover(n), cube.NewCover(n)
+	q, r = q[:0], r[:0]
 	for _, c := range f.Cubes {
 		if anyCubeContains(d, c) {
-			quotientPart.Cubes = append(quotientPart.Cubes, c)
+			q = append(q, c)
 		} else {
-			remainder.Cubes = append(remainder.Cubes, c)
+			r = append(r, c)
 		}
 	}
+	quotientPart.Cubes, remainder.Cubes = q, r
 	return quotientPart, remainder
 }
 

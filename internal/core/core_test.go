@@ -346,7 +346,7 @@ func TestPropBasicSubsumesAlgebraic(t *testing.T) {
 			continue
 		}
 		// Algebraic attempt (positive phase).
-		union := unionSignals(fn.Fanins, dn.Fanins)
+		union := appendUnion(nil, fn.Fanins, dn.Fanins)
 		fU := network.RemapCover(fn.Cover, fn.Fanins, union)
 		dU := network.RemapCover(dn.Cover, dn.Fanins, union)
 		q, rem := algebraic.WeakDivide(fU, dU)

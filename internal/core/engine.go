@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/algebraic"
 	"repro/internal/cube"
@@ -40,7 +41,10 @@ import (
 //
 //   - A node-form plan (basic, complement-phase or POS division) replaces f
 //     alone: bodies[0] is f's division, raw as planned; once the plan is
-//     chosen, finish replaces it with the body the commit installs.
+//     chosen, finish replaces it with the body the commit installs. On
+//     the default path the body of a plan without gain, which no caller
+//     commits, is the scratch's own and valid only until its next division
+//     (see trialArena.body).
 //   - An extended or single-node pooled plan holds the nodes its overlay
 //     added (the decomposition's core) and the final bodies of the nodes it
 //     replaced (Overlay.Added and Overlay.Changed). When the core is the
@@ -227,15 +231,28 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 		}
 	}
 
-	nodePlan := func(res *DivideResult) plan {
-		return plan{
+	// nodePlan is the plan of a node-form division. On the default path
+	// the division lives in the scratch's trial memory, so only a plan that
+	// gains, the one a caller may keep, copies it out as its body; any
+	// other plan's body stays there. The clone path's division is
+	// heap-built already.
+	nodePlan := func(res DivideResult) plan {
+		p := plan{
 			target:  f,
 			gain:    costBefore - algebraic.FactorLits(res.Cover),
 			node:    true,
 			pos:     res.POS,
 			removed: res.WiresRemoved,
-			bodies:  []*network.Node{{Name: f, Fanins: res.Fanins, Cover: res.Cover}},
 		}
+		if p.gain <= 0 && !sc.noOverlay {
+			p.bodies = sc.trial.body(f, res)
+			return p
+		}
+		if p.gain > 0 {
+			res.keep()
+		}
+		p.bodies = []*network.Node{{Name: f, Fanins: res.Fanins, Cover: res.Cover}}
+		return p
 	}
 
 	if cand.form != formSOP || opt.Config == Basic {
@@ -499,15 +516,36 @@ type evaluator struct {
 	epoch uint64
 }
 
+// scratchPool recycles scratches across Substitute calls, so a flow that
+// calls Substitute many times warms their builders, engines and trial
+// memory once. A scratch goes back only from a Substitute that returned
+// normally, with its memoized base build dropped (see release).
+var scratchPool = sync.Pool{New: func() any { return newScratch() }}
+
 func newEvaluator(workers int) *evaluator {
 	if workers < 1 {
 		workers = 1
 	}
 	ev := &evaluator{workers: workers, scratches: make([]*scratch, workers)}
 	for i := range ev.scratches {
-		ev.scratches[i] = newScratch()
+		ev.scratches[i] = scratchPool.Get().(*scratch)
 	}
 	return ev
+}
+
+// release hands ev's scratches back to the pool, each with its memoized
+// base build dropped: the next Substitute may run on the same *Network
+// with its commit epoch back at 0, and the edits a flow makes between
+// the calls bump no epoch, so a kept build would pass for current. A
+// Substitute that panics never releases, so a scratch stopped in the
+// middle of a trial is never reused.
+func (ev *evaluator) release() {
+	for i, sc := range ev.scratches {
+		sc.pin, sc.sharedFor, sc.sharedBuild = nil, nil, nil
+		sc.epoch, sc.sharedEpoch = 0, 0
+		scratchPool.Put(sc)
+		ev.scratches[i] = nil
+	}
 }
 
 // serial returns the serial path's scratch, tagged with the current commit

@@ -71,7 +71,7 @@ func voteTable(sc *scratch, nw network.Reader, f string, divisors []string, cfg 
 		if dn == nil || d == f || nw.DependsOn(d, f) {
 			return voteSet{}, false
 		}
-		union = unionSignals(union, dn.Fanins)
+		union = appendUnion(nil, union, dn.Fanins)
 	}
 
 	b := sc.baseBuild(nw)
@@ -246,7 +246,7 @@ func ExtendedDivide(nw network.Reader, f, d string, cfg Config) (*network.Networ
 // division of the pair.
 type extDivision struct {
 	work  trialNet
-	res   *DivideResult
+	res   DivideResult
 	dec   *Decomposition
 	whole string
 }
@@ -263,17 +263,20 @@ func (x extDivision) materialize(sc *scratch, nw network.Reader, f string, cfg C
 	} else {
 		p.setWork(x.work)
 	}
-	return installed(nw, p), x.res, x.dec, true
+	return installed(nw, p), &x.res, x.dec, true
 }
 
 // wholePlan is the plan of extended division of f whose core is the whole
 // divisor d: f's basic division by d over the whole network, installed
 // normalized but not minimized. d is unchanged, so the gain is f's alone.
-func wholePlan(sc *scratch, nw network.Reader, f, d string, cfg Config) (plan, *DivideResult, bool) {
+// The division is copied out of the scratch's trial memory first, since
+// Normalize may hand back the cover it was given.
+func wholePlan(sc *scratch, nw network.Reader, f, d string, cfg Config) (plan, DivideResult, bool) {
 	res, ok := divide(sc, nw, nil, f, candidate{name: d}, cfg)
 	if !ok {
-		return plan{}, nil, false
+		return plan{}, DivideResult{}, false
 	}
+	res.keep()
 	fanins, cover := network.Normalize(res.Fanins, res.Cover)
 	return plan{
 		target:  f,
@@ -342,6 +345,7 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (ex
 	if !ok {
 		return extDivision{}, false
 	}
+	res.keep()
 	if err := work.ReplaceNodeFunction(f, res.Fanins, res.Cover); err != nil {
 		return extDivision{}, false
 	}

@@ -89,7 +89,7 @@ func TestSelectCorePicksSharedIntersection(t *testing.T) {
 		t.Fatal("votes failed")
 	}
 	fn, hn := nw.Node("f"), nw.Node("h")
-	union := unionSignals(fn.Fanins, hn.Fanins)
+	union := appendUnion(nil, fn.Fanins, hn.Fanins)
 	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
 	hU := network.RemapCover(hn.Cover, hn.Fanins, union)
 	mask, score := SelectCore(votes, hU.Cubes, fU)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/blif"
+	"repro/internal/network"
 	"repro/internal/verify"
 )
 
@@ -112,6 +113,26 @@ func TestOverlayAuditDetectsCorruptedPlan(t *testing.T) {
 	})
 	if corrupted == 0 {
 		t.Fatal("pooled: no cross-node core was corrupted")
+	}
+
+	// Node-form plan without gain: its body is never committed, but the
+	// audit still compares it. The corruption drops its cover's last cube
+	// on a copy, leaving gain and form alone.
+	corrupted = 0
+	overlayAuditCorrupt = func(p *plan) {
+		if !p.node || p.gain > 0 || len(p.bodies) != 1 || p.bodies[0].Cover.NumCubes() == 0 {
+			return
+		}
+		b := *p.bodies[0]
+		b.Cover.Cubes = b.Cover.Cubes[:b.Cover.NumCubes()-1]
+		p.bodies = []*network.Node{&b}
+		corrupted++
+	}
+	expectAuditPanic("no gain", func() {
+		Substitute(bench.Get("rnd_a"), Options{Config: Basic, Workers: 1, Audit: true})
+	})
+	if corrupted == 0 {
+		t.Fatal("no gain: no node-form plan without gain was corrupted")
 	}
 }
 

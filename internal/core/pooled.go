@@ -92,6 +92,7 @@ func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []s
 	if !ok {
 		return extDivision{}, "", false
 	}
+	res.keep()
 	if err := work.ReplaceNodeFunction(f, res.Fanins, res.Cover); err != nil {
 		return extDivision{}, "", false
 	}

@@ -2,14 +2,18 @@ package core
 
 import (
 	"repro/internal/atpg"
+	"repro/internal/cube"
 	"repro/internal/netlist"
 	"repro/internal/network"
 )
 
-// scratch is the per-worker arena for division trials: netlist builders and
-// implication engines, all reset (not reallocated) between trials. A scratch
-// is owned by exactly one goroutine at a time and carries no result-visible
-// state across trials — only raw capacity and the memoized base build below.
+// scratch is the per-worker arena for division trials: netlist builders,
+// implication engines and the node-form trial memory, all reset (not
+// reallocated) between trials. A scratch is owned by exactly one goroutine
+// at a time and carries no result-visible state across trials — only raw
+// capacity and the memoized base build below. Scratches outlive a
+// Substitute call in a pool, which drops the memoized build (see
+// evaluator.release).
 //
 // Three builders with distinct roles keep the patched trials' netlists
 // alive across trials without aliasing:
@@ -40,8 +44,9 @@ type scratch struct {
 	// scope is the region-scope list handed to the next engine() call,
 	// which copies it; it is rebuilt in place for every trial.
 	scope []int
-	// fanGates is extractNode's list of the node's fanin signal gates.
-	fanGates []int
+	// trial is the default path's node-form division memory, released by
+	// every division (see trialMem).
+	trial trialArena
 
 	// pin is the one reader whose base build may be memoized in bShared: the
 	// live network the evaluator is currently planning against, set by
@@ -71,6 +76,70 @@ type scratch struct {
 	// Quotient and Remainder. Only the public one-shot wrappers read them
 	// (see oneShot); engine trials skip the split and its allocations.
 	parts bool
+}
+
+// trialArena is what one node-form division builds and drops: the union
+// fanin list (with the divisor signal appended when it is not among them),
+// f and d remapped into it, the SOS split, the tentative cover and the
+// cover every RAR pass extracts, with all their cube words on one cube
+// arena. A division's fanins and cover live here until the next division
+// on the same scratch, so whoever keeps them copies them out (see
+// DivideResult.keep).
+type trialArena struct {
+	cubes cube.Arena
+	space []string
+	// The cube lists of f and d remapped, the SOS split's two parts, the
+	// tentative cover and the latest extraction.
+	fU, dU, q, r, tent, ext []cube.Cube
+	// at is the list of fanin positions a remap reads; fanGates is
+	// extractNode's list of the node's fanin signal gates.
+	at, fanGates []int
+	// node and nodes hold the body of the latest plan without gain (see
+	// body).
+	node  network.Node
+	nodes [1]*network.Node
+}
+
+// trialMem returns the memory for the next division, released: the
+// scratch's own arena on the default path, and a fresh one — heap memory
+// nothing recycles — on the clone path, which Options.Audit replays as the
+// heap-built oracle, and for the one-shot wrappers, whose callers keep
+// what a division returns.
+//
+//bdslint:hotpath
+func (sc *scratch) trialMem() *trialArena {
+	if sc.noOverlay || sc.parts {
+		return new(trialArena)
+	}
+	sc.trial.cubes.Release(0)
+	return &sc.trial
+}
+
+// remap returns f moved from the space fanins into the space dst, which
+// holds every fanin: its cubes are built on t's arena and listed in *buf.
+//
+//bdslint:hotpath
+func (t *trialArena) remap(buf *[]cube.Cube, f cube.Cover, fanins, dst []string) cube.Cover {
+	t.at = t.at[:0]
+	for _, s := range fanins {
+		t.at = append(t.at, indexOf(dst, s))
+	}
+	*buf = network.AppendRemapped((*buf)[:0], &t.cubes, f, t.at, len(dst))
+	out := cube.NewCover(len(dst))
+	out.Cubes = *buf
+	return out
+}
+
+// body returns res as node f's body in a one-element list t owns: the body
+// of a plan no caller keeps, which like res is valid only until the
+// scratch's next division. It is there for Options.Audit and the window
+// tests, which compare every plan's body with the clone path's.
+//
+//bdslint:hotpath
+func (t *trialArena) body(f string, res DivideResult) []*network.Node {
+	t.node = network.Node{Name: f, Fanins: res.Fanins, Cover: res.Cover}
+	t.nodes[0] = &t.node
+	return t.nodes[:]
 }
 
 func newScratch() *scratch {

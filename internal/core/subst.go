@@ -270,6 +270,7 @@ func Substitute(nw *network.Network, opt Options) Stats {
 	st.SigCacheHits, st.SigCacheMisses = nc.sigHits, nc.sigMisses
 	st.ComplCacheHits, st.ComplCacheMisses = nc.complHits, nc.complMisses
 	st.LitsAfter = nw.FactoredLits()
+	ev.release()
 	return st
 }
 
@@ -404,8 +405,10 @@ type sigLit struct {
 	neg bool
 }
 
+// newNodeCache returns an empty cache whose entry arena is sized to nw's
+// signals, so only the signals a commit adds can regrow it.
 func newNodeCache(nw *network.Network) *nodeCache {
-	return &nodeCache{nw: nw}
+	return &nodeCache{nw: nw, e: make([]nodeEntry, 0, nw.NumSigs())}
 }
 
 // slot grows the entry arena to cover id and returns its entry.

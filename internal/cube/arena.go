@@ -20,6 +20,19 @@ func (a *Arena) Mark() int { return len(a.words) }
 // Release frees every cube built since Mark returned m.
 func (a *Arena) Release(m int) { a.words = a.words[:m] }
 
+// New returns the universal cube over n variables, built on the arena.
+//
+//bdslint:hotpath
+func (a *Arena) New(n int) Cube {
+	top := len(a.words)
+	nw := (n + varsPerWord - 1) / varsPerWord
+	for i := 0; i < nw; i++ {
+		a.words = append(a.words, fullMask(n, i))
+	}
+	end := len(a.words)
+	return Cube{w: a.words[top:end:end], n: n}
+}
+
 // Clone returns an arena copy of c.
 //
 //bdslint:hotpath

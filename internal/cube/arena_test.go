@@ -60,3 +60,13 @@ func TestArenaMatchesHeapOps(t *testing.T) {
 		t.Errorf("a warmed arena allocated %.0f times", allocs)
 	}
 }
+
+// TestArenaNew checks that an arena-built universal cube equals New's.
+func TestArenaNew(t *testing.T) {
+	var a Arena
+	for _, n := range []int{0, 5, 32, 40, 70} {
+		if c := a.New(n); !c.Equal(New(n)) {
+			t.Fatalf("Arena.New(%d) = %v, want %v", n, c, New(n))
+		}
+	}
+}

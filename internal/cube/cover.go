@@ -140,43 +140,57 @@ func (f Cover) Cofactor(p Cube) Cover {
 // and cubes contained in another cube of the cover. The result is returned;
 // f is unchanged.
 func (f Cover) SCC() Cover {
-	if len(f.Cubes) == 0 {
-		return NewCover(f.n)
-	}
-	if len(f.Cubes) == 1 {
-		return Cover{n: f.n, Cubes: []Cube{f.Cubes[0]}}
-	}
-	// Sort by decreasing cube size (fewer literals first => bigger cubes
-	// first) so one pass suffices. Stable insertion sort on precomputed
-	// literal counts — same order sort.SliceStable produced, without the
-	// reflection machinery (SCC is on the hot path of Complement and the
-	// minimizer).
-	cs := make([]Cube, len(f.Cubes))
-	copy(cs, f.Cubes)
-	lits := make([]int, len(cs))
-	for i, c := range cs {
-		lits[i] = c.NumLits()
-	}
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && lits[j] < lits[j-1]; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-			lits[j], lits[j-1] = lits[j-1], lits[j]
-		}
-	}
 	g := NewCover(f.n)
+	g.Cubes = append([]Cube(nil), f.Cubes...)
+	return g.SCCInPlace()
+}
+
+// SCCInPlace is SCC on f's own cube list, without allocating: it reorders
+// f.Cubes, keeps the surviving cubes in a prefix of it and returns the
+// cover over that prefix. The cubes' words are not touched; the order of
+// f.Cubes is not kept.
+//
+//bdslint:hotpath
+func (f Cover) SCCInPlace() Cover {
+	cs := f.Cubes
+	// Sort by decreasing cube size (fewer literals first => bigger cubes
+	// first) so one pass suffices: a stable binary insertion sort on
+	// literal count, the order sort.SliceStable produced without its
+	// reflection machinery, counting each cube's literals O(log n) times.
+	for i := 1; i < len(cs); i++ {
+		c, lits := cs[i], cs[i].NumLits()
+		if cs[i-1].NumLits() <= lits {
+			continue
+		}
+		// c goes before the first cube of the sorted prefix with more
+		// literals.
+		lo, hi := 0, i-1
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if cs[m].NumLits() > lits {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		copy(cs[lo+1:i+1], cs[lo:i])
+		cs[lo] = c
+	}
+	kept := 0
 	for _, c := range cs {
-		kept := true
-		for _, k := range g.Cubes {
+		contained := false
+		for _, k := range cs[:kept] {
 			if k.Contains(c) {
-				kept = false
+				contained = true
 				break
 			}
 		}
-		if kept {
-			g.Cubes = append(g.Cubes, c)
+		if !contained {
+			cs[kept] = c
+			kept++
 		}
 	}
-	return g
+	return Cover{n: f.n, Cubes: cs[:kept]}
 }
 
 // IsTautology reports whether the cover equals the constant-1 function,

@@ -2,6 +2,7 @@ package cube
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -220,6 +221,74 @@ func TestSCC(t *testing.T) {
 	}
 	if !f.Equivalent(g) {
 		t.Error("SCC changed the function")
+	}
+}
+
+// sccReference is single-cube containment as SCC first defined it: a
+// stable sort on literal count, then a pass that keeps each cube no kept
+// cube contains.
+func sccReference(f Cover) Cover {
+	cs := append([]Cube(nil), f.Cubes...)
+	sort.SliceStable(cs, func(i, j int) bool { return cs[i].NumLits() < cs[j].NumLits() })
+	g := NewCover(f.n)
+	for _, c := range cs {
+		contained := false
+		for _, k := range g.Cubes {
+			contained = contained || k.Contains(c)
+		}
+		if !contained {
+			g.Cubes = append(g.Cubes, c)
+		}
+	}
+	return g
+}
+
+// TestSCCMatchesStableSortReference checks SCC and SCCInPlace against
+// sccReference on random covers with duplicate and contained cubes: the
+// same cubes in the same order, SCC's input left as it was, and
+// SCCInPlace allocation-free.
+func TestSCCMatchesStableSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	same := func(a, b Cover) bool {
+		if a.NumVars() != b.NumVars() || len(a.Cubes) != len(b.Cubes) {
+			return false
+		}
+		for k := range a.Cubes {
+			if !a.Cubes[k].Equal(b.Cubes[k]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < 2000; i++ {
+		n := []int{4, 40}[i%2]
+		maxCubes := 9
+		if i%3 == 0 {
+			maxCubes = 40
+		}
+		f := NewCover(n)
+		for k := rng.Intn(maxCubes); k > 0; k-- {
+			c := randomCube(rng, n)
+			f.Cubes = append(f.Cubes, c)
+			if rng.Intn(3) == 0 {
+				f.Cubes = append(f.Cubes, c.With(rng.Intn(n), Free))
+			}
+		}
+		in := f.Clone()
+		want := sccReference(f)
+		if got := f.SCC(); !same(got, want) || !same(f, in) {
+			t.Fatalf("SCC(%v) = %v, want %v (input now %v)", in, got, want, f)
+		}
+		if got := f.SCCInPlace(); !same(got, want) {
+			t.Fatalf("SCCInPlace(%v) = %v, want %v", in, got, want)
+		}
+	}
+	f := NewCover(6)
+	for k := 5; k >= 0; k-- {
+		f.Cubes = append(f.Cubes, New(6).With(k, Pos))
+	}
+	if allocs := testing.AllocsPerRun(50, func() { f.SCCInPlace() }); allocs != 0 {
+		t.Errorf("SCCInPlace allocated %.0f times", allocs)
 	}
 }
 

@@ -67,6 +67,9 @@ type Netlist struct {
 	// appends an undo record.
 	tx   []txOp
 	txOn bool
+	// patched holds the NodeGates PatchNode hands out and the cube-gate
+	// lists they point into, released with the transaction's journal.
+	patched gateArena
 }
 
 // NodeGates records the two-level structure built for one network node.
@@ -195,6 +198,44 @@ func (nl *Netlist) AddPin(g, src int) int {
 	return len(nl.gates[g].fanins) - 1
 }
 
+// gateArena bump-allocates NodeGates records and their cube-gate lists for
+// the netlist layer's builders, so building a node allocates nothing once
+// the arena has grown to size. A record or list handed out stays valid
+// until reset: a regrowth leaves the earlier ones on the old backing, where
+// they stay valid and unchanged, since a record is complete before the
+// next one is started.
+type gateArena struct {
+	ngs   []NodeGates
+	cubes []int
+}
+
+// reset releases every record and list handed out.
+func (a *gateArena) reset() {
+	a.ngs = a.ngs[:0]
+	a.cubes = a.cubes[:0]
+}
+
+// node returns a fresh record whose Cubes list the caller fills with
+// addCube and closes with done.
+//
+//bdslint:hotpath
+func (a *gateArena) node() *NodeGates {
+	a.ngs = append(a.ngs, NodeGates{})
+	ng := &a.ngs[len(a.ngs)-1]
+	top := len(a.cubes)
+	ng.Cubes = a.cubes[top:top:top]
+	return ng
+}
+
+// addCube appends cube gate g to ng, the record node returned last.
+//
+//bdslint:hotpath
+func (a *gateArena) addCube(ng *NodeGates, g int) {
+	start := len(a.cubes) - len(ng.Cubes)
+	a.cubes = append(a.cubes, g)
+	ng.Cubes = a.cubes[start:len(a.cubes):len(a.cubes)]
+}
+
 // Builder state tying a netlist to the network it came from.
 type Build struct {
 	NL *Netlist
@@ -231,6 +272,8 @@ type Builder struct {
 	epoch    uint32
 	// ins and outs are Build's primary-input and primary-output ID lists.
 	ins, outs []network.SigID
+	// gates holds the current build's NodeGates records.
+	gates gateArena
 }
 
 // NewBuilder returns an empty Builder ready for its first Build call.
@@ -302,6 +345,7 @@ func (b *Builder) BuildRegion(nw network.Reader, ins, nodes, outs []network.SigI
 		b.build.NL.Reset()
 		clear(b.build.Nodes)
 	}
+	b.gates.reset()
 	b.epoch++
 	if b.epoch == 0 { // wraparound: stale tags could collide, reset them all
 		clear(b.sigEpoch)
@@ -332,10 +376,13 @@ func (b *Builder) BuildRegion(nw network.Reader, ins, nodes, outs []network.SigI
 }
 
 // buildNode creates the canonical AND-OR structure for one node, resolving
-// fanins through the dense-ID arena (fids is parallel to n.Fanins).
+// fanins through the dense-ID arena (fids is parallel to n.Fanins). Its
+// record comes from the builder's gate arena.
+//
+//bdslint:hotpath
 func (b *Builder) buildNode(n *network.Node, fids []network.SigID) *NodeGates {
 	nl := b.build.NL
-	ng := &NodeGates{Cubes: make([]int, 0, n.Cover.NumCubes())}
+	ng := b.gates.node()
 	for _, c := range n.Cover.Cubes {
 		fan := b.build.fan[:0]
 		for v := 0; v < c.NumVars(); v++ {
@@ -347,7 +394,7 @@ func (b *Builder) buildNode(n *network.Node, fids []network.SigID) *NodeGates {
 			}
 		}
 		b.build.fan = fan
-		ng.Cubes = append(ng.Cubes, nl.AddGate(And, fan...))
+		b.gates.addCube(ng, nl.AddGate(And, fan...))
 	}
 	ng.Out = nl.AddGate(Or, ng.Cubes...)
 	return ng

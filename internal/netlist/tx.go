@@ -48,12 +48,14 @@ func (nl *Netlist) BeginTx() {
 
 // RollbackTx undoes every journaled mutation in reverse order, restoring the
 // netlist byte-exactly to its state at BeginTx (or the previous
-// RollbackTx). The transaction stays open.
+// RollbackTx), and releases the NodeGates PatchNode handed out since. The
+// transaction stays open.
 func (nl *Netlist) RollbackTx() {
 	for i := len(nl.tx) - 1; i >= 0; i-- {
 		nl.undo(nl.tx[i])
 	}
 	nl.tx = nl.tx[:0]
+	nl.patched.reset()
 }
 
 // EndTx rolls back any outstanding mutations and closes the transaction.
@@ -119,18 +121,24 @@ func (nl *Netlist) undo(op txOp) {
 //
 // The caller must hold an open transaction: RollbackTx restores the netlist
 // byte-exactly, and the caller restores its own Nodes[name] entry (PatchNode
-// overwrites it with the new structure).
+// overwrites it with the new structure). The returned NodeGates comes from
+// the netlist's patch arena and is valid until the next RollbackTx or
+// EndTx, so several nodes may be patched in one transaction. The node's OR
+// gate is found through Signal, so a Nodes entry a rolled-back patch left
+// behind is never read.
+//
+//bdslint:hotpath
 func (b *Build) PatchNode(name string, n *network.Node) *NodeGates {
 	nl := b.NL
 	if !nl.txOn {
 		panic("netlist: PatchNode outside a transaction")
 	}
-	old := b.Nodes[name]
-	out := old.Out
+	out := nl.Signal[name]
 	for pin := len(nl.gates[out].fanins) - 1; pin >= 0; pin-- {
 		nl.RemovePin(out, pin)
 	}
-	ng := &NodeGates{Out: out, Cubes: make([]int, 0, n.Cover.NumCubes())}
+	ng := nl.patched.node()
+	ng.Out = out
 	for _, c := range n.Cover.Cubes {
 		fan := b.fan[:0]
 		for v := 0; v < c.NumVars(); v++ {
@@ -143,7 +151,7 @@ func (b *Build) PatchNode(name string, n *network.Node) *NodeGates {
 		}
 		b.fan = fan
 		g := nl.AddGate(And, fan...)
-		ng.Cubes = append(ng.Cubes, g)
+		nl.patched.addCube(ng, g)
 		nl.AddPin(out, g)
 	}
 	b.Nodes[name] = ng

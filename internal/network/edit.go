@@ -121,21 +121,31 @@ func appendIndexes(at []int, fanins, dst []string) []int {
 	return at
 }
 
-// remapAt moves f into an n-variable space, variable v going to at[v]. Only
-// literals are copied, so a variable no cube uses may map to -1.
+// remapAt moves f into an n-variable space, variable v going to at[v], on
+// the heap.
 func remapAt(f cube.Cover, at []int, n int) cube.Cover {
+	var a cube.Arena
 	out := cube.NewCover(n)
-	out.Cubes = make([]cube.Cube, 0, len(f.Cubes))
+	out.Cubes = AppendRemapped(make([]cube.Cube, 0, len(f.Cubes)), &a, f, at, n)
+	return out
+}
+
+// AppendRemapped appends f's cubes moved into an n-variable space, variable
+// v going to at[v], to dst, building them on a. Only literals are copied,
+// so a variable no cube uses may map to -1.
+//
+//bdslint:hotpath
+func AppendRemapped(dst []cube.Cube, a *cube.Arena, f cube.Cover, at []int, n int) []cube.Cube {
 	for _, c := range f.Cubes {
-		k := cube.New(n)
+		k := a.New(n)
 		for v, to := range at {
 			if p := c.Get(v); p == cube.Pos || p == cube.Neg {
 				k.Set(to, p)
 			}
 		}
-		out.Cubes = append(out.Cubes, k)
+		dst = append(dst, k)
 	}
-	return out
+	return dst
 }
 
 // Sweep removes nodes not reachable from any primary output, propagates

@@ -4,15 +4,45 @@ import (
 	"sort"
 
 	"repro/internal/algebraic"
+	"repro/internal/cube"
 	"repro/internal/network"
 )
 
 // Seams for the external tests in package opt_test, which import
 // internal/script and so cannot live in package opt.
 var (
-	BestKernel    = bestKernel
-	ExtractKernel = extractKernel
+	BestKernel         = bestKernel
+	ExtractKernel      = extractKernel
+	PlanAlgebraicResub = planAlgebraicResub
 )
+
+// PlanAlgebraicResubUnfiltered is planAlgebraicResub without the literal
+// prefilter: both phases are divided whatever signals the divisor reads.
+// It is the reference the prefilter must reproduce, plan for plan.
+func PlanAlgebraicResubUnfiltered(nw network.Reader, f, d string, useComplement bool) []algPlan {
+	fn, dn := nw.Node(f), nw.Node(d)
+	if dn.Cover.IsZero() || (dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {
+		return nil
+	}
+	union := unionSignals(fn.Fanins, dn.Fanins)
+	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
+	dU := network.RemapCover(dn.Cover, dn.Fanins, union)
+	before := algebraic.FactorLits(fn.Cover)
+
+	var out []algPlan
+	if p, ok := planQuotient(union, fU, dU, d, cube.Pos, before); ok {
+		out = append(out, p)
+	}
+	if useComplement {
+		if dc, ok := dn.Cover.ComplementAtMost(24); ok && !dc.IsZero() {
+			dcU := network.RemapCover(dc, dn.Fanins, union)
+			if p, ok := planQuotient(union, fU, dcU, d, cube.Neg, before); ok {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
+}
 
 // BestKernelUnfiltered is bestKernel without the fanin prefilter: every
 // kernel is divided into every node. It is the reference the prefilter must

@@ -44,13 +44,16 @@ func ResubAlgebraic(nw *network.Network, useComplement bool) int {
 	for pass := 0; pass < 2; pass++ {
 		changed := false
 		names := nw.TopoOrder()
+		// The divisor order: no resubstitution adds or removes a node, so
+		// the pass sorts the names once.
+		divisors := nw.SortedNodeNames()
 		for i := len(names) - 1; i >= 0; i-- {
 			f := names[i]
 			fn := nw.Node(f)
 			if fn == nil || fn.Cover.IsZero() {
 				continue
 			}
-			if resubNode(nw, f, useComplement) {
+			if resubNode(nw, f, divisors, useComplement) {
 				count++
 				changed = true
 			}
@@ -63,10 +66,10 @@ func ResubAlgebraic(nw *network.Network, useComplement bool) int {
 }
 
 // resubNode commits the first positive-gain algebraic resubstitution of f,
-// trying every node that does not depend on f as the divisor. Reports
-// whether one was committed.
-func resubNode(nw *network.Network, f string, useComplement bool) bool {
-	for _, d := range nw.SortedNodeNames() {
+// trying every node of divisors (the network's node names, sorted) that
+// does not depend on f as the divisor. Reports whether one was committed.
+func resubNode(nw *network.Network, f string, divisors []string, useComplement bool) bool {
+	for _, d := range divisors {
 		if d == f || nw.DependsOn(d, f) {
 			continue
 		}
@@ -90,29 +93,57 @@ type algPlan struct {
 // when useComplement is set) without mutating the network. The returned
 // plans are in the order resubNode tries them (positive phase first); it
 // commits the first that applies.
+//
+// A phase whose divisor cover has a literal on a signal that is not a
+// fanin of f is skipped before the union and the remapped covers are
+// built: no cube of f contains that divisor cube, so weak division's
+// quotient is empty. The complement phase checks the complement's own
+// literals, since complementing can drop an inessential one.
 func planAlgebraicResub(nw network.Reader, f, d string, useComplement bool) []algPlan {
 	fn, dn := nw.Node(f), nw.Node(d)
 	if dn.Cover.IsZero() || (dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {
 		return nil
 	}
+	pos := literalsWithin(dn.Cover, dn.Fanins, fn.Fanins)
+	var dc cube.Cover
+	neg := false
+	if useComplement {
+		var ok bool
+		dc, ok = dn.Cover.ComplementAtMost(24)
+		neg = ok && !dc.IsZero() && literalsWithin(dc, dn.Fanins, fn.Fanins)
+	}
+	if !pos && !neg {
+		return nil
+	}
 	union := unionSignals(fn.Fanins, dn.Fanins)
 	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
-	dU := network.RemapCover(dn.Cover, dn.Fanins, union)
 	before := algebraic.FactorLits(fn.Cover)
 
 	var out []algPlan
-	if p, ok := planQuotient(union, fU, dU, d, cube.Pos, before); ok {
-		out = append(out, p)
+	if pos {
+		dU := network.RemapCover(dn.Cover, dn.Fanins, union)
+		if p, ok := planQuotient(union, fU, dU, d, cube.Pos, before); ok {
+			out = append(out, p)
+		}
 	}
-	if useComplement {
-		if dc, ok := dn.Cover.ComplementAtMost(24); ok && !dc.IsZero() {
-			dcU := network.RemapCover(dc, dn.Fanins, union)
-			if p, ok := planQuotient(union, fU, dcU, d, cube.Neg, before); ok {
-				out = append(out, p)
-			}
+	if neg {
+		dcU := network.RemapCover(dc, dn.Fanins, union)
+		if p, ok := planQuotient(union, fU, dcU, d, cube.Neg, before); ok {
+			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// literalsWithin reports whether every literal of cov, a cover over
+// fanins, is on a signal of within.
+func literalsWithin(cov cube.Cover, fanins, within []string) bool {
+	for v, s := range fanins {
+		if indexOf(within, s) < 0 && cov.HasVar(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // planQuotient divides fU by divisor cover div (representing signal d in
