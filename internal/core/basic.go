@@ -211,7 +211,7 @@ func divisorDependsOn(nw network.Reader, win *window, f, d string) bool {
 // Only the dividend is rewritten, so the default paths take no working
 // copy: f's structure is patched into a netlist of nw per pass — the
 // carved window's region when win is set, else nw's base build (memoized
-// per commit epoch for the live network). The divisor-cycle check has
+// per network version for the live network). The divisor-cycle check has
 // already refused d, and every other new fanin is one of f's or d's own,
 // so the rewrite cannot close a cycle. The clone path (noOverlay, the
 // Audit reference) and GDC trials instead install f's structure in a

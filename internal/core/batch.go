@@ -157,12 +157,12 @@ type batchScheduler struct {
 	claim network.ConeArena
 
 	// carry is the member whose claim conflict ended the previous batch,
-	// built against the network of commit epoch carryEpoch. The next batch
-	// starts at its slot and reuses it there when nothing has committed
-	// since: the network it was built against is then the current one, so
-	// rebuilding would reproduce it exactly. Cleared at pass start.
-	carry      *batchMember
-	carryEpoch uint64
+	// built against the network at version carryVersion. The next batch
+	// starts at its slot and reuses it there when the network is still at
+	// that version: rebuilding would then reproduce it exactly. Cleared at
+	// pass start.
+	carry        *batchMember
+	carryVersion uint64
 
 	// dirtyCone/dirtySupp are the sweep's conflict marks (one generation
 	// per sweep): dirtyCone holds touched targets plus their transitive
@@ -229,7 +229,7 @@ scan:
 			if !s.claimAll(m.fp) {
 				// Cone conflict: the batch ends before m, and the next
 				// batch starts at m.
-				s.carry, s.carryEpoch = m, r.ev.epoch
+				s.carry, s.carryVersion = m, nw.Version()
 				break scan
 			}
 			claiming++
@@ -242,16 +242,16 @@ scan:
 	}
 
 	// Fewer than two claiming members: batching buys nothing — run the
-	// prefix through the plain serial sequence. Until something commits,
-	// the network is the one phase A built the members against, so their
-	// candidate lists are exactly what substituteNode would rebuild; after
-	// that, each member starts from scratch.
+	// prefix through the plain serial sequence. While the network is at the
+	// version phase A built the members against, their candidate lists are
+	// exactly what substituteNode would rebuild; after that, each member
+	// starts from scratch.
 	if claiming <= 1 || solo {
 		changed := false
-		built := r.ev.epoch
+		built := nw.Version()
 		for _, m := range s.members {
 			var ch bool
-			if m.trivial || r.ev.epoch != built {
+			if m.trivial || nw.Version() != built {
 				ch = r.substituteNode(m.id)
 			} else {
 				ch = r.runSeq(&m.trialSeq)
@@ -285,9 +285,6 @@ scan:
 // reaches the caller's recover instead of killing the process.
 func (s *batchScheduler) runMembers(work []*batchMember) {
 	ev := s.r.ev
-	for _, sc := range ev.scratches {
-		sc.epoch = ev.epoch
-	}
 	n := ev.workers
 	if n > len(work) {
 		n = len(work)
@@ -348,7 +345,7 @@ func (s *batchScheduler) takeCarry(pos int, id network.SigID) *batchMember {
 	if m == nil {
 		return nil
 	}
-	if m.pos != pos || m.id != id || s.carryEpoch != s.r.ev.epoch {
+	if m.pos != pos || m.id != id || s.carryVersion != s.r.nw.Version() {
 		s.release(m)
 		return nil
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -109,7 +110,7 @@ func installed(nw network.Reader, p plan) *network.Network {
 // concurrently on the same Reader as long as each call owns its scratch.
 //
 // planPair pins nw as the scratch's live reader — enabling the memoized
-// shared base build every node-form trial of the epoch patches — and, under
+// shared base build every node-form trial at nw's version patches — and, under
 // Options.Audit, re-runs the whole trial on the historical deep-clone path
 // and panics unless the two plans agree byte-for-byte.
 //
@@ -501,57 +502,65 @@ func commitPlan(nw *network.Network, p plan, opt Options, nc *nodeCache, st *Sta
 	return true
 }
 
-// evaluator owns the planner scratch arenas and the commit epoch. The
-// serial path plans on scratches[0]; only the batch scheduler's phase B
-// (batch.go) fans members out over all workers, one scratch per worker.
+// evaluator owns the planner scratch arenas. The serial path plans on
+// scratches[0]; only the batch scheduler's phase B (batch.go) fans members
+// out over all workers, one scratch per worker.
 type evaluator struct {
 	workers   int
 	scratches []*scratch
-	// epoch counts live-network mutation attempts. Each scratch tags its
-	// memoized shared base build with the epoch it was built in (see
-	// scratch.baseBuild), so no base is ever patched after the network it
-	// snapshots may have changed. Even a depth-rejected commit — undone
-	// byte-exactly — bumps it: one redundant rebuild is cheaper than
-	// reasoning about undo fidelity here.
-	epoch uint64
 }
 
 // scratchPool recycles scratches across Substitute calls, so a flow that
 // calls Substitute many times warms their builders, engines and trial
-// memory once. A scratch goes back only from a Substitute that returned
-// normally, with its memoized base build dropped (see release).
-var scratchPool = sync.Pool{New: func() any { return newScratch() }}
+// memory once. It is a free list rather than a sync.Pool, so how much a
+// run allocates does not depend on when the GC runs. It holds at most
+// max(GOMAXPROCS, Workers of the call that last released) scratches (see
+// release), and a retained scratch keeps the capacity of the largest
+// network it planned. A scratch goes back only from a Substitute that
+// returned normally.
+var scratchPool struct {
+	sync.Mutex
+	free []*scratch
+}
 
 func newEvaluator(workers int) *evaluator {
 	if workers < 1 {
 		workers = 1
 	}
 	ev := &evaluator{workers: workers, scratches: make([]*scratch, workers)}
+	scratchPool.Lock()
+	defer scratchPool.Unlock()
 	for i := range ev.scratches {
-		ev.scratches[i] = scratchPool.Get().(*scratch)
+		if n := len(scratchPool.free); n > 0 {
+			ev.scratches[i] = scratchPool.free[n-1]
+			scratchPool.free = scratchPool.free[:n-1]
+		} else {
+			ev.scratches[i] = newScratch()
+		}
 	}
 	return ev
 }
 
-// release hands ev's scratches back to the pool, each with its memoized
-// base build dropped: the next Substitute may run on the same *Network
-// with its commit epoch back at 0, and the edits a flow makes between
-// the calls bump no epoch, so a kept build would pass for current. A
-// Substitute that panics never releases, so a scratch stopped in the
-// middle of a trial is never reused.
+// release hands ev's scratches back to the free list, each with its
+// memoized base build dropped, so the list keeps neither the network nor
+// a netlist of it alive. They go back last to first, so the next call's
+// serial scratch is this call's, already grown to the serial path's
+// working size. The list then keeps only its newest max(GOMAXPROCS,
+// len(ev.scratches)) scratches: a call gets back every scratch it used,
+// but neither concurrent calls nor an earlier call with more workers keep
+// more on the list. A Substitute that panics never releases, so a scratch
+// stopped in the middle of a trial is never reused.
 func (ev *evaluator) release() {
-	for i, sc := range ev.scratches {
+	scratchPool.Lock()
+	defer scratchPool.Unlock()
+	for i := len(ev.scratches) - 1; i >= 0; i-- {
+		sc := ev.scratches[i]
 		sc.pin, sc.sharedFor, sc.sharedBuild = nil, nil, nil
-		sc.epoch, sc.sharedEpoch = 0, 0
-		scratchPool.Put(sc)
+		scratchPool.free = append(scratchPool.free, sc)
 		ev.scratches[i] = nil
 	}
-}
-
-// serial returns the serial path's scratch, tagged with the current commit
-// epoch.
-func (ev *evaluator) serial() *scratch {
-	sc := ev.scratches[0]
-	sc.epoch = ev.epoch
-	return sc
+	limit := max(runtime.GOMAXPROCS(0), len(ev.scratches))
+	if extra := len(scratchPool.free) - limit; extra > 0 {
+		scratchPool.free = slices.Delete(scratchPool.free, 0, extra)
+	}
 }

@@ -12,7 +12,7 @@ import (
 // reallocated) between trials. A scratch is owned by exactly one goroutine
 // at a time and carries no result-visible state across trials — only raw
 // capacity and the memoized base build below. Scratches outlive a
-// Substitute call in a pool, which drops the memoized build (see
+// Substitute call on a free list, which drops the memoized build (see
 // evaluator.release).
 //
 // Three builders with distinct roles keep the patched trials' netlists
@@ -23,8 +23,8 @@ import (
 //	          gate-id-order sensitive, so they must see exactly the netlist
 //	          a fresh build produces).
 //	bShared — the base build of the pinned live network, built once per
-//	          commit epoch and then patched/rolled back by every
-//	          unwindowed node-form trial of the epoch (see baseBuild).
+//	          network version and then patched/rolled back by every
+//	          unwindowed node-form trial at that version (see baseBuild).
 //	bFresh  — single-trial base builds: a carved window's region of the
 //	          live network, or any other reader (the materialized window
 //	          of a POS trial under ExtendedGDC, an extended
@@ -55,14 +55,12 @@ type scratch struct {
 	// overlays die and their addresses recycle, but they can never equal the
 	// live network's address while it is pinned.
 	pin network.Reader
-	// epoch is the evaluator's commit epoch as of this trial; sharedFor and
-	// sharedEpoch record which (reader, epoch) sharedBuild was built for. A
-	// commit bumps the evaluator's epoch, so stale base builds are never
-	// patched again.
-	epoch       uint64
-	sharedFor   network.Reader
-	sharedEpoch uint64
-	sharedBuild *netlist.Build
+	// sharedFor and sharedVersion record which reader, at which of its
+	// versions, sharedBuild snapshots. Every edit of the network advances
+	// its version, so a stale base build is never patched again.
+	sharedFor     network.Reader
+	sharedVersion uint64
+	sharedBuild   *netlist.Build
 
 	// win is the window every windowed trial carves (window.carve), with
 	// its stamp sets and buffers.
@@ -175,17 +173,16 @@ func (sc *scratch) engine(nl *netlist.Netlist, opt atpg.Options) *atpg.Engine {
 
 // baseBuild returns a netlist build of r's current state for use as a
 // patch base (or as a read-only implication substrate, e.g. the vote
-// table). Builds of the pinned live reader are memoized per commit epoch —
-// every trial of an epoch patches and rolls back the same build — while any
-// other reader gets a fresh single-trial build from the bFresh arena.
+// table). Builds of the pinned live reader are memoized per version of it —
+// every trial at one version patches and rolls back the same build — while
+// any other reader gets a fresh single-trial build from the bFresh arena.
 //
 //bdslint:hotpath
 func (sc *scratch) baseBuild(r network.Reader) *netlist.Build {
 	if !sc.noOverlay && r == sc.pin {
-		if sc.sharedBuild == nil || sc.sharedFor != r || sc.sharedEpoch != sc.epoch {
+		if v := r.Version(); sc.sharedBuild == nil || sc.sharedFor != r || sc.sharedVersion != v {
 			sc.sharedBuild = sc.bShared.Build(r)
-			sc.sharedFor = r
-			sc.sharedEpoch = sc.epoch
+			sc.sharedFor, sc.sharedVersion = r, v
 		}
 		return sc.sharedBuild
 	}

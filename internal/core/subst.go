@@ -289,15 +289,13 @@ type run struct {
 	sched     *batchScheduler // nil = batch scheduling off
 }
 
-// commit routes a plan through the serial committer, bumping the
-// evaluator's epoch first so every scratch's memoized base build of the
-// live network is invalidated before the network can change. While a batch
-// sweep is active it also folds the commit's touched and support sets into
-// the scheduler's conflict marks, so eviction checks for later members of
-// the sweep see serial re-run commits too — not only the sweep's own plan
-// commits.
+// commit routes a plan through the serial committer; the network's
+// version moves with it, which retires every scratch's memoized base build.
+// While a batch sweep is active it also folds the commit's touched and
+// support sets into the scheduler's conflict marks, so eviction checks for
+// later members of the sweep see serial re-run commits too — not only the
+// sweep's own plan commits.
 func (r *run) commit(p plan) bool {
-	r.ev.epoch++
 	s := r.sched
 	if s == nil || !s.sweeping {
 		return commitPlan(r.nw, p, r.opt, r.nc, r.st)
@@ -330,7 +328,7 @@ func (r *run) substituteNode(id network.SigID) bool {
 // runSeq plans dividend t on the serial scratch, against the current
 // network, and commits its plans until one sticks.
 func (r *run) runSeq(t *trialSeq) bool {
-	p, ok := t.advance(r.ev.serial(), r.nw, r.opt)
+	p, ok := t.advance(r.ev.scratches[0], r.nw, r.opt)
 	return r.settle(t, p, ok)
 }
 
@@ -341,7 +339,7 @@ func (r *run) settle(t *trialSeq, p plan, ok bool) bool {
 	committed := false
 	for ok && !committed {
 		if committed = r.commit(p); !committed {
-			p, ok = t.advance(r.ev.serial(), r.nw, r.opt)
+			p, ok = t.advance(r.ev.scratches[0], r.nw, r.opt)
 		}
 	}
 	r.st.DivisorTrials += t.trials

@@ -32,8 +32,8 @@ import (
 //     error with its path, never a panic)
 //   - the live fanout lists, when enabled, hold exactly the fanouts a fresh
 //     FanoutIDs finds (see checkFanouts)
-//   - the signature table, when enabled, is consistent with the structure
-//     (see checkSigs)
+//   - the signature and cone-hash tables, when current, equal a fresh
+//     computation (see checkSigs and checkCones)
 //
 // It returns the first violation found, or nil.
 func (nw *Network) Check() error {
@@ -225,100 +225,59 @@ func (nw *Network) checkAcyclic() error {
 	return nil
 }
 
-// checkSigs audits the signature table against the structure. Always: every
-// primary input must carry a pattern signature. When the table is clean (no
-// pending dirty marks) the deep audit also recomputes every node's
-// signature from its fanins' stored signatures and compares — a mismatch
-// means an edit path forgot to mark its target dirty. While dirty marks are
-// pending, stored signatures are stale by design (callers Refresh before
-// reading), so only the shallow audit applies.
+// checkSigs audits the signature table when it is current (computed at the
+// network's version): it must equal a fresh computation, so a difference
+// means a mutator did not advance the version. A table computed at an
+// older version answers no query (Sig reports ok=false) and is not audited.
 func (nw *Network) checkSigs() error {
 	t := nw.sigs
-	if t == nil {
+	if t == nil || t.version != nw.version {
 		return nil
 	}
-	for i := range nw.pis {
-		if i >= len(t.piPat) {
-			return fmt.Errorf("network %q: sig table missing primary input %q", nw.Name, nw.piNames[i])
-		}
-	}
-	if t.allDirty || len(t.dirtyList) > 0 {
+	want := &SigTable{nw: nw}
+	want.Refresh()
+	return auditTable(nw, "signature", t.sig, want.sig, t.known, want.known)
+}
+
+// checkCones audits the cone-hash table like checkSigs: a current table
+// must equal a fresh computation, whole-network digest included, or two
+// different cones could share a hash.
+func (nw *Network) checkCones() error {
+	t := nw.cones
+	if t == nil || t.version != nw.version {
 		return nil
 	}
-	// Clean table: stored signatures must cover exactly the computable
-	// nodes and agree with a fresh evaluation over their fanins.
-	for id := range t.known {
-		if t.known[id] && !nw.piMark[id] && nw.defs[id] == nil {
-			return fmt.Errorf("network %q: sig table holds removed node %q", nw.Name, nw.sym.Name(SigID(id)))
-		}
+	want := &ConeTable{nw: nw}
+	want.Refresh()
+	if err := auditTable(nw, "cone hash", t.h, want.h, t.known, want.known); err != nil {
+		return err
 	}
-	val := make([]uint64, nw.sym.Len())
-	for _, id := range nw.TopoOrderIDs() {
-		n := nw.defs[id]
-		fids := nw.faninIDs[id]
-		var want Signature
-		computable := true
-		for w := 0; w < SigWords && computable; w++ {
-			for _, f := range fids {
-				if int(f) >= len(t.known) || !t.known[f] {
-					computable = false
-					break
-				}
-				val[f] = t.sig[f][w]
-			}
-			if computable {
-				want[w] = evalCoverIDs(n.Cover, fids, val)
-			}
-		}
-		ok := int(id) < len(t.known) && t.known[id]
-		if !computable {
-			if ok {
-				return fmt.Errorf("network %q: sig table holds uncomputable node %q", nw.Name, n.Name)
-			}
-			continue
-		}
-		if !ok {
-			return fmt.Errorf("network %q: sig table missing node %q while clean", nw.Name, n.Name)
-		}
-		if t.sig[id] != want {
-			return fmt.Errorf("network %q: stale signature for %q: stored %x, recomputed %x — an edit path missed markDirty", nw.Name, n.Name, t.sig[id], want)
-		}
+	if t.net != want.net {
+		return fmt.Errorf("network %q: stale whole-network cone digest: stored %x, recomputed %x", nw.Name, t.net, want.net)
 	}
 	return nil
 }
 
-// checkCones audits the cone-hash table against the structure, mirroring
-// checkSigs: when the table is clean, every live node must carry a stored
-// hash equal to a fresh recomputation over its fanins' stored hashes, no
-// removed node may linger, and the whole-network digest must refold to the
-// stored value. A mismatch means an edit path forgot to mark its target
-// dirty, so two different cones could share a hash. While dirty marks are
-// pending, stored hashes are stale by design.
-func (nw *Network) checkCones() error {
-	t := nw.cones
-	if t == nil {
-		return nil
-	}
-	if t.allDirty || len(t.dirtyList) > 0 {
-		return nil
-	}
-	for id := range t.known {
-		if t.known[id] && !nw.piMark[id] && nw.defs[id] == nil {
-			return fmt.Errorf("network %q: cone table holds removed node %q", nw.Name, nw.sym.Name(SigID(id)))
+// auditTable compares a table's SigID-indexed entries (got, present where
+// gotOK) with a fresh computation's (want, wantOK) and reports the first
+// difference.
+func auditTable[T Signature | ConeHash](nw *Network, table string, got, want []T, gotOK, wantOK []bool) error {
+	for id := range max(len(gotOK), len(wantOK)) {
+		gok := id < len(gotOK) && gotOK[id]
+		wok := id < len(wantOK) && wantOK[id]
+		name := nw.sym.Name(SigID(id))
+		switch {
+		case gok && !wok:
+			return fmt.Errorf("network %q: %s table holds %q, which a fresh computation leaves out (a removed node or an undriven cone)", nw.Name, table, name)
+		case !gok && wok:
+			kind := "node"
+			if nw.piMark[id] {
+				kind = "primary input"
+			}
+			return fmt.Errorf("network %q: %s table missing %s %q", nw.Name, table, kind, name)
+		case gok && got[id] != want[id]:
+			return fmt.Errorf("network %q: stale %s for %q: stored %x, recomputed %x — a mutator did not advance the version", nw.Name, table, name, got[id], want[id])
 		}
-	}
-	for _, id := range nw.TopoOrderIDs() {
-		if int(id) >= len(t.known) || !t.known[id] {
-			return fmt.Errorf("network %q: cone table missing node %q while clean", nw.Name, nw.defs[id].Name)
-		}
-		if want := t.compute(id, nw.defs[id]); t.h[id] != want {
-			return fmt.Errorf("network %q: stale cone hash for %q: stored %x, recomputed %x — an edit path missed markDirty", nw.Name, nw.defs[id].Name, t.h[id], want)
-		}
-	}
-	net := t.net
-	t.refoldNet()
-	if t.net != net {
-		return fmt.Errorf("network %q: stale whole-network cone digest: stored %x, refolded %x", nw.Name, net, t.net)
 	}
 	return nil
 }

@@ -205,12 +205,11 @@ func TestCheckLiveFanoutDrift(t *testing.T) {
 }
 
 func TestCheckSigTableStale(t *testing.T) {
-	// A clean signature table whose stored value disagrees with a fresh
-	// evaluation means some edit path missed markDirty — the divisor
-	// prefilter would silently run on stale simulation data.
+	// A current signature table whose stored value disagrees with a fresh
+	// evaluation means some mutator did not advance the version, so the
+	// table answers from a network that no longer exists.
 	corrupt(t, "stale signature", func(nw *Network) {
 		tab := nw.EnableSigs()
-		tab.Refresh()
 		tab.sig[mustID(t, nw, "g")][0] ^= 1
 	})
 }
@@ -218,36 +217,26 @@ func TestCheckSigTableStale(t *testing.T) {
 func TestCheckSigTableRemovedNode(t *testing.T) {
 	corrupt(t, "removed node", func(nw *Network) {
 		tab := nw.EnableSigs()
-		tab.Refresh()
-		id := nw.intern("zombie")
-		tab.grow()
-		tab.known[id] = true
+		nw.intern("zombie")
+		tab.sig = append(tab.sig, Signature{})
+		tab.known = append(tab.known, true)
 	})
 }
 
 func TestCheckSigTableMissingPI(t *testing.T) {
 	corrupt(t, "missing primary input", func(nw *Network) {
-		tab := nw.EnableSigs()
-		tab.piPat = tab.piPat[:0]
+		nw.EnableSigs().known[mustID(t, nw, "a")] = false
 	})
 }
 
-func TestCheckSigTableDirtySkipsDeepAudit(t *testing.T) {
-	// With dirty marks pending, stored signatures are stale by design
-	// (callers Refresh before reading): the deep audit must not fire.
-	nw := buildSmall()
-	tab := nw.EnableSigs()
-	tab.Refresh()
-	gid := mustID(t, nw, "g")
-	tab.sig[gid][0] ^= 1
-	tab.markDirty(gid)
-	if err := nw.Check(); err != nil {
-		t.Fatalf("Check flagged a stale-but-dirty signature: %v", err)
-	}
-	tab.Refresh()
-	if err := nw.Check(); err != nil {
-		t.Fatalf("Check after Refresh: %v", err)
-	}
+func TestCheckConeTableStale(t *testing.T) {
+	corrupt(t, "stale cone hash", func(nw *Network) {
+		tab := nw.EnableCones()
+		tab.h[mustID(t, nw, "g")][0] ^= 1
+	})
+	corrupt(t, "whole-network cone digest", func(nw *Network) {
+		nw.EnableCones().net[0] ^= 1
+	})
 }
 
 func TestCheckAfterEdits(t *testing.T) {

@@ -11,10 +11,10 @@ package network
 // table: the per-commit refresh costs more than any trial cache keyed on it
 // saved (DESIGN.md "Trial memoization: deleted").
 //
-// Hashes are maintained incrementally, mirroring SigTable: structural edits
-// mark the rewritten signal dirty, and Refresh recomputes the dirty closure
-// (dirty signals plus transitive fanout) in topological order. Storage is a
-// flat SigID-indexed array; the hash itself deliberately keeps absorbing
+// Like SigTable, a table is a snapshot of one version of its network (see
+// Network.Version): any edit makes every hash read as unknown until Refresh
+// recomputes the whole table in topological order. Storage is a flat
+// SigID-indexed array; the hash itself deliberately keeps absorbing
 // NAMES, not IDs — IDs are creation-order dependent, and the cone hash must
 // stay invariant under node creation order (see below) and stable across
 // clones whose symbol tables interned names in different sequences.
@@ -98,67 +98,25 @@ const (
 // any number of goroutines may call Hash/NetHash concurrently (pure slice
 // reads). Clones of the network do not carry the table.
 type ConeTable struct {
-	nw        *Network
-	h         []ConeHash // node cone hashes by SigID (valid where known)
-	known     []bool     // by SigID: hash present and clean
-	dirtyMark []bool     // by SigID: function changed since Refresh
-	dirtyList []SigID    // the marked IDs, in marking order
-	allDirty  bool       // whole-network rewrite (CopyFrom): recompute all
-	net       ConeHash   // order-sensitive whole-network digest
+	nw      *Network
+	version uint64     // the network's Version when the table was computed
+	h       []ConeHash // node cone hashes by SigID (valid where known)
+	known   []bool     // by SigID: hash computed
+	net     ConeHash   // order-sensitive whole-network digest
 }
 
-// EnableCones attaches (or returns the already attached, refreshed) cone
-// table and computes hashes for every signal.
+// EnableCones attaches (or returns the already attached) cone table and
+// computes hashes for every signal.
 func (nw *Network) EnableCones() *ConeTable {
-	if nw.cones != nil {
-		nw.cones.Refresh()
-		return nw.cones
+	if nw.cones == nil {
+		nw.cones = &ConeTable{nw: nw}
 	}
-	t := &ConeTable{nw: nw, allDirty: true}
-	nw.cones = t
-	t.Refresh()
-	return t
+	nw.cones.Refresh()
+	return nw.cones
 }
 
-// DisableCones detaches the cone table; subsequent edits stop paying the
-// (cheap) dirty-marking cost.
+// DisableCones detaches the cone table.
 func (nw *Network) DisableCones() { nw.cones = nil }
-
-// grow extends the ID-indexed slices to the current symbol-table size.
-func (t *ConeTable) grow() {
-	n := t.nw.sym.Len()
-	for len(t.h) < n {
-		t.h = append(t.h, ConeHash{})
-		t.known = append(t.known, false)
-	}
-	for len(t.dirtyMark) < n {
-		t.dirtyMark = append(t.dirtyMark, false)
-	}
-}
-
-// markDirty records that id's function changed. O(1); the transitive
-// fanout is resolved at Refresh time against the then-current graph.
-func (t *ConeTable) markDirty(id SigID) {
-	if t.allDirty {
-		return
-	}
-	t.grow()
-	if !t.dirtyMark[id] {
-		t.dirtyMark[id] = true
-		t.dirtyList = append(t.dirtyList, id)
-	}
-}
-
-// markAllDirty records a whole-network rewrite.
-func (t *ConeTable) markAllDirty() {
-	t.allDirty = true
-	for _, id := range t.dirtyList {
-		if int(id) < len(t.dirtyMark) {
-			t.dirtyMark[id] = false
-		}
-	}
-	t.dirtyList = t.dirtyList[:0]
-}
 
 // piHash is the cone hash of a primary input — a pure function of the
 // name, so it needs no storage or invalidation.
@@ -176,16 +134,12 @@ func undrivenHash(name string) ConeHash {
 	return d.sum()
 }
 
-// Hash returns the cone hash of a signal. ok=false while any edit is
-// pending (callers must Refresh first — unlike SigTable.Sig, a single dirty
-// signal poisons the whole table, because a stale transitive-fanout entry
-// is indistinguishable from a clean one).
+// Hash returns the cone hash of a signal. ok=false when the signal is
+// unknown or the table is stale (the network has been edited since the
+// last Refresh).
 func (t *ConeTable) Hash(name string) (ConeHash, bool) {
-	if t.allDirty || len(t.dirtyList) > 0 {
-		return ConeHash{}, false
-	}
 	id, ok := t.nw.sym.Lookup(name)
-	if !ok {
+	if !ok || t.version != t.nw.version {
 		return ConeHash{}, false
 	}
 	if int(id) < len(t.known) && t.known[id] {
@@ -199,16 +153,13 @@ func (t *ConeTable) Hash(name string) (ConeHash, bool) {
 
 // NetHash returns the order-sensitive whole-network digest: every node's
 // cone hash folded in creation order, plus the PI and PO lists. Any
-// committed rewrite changes it. ok=false while an edit is pending.
+// committed rewrite changes it. ok=false when the table is stale.
 func (t *ConeTable) NetHash() (ConeHash, bool) {
-	if t.allDirty || len(t.dirtyList) > 0 {
-		return ConeHash{}, false
-	}
-	return t.net, true
+	return t.net, t.version == t.nw.version
 }
 
-// lookup reads a hash during recomputation, ignoring dirty marks (the topo
-// walk guarantees fanins are recomputed before their fanouts).
+// lookup reads a hash during recomputation (the topo walk guarantees fanins
+// are computed before their fanouts).
 func (t *ConeTable) lookup(id SigID) ConeHash {
 	if t.known[id] {
 		return t.h[id]
@@ -220,7 +171,7 @@ func (t *ConeTable) lookup(id SigID) ConeHash {
 }
 
 // compute derives one node's cone hash from its own structure and its
-// fanins' (already clean) hashes: name, fanin list with per-fanin cone
+// fanins' (already computed) hashes: name, fanin list with per-fanin cone
 // hashes, and the exact cover cubes in cover order.
 func (t *ConeTable) compute(id SigID, n *Node) ConeHash {
 	d := newConeDigest(tagNode)
@@ -243,74 +194,18 @@ func (t *ConeTable) compute(id SigID, n *Node) ConeHash {
 	return d.sum()
 }
 
-// Refresh brings the table up to date: it recomputes the dirty signals,
-// everything in their transitive fanout, and any node the table has never
-// seen, in topological order; entries for removed nodes are dropped, and
-// the whole-network digest is refolded. It returns the number of signals
-// whose stored hash was invalidated (changed or dropped) — the count of
-// cone keys a committed rewrite killed; signals hashed for the first time
-// are not counted.
-func (t *ConeTable) Refresh() int {
+// Refresh recomputes the whole table at the network's current version:
+// every node's cone hash in topological order, then the whole-network
+// digest.
+func (t *ConeTable) Refresh() {
 	nw := t.nw
-	if !t.allDirty && len(t.dirtyList) == 0 {
-		return 0
-	}
-	t.grow()
-	need := make([]bool, nw.sym.Len())
-	if t.allDirty {
-		for _, id := range nw.order {
-			if nw.defs[id] != nil {
-				need[id] = true
-			}
-		}
-	} else {
-		fanouts := nw.FanoutIDs()
-		stack := append([]SigID(nil), t.dirtyList...)
-		for _, id := range t.dirtyList {
-			need[id] = true
-		}
-		for len(stack) > 0 {
-			s := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, fo := range fanouts[s] {
-				if !need[fo] {
-					need[fo] = true
-					stack = append(stack, fo)
-				}
-			}
-		}
-		for _, id := range nw.order {
-			if nw.defs[id] != nil && !t.known[id] {
-				need[id] = true
-			}
-		}
-	}
-	invalidated := 0
+	t.h = make([]ConeHash, nw.sym.Len())
+	t.known = make([]bool, nw.sym.Len())
 	for _, id := range nw.TopoOrderIDs() {
-		if !need[id] {
-			continue
-		}
-		h := t.compute(id, nw.defs[id])
-		if t.known[id] && t.h[id] != h {
-			invalidated++
-		}
-		t.h[id] = h
-		t.known[id] = true
+		t.h[id], t.known[id] = t.compute(id, nw.defs[id]), true
 	}
-	// Drop hashes of removed nodes.
-	for id := range t.known {
-		if t.known[id] && !nw.piMark[id] && nw.defs[id] == nil {
-			t.known[id] = false
-			invalidated++
-		}
-	}
-	for _, id := range t.dirtyList {
-		t.dirtyMark[id] = false
-	}
-	t.dirtyList = t.dirtyList[:0]
-	t.allDirty = false
 	t.refoldNet()
-	return invalidated
+	t.version = nw.version
 }
 
 // refoldNet recomputes the whole-network digest: creation-order node walk

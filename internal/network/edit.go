@@ -70,12 +70,6 @@ func (nw *Network) Compose(outer, inner string) bool {
 	}
 	nw.setNodeFunc(oid, o, newFanins, out.SCC())
 	nw.NormalizeNode(outer)
-	if nw.sigs != nil {
-		nw.sigs.markDirty(oid)
-	}
-	if nw.cones != nil {
-		nw.cones.markDirty(oid)
-	}
 	return true
 }
 
@@ -316,12 +310,6 @@ func (nw *Network) ReplaceFaninSignal(name, old, new string, invert bool) bool {
 	}
 	nw.setNodeFunc(id, n, newFanins, out.SCC())
 	nw.NormalizeNode(name)
-	if nw.sigs != nil {
-		nw.sigs.markDirty(id)
-	}
-	if nw.cones != nil {
-		nw.cones.markDirty(id)
-	}
 	return true
 }
 

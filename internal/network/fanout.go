@@ -16,9 +16,9 @@ import "fmt"
 // rebuilds them. Network.Check audits them against a fresh FanoutIDs.
 
 // EnableFanouts attaches live fanout lists to the network (a no-op when
-// they are already attached). Like EnableSigs it is meant for the serial
-// owner of a long-lived network: readers may share the lists between edits,
-// never across one.
+// they are already attached). It is meant for the serial owner of a
+// long-lived network: readers may share the lists between edits, never
+// across one.
 func (nw *Network) EnableFanouts() {
 	if nw.fanouts == nil {
 		nw.fanouts = nw.FanoutIDs()
@@ -142,68 +142,4 @@ func (nw *Network) checkFanouts() error {
 		}
 	}
 	return nil
-}
-
-// closeFanout grows a marked set — in is its SigID-indexed membership
-// array, ids its member list — by the transitive fanout of the seeds and
-// returns the grown list. Seeds are not marked themselves unless a walk
-// reaches them. With live fanout lists the cost is proportional to the
-// cone, not the network.
-func (nw *Network) closeFanout(in []bool, ids []SigID, seeds []SigID) []SigID {
-	fo := nw.fanoutIndex()
-	stack := append([]SigID(nil), seeds...)
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if int(s) >= len(fo) {
-			continue
-		}
-		for _, x := range fo[s] {
-			if !in[x] {
-				in[x] = true
-				ids = append(ids, x)
-				stack = append(stack, x)
-			}
-		}
-	}
-	return ids
-}
-
-// topoOf returns the members of a marked set in a topological order (every
-// member after its member fanins): a fanin-first DFS from each member in
-// list order, restricted to the set. Started from every live node in
-// creation order it reproduces TopoOrderIDs; started from a cone it orders
-// the cone alone. It consumes the marks: in is all false for the members on
-// return. A member is claimed when the DFS enters it, which is safe on an
-// acyclic graph — the only claimed-but-unemitted members are the ones on
-// the DFS stack, and reaching one of those again would close a cycle.
-func (nw *Network) topoOf(in []bool, ids []SigID) []SigID {
-	type frame struct {
-		id SigID
-		i  int
-	}
-	out := make([]SigID, 0, len(ids))
-	var stack []frame
-	for _, root := range ids {
-		if !in[root] {
-			continue
-		}
-		in[root] = false
-		stack = append(stack[:0], frame{root, 0})
-		for len(stack) > 0 {
-			top := &stack[len(stack)-1]
-			if fids := nw.faninIDs[top.id]; top.i < len(fids) {
-				f := fids[top.i]
-				top.i++
-				if in[f] {
-					in[f] = false
-					stack = append(stack, frame{f, 0})
-				}
-				continue
-			}
-			out = append(out, top.id)
-			stack = stack[:len(stack)-1]
-		}
-	}
-	return out
 }

@@ -60,6 +60,12 @@ func (n *Node) FaninIndex(s string) int {
 // faninIDs slices are immutable once installed: every mutator installs a
 // freshly built slice instead of editing in place, so Clone can share them
 // with the original (copy-on-write at the granularity of one fanin list).
+//
+// version is the one staleness signal: seven structural mutators advance
+// it (AddPI, AddPO, AddNode, RemoveNode, setNodeFunc, SetNodeCover and
+// CopyFrom; every other edit goes through one of them), so anything
+// computed from the network at one version is current exactly while
+// Version still reads that value.
 type Network struct {
 	Name     string
 	sym      *SymTab
@@ -76,6 +82,7 @@ type Network struct {
 	fanouts  [][]SigID  // live fanout lists by SigID (nil unless EnableFanouts), see fanout.go
 	sigs     *SigTable  // simulation signatures (nil unless EnableSigs), see sig.go
 	cones    *ConeTable // structural cone hashes (nil unless EnableCones), see conehash.go
+	version  uint64     // edit counter, see Version
 }
 
 // New creates an empty network.
@@ -111,6 +118,13 @@ func (nw *Network) intern(name string) SigID {
 	return id
 }
 
+// Version returns the network's edit version: every structural edit
+// advances it, so a snapshot of the network (a netlist build, a signature
+// or cone table) taken at one version is current exactly while Version
+// still returns that value. Versions count one network's edits: a Clone
+// starts its own count, and CopyFrom advances the receiver's.
+func (nw *Network) Version() uint64 { return nw.version }
+
 // internFanins interns every fanin name into a freshly allocated ID slice.
 func (nw *Network) internFanins(fanins []string) []SigID {
 	if len(fanins) == 0 {
@@ -132,6 +146,7 @@ func (nw *Network) AddPI(name string) {
 	nw.piMark[id] = true
 	nw.pis = append(nw.pis, id)
 	nw.piNames = append(nw.piNames, name)
+	nw.version++
 }
 
 // AddPO declares signal name as a primary output. The signal must exist (PI
@@ -146,6 +161,7 @@ func (nw *Network) AddPO(name string) {
 	nw.poMark[id] = true
 	nw.posIDs = append(nw.posIDs, id)
 	nw.poNames = append(nw.poNames, name)
+	nw.version++
 }
 
 // AddNode installs a node computing cover over fanins. Fanins must be
@@ -170,12 +186,7 @@ func (nw *Network) AddNode(name string, fanins []string, cover cube.Cover) *Node
 	nw.faninIDs[id] = nw.internFanins(fanins)
 	nw.linkFanouts(id, nw.faninIDs[id])
 	nw.appendOrder(id)
-	if nw.sigs != nil {
-		nw.sigs.markDirty(id)
-	}
-	if nw.cones != nil {
-		nw.cones.markDirty(id)
-	}
+	nw.version++
 	return n
 }
 
@@ -288,20 +299,16 @@ func (nw *Network) RemoveNode(name string) {
 	nw.unlinkFanouts(id, nw.faninIDs[id])
 	nw.defs[id] = nil
 	nw.faninIDs[id] = nil
-	if nw.sigs != nil {
-		nw.sigs.markDirty(id)
-	}
-	if nw.cones != nil {
-		nw.cones.markDirty(id)
-	}
+	nw.version++
 }
 
 // Clone deep-copies the network. The signature and cone-hash tables and the
 // live fanout lists (EnableSigs/EnableCones/EnableFanouts) are NOT carried
 // over: clones are speculative scratch copies and must not pay for their
-// maintenance. Fanin-ID slices are shared with the original (they are
-// immutable — every mutator installs a fresh slice), so the copy is
-// O(nodes) plus the node bodies.
+// upkeep. Nor is the version: a clone counts its own edits from zero.
+// Fanin-ID slices are shared with the original (they are immutable — every
+// mutator installs a fresh slice), so the copy is O(nodes) plus the node
+// bodies.
 func (nw *Network) Clone() *Network {
 	c := &Network{
 		Name:     nw.Name,
@@ -326,7 +333,8 @@ func (nw *Network) Clone() *Network {
 }
 
 // CopyFrom replaces nw's entire contents with a deep copy of o (used to
-// commit a speculative rewrite produced on a clone).
+// commit a speculative rewrite produced on a clone). It advances nw's
+// version and never takes o's.
 func (nw *Network) CopyFrom(o *Network) {
 	c := o.Clone()
 	nw.Name = c.Name
@@ -344,13 +352,7 @@ func (nw *Network) CopyFrom(o *Network) {
 	if nw.fanouts != nil {
 		nw.fanouts = nw.FanoutIDs()
 	}
-	if nw.sigs != nil {
-		// A whole-network rewrite: every signature is suspect.
-		nw.sigs.markAllDirty()
-	}
-	if nw.cones != nil {
-		nw.cones.markAllDirty()
-	}
+	nw.version++
 }
 
 // FanoutIDs returns, for every signal ID, the node IDs that read it as a
@@ -518,10 +520,24 @@ func (nw *Network) DependsOn(a, b string) bool {
 }
 
 // TFOSetIDs returns a SigID-indexed membership slice of the nodes
-// transitively depending on signal id (excluding id itself).
+// transitively depending on signal id (excluding id itself). It walks a
+// fresh FanoutIDs snapshot with its own marks, sharing neither the live
+// fanout lists nor the cone walker (AppendFanoutConeIDs), so tests can
+// use it as an independent reference for both.
 func (nw *Network) TFOSetIDs(id SigID) []bool {
 	out := make([]bool, nw.sym.Len())
-	nw.closeFanout(out, nil, []SigID{id})
+	fo := nw.FanoutIDs()
+	stack := []SigID{id}
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, x := range fo[s] {
+			if !out[x] {
+				out[x] = true
+				stack = append(stack, x)
+			}
+		}
+	}
 	out[id] = false
 	return out
 }
@@ -634,13 +650,15 @@ func (nw *Network) appendOrder(id SigID) {
 
 // setNodeFunc installs a new fanin list and cover on node id, keeping the
 // name-face and ID-core views in lockstep (a fresh faninIDs slice is built;
-// the old one may be shared with clones and is never edited).
+// the old one may be shared with clones and is never edited). Every edit
+// of an existing node's fanins goes through it.
 func (nw *Network) setNodeFunc(id SigID, n *Node, fanins []string, cover cube.Cover) {
 	n.Fanins = fanins
 	n.Cover = cover
 	nw.unlinkFanouts(id, nw.faninIDs[id])
 	nw.faninIDs[id] = nw.internFanins(fanins)
 	nw.linkFanouts(id, nw.faninIDs[id])
+	nw.version++
 }
 
 // ReplaceNodeFunction rewrites node name with a new fanin list and cover,
@@ -663,21 +681,8 @@ func (nw *Network) ReplaceNodeFunction(name string, fanins []string, cover cube.
 			return fmt.Errorf("network: fanin %q of %q would create a cycle", f, name)
 		}
 	}
-	nw.replaceFunc(id, fanins, cover)
-	return nil
-}
-
-// replaceFunc installs a copy of fanins and cover on node id without
-// validation and marks id dirty in the signature and cone tables: the
-// shared tail of ReplaceNodeFunction and Install.
-func (nw *Network) replaceFunc(id SigID, fanins []string, cover cube.Cover) {
 	nw.setNodeFunc(id, nw.defs[id], append([]string(nil), fanins...), cover)
-	if nw.sigs != nil {
-		nw.sigs.markDirty(id)
-	}
-	if nw.cones != nil {
-		nw.cones.markDirty(id)
-	}
+	return nil
 }
 
 // NormalizeNode drops fanins that no longer appear in the node's cover,
@@ -693,12 +698,6 @@ func (nw *Network) NormalizeNode(name string) {
 		return
 	}
 	nw.setNodeFunc(id, n, fanins, cover)
-	// Semantically invisible (the function is unchanged, so signatures stay
-	// valid) but structurally visible: the cone hash covers the fanin list
-	// and cover bytes.
-	if nw.cones != nil {
-		nw.cones.markDirty(id)
-	}
 }
 
 // Normalize returns the node function (fanins, cover) without the fanins
@@ -748,7 +747,7 @@ func (nw *Network) Install(added, replaced []*Node) {
 		if !ok || nw.defs[id] == nil {
 			panic(fmt.Sprintf("network: install: no node %q", n.Name))
 		}
-		nw.replaceFunc(id, n.Fanins, n.Cover)
+		nw.setNodeFunc(id, nw.defs[id], append([]string(nil), n.Fanins...), n.Cover)
 	}
 }
 
@@ -765,12 +764,7 @@ func (nw *Network) SetNodeCover(name string, cover cube.Cover) {
 		panic(fmt.Sprintf("network: cover space mismatch for %q", name))
 	}
 	n.Cover = cover
-	if nw.sigs != nil {
-		nw.sigs.markDirty(id)
-	}
-	if nw.cones != nil {
-		nw.cones.markDirty(id)
-	}
+	nw.version++
 }
 
 // FreshName generates an unused signal name with the given prefix. It is a

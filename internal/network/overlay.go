@@ -57,6 +57,8 @@ type Overlay struct {
 	extNames []string
 	//bdslint:ignore idmap the overlay-local symbol table IS the name→ID boundary for extension signals, mirroring SymTab.byName; it holds at most the few names one trial introduces
 	extByName map[string]SigID
+	// edits counts the mutations recorded on the overlay (see Version).
+	edits uint64
 }
 
 // NewOverlay returns an empty copy-on-write view over base.
@@ -78,6 +80,11 @@ func (o *Overlay) Node(name string) *Node {
 	}
 	return o.base.Node(name)
 }
+
+// Version returns the base's version plus the number of edits recorded on
+// the overlay, so it advances with every overlay mutation and every base
+// edit.
+func (o *Overlay) Version() uint64 { return o.base.Version() + o.edits }
 
 // PIs returns the base primary inputs (overlays never change the interface).
 func (o *Overlay) PIs() []string { return o.base.PIs() }
@@ -358,6 +365,7 @@ func (o *Overlay) AddNode(name string, fanins []string, cover cube.Cover) *Node 
 	for _, f := range fanins {
 		o.internName(f)
 	}
+	o.edits++
 	return n
 }
 
@@ -387,6 +395,7 @@ func (o *Overlay) ReplaceNodeFunction(name string, fanins []string, cover cube.C
 	for _, f := range fanins {
 		o.internName(f)
 	}
+	o.edits++
 	return nil
 }
 
@@ -402,6 +411,7 @@ func (o *Overlay) SetNodeCover(name string, cover cube.Cover) {
 		panic(fmt.Sprintf("network: cover space mismatch for %q", name))
 	}
 	o.touch(name).Cover = cover
+	o.edits++
 }
 
 // NormalizeNode drops fanins that no longer appear in node name's cover,
@@ -418,6 +428,7 @@ func (o *Overlay) NormalizeNode(name string) {
 	t := o.touch(name)
 	t.Fanins = fanins
 	t.Cover = cover
+	o.edits++
 }
 
 // Added returns the nodes created on the overlay, in creation order. The

@@ -36,7 +36,8 @@ func randOverlayCover(r *rand.Rand, k int) cube.Cover {
 // Reader method — the ID surface netlist builds read included — answers
 // byte-identically on the overlay and on a materialized clone that received
 // the same mutations, and installing the delta (Network.Install) onto a
-// fresh copy of the base reproduces that clone.
+// fresh copy of the base reproduces that clone. Version is the exception:
+// it must advance with each mutation exactly when the clone's does.
 func FuzzOverlayReadEquivalence(f *testing.F) {
 	f.Add(int64(1), int64(2))
 	f.Add(int64(42), int64(7))
@@ -56,6 +57,7 @@ func FuzzOverlayReadEquivalence(f *testing.F) {
 			// Fanin candidates for rewrites/additions: PIs then live nodes —
 			// identical on both views by the equivalence being established.
 			signals := append(append([]string(nil), ref.PIs()...), live...)
+			ov, rv := o.Version(), ref.Version()
 			switch opr.Intn(4) {
 			case 0: // ReplaceNodeFunction (cycle refusals must agree too)
 				name := live[opr.Intn(len(live))]
@@ -106,6 +108,12 @@ func FuzzOverlayReadEquivalence(f *testing.F) {
 				name := live[opr.Intn(len(live))]
 				o.NormalizeNode(name)
 				ref.NormalizeNode(name)
+			}
+			// Versions count each view's own edits, so they are exempt from
+			// the equality below; but an edit must advance the overlay's
+			// exactly when it advances the clone's.
+			if (o.Version() > ov) != (ref.Version() > rv) {
+				t.Fatalf("op %d: overlay version %d -> %d, clone version %d -> %d", op, ov, o.Version(), rv, ref.Version())
 			}
 		}
 

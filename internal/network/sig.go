@@ -2,14 +2,13 @@ package network
 
 // Simulation signatures: every signal carries a SigWords×64-bit word of
 // random-pattern simulation values, computed through the same word-parallel
-// evaluation the Simulate path uses. Signatures are maintained
-// incrementally: structural edits mark the rewritten signal dirty, and
-// Refresh recomputes only the dirty set plus its transitive fanout.
-// network.Check audits the table whenever one is attached.
+// evaluation the Simulate path uses. A table is a snapshot of one version
+// of its network (see Network.Version): any edit makes every entry read as
+// unknown until Refresh recomputes the whole table. network.Check audits a
+// current table against a fresh computation.
 //
-// Storage is a flat SigID-indexed array pair (sig, known) plus a dirty
-// mark/list pair — no maps, no iteration-order hazards: every walk below
-// runs in creation or topological ID order.
+// Storage is a flat SigID-indexed array pair (sig, known) — no maps, no
+// iteration-order hazards: the computation runs in topological ID order.
 
 // SigWords is the number of 64-bit pattern words per signature (SigWords*64
 // random input patterns).
@@ -24,22 +23,12 @@ type Signature [SigWords]uint64
 // SigID-indexed arrays. It is owned by the network's serial mutator: all
 // recomputation happens in Refresh, so between a Refresh and the next
 // mutation any number of goroutines may call Sig concurrently (it is a pure
-// slice read). Refresh uses the table's walk scratch, so only the serial
-// owner calls it. Clones of the network do not carry the table.
+// slice read). Clones of the network do not carry the table.
 type SigTable struct {
-	nw        *Network
-	piPat     []Signature // fixed random patterns by PI *position*, set once
-	sig       []Signature // by SigID (valid where known)
-	known     []bool      // by SigID: signature present and clean
-	dirtyMark []bool      // by SigID: function changed since Refresh
-	dirtyList []SigID     // the marked IDs, in marking order
-	allDirty  bool        // whole-network rewrite (CopyFrom): recompute all
-
-	// Walk scratch, by SigID, reused so a Refresh costs its cone rather
-	// than O(signals) of fresh arrays: cone is all false between calls;
-	// val holds values only during one.
-	cone []bool
-	val  []uint64
+	nw      *Network
+	version uint64      // the network's Version when the table was computed
+	sig     []Signature // by SigID (valid where known)
+	known   []bool      // by SigID: signature computed
 }
 
 // splitmix64 is the pattern generator: a tiny, deterministic PRNG stepped
@@ -52,175 +41,74 @@ func splitmix64(x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// EnableSigs attaches (or returns the already attached) signature table and
-// computes signatures for every signal. PI patterns are a fixed
-// deterministic function of the PI's position, so two runs over the same
+// piPattern is the fixed random pattern of the PI at position i. It is a
+// deterministic function of the position, so two runs over the same
 // network sample identical patterns (and survive CopyFrom, which may reseat
 // IDs but keeps the PI declaration order).
-func (nw *Network) EnableSigs() *SigTable {
-	if nw.sigs != nil {
-		nw.sigs.Refresh()
-		return nw.sigs
+func piPattern(i int) Signature {
+	var s Signature
+	for w := 0; w < SigWords; w++ {
+		s[w] = splitmix64(uint64(i*SigWords + w + 1))
 	}
-	t := &SigTable{nw: nw, piPat: make([]Signature, len(nw.pis))}
-	for i := range nw.pis {
-		var s Signature
-		for w := 0; w < SigWords; w++ {
-			s[w] = splitmix64(uint64(i*SigWords + w + 1))
-		}
-		t.piPat[i] = s
-	}
-	t.allDirty = true
-	nw.sigs = t
-	t.Refresh()
-	return t
+	return s
 }
 
-// DisableSigs detaches the signature table; subsequent edits stop paying
-// the (cheap) dirty-marking cost.
+// EnableSigs attaches (or returns the already attached) signature table and
+// computes signatures for every signal.
+func (nw *Network) EnableSigs() *SigTable {
+	if nw.sigs == nil {
+		nw.sigs = &SigTable{nw: nw}
+	}
+	nw.sigs.Refresh()
+	return nw.sigs
+}
+
+// DisableSigs detaches the signature table.
 func (nw *Network) DisableSigs() { nw.sigs = nil }
 
 // Sigs returns the attached signature table, or nil when signatures are not
 // enabled. The table's Sig method is a pure read between refreshes.
 func (nw *Network) Sigs() *SigTable { return nw.sigs }
 
-// grow extends the ID-indexed slices to the current symbol-table size.
-func (t *SigTable) grow() {
-	n := t.nw.sym.Len()
-	for len(t.sig) < n {
-		t.sig = append(t.sig, Signature{})
-		t.known = append(t.known, false)
-	}
-	for len(t.dirtyMark) < n {
-		t.dirtyMark = append(t.dirtyMark, false)
-	}
-	for len(t.cone) < n {
-		t.cone = append(t.cone, false)
-		t.val = append(t.val, 0)
-	}
-}
-
-// markDirty records that id's function changed. O(1); the transitive fanout
-// is resolved at Refresh time against the then-current graph (any node
-// whose own fanin list changed has been marked itself).
-func (t *SigTable) markDirty(id SigID) {
-	if t.allDirty {
-		return
-	}
-	t.grow()
-	if !t.dirtyMark[id] {
-		t.dirtyMark[id] = true
-		t.dirtyList = append(t.dirtyList, id)
-	}
-}
-
-// markAllDirty records a whole-network rewrite.
-func (t *SigTable) markAllDirty() {
-	t.allDirty = true
-	for _, id := range t.dirtyList {
-		if int(id) < len(t.dirtyMark) {
-			t.dirtyMark[id] = false
-		}
-	}
-	t.dirtyList = t.dirtyList[:0]
-}
-
 // Sig returns the signature of a signal (PI or node). ok=false when the
-// signal is unknown or its signature is stale (an edit has not been
-// Refreshed yet) — callers must treat false as "no information".
+// signal is unknown or the table is stale (the network has been edited
+// since the last Refresh) — callers must treat false as "no information".
 func (t *SigTable) Sig(name string) (Signature, bool) {
-	if t.allDirty {
-		return Signature{}, false
-	}
 	id, ok := t.nw.sym.Lookup(name)
-	if !ok || int(id) >= len(t.known) {
-		return Signature{}, false
-	}
-	if int(id) < len(t.dirtyMark) && t.dirtyMark[id] {
+	if !ok || t.version != t.nw.version || int(id) >= len(t.known) {
 		return Signature{}, false
 	}
 	return t.sig[id], t.known[id]
 }
 
-// Refresh brings the table up to date: it recomputes the dirty signals and
-// everything in their transitive fanout, in topological order through the
-// word-parallel cover evaluation Simulate uses, and drops the entries of
-// removed nodes. Every edit path marks the node it adds, rewrites or
-// removes dirty, so the dirty cone covers every stale or missing entry
-// (network.Check's deep audit enforces that). With nothing dirty the call
-// returns immediately.
-//
-// The cone is walked on the network's live fanout lists when they are
-// enabled and ordered by a fanin-first DFS over the cone alone, so an
-// incremental Refresh costs its dirty cone, never a whole-network
-// FanoutIDs/TopoOrderIDs rebuild or scan.
+// Refresh recomputes the whole table at the network's current version: the
+// fixed PI patterns, then every node in topological order through the
+// word-parallel cover evaluation Simulate uses. A node with an undriven
+// fanin stays unknown.
 func (t *SigTable) Refresh() {
 	nw := t.nw
-	if !t.allDirty && len(t.dirtyList) == 0 {
-		return
-	}
-	t.grow()
-	var ids []SigID
-	if t.allDirty {
-		for _, id := range nw.order {
-			if nw.defs[id] != nil && !t.cone[id] {
-				t.cone[id] = true
-				ids = append(ids, id)
-			}
-		}
-		// Removed nodes left no dirty mark behind: drop them here.
-		for id := range t.known {
-			if t.known[id] && !nw.piMark[id] && nw.defs[id] == nil {
-				t.known[id] = false
-			}
-		}
-	} else {
-		for _, id := range t.dirtyList {
-			if !t.cone[id] {
-				t.cone[id] = true
-				ids = append(ids, id)
-			}
-		}
-		ids = nw.closeFanout(t.cone, ids, t.dirtyList)
-	}
-	// (Re)bind the fixed PI patterns to the current PI list by position.
+	n := nw.sym.Len()
+	t.sig = make([]Signature, n)
+	t.known = make([]bool, n)
 	for i, pi := range nw.pis {
-		if i < len(t.piPat) {
-			t.sig[pi] = t.piPat[i]
-			t.known[pi] = true
-		}
+		t.sig[pi], t.known[pi] = piPattern(i), true
 	}
-	for _, id := range nw.topoOf(t.cone, ids) {
-		n := nw.defs[id]
-		if n == nil {
-			t.known[id] = false // removed node
-			continue
-		}
+	val := make([]uint64, n)
+next:
+	for _, id := range nw.TopoOrderIDs() {
 		fids := nw.faninIDs[id]
-		var out Signature
-		ok := true
-		for w := 0; w < SigWords && ok; w++ {
+		for _, f := range fids {
+			if !t.known[f] {
+				continue next
+			}
+		}
+		for w := 0; w < SigWords; w++ {
 			for _, f := range fids {
-				if !t.known[f] {
-					ok = false
-					break
-				}
-				t.val[f] = t.sig[f][w]
+				val[f] = t.sig[f][w]
 			}
-			if ok {
-				out[w] = evalCoverIDs(n.Cover, fids, t.val)
-			}
+			t.sig[id][w] = evalCoverIDs(nw.defs[id].Cover, fids, val)
 		}
-		if ok {
-			t.sig[id] = out
-			t.known[id] = true
-		} else {
-			t.known[id] = false // undriven fanin: leave unknown
-		}
+		t.known[id] = true
 	}
-	for _, id := range t.dirtyList {
-		t.dirtyMark[id] = false
-	}
-	t.dirtyList = t.dirtyList[:0]
-	t.allDirty = false
+	t.version = nw.version
 }

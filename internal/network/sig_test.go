@@ -9,12 +9,12 @@ import (
 
 // sigFromSimulate recomputes name's signature through the public Simulate
 // path using the table's PI patterns — the reference the table must match.
-func sigFromSimulate(t *SigTable, nw *Network, name string) Signature {
+func sigFromSimulate(nw *Network, name string) Signature {
 	var out Signature
 	for w := 0; w < SigWords; w++ {
 		in := map[string]uint64{}
 		for i, pi := range nw.PIs() {
-			in[pi] = t.piPat[i][w]
+			in[pi] = piPattern(i)[w]
 		}
 		out[w] = nw.Simulate(in)[name]
 	}
@@ -29,7 +29,7 @@ func TestSigTableMatchesSimulate(t *testing.T) {
 		if !ok {
 			t.Fatalf("no signature for %s", n.Name)
 		}
-		if want := sigFromSimulate(tab, nw, n.Name); got != want {
+		if want := sigFromSimulate(nw, n.Name); got != want {
 			t.Errorf("%s: sig %x, Simulate says %x", n.Name, got, want)
 		}
 	}
@@ -50,7 +50,7 @@ func TestSigStaleUntilRefresh(t *testing.T) {
 		if !ok {
 			t.Fatalf("no signature for %s after Refresh", name)
 		}
-		if want := sigFromSimulate(tab, nw, name); got != want {
+		if want := sigFromSimulate(nw, name); got != want {
 			t.Errorf("%s after edit: sig %x, Simulate says %x", name, got, want)
 		}
 	}
@@ -68,15 +68,15 @@ func TestCloneDropsSigTable(t *testing.T) {
 }
 
 // TestSigTableIncrementalMatchesScratch performs random committed edits on a
-// random network with incremental Refresh after each, then compares every
-// signature against a from-scratch table: the incremental dirty-closure
-// recomputation must be indistinguishable from full recomputation.
+// random network with a Refresh after each, then compares every signature
+// against a table built from scratch: a table refreshed across a sequence
+// of edits must be indistinguishable from a fresh one.
 func TestSigTableIncrementalMatchesScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(505))
 	for trial := 0; trial < 25; trial++ {
 		nw := randomNetwork(r, 4, 6)
 		if trial%2 == 1 {
-			nw.EnableFanouts() // Refresh walks the live lists instead of a snapshot
+			nw.EnableFanouts() // edits also maintain the live lists
 		}
 		tab := nw.EnableSigs()
 		names := func() []string {

@@ -36,6 +36,10 @@ type Reader interface {
 	// Clone deep-copies the network into a private mutable copy (without the
 	// signature and cone-hash tables — see Network.Clone).
 	Clone() *Network
+	// Version returns the edit version: it advances with every edit, so a
+	// snapshot taken at one version is current while Version still returns
+	// it (see Network.Version).
+	Version() uint64
 
 	// --- Dense-ID surface -------------------------------------------------
 	// Signals are identified by dense SigIDs (see symtab.go). On a Network

@@ -138,7 +138,7 @@ func exactDCNode(nw *network.Network, name string) bool {
 	m := mini.Minimize(n.Cover, mini.Options{DC: dc})
 	if m.NumLits() < n.Cover.NumLits() ||
 		(m.NumLits() == n.Cover.NumLits() && m.NumCubes() < n.Cover.NumCubes()) {
-		n.Cover = m
+		nw.SetNodeCover(name, m)
 		nw.NormalizeNode(name)
 		return true
 	}

@@ -111,7 +111,7 @@ func simplifyNodeWithSDC(nw *network.Network, nl *netlist.Netlist, e *atpg.Engin
 	m := mini.Minimize(n.Cover, mini.Options{DC: dc})
 	if m.NumLits() < n.Cover.NumLits() ||
 		(m.NumLits() == n.Cover.NumLits() && m.NumCubes() < n.Cover.NumCubes()) {
-		n.Cover = m
+		nw.SetNodeCover(name, m)
 		nw.NormalizeNode(name)
 		return true
 	}

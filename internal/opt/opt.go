@@ -22,7 +22,7 @@ func SimplifyAll(nw *network.Network) int {
 	for _, n := range nw.Nodes() {
 		m := mini.Minimize(n.Cover, mini.Options{})
 		if m.NumCubes() <= n.Cover.NumCubes() && m.NumLits() <= n.Cover.NumLits() {
-			n.Cover = m
+			nw.SetNodeCover(n.Name, m)
 		}
 	}
 	for _, n := range nw.Nodes() {

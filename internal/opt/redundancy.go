@@ -49,8 +49,7 @@ func RemoveRedundancies(nw *network.Network, learnDepth int) int {
 		}
 		// Rebuild every node's cover from the mutated netlist.
 		for _, name := range nw.TopoOrder() {
-			n := nw.Node(name)
-			n.Cover = extractCover(nl, b, n)
+			nw.SetNodeCover(name, extractCover(nl, b, nw.Node(name)))
 			nw.NormalizeNode(name)
 		}
 		nw.Sweep()
