@@ -149,7 +149,8 @@ func BenchmarkAblationScope(b *testing.B) {
 }
 
 // BenchmarkAblationLearning compares recursive-learning depth 0 vs 1 for
-// redundancy proofs across the suite's netlists.
+// redundancy proofs across the suite's netlists. witnessed counts the
+// faults a simulation witness settled before any implication ran.
 func BenchmarkAblationLearning(b *testing.B) {
 	for _, learn := range []bool{false, true} {
 		name := "direct"
@@ -159,7 +160,7 @@ func BenchmarkAblationLearning(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				found := 0
+				found, witnessed := 0, 0
 				for _, bn := range bench.Names() {
 					nw := bench.Get(bn)
 					bl := netlist.FromNetwork(nw)
@@ -179,8 +180,10 @@ func BenchmarkAblationLearning(b *testing.B) {
 							}
 						}
 					}
+					witnessed += e.Witnessed()
 				}
 				b.ReportMetric(float64(found), "untestable")
+				b.ReportMetric(float64(witnessed), "witnessed")
 			}
 		})
 	}
@@ -254,16 +257,33 @@ func BenchmarkAblationClique(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---
 
+// BenchmarkImplicationEngine times one fault test on csel8. The propagate
+// leg runs the implication engine itself (Reset, MandatoryAssignments and
+// Propagate); the untestable leg makes the public call, which a simulation
+// witness settles before any implication runs when the fault is testable.
 func BenchmarkImplicationEngine(b *testing.B) {
 	nw := bench.Get("csel8")
 	bl := netlist.FromNetwork(nw)
-	e := atpg.NewEngine(bl.NL, atpg.Options{})
 	fault := atpg.Fault{Wire: atpg.Wire{Gate: bl.NL.POs[0], Pin: 0}, Stuck: atpg.One}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		atpg.Untestable(e, bl.NL, fault, -1)
-	}
+	b.Run("propagate", func(b *testing.B) {
+		e := atpg.NewEngine(bl.NL, atpg.Options{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Reset()
+			if atpg.MandatoryAssignments(e, bl.NL, fault, -1) {
+				e.Propagate()
+			}
+		}
+	})
+	b.Run("untestable", func(b *testing.B) {
+		e := atpg.NewEngine(bl.NL, atpg.Options{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			atpg.Untestable(e, bl.NL, fault, -1)
+		}
+	})
 }
 
 // BenchmarkWeakDivision and BenchmarkFactoring warm the kernel's pooled

@@ -14,7 +14,9 @@
 # implication engine against its pre-change reference, windowed trials
 # against the full-depth reference window, and FuzzSubstitute: the whole
 # optimizer over random DAGs × the Options matrix, checked for
-# equivalence, network.Check and BLIF identity across schedules) + a
+# equivalence, network.Check and BLIF identity across schedules, and
+# FuzzWitness: the implication engine's simulation witnesses against plain
+# implication and their memo against Netlist.Eval across netlist edits) + a
 # bench-regression check of the substitution engine, the cube complement,
 # minimizer and factoring kernels and the implication engine against the
 # committed baseline — timing drift warns, scaling-floor violations fail.
@@ -76,7 +78,8 @@ for target in \
   'FuzzBatchDisjoint ./internal/core' \
   'FuzzWindowTrial ./internal/core' \
   'FuzzSubstitute ./internal/core' \
-  'FuzzImplications ./internal/atpg'
+  'FuzzImplications ./internal/atpg' \
+  'FuzzWitness ./internal/atpg'
 do
   set -- $target
   go test -run '^$' -fuzz "^$1\$" -fuzztime=5s "$2"

@@ -11,6 +11,13 @@
 // lets them run through the whole circuit and adds downstream observability
 // requirements, naturally harvesting global internal don't cares. Depth-1
 // recursive learning (Kunz–Pradhan) is available as an option.
+//
+// Most faults a division asks about are testable, and implication can only
+// fail to refute them. So Untestable first simulates the engine's netlist
+// on 256 fixed patterns, lazily and memoized per gate across the netlist's
+// patches and rollbacks (witness.go): a pattern that satisfies every
+// mandatory assignment settles the fault as testable before any
+// implication runs.
 package atpg
 
 import (
@@ -85,6 +92,10 @@ type Engine struct {
 	// A recursion chain holds at most one pass per depth, so the buffers
 	// never alias, and a warmed engine learns without allocating.
 	learn []learnScratch
+	// sim is the witness simulation of the bound netlist (see witness.go),
+	// and witnessed counts the Untestable calls a witness settled.
+	sim       simMemo
+	witnessed int
 }
 
 // learnScratch holds one learning pass's buffers.
@@ -101,6 +112,7 @@ func NewEngine(nl *netlist.Netlist, opt Options) *Engine {
 	for i := range e.val {
 		e.val[i] = Unknown
 	}
+	e.sim.bind(nl)
 	e.setOptions(opt)
 	return e
 }
@@ -117,7 +129,9 @@ func NewEngine(nl *netlist.Netlist, opt Options) *Engine {
 // assignment set, the gate-count delta and the scope list, not the netlist
 // size. The arrays never shrink there: a rolled-back arena can regrow under
 // different ids, and Reset's invariant (everything outside the trail is
-// Unknown) already keeps the tail slots clean.
+// Unknown) already keeps the tail slots clean. The witness simulation
+// survives this path too; it catches up on the netlist's edit log at its
+// next use.
 func (e *Engine) Rebind(nl *netlist.Netlist, opt Options) {
 	n := nl.NumGates()
 	if nl == e.nl {
@@ -147,6 +161,7 @@ func (e *Engine) Rebind(nl *netlist.Netlist, opt Options) {
 	}
 	e.trail = e.trail[:0]
 	e.queue = e.queue[:0]
+	e.sim.bind(nl)
 	e.setOptions(opt)
 }
 
@@ -409,7 +424,10 @@ func (e *Engine) learnPass(depth int) (bool, bool) {
 	s := &e.learn[depth-1]
 	s.cands = s.cands[:0]
 	for _, g := range e.trail {
-		if e.inScope(g) && len(e.justifications(s.alts[:0], g)) > 0 {
+		if !e.inScope(g) {
+			continue
+		}
+		if s.alts = e.justifications(s.alts[:0], g); len(s.alts) > 0 {
 			s.cands = append(s.cands, g)
 		}
 	}
@@ -497,7 +515,8 @@ func byGate(a, b alt) int { return a.gate - b.gate }
 // justifications appends to dst the alternative assignments that could
 // justify an unjustified gate g (controlled output with no controlling
 // input and ≥2 unknowns) and returns it; the result is empty when g is
-// justified.
+// justified. An empty result keeps any capacity the scan grew, so a caller
+// that stores it back allocates only while its buffer grows.
 func (e *Engine) justifications(dst []alt, g int) []alt {
 	var ctrl Value
 	switch e.nl.KindOf(g) {
@@ -515,13 +534,13 @@ func (e *Engine) justifications(dst []alt, g int) []alt {
 	for _, f := range e.nl.Fanins(g) {
 		switch e.val[f] {
 		case ctrl:
-			return dst[:0] // already justified
+			return out[:0] // already justified
 		case Unknown:
 			out = append(out, alt{f, ctrl})
 		}
 	}
 	if len(out) < 2 {
-		return dst[:0] // direct implication territory
+		return out[:0] // direct implication territory
 	}
 	return out
 }

@@ -90,10 +90,23 @@ func assignSides(e *Engine, nl *netlist.Netlist, g, through int) bool {
 // proof of untestability. stopAfter limits the dominator walk as in
 // MandatoryAssignments. A true result licenses replacing the wire with its
 // stuck value.
+//
+// Before implying anything it looks for a witness: one of 256 fixed
+// simulation patterns of e's netlist that agrees with every mandatory
+// assignment. A witness shows the assignments consistent, so implication
+// could not refute them, and Untestable returns false without running
+// Propagate; the verdict is the one Propagate would give. With a witness
+// the engine is left holding the mandatory assignments alone, unpropagated,
+// so callers that read implied values (Val) run MandatoryAssignments and
+// Propagate themselves.
 func Untestable(e *Engine, nl *netlist.Netlist, f Fault, stopAfter int) bool {
 	e.Reset()
 	if !MandatoryAssignments(e, nl, f, stopAfter) {
 		return true
+	}
+	if e.witness() {
+		e.witnessed++
+		return false
 	}
 	return !e.Propagate()
 }

@@ -60,6 +60,13 @@ func decodeDAG(r *fuzzReader) []fuzzGate {
 // buildNetlist builds a fresh netlist whose gate ids are the list indices.
 func buildNetlist(gates []fuzzGate) *netlist.Netlist {
 	nl := netlist.New()
+	addGates(nl, gates)
+	return nl
+}
+
+// addGates appends the gates to nl; on an empty netlist their ids are the
+// list indices.
+func addGates(nl *netlist.Netlist, gates []fuzzGate) {
 	for i, g := range gates {
 		if g.kind == netlist.Input {
 			nl.AddInput(fmt.Sprintf("i%d", i))
@@ -67,7 +74,6 @@ func buildNetlist(gates []fuzzGate) *netlist.Netlist {
 			nl.AddGate(g.kind, g.fanins...)
 		}
 	}
-	return nl
 }
 
 // decodeOptions reads a learning byte (0: no learning, 1 to 4: LearnDepth
@@ -220,20 +226,7 @@ func FuzzImplications(f *testing.F) {
 // direct implication there, so the sandboxes really run.
 func TestLearningAllocatesNothing(t *testing.T) {
 	nl := netlist.FromNetwork(bench.Get("mult3")).NL
-	var faults []Fault
-	for g := 0; g < nl.NumGates(); g++ {
-		stuck := One
-		switch nl.KindOf(g) {
-		case netlist.And:
-		case netlist.Or:
-			stuck = Zero
-		default:
-			continue
-		}
-		for pin := range nl.Fanins(g) {
-			faults = append(faults, Fault{Wire: Wire{Gate: g, Pin: pin}, Stuck: stuck})
-		}
-	}
+	faults := pinFaults(nl)
 	proofs := func(e *Engine) int {
 		n := 0
 		for _, f := range faults {
@@ -251,6 +244,26 @@ func TestLearningAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(3, func() { proofs(e) }); allocs != 0 {
 		t.Errorf("a warmed learning engine allocated %.0f times per run over %d faults", allocs, len(faults))
 	}
+}
+
+// pinFaults lists the wire-removal faults of nl: every AND pin stuck-at-1
+// and every OR pin stuck-at-0.
+func pinFaults(nl *netlist.Netlist) []Fault {
+	var faults []Fault
+	for g := 0; g < nl.NumGates(); g++ {
+		stuck := One
+		switch nl.KindOf(g) {
+		case netlist.And:
+		case netlist.Or:
+			stuck = Zero
+		default:
+			continue
+		}
+		for pin := range nl.Fanins(g) {
+			faults = append(faults, Fault{Wire: Wire{Gate: g, Pin: pin}, Stuck: stuck})
+		}
+	}
+	return faults
 }
 
 // TestLearningExaminesAtMost32Gates pins the learning cap. Each of the

@@ -167,14 +167,14 @@ func (c candidate) covers(fn, dn *network.Node) (fc, dc cube.Cover, ok bool) {
 	case formSOP:
 		return fn.Cover, dn.Cover, true
 	case formCompl:
-		if c.dc != nil {
-			return fn.Cover, *c.dc, true
+		if c.carried {
+			return fn.Cover, c.dc, true
 		}
 		dc, ok = boundedComplement(dn.Cover)
 		return fn.Cover, dc, ok
 	}
-	if c.fc != nil && c.dc != nil {
-		return *c.fc, *c.dc, true
+	if c.carried {
+		return c.fc, c.dc, true
 	}
 	if fc, ok = boundedComplement(fn.Cover); !ok {
 		return fc, dc, false

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -304,7 +304,7 @@ func fullScanCandidates(nw *network.Network, nc *nodeCache, f string, opt Option
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return lessScored(out[i], out[j]) })
+	slices.SortStableFunc(out, compareScored)
 	cands := make([]candidate, len(out))
 	for i, s := range out {
 		cands[i] = s.c

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/cube"
@@ -355,7 +357,8 @@ func (r *run) settle(t *trialSeq, p plan, ok bool) bool {
 // share: nothing commits between enumeration and this node's trials, the
 // covers are never mutated, and Complement/Minimize are deterministic — a
 // trial reading the carried cover is byte-identical to one recomputing it.
-// nil = not carried; divide recomputes (public one-shot wrappers,
+// The covers are carried by value, so enumeration allocates nothing for
+// them. carried=false: divide recomputes them (public one-shot wrappers,
 // hand-built candidates in tests).
 type candidate struct {
 	name string
@@ -363,8 +366,9 @@ type candidate struct {
 	form form
 
 	// dc is d's complement (formCompl) or minimized complement (formPOS);
-	// fc is f's minimized complement (formPOS).
-	fc, dc *cube.Cover
+	// fc is f's minimized complement (formPOS). They are set when carried.
+	carried bool
+	fc, dc  cube.Cover
 }
 
 // nodeCache memoizes, per live node, what candidate enumeration reads: the
@@ -525,15 +529,24 @@ func (nc *nodeCache) invalidate(p *plan) {
 	drop(p.bodies)
 }
 
+// coverSigs returns the literal signature of each cube of cov, whose
+// variables are the fanins. The rows share one backing array, so a cover
+// costs two allocations however many cubes it has.
 func coverSigs(cov cube.Cover, fanins []network.SigID) [][]sigLit {
 	out := make([][]sigLit, 0, cov.NumCubes())
+	lits := 0
 	for _, c := range cov.Cubes {
-		row := make([]sigLit, 0, c.NumLits())
+		lits += c.NumLits()
+	}
+	all := make([]sigLit, 0, lits)
+	for _, c := range cov.Cubes {
+		start := len(all)
 		for v := 0; v < c.NumVars(); v++ {
 			if p := c.Get(v); p == cube.Pos || p == cube.Neg {
-				row = append(row, sigLit{fanins[v], p == cube.Neg})
+				all = append(all, sigLit{fanins[v], p == cube.Neg})
 			}
 		}
+		row := all[start:len(all):len(all)]
 		// Stable-by-construction insertion sort on (sig, pos-first); keys
 		// are unique (one entry per variable, fanin IDs distinct), so the
 		// order matches what any comparison sort produces.
@@ -663,14 +676,13 @@ func enumerateCandidates(nw *network.Network, nc *nodeCache, fid network.SigID, 
 				// Complement-phase SOP division (f = q·d' + r) — the phase the
 				// SIS resub -d baseline exploits.
 				if anyContainment(dcSigs, fSigs) {
-					dc := dcov
-					out = append(out, scored{candidate{name: dn.Name, id: u, form: formCompl, dc: &dc}, overlap})
+					out = append(out, scored{candidate{name: dn.Name, id: u, form: formCompl, carried: true, dc: dcov}, overlap})
 				}
 				if opt.POS && fcSigs != nil && anyContainment(dcSigs, fcSigs) {
 					c := candidate{name: dn.Name, id: u, form: formPOS}
 					if dcm, ok := nc.complMin(u); ok {
 						if fcm, ok := nc.complMin(fid); ok {
-							c.fc, c.dc = &fcm, &dcm
+							c.carried, c.fc, c.dc = true, fcm, dcm
 						}
 					}
 					out = append(out, scored{c, overlap})
@@ -678,7 +690,7 @@ func enumerateCandidates(nw *network.Network, nc *nodeCache, fid network.SigID, 
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return lessScored(out[i], out[j]) })
+	slices.SortStableFunc(out, compareScored)
 	for _, s := range out {
 		dst = append(dst, s.c)
 	}
@@ -704,19 +716,19 @@ type scored struct {
 	overlap int
 }
 
-// lessScored is the full deterministic trial-order key: support overlap
+// compareScored is the full deterministic trial-order key: support overlap
 // (descending), then divisor name, then form (plain < complement < POS).
 // Overlap alone would leave tie order at the mercy of the candidate
 // construction sequence — the stable sort happened to preserve a
 // name-then-form order only because SortedNodeNames feeds candidates in
 // that order, an invariant nothing enforced. The explicit key makes the
 // trial order self-contained (and byte-identical to the historical one).
-func lessScored(a, b scored) bool {
+func compareScored(a, b scored) int {
 	if a.overlap != b.overlap {
-		return a.overlap > b.overlap
+		return cmp.Compare(b.overlap, a.overlap)
 	}
 	if a.c.name != b.c.name {
-		return a.c.name < b.c.name
+		return strings.Compare(a.c.name, b.c.name)
 	}
-	return a.c.form < b.c.form
+	return cmp.Compare(a.c.form, b.c.form)
 }

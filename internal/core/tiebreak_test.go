@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
@@ -28,9 +28,9 @@ func TestLessScoredFullKey(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		shuffled := append([]scored(nil), canonical...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		sort.SliceStable(shuffled, func(i, j int) bool { return lessScored(shuffled[i], shuffled[j]) })
-		for i := range canonical {
-			if shuffled[i] != canonical[i] {
+		slices.SortStableFunc(shuffled, compareScored)
+		for i, want := range canonical {
+			if got := shuffled[i]; got.c.name != want.c.name || got.c.form != want.c.form || got.overlap != want.overlap {
 				t.Fatalf("trial %d: position %d = %+v, want %+v", trial, i, shuffled[i], canonical[i])
 			}
 		}
@@ -71,7 +71,7 @@ func TestCandidateDivisorsSortedByFullKey(t *testing.T) {
 	for i := 1; i < len(cands); i++ {
 		a := scored{cands[i-1], overlap(cands[i-1])}
 		b := scored{cands[i], overlap(cands[i])}
-		if lessScored(b, a) {
+		if compareScored(b, a) < 0 {
 			t.Fatalf("candidates %d and %d out of order: %+v before %+v", i-1, i, a, b)
 		}
 	}

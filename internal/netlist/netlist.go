@@ -9,6 +9,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cube"
 	"repro/internal/network"
@@ -70,6 +71,10 @@ type Netlist struct {
 	// patched holds the NodeGates PatchNode hands out and the cube-gate
 	// lists they point into, released with the transaction's journal.
 	patched gateArena
+	// gen is the build generation (see Generation) and edited its edit log
+	// (see Edited).
+	gen    uint64
+	edited []int
 }
 
 // NodeGates records the two-level structure built for one network node.
@@ -109,6 +114,39 @@ func (nl *Netlist) Fanins(g int) []int { return nl.gates[g].fanins }
 // Fanouts returns gate g's fanout gate ids (do not modify).
 func (nl *Netlist) Fanouts(g int) []int { return nl.gates[g].fanouts }
 
+// Generation returns the netlist's build generation. Reset advances it, and
+// so does an edit log outgrowing the gate count. Within one generation gate
+// ids are never rebound silently: a gate whose fanin list changes, or that a
+// rolled-back AddGate removes, is logged in Edited.
+func (nl *Netlist) Generation() uint64 { return nl.gen }
+
+// Edited returns the current generation's edit log (do not modify): every
+// gate whose fanin list changed — through AddPin, RemovePin or the rollback
+// of either — and every gate a rolled-back AddGate removed, in edit order,
+// repeats included. A gate AddGate creates is not logged. The log only
+// grows within a generation, so a reader that remembers the generation and
+// the log length it has seen can catch up on exactly the edits since.
+func (nl *Netlist) Edited() []int { return nl.edited }
+
+// logEdit appends g to the edit log. A log that would outgrow the gate
+// count starts a new generation instead, so the log stays O(gates) however
+// many trials patch and roll back one build. A full log grows to twice the
+// gate count in one step, so a build that patches and rolls back a few
+// gates at a time logs without allocating after its first growth.
+//
+//bdslint:hotpath
+func (nl *Netlist) logEdit(g int) {
+	if len(nl.edited) >= len(nl.gates) {
+		nl.edited = nl.edited[:0]
+		nl.gen++
+		return
+	}
+	if len(nl.edited) == cap(nl.edited) {
+		nl.edited = slices.Grow(nl.edited, 2*len(nl.gates)-len(nl.edited))
+	}
+	nl.edited = append(nl.edited, g)
+}
+
 // AddGate creates a gate and wires its fanins, returning its id. When the
 // netlist was Reset, the gate slot (including its fanin/fanout arrays) is
 // reclaimed from the previous build instead of reallocated.
@@ -137,11 +175,14 @@ func (nl *Netlist) AddGate(k Kind, fanins ...int) int {
 // Reset empties the netlist for rebuilding while keeping every allocation:
 // the gate arena (with per-gate fanin/fanout arrays), the signal and
 // inverter maps, and the PO lists are cleared in place. A Reset netlist is
-// observationally identical to a New one.
+// observationally identical to a New one, except that it starts a new
+// Generation.
 func (nl *Netlist) Reset() {
 	if nl.txOn {
 		panic("netlist: Reset during an open transaction")
 	}
+	nl.gen++
+	nl.edited = nl.edited[:0]
 	nl.gates = nl.gates[:0]
 	clear(nl.Signal)
 	clear(nl.inv)
@@ -175,6 +216,7 @@ func (nl *Netlist) Invert(g int) int {
 func (nl *Netlist) RemovePin(g, idx int) {
 	f := nl.gates[g].fanins[idx]
 	nl.gates[g].fanins = append(nl.gates[g].fanins[:idx], nl.gates[g].fanins[idx+1:]...)
+	nl.logEdit(g)
 	// Remove one fanout entry of f pointing at g.
 	fo := nl.gates[f].fanouts
 	for i, x := range fo {
@@ -192,6 +234,7 @@ func (nl *Netlist) RemovePin(g, idx int) {
 func (nl *Netlist) AddPin(g, src int) int {
 	nl.gates[g].fanins = append(nl.gates[g].fanins, src)
 	nl.gates[src].fanouts = append(nl.gates[src].fanouts, g)
+	nl.logEdit(g)
 	if nl.txOn {
 		nl.tx = append(nl.tx, txOp{kind: txAddPin, g: g})
 	}

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
@@ -195,5 +196,53 @@ func TestNameOfAndKinds(t *testing.T) {
 		if k.String() == "" {
 			t.Error("kind string empty")
 		}
+	}
+}
+
+// TestEditLog pins the edit log a simulation memo catches up on: AddPin,
+// RemovePin and the rollback of either log the gate whose fanin list
+// changed, a rolled-back AddGate logs the gate it removed, a created gate
+// is not logged, and Reset and an overgrown log start a new generation
+// with an empty log.
+func TestEditLog(t *testing.T) {
+	nl := New()
+	a := nl.AddInput("a")
+	b := nl.AddInput("b")
+	g := nl.AddGate(And, a, b)
+	o := nl.AddGate(Or, g)
+	gen := nl.Generation()
+	expect := func(what string, want ...int) {
+		t.Helper()
+		if nl.Generation() != gen {
+			t.Fatalf("%s: generation %d, want %d", what, nl.Generation(), gen)
+		}
+		if got := nl.Edited(); !slices.Equal(got, want) {
+			t.Fatalf("%s: log %v, want %v", what, got, want)
+		}
+	}
+	expect("build")
+	nl.RemovePin(g, 1)
+	expect("RemovePin", g)
+	nl.BeginTx()
+	c := nl.AddGate(And, a)
+	expect("AddGate in a transaction", g)
+	nl.AddPin(o, c)
+	expect("AddPin", g, o)
+	nl.RollbackTx()
+	expect("RollbackTx", g, o, o, c)
+	nl.EndTx()
+	nl.Reset()
+	if nl.Generation() == gen || len(nl.Edited()) != 0 {
+		t.Fatalf("Reset kept generation %d or log %v", nl.Generation(), nl.Edited())
+	}
+	gen = nl.Generation()
+	x := nl.AddInput("x")
+	y := nl.AddGate(Not, x)
+	nl.RemovePin(y, 0)
+	nl.AddPin(y, x)
+	expect("two edits on two gates", y, y)
+	nl.RemovePin(y, 0)
+	if nl.Generation() == gen || len(nl.Edited()) != 0 {
+		t.Fatalf("a log outgrowing %d gates kept generation %d or log %v", nl.NumGates(), nl.Generation(), nl.Edited())
 	}
 }

@@ -84,6 +84,7 @@ func (nl *Netlist) undo(op txOp) {
 			}
 		}
 		nl.gates = nl.gates[:op.g]
+		nl.logEdit(op.g)
 	case txAddPin:
 		fan := nl.gates[op.g].fanins
 		src := fan[len(fan)-1]
@@ -95,6 +96,7 @@ func (nl *Netlist) undo(op txOp) {
 				break
 			}
 		}
+		nl.logEdit(op.g)
 	case txRemovePin:
 		fan := nl.gates[op.g].fanins
 		fan = append(fan, 0)
@@ -106,6 +108,7 @@ func (nl *Netlist) undo(op txOp) {
 		copy(fo[op.foIdx+1:], fo[op.foIdx:])
 		fo[op.foIdx] = op.g
 		nl.gates[op.src].fanouts = fo
+		nl.logEdit(op.g)
 	case txInvert:
 		delete(nl.inv, op.g)
 	}
