@@ -10,8 +10,10 @@
 # regenerated from its committed recipe) + a fuzz smoke over every fuzz
 # target (BLIF parser, cube algebra and the pooled complement, the
 # minimizer, the factoring kernel and weak division against their
-# pre-arena references, cone hashing, batch cone disjointness, the
-# implication engine against its pre-change reference, windowed trials
+# pre-arena references, the POS literal floor against the factored literal
+# counts it bounds and, up to 8 variables, a brute-force count, cone
+# hashing, batch cone disjointness, the implication engine against its
+# pre-change reference, windowed trials
 # against the full-depth reference window, and FuzzSubstitute: the whole
 # optimizer over random DAGs × the Options matrix, checked for
 # equivalence, network.Check and BLIF identity across schedules, and
@@ -61,7 +63,8 @@ go test -race ./internal/core ./internal/atpg ./internal/netlist ./internal/alge
 BDS_SCALE_RACE=1 BDS_SCALE_GATES=100000 \
   go test -race -run 'TestSubstituteBatchScaleRace$' -timeout 60m ./internal/core
 # Fuzz smoke. The first line replays the committed seed corpora for every
-# fuzz target (no -fuzz flag: deterministic, fails on any regressed seed).
+# fuzz target of the listed packages, FuzzLiteralFloor among them (no -fuzz
+# flag: deterministic, fails on any regressed seed).
 # Then each target explores for a few seconds — Go accepts only one -fuzz
 # pattern per invocation, so the loop pairs each target with its package.
 go test -run Fuzz ./internal/blif ./internal/cube ./internal/mini ./internal/algebraic ./internal/network ./internal/core ./internal/atpg
@@ -73,6 +76,7 @@ for target in \
   'FuzzMinimize ./internal/mini' \
   'FuzzFactorLits ./internal/algebraic' \
   'FuzzWeakDivide ./internal/algebraic' \
+  'FuzzLiteralFloor ./internal/algebraic' \
   'FuzzConeHashOrderInvariance ./internal/network' \
   'FuzzOverlayReadEquivalence ./internal/network' \
   'FuzzBatchDisjoint ./internal/core' \

@@ -81,13 +81,6 @@ type Engine struct {
 	scoped     bool
 	scopeStamp []uint32
 	scopeGen   uint32
-	// TFO marking scratch (see markTFO): tfoStamp[g] == tfoGen marks g as
-	// inside the current fault's transitive fanout. Bumping tfoGen
-	// invalidates the whole marking in O(1), so per-fault TFO sets need no
-	// allocation.
-	tfoStamp []uint32
-	tfoGen   uint32
-	tfoStack []int
 	// learn[d-1] is the scratch of the learning pass running at depth d.
 	// A recursion chain holds at most one pass per depth, so the buffers
 	// never alias, and a warmed engine learns without allocating.
@@ -224,41 +217,6 @@ func (e *Engine) undo(mark int) {
 
 // Val returns the current value of gate g.
 func (e *Engine) Val(g int) Value { return e.val[g] }
-
-// markTFO marks the transitive fanout of gate g (including g) in the
-// engine's stamp array, invalidating any previous marking. Membership is
-// then queried with inTFO. This replaces a per-fault map allocation on the
-// mandatory-assignment hot path.
-func (e *Engine) markTFO(g int) {
-	if n := e.nl.NumGates(); len(e.tfoStamp) < n {
-		e.tfoStamp = append(e.tfoStamp, make([]uint32, n-len(e.tfoStamp))...)
-	}
-	e.tfoGen++
-	if e.tfoGen == 0 {
-		// Generation wrapped: stale stamps could alias, so clear once.
-		clear(e.tfoStamp)
-		e.tfoGen = 1
-	}
-	gen := e.tfoGen
-	e.tfoStamp[g] = gen
-	stack := append(e.tfoStack[:0], g)
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, fo := range e.nl.Fanouts(x) {
-			if e.tfoStamp[fo] != gen {
-				e.tfoStamp[fo] = gen
-				stack = append(stack, fo)
-			}
-		}
-	}
-	e.tfoStack = stack
-}
-
-// inTFO reports whether gate g was marked by the last markTFO call.
-func (e *Engine) inTFO(g int) bool {
-	return g < len(e.tfoStamp) && e.tfoStamp[g] == e.tfoGen
-}
 
 // inScope reports whether implications may be derived at gate g.
 func (e *Engine) inScope(g int) bool {

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cube"
@@ -254,6 +255,46 @@ func TestStopAfterLimitsDominatorWalk(t *testing.T) {
 	}
 	if e.Val(cc) != Unknown {
 		t.Error("stopAfter=1 should not constrain c")
+	}
+}
+
+// TestMandatoryAssignmentsAvoidFaultTFO checks the argument that lets
+// MandatoryAssignments assert side inputs without marking the fault's
+// transitive fanout: on random DAGs (repeated fanins and multi-fanout
+// stems included, sinks and a random third of the gates marked as POs),
+// for every wire fault and dominator walk length, no gate it asserts lies
+// in the faulted gate's fanout cone as netlist.TFO walks it. A dominator
+// walk that stepped past a multi-fanout gate would fail here.
+func TestMandatoryAssignmentsAvoidFaultTFO(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	asserted := map[int]int{}
+	for i := 0; i < 300; i++ {
+		data := make([]byte, 4*maxFuzzGates)
+		r.Read(data)
+		nl := buildNetlist(decodeDAG(&fuzzReader{data}))
+		for g := 0; g < nl.NumGates(); g++ {
+			if len(nl.Fanouts(g)) == 0 || r.Intn(3) == 0 {
+				nl.MarkPO(g)
+			}
+		}
+		e := NewEngine(nl, Options{})
+		for _, f := range allWireFaults(nl) {
+			tfo := nl.TFO(f.Wire.Gate)
+			for _, stopAfter := range []int{0, 1, 2, -1} {
+				e.Reset()
+				MandatoryAssignments(e, nl, f, stopAfter)
+				for _, g := range e.trail {
+					if tfo[g] {
+						t.Fatalf("DAG %d, fault %+v, stopAfter %d: asserted gate %d lies in the fanout cone of gate %d",
+							i, f, stopAfter, g, f.Wire.Gate)
+					}
+				}
+				asserted[stopAfter] += len(e.trail)
+			}
+		}
+	}
+	if asserted[-1] <= asserted[0] {
+		t.Fatalf("vacuous: the full dominator walks asserted %d gates, the faulted gates alone %d", asserted[-1], asserted[0])
 	}
 }
 

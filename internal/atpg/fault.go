@@ -20,11 +20,19 @@ type Fault struct {
 //
 //   - activation: the wire's driving gate carries the good value ¬Stuck;
 //   - propagation: along the dominator chain from the faulted gate toward
-//     the outputs, every side input outside the fault's transitive fanout
-//     must be at the gate's non-controlling value. The walk stops at the
-//     first multi-fanout stem (no unique path beyond), or after stopAfter
-//     dominators when stopAfter ≥ 0 — the paper's region-local mode treats
-//     the dividend node's output as directly observable.
+//     the outputs, every side input must be at the gate's non-controlling
+//     value. The walk stops at the first multi-fanout stem (no unique path
+//     beyond), or after stopAfter dominators when stopAfter ≥ 0 — the
+//     paper's region-local mode treats the dividend node's output as
+//     directly observable.
+//
+// No side input lies in the fault's transitive fanout, where its good and
+// faulty values could differ, so none needs excluding. Each chain gate
+// after the faulted gate is the single fanout of the gate before it, so a
+// side input of chain gate c inside that fanout would be an earlier chain
+// gate other than c's predecessor (whose one fanout is not c), c itself,
+// or a gate in c's own fanout: each closes a cycle (DESIGN.md, "Implication
+// engine: mandatory assignments without TFO marks").
 //
 // The assignments are asserted into e (which the caller typically Reset
 // first); the return value is false if asserting them already conflicts.
@@ -33,7 +41,6 @@ func MandatoryAssignments(e *Engine, nl *netlist.Netlist, f Fault, stopAfter int
 	if !e.Assign(src, 1-f.Stuck) {
 		return false
 	}
-	e.markTFO(f.Wire.Gate)
 	// Side inputs of the faulted gate itself.
 	if !assignSides(e, nl, f.Wire.Gate, src) {
 		return false
@@ -60,10 +67,9 @@ func MandatoryAssignments(e *Engine, nl *netlist.Netlist, f Fault, stopAfter int
 	return true
 }
 
-// assignSides puts non-controlling values on g's inputs other than `through`,
-// skipping inputs inside the fault's TFO — marked by the caller's markTFO —
-// (their good value may differ from their faulty value, so no good-circuit
-// requirement is sound for them).
+// assignSides puts non-controlling values on g's inputs other than
+// `through`. None of them lies in the fault's transitive fanout (see
+// MandatoryAssignments).
 func assignSides(e *Engine, nl *netlist.Netlist, g, through int) bool {
 	var nonctrl Value
 	switch nl.KindOf(g) {
@@ -75,7 +81,7 @@ func assignSides(e *Engine, nl *netlist.Netlist, g, through int) bool {
 		return true // NOT/Input: no side inputs
 	}
 	for _, f := range nl.Fanins(g) {
-		if f == through || e.inTFO(f) {
+		if f == through {
 			continue
 		}
 		if !e.Assign(f, nonctrl) {

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"repro/internal/algebraic"
 	"repro/internal/atpg"
 	"repro/internal/cube"
 	"repro/internal/mini"
@@ -83,7 +84,7 @@ func PosDivide(nw network.Reader, f, d string, cfg Config) (*DivideResult, bool)
 // oneShotDivide runs one division on a one-shot scratch, whose divisions
 // build their results on the heap.
 func oneShotDivide(nw network.Reader, f string, c candidate, cfg Config) (*DivideResult, bool) {
-	res, ok := divide(oneShot(), nw, nil, f, c, cfg)
+	res, ok := divide(oneShot(), nw, nil, f, c, cfg, 0)
 	if !ok {
 		return nil, false
 	}
@@ -110,8 +111,13 @@ func (r *DivideResult) keep() {
 // scratch's next division (see trialArena); only POS division's final
 // complement is built on the heap.
 //
+// beat, when positive, is the factored-literal count the division must
+// beat to gain (the engine passes the dividend's own). A POS division whose
+// literal floor already reaches it is refused before its final complement
+// and minimization (see posFloorRefuses); beat ≤ 0 refuses nothing.
+//
 //bdslint:hotpath
-func divide(sc *scratch, nw network.Reader, win *window, f string, c candidate, cfg Config) (DivideResult, bool) {
+func divide(sc *scratch, nw network.Reader, win *window, f string, c candidate, cfg Config, beat int) (DivideResult, bool) {
 	d := c.name
 	fn, dn := nw.Node(f), nw.Node(d)
 	if fn == nil || dn == nil || f == d {
@@ -148,6 +154,9 @@ func divide(sc *scratch, nw network.Reader, win *window, f string, c candidate, 
 	if !ok || c.form != formPOS {
 		return res, ok
 	}
+	if sc.posFloorRefuses(res.Cover, beat) {
+		return DivideResult{}, false
+	}
 	// res.Cover computes f̄; the node function is its complement.
 	final, ok := res.Cover.ComplementAtMost(4 * maxComplementCubes)
 	if !ok {
@@ -183,6 +192,27 @@ func (c candidate) covers(fn, dn *network.Node) (fc, dc cube.Cover, ok bool) {
 		return fc, dc, false
 	}
 	return mini.Minimize(fc, mini.Options{}), mini.Minimize(dc, mini.Options{}), true
+}
+
+// posFloorCorrupt, when set (tests only), makes posFloorRefuses refuse
+// every POS division it is asked about — the corruption-injection seam
+// proving the floor audit (see auditFloor) fires on a refused division
+// that gains.
+var posFloorCorrupt bool
+
+// posFloorRefuses reports whether a POS division whose RAR-reduced f̄ cover
+// is h cannot gain against beat literals: no factored form of h's
+// complement, the node function the division would finish with, has fewer
+// literals than algebraic.LiteralFloor(h), so once the floor reaches beat
+// the complement and its minimization are not worth building. beat ≤ 0,
+// or sc.noFloor (the audit's re-plan), refuses nothing.
+//
+//bdslint:hotpath
+func (sc *scratch) posFloorRefuses(h cube.Cover, beat int) bool {
+	if beat <= 0 || sc.noFloor {
+		return false
+	}
+	return posFloorCorrupt || algebraic.LiteralFloor(h, beat) >= beat
 }
 
 // boundedComplement returns cov's complement, ok=false when it is zero or
@@ -315,8 +345,8 @@ func tentativeCover(t *trialArena, d string, qPart, rem cube.Cover, yPhase cube.
 // numbers the gates as a build of the working network does. The other
 // trials patch (rarPatched) and run identical region-local implications —
 // the patched netlist differs from a fresh build only by orphaned cube
-// gates with no live fanout, which region scopes, dominator walks, and TFO
-// marks never reach.
+// gates with no live fanout, which region scopes and dominator walks never
+// reach.
 func regionRARRebuild(sc *scratch, t *trialArena, work trialNet, f, d string, cfg Config) int {
 	removed := 0
 	for pass := 0; pass < 8; pass++ {

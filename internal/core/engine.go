@@ -112,7 +112,8 @@ func installed(nw network.Reader, p plan) *network.Network {
 // planPair pins nw as the scratch's live reader — enabling the memoized
 // shared base build every node-form trial at nw's version patches — and, under
 // Options.Audit, re-runs the whole trial on the historical deep-clone path
-// and panics unless the two plans agree byte-for-byte.
+// and panics unless the two plans agree byte-for-byte, and re-plans a
+// refused POS division without the literal floor (auditFloor).
 //
 //bdslint:hotpath
 func planPair(sc *scratch, nw network.Reader, f string, cand candidate, opt Options) (plan, bool) {
@@ -124,8 +125,24 @@ func planPair(sc *scratch, nw network.Reader, f string, cand candidate, opt Opti
 		auditOverlayTrial(sc, nw, p, ok, fmt.Sprintf("f=%s d=%s", f, cand.name), func(aopt Options) (plan, bool) {
 			return planPairImpl(sc, nw, f, cand, aopt)
 		}, opt)
+		if !ok && cand.form == formPOS {
+			auditFloor(sc, nw, f, cand, opt)
+		}
 	}
 	return p, ok
+}
+
+// auditFloor re-plans a POS division that planned nothing with the literal
+// floor off, and panics if that plan gains: the floor may refuse only
+// divisions that cannot gain (see posFloorRefuses). A division refused for
+// any other reason re-plans to nothing again.
+func auditFloor(sc *scratch, nw network.Reader, f string, cand candidate, opt Options) {
+	sc.noFloor = true
+	p, ok := planPairImpl(sc, nw, f, cand, opt)
+	sc.noFloor = false
+	if ok && p.gain > 0 {
+		panic(fmt.Sprintf("core: literal-floor audit: f=%s d=%s: the floor refused a POS division that gains %d", f, cand.name, p.gain))
+	}
 }
 
 // overlayAuditCorrupt, when set (tests only), mutates the overlay-path plan
@@ -257,7 +274,7 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 	}
 
 	if cand.form != formSOP || opt.Config == Basic {
-		res, ok := divide(sc, nwd, win, f, cand, opt.Config)
+		res, ok := divide(sc, nwd, win, f, cand, opt.Config, costBefore)
 		if !ok {
 			return plan{}, false
 		}
@@ -286,7 +303,7 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 		// prove more than the windowed one, so it runs on its own.
 		ext, _, hasExt = wholePlan(sc, nw, f, d, opt.Config)
 	}
-	res, ok := divide(sc, nwd, win, f, cand, opt.Config)
+	res, ok := divide(sc, nwd, win, f, cand, opt.Config, costBefore)
 	if !ok {
 		return ext, hasExt
 	}

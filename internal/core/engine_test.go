@@ -317,7 +317,7 @@ func TestWindowedWholeDivisorCommitsNormalizedCover(t *testing.T) {
 			return
 		}
 		if !c.committed {
-			res, ok := divide(newScratch(), nw, nil, p.target, c.seq.cands[c.seq.next-1], opt.Config)
+			res, ok := divide(newScratch(), nw, nil, p.target, c.seq.cands[c.seq.next-1], opt.Config, 0)
 			if !ok {
 				t.Fatalf("%s f=%s: whole-divisor plan without an unwindowed division", name, p.target)
 			}

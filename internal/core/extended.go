@@ -272,7 +272,7 @@ func (x extDivision) materialize(sc *scratch, nw network.Reader, f string, cfg C
 // The division is copied out of the scratch's trial memory first, since
 // Normalize may hand back the cover it was given.
 func wholePlan(sc *scratch, nw network.Reader, f, d string, cfg Config) (plan, DivideResult, bool) {
-	res, ok := divide(sc, nw, nil, f, candidate{name: d}, cfg)
+	res, ok := divide(sc, nw, nil, f, candidate{name: d}, cfg, 0)
 	if !ok {
 		return plan{}, DivideResult{}, false
 	}
@@ -341,7 +341,7 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (ex
 	}
 	work.NormalizeNode(d)
 
-	res, ok := divide(sc, work, nil, f, candidate{name: coreName}, cfg)
+	res, ok := divide(sc, work, nil, f, candidate{name: coreName}, cfg, 0)
 	if !ok {
 		return extDivision{}, false
 	}

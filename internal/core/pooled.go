@@ -88,7 +88,7 @@ func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []s
 	work.AddNode(coreName, t.union, coreCover.SCC())
 	work.NormalizeNode(coreName)
 
-	res, ok := divide(sc, work, nil, f, candidate{name: coreName}, cfg)
+	res, ok := divide(sc, work, nil, f, candidate{name: coreName}, cfg, 0)
 	if !ok {
 		return extDivision{}, "", false
 	}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/algebraic"
+	"repro/internal/bench"
 	"repro/internal/cube"
 	"repro/internal/network"
 	"repro/internal/verify"
@@ -131,4 +134,82 @@ func TestPropPosDivisionSound(t *testing.T) {
 				trial, f, d, nw.String(), after.String())
 		}
 	}
+}
+
+// TestPOSFloorRefusesOnlyWhatCannotGain plans every POS candidate of the
+// suite circuits with the literal floor and without it (scratch.noFloor):
+// a plan the floor lets through must be the unfloored plan byte for byte,
+// and a division the floor refuses must plan nothing or a plan without
+// gain. Most POS divisions cannot gain, so the floor must refuse some.
+func TestPOSFloorRefusesOnlyWhatCannotGain(t *testing.T) {
+	opt := Options{Config: Basic, POS: true}
+	sc, unfloored := newScratch(), newScratch()
+	unfloored.noFloor = true
+	trials, refused := 0, 0
+	for _, name := range bench.Names() {
+		nw := bench.Get(name)
+		nc := newNodeCache(nw)
+		for _, f := range nw.TopoOrder() {
+			if nw.Node(f).Cover.IsZero() {
+				continue
+			}
+			for _, c := range candidateDivisors(nw, nc, f, opt, nil) {
+				if c.form != formPOS {
+					continue
+				}
+				trials++
+				got, gotOK := planPair(sc, nw, f, c, opt)
+				want, wantOK := planPair(unfloored, nw, f, c, opt)
+				if gotOK {
+					if err := comparePlans(nw, got, gotOK, want, wantOK); err != nil {
+						t.Fatalf("%s f=%s d=%s: the floored plan differs from the unfloored one: %v", name, f, c.name, err)
+					}
+					continue
+				}
+				if wantOK {
+					refused++
+					if want.gain > 0 {
+						t.Fatalf("%s f=%s d=%s: the floor refused a division that gains %d", name, f, c.name, want.gain)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d POS trials, %d refused by the floor", trials, refused)
+	if refused == 0 {
+		t.Fatalf("the floor refused none of %d POS trials", trials)
+	}
+}
+
+// TestFloorAuditDetectsCorruptedFloor proves the floor audit is a live
+// tripwire: with a seam that makes the floor refuse every POS division,
+// Options.Audit must panic on a suite cell where a POS substitution
+// commits, and the same cell must run clean without the seam.
+func TestFloorAuditDetectsCorruptedFloor(t *testing.T) {
+	opt := Options{Config: Basic, POS: true, Workers: 1}
+	cell := ""
+	for _, name := range bench.Names() {
+		if Substitute(bench.Get(name), opt).POSSubstitutions > 0 {
+			cell = name
+			break
+		}
+	}
+	if cell == "" {
+		t.Fatal("no suite cell commits a POS substitution")
+	}
+	opt.Audit = true
+	Substitute(bench.Get(cell), opt)
+
+	defer func() { posFloorCorrupt = false }()
+	posFloorCorrupt = true
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s: Audit accepted a floor that refused a gaining POS division", cell)
+		}
+		if !strings.Contains(fmt.Sprint(r), "literal-floor audit") {
+			t.Fatalf("%s: unexpected panic: %v", cell, r)
+		}
+	}()
+	Substitute(bench.Get(cell), opt)
 }

@@ -70,6 +70,9 @@ type scratch struct {
 	// planner entry points): trialClone hands out deep clones and every RAR
 	// pass rebuilds its netlist, exactly the historical engine.
 	noOverlay bool
+	// noFloor makes POS division finish every division the literal floor
+	// would refuse: the floor audit's re-plan (see auditFloor) sets it.
+	noFloor bool
 	// parts makes every division fill DivideResult's informational
 	// Quotient and Remainder. Only the public one-shot wrappers read them
 	// (see oneShot); engine trials skip the split and its allocations.

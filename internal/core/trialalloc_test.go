@@ -17,12 +17,26 @@ type nodeTrial struct {
 	opt  Options
 }
 
+// outcome is how a node-form trial ends.
+type outcome uint8
+
+const (
+	// noGain: the trial plans a division without gain.
+	noGain outcome = iota
+	// gains: the trial plans a division that gains.
+	gains
+	// refused: a POS trial the literal floor refuses, which plans a
+	// division once the floor is off.
+	refused
+)
+
 // findNodeTrial returns the first trial over the suite circuits, in suite
-// and topological order, of a candidate in the given form whose plan
-// exists and gains (positive) or does not (!positive) under opt.
-func findNodeTrial(tb testing.TB, opt Options, fm form, positive bool) nodeTrial {
+// and topological order, of a candidate in the given form that ends in
+// the given outcome under opt.
+func findNodeTrial(tb testing.TB, opt Options, fm form, want outcome) nodeTrial {
 	tb.Helper()
-	sc := newScratch()
+	sc, unfloored := newScratch(), newScratch()
+	unfloored.noFloor = true
 	for _, name := range bench.Names() {
 		nw := bench.Get(name)
 		nc := newNodeCache(nw)
@@ -34,13 +48,26 @@ func findNodeTrial(tb testing.TB, opt Options, fm form, positive bool) nodeTrial
 				if c.form != fm {
 					continue
 				}
-				if p, ok := planPair(sc, nw, f, c, opt); ok && (p.gain > 0) == positive {
+				p, ok := planPair(sc, nw, f, c, opt)
+				var got outcome
+				switch {
+				case ok && p.gain > 0:
+					got = gains
+				case ok:
+					got = noGain
+				default:
+					if _, ok := planPair(unfloored, nw, f, c, opt); !ok {
+						continue
+					}
+					got = refused
+				}
+				if got == want {
 					return nodeTrial{nw, f, c, opt}
 				}
 			}
 		}
 	}
-	tb.Fatalf("no suite trial in form %d with positive=%v under %+v", fm, positive, opt)
+	tb.Fatalf("no suite trial in form %d with outcome %d under %+v", fm, want, opt)
 	return nodeTrial{}
 }
 
@@ -51,23 +78,31 @@ func (t nodeTrial) plan(sc *scratch) (plan, bool) { return planPair(sc, t.nw, t.
 // node-form division trial: on a warmed scratch, a SOP and a
 // complement-phase trial that yield no positive plan allocate nothing,
 // windowed and unwindowed, yet still carry the body the clone path
-// plans, for Options.Audit to compare; and a plan that gains keeps a body
-// that later trials on the same scratch leave unchanged.
+// plans, for Options.Audit to compare; a POS trial the literal floor
+// refuses allocates nothing either and plans nothing on either path; and
+// a plan that gains keeps a body that later trials on the same scratch
+// leave unchanged.
 func TestNodeTrialAllocatesOnlyItsPlan(t *testing.T) {
 	for _, depth := range []int{0, 3} {
 		opt := Options{Config: Basic, WindowDepth: depth}
-		ref := opt
-		ref.noOverlay = true
-		for _, fm := range []form{formSOP, formCompl} {
-			trial := findNodeTrial(t, opt, fm, false)
+		for _, leg := range []struct {
+			fm   form
+			want outcome
+		}{{formSOP, noGain}, {formCompl, noGain}, {formPOS, refused}} {
+			fm := leg.fm
+			legOpt := opt
+			legOpt.POS = fm == formPOS
+			trial := findNodeTrial(t, legOpt, fm, leg.want)
+			ref := legOpt
+			ref.noOverlay = true
 			sc := newScratch()
-			p, _ := trial.plan(sc)
+			p, ok := trial.plan(sc)
 			want, wantOK := planPair(newScratch(), trial.nw, trial.f, trial.cand, ref)
-			if len(p.bodies) != 1 {
+			if ok && len(p.bodies) != 1 {
 				t.Fatalf("depth %d form %d, %s by %s: a plan without gain has %d bodies, want 1",
 					depth, fm, trial.f, trial.cand.name, len(p.bodies))
 			}
-			if err := comparePlans(trial.nw, p, true, want, wantOK); err != nil {
+			if err := comparePlans(trial.nw, p, ok, want, wantOK); err != nil {
 				t.Fatalf("depth %d form %d, %s by %s: %v", depth, fm, trial.f, trial.cand.name, err)
 			}
 			for i := 0; i < 3; i++ {
@@ -84,8 +119,8 @@ func TestNodeTrialAllocatesOnlyItsPlan(t *testing.T) {
 			}
 		}
 
-		kept := findNodeTrial(t, opt, formSOP, true)
-		other := findNodeTrial(t, opt, formCompl, false)
+		kept := findNodeTrial(t, opt, formSOP, gains)
+		other := findNodeTrial(t, opt, formCompl, noGain)
 		sc := newScratch()
 		p, ok := kept.plan(sc)
 		if !ok || p.gain <= 0 || len(p.bodies) != 1 {
@@ -107,24 +142,31 @@ func TestNodeTrialAllocatesOnlyItsPlan(t *testing.T) {
 
 // BenchmarkNodeTrial measures one node-form division trial on a warmed
 // scratch: a SOP and a complement-phase trial that gain nothing, windowed
-// (Basic, WindowDepth 3) and unwindowed, and a SOP trial whose plan gains
-// and so copies its body out. allocs/op is the headline: the legs without
-// gain must stay at 0.
+// (Basic, WindowDepth 3) and unwindowed; a POS trial the literal floor
+// refuses, windowed and unwindowed, and one it lets through to its final
+// complement and minimization, which then gains nothing; and a SOP trial
+// whose plan gains and so copies its body out. allocs/op is the headline:
+// the SOP, complement-phase and refused POS legs without gain must stay
+// at 0.
 func BenchmarkNodeTrial(b *testing.B) {
 	legs := []struct {
-		name     string
-		fm       form
-		depth    int
-		positive bool
+		name  string
+		fm    form
+		depth int
+		want  outcome
 	}{
-		{"sop/unwindowed", formSOP, 0, false},
-		{"sop/windowed", formSOP, 3, false},
-		{"compl/unwindowed", formCompl, 0, false},
-		{"compl/windowed", formCompl, 3, false},
-		{"kept/unwindowed", formSOP, 0, true},
+		{"sop/unwindowed", formSOP, 0, noGain},
+		{"sop/windowed", formSOP, 3, noGain},
+		{"compl/unwindowed", formCompl, 0, noGain},
+		{"compl/windowed", formCompl, 3, noGain},
+		{"pos_refused/unwindowed", formPOS, 0, refused},
+		{"pos_refused/windowed", formPOS, 3, refused},
+		{"pos_finished/unwindowed", formPOS, 0, noGain},
+		{"kept/unwindowed", formSOP, 0, gains},
 	}
 	for _, leg := range legs {
-		trial := findNodeTrial(b, Options{Config: Basic, WindowDepth: leg.depth}, leg.fm, leg.positive)
+		opt := Options{Config: Basic, WindowDepth: leg.depth, POS: leg.fm == formPOS}
+		trial := findNodeTrial(b, opt, leg.fm, leg.want)
 		b.Run(leg.name, func(b *testing.B) {
 			sc := newScratch()
 			trial.plan(sc)
