@@ -16,6 +16,7 @@ package repro_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/algebraic"
@@ -734,6 +735,51 @@ func BenchmarkSubstituteScale(b *testing.B) {
 					b.ReportMetric(float64(st.Substitutions), "subs")
 					b.ReportMetric(float64(st.BatchCommits), "bcommits")
 					b.ReportMetric(float64(st.SpeculatedTrials), "spec")
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSubstituteGrowth measures how the paper's three configurations
+// grow with circuit size: the same scale recipe as BenchmarkSubstituteScale
+// (WindowDepth 3, one pass, capped trials, one worker) on cone forests of
+// 1k and 3k gates (bench.Generate, seed 1), for Basic, and for Extended
+// and ExtendedGDC with POS and pooling as in the paper's tables. Tripling
+// the gates should triple the time; a trial that goes back to costing
+// O(network) shows as a ratio nearer nine. Each run starts after a
+// collection, so the garbage of the legs before it is not paid inside it.
+// The legs are report-only: no ceiling is committed on the ratio yet.
+func BenchmarkSubstituteGrowth(b *testing.B) {
+	configs := []struct {
+		name string
+		opt  core.Options
+	}{
+		{"basic", core.Options{Config: core.Basic}},
+		{"ext", core.Options{Config: core.Extended, POS: true, Pool: true}},
+		{"extgdc", core.Options{Config: core.ExtendedGDC, POS: true, Pool: true}},
+	}
+	for _, size := range []struct {
+		name  string
+		gates int
+	}{{"cone1k", 1000}, {"cone3k", 3000}} {
+		base, err := bench.Generate("cone", size.gates, 0, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, cfg := range configs {
+			opt := cfg.opt
+			opt.WindowDepth, opt.MaxPasses, opt.MaxDivisorTrials, opt.Workers = 3, 1, 8, 1
+			b.Run(cfg.name+"/"+size.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					nw := base.Clone()
+					runtime.GC()
+					b.StartTimer()
+					st := core.Substitute(nw, opt)
+					b.ReportMetric(float64(st.Substitutions), "subs")
+					b.ReportMetric(float64(st.DivisorTrials), "trials")
 				}
 			})
 		}

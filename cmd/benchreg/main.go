@@ -128,9 +128,13 @@ func runEmit(r io.Reader, path string) error {
 //
 //	BenchmarkSubstituteParallel/w4-8   1   150647451 ns/op   534 lits   392 trials
 //
-// i.e. name-P, iteration count, then (value, unit) pairs.
+// i.e. name-P, iteration count, then (value, unit) pairs. A benchmark run
+// several times (`-count N`) prints one line per run; its snapshot entry
+// holds each field's median over those lines (see median), so one noisy
+// run moves nothing.
 func parseBench(r io.Reader) (snapshot, error) {
-	snap := snapshot{Benchmarks: make(map[string]measure)}
+	runs := make(map[string][]measure)
+	var names []string
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -164,13 +168,56 @@ func parseBench(r io.Reader) (snapshot, error) {
 			}
 		}
 		if ok {
-			if len(m.Metrics) == 0 {
-				m.Metrics = nil
+			if _, seen := runs[name]; !seen {
+				names = append(names, name)
 			}
-			snap.Benchmarks[name] = m
+			runs[name] = append(runs[name], m)
 		}
 	}
+	snap := snapshot{Benchmarks: make(map[string]measure, len(names))}
+	for _, name := range names {
+		snap.Benchmarks[name] = median(runs[name])
+	}
 	return snap, sc.Err()
+}
+
+// median returns the field-wise median of one benchmark's runs: ns/op,
+// allocs/op, B/op and every metric each take the median of the runs that
+// measured them. A field no run measured stays unmeasured.
+func median(ms []measure) measure {
+	var ns, allocs, bytes []float64
+	metrics := make(map[string][]float64)
+	for _, m := range ms {
+		ns = append(ns, m.NsPerOp)
+		if m.AllocsPerOp != nil {
+			allocs = append(allocs, *m.AllocsPerOp)
+		}
+		if m.BytesPerOp != nil {
+			bytes = append(bytes, *m.BytesPerOp)
+		}
+		for unit, v := range m.Metrics {
+			metrics[unit] = append(metrics[unit], v)
+		}
+	}
+	out := measure{NsPerOp: *middle(ns), AllocsPerOp: middle(allocs), BytesPerOp: middle(bytes)}
+	for unit, vs := range metrics {
+		if out.Metrics == nil {
+			out.Metrics = make(map[string]float64, len(metrics))
+		}
+		out.Metrics[unit] = *middle(vs)
+	}
+	return out
+}
+
+// middle returns the median of vs, nil when vs is empty. For an even
+// count it is the lower of the two middle values, so every recorded value
+// is one a run measured.
+func middle(vs []float64) *float64 {
+	if len(vs) == 0 {
+		return nil
+	}
+	sort.Float64s(vs)
+	return &vs[(len(vs)-1)/2]
 }
 
 func load(path string) (snapshot, error) {

@@ -130,3 +130,30 @@ func TestCompareWarnsWhenZeroBaselineAllocates(t *testing.T) {
 		}
 	}
 }
+
+// TestEmitKeepsMedianOfRepeatedRuns: a benchmark printed once per run
+// (-count 3) is recorded with each field's median, so one slow run or one
+// run that allocated more moves nothing; a metric only some runs report
+// takes the median of those runs.
+func TestEmitKeepsMedianOfRepeatedRuns(t *testing.T) {
+	out := `BenchmarkSubstituteScale/cone10k/w1-2   1   900 ns/op   10 B/op   3 allocs/op   7 subs
+BenchmarkOther-2                         1   50 ns/op
+BenchmarkSubstituteScale/cone10k/w1-2   1   100 ns/op   30 B/op   5 allocs/op   7 subs   2 extra
+BenchmarkSubstituteScale/cone10k/w1-2   1   120 ns/op   20 B/op   4 allocs/op   7 subs   4 extra
+BenchmarkOther-2                         1   70 ns/op
+`
+	snap, err := parseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := snap.Benchmarks["SubstituteScale/cone10k/w1"]
+	if m.NsPerOp != 120 || m.AllocsPerOp == nil || *m.AllocsPerOp != 4 || m.BytesPerOp == nil || *m.BytesPerOp != 20 {
+		t.Errorf("median of three runs: ns %v, allocs %v, bytes %v; want 120, 4, 20", m.NsPerOp, m.AllocsPerOp, m.BytesPerOp)
+	}
+	if m.Metrics["subs"] != 7 || m.Metrics["extra"] != 2 {
+		t.Errorf("metrics %v; want subs 7 and extra 2 (the lower middle of two runs)", m.Metrics)
+	}
+	if o := snap.Benchmarks["Other"]; o.NsPerOp != 50 || o.AllocsPerOp != nil {
+		t.Errorf("two runs without -benchmem: ns %v, allocs %v; want 50 and unmeasured", o.NsPerOp, o.AllocsPerOp)
+	}
+}

@@ -14,8 +14,8 @@
 // Fanouts, Levels, Eval, ...) IS the name-keyed boundary API, so
 // its body is skipped entirely, as are all function-type expressions
 // (signatures declare interfaces, they don't allocate). Deliberate
-// boundary state that remains — the symbol table itself, the overlay's
-// tiny name-keyed delta — carries a justified //bdslint:ignore idmap.
+// boundary state that remains — the symbol table itself, the netlist's
+// exported name maps — carries a justified //bdslint:ignore idmap.
 package idmap
 
 import (

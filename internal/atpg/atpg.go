@@ -22,6 +22,7 @@ package atpg
 
 import (
 	"slices"
+	"strings"
 
 	"repro/internal/netlist"
 )
@@ -93,9 +94,53 @@ type Engine struct {
 
 // learnScratch holds one learning pass's buffers.
 type learnScratch struct {
-	cands  []int // in-scope unjustified gates, ascending
-	alts   []alt // justification alternatives of the gate under examination
-	common []alt // assignments shared by every consistent alternative so far
+	cands  []cand // in-scope unjustified gates, in examination order
+	alts   []alt  // justification alternatives of the gate under examination
+	common []alt  // assignments shared by every consistent alternative so far
+}
+
+// cand is a learning candidate under its examination key: the name of the
+// network node whose gate it is and its role in that node, -1 for the
+// node's OR gate and the pin it drives there for a cube gate. A gate with
+// no such owner has an empty name and is keyed by its id alone.
+type cand struct {
+	owner string
+	role  int
+	gate  int
+}
+
+// byKey orders candidates by owner name, then role, then id: unowned gates
+// first in id order, then every node's OR gate ahead of its cube gates in
+// pin order.
+func byKey(a, b cand) int {
+	if c := strings.Compare(a.owner, b.owner); c != 0 {
+		return c
+	}
+	if a.role != b.role {
+		return a.role - b.role
+	}
+	return a.gate - b.gate
+}
+
+// candidate returns gate g under its examination key. The key reads only
+// the netlist's structure: an OR gate that carries its node's name is
+// keyed by that name, and a gate whose single fanout is such a gate by
+// that name and its pin there, so a build of a network and a netlist
+// patched to the same node functions key every live gate alike, however
+// they number them. A cube gate a patch detached has no fanout and so no
+// owner, but it is never unjustified (see DESIGN.md, "Implication engine:
+// learning ignores gate numbers").
+func (e *Engine) candidate(g int) cand {
+	nl := e.nl
+	if name := nl.NameOf(g); name != "" {
+		return cand{name, -1, g}
+	}
+	if fo := nl.Fanouts(g); len(fo) == 1 {
+		if name := nl.NameOf(fo[0]); name != "" {
+			return cand{name, slices.Index(nl.Fanins(fo[0]), g), g}
+		}
+	}
+	return cand{"", -1, g}
 }
 
 // NewEngine builds an engine for nl.
@@ -372,10 +417,12 @@ func (e *Engine) implyAndOr(g int, ctrl, nonctrl Value) bool {
 // drains it on undo), so an alternative is asserted on the engine itself,
 // propagated, read off the trail suffix it appended, and undone back to
 // the mark. Candidates come from the trail: an unjustified gate carries
-// its controlling value, so it is assigned, and sorting the trail's
-// candidates by id examines the same gates in the same order as a scan of
-// every gate id would. See DESIGN.md, "Implication engine: in-place
-// learning and dense scope".
+// its controlling value, so it is assigned. They are examined in the order
+// of a key read from the netlist's structure rather than from gate ids
+// (see candidate), so a patched netlist and a fresh build of the same
+// network examine the same gates, also when the cap binds. See DESIGN.md,
+// "Implication engine: in-place learning and dense scope" and
+// "Implication engine: learning ignores gate numbers".
 //
 //bdslint:hotpath
 func (e *Engine) learnPass(depth int) (bool, bool) {
@@ -386,14 +433,15 @@ func (e *Engine) learnPass(depth int) (bool, bool) {
 			continue
 		}
 		if s.alts = e.justifications(s.alts[:0], g); len(s.alts) > 0 {
-			s.cands = append(s.cands, g)
+			s.cands = append(s.cands, e.candidate(g))
 		}
 	}
-	slices.Sort(s.cands)
+	slices.SortFunc(s.cands, byKey)
 	if len(s.cands) > maxLearnGates {
 		s.cands = s.cands[:maxLearnGates]
 	}
-	for _, g := range s.cands {
+	for _, c := range s.cands {
+		g := c.gate
 		s.alts = e.justifications(s.alts[:0], g)
 		s.common = s.common[:0]
 		consistentAlts := 0

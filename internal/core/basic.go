@@ -118,15 +118,27 @@ func (r *DivideResult) keep() {
 //
 //bdslint:hotpath
 func divide(sc *scratch, nw network.Reader, win *window, f string, c candidate, cfg Config, beat int) (DivideResult, bool) {
-	d := c.name
-	fn, dn := nw.Node(f), nw.Node(d)
-	if fn == nil || dn == nil || f == d {
+	fn, dn := nw.Node(f), nw.Node(c.name)
+	if fn == nil || dn == nil || f == c.name {
 		return DivideResult{}, false
 	}
+	return divideBy(sc, nw, win, nil, fn, dn, c, cfg, beat)
+}
+
+// divideBy is divide with the dividend's and divisor's nodes in hand. pre,
+// when non-empty, holds node bodies nw lacks that every RAR pass patches
+// in ahead of f: a decomposition's core, which is the divisor dn, and the
+// divisor it was cut from (see divideCore). The core's fanins are fanins
+// of divisors voteTable proved independent of f, so such a division skips
+// the cycle walk.
+//
+//bdslint:hotpath
+func divideBy(sc *scratch, nw network.Reader, win *window, pre []*network.Node, fn, dn *network.Node, c candidate, cfg Config, beat int) (DivideResult, bool) {
+	f, d := fn.Name, dn.Name
 	if dn.Cover.IsZero() || (dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {
 		return DivideResult{}, false // constant divisor
 	}
-	if divisorDependsOn(nw, win, f, d) {
+	if len(pre) == 0 && divisorDependsOn(nw, win, f, d) {
 		return DivideResult{}, false // substitution would create a cycle
 	}
 	fc, dc, ok := c.covers(fn, dn)
@@ -150,7 +162,7 @@ func divide(sc *scratch, nw network.Reader, win *window, f string, c candidate, 
 	if c.form == formPOS && cfg == ExtendedGDC {
 		cfg = Extended // see PosDivide
 	}
-	res, ok := divideWithParts(sc, t, nw, win, f, d, qPart, rem, cfg, yPhase)
+	res, ok := divideWithParts(sc, t, nw, win, pre, f, d, qPart, rem, cfg, yPhase)
 	if !ok || c.form != formPOS {
 		return res, ok
 	}
@@ -238,33 +250,34 @@ func divisorDependsOn(nw network.Reader, win *window, f, d string) bool {
 // caller post-processes the complement), runs RAR redundancy removal in
 // the region, and extracts the result.
 //
-// Only the dividend is rewritten, so the default paths take no working
-// copy: f's structure is patched into a netlist of nw per pass — the
-// carved window's region when win is set, else nw's base build (memoized
-// per network version for the live network). The divisor-cycle check has
-// already refused d, and every other new fanin is one of f's or d's own,
-// so the rewrite cannot close a cycle. The clone path (noOverlay, the
-// Audit reference) and GDC trials instead install f's structure in a
-// working copy and rebuild its netlist every pass (regionRARRebuild).
+// Only the dividend is rewritten (with pre, see divideBy), so no trial
+// takes a working copy: f's structure is patched into a netlist per pass —
+// the carved window's region when win is set, else nw's base build
+// (memoized per network version for the live network). The divisor-cycle
+// check has already refused d, and every other new fanin is one of f's or
+// d's own, so the rewrite cannot close a cycle. The reference path
+// (Options.reference, which Options.Audit replays) instead installs f's
+// structure in a deep clone and rebuilds its netlist every pass
+// (regionRARRebuild).
 //
 //bdslint:hotpath
-func divideWithParts(sc *scratch, t *trialArena, nw network.Reader, win *window, f, d string, qPart, rem cube.Cover, cfg Config, yPhase cube.Phase) (DivideResult, bool) {
+func divideWithParts(sc *scratch, t *trialArena, nw network.Reader, win *window, pre []*network.Node, f, d string, qPart, rem cube.Cover, cfg Config, yPhase cube.Phase) (DivideResult, bool) {
 	cov, fanins := tentativeCover(t, d, qPart, rem, yPhase)
 	var removed int
 	switch {
-	case win != nil:
-		b := sc.bFresh.BuildRegion(nw, win.ins, win.nodes, win.outs[:])
-		cov, removed = rarPatched(sc, t, b, f, d, fanins, cov)
-	case sc.noOverlay || cfg == ExtendedGDC:
-		work := sc.trialClone(nw)
+	case sc.reference:
+		work := nw.Clone()
 		if err := work.ReplaceNodeFunction(f, fanins, cov); err != nil {
 			return DivideResult{}, false
 		}
 		removed = regionRARRebuild(sc, t, work, f, d, cfg)
 		fn := work.Node(f)
 		fanins, cov = fn.Fanins, fn.Cover
+	case win != nil:
+		b := sc.bFresh.BuildRegion(nw, win.ins, win.nodes, win.outs[:])
+		cov, removed = rarPatched(sc, t, b, nil, f, d, fanins, cov, cfg)
 	default:
-		cov, removed = rarPatched(sc, t, sc.baseBuild(nw), f, d, fanins, cov)
+		cov, removed = rarPatched(sc, t, sc.baseBuild(nw), pre, f, d, fanins, cov, cfg)
 	}
 
 	res := DivideResult{
@@ -330,6 +343,21 @@ func tentativeCover(t *trialArena, d string, qPart, rem cube.Cover, yPhase cube.
 	return tentative, space
 }
 
+// rarOptions returns the implication options and dominator-walk bound of
+// one RAR pass of cfg on build b: for Basic and Extended, region-local
+// implications (scoped to f's and d's region, with f's output treated as
+// directly observable); for ExtendedGDC, global ones with recursive
+// learning that walk real dominators (global don't cares).
+//
+//bdslint:hotpath
+func (sc *scratch) rarOptions(cfg Config, b *netlist.Build, f, d string) (atpg.Options, int) {
+	if cfg == ExtendedGDC {
+		return atpg.Options{Learn: true}, -1
+	}
+	sc.scope = localScope(sc.scope[:0], b, b.NL, f, d)
+	return atpg.Options{Scope: sc.scope}, 1
+}
+
 // regionRARRebuild removes redundant wires inside node f's region of a
 // working copy: literal pins of f's cubes (stuck-at-1) and cube pins at the
 // node's OR (stuck-at-0). Pins carrying the divisor literal are never
@@ -338,31 +366,19 @@ func tentativeCover(t *trialArena, d string, qPart, rem cube.Cover, yPhase cube.
 // removal can enable further removals). Returns the number of wires
 // removed.
 //
-// Every pass rebuilds the working copy's netlist: the clone path (the
-// Audit reference) and GDC trials. GDC trials must rebuild: their learning
-// pass examines at most 32 unjustified gates, lowest id first, so which
-// gates it examines depends on the gate numbering, and only a fresh build
-// numbers the gates as a build of the working network does. The other
-// trials patch (rarPatched) and run identical region-local implications —
-// the patched netlist differs from a fresh build only by orphaned cube
-// gates with no live fanout, which region scopes and dominator walks never
-// reach.
-func regionRARRebuild(sc *scratch, t *trialArena, work trialNet, f, d string, cfg Config) int {
+// Every pass rebuilds the working copy's netlist. Only the reference path
+// runs it; every other trial patches (rarPatched) and runs the same
+// implications, since the patched netlist differs from a fresh build only
+// by numbering and by orphaned cube gates with no live fanout, which no
+// implication, dominator walk or learning candidate reads (see DESIGN.md,
+// "Implication engine: learning ignores gate numbers").
+func regionRARRebuild(sc *scratch, t *trialArena, work *network.Network, f, d string, cfg Config) int {
 	removed := 0
 	for pass := 0; pass < 8; pass++ {
-		b := sc.b.Build(work)
+		b := sc.bFresh.Build(work)
 		nl := b.NL
 		ng := b.Nodes[f]
-		opt := atpg.Options{}
-		stopAfter := 1 // treat the node output as directly observable
-		switch cfg {
-		case ExtendedGDC:
-			opt.Learn = true
-			stopAfter = -1 // walk real dominators: global don't cares
-		default:
-			sc.scope = localScope(sc.scope[:0], b, nl, f, d)
-			opt.Scope = sc.scope
-		}
+		opt, stopAfter := sc.rarOptions(cfg, b, f, d)
 		e := sc.engine(nl, opt)
 
 		changed, n := rarPass(e, nl, b, ng, d, stopAfter)
@@ -377,16 +393,21 @@ func regionRARRebuild(sc *scratch, t *trialArena, work trialNet, f, d string, cf
 }
 
 // rarPatched runs RAR on base build b for f's working function (fanins,
-// cov): f's structure is patched in per pass and rolled back byte-exactly
-// in between and on return, so b is unchanged afterwards. Only
-// region-local (stopAfter=1, scoped) implications run here — see
-// regionRARRebuild. Returns f's cover after the removals, in t, and the
-// number of wires removed.
+// cov): the bodies of pre (see divideBy) and then f's structure are patched
+// in per pass and rolled back byte-exactly in between and on return, so b
+// is unchanged afterwards. Returns f's cover after the removals, in t, and
+// the number of wires removed.
 //
 //bdslint:hotpath
-func rarPatched(sc *scratch, t *trialArena, b *netlist.Build, f, d string, fanins []string, cov cube.Cover) (cube.Cover, int) {
+func rarPatched(sc *scratch, t *trialArena, b *netlist.Build, pre []*network.Node, f, d string, fanins []string, cov cube.Cover, cfg Config) (cube.Cover, int) {
 	nl := b.NL
-	oldNG := b.Nodes[f]
+	// The Nodes entries the patches overwrite, restored on return: f's,
+	// then pre's (nil for a node b lacks).
+	saved := append(sc.saved[:0], b.Nodes[f])
+	for _, n := range pre {
+		saved = append(saved, b.Nodes[n.Name])
+	}
+	sc.saved = saved
 	nl.BeginTx()
 	defer nl.EndTx()
 	work := network.Node{Name: f, Fanins: fanins}
@@ -395,19 +416,29 @@ func rarPatched(sc *scratch, t *trialArena, b *netlist.Build, f, d string, fanin
 		if pass > 0 {
 			nl.RollbackTx()
 		}
+		for _, n := range pre {
+			b.PatchNode(n.Name, n)
+		}
 		work.Cover = cov
 		ng := b.PatchNode(f, &work)
-		sc.scope = localScope(sc.scope[:0], b, nl, f, d)
-		e := sc.engine(nl, atpg.Options{Scope: sc.scope})
+		opt, stopAfter := sc.rarOptions(cfg, b, f, d)
+		e := sc.engine(nl, opt)
 
-		changed, n := rarPass(e, nl, b, ng, d, 1)
+		changed, n := rarPass(e, nl, b, ng, d, stopAfter)
 		removed += n
 		if !changed {
 			break
 		}
 		cov = extractNode(t, nl, b, fanins, f)
 	}
-	b.Nodes[f] = oldNG
+	b.Nodes[f] = saved[0]
+	for i, n := range pre {
+		if saved[i+1] == nil {
+			delete(b.Nodes, n.Name)
+		} else {
+			b.Nodes[n.Name] = saved[i+1]
+		}
+	}
 	return cov, removed
 }
 

@@ -9,14 +9,14 @@ import (
 	"repro/internal/script"
 )
 
-// BenchmarkSubstituteOverlay measures the copy-on-write trial path: with
-// overlays on (the default), every division trial runs on an O(delta)
-// overlay of the network and RAR passes patch a memoized base netlist
-// instead of rebuilding; off is the reference clone-and-rebuild path that
-// Options.Audit replays trials on. The committed networks are
+// BenchmarkSubstituteReference measures what the reference path costs
+// against the default one: the reference path (which Options.Audit replays
+// trials on) deep-clones the network for every trial and rebuilds its
+// netlist every RAR pass, while the default path patches every trial into
+// a memoized base netlist or a carved window. The committed networks are
 // bit-identical either way (TestSubstituteOverlayInvariant); allocs/op and
 // B/op are the headline metrics here, lits confirms results did not move.
-func BenchmarkSubstituteOverlay(b *testing.B) {
+func BenchmarkSubstituteReference(b *testing.B) {
 	circuits := []string{"rnd_d", "rnd_e", "csel8", "mult3", "pla_c"}
 	prepared := make([]*network.Network, len(circuits))
 	for i, name := range circuits {
@@ -28,7 +28,7 @@ func BenchmarkSubstituteOverlay(b *testing.B) {
 	for _, mode := range []struct {
 		name string
 		opt  core.Options
-	}{{"off", core.WithNoOverlay(opt)}, {"on", opt}} {
+	}{{"reference", core.WithReference(opt)}, {"default", opt}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

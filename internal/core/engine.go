@@ -19,9 +19,9 @@ import (
 //	planner   — evaluates one (dividend, divisor) trial against a read-only
 //	            view of the network (network.Reader) and returns a plan:
 //	            plain data, the node bodies its commit installs. Planners
-//	            never mutate shared state: a node-form division patches f
-//	            into a per-worker netlist, a whole-network rewrite edits a
-//	            private overlay or clone, and per-worker scratch arenas hold
+//	            never mutate shared state: a division patches its new
+//	            bodies into a per-worker netlist, a pooled cross-node core
+//	            sweeps a private clone, and per-worker scratch arenas hold
 //	            all reusable buffers. Plans are therefore evaluable
 //	            concurrently (the batch scheduler's phase B).
 //	committer — installs the chosen plan in the live network serially,
@@ -46,13 +46,12 @@ import (
 //     the default path the body of a plan without gain, which no caller
 //     commits, is the scratch's own and valid only until its next division
 //     (see trialArena.body).
-//   - An extended or single-node pooled plan holds the nodes its overlay
-//     added (the decomposition's core) and the final bodies of the nodes it
-//     replaced (Overlay.Added and Overlay.Changed). When the core is the
-//     whole divisor, bodies is f's normalized basic division (wholePlan).
-//   - A pooled cross-node plan, whose trial sweeps its working network, and
-//     an extended or pooled plan on the noOverlay reference path hold that
-//     whole network in clone instead; the commit copies it.
+//   - An extended or single-node pooled plan holds the node its
+//     decomposition adds (the core) and the final bodies of the nodes it
+//     replaces, d and then f. When the core is the whole divisor, bodies
+//     is f's normalized basic division (wholePlan).
+//   - A pooled cross-node plan, whose trial sweeps its working network,
+//     holds that whole network in clone instead; the commit copies it.
 type plan struct {
 	target  string // dividend node the plan rewrites
 	gain    int    // factored-literal gain (positive = smaller)
@@ -64,16 +63,6 @@ type plan struct {
 	added  []*network.Node // nodes the commit creates, in creation order
 	bodies []*network.Node // final bodies of the nodes the commit replaces
 	clone  *network.Network
-}
-
-// setWork records a trial's working network as the plan's contents: an
-// overlay's delta bodies, or a deep clone kept whole.
-func (p *plan) setWork(work trialNet) {
-	if ov, ok := work.(*network.Overlay); ok {
-		p.added, p.bodies = ov.Added(), ov.Changed()
-		return
-	}
-	p.clone = work.(*network.Network)
 }
 
 // finish turns a chosen node-form plan's division into the body the
@@ -110,19 +99,19 @@ func installed(nw network.Reader, p plan) *network.Network {
 // concurrently on the same Reader as long as each call owns its scratch.
 //
 // planPair pins nw as the scratch's live reader — enabling the memoized
-// shared base build every node-form trial at nw's version patches — and, under
-// Options.Audit, re-runs the whole trial on the historical deep-clone path
-// and panics unless the two plans agree byte-for-byte, and re-plans a
-// refused POS division without the literal floor (auditFloor).
+// shared base build every unwindowed trial at nw's version patches — and,
+// under Options.Audit, re-runs the whole trial on the reference path and
+// panics unless the two plans agree byte-for-byte, and re-plans a refused
+// POS division without the literal floor (auditFloor).
 //
 //bdslint:hotpath
 func planPair(sc *scratch, nw network.Reader, f string, cand candidate, opt Options) (plan, bool) {
-	sc.noOverlay = opt.noOverlay
+	sc.reference = opt.reference
 	sc.pin = nw
 	p, ok := planPairImpl(sc, nw, f, cand, opt)
-	if opt.Audit && !opt.noOverlay {
+	if opt.Audit && !opt.reference {
 		//bdslint:ignore hotalloc Audit-only branch: the label and re-trial closure exist only in the testing/debug cross-check mode
-		auditOverlayTrial(sc, nw, p, ok, fmt.Sprintf("f=%s d=%s", f, cand.name), func(aopt Options) (plan, bool) {
+		auditReferenceTrial(sc, nw, p, ok, fmt.Sprintf("f=%s d=%s", f, cand.name), func(aopt Options) (plan, bool) {
 			return planPairImpl(sc, nw, f, cand, aopt)
 		}, opt)
 		if !ok && cand.form == formPOS {
@@ -145,47 +134,47 @@ func auditFloor(sc *scratch, nw network.Reader, f string, cand candidate, opt Op
 	}
 }
 
-// overlayAuditCorrupt, when set (tests only), mutates the overlay-path plan
-// before the audit comparison — the corruption-injection seam proving the
-// Audit cross-check actually fires on a divergent trial.
-var overlayAuditCorrupt func(*plan)
+// referenceAuditCorrupt, when set (tests only), mutates the default-path
+// plan before the audit comparison — the corruption-injection seam proving
+// the Audit cross-check actually fires on a divergent trial.
+var referenceAuditCorrupt func(*plan)
 
-// auditOverlayTrial re-runs a trial with overlays disabled (the historical
-// deep-clone engine) and panics unless the overlay-path plan matches the
-// clone-path plan byte-for-byte. O(trial) — Options.Audit is a
+// auditReferenceTrial re-runs a trial on the reference path (the
+// historical deep-clone engine) and panics unless the default-path plan
+// matches the reference plan byte-for-byte. O(trial) — Options.Audit is a
 // testing/debugging mode.
-func auditOverlayTrial(sc *scratch, nw network.Reader, got plan, gotOK bool, site string, run func(Options) (plan, bool), opt Options) {
+func auditReferenceTrial(sc *scratch, nw network.Reader, got plan, gotOK bool, site string, run func(Options) (plan, bool), opt Options) {
 	aopt := opt
-	aopt.noOverlay = true
+	aopt.reference = true
 	aopt.Audit = false
-	sc.noOverlay = true
+	sc.reference = true
 	want, wantOK := run(aopt)
-	sc.noOverlay = opt.noOverlay
-	if overlayAuditCorrupt != nil {
-		overlayAuditCorrupt(&got)
+	sc.reference = opt.reference
+	if referenceAuditCorrupt != nil {
+		referenceAuditCorrupt(&got)
 	}
 	if err := comparePlans(nw, got, gotOK, want, wantOK); err != nil {
-		panic(fmt.Sprintf("core: overlay audit: %s: %v", site, err))
+		panic(fmt.Sprintf("core: reference audit: %s: %v", site, err))
 	}
 }
 
-// comparePlans reports the first divergence between an overlay-path plan
-// and its clone-path reference, or nil when they agree. Two body plans are
-// compared body by body; otherwise both are compared as the networks their
-// commits would leave on nw, node by node in creation order: a pooled plan
-// names no divisor, and a rewrite may touch nodes beyond the pair.
+// comparePlans reports the first divergence between a default-path plan
+// and its reference, or nil when they agree. Two body plans are compared
+// body by body; otherwise both are compared as the networks their commits
+// would leave on nw, node by node in creation order: a pooled plan names
+// no divisor, and a rewrite may touch nodes beyond the pair.
 func comparePlans(nw network.Reader, got plan, gotOK bool, want plan, wantOK bool) error {
 	if gotOK != wantOK {
-		return fmt.Errorf("overlay ok=%v, clone ok=%v", gotOK, wantOK)
+		return fmt.Errorf("ok=%v, reference ok=%v", gotOK, wantOK)
 	}
 	if !gotOK {
 		return nil
 	}
 	if got.gain != want.gain {
-		return fmt.Errorf("overlay gain=%d, clone gain=%d", got.gain, want.gain)
+		return fmt.Errorf("gain=%d, reference gain=%d", got.gain, want.gain)
 	}
 	if got.node != want.node || got.pos != want.pos || got.dec != want.dec || got.removed != want.removed {
-		return fmt.Errorf("overlay form (node=%v pos=%v dec=%v removed=%d) != clone (node=%v pos=%v dec=%v removed=%d)",
+		return fmt.Errorf("form (node=%v pos=%v dec=%v removed=%d) != reference (node=%v pos=%v dec=%v removed=%d)",
 			got.node, got.pos, got.dec, got.removed, want.node, want.pos, want.dec, want.removed)
 	}
 	gn, wn := slices.Concat(got.added, got.bodies), slices.Concat(want.added, want.bodies)
@@ -193,14 +182,14 @@ func comparePlans(nw network.Reader, got plan, gotOK bool, want plan, wantOK boo
 		gn, wn = installed(nw, got).Nodes(), installed(nw, want).Nodes()
 	}
 	if len(gn) != len(wn) {
-		return fmt.Errorf("work node count %d != clone %d", len(gn), len(wn))
+		return fmt.Errorf("node count %d != reference %d", len(gn), len(wn))
 	}
 	for i := range gn {
 		if gn[i].Name != wn[i].Name {
-			return fmt.Errorf("work node %d: %q != clone %q", i, gn[i].Name, wn[i].Name)
+			return fmt.Errorf("node %d: %q != reference %q", i, gn[i].Name, wn[i].Name)
 		}
 		if err := compareNodeFn(gn[i].Fanins, gn[i].Cover, wn[i].Fanins, wn[i].Cover); err != nil {
-			return fmt.Errorf("work node %q: %v", gn[i].Name, err)
+			return fmt.Errorf("node %q: %v", gn[i].Name, err)
 		}
 	}
 	return nil
@@ -227,32 +216,36 @@ func compareNodeFn(gotFanins []string, gotCover cube.Cover, wantFanins []string,
 	return nil
 }
 
-// planPairImpl is planPair's trial body; sc.noOverlay/sc.pin are set by the
+// planPairImpl is planPair's trial body; sc.reference/sc.pin are set by the
 // wrapper.
 func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt Options) (plan, bool) {
 	d := cand.name
 	fn := nw.Node(f)
 	costBefore := algebraic.FactorLits(fn.Cover)
 	// Windowed division: bound the sub-network the basic, complement and
-	// POS divisions see. The reference paths materialize the window as a
+	// POS divisions see. The reference path materializes the window as a
 	// network (see windowFor); the default path carves it as ID lists of
-	// nw, no deeper than a region-local trial can see (regionReach).
+	// nw, no deeper than a region-local trial can see (regionReach) unless
+	// the trial runs ExtendedGDC's global implications.
 	nwd := nw
 	var win *window
 	if depth := opt.WindowDepth; depth > 0 {
-		if opt.noOverlay || opt.Config == ExtendedGDC {
+		if opt.reference {
 			nwd = windowFor(sc, nw, f, d, depth)
 		} else {
+			if opt.Config != ExtendedGDC || cand.form == formPOS {
+				depth = min(depth, regionReach)
+			}
 			fid, _ := nw.IDOf(f)
 			did, _ := nw.IDOf(d)
-			win = sc.win.carve(nw, fid, did, min(depth, regionReach))
+			win = sc.win.carve(nw, fid, did, depth)
 		}
 	}
 
 	// nodePlan is the plan of a node-form division. On the default path
 	// the division lives in the scratch's trial memory, so only a plan that
 	// gains, the one a caller may keep, copies it out as its body; any
-	// other plan's body stays there. The clone path's division is
+	// other plan's body stays there. The reference path's division is
 	// heap-built already.
 	nodePlan := func(res DivideResult) plan {
 		p := plan{
@@ -262,7 +255,7 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 			pos:     res.POS,
 			removed: res.WiresRemoved,
 		}
-		if p.gain <= 0 && !sc.noOverlay {
+		if p.gain <= 0 && !sc.reference {
 			p.bodies = sc.trial.body(f, res)
 			return p
 		}
@@ -291,10 +284,10 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 	switch {
 	case ok && x.whole == "":
 		before := costBefore + algebraic.FactorLits(nw.Node(d).Cover)
-		after := algebraic.FactorLits(x.work.Node(f).Cover) + algebraic.FactorLits(x.work.Node(d).Cover) +
-			algebraic.FactorLits(x.work.Node(x.dec.CoreName).Cover)
+		after := algebraic.FactorLits(x.node(nw, f).Cover) + algebraic.FactorLits(x.node(nw, d).Cover) +
+			algebraic.FactorLits(x.node(nw, x.dec.CoreName).Cover)
 		ext = plan{target: f, gain: before - after, dec: true, removed: x.res.WiresRemoved}
-		ext.setWork(x.work)
+		x.setPlan(&ext)
 		hasExt = true
 	case ok && opt.WindowDepth > 0:
 		// A whole-divisor core makes extended division the basic division
@@ -317,7 +310,8 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 // up to four of the SOP candidates as the divisor pool. Like planPair it is
 // pure; ok=false when no pooled division with positive total gain (f plus
 // any created/rewritten nodes) exists. Like planPair it pins nw for the
-// shared base build and cross-checks the clone path under Options.Audit.
+// shared base build and cross-checks the reference path under
+// Options.Audit.
 //
 // A core from one pool node d makes the pooled division d's own extended
 // division of f, which f's trial sequence has already planned in its SOP
@@ -328,11 +322,11 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 // in gained (the SOP slots whose plan gained, and whose commit a
 // DepthBudget then refused) is divided again; any other gains nothing.
 func planPooled(sc *scratch, nw network.Reader, f string, cands []candidate, gained []string, opt Options) (plan, bool) {
-	sc.noOverlay = opt.noOverlay
+	sc.reference = opt.reference
 	sc.pin = nw
 	p, ok := planPooledImpl(sc, nw, f, cands, gained, opt)
-	if opt.Audit && !opt.noOverlay {
-		auditOverlayTrial(sc, nw, p, ok, "pooled f="+f, func(aopt Options) (plan, bool) {
+	if opt.Audit && !opt.reference {
+		auditReferenceTrial(sc, nw, p, ok, "pooled f="+f, func(aopt Options) (plan, bool) {
 			return planPooledImpl(sc, nw, f, cands, gained, aopt)
 		}, opt)
 	}
@@ -380,7 +374,7 @@ func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate,
 	}
 	after := 0
 	for _, name := range append([]string{f, x.dec.CoreName}, pool...) {
-		if n := x.work.Node(name); n != nil {
+		if n := x.node(nw, name); n != nil {
 			after += algebraic.FactorLits(n.Cover)
 		}
 	}
@@ -388,7 +382,7 @@ func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate,
 		return plan{}, false
 	}
 	p := plan{target: f, gain: before - after, dec: true, removed: x.res.WiresRemoved}
-	p.setWork(x.work)
+	x.setPlan(&p)
 	return p, true
 }
 

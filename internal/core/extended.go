@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/algebraic"
 	"repro/internal/atpg"
@@ -235,20 +236,42 @@ func ExtendedDivide(nw network.Reader, f, d string, cfg Config) (*network.Networ
 	return x.materialize(sc, nw, f, cfg)
 }
 
-// extDivision is one extended (or pooled) division of f: the working copy
-// holding its edits (an overlay on the copy-on-write path, a deep clone
-// under noOverlay or for a pooled cross-node core), f's division by the
-// core, and the decomposition. The division ends with a basic division by
-// the selected core, so when the core is one whole divisor extended
-// division IS f's basic division by it: the division then names that
-// divisor in whole, holds nothing else, and leaves the basic division to
-// its caller — wholePlan, or at WindowDepth 0 the engine's own basic
+// extDivision is one extended (or pooled) division of f: the node bodies
+// its commit installs, f's division by the core, and the decomposition.
+// An extended division adds the core and replaces d (cut down to its other
+// cubes plus the core) and f; a pooled cross-node division instead holds
+// the whole network it swept, in clone. The division ends with a basic
+// division by the selected core, so when the core is one whole divisor
+// extended division IS f's basic division by it: the division then names
+// that divisor in whole, holds nothing else, and leaves the basic division
+// to its caller — wholePlan, or at WindowDepth 0 the engine's own basic
 // division of the pair.
 type extDivision struct {
-	work  trialNet
-	res   DivideResult
-	dec   *Decomposition
-	whole string
+	added  []*network.Node
+	bodies []*network.Node
+	clone  *network.Network
+	res    DivideResult
+	dec    *Decomposition
+	whole  string
+}
+
+// node returns node name as x leaves it: its new body, else its node in
+// x's clone (nil when the sweep removed it), else nw's.
+func (x extDivision) node(nw network.Reader, name string) *network.Node {
+	if x.clone != nil {
+		return x.clone.Node(name)
+	}
+	for _, n := range slices.Concat(x.added, x.bodies) {
+		if n.Name == name {
+			return n
+		}
+	}
+	return nw.Node(name)
+}
+
+// setPlan records x's bodies, or its clone, as p's contents.
+func (x extDivision) setPlan(p *plan) {
+	p.added, p.bodies, p.clone = x.added, x.bodies, x.clone
 }
 
 // materialize returns x as the public one-shot wrappers report it: a clone
@@ -261,7 +284,7 @@ func (x extDivision) materialize(sc *scratch, nw network.Reader, f string, cfg C
 			return nil, nil, nil, false
 		}
 	} else {
-		p.setWork(x.work)
+		x.setPlan(&p)
 	}
 	return installed(nw, p), &x.res, x.dec, true
 }
@@ -277,13 +300,36 @@ func wholePlan(sc *scratch, nw network.Reader, f, d string, cfg Config) (plan, D
 		return plan{}, DivideResult{}, false
 	}
 	res.keep()
-	fanins, cover := network.Normalize(res.Fanins, res.Cover)
+	body := normalized(f, res.Fanins, res.Cover)
 	return plan{
 		target:  f,
-		gain:    algebraic.FactorLits(nw.Node(f).Cover) - algebraic.FactorLits(cover),
+		gain:    algebraic.FactorLits(nw.Node(f).Cover) - algebraic.FactorLits(body.Cover),
 		removed: res.WiresRemoved,
-		bodies:  []*network.Node{{Name: f, Fanins: fanins, Cover: cover}},
+		bodies:  []*network.Node{body},
 	}, res, true
+}
+
+// normalized returns the node body (fanins, cover) without the fanins the
+// cover does not read (see network.Normalize), which may keep both.
+func normalized(name string, fanins []string, cover cube.Cover) *network.Node {
+	fanins, cover = network.Normalize(fanins, cover)
+	return &network.Node{Name: name, Fanins: fanins, Cover: cover}
+}
+
+// divideCore divides f by a decomposition's core, the first of the new
+// bodies pre, with every body of pre in place: the core is added and the
+// rest replace nodes of nw. On the default path they are patched into nw's
+// base build ahead of f on every RAR pass (see divideBy); on the reference
+// path they are installed in a deep clone of nw, which the division then
+// runs on.
+func divideCore(sc *scratch, nw network.Reader, f string, pre []*network.Node, cfg Config) (DivideResult, bool) {
+	core := candidate{name: pre[0].Name}
+	if sc.reference {
+		work := nw.Clone()
+		work.Install(pre[:1], pre[1:])
+		return divide(sc, work, nil, f, core, cfg, 0)
+	}
+	return divideBy(sc, nw, nil, pre, nw.Node(f), pre[0], core, cfg, 0)
 }
 
 // extendedDivide is extended division of f by d with an explicit scratch
@@ -308,9 +354,9 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (ex
 		return extDivision{whole: d}, true
 	}
 
-	// Decompose d = core + rest.
-	work := sc.trialClone(nw)
-	coreName := work.FreshName("bdc")
+	// Decompose d = core + rest: the core is a new node over d's fanins,
+	// and d reads it as a fresh single-literal cube.
+	coreName := nw.FreshName("bdc")
 	coreCover := cube.NewCover(dn.Cover.NumVars())
 	restCover := cube.NewCover(dn.Cover.NumVars())
 	for k, c := range dn.Cover.Cubes {
@@ -320,10 +366,8 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (ex
 			restCover.Cubes = append(restCover.Cubes, c.Clone())
 		}
 	}
-	work.AddNode(coreName, dn.Fanins, coreCover)
-	work.NormalizeNode(coreName)
-	// d := core + rest (core as a fresh single-literal cube).
-	dFanins := append(append([]string(nil), dn.Fanins...), coreName)
+	core := normalized(coreName, slices.Clone(dn.Fanins), coreCover)
+	dFanins := append(slices.Clone(dn.Fanins), coreName)
 	nd := len(dFanins)
 	newD := cube.NewCover(nd)
 	for _, c := range restCover.Cubes {
@@ -336,19 +380,17 @@ func extendedDivide(sc *scratch, nw network.Reader, f, d string, cfg Config) (ex
 	yc := cube.New(nd)
 	yc.Set(nd-1, cube.Pos)
 	newD.Cubes = append(newD.Cubes, yc)
-	if err := work.ReplaceNodeFunction(d, dFanins, newD); err != nil {
-		return extDivision{}, false
-	}
-	work.NormalizeNode(d)
+	dBody := normalized(d, dFanins, newD)
 
-	res, ok := divide(sc, work, nil, f, candidate{name: coreName}, cfg, 0)
+	res, ok := divideCore(sc, nw, f, []*network.Node{core, dBody}, cfg)
 	if !ok {
 		return extDivision{}, false
 	}
 	res.keep()
-	if err := work.ReplaceNodeFunction(f, res.Fanins, res.Cover); err != nil {
-		return extDivision{}, false
-	}
-	work.NormalizeNode(f)
-	return extDivision{work, res, &Decomposition{CoreName: coreName, CoreMask: mask}, ""}, true
+	return extDivision{
+		added:  []*network.Node{core},
+		bodies: []*network.Node{dBody, normalized(f, res.Fanins, res.Cover)},
+		res:    res,
+		dec:    &Decomposition{CoreName: coreName, CoreMask: mask},
+	}, true
 }

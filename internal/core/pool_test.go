@@ -16,7 +16,7 @@ import (
 // a build memoized by an earlier Substitute, or one kept across a commit,
 // would be patched as if current. On every suite circuit run here, a
 // Substitute that commits nothing, an edit, and a second Substitute on the
-// same network must leave the BLIF that the clone path (which builds every
+// same network must leave the BLIF that the reference path (which builds every
 // netlist fresh) leaves on a copy of the edited network; and a Substitute
 // that panics under the Audit corruption seam, an edit, and another
 // Substitute likewise. The free list hands the next call the scratch the
@@ -35,17 +35,17 @@ func TestSubstitutePooledScratchHasNoStaleBuild(t *testing.T) {
 			edited[step]++
 		}
 	}
-	// checkNext runs Substitute on nw, then the clone path on a copy taken
+	// checkNext runs Substitute on nw, then the reference path on a copy taken
 	// before it, and fails unless the two agree.
 	checkNext := func(label string, nw *network.Network) {
 		t.Helper()
 		fresh := nw.Clone()
 		Substitute(nw, opt)
 		ref := opt
-		ref.noOverlay = true
+		ref.reference = true
 		Substitute(fresh, ref)
 		if blif.ToString(nw) != blif.ToString(fresh) {
-			t.Fatalf("%s: Substitute on the edited network differs from the clone path on a fresh copy", label)
+			t.Fatalf("%s: Substitute on the edited network differs from the reference path on a fresh copy", label)
 		}
 	}
 	for _, name := range []string{"rnd_a", "rnd_d", "csel8", "mult3", "pla_c"} {
@@ -56,13 +56,13 @@ func TestSubstitutePooledScratchHasNoStaleBuild(t *testing.T) {
 		checkNext(name+" after a Substitute that committed nothing", nw)
 
 		func() {
-			defer func() { overlayAuditCorrupt = nil }()
+			defer func() { referenceAuditCorrupt = nil }()
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("%s: Audit accepted a corrupted plan", name)
 				}
 			}()
-			overlayAuditCorrupt = func(p *plan) { p.gain += 1000 }
+			referenceAuditCorrupt = func(p *plan) { p.gain += 1000 }
 			Substitute(nw, Options{Config: Basic, Workers: 1, Audit: true})
 		}()
 		edit(nw, 1, 20)

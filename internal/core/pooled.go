@@ -48,8 +48,9 @@ func PooledExtendedDivide(nw network.Reader, f string, divisors []string, cfg Co
 // pooledExtendedDivide is PooledExtendedDivide with an explicit scratch
 // arena. A core from one node d is d's own extended division of f: it
 // reports d in single and leaves that division to its caller (see
-// extendedDivide). A cross-node core works on a deep clone — it needs
-// Sweep, which only a materialized network supports.
+// extendedDivide). A cross-node core divides like a decomposition's core
+// (see divideCore); once that division succeeds it is installed in a deep
+// clone, which only a materialized network can Sweep.
 func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []string, cfg Config) (x extDivision, single string, ok bool) {
 	t, ok := voteTable(sc, nw, f, divisors, cfg)
 	if !ok {
@@ -75,32 +76,27 @@ func pooledExtendedDivide(sc *scratch, nw network.Reader, f string, divisors []s
 		return extDivision{}, contribNodes[0], true
 	}
 
-	// Cross-node core: materialize it as a standalone node over the union
-	// of the contributing cubes' signals, then basic-divide f by it.
-	work := nw.Clone()
-	coreName := work.FreshName("bdp")
+	// Cross-node core: a standalone node over the union of the
+	// contributing cubes' signals, which f is basic-divided by.
 	coreCover := cube.NewCover(len(t.union))
 	for k := range pool {
 		if mask&(1<<k) != 0 {
 			coreCover.Cubes = append(coreCover.Cubes, t.poolCubes[k].Clone())
 		}
 	}
-	work.AddNode(coreName, t.union, coreCover.SCC())
-	work.NormalizeNode(coreName)
+	core := normalized(nw.FreshName("bdp"), t.union, coreCover.SCC())
 
-	res, ok := divide(sc, work, nil, f, candidate{name: coreName}, cfg, 0)
+	res, ok := divideCore(sc, nw, f, []*network.Node{core}, cfg)
 	if !ok {
 		return extDivision{}, "", false
 	}
 	res.keep()
-	if err := work.ReplaceNodeFunction(f, res.Fanins, res.Cover); err != nil {
-		return extDivision{}, "", false
-	}
-	work.NormalizeNode(f)
+	work := nw.Clone()
+	work.Install([]*network.Node{core}, []*network.Node{normalized(f, res.Fanins, res.Cover)})
 	work.Sweep()
-	if work.Node(coreName) == nil {
+	if work.Node(core.Name) == nil {
 		// The division ended up not using the core: nothing gained.
 		return extDivision{}, "", false
 	}
-	return extDivision{work, res, &Decomposition{CoreName: coreName, CoreMask: mask}, ""}, "", true
+	return extDivision{clone: work, res: res, dec: &Decomposition{CoreName: core.Name, CoreMask: mask}}, "", true
 }

@@ -14,13 +14,14 @@ import (
 	"repro/internal/verify"
 )
 
-// TestPropOverlayMatchesClonePlanForPlan is the overlay trial path's
-// property test: with Options.Audit set, every planned trial is re-run on
-// the historical deep-clone path and the engine panics unless the two plans
-// agree byte-for-byte — so a clean run certifies plan-for-plan equality,
-// not just equal committed results. The committed networks are additionally
-// compared against a noOverlay run. Runs under -race in ci.sh, so the
-// worker=4 case also proves the audit re-runs are race-clean.
+// TestPropOverlayMatchesClonePlanForPlan is the default trial path's
+// property test (named for the copy-on-write overlay that path once
+// edited): with Options.Audit set, every planned trial is re-run on the
+// reference path and the engine panics unless the two plans agree
+// byte-for-byte — so a clean run certifies plan-for-plan equality, not
+// just equal committed results. The committed networks are additionally
+// compared against a reference-path run. Runs under -race in ci.sh, so
+// the worker=4 case also proves the audit re-runs are race-clean.
 func TestPropOverlayMatchesClonePlanForPlan(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 4; trial++ {
@@ -36,11 +37,11 @@ func TestPropOverlayMatchesClonePlanForPlan(t *testing.T) {
 
 				off := base.Clone()
 				optOff := opt
-				optOff.noOverlay = true
+				optOff.reference = true
 				Substitute(off, optOff)
 
 				if a, b := blif.ToString(on), blif.ToString(off); a != b {
-					t.Fatalf("trial %d cfg %v workers %d: overlay result diverged from clone result\noverlay:\n%s\nclone:\n%s",
+					t.Fatalf("trial %d cfg %v workers %d: default result diverged from reference result\ndefault:\n%s\nreference:\n%s",
 						trial, cfg, workers, a, b)
 				}
 				if !verify.Equivalent(base, on) {
@@ -52,20 +53,20 @@ func TestPropOverlayMatchesClonePlanForPlan(t *testing.T) {
 }
 
 // TestOverlayAuditDetectsCorruptedPlan proves the Audit cross-check is a
-// live tripwire, not a tautology: a hook corrupts overlay-path plans before
+// live tripwire, not a tautology: a hook corrupts default-path plans before
 // the comparison, and the audit must panic on the first corrupted trial —
 // and the panic must reach the caller whether the trial ran on the serial
 // path or in a batch phase-B worker goroutine.
 func TestOverlayAuditDetectsCorruptedPlan(t *testing.T) {
-	defer func() { overlayAuditCorrupt = nil }()
+	defer func() { referenceAuditCorrupt = nil }()
 	expectAuditPanic := func(label string, run func()) {
 		t.Helper()
 		defer func() {
 			r := recover()
 			if r == nil {
-				t.Fatalf("%s: Audit accepted a corrupted overlay plan", label)
+				t.Fatalf("%s: Audit accepted a corrupted plan", label)
 			}
-			if !strings.Contains(fmt.Sprint(r), "overlay audit") {
+			if !strings.Contains(fmt.Sprint(r), "reference audit") {
 				t.Fatalf("%s: unexpected panic: %v", label, r)
 			}
 		}()
@@ -73,7 +74,7 @@ func TestOverlayAuditDetectsCorruptedPlan(t *testing.T) {
 	}
 
 	// Serial path: every plan is corrupted, so the first trial trips.
-	overlayAuditCorrupt = func(p *plan) { p.gain += 1000 }
+	referenceAuditCorrupt = func(p *plan) { p.gain += 1000 }
 	expectAuditPanic("serial", func() {
 		Substitute(gainNetwork(), Options{Config: Basic, Workers: 1, Audit: true})
 	})
@@ -84,7 +85,7 @@ func TestOverlayAuditDetectsCorruptedPlan(t *testing.T) {
 	var dispatched atomic.Bool
 	batchObserver = func([]*batchMember) { dispatched.Store(true) }
 	defer func() { batchObserver = nil }()
-	overlayAuditCorrupt = func(p *plan) {
+	referenceAuditCorrupt = func(p *plan) {
 		if dispatched.Load() {
 			p.gain += 1000
 		}
@@ -97,7 +98,7 @@ func TestOverlayAuditDetectsCorruptedPlan(t *testing.T) {
 	// divisor, so only a comparison of every working node sees it change.
 	// The corruption drops the core's last cube on the plan's private clone.
 	corrupted := 0
-	overlayAuditCorrupt = func(p *plan) {
+	referenceAuditCorrupt = func(p *plan) {
 		if p.clone == nil {
 			return
 		}
@@ -119,7 +120,7 @@ func TestOverlayAuditDetectsCorruptedPlan(t *testing.T) {
 	// audit still compares it. The corruption drops its cover's last cube
 	// on a copy, leaving gain and form alone.
 	corrupted = 0
-	overlayAuditCorrupt = func(p *plan) {
+	referenceAuditCorrupt = func(p *plan) {
 		if !p.node || p.gain > 0 || len(p.bodies) != 1 || p.bodies[0].Cover.NumCubes() == 0 {
 			return
 		}
@@ -137,33 +138,58 @@ func TestOverlayAuditDetectsCorruptedPlan(t *testing.T) {
 }
 
 // TestSubstituteOverlayInvariant is the result-invisibility contract of the
-// copy-on-write trial path: the committed BLIF is byte-identical with
-// overlays on and off, at any worker count — and, since the batch scheduler
-// rides the same plan/commit machinery, with batching on and off too (all
-// eight combinations must agree).
+// default trial path (named for the copy-on-write overlay it once edited):
+// the committed BLIF is byte-identical on the default and the reference
+// path, at any worker count — and, since the batch scheduler rides the
+// same plan/commit machinery, with batching on and off too (all
+// combinations must agree).
 func TestSubstituteOverlayInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	workersList := []int{1, 4, runtime.NumCPU()}
 	for trial := 0; trial < 3; trial++ {
 		base := randomDAG(r, 4, 8)
 		want := ""
-		for _, noOverlay := range []bool{false, true} {
+		for _, reference := range []bool{false, true} {
 			for _, noBatch := range []bool{false, true} {
 				for _, w := range workersList {
 					nw := base.Clone()
 					Substitute(nw, Options{
 						Config: Extended, POS: true, Pool: true,
-						Workers: w, noOverlay: noOverlay, NoBatch: noBatch,
+						Workers: w, reference: reference, NoBatch: noBatch,
 					})
 					got := blif.ToString(nw)
 					if want == "" {
 						want = got
 					} else if got != want {
-						t.Fatalf("trial %d: overlay=%v batch=%v workers=%d diverged\nwant:\n%s\ngot:\n%s",
-							trial, !noOverlay, !noBatch, w, want, got)
+						t.Fatalf("trial %d: reference=%v batch=%v workers=%d diverged\nwant:\n%s\ngot:\n%s",
+							trial, reference, !noBatch, w, want, got)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestAuditWhereLearningCapBinds runs ext+GDC with POS and pooling under
+// Options.Audit on 600 gates of random logic, unwindowed and at window
+// depth 3: there some learning passes find more than 32 candidates, so
+// which 32 the cap keeps decides the proof, and every trial's patched
+// netlist (numbered unlike the reference path's fresh builds) must still
+// plan exactly what the reference plans. The two runs take a few
+// seconds, so -short skips them, and so does the race detector: ext+GDC
+// never batches, so they run no goroutine to race.
+func TestAuditWhereLearningCapBinds(t *testing.T) {
+	if testing.Short() || raceBuild {
+		t.Skip("seconds of serial ext+GDC under Audit")
+	}
+	for _, depth := range []int{0, 3} {
+		nw, err := bench.Generate("rand", 600, 64, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := Substitute(nw, Options{Config: ExtendedGDC, POS: true, Pool: true, WindowDepth: depth, Audit: true})
+		if st.Substitutions == 0 {
+			t.Fatalf("depth %d: no substitution committed", depth)
 		}
 	}
 }

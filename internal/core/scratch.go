@@ -15,23 +15,18 @@ import (
 // Substitute call on a free list, which drops the memoized build (see
 // evaluator.release).
 //
-// Three builders with distinct roles keep the patched trials' netlists
+// Two builders with distinct roles keep the patched trials' netlists
 // alive across trials without aliasing:
 //
-//	b       — full per-pass rebuilds of a working copy: the noOverlay
-//	          clone path and GDC trials (whose learning pass is
-//	          gate-id-order sensitive, so they must see exactly the netlist
-//	          a fresh build produces).
 //	bShared — the base build of the pinned live network, built once per
 //	          network version and then patched/rolled back by every
-//	          unwindowed node-form trial at that version (see baseBuild).
-//	bFresh  — single-trial base builds: a carved window's region of the
-//	          live network, or any other reader (the materialized window
-//	          of a POS trial under ExtendedGDC, an extended
-//	          decomposition's working overlay); still patched between RAR
-//	          passes instead of rebuilt.
+//	          unwindowed trial at that version (see baseBuild): node-form
+//	          divisions, and a decomposition's division by its core.
+//	bFresh  — single-trial builds: a carved window's region of the live
+//	          network, a build of any reader that is not pinned (the public
+//	          one-shot wrappers' networks), and the reference path's
+//	          netlists, which it rebuilds every RAR pass.
 type scratch struct {
-	b       *netlist.Builder
 	bShared *netlist.Builder
 	bFresh  *netlist.Builder
 
@@ -44,6 +39,9 @@ type scratch struct {
 	// scope is the region-scope list handed to the next engine() call,
 	// which copies it; it is rebuilt in place for every trial.
 	scope []int
+	// saved holds the base build's node entries a patched trial overwrites
+	// (see rarPatched).
+	saved []*netlist.NodeGates
 	// trial is the default path's node-form division memory, released by
 	// every division (see trialMem).
 	trial trialArena
@@ -51,9 +49,9 @@ type scratch struct {
 	// pin is the one reader whose base build may be memoized in bShared: the
 	// live network the evaluator is currently planning against, set by
 	// planPair/planPooled. The explicit pin (instead of keying a cache by
-	// reader pointer) makes address reuse harmless: per-trial windows and
-	// overlays die and their addresses recycle, but they can never equal the
-	// live network's address while it is pinned.
+	// reader pointer) makes address reuse harmless: the reference path's
+	// clones and windows die and their addresses recycle, but they can never
+	// equal the live network's address while it is pinned.
 	pin network.Reader
 	// sharedFor and sharedVersion record which reader, at which of its
 	// versions, sharedBuild snapshots. Every edit of the network advances
@@ -66,10 +64,10 @@ type scratch struct {
 	// its stamp sets and buffers.
 	win window
 
-	// noOverlay mirrors Options.noOverlay for the running trial (set at the
-	// planner entry points): trialClone hands out deep clones and every RAR
+	// reference mirrors Options.reference for the running trial (set at
+	// the planner entry points): trials run on deep clones and every RAR
 	// pass rebuilds its netlist, exactly the historical engine.
-	noOverlay bool
+	reference bool
 	// noFloor makes POS division finish every division the literal floor
 	// would refuse: the floor audit's re-plan (see auditFloor) sets it.
 	noFloor bool
@@ -103,13 +101,13 @@ type trialArena struct {
 
 // trialMem returns the memory for the next division, released: the
 // scratch's own arena on the default path, and a fresh one — heap memory
-// nothing recycles — on the clone path, which Options.Audit replays as the
-// heap-built oracle, and for the one-shot wrappers, whose callers keep
+// nothing recycles — on the reference path, which Options.Audit replays as
+// the heap-built oracle, and for the one-shot wrappers, whose callers keep
 // what a division returns.
 //
 //bdslint:hotpath
 func (sc *scratch) trialMem() *trialArena {
-	if sc.noOverlay || sc.parts {
+	if sc.reference || sc.parts {
 		return new(trialArena)
 	}
 	sc.trial.cubes.Release(0)
@@ -134,7 +132,7 @@ func (t *trialArena) remap(buf *[]cube.Cube, f cube.Cover, fanins, dst []string)
 // body returns res as node f's body in a one-element list t owns: the body
 // of a plan no caller keeps, which like res is valid only until the
 // scratch's next division. It is there for Options.Audit and the window
-// tests, which compare every plan's body with the clone path's.
+// tests, which compare every plan's body with the reference path's.
 //
 //bdslint:hotpath
 func (t *trialArena) body(f string, res DivideResult) []*network.Node {
@@ -145,7 +143,6 @@ func (t *trialArena) body(f string, res DivideResult) []*network.Node {
 
 func newScratch() *scratch {
 	return &scratch{
-		b:       netlist.NewBuilder(),
 		bShared: netlist.NewBuilder(),
 		bFresh:  netlist.NewBuilder(),
 		engines: make(map[*netlist.Netlist]*atpg.Engine),
@@ -178,11 +175,12 @@ func (sc *scratch) engine(nl *netlist.Netlist, opt atpg.Options) *atpg.Engine {
 // patch base (or as a read-only implication substrate, e.g. the vote
 // table). Builds of the pinned live reader are memoized per version of it —
 // every trial at one version patches and rolls back the same build — while
-// any other reader gets a fresh single-trial build from the bFresh arena.
+// any other reader, and every reader on the reference path, gets a fresh
+// single-trial build from the bFresh arena.
 //
 //bdslint:hotpath
 func (sc *scratch) baseBuild(r network.Reader) *netlist.Build {
-	if !sc.noOverlay && r == sc.pin {
+	if !sc.reference && r == sc.pin {
 		if v := r.Version(); sc.sharedBuild == nil || sc.sharedFor != r || sc.sharedVersion != v {
 			sc.sharedBuild = sc.bShared.Build(r)
 			sc.sharedFor, sc.sharedVersion = r, v

@@ -76,7 +76,7 @@ type Options struct {
 	// which only the serial schedule reproduces).
 	NoBatch bool
 	// Audit runs network.Check after every committed substitution and
-	// re-runs every trial on the reference clone path (a full deep clone of
+	// re-runs every trial on the reference path (a full deep clone of
 	// the network, full-depth materialized windows, and a netlist rebuilt
 	// from scratch per RAR pass), panicking unless the plans match
 	// byte-for-byte. The audits are O(network)/O(trial), so this is a
@@ -89,11 +89,12 @@ type Options struct {
 	// can confine real clock reads to the one sanctioned WallClock site.
 	Clock Clock
 
-	// noOverlay runs every trial on the reference clone path that Audit
-	// replays trials on. The committed network is byte-identical either
-	// way; only the Audit replay and this package's tests set it, to
-	// compare the default path against the reference.
-	noOverlay bool
+	// reference runs every trial on the reference path that Audit replays
+	// trials on: deep clones, full-depth materialized windows and a netlist
+	// rebuilt from scratch per RAR pass. The committed network is
+	// byte-identical either way; only the Audit replay and this package's
+	// tests set it, to compare the default path against the reference.
+	reference bool
 }
 
 // Stats summarizes a substitution run.

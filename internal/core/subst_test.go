@@ -442,7 +442,7 @@ func TestPropDepthBudgetSound(t *testing.T) {
 // the Options matrix: Config × POS × Pool × BestGain × WindowDepth 0–3 ×
 // DepthBudget {0, 2, 3, 4} × MaxPasses 1–3 × MaxDivisorTrials {0, 1, 4}.
 // Each input runs under Audit (network.Check after every commit, every
-// overlay trial replayed on the clone path) at Workers 1 and 3 with the
+// trial replayed on the reference path) at Workers 1 and 3 with the
 // batch scheduler on and off. The four committed networks must print the
 // same BLIF, compute the input's functions and pass network.Check, and a
 // set budget must hold: the final depth is at most the budget or the

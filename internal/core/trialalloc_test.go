@@ -77,7 +77,7 @@ func (t nodeTrial) plan(sc *scratch) (plan, bool) { return planPair(sc, t.nw, t.
 // TestNodeTrialAllocatesOnlyItsPlan checks the allocation contract of a
 // node-form division trial: on a warmed scratch, a SOP and a
 // complement-phase trial that yield no positive plan allocate nothing,
-// windowed and unwindowed, yet still carry the body the clone path
+// windowed and unwindowed, yet still carry the body the reference path
 // plans, for Options.Audit to compare; a POS trial the literal floor
 // refuses allocates nothing either and plans nothing on either path; and
 // a plan that gains keeps a body that later trials on the same scratch
@@ -94,7 +94,7 @@ func TestNodeTrialAllocatesOnlyItsPlan(t *testing.T) {
 			legOpt.POS = fm == formPOS
 			trial := findNodeTrial(t, legOpt, fm, leg.want)
 			ref := legOpt
-			ref.noOverlay = true
+			ref.reference = true
 			sc := newScratch()
 			p, ok := trial.plan(sc)
 			want, wantOK := planPair(newScratch(), trial.nw, trial.f, trial.cand, ref)

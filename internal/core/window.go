@@ -115,9 +115,9 @@ func (w *window) carve(nw network.Reader, fid, did network.SigID, depth int) *wi
 	w.stack = stack
 
 	// Sorted window inputs: input order fixes the window's netlist gate
-	// numbering, which learning-capped implication passes are sensitive to
-	// — BFS discovery order would make the numbering depend on the fanin
-	// order of the nodes around f and d.
+	// numbering, so a window's netlist is a function of the cones of f and
+	// d alone — BFS discovery order would make the numbering depend on the
+	// fanin order of the nodes around f and d.
 	slices.SortFunc(w.ins, func(a, b network.SigID) int {
 		return strings.Compare(nw.SigName(a), nw.SigName(b))
 	})
@@ -148,12 +148,9 @@ func (w *window) dependsOn(nw network.Reader) bool {
 // standalone network: the window inputs become primary inputs, the
 // included nodes are copied with their real signal names (so division
 // results apply to the full network directly), and f and d are the
-// outputs. Only the reference trial paths build it — Options.noOverlay,
-// which Options.Audit replays every trial on, and ExtendedGDC, whose
-// learning pass examines at most 32 gates in gate-id order and so must
-// see exactly the netlist a build of this network numbers. The default
-// path builds the window's netlist straight from the carve (see
-// divideWithParts).
+// outputs. Only the reference path (Options.reference, which
+// Options.Audit replays every trial on) builds it; the default path builds
+// the window's netlist straight from the carve (see divideWithParts).
 func windowFor(sc *scratch, nw network.Reader, f, d string, depth int) *network.Network {
 	fid, fok := nw.IDOf(f)
 	did, dok := nw.IDOf(d)

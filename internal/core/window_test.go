@@ -21,7 +21,7 @@ type windowTrialTally struct {
 
 // checkWindowTrials plans every enumerated candidate of every node of nw
 // on the default path (the window carved from nw, at most regionReach
-// deep) and on the reference path (Options.noOverlay: the full-depth
+// deep for a region-local trial) and on the reference path (Options.reference: the full-depth
 // window materialized as a network and rebuilt per RAR pass), and fails
 // unless the plans agree byte for byte. For every trial it also builds
 // the carved window's netlist at the full depth straight from nw and
@@ -35,7 +35,7 @@ type windowTrialTally struct {
 func checkWindowTrials(t *testing.T, label string, nw *network.Network, opt Options, tally *windowTrialTally) {
 	t.Helper()
 	ref := opt
-	ref.noOverlay = true
+	ref.reference = true
 	nc := newNodeCache(nw)
 	var es enumScratch
 	sc, scRef := newScratch(), newScratch()
@@ -143,9 +143,10 @@ func sameNetlist(a, b *netlist.Build) error {
 
 // TestWindowTrialMatchesReference is the windowed trial path's proof
 // obligation. The default path carves the window as SigID lists, caps it
-// at regionReach, and builds its netlist straight from the live network;
-// the reference (noOverlay, the path Options.Audit replays every trial
-// on) materializes the full-depth window. Every enumerated candidate must
+// at regionReach for a region-local trial, and builds its netlist straight
+// from the live network; the reference (Options.reference, the path
+// Options.Audit replays every trial on) materializes the full-depth
+// window. Every enumerated candidate must
 // get the same plan on both, at every depth, and the direct build must
 // number the gates exactly as a build of the materialized window does.
 func TestWindowTrialMatchesReference(t *testing.T) {
@@ -157,7 +158,7 @@ func TestWindowTrialMatchesReference(t *testing.T) {
 	var tally windowTrialTally
 	for _, name := range []string{"forest", "rand0", "rand1", "rand2", "rand3"} {
 		for depth := 1; depth <= 5; depth++ {
-			for _, cfg := range []Config{Basic, Extended} {
+			for _, cfg := range []Config{Basic, Extended, ExtendedGDC} {
 				for _, pos := range []bool{false, true} {
 					opt := Options{Config: cfg, POS: pos, WindowDepth: depth}
 					checkWindowTrials(t, name, nets[name], opt, &tally)
@@ -172,17 +173,22 @@ func TestWindowTrialMatchesReference(t *testing.T) {
 }
 
 // FuzzWindowTrial runs checkWindowTrials on random DAGs over the window
-// depth, the configuration and the POS switch.
+// depth, the configuration (flags bit 0 Extended, bit 2 ExtendedGDC) and
+// the POS switch (bit 1).
 func FuzzWindowTrial(f *testing.F) {
 	f.Add(int64(2718), uint8(3), uint8(14), uint8(2), uint8(0))
 	f.Add(int64(141), uint8(2), uint8(7), uint8(3), uint8(3))
 	f.Add(int64(5151), uint8(5), uint8(17), uint8(4), uint8(1))
 	f.Add(int64(97531), uint8(4), uint8(11), uint8(0), uint8(2))
+	f.Add(int64(8642), uint8(4), uint8(15), uint8(2), uint8(6))
 	f.Fuzz(func(t *testing.T, seed int64, nPI, nNode, depth, flags uint8) {
 		nw := randomDAG(rand.New(rand.NewSource(seed)), 2+int(nPI)%7, 2+int(nNode)%18)
 		opt := Options{Config: Basic, POS: flags&2 != 0, WindowDepth: 1 + int(depth)%5}
 		if flags&1 != 0 {
 			opt.Config = Extended
+		}
+		if flags&4 != 0 {
+			opt.Config = ExtendedGDC
 		}
 		checkWindowTrials(t, fmt.Sprintf("seed %d", seed), nw, opt, new(windowTrialTally))
 	})

@@ -159,3 +159,76 @@ func TestBuilderArenaMatchesFreshBuilds(t *testing.T) {
 	}
 	build.NL.EndTx()
 }
+
+// TestPatchNodeAddsNode patches a node the build does not hold, then a
+// node rewritten to read it, in one transaction: the netlist must stay
+// Check-clean and compute every named signal as a fresh build of the
+// network with both edits installed does, and RollbackTx must remove the
+// added node's gates and Signal entry, leaving the fresh build of the
+// unedited network.
+func TestPatchNodeAddsNode(t *testing.T) {
+	nw, err := bench.Generate("rand", 120, 12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := nw.TopoOrder()
+	host := nw.Node(names[len(names)-1])
+	src := nw.Node(names[len(names)/2])
+	added := &network.Node{Name: nw.FreshName("add"), Fanins: src.Fanins, Cover: src.Cover}
+	// The host ORs its old function with the added node.
+	fanins := append(append([]string(nil), host.Fanins...), added.Name)
+	cov := cube.NewCover(len(fanins))
+	for _, c := range host.Cover.Cubes {
+		k := cube.New(len(fanins))
+		for _, v := range c.Lits() {
+			k.Set(v, c.Get(v))
+		}
+		cov.Cubes = append(cov.Cubes, k)
+	}
+	y := cube.New(len(fanins))
+	y.Set(len(fanins)-1, cube.Pos)
+	cov.Cubes = append(cov.Cubes, y)
+	rewritten := &network.Node{Name: host.Name, Fanins: fanins, Cover: cov}
+
+	edited := nw.Clone()
+	edited.Install([]*network.Node{added}, []*network.Node{rewritten})
+	want := FromNetwork(edited)
+
+	build := NewBuilder().Build(nw)
+	oldHost := build.Nodes[host.Name]
+	build.NL.BeginTx()
+	for round := 0; round < 2; round++ {
+		if round > 0 {
+			build.NL.RollbackTx()
+		}
+		ng := build.PatchNode(added.Name, added)
+		build.PatchNode(host.Name, rewritten)
+		nl := build.NL
+		if err := nl.Check(); err != nil {
+			t.Fatalf("round %d: patched netlist: %v", round, err)
+		}
+		if g, ok := nl.Signal[added.Name]; !ok || g != ng.Out || nl.NameOf(g) != added.Name || nl.KindOf(g) != Or {
+			t.Fatalf("round %d: added node's OR gate is not bound to its name", round)
+		}
+		in := map[string]uint64{}
+		for i, pi := range nw.PIs() {
+			in[pi] = 0x9e3779b97f4a7c15 * uint64(i+1)
+		}
+		got, exp := nl.Eval(in), want.NL.Eval(in)
+		for name, g := range want.NL.Signal {
+			if got[nl.Signal[name]] != exp[g] {
+				t.Fatalf("round %d: signal %q computes %x, want %x", round, name, got[nl.Signal[name]], exp[g])
+			}
+		}
+	}
+	build.NL.RollbackTx()
+	if _, ok := build.NL.Signal[added.Name]; ok {
+		t.Fatal("RollbackTx kept the added node's Signal entry")
+	}
+	build.Nodes[host.Name] = oldHost
+	delete(build.Nodes, added.Name)
+	if err := sameNetlist(build, FromNetwork(nw)); err != nil {
+		t.Fatalf("after RollbackTx: %v", err)
+	}
+	build.NL.EndTx()
+}

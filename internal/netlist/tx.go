@@ -19,6 +19,7 @@ const (
 	txAddPin
 	txRemovePin
 	txInvert
+	txAddSignal
 )
 
 // txOp is one journaled primitive. Field use by kind:
@@ -30,6 +31,8 @@ const (
 //	txRemovePin: g = the gate that lost fanin index pin; src = the fanin
 //	             gate; foIdx = src's fanout-list index that pointed at g
 //	txInvert:    g = the source gate whose inverter-cache entry was created
+//	txAddSignal: g = the gate a Signal entry was created for, under the
+//	             name the gate carries
 type txOp struct {
 	kind  txKind
 	g     int
@@ -111,6 +114,8 @@ func (nl *Netlist) undo(op txOp) {
 		nl.logEdit(op.g)
 	case txInvert:
 		delete(nl.inv, op.g)
+	case txAddSignal:
+		delete(nl.Signal, nl.gates[op.g].name)
 	}
 }
 
@@ -122,13 +127,18 @@ func (nl *Netlist) undo(op txOp) {
 // stay in the arena with no live fanout; implication scopes are built from
 // the current NodeGates, so they are never visited.
 //
+// A name with no Signal entry is added instead: its cube gates and then its
+// OR gate are appended as buildNode lays out a new node, and the OR gate
+// takes the name and a Signal entry. Every fanin of n must already have a
+// Signal entry.
+//
 // The caller must hold an open transaction: RollbackTx restores the netlist
-// byte-exactly, and the caller restores its own Nodes[name] entry (PatchNode
-// overwrites it with the new structure). The returned NodeGates comes from
-// the netlist's patch arena and is valid until the next RollbackTx or
-// EndTx, so several nodes may be patched in one transaction. The node's OR
-// gate is found through Signal, so a Nodes entry a rolled-back patch left
-// behind is never read.
+// byte-exactly, an added node's Signal entry included, and the caller
+// restores its own Nodes[name] entry (PatchNode overwrites it with the new
+// structure). The returned NodeGates comes from the netlist's patch arena
+// and is valid until the next RollbackTx or EndTx, so several nodes may be
+// patched in one transaction. The node's OR gate is found through Signal,
+// so a Nodes entry a rolled-back patch left behind is never read.
 //
 //bdslint:hotpath
 func (b *Build) PatchNode(name string, n *network.Node) *NodeGates {
@@ -136,12 +146,13 @@ func (b *Build) PatchNode(name string, n *network.Node) *NodeGates {
 	if !nl.txOn {
 		panic("netlist: PatchNode outside a transaction")
 	}
-	out := nl.Signal[name]
-	for pin := len(nl.gates[out].fanins) - 1; pin >= 0; pin-- {
-		nl.RemovePin(out, pin)
+	out, found := nl.Signal[name]
+	if found {
+		for pin := len(nl.gates[out].fanins) - 1; pin >= 0; pin-- {
+			nl.RemovePin(out, pin)
+		}
 	}
 	ng := nl.patched.node()
-	ng.Out = out
 	for _, c := range n.Cover.Cubes {
 		fan := b.fan[:0]
 		for v := 0; v < c.NumVars(); v++ {
@@ -155,8 +166,17 @@ func (b *Build) PatchNode(name string, n *network.Node) *NodeGates {
 		b.fan = fan
 		g := nl.AddGate(And, fan...)
 		nl.patched.addCube(ng, g)
-		nl.AddPin(out, g)
+		if found {
+			nl.AddPin(out, g)
+		}
 	}
+	if !found {
+		out = nl.AddGate(Or, ng.Cubes...)
+		nl.gates[out].name = name
+		nl.Signal[name] = out
+		nl.tx = append(nl.tx, txOp{kind: txAddSignal, g: out})
+	}
+	ng.Out = out
 	b.Nodes[name] = ng
 	return ng
 }

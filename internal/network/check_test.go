@@ -83,9 +83,8 @@ func TestCheckOrderDrift(t *testing.T) {
 }
 
 // TestReaddRemovedNodeListedOnce re-adds removed names through both entry
-// points, AddNode and Install of an overlay's delta, and checks that the node is
-// listed once, last, with every other node in its place — the order an
-// overlay view and its materialized clone report.
+// points, AddNode and Install of a plan's added node, and checks that the
+// node is listed once, last, with every other node in its place.
 func TestReaddRemovedNodeListedOnce(t *testing.T) {
 	names := func(ns []*Node) string {
 		var b strings.Builder
@@ -107,20 +106,12 @@ func TestReaddRemovedNodeListedOnce(t *testing.T) {
 		t.Fatalf("Nodes() after re-adding h = %q, want %q", got, want)
 	}
 
-	ov := NewOverlay(nw)
-	ov.AddNode("k", []string{"g", "c"}, cube.ParseCover(2, "a + b"))
-	view, clone := names(ov.Nodes()), names(ov.Clone().Nodes())
-	nw.Install(ov.Added(), ov.Changed())
+	nw.Install([]*Node{{Name: "k", Fanins: []string{"g", "c"}, Cover: cube.ParseCover(2, "a + b")}}, nil)
 	if err := nw.Check(); err != nil {
 		t.Fatal(err)
 	}
-	const want = "g f h k "
-	for _, got := range []struct{ what, order string }{
-		{"overlay view", view}, {"overlay clone", clone}, {"Install", names(nw.Nodes())},
-	} {
-		if got.order != want {
-			t.Errorf("%s lists %q, want %q", got.what, got.order, want)
-		}
+	if got, want := names(nw.Nodes()), "g f h k "; got != want {
+		t.Fatalf("Nodes() after installing k = %q, want %q", got, want)
 	}
 }
 

@@ -58,7 +58,7 @@ func TestFanoutsOfWithoutLiveLists(t *testing.T) {
 
 // TestLiveFanoutsTrackEdits drives every mutator the engine and the script
 // flows use — node rewrites, fanin redirection, composition, additions,
-// removals, sweeping, elimination, overlay commits and CopyFrom — over
+// removals, sweeping, elimination, installed plans and CopyFrom — over
 // random networks with live fanout lists attached, and audits the lists
 // after every edit.
 func TestLiveFanoutsTrackEdits(t *testing.T) {
@@ -147,17 +147,16 @@ func TestLiveFanoutsTrackEdits(t *testing.T) {
 				step = "Sweep"
 				nw.Sweep()
 			case 6:
-				step = "overlay Install"
-				ov := NewOverlay(nw)
-				n := ov.Node(pick().Name)
-				core := ov.FreshName("ov")
+				// A decomposition's commit: a core node added over n's fanins,
+				// and n rewritten to read it.
+				step = "Install"
+				n := pick()
+				core := nw.FreshName("ov")
 				if _, seen := nw.sym.Lookup(core); seen {
 					reused++
 				}
-				ov.AddNode(core, n.Fanins, n.Cover.Clone())
-				if err := ov.ReplaceNodeFunction(n.Name, []string{core}, cube.ParseCover(1, "a")); err == nil {
-					nw.Install(ov.Added(), ov.Changed())
-				}
+				nw.Install([]*Node{{Name: core, Fanins: n.Fanins, Cover: n.Cover.Clone()}},
+					[]*Node{{Name: n.Name, Fanins: []string{core}, Cover: cube.ParseCover(1, "a")}})
 			case 7:
 				step = "CopyFrom"
 				c := nw.Clone()

@@ -633,8 +633,8 @@ func (n *Node) Render() string {
 // appendOrder makes node id the newest entry of the creation order.
 // RemoveNode leaves a removed node's entry in place (iteration skips it),
 // so a name re-added after removal — FreshName hands such names out —
-// first drops its stale entry. The node is listed once, at the end, where
-// an Overlay lists the nodes it adds, and every other node keeps its place.
+// first drops its stale entry. The node is listed once, at the end, and
+// every other node keeps its place.
 func (nw *Network) appendOrder(id SigID) {
 	if nw.inOrder[id] {
 		for i, o := range nw.order {
@@ -703,8 +703,8 @@ func (nw *Network) NormalizeNode(name string) {
 // Normalize returns the node function (fanins, cover) without the fanins
 // its cover no longer reads, the remaining variables keeping their order.
 // When every fanin is read it returns its arguments unchanged; otherwise
-// the results are fresh. Network.NormalizeNode and Overlay.NormalizeNode
-// apply it to a node, and a planner to a replacement it has not installed.
+// the results are fresh. Network.NormalizeNode applies it to a node, and a
+// planner to a body it has not installed.
 func Normalize(fanins []string, cover cube.Cover) ([]string, cube.Cover) {
 	used := cover.Support()
 	if len(used) == len(fanins) {
@@ -731,12 +731,12 @@ func Normalize(fanins []string, cover cube.Cover) ([]string, cube.Cover) {
 // in order, appended to the creation order, and then each replaced node
 // takes its body's fanins and cover in place, in order, so a replacement
 // may read an addition. It is the one way recorded bodies reach a network:
-// the substitution engine's commit of a plan, and Overlay.Clone. Bodies
-// install without a cycle check: their producer refused every cycle on its
-// own view (an overlay checks each mutation, a node-form planner its
-// divisor), and checking each body against a half-installed set can refuse
-// a valid one. Fanin lists are copied; covers are kept, so the caller must
-// not mutate them afterwards. A replaced name that drives no node panics:
+// the substitution engine's commit of a plan. Bodies install without a
+// cycle check: their producer refused every cycle (a planner checks its
+// divisor, and a decomposition's core reads only fanins of a divisor
+// checked so), and checking each body against a half-installed set can
+// refuse a valid one. Fanin lists are copied; covers are kept, so the
+// caller must not mutate them afterwards. A replaced name that drives no node panics:
 // the bodies were recorded against another network.
 func (nw *Network) Install(added, replaced []*Node) {
 	for _, n := range added {

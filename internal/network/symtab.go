@@ -10,9 +10,6 @@ package network
 // parse/print boundary, held by the SymTab.
 type SigID int32
 
-// NoSig is the invalid SigID.
-const NoSig SigID = -1
-
 // SymTab is the thin two-way symbol table binding signal names to dense
 // SigIDs. It is append-only: interning never invalidates an existing ID,
 // which is what lets clones share fanin-ID slices with their origin.

@@ -25,7 +25,7 @@ func signalNames(nw *Network) []string {
 }
 
 // TestEveryMutatorAdvancesVersion locks the one staleness signal: every
-// structural mutator of a Network or an Overlay advances Version, an
+// structural mutator of a Network advances Version, an
 // attached signature or cone table answers nothing from then until its
 // Refresh, and the refreshed table equals one built fresh on a clone. Read-
 // only calls leave the version alone.
@@ -124,42 +124,6 @@ func TestEveryMutatorAdvancesVersion(t *testing.T) {
 			wn, wok := fc.NetHash()
 			if gn != wn || !gok || !wok {
 				t.Errorf("NetHash = %x, %v after Refresh; fresh table %x, %v", gn, gok, wn, wok)
-			}
-		})
-	}
-
-	overlayMutators := []struct {
-		name string
-		edit func(t *testing.T, o *Overlay)
-	}{
-		{"Overlay.AddNode", func(t *testing.T, o *Overlay) { o.AddNode("k", []string{"a", "c"}, ab) }},
-		{"Overlay.ReplaceNodeFunction", func(t *testing.T, o *Overlay) {
-			if err := o.ReplaceNodeFunction("g", []string{"a", "c"}, ab); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"Overlay.SetNodeCover", func(t *testing.T, o *Overlay) { o.SetNodeCover("g", cube.ParseCover(2, "a'b")) }},
-		{"Overlay.NormalizeNode", func(t *testing.T, o *Overlay) {
-			o.NormalizeNode("h")
-			if len(o.Node("h").Fanins) != 1 {
-				t.Fatal("NormalizeNode kept the unread fanin")
-			}
-		}},
-	}
-	for _, m := range overlayMutators {
-		t.Run(m.name, func(t *testing.T) {
-			nw := versionNet()
-			base := nw.Version()
-			o := NewOverlay(nw)
-			if o.Version() != base {
-				t.Fatalf("fresh overlay at version %d, base at %d", o.Version(), base)
-			}
-			m.edit(t, o)
-			if o.Version() <= base {
-				t.Fatalf("overlay version %d after the edit, %d before", o.Version(), base)
-			}
-			if nw.Version() != base {
-				t.Fatalf("an overlay edit moved the base version %d -> %d", base, nw.Version())
 			}
 		})
 	}

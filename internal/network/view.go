@@ -8,8 +8,7 @@ package network
 // holds the concrete *Network. Concurrent planners may therefore share one
 // Reader — every method below is a pure read on *Network (none touches
 // hidden caches), which `go test -race` verifies over the parallel trial
-// pool. (*Overlay implements the ID surface with overlay-local lazy
-// interning, which is fine because an overlay is owned by one goroutine.)
+// pool.
 //
 // Callers must treat values reached through a Reader as frozen: the *Node
 // returned by Node/NodeByID and the slices returned by
@@ -42,9 +41,8 @@ type Reader interface {
 	Version() uint64
 
 	// --- Dense-ID surface -------------------------------------------------
-	// Signals are identified by dense SigIDs (see symtab.go). On a Network
-	// the IDs are the symbol table's; an Overlay extends its base's ID space
-	// with overlay-local IDs for names it adds.
+	// Signals are identified by dense SigIDs (see symtab.go): the symbol
+	// table's IDs.
 
 	// NumSigs returns the size of the dense ID space.
 	NumSigs() int
