@@ -749,7 +749,8 @@ func BenchmarkSubstituteScale(b *testing.B) {
 // the gates should triple the time; a trial that goes back to costing
 // O(network) shows as a ratio nearer nine. Each run starts after a
 // collection, so the garbage of the legs before it is not paid inside it.
-// The legs are report-only: no ceiling is committed on the ratio yet.
+// Basic's ratio has a committed ceiling (testdata/bench/BENCH_substitute.json,
+// "growth_ceilings"); ext and ext+GDC are report-only.
 func BenchmarkSubstituteGrowth(b *testing.B) {
 	configs := []struct {
 		name string

@@ -32,13 +32,26 @@
 // load — the *ratio* between worker counts of the same benchmark in the same
 // run is stable, so a ratio below its committed floor means multi-worker
 // scheduling genuinely regressed (e.g. speculation being discarded wholesale),
-// and -compare exits nonzero. -emit preserves the scaling_floors block from an
-// existing snapshot at the output path, so re-recording timings keeps floors.
+// and -compare exits nonzero.
+//
+// Growth ceilings are the other. The baseline may carry a "growth_ceilings"
+// map from a benchmark family (e.g. "SubstituteGrowth/basic") to its small
+// and large legs (e.g. "cone1k" and "cone3k", three times the gates) and
+// maximum large/small ratios of ns/op, allocs/op and B/op. Taken within one
+// run, like the scaling ratios, a growth ratio says how the cost scales
+// with circuit size: linear growth reads 3 on those legs and quadratic 9,
+// so a ratio over its ceiling means a trial went back to costing
+// O(network). The allocation ratios are near-deterministic and can carry
+// tight ceilings; the timing ratio moves with host load between the legs.
+// A family without ceilings is printed only. -emit preserves both blocks
+// from an existing snapshot at the output path, so re-recording timings
+// keeps floors and ceilings.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,6 +71,20 @@ type snapshot struct {
 	// Violations are hard failures in -compare, not warnings: the ratio is
 	// taken within one run, so host noise cancels out.
 	ScalingFloors map[string]map[string]float64 `json:"scaling_floors,omitempty"`
+	// GrowthCeilings maps a benchmark family (e.g. "SubstituteGrowth/basic")
+	// to its two size legs and the ceilings on their ratio (see
+	// checkGrowthCeilings).
+	GrowthCeilings map[string]growthCeiling `json:"growth_ceilings,omitempty"`
+}
+
+// growthCeiling names a family's small and large legs and caps the
+// large/small ratio of ns/op, allocs/op and B/op; a nil cap is report-only.
+type growthCeiling struct {
+	Small       string   `json:"small"`
+	Large       string   `json:"large"`
+	NsPerOp     *float64 `json:"ns_per_op,omitempty"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 }
 
 // measure is one benchmark's result. AllocsPerOp and BytesPerOp are nil
@@ -108,10 +135,11 @@ func runEmit(r io.Reader, path string) error {
 	if len(snap.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark result lines on stdin (pipe `go test -bench` output in)")
 	}
-	// Re-recording timings must not silently drop the committed floors:
-	// carry the scaling_floors block over from any snapshot already at path.
-	if old, err := load(path); err == nil && len(old.ScalingFloors) > 0 {
-		snap.ScalingFloors = old.ScalingFloors
+	// Re-recording timings must not silently drop the committed gates:
+	// carry the scaling_floors and growth_ceilings blocks over from any
+	// snapshot already at path.
+	if old, err := load(path); err == nil {
+		snap.ScalingFloors, snap.GrowthCeilings = old.ScalingFloors, old.GrowthCeilings
 	}
 	buf, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
@@ -268,7 +296,7 @@ func runCompare(w io.Writer, basePath, curPath string, th thresholds) error {
 	if warned > 0 {
 		fmt.Fprintf(w, "benchreg: %d warning(s) — investigate before committing, or re-record the baseline\n", warned)
 	}
-	return checkScalingFloors(w, base, cur)
+	return errors.Join(checkScalingFloors(w, base, cur), checkGrowthCeilings(w, base, cur))
 }
 
 // checkScalingFloors enforces the baseline's scaling_floors block against the
@@ -319,6 +347,62 @@ func checkScalingFloors(w io.Writer, base, cur snapshot) error {
 		return fmt.Errorf("%d scaling-floor failure(s)", failed)
 	}
 	return nil
+}
+
+// checkGrowthCeilings enforces the baseline's growth_ceilings block against
+// the current run: for each family, the large/small ratio of every capped
+// dimension must not exceed its ceiling. Like the scaling floors, both legs
+// come from the same run, and a listed leg missing from it fails, as does a
+// capped dimension either leg did not measure. Uncapped dimensions are
+// printed as report-only.
+func checkGrowthCeilings(w io.Writer, base, cur snapshot) error {
+	families := make([]string, 0, len(base.GrowthCeilings))
+	for f := range base.GrowthCeilings {
+		families = append(families, f)
+	}
+	sort.Strings(families)
+	failed := 0
+	for _, fam := range families {
+		g := base.GrowthCeilings[fam]
+		small, okS := cur.Benchmarks[fam+"/"+g.Small]
+		large, okL := cur.Benchmarks[fam+"/"+g.Large]
+		if !okS || !okL {
+			fmt.Fprintf(w, "benchreg: FAIL: %s needs both %s and %s in this run\n", fam, g.Small, g.Large)
+			failed++
+			continue
+		}
+		failed += growthDim(w, fam, "ns/op", &small.NsPerOp, &large.NsPerOp, g.NsPerOp)
+		failed += growthDim(w, fam, "allocs/op", small.AllocsPerOp, large.AllocsPerOp, g.AllocsPerOp)
+		failed += growthDim(w, fam, "B/op", small.BytesPerOp, large.BytesPerOp, g.BytesPerOp)
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d growth-ceiling failure(s)", failed)
+	}
+	return nil
+}
+
+// growthDim reports one dimension's large/small ratio for family fam,
+// returning 1 if it fails its ceiling (nil = report-only).
+func growthDim(w io.Writer, fam, unit string, small, large, ceiling *float64) int {
+	if small == nil || large == nil || *small <= 0 {
+		if ceiling == nil {
+			return 0
+		}
+		fmt.Fprintf(w, "benchreg: FAIL: %s %s not measured on both legs (committed ceiling %.2fx)\n", fam, unit, *ceiling)
+		return 1
+	}
+	ratio := *large / *small
+	switch {
+	case ceiling == nil:
+		fmt.Fprintf(w, "benchreg: %-30s %s growth %.2fx (report-only)\n", fam, unit, ratio)
+	case ratio > *ceiling:
+		fmt.Fprintf(w, "benchreg: FAIL: %s %s growth %.2fx above committed ceiling %.2fx (%.0f -> %.0f %s)\n",
+			fam, unit, ratio, *ceiling, *small, *large, unit)
+		return 1
+	default:
+		fmt.Fprintf(w, "benchreg: %-30s %s growth %.2fx (ceiling %.2fx)\n", fam, unit, ratio, *ceiling)
+	}
+	return 0
 }
 
 // compareDim reports one benchmark dimension, returning 1 if it warned. A

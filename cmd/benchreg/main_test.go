@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -155,5 +156,94 @@ BenchmarkOther-2                         1   70 ns/op
 	}
 	if o := snap.Benchmarks["Other"]; o.NsPerOp != 50 || o.AllocsPerOp != nil {
 		t.Errorf("two runs without -benchmem: ns %v, allocs %v; want 50 and unmeasured", o.NsPerOp, o.AllocsPerOp)
+	}
+}
+
+// TestGrowthCeilings: -compare fails when a capped large/small ratio
+// grows past its ceiling, when a gated leg is missing from the run, and
+// when a leg did not measure a capped dimension, so deleting or renaming
+// the benchmark cannot silently disable the gate. A family without
+// ceilings is printed as report-only however it grows.
+func TestGrowthCeilings(t *testing.T) {
+	leg := func(ns, allocs float64) measure {
+		return measure{NsPerOp: ns, AllocsPerOp: ptr(allocs), BytesPerOp: ptr(allocs * 64)}
+	}
+	run := func(small, large measure) snapshot {
+		return snapshot{Benchmarks: map[string]measure{
+			"SubstituteGrowth/basic/cone1k": small,
+			"SubstituteGrowth/basic/cone3k": large,
+			"SubstituteGrowth/ext/cone1k":   leg(100, 10),
+			"SubstituteGrowth/ext/cone3k":   leg(900, 90),
+		}}
+	}
+	base := run(leg(100, 10), leg(300, 30))
+	base.GrowthCeilings = map[string]growthCeiling{
+		"SubstituteGrowth/basic": {Small: "cone1k", Large: "cone3k", NsPerOp: ptr(4.5), AllocsPerOp: ptr(4.5), BytesPerOp: ptr(4.5)},
+		"SubstituteGrowth/ext":   {Small: "cone1k", Large: "cone3k"},
+	}
+	missing := run(leg(100, 10), leg(300, 30))
+	delete(missing.Benchmarks, "SubstituteGrowth/basic/cone3k")
+	dir := t.TempDir()
+	basePath, curPath := filepath.Join(dir, "base.json"), filepath.Join(dir, "cur.json")
+	writeSnap(t, basePath, base)
+	for _, tc := range []struct {
+		name string
+		cur  snapshot
+		fail bool
+	}{
+		{"under the ceilings", run(leg(100, 10), leg(450, 31)), false},
+		{"ns/op grows 9x", run(leg(100, 10), leg(900, 30)), true},
+		{"allocs/op grows 9x", run(leg(100, 10), leg(300, 90)), true},
+		{"B/op grows 9x", run(leg(100, 10), measure{NsPerOp: 300, AllocsPerOp: ptr(30), BytesPerOp: ptr(5760)}), true},
+		{"allocs/op not measured", run(measure{NsPerOp: 100}, leg(300, 30)), true},
+		{"leg missing", missing, true},
+	} {
+		writeSnap(t, curPath, tc.cur)
+		var buf strings.Builder
+		err := runCompare(&buf, basePath, curPath, thresholds{ns: 1e9, allocs: 1e9, bytes: 1e9})
+		out := buf.String()
+		if (err != nil) != tc.fail || strings.Contains(out, "FAIL") != tc.fail {
+			t.Errorf("%s: err %v, want a failure: %v\n%s", tc.name, err, tc.fail, out)
+		}
+		if !tc.fail && !strings.Contains(out, "SubstituteGrowth/ext") {
+			t.Errorf("%s: the report-only family was not printed:\n%s", tc.name, out)
+		}
+	}
+}
+
+// TestEmitKeepsGates: re-recording a snapshot over an existing one keeps
+// its scaling_floors and growth_ceilings blocks.
+func TestEmitKeepsGates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.json")
+	ceiling := growthCeiling{Small: "cone1k", Large: "cone3k", NsPerOp: ptr(4), AllocsPerOp: ptr(3.5)}
+	writeSnap(t, path, snapshot{
+		ScalingFloors:  map[string]map[string]float64{"SubstituteScale/cone10k": {"w8": 0.8}},
+		GrowthCeilings: map[string]growthCeiling{"SubstituteGrowth/basic": ceiling},
+	})
+	if err := runEmit(strings.NewReader("BenchmarkFactoring-2   1   120 ns/op\n"), path); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := snap.GrowthCeilings["SubstituteGrowth/basic"]
+	if snap.ScalingFloors["SubstituteScale/cone10k"]["w8"] != 0.8 || g.Small != "cone1k" || g.Large != "cone3k" ||
+		g.NsPerOp == nil || *g.NsPerOp != 4 || g.AllocsPerOp == nil || *g.AllocsPerOp != 3.5 {
+		t.Errorf("gates lost: floors %v, ceilings %+v", snap.ScalingFloors, snap.GrowthCeilings)
+	}
+	if snap.Benchmarks["Factoring"].NsPerOp != 120 {
+		t.Errorf("benchmarks not re-recorded: %+v", snap.Benchmarks)
+	}
+}
+
+func writeSnap(t *testing.T, path string, s snapshot) {
+	t.Helper()
+	buf, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

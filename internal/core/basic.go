@@ -344,17 +344,23 @@ func tentativeCover(t *trialArena, d string, qPart, rem cube.Cover, yPhase cube.
 }
 
 // rarOptions returns the implication options and dominator-walk bound of
-// one RAR pass of cfg on build b: for Basic and Extended, region-local
-// implications (scoped to f's and d's region, with f's output treated as
-// directly observable); for ExtendedGDC, global ones with recursive
-// learning that walk real dominators (global don't cares).
+// one implication run of cfg on build b about dividend f and the given
+// divisors — a RAR pass (one divisor) or a vote table (a pool of them): for
+// Basic and Extended, region-local implications, scoped to the regions of
+// f and then of each divisor (see appendNodeScope), with f's output
+// treated as directly observable; for ExtendedGDC, global ones with
+// recursive learning that walk real dominators (global don't cares). The
+// scope is sc.scope's, valid until the next call.
 //
 //bdslint:hotpath
-func (sc *scratch) rarOptions(cfg Config, b *netlist.Build, f, d string) (atpg.Options, int) {
+func (sc *scratch) rarOptions(cfg Config, b *netlist.Build, f string, divisors ...string) (atpg.Options, int) {
 	if cfg == ExtendedGDC {
 		return atpg.Options{Learn: true}, -1
 	}
-	sc.scope = localScope(sc.scope[:0], b, b.NL, f, d)
+	sc.scope = appendNodeScope(sc.scope[:0], b, b.NL, f)
+	for _, d := range divisors {
+		sc.scope = appendNodeScope(sc.scope, b, b.NL, d)
+	}
 	return atpg.Options{Scope: sc.scope}, 1
 }
 
@@ -535,12 +541,6 @@ func literalOf(nl *netlist.Netlist, sigs []int, lg int) (int, cube.Phase, bool) 
 		}
 	}
 	return 0, 0, false
-}
-
-// localScope appends to dst the paper's region-restricted implication
-// scope for dividing f by d (see appendNodeScope) and returns the list.
-func localScope(dst []int, b *netlist.Build, nl *netlist.Netlist, f, d string) []int {
-	return appendNodeScope(appendNodeScope(dst, b, nl, f), b, nl, d)
 }
 
 // appendNodeScope appends one node's share of a region scope to dst: the

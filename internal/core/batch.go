@@ -53,11 +53,11 @@ import (
 //	     exempt.)
 //
 // A member that passes every rule behaves, by the rules' coverage of its
-// inputs, exactly as the serial driver would at S_{j-1}: phase B advanced
-// the same trial sequence (trialSeq) the serial driver runs, to the same
-// first plan. A member that fails any rule is evicted and literally re-run
-// through the serial per-node sequence (substituteNode) — so the induction
-// closes either way.
+// inputs, exactly as the serial driver would at S_{j-1}: phase B ran the
+// same trial sequence (trialSeq) the serial driver runs, to the same plan.
+// A member that fails any rule is evicted and literally re-run through the
+// serial per-node sequence (substituteNode) — so the induction closes
+// either way.
 // Commits performed by eviction re-runs route through run.commit and fold
 // into the same dirty marks, keeping later members' checks sound.
 //
@@ -113,7 +113,7 @@ const batchConeCap = 4096
 // batchMember is one dividend of a batch, with everything its worker needs
 // precomputed on the serial side (phase A) and everything the sweep needs
 // to validate or evict it (phase C). Its trial sequence (f and the
-// truncated candidate list) is built in phase A and advanced in phase B.
+// truncated candidate list) is built in phase A and run in phase B.
 type batchMember struct {
 	trialSeq
 	pos     int           // position in the pass's id order (diagnostic)
@@ -128,8 +128,8 @@ type batchMember struct {
 	tfo   []network.SigID // TFO(f), all node-driven
 	guard []network.SigID // {f} ∪ raw fanin IDs of f ∪ TFO(f) (rule E1b)
 
-	// Phase-B results: the sequence's first plan, and how many trial
-	// verdicts phase B produced (Stats.SpeculatedTrials).
+	// Phase-B results: the sequence's plan, and how many trial verdicts
+	// phase B produced (Stats.SpeculatedTrials).
 	p    plan
 	ok   bool
 	spec int
@@ -366,13 +366,12 @@ func (s *batchScheduler) member(pos int, id network.SigID) *batchMember {
 }
 
 // release clears m and keeps it, with its slices' capacity, for member.
-// The cleared candidate and plan slots drop their covers and bodies (the
-// candidate list may have been truncated, so it is cleared to capacity).
+// The cleared candidate slots drop their covers (the candidate list may
+// have been truncated, so it is cleared to capacity).
 func (s *batchScheduler) release(m *batchMember) {
 	clear(m.cands[:cap(m.cands)])
-	clear(m.best)
 	*m = batchMember{
-		trialSeq: trialSeq{cands: m.cands[:0], best: m.best[:0]},
+		trialSeq: trialSeq{cands: m.cands[:0]},
 		candIDs:  m.candIDs[:0],
 		fp:       m.fp[:0], tfo: m.tfo[:0], guard: m.guard[:0],
 	}
@@ -442,12 +441,11 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, alone 
 	return m
 }
 
-// runMember is phase B for member m: it advances m's trial sequence once
-// against the frozen batch-start network on one worker — exactly the
-// serial driver's planning up to its first commit attempt, with the chosen
-// node-form body already finished.
+// runMember is phase B for member m: it runs m's trial sequence against
+// the frozen batch-start network on one worker — exactly the serial
+// driver's planning, with the chosen node-form body already finished.
 func (s *batchScheduler) runMember(m *batchMember, sc *scratch) {
-	m.p, m.ok = m.advance(sc, s.r.nw, s.r.opt)
+	m.p, m.ok = m.choose(sc, s.r.nw, s.r.opt)
 	m.spec = m.trials
 	if m.pooled {
 		m.spec++ // the pooled attempt is speculation too
@@ -493,10 +491,7 @@ func (s *batchScheduler) sweep() bool {
 			continue
 		}
 		// The member's speculation is the serial driver's at this slot, so
-		// settle commits it as the serial driver would. No commit is
-		// rejected here — batching is off under a DepthBudget, the only
-		// rule that rejects one — so a committed plan is the speculated
-		// one.
+		// settle commits it as the serial driver would.
 		if r.settle(&m.trialSeq, m.p, m.ok) {
 			changed = true
 			r.st.BatchCommits++

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/algebraic"
@@ -25,17 +24,14 @@ import (
 //	            all reusable buffers. Plans are therefore evaluable
 //	            concurrently (the batch scheduler's phase B).
 //	committer — installs the chosen plan in the live network serially,
-//	            invalidates the node cache, enforces the depth budget, and
-//	            updates statistics.
+//	            invalidates the node cache, and updates statistics.
 //
 // One routine plans a dividend (trialSeq): the paper's serial greedy scan
 // over the candidates in the deterministic candidate order, stopping at the
 // first positive-gain plan (or, under Options.BestGain, planning them all
-// and offering the best first), then the pooled fallback. The serial driver
-// (run.substituteNode) and batch phase B both run it. A depth-rejected
-// commit is undone byte-exactly (the replaced nodes' old bodies, or a
-// whole-network snapshot, are restored verbatim), so the sequence resumes
-// at its next slot against the state its plans were evaluated on.
+// and keeping the first of the largest gains), then, when no slot gained,
+// the pooled fallback. The serial driver (run.substituteNode) and batch
+// phase B both run it once, and the committer installs the plan it returns.
 
 // plan is one evaluated division candidate as plain data: the gain it
 // achieves and the node bodies its commit installs.
@@ -46,10 +42,10 @@ import (
 //     the default path the body of a plan without gain, which no caller
 //     commits, is the scratch's own and valid only until its next division
 //     (see trialArena.body).
-//   - An extended or single-node pooled plan holds the node its
-//     decomposition adds (the core) and the final bodies of the nodes it
-//     replaces, d and then f. When the core is the whole divisor, bodies
-//     is f's normalized basic division (wholePlan).
+//   - An extended plan holds the node its decomposition adds (the core)
+//     and the final bodies of the nodes it replaces, d and then f. When
+//     the core is the whole divisor, bodies is f's normalized basic
+//     division (wholePlan).
 //   - A pooled cross-node plan, whose trial sweeps its working network,
 //     holds that whole network in clone instead; the commit copies it.
 type plan struct {
@@ -318,16 +314,15 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 // slot for d: the unchanged pool covers cancel out of the pooled gain,
 // leaving that division's gain, and the slot's plan — the better of it and
 // the basic division, which a whole-divisor core at WindowDepth 0 is —
-// gained at least as much. So once every slot has been planned, only a d
-// in gained (the SOP slots whose plan gained, and whose commit a
-// DepthBudget then refused) is divided again; any other gains nothing.
-func planPooled(sc *scratch, nw network.Reader, f string, cands []candidate, gained []string, opt Options) (plan, bool) {
+// gained at least as much. The fallback runs only when no slot gained, so
+// such a core gains nothing and plans nothing.
+func planPooled(sc *scratch, nw network.Reader, f string, cands []candidate, opt Options) (plan, bool) {
 	sc.reference = opt.reference
 	sc.pin = nw
-	p, ok := planPooledImpl(sc, nw, f, cands, gained, opt)
+	p, ok := planPooledImpl(sc, nw, f, cands, opt)
 	if opt.Audit && !opt.reference {
 		auditReferenceTrial(sc, nw, p, ok, "pooled f="+f, func(aopt Options) (plan, bool) {
-			return planPooledImpl(sc, nw, f, cands, gained, aopt)
+			return planPooledImpl(sc, nw, f, cands, aopt)
 		}, opt)
 	}
 	return p, ok
@@ -336,7 +331,7 @@ func planPooled(sc *scratch, nw network.Reader, f string, cands []candidate, gai
 // planPooledImpl is planPooled's trial body. The candidate dedup and the
 // costed-name list are plain slice scans: the pool is capped at four
 // entries, so linear containment beats hashing.
-func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate, gained []string, opt Options) (plan, bool) {
+func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate, opt Options) (plan, bool) {
 	var pool []string
 	for _, c := range cands {
 		if c.form != formSOP || indexOf(pool, c.name) >= 0 {
@@ -351,22 +346,8 @@ func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate,
 		return plan{}, false
 	}
 	x, single, ok := pooledExtendedDivide(sc, nw, f, pool, opt.Config)
-	if single != "" {
-		if indexOf(gained, single) < 0 {
-			return plan{}, false // see planPooled
-		}
-		x, ok = extendedDivide(sc, nw, f, single, opt.Config)
-	}
-	if !ok {
-		return plan{}, false
-	}
-	if x.whole != "" {
-		// The core is one pool node's whole cover: f's basic division by
-		// it, with every pool node unchanged.
-		if p, _, ok := wholePlan(sc, nw, f, x.whole, opt.Config); ok && p.gain > 0 {
-			return p, true
-		}
-		return plan{}, false
+	if !ok || single != "" {
+		return plan{}, false // a single-node core: see planPooled
 	}
 	before := algebraic.FactorLits(nw.Node(f).Cover)
 	for _, d := range pool {
@@ -388,111 +369,55 @@ func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate,
 
 // trialSeq is one dividend's trial sequence over its (truncated)
 // candidate list, in candidate order: the paper's first-positive-gain
-// scan, or under Options.BestGain every slot planned and the positive
-// ones offered best first (ties to the earliest slot); then, once nothing
-// else is left, the pooled fallback. It is the one routine that plans a
-// dividend: batch phase B advances it once per member, and the serial
-// driver advances it again after each rejected commit, so it resumes at
-// the next slot — under BestGain the next-best plan, which keeps BestGain
-// from being weaker than the greedy scan under a DepthBudget. A
-// depth-rejected commit is undone byte-exactly, so the plans still to
-// come stay valid.
+// scan, or under Options.BestGain every slot planned and the first of the
+// largest gains kept; then, when no slot gained, the pooled fallback. It
+// is the one routine that plans a dividend: the serial driver and batch
+// phase B each run it once per dividend.
 type trialSeq struct {
 	f     string
 	cands []candidate
 
-	next   int      // greedy: next slot to plan; BestGain: next entry of best
-	trials int      // slots planned (Stats.DivisorTrials)
-	best   []plan   // BestGain: the positive-gain plans, best first
-	gained []string // divisors of the SOP slots whose plan gained (see planPooled)
-	pooled bool     // the pooled fallback has been planned
+	trials int  // slots planned (Stats.DivisorTrials)
+	pooled bool // the pooled fallback was planned
 }
 
-// markGained records that slot c planned a positive-gain plan.
-func (t *trialSeq) markGained(c candidate) {
-	if c.form == formSOP {
-		t.gained = append(t.gained, c.name)
-	}
-}
-
-// advance plans t forward to the next plan worth committing and returns it
-// finished; ok=false when the sequence is spent. nw is the network the
-// caller commits to (or, in phase B, the frozen batch-start network).
-func (t *trialSeq) advance(sc *scratch, nw network.Reader, opt Options) (plan, bool) {
-	if opt.BestGain {
-		if t.trials < len(t.cands) {
-			for _, c := range t.cands {
-				if p, ok := planPair(sc, nw, t.f, c, opt); ok && p.gain > 0 {
-					t.best = append(t.best, p)
-					t.markGained(c)
-				}
-			}
-			t.trials = len(t.cands)
-			sort.SliceStable(t.best, func(a, b int) bool { return t.best[a].gain > t.best[b].gain })
-		}
-		if t.next < len(t.best) {
-			p := t.best[t.next]
-			t.next++
-			p.finish()
-			return p, true
-		}
-	}
-	for !opt.BestGain && t.next < len(t.cands) {
-		c := t.cands[t.next]
+// choose plans t and returns the plan to commit, finished; ok=false when
+// no division gains. nw is the network the caller commits to (or, in
+// phase B, the frozen batch-start network).
+func (t *trialSeq) choose(sc *scratch, nw network.Reader, opt Options) (plan, bool) {
+	var best plan // gain 0 until a slot gains
+	for _, c := range t.cands {
 		p, ok := planPair(sc, nw, t.f, c, opt)
-		t.next++
 		t.trials++
-		if ok && p.gain > 0 {
-			t.markGained(c)
-			p.finish()
-			return p, true // paper: take the first positive-gain division
+		if !ok || p.gain <= best.gain {
+			continue
+		}
+		best = p
+		if !opt.BestGain {
+			break // paper: take the first positive-gain division
 		}
 	}
-	if t.pooled || !opt.Pool || opt.Config == Basic {
+	if best.gain > 0 {
+		best.finish()
+		return best, true
+	}
+	if !opt.Pool || opt.Config == Basic {
 		return plan{}, false
 	}
 	t.pooled = true
-	return planPooled(sc, nw, t.f, t.cands, t.gained, opt)
+	return planPooled(sc, nw, t.f, t.cands, opt)
 }
 
 // commitPlan is the serial committer: it installs a plan in the live
 // network (copying a clone plan's network wholesale), invalidates the node
-// cache for every node the plan adds or replaces, enforces the depth
-// budget when set (undoing the commit byte-exactly on violation), and
-// updates statistics. Returns whether the plan stuck.
-func commitPlan(nw *network.Network, p plan, opt Options, nc *nodeCache, st *Stats) bool {
-	// Undo state, only when a depth budget can reject the commit: the old
-	// bodies of a plan that only replaces nodes, a whole-network snapshot
-	// for one that adds nodes or copies a clone.
-	var snapshot *network.Network
-	var old []*network.Node
-	if opt.DepthBudget > 0 {
-		if p.clone != nil || len(p.added) > 0 {
-			snapshot = nw.Clone()
-		} else {
-			for _, b := range p.bodies {
-				old = append(old, nw.Node(b.Name).Clone())
-			}
-		}
-	}
+// cache for every node the plan adds or replaces, and updates statistics.
+func commitPlan(nw *network.Network, p plan, opt Options, nc *nodeCache, st *Stats) {
 	if p.clone != nil {
 		nw.CopyFrom(p.clone)
 	} else {
 		nw.Install(p.added, p.bodies)
 	}
 	nc.invalidate(&p)
-	if opt.DepthBudget > 0 {
-		if _, depth := nw.Levels(); depth > opt.DepthBudget {
-			if snapshot != nil {
-				nw.CopyFrom(snapshot)
-			} else {
-				nw.Install(nil, old)
-			}
-			nc.invalidate(&p)
-			st.DepthRejected++
-			return false
-		}
-	}
 
 	st.Substitutions++
 	if p.pos {
@@ -510,7 +435,6 @@ func commitPlan(nw *network.Network, p plan, opt Options, nc *nodeCache, st *Sta
 			panic("core: post-commit audit: " + err.Error())
 		}
 	}
-	return true
 }
 
 // evaluator owns the planner scratch arenas. The serial path plans on

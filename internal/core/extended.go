@@ -78,20 +78,7 @@ func voteTable(sc *scratch, nw network.Reader, f string, divisors []string, cfg 
 	b := sc.baseBuild(nw)
 	nl := b.NL
 	ngF := b.Nodes[f]
-
-	opt := atpg.Options{}
-	stopAfter := 1
-	if cfg == ExtendedGDC {
-		opt.Learn = true
-		stopAfter = -1
-	} else {
-		// The scope is a set: the union is the concatenation.
-		sc.scope = appendNodeScope(sc.scope[:0], b, nl, f)
-		for _, d := range divisors {
-			sc.scope = appendNodeScope(sc.scope, b, nl, d)
-		}
-		opt.Scope = sc.scope
-	}
+	opt, stopAfter := sc.rarOptions(cfg, b, f, divisors...)
 	e := sc.engine(nl, opt)
 
 	// Pool layout and per-entry cube in the union space.

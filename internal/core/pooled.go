@@ -10,9 +10,10 @@ import (
 // pooled and treated as if they came from one node. Each wire of f votes
 // over the whole pool in a single implication run; the selected core
 // divisor may then combine cubes that no single node exposes. When the core
-// comes from one node, that node is decomposed exactly as in single-divisor
-// extended division; a cross-node core becomes a standalone new node used
-// by f (its cost is charged to the acceptance check).
+// comes from one node, the division is that node's single-divisor extended
+// division, which the engine's trial sequence has already planned (see
+// planPooled); a cross-node core becomes a standalone new node used by f
+// (its cost is charged to the acceptance check).
 
 // PoolEntry identifies one pooled divisor cube.
 type PoolEntry struct {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/algebraic"
 	"repro/internal/bench"
 	"repro/internal/cube"
 	"repro/internal/network"
@@ -141,12 +142,12 @@ func TestSubstituteWithPooling(t *testing.T) {
 }
 
 // TestPooledSkipsSingleNodeCoresThatGainedNothing checks the fact
-// planPooled's skip rests on: when a trial sequence reaches the pooled
-// fallback and the pooled core comes from one pool node d whose slot
-// gained nothing, dividing f by d's extended division again gains nothing
-// either. On every suite circuit it plans each dividend's sequence and,
-// where the fallback found no plan, re-plans the fallback as if every SOP
-// slot had gained, which skips nothing.
+// planPooled rests on when it plans nothing for a single-node core: the
+// pooled fallback runs only when no slot gained, and then a core from one
+// pool node d gains nothing either. On every suite circuit it plans each
+// dividend's sequence and, where the fallback found a single-node core,
+// re-plans that core as d's own division (singleCoreGain), which must not
+// gain.
 func TestPooledSkipsSingleNodeCoresThatGainedNothing(t *testing.T) {
 	skipped := 0
 	for _, opt := range []Options{
@@ -159,27 +160,25 @@ func TestPooledSkipsSingleNodeCoresThatGainedNothing(t *testing.T) {
 			nc := newNodeCache(nw)
 			for _, f := range nw.SortedNodeNames() {
 				seq := trialSeq{f: f, cands: candidateDivisors(nw, nc, f, opt, nil)}
-				if _, ok := seq.advance(newScratch(), nw, opt); ok || !seq.pooled {
+				if _, ok := seq.choose(newScratch(), nw, opt); ok || !seq.pooled {
 					continue
 				}
-				var pool, all []string
+				var pool []string
 				for _, c := range seq.cands {
-					if c.form == formSOP && indexOf(all, c.name) < 0 {
-						all = append(all, c.name)
-						if len(pool) < 4 {
-							pool = append(pool, c.name)
-						}
+					if c.form == formSOP && indexOf(pool, c.name) < 0 && len(pool) < 4 {
+						pool = append(pool, c.name)
 					}
 				}
 				if len(pool) < 2 {
 					continue
 				}
-				if _, single, ok := pooledExtendedDivide(newScratch(), nw, f, pool, opt.Config); !ok || single == "" || indexOf(seq.gained, single) >= 0 {
+				_, single, ok := pooledExtendedDivide(newScratch(), nw, f, pool, opt.Config)
+				if !ok || single == "" {
 					continue
 				}
 				skipped++
-				if p, ok := planPooled(newScratch(), nw, f, seq.cands, all, opt); ok {
-					t.Fatalf("%s %+v f=%s: a skipped single-node pooled core gains %d", name, opt, f, p.gain)
+				if gain, ok := singleCoreGain(newScratch(), nw, f, single, pool, opt.Config); ok && gain > 0 {
+					t.Fatalf("%s %+v f=%s: a skipped single-node pooled core (%s) gains %d", name, opt, f, single, gain)
 				}
 			}
 		}
@@ -188,4 +187,30 @@ func TestPooledSkipsSingleNodeCoresThatGainedNothing(t *testing.T) {
 		t.Fatal("no single-node pooled core was skipped on the suite")
 	}
 	t.Logf("%d single-node pooled cores skipped", skipped)
+}
+
+// singleCoreGain plans the pooled division of f whose core comes from pool
+// node d alone as d's own division — its extended division of f, or f's
+// basic division by d when the core is d's whole cover — and prices it as
+// a pooled plan: the gain over f, the core and every pool node.
+func singleCoreGain(sc *scratch, nw network.Reader, f, d string, pool []string, cfg Config) (int, bool) {
+	x, ok := extendedDivide(sc, nw, f, d, cfg)
+	if !ok {
+		return 0, false
+	}
+	if x.whole != "" {
+		p, _, ok := wholePlan(sc, nw, f, x.whole, cfg)
+		return p.gain, ok
+	}
+	before := algebraic.FactorLits(nw.Node(f).Cover)
+	for _, n := range pool {
+		before += algebraic.FactorLits(nw.Node(n).Cover)
+	}
+	after := 0
+	for _, name := range append([]string{f, x.dec.CoreName}, pool...) {
+		if n := x.node(nw, name); n != nil {
+			after += algebraic.FactorLits(n.Cover)
+		}
+	}
+	return before - after, true
 }

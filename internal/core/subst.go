@@ -48,10 +48,6 @@ type Options struct {
 	// Extended division's divisor decomposition and pooled division always
 	// use the whole network.
 	WindowDepth int
-	// DepthBudget, when positive, rejects any substitution that would push
-	// the network's logic depth beyond the budget — the delay-aware mode
-	// (substitution reuses deep signals and can otherwise lengthen paths).
-	DepthBudget int
 	// Workers bounds the batch scheduler's phase-B worker pool: up to this
 	// many goroutines each run whole cone-disjoint members' trial sequences
 	// against the frozen batch-start network (0 = GOMAXPROCS). The per-node
@@ -71,9 +67,7 @@ type Options struct {
 	// it); only the scheduling statistics and wall time change. Batching is
 	// also disabled implicitly for ExtendedGDC (its implications read the
 	// whole netlist, so a commit anywhere can change a trial and
-	// speculation across commits can never be validated) and under a
-	// DepthBudget (commit-time rejection re-opens a node's trial sequence,
-	// which only the serial schedule reproduces).
+	// speculation across commits can never be validated).
 	NoBatch bool
 	// Audit runs network.Check after every committed substitution and
 	// re-runs every trial on the reference path (a full deep clone of
@@ -116,9 +110,6 @@ type Stats struct {
 	// the simulation-signature divisor prefilter that counted them was
 	// removed. They stay only because the bdsbench benchmark reads them.
 	SigFilterReject, SigFilterPass, SigFilterFalsePass int
-	// DepthRejected counts plans whose commit was undone because the result
-	// exceeded Options.DepthBudget.
-	DepthRejected int
 	// SigCacheHits/SigCacheMisses count lookups of per-node cube literal
 	// signatures during candidate filtering.
 	SigCacheHits, SigCacheMisses int
@@ -167,7 +158,6 @@ func (s *Stats) Accumulate(o Stats) {
 	s.Decompositions += o.Decompositions
 	s.WiresRemoved += o.WiresRemoved
 	s.DivisorTrials += o.DivisorTrials
-	s.DepthRejected += o.DepthRejected
 	s.SigCacheHits += o.SigCacheHits
 	s.SigCacheMisses += o.SigCacheMisses
 	s.ComplCacheHits += o.ComplCacheHits
@@ -235,7 +225,7 @@ func Substitute(nw *network.Network, opt Options) Stats {
 	// of cone-disjoint dividends per worker dispatch and commits the
 	// surviving plans in one serial sweep, so every in-flight trial is
 	// committable work. See Options.NoBatch for when it must stay off.
-	if !opt.NoBatch && opt.Config != ExtendedGDC && opt.DepthBudget <= 0 {
+	if !opt.NoBatch && opt.Config != ExtendedGDC {
 		r.sched = newBatchScheduler(r)
 	}
 
@@ -298,17 +288,15 @@ type run struct {
 // support sets into the scheduler's conflict marks, so eviction checks for
 // later members of the sweep see serial re-run commits too — not only the
 // sweep's own plan commits.
-func (r *run) commit(p plan) bool {
+func (r *run) commit(p plan) {
 	s := r.sched
 	if s == nil || !s.sweeping {
-		return commitPlan(r.nw, p, r.opt, r.nc, r.st)
+		commitPlan(r.nw, p, r.opt, r.nc, r.st)
+		return
 	}
 	touched := s.precommit(&p)
-	ok := commitPlan(r.nw, p, r.opt, r.nc, r.st)
-	if ok {
-		s.postcommit(&p, touched)
-	}
-	return ok
+	commitPlan(r.nw, p, r.opt, r.nc, r.st)
+	s.postcommit(&p, touched)
 }
 
 // substituteNode runs the full serial trial-and-commit sequence for one
@@ -329,24 +317,20 @@ func (r *run) substituteNode(id network.SigID) bool {
 }
 
 // runSeq plans dividend t on the serial scratch, against the current
-// network, and commits its plans until one sticks.
+// network, and commits its plan.
 func (r *run) runSeq(t *trialSeq) bool {
-	p, ok := t.advance(r.ev.scratches[0], r.nw, r.opt)
+	p, ok := t.choose(r.ev.scratches[0], r.nw, r.opt)
 	return r.settle(t, p, ok)
 }
 
-// settle commits plan p of sequence t and, while a commit is rejected,
-// the plans t offers next; it tallies t's divisor trials and reports
-// whether a plan committed.
+// settle commits plan p of sequence t, if ok, and tallies t's divisor
+// trials; it reports whether a plan committed.
 func (r *run) settle(t *trialSeq, p plan, ok bool) bool {
-	committed := false
-	for ok && !committed {
-		if committed = r.commit(p); !committed {
-			p, ok = t.advance(r.ev.scratches[0], r.nw, r.opt)
-		}
+	if ok {
+		r.commit(p)
 	}
 	r.st.DivisorTrials += t.trials
-	return committed
+	return ok
 }
 
 // candidate pairs a divisor node with the form that passed the structural

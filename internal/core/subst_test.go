@@ -96,8 +96,11 @@ func TestSubstitutePOSCandidateOfferedAndCommitSound(t *testing.T) {
 // these tests drive instead of Substitute's evaluator.
 func tryPair(nw *network.Network, f string, cand candidate, opt Options, nc *nodeCache, st *Stats) bool {
 	seq := trialSeq{f: f, cands: []candidate{cand}}
-	p, ok := seq.advance(newScratch(), nw, opt)
-	return ok && commitPlan(nw, p, opt, nc, st)
+	p, ok := seq.choose(newScratch(), nw, opt)
+	if ok {
+		commitPlan(nw, p, opt, nc, st)
+	}
+	return ok
 }
 
 func TestSubstitutePOSOnlyPath(t *testing.T) {
@@ -352,123 +355,31 @@ func TestSubstituteNegativeLimitsUseDefaults(t *testing.T) {
 	}
 }
 
-func TestDepthBudgetEnforced(t *testing.T) {
-	// Without a budget the Fig. 2 substitution deepens f (g becomes a
-	// fanin, adding a level); with the budget pinned at the current depth
-	// the substitution must be rejected and the depth preserved.
-	nw := gainNetwork()
-	_, before := nw.Levels()
-	free := nw.Clone()
-	Substitute(free, Options{Config: Basic})
-	if _, d := free.Levels(); d <= before {
-		t.Skip("substitution did not deepen; budget test vacuous")
-	}
-	capped := nw.Clone()
-	st := Substitute(capped, Options{Config: Basic, DepthBudget: before})
-	if _, d := capped.Levels(); d > before {
-		t.Errorf("depth budget violated: %d > %d (stats %+v)", d, before, st)
-	}
-	if !verify.Equivalent(nw, capped) {
-		t.Fatal("equivalence broken")
-	}
-}
-
-func TestDepthBudgetLooseAllowsGains(t *testing.T) {
-	nw := gainNetwork()
-	_, before := nw.Levels()
-	st := Substitute(nw, Options{Config: Basic, DepthBudget: before + 4})
-	if st.Substitutions < 1 {
-		t.Errorf("loose budget should not block: %+v", st)
-	}
-}
-
-// TestBestGainRetriesNextBestUnderDepthBudget is the regression test for
-// BestGain under a DepthBudget: when the best-gain plan is depth-rejected,
-// the engine must fall back to the next-best positive-gain plan instead of
-// abandoning the node (which would make BestGain strictly weaker than the
-// greedy first-positive rule under the same budget).
-//
-// Construction: f = tcde + x has two divisors — h = tcd (gain 2, but h sits
-// one level below f, so committing it deepens the network past the budget)
-// and g = ce (gain 1, level 1, depth-neutral). BestGain must try h first,
-// have the commit depth-rejected and undone byte-exactly, then commit g.
-func TestBestGainRetriesNextBestUnderDepthBudget(t *testing.T) {
-	nw := network.New("retry")
-	for _, pi := range []string{"a", "b", "c", "d", "e", "x"} {
-		nw.AddPI(pi)
-	}
-	nw.AddNode("t", []string{"a", "b"}, cube.ParseCover(2, "ab"))
-	nw.AddNode("g", []string{"c", "e"}, cube.ParseCover(2, "ab"))
-	nw.AddNode("h", []string{"t", "c", "d"}, cube.ParseCover(3, "abc"))
-	nw.AddNode("f", []string{"t", "c", "d", "e", "x"}, cube.ParseCover(5, "abcd + e"))
-	for _, po := range []string{"f", "g", "h", "t"} {
-		nw.AddPO(po)
-	}
-	_, budget := nw.Levels()
-	ref := nw.Clone()
-	st := Substitute(nw, Options{Config: Basic, BestGain: true, DepthBudget: budget, MaxPasses: 1})
-	if st.DepthRejected == 0 {
-		t.Fatalf("best-gain plan (h) was not depth-rejected: %+v", st)
-	}
-	if nw.Node("f").FaninIndex("g") < 0 {
-		t.Fatalf("retry did not commit the next-best plan (g into f): f fanins %v, stats %+v",
-			nw.Node("f").Fanins, st)
-	}
-	if _, d := nw.Levels(); d > budget {
-		t.Errorf("depth budget violated: %d > %d", d, budget)
-	}
-	if !verify.Equivalent(ref, nw) {
-		t.Fatal("equivalence broken")
-	}
-}
-
-func TestPropDepthBudgetSound(t *testing.T) {
-	r := rand.New(rand.NewSource(151))
-	for trial := 0; trial < 8; trial++ {
-		base := randomDAG(r, 4, 6)
-		_, budget := base.Levels()
-		nw := base.Clone()
-		Substitute(nw, Options{Config: Extended, POS: true, Pool: true, DepthBudget: budget, MaxPasses: 1})
-		if _, d := nw.Levels(); d > budget {
-			t.Fatalf("trial %d: depth %d exceeds budget %d", trial, d, budget)
-		}
-		if !verify.Equivalent(base, nw) {
-			t.Fatalf("trial %d: equivalence broken", trial)
-		}
-	}
-}
-
 // FuzzSubstitute runs the whole optimizer over a random DAG crossed with
 // the Options matrix: Config × POS × Pool × BestGain × WindowDepth 0–3 ×
-// DepthBudget {0, 2, 3, 4} × MaxPasses 1–3 × MaxDivisorTrials {0, 1, 4}.
-// Each input runs under Audit (network.Check after every commit, every
-// trial replayed on the reference path) at Workers 1 and 3 with the
-// batch scheduler on and off. The four committed networks must print the
-// same BLIF, compute the input's functions and pass network.Check, and a
-// set budget must hold: the final depth is at most the budget or the
-// input's own depth, whichever is larger (a random DAG can start deeper
-// than the budget, and then every commit that leaves it too deep is
-// rejected).
+// MaxPasses 1–3 × MaxDivisorTrials {0, 1, 4}. Each input runs under Audit
+// (network.Check after every commit, every trial replayed on the
+// reference path) at Workers 1 and 3 with the batch scheduler on and off.
+// The four committed networks must print the same BLIF, compute the
+// input's functions and pass network.Check.
 //
-// The two seeded configurations run depth-rejected extended divisions,
-// whose rollback reinstalls the whole network, so any state that holds a
-// *Node across the commit reads a replaced node. Both crashed the signature
-// prefilter the engine once ran in front of its trials.
+// The two seeded configurations once crashed the signature prefilter the
+// engine ran in front of its trials, which held a *Node across a commit's
+// rollback. Commits no longer roll back; the seeds run ext+GDC extended
+// divisions with POS, and with pooling.
 func FuzzSubstitute(f *testing.F) {
 	const pos, pool = 1, 2
-	f.Add(int64(94), uint8(2), uint8(pos), uint8(2), uint8(2), uint8(1), uint8(2))
-	f.Add(int64(1260), uint8(2), uint8(pos|pool), uint8(1), uint8(1), uint8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, cfg, flags, window, budget, passes, trials uint8) {
+	f.Add(int64(94), uint8(2), uint8(pos), uint8(2), uint8(1), uint8(2))
+	f.Add(int64(1260), uint8(2), uint8(pos|pool), uint8(1), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, cfg, flags, window, passes, trials uint8) {
 		r := rand.New(rand.NewSource(seed))
 		base := randomDAG(r, 4+r.Intn(4), 6+r.Intn(10))
-		_, inDepth := base.Levels()
 		opt := Options{
 			Config:           []Config{Basic, Extended, ExtendedGDC}[cfg%3],
 			POS:              flags&pos != 0,
 			Pool:             flags&pool != 0,
 			BestGain:         flags&4 != 0,
 			WindowDepth:      int(window % 4),
-			DepthBudget:      []int{0, 2, 3, 4}[budget%4],
 			MaxPasses:        1 + int(passes%3),
 			MaxDivisorTrials: []int{0, 1, 4}[trials%3],
 			Audit:            true,
@@ -492,10 +403,6 @@ func FuzzSubstitute(f *testing.F) {
 				}
 				if err := nw.Check(); err != nil {
 					t.Fatalf("seed %d %+v: workers %d batch %v: %v", seed, opt, workers, !noBatch, err)
-				}
-				if _, d := nw.Levels(); opt.DepthBudget > 0 && d > max(opt.DepthBudget, inDepth) {
-					t.Fatalf("seed %d %+v: workers %d batch %v: depth %d exceeds budget %d (input depth %d)",
-						seed, opt, workers, !noBatch, d, opt.DepthBudget, inDepth)
 				}
 			}
 		}

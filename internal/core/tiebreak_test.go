@@ -76,3 +76,37 @@ func TestCandidateDivisorsSortedByFullKey(t *testing.T) {
 		}
 	}
 }
+
+// TestBestGainKeepsFirstOfLargestGains pins BestGain's choice: the largest
+// gain wins from any slot, and of tied gains the earliest slot does. In
+// f = abx + cdy + e, the divisors g = ab and h = cd each save one literal
+// and k = abx saves two.
+func TestBestGainKeepsFirstOfLargestGains(t *testing.T) {
+	nw := network.New("tie")
+	for _, pi := range []string{"a", "b", "c", "d", "e", "x", "y"} {
+		nw.AddPI(pi)
+	}
+	nw.AddNode("g", []string{"a", "b"}, cube.ParseCover(2, "ab"))
+	nw.AddNode("h", []string{"c", "d"}, cube.ParseCover(2, "ab"))
+	nw.AddNode("k", []string{"a", "b", "x"}, cube.ParseCover(3, "abc"))
+	nw.AddNode("f", []string{"a", "b", "c", "d", "e", "x", "y"}, cube.ParseCover(7, "abf + cdg + e"))
+	for _, po := range []string{"f", "g", "h", "k"} {
+		nw.AddPO(po)
+	}
+	for _, tc := range []struct {
+		order []string
+		want  string
+	}{{[]string{"g", "h"}, "g"}, {[]string{"h", "g"}, "h"}, {[]string{"g", "h", "k"}, "k"}} {
+		seq := trialSeq{f: "f"}
+		for _, d := range tc.order {
+			seq.cands = append(seq.cands, candidate{name: d})
+		}
+		p, ok := seq.choose(newScratch(), nw, Options{Config: Basic, BestGain: true})
+		if !ok {
+			t.Fatalf("slots %v: BestGain chose nothing", tc.order)
+		}
+		if body := p.bodies[0]; body.FaninIndex(tc.want) < 0 {
+			t.Errorf("slots %v: BestGain's division reads %v, want the one by %s", tc.order, body.Fanins, tc.want)
+		}
+	}
+}

@@ -9,15 +9,16 @@ import (
 
 // regionReach is the deepest window a region-local (Basic or Extended)
 // trial can tell apart: deeper windows prove exactly the same
-// redundancies. localScope lets the implication engine derive values only
-// at f's and d's gates, at their literal gates, and at the cube gates of
-// their fanin nodes. Implications at those cube gates assign the literal
-// gates of the fanin nodes' own fanins — signals two steps out — but no
-// gate there is in scope, so none of them is ever implied at. Whether such
-// a signal is a window input or a node of a deeper window, and everything
-// behind it, cannot change a proof: a depth-2 window gives the same plans
-// as any deeper one. TestWindowTrialMatchesReference checks it plan for
-// plan against full-depth windows.
+// redundancies. The region scope (rarOptions) lets the implication engine
+// derive values only at f's and d's gates, at their literal gates, and at
+// the cube gates of their fanin nodes. Implications at those cube gates
+// assign the literal gates of the fanin nodes' own fanins — signals two
+// steps out — but no gate there is in scope, so none of them is ever
+// implied at. Whether such a signal is a window input or a node of a
+// deeper window, and everything behind it, cannot change a proof: a
+// depth-2 window gives the same plans as any deeper one.
+// TestWindowTrialMatchesReference checks it plan for plan against
+// full-depth windows.
 const regionReach = 2
 
 // winItem is one BFS queue entry of the window cone walk (dist = distance

@@ -296,14 +296,13 @@ func (t Table) Print(w io.Writer) {
 }
 
 // PrintStats renders the substitution engine's observability counters for
-// every RAR cell: divisor trials, depth-budget rejections, signature and
-// complement cache traffic, batch-scheduler speculation
-// (spec/disc/bcmt/evict), and per-pass wall times (the `-v` view of
-// cmd/experiments).
+// every RAR cell: divisor trials, signature and complement cache traffic,
+// batch-scheduler speculation (spec/disc/bcmt/evict), and per-pass wall
+// times (the `-v` view of cmd/experiments).
 func (t Table) PrintStats(w io.Writer) {
 	fmt.Fprintf(w, "substitution engine counters (table %s)\n", roman(t.Number))
-	fmt.Fprintf(w, "%-10s %-7s %6s %7s %7s %12s %12s %6s %6s %6s %6s  %s\n",
-		"circuit", "alg", "subs", "trials", "deprej",
+	fmt.Fprintf(w, "%-10s %-7s %6s %7s %12s %12s %6s %6s %6s %6s  %s\n",
+		"circuit", "alg", "subs", "trials",
 		"sigcache", "complcache",
 		"spec", "disc", "bcmt", "evict", "pass times")
 	for _, r := range t.Rows {
@@ -319,8 +318,8 @@ func (t Table) PrintStats(w io.Writer) {
 				}
 				times += fmt.Sprintf("%.3fs", d.Seconds())
 			}
-			fmt.Fprintf(w, "%-10s %-7s %6d %7d %7d %5d/%-6d %5d/%-6d %6d %6d %6d %6d  %s\n",
-				r.Circuit, alg, s.Substitutions, s.DivisorTrials, s.DepthRejected,
+			fmt.Fprintf(w, "%-10s %-7s %6d %7d %5d/%-6d %5d/%-6d %6d %6d %6d %6d  %s\n",
+				r.Circuit, alg, s.Substitutions, s.DivisorTrials,
 				s.SigCacheHits, s.SigCacheMisses, s.ComplCacheHits, s.ComplCacheMisses,
 				s.SpeculatedTrials, s.DiscardedPlans, s.BatchCommits, s.ConflictEvictions, times)
 		}

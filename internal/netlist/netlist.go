@@ -54,7 +54,7 @@ type gate struct {
 type Netlist struct {
 	gates []gate
 	// Signal maps a network signal name to the gate producing it.
-	//bdslint:ignore idmap exported name→gate boundary consumed by the ATPG/test drivers, which address signals by BLIF name; built once per netlist, never read on the per-trial path
+	//bdslint:ignore idmap name→gate boundary read on every RAR pass (PatchNode, rarPass, extractNode): a trial's patched nodes, such as a decomposition's core, have no SigID in the network, so fanins and the divisor resolve by name; the ATPG and test drivers address signals by BLIF name too
 	Signal map[string]int
 	// POs are the output gate ids, parallel to PONames.
 	POs     []int
@@ -283,7 +283,7 @@ func (a *gateArena) addCube(ng *NodeGates, g int) {
 type Build struct {
 	NL *Netlist
 	// Nodes maps node name to its two-level structure.
-	//bdslint:ignore idmap exported name→structure boundary for callers that inspect a node's decomposition by name (fault reports, tests); not touched inside simulation loops
+	//bdslint:ignore idmap name→structure boundary PatchNode writes and appendNodeScope and extractNode read on every RAR pass: a trial's patched nodes, such as a decomposition's core, have no SigID in the network; cmd/bdsbench compiles against Build.Nodes
 	Nodes map[string]*NodeGates
 	// fan is the cube-gate fanin buffer PatchNode reuses across calls.
 	fan []int
