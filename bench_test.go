@@ -696,10 +696,10 @@ func BenchmarkSubstituteParallel(b *testing.B) {
 // useful work. The per-tier wN/w1 wall-clock ratios are the committed
 // scaling floors that `benchreg -compare` hard-fails on
 // (testdata/bench/BENCH_substitute.json, "scaling_floors"). The rand10k
-// tier is entangled random logic: overlapping claims end batches early
-// and over-cap fanout cones run as serial solos, so it tracks the
-// per-trial and phase-A cost under frequent claim conflicts, and its w2
-// leg shows what a second worker buys there. Options keep the
+// tier is entangled random logic: overlapping claims end batches early and
+// commits evict more members, so it tracks the per-trial and phase-A cost
+// under frequent conflicts, and its w2 leg shows what a second worker buys
+// there. Options keep the
 // per-trial cost size-independent (windowed basic division, one pass,
 // capped trials) so the tiers measure scheduling and trials, not
 // algorithmic tails.
@@ -751,7 +751,29 @@ func BenchmarkSubstituteScale(b *testing.B) {
 // collection, so the garbage of the legs before it is not paid inside it.
 // Basic's ratio has a committed ceiling (testdata/bench/BENCH_substitute.json,
 // "growth_ceilings"); ext and ext+GDC are report-only.
+//
+// A cone forest's fanout cones stay a few nodes deep at any size, so these
+// legs cannot see per-dividend work that grows with a dividend's fanout
+// cone. The basic_rand legs run Basic on entangled random logic of 1k and
+// 3k gates over 64 PIs (seed 1), whose cones grow with the network; they
+// are report-only, since even a whole fanout-cone walk per dividend grew
+// them by a ratio close to the linear one there.
 func BenchmarkSubstituteGrowth(b *testing.B) {
+	grow := func(name string, base *network.Network, opt core.Options) {
+		opt.WindowDepth, opt.MaxPasses, opt.MaxDivisorTrials, opt.Workers = 3, 1, 8, 1
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				nw := base.Clone()
+				runtime.GC()
+				b.StartTimer()
+				st := core.Substitute(nw, opt)
+				b.ReportMetric(float64(st.Substitutions), "subs")
+				b.ReportMetric(float64(st.DivisorTrials), "trials")
+			}
+		})
+	}
 	configs := []struct {
 		name string
 		opt  core.Options
@@ -763,27 +785,19 @@ func BenchmarkSubstituteGrowth(b *testing.B) {
 	for _, size := range []struct {
 		name  string
 		gates int
-	}{{"cone1k", 1000}, {"cone3k", 3000}} {
-		base, err := bench.Generate("cone", size.gates, 0, 1)
+	}{{"1k", 1000}, {"3k", 3000}} {
+		cone, err := bench.Generate("cone", size.gates, 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, cfg := range configs {
-			opt := cfg.opt
-			opt.WindowDepth, opt.MaxPasses, opt.MaxDivisorTrials, opt.Workers = 3, 1, 8, 1
-			b.Run(cfg.name+"/"+size.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					nw := base.Clone()
-					runtime.GC()
-					b.StartTimer()
-					st := core.Substitute(nw, opt)
-					b.ReportMetric(float64(st.Substitutions), "subs")
-					b.ReportMetric(float64(st.DivisorTrials), "trials")
-				}
-			})
+			grow(cfg.name+"/cone"+size.name, cone, cfg.opt)
 		}
+		rnd, err := bench.Generate("rand", size.gates, 64, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		grow("basic_rand/rand"+size.name, rnd, core.Options{Config: core.Basic})
 	}
 }
 

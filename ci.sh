@@ -102,20 +102,21 @@ done
 # scores ~0.5 against the 0.8 floors). So is the committed growth ceiling
 # on Basic's BenchmarkSubstituteGrowth ("growth_ceilings": the cone3k/cone1k
 # ratio of ns/op, allocs/op and B/op): linear growth reads 3, and a trial
-# that costs O(network) again reads more. Basic's two growth legs run at 10
-# iterations in three separate invocations, so each run times both sizes
-# back to back and a change in host load between the legs cannot read as
-# growth; ext and ext+GDC grow report-only at one iteration. Every other
+# that costs O(network) again reads more. Basic's growth legs (cone1k and
+# cone3k, and the report-only rand1k and rand3k legs on random logic) run
+# at 10 iterations in three separate invocations, so each run times both
+# sizes back to back and a change in host load between the legs cannot
+# read as growth; ext and ext+GDC grow report-only at one iteration. Every other
 # invocation runs each benchmark three times (-count 3) and benchreg keeps
 # each field's median, so one noisy run draws no warning; the 100k tier,
 # which dominates this step's wall time, runs once.
 # BenchmarkSubstituteScale regenerates its 10k/100k cone-forest and 10k
 # random-logic circuits in-process from the committed recipe, and
-# BenchmarkSubstituteGrowth its 1k/3k cone forests. The micro-benchmarks
-# that take microseconds to milliseconds per op (NodeLookup,
-# ImplicationEngine, PlannerBookkeeping, AblationLearning) run for at least
-# 100 ms each (-benchtime 100ms): one iteration of them swings by tens of
-# percent between runs.
+# BenchmarkSubstituteGrowth its 1k/3k cone forests and random logic. The
+# micro-benchmarks that take microseconds to milliseconds per op
+# (NodeLookup, ImplicationEngine, PlannerBookkeeping, AblationLearning) run
+# for at least 100 ms each (-benchtime 100ms): one iteration of them swings
+# by tens of percent between runs.
 # -benchmem adds allocs/op and B/op, which benchreg compares with tighter
 # thresholds than ns/op: allocation counts are near-deterministic here, so
 # drift means the engine's allocation behavior actually changed, and a
@@ -132,7 +133,7 @@ go build -o /tmp/benchreg.ci ./cmd/benchreg
   go test -run '^$' -bench 'BenchmarkSubstituteParallel$' -benchtime 1x -count 3 -benchmem -timeout 60m .
   go test -run '^$' -bench 'BenchmarkSubstituteGrowth$/^ext' -benchtime 1x -count 3 -benchmem -timeout 60m .
   for run in 1 2 3; do
-    go test -run '^$' -bench 'BenchmarkSubstituteGrowth$/^basic/' -benchtime 10x -benchmem -timeout 60m .
+    go test -run '^$' -bench 'BenchmarkSubstituteGrowth$/^basic' -benchtime 10x -benchmem -timeout 60m .
   done
   go test -run '^$' -bench 'BenchmarkNodeLookup$|BenchmarkPlannerBookkeeping$|BenchmarkAblationLearning$|BenchmarkImplicationEngine$' -benchtime 100ms -count 3 -benchmem -timeout 60m .
   go test -run '^$' -bench 'BenchmarkSubstituteScale$/^(cone10k|rand10k)$' -benchtime 1x -count 3 -benchmem -timeout 60m .

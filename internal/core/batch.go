@@ -31,17 +31,23 @@ import (
 //	E1a  dirtyCone[f]: f itself or f's fanin-cone content changed — covers
 //	     the dividend's node data and its trial windows (a cone change puts
 //	     f in TFO(target)).
-//	E1b  dirtySupp ∩ guard, guard = {f} ∪ supp(f) ∪ TFO(f): any commit
-//	     whose touched nodes gained or lost a fanin in the guard. This
-//	     catches candidate-set drift — every enumeration candidate shares a
-//	     fanin NAME with f (see candidateDivisors), so a node entering or
-//	     leaving the candidate universe was touched while holding a fanin
-//	     in supp(f) — and TFO-membership drift, because a path from f is
-//	     created or broken only by a commit whose target holds a fanin in
-//	     TFO(f) ∪ {f} (its path predecessor).
-//	E2   dirtyCone[d] for a listed candidate d: d's cone content changed,
-//	     so d's trial outcomes (a function of cone(f), cone(d), opts) may
-//	     differ.
+//	E1b  dirtySupp ∩ guard, guard = {f} ∪ supp(f): any commit whose
+//	     touched nodes gained or lost a fanin in the guard. This catches
+//	     candidate-universe drift: every enumeration candidate shares a
+//	     fanin with f (see enumerateCandidates), so a node entering or
+//	     leaving the fanouts of f's fanins, or one of them whose body
+//	     changed, was touched while holding a fanin in supp(f).
+//	E2   dirtyCone[d] for a listed candidate d or a refused node d — a
+//	     fanout of f's fanins that passed containment but that the rank
+//	     search proved dependent on f: d's cone content changed. A
+//	     candidate's trial outcomes (a function of cone(f), cone(d), opts)
+//	     may then differ, and whether d depends on f may flip either way: a
+//	     path from f to d appears or vanishes only by a change to d's fanin
+//	     cone, which postcommit marks. (A node within two fanout steps of f
+//	     is refused without a search and not listed: it stays dependent
+//	     unless an edge of its short path breaks, which E1b sees — the
+//	     first edge's break marks f support-dirty, the second's marks the
+//	     node's old fanins, one of which f reads.)
 //	E3   bdcDirty and the plan has added nodes or a clone: a commit added
 //	     a "bdc"-prefixed name, or copied a clone (the only way a "bdc"
 //	     name is deleted: body plans never delete), so the fresh core name
@@ -51,6 +57,16 @@ import (
 //	     embeds S_0 wholesale; committing it by CopyFrom would revert the
 //	     earlier commits. (Body plans install only their own nodes and are
 //	     exempt.)
+//	E5   the sequence ran the pooled fallback and a pool node (one of its
+//	     first poolSize distinct SOP candidates) is support-dirty: the
+//	     pooled trial prices only the pool nodes that survive its clone's
+//	     Sweep, so its verdict, a plan or none, depends on whether each
+//	     pool node still has a fanout besides f, which a commit changes
+//	     only by giving or taking that fanin. E4 sees only clone plans, so
+//	     without E5 a pooled attempt that planned nothing went unchecked.
+//	     E5 does not see a pool node die or revive deeper down, when a
+//	     commit in its fanout cone drops or adds the last live reader of a
+//	     node the pool node feeds (ROADMAP item 6).
 //
 // A member that passes every rule behaves, by the rules' coverage of its
 // inputs, exactly as the serial driver would at S_{j-1}: phase B ran the
@@ -64,16 +80,18 @@ import (
 // Conflict-claim soundness note: the claims make conflicts *unlikely*,
 // maximizing surviving speculation; the eviction rules alone carry
 // correctness. A member claims the node-driven signals of {f} ∪ fanins(f) ∪
-// TFO(f) ∪ its truncated candidate list — exactly the signals rules E1a, E1b
-// and E2 read when an earlier member commits a node plan. Such a commit at
-// g marks {g} ∪ TFO(g) cone-dirty and g's old and new fanins, a subset of
-// fanins(g) ∪ {d}, support-dirty; all of those lie in g's claim, so a
-// disjoint claim keeps f, its guard and its candidates clean. f's fanin
-// cone beyond its direct fanins is not claimed: a commit at g dirties f
-// only when f ∈ TFO(g), and g's claim holds TFO(g). Claims leave the rest
-// to the rules on purpose — rules E1b/E3/E4 see through interactions
-// (shared primary-input fanins, the global fresh-name counter, multi-node
-// body plans and clone plans) that claim disjointness does not capture.
+// its truncated candidate list, which phase A knows without walking any
+// cone. A commit of a node plan at g marks g's old and new fanins, a subset
+// of fanins(g) ∪ {d}, support-dirty, and all of those lie in g's claim, so
+// a disjoint claim keeps f's guard clean and f's candidates untouched.
+// What claims do not keep out is a deeper interaction: the commit also
+// marks TFO(g) cone-dirty, which evicts f by E1a when f lies downstream of
+// g, and by E2 when a candidate or refused node of f does. Claiming TFO(g)
+// would take a fanout-cone walk per member, which costs more serial time
+// than those evictions re-run. The rest is left to the rules on purpose —
+// rules E1b/E3/E4/E5 see through interactions (shared primary-input
+// fanins, the global fresh-name counter, multi-node body plans, clone
+// plans and pool-node fanouts) that claim disjointness does not capture.
 
 // batchWindow caps how many claiming (candidate-bearing) members one batch
 // may hold: enough to keep every worker fed several times over, small
@@ -104,12 +122,6 @@ func batchWindowFor(n int) int {
 	return w
 }
 
-// batchConeCap caps a member's fanout-cone walk. A dividend whose TFO
-// exceeds it (e.g. the carry spine of a ripple adder, whose fanout cone is
-// half the circuit) is unbatchable: claiming it would serialize the batch
-// anyway, and extracting megabyte cones per node would be O(V²).
-const batchConeCap = 4096
-
 // batchMember is one dividend of a batch, with everything its worker needs
 // precomputed on the serial side (phase A) and everything the sweep needs
 // to validate or evict it (phase C). Its trial sequence (f and the
@@ -119,14 +131,13 @@ type batchMember struct {
 	pos     int           // position in the pass's id order (diagnostic)
 	id      network.SigID // dividend signal
 	trivial bool          // node was nil/zero-cover at scan time: nothing to do
-	solo    bool          // over-cap footprint: no claim, run via the serial fallback
 	build   int           // build serial number (tells a reuse from a rebuild)
 
 	candIDs []network.SigID // SigID of each candidate (rule E2)
+	dep     []network.SigID // nodes the rank search refused as dependent on f (rule E2)
 
-	fp    []network.SigID // claim: node-driven {f} ∪ fanins(f) ∪ TFO(f) ∪ candIDs
-	tfo   []network.SigID // TFO(f), all node-driven
-	guard []network.SigID // {f} ∪ raw fanin IDs of f ∪ TFO(f) (rule E1b)
+	fp    []network.SigID // claim: node-driven {f} ∪ fanins(f) ∪ candIDs
+	guard []network.SigID // {f} ∪ raw fanin IDs of f (rule E1b)
 
 	// Phase-B results: the sequence's plan, and how many trial verdicts
 	// phase B produced (Stats.SpeculatedTrials).
@@ -187,17 +198,16 @@ func (s *batchScheduler) runBatch(ids []network.SigID, i int) (int, bool) {
 	r := s.r
 	nw := r.nw
 
-	// Phase A (serial): scan members until a claim conflict, an over-cap
-	// footprint, the window cap, or the end of the pass. Cone walks run on
-	// the network's live fanout lists, so nothing here rebuilds a
-	// whole-network index.
+	// Phase A (serial): scan members until a claim conflict, the window
+	// cap, or the end of the pass. Enumeration reads the network's live
+	// fanout lists and walks no cone, so nothing here grows with a
+	// dividend's fanout.
 	for _, m := range s.members {
 		s.release(m)
 	}
 	s.members = s.members[:0]
 	s.claim.Reset()
 	claiming := 0
-	solo := false
 	took := 0
 scan:
 	for pos := i; pos >= 0; pos-- {
@@ -212,18 +222,7 @@ scan:
 		}
 		m := s.takeCarry(pos, id)
 		if m == nil {
-			m = s.buildMember(pos, id, fn.Name, claiming == 0)
-		}
-		if m == nil {
-			// Unbatchable footprint behind a claiming member: end the batch
-			// before it.
-			break scan
-		}
-		if m.solo {
-			s.members = append(s.members, m)
-			took++
-			solo = true
-			break scan
+			m = s.buildMember(pos, id, fn.Name)
 		}
 		if len(m.cands) > 0 {
 			if !s.claimAll(m.fp) {
@@ -246,7 +245,7 @@ scan:
 	// version phase A built the members against, their candidate lists are
 	// exactly what substituteNode would rebuild; after that, each member
 	// starts from scratch.
-	if claiming <= 1 || solo {
+	if claiming <= 1 {
 		changed := false
 		built := nw.Version()
 		for _, m := range s.members {
@@ -372,58 +371,34 @@ func (s *batchScheduler) release(m *batchMember) {
 	clear(m.cands[:cap(m.cands)])
 	*m = batchMember{
 		trialSeq: trialSeq{cands: m.cands[:0]},
-		candIDs:  m.candIDs[:0],
-		fp:       m.fp[:0], tfo: m.tfo[:0], guard: m.guard[:0],
+		candIDs:  m.candIDs[:0], dep: m.dep[:0],
+		fp: m.fp[:0], guard: m.guard[:0],
 	}
 	s.free = append(s.free, m)
 }
 
-// buildMember walks dividend f's fanout cone once, capped at batchConeCap,
-// and precomputes from it the member's candidate list, claim footprint and
-// rule inputs. An over-cap cone makes f unbatchable: buildMember returns
-// nil, unless alone is set (no earlier member of the batch claims), in
-// which case it finishes the walk uncapped and returns a solo member with
-// its candidate list and no claim — the list substituteNode would build,
-// without walking the cone's capped part a second time.
-func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, alone bool) *batchMember {
+// buildMember precomputes dividend f's member: its candidate list, the
+// nodes the rank search refused as dependent on f, its claim footprint and
+// its guard. It walks no cone.
+func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) *batchMember {
 	r := s.r
 	nw := r.nw
-	opt := r.opt
 	es := &r.enum
 	m := s.member(pos, id)
 	m.f = f
 	s.builds++
 	m.build = s.builds
 
-	// The walk's marks are exactly TFO(f), which is what enumeration needs.
-	es.tfo.Reset()
-	var ok bool
-	m.tfo, ok = nw.AppendFanoutConeIDs(id, &es.tfo, m.tfo, batchConeCap)
-	if !ok {
-		if !alone {
-			s.release(m)
-			return nil
-		}
-		es.tfoIDs = nw.ResumeFanoutConeIDs(&es.tfo, es.tfoIDs[:0])
-		m.solo = true
-	}
-	m.cands = enumerateCandidates(nw, r.nc, id, opt, es, m.cands)
+	m.cands = enumerateCandidates(nw, r.nc, id, r.opt, es, m.cands)
 	if len(m.cands) > r.maxTrials {
 		m.cands = m.cands[:r.maxTrials]
 	}
-	if m.solo {
-		return m
-	}
+	m.dep = append(m.dep, es.dep...)
 	fanins := nw.FaninIDsOf(id)
-	m.guard = append(append(append(m.guard, id), fanins...), m.tfo...)
-	for _, c := range m.cands {
-		m.candIDs = append(m.candIDs, c.id)
-	}
+	m.guard = append(append(m.guard, id), fanins...)
 
-	// The claim. TFO(f) is disjoint from f and its fanins (the network is
-	// acyclic) and from the candidates (enumeration skips it), so only the
-	// fanins and the candidates — which repeat across forms and may be
-	// fanins of f — need deduplicating.
+	// The claim. Candidates repeat across forms and may be fanins of f, so
+	// the fanins and candidates are deduplicated.
 	s.arena.Reset()
 	s.arena.Mark(id)
 	m.fp = append(m.fp, id)
@@ -432,10 +407,10 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string, alone 
 			m.fp = append(m.fp, x)
 		}
 	}
-	m.fp = append(m.fp, m.tfo...)
-	for _, d := range m.candIDs {
-		if s.arena.Mark(d) {
-			m.fp = append(m.fp, d)
+	for _, c := range m.cands {
+		m.candIDs = append(m.candIDs, c.id)
+		if s.arena.Mark(c.id) {
+			m.fp = append(m.fp, c.id)
 		}
 	}
 	return m
@@ -501,7 +476,7 @@ func (s *batchScheduler) sweep() bool {
 	return changed
 }
 
-// evict applies rules E1–E4 (see the file comment) to member m at its
+// evict applies rules E1–E5 (see the file comment) to member m at its
 // sweep slot.
 func (s *batchScheduler) evict(m *batchMember) bool {
 	if s.allDirty {
@@ -515,10 +490,15 @@ func (s *batchScheduler) evict(m *batchMember) bool {
 			return true
 		}
 	}
-	for _, d := range m.candIDs { // E2
-		if s.dirtyCone.Marked(d) {
-			return true
+	for _, ids := range [2][]network.SigID{m.candIDs, m.dep} { // E2
+		for _, d := range ids {
+			if s.dirtyCone.Marked(d) {
+				return true
+			}
 		}
+	}
+	if m.pooled && s.poolDirty(m.cands) { // E5
+		return true
 	}
 	if !m.ok {
 		return false
@@ -528,6 +508,25 @@ func (s *batchScheduler) evict(m *batchMember) bool {
 		return true
 	}
 	return m.p.clone != nil && s.committed > 0 // E4
+}
+
+// poolDirty reports whether a pool node of a pooled attempt over cands —
+// one of the first poolSize distinct SOP candidates, as planPooled picks
+// them — is support-dirty.
+func (s *batchScheduler) poolDirty(cands []candidate) bool {
+	n := 0
+	for i, c := range cands {
+		if !poolCandidate(cands, i) {
+			continue
+		}
+		if s.dirtySupp.Marked(c.id) {
+			return true
+		}
+		if n++; n == poolSize {
+			break
+		}
+	}
+	return false
 }
 
 // precommit records the commit's old-fanin support marks and the "bdc"
@@ -610,5 +609,5 @@ func (s *batchScheduler) markConeTFO(id network.SigID) {
 	if !s.dirtyCone.Mark(id) {
 		return
 	}
-	s.coneIDs, _ = s.r.nw.AppendFanoutConeIDs(id, &s.dirtyCone, s.coneIDs[:0], 0)
+	s.coneIDs = s.r.nw.AppendFanoutConeIDs(id, &s.dirtyCone, s.coneIDs[:0])
 }

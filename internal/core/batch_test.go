@@ -62,7 +62,7 @@ func observeBatches(t *testing.T, check func(m *batchMember)) (*int, func()) {
 		claiming := 0
 		owner := make(map[network.SigID]int)
 		for mi, m := range members {
-			if m.trivial || m.solo || len(m.cands) == 0 {
+			if m.trivial || len(m.cands) == 0 {
 				continue
 			}
 			claiming++
@@ -105,10 +105,12 @@ func TestBatchConesDisjoint(t *testing.T) {
 }
 
 // TestBatchPOReconvergentPairConflicts pins the conflict model on the
-// canonical reconvergence: x = a·b and y = b·c both feed z = x + y, so
-// z sits in BOTH fanout cones — the pair MUST conflict (footprint overlap)
-// and must never claim places in the same batch, even though their fanins
-// are disjoint apart from the shared PI.
+// canonical reconvergence: x = a·b and y = b·c both feed z = x + y. Claims
+// hold no fanout cone, so z is in neither; the pair must still conflict
+// (footprint overlap), because under POS each is the other's divisor
+// candidate (x' = a' + b' and y' = b' + c' share the cube b'), and must
+// never claim places in the same batch, even though their fanins are
+// disjoint apart from the shared PI.
 func TestBatchPOReconvergentPairConflicts(t *testing.T) {
 	mk := func() *network.Network {
 		nw := network.New("reconv")
@@ -140,11 +142,8 @@ func TestBatchPOReconvergentPairConflicts(t *testing.T) {
 	yid, _ := nw.IDOf("y")
 	nw.EnableFanouts()
 	s := newBatchScheduler(newTestRun(nw, Options{Config: Extended, POS: true}))
-	mx := s.buildMember(0, xid, "x", false)
-	my := s.buildMember(1, yid, "y", false)
-	if mx == nil || my == nil {
-		t.Fatal("footprint builder rejected a three-node cone as over-cap")
-	}
+	mx := s.buildMember(0, xid, "x")
+	my := s.buildMember(1, yid, "y")
 	overlap := false
 	for _, i := range mx.fp {
 		for _, j := range my.fp {
@@ -161,7 +160,7 @@ func TestBatchPOReconvergentPairConflicts(t *testing.T) {
 	batchObserver = func(members []*batchMember) {
 		hasX, hasY := false, false
 		for _, m := range members {
-			if m.trivial || m.solo || len(m.cands) == 0 {
+			if m.trivial || len(m.cands) == 0 {
 				continue
 			}
 			hasX = hasX || m.f == "x"
@@ -176,11 +175,12 @@ func TestBatchPOReconvergentPairConflicts(t *testing.T) {
 }
 
 // FuzzBatchDisjoint fuzzes the scheduler's two contracts at once on random
-// DAGs: same-batch cone disjointness (via the observer) and byte-identity
-// of the committed BLIF against a batch-off run. The seeded corpus includes
-// the generator seed whose DAG contains a PO-reconvergent pair (verified in
-// TestBatchPOReconvergentPairConflicts structurally; here the whole run
-// must still commit identically).
+// DAGs: same-batch claim disjointness, with every claim and rule input
+// recomputed independently (via the observer and checkClaim), and
+// byte-identity of the committed BLIF against a batch-off run. The seeded
+// corpus includes the generator seed whose DAG contains a PO-reconvergent
+// pair (verified in TestBatchPOReconvergentPairConflicts structurally; here
+// the whole run must still commit identically).
 func FuzzBatchDisjoint(f *testing.F) {
 	f.Add(int64(5151), uint8(5), uint8(12))
 	f.Add(int64(97531), uint8(4), uint8(8))
@@ -190,12 +190,10 @@ func FuzzBatchDisjoint(f *testing.F) {
 		nodes := 2 + int(nNode)%16
 		base := randomDAG(rand.New(rand.NewSource(seed)), pi, nodes)
 
-		batches, done := observeBatches(t, nil)
-		defer done()
-		_ = batches
-
 		opt := Options{Config: Extended, POS: true, Pool: true, Workers: 4}
 		on := base.Clone()
+		_, done := observeBatches(t, func(m *batchMember) { checkClaim(t, on, opt, m) })
+		defer done()
 		Substitute(on, opt)
 		optOff := opt
 		optOff.NoBatch = true
@@ -213,8 +211,11 @@ func FuzzBatchDisjoint(f *testing.F) {
 
 // TestCandidateEnumerationEquivalence locks the support-local enumeration
 // to a full scan of every node (the historical enumeration, kept here as
-// the oracle): same candidates, same forms, same order, on random DAGs
-// across configs, with live fanout lists on and off.
+// the oracle): same candidates, same forms, same order, and the same
+// dependence-refused nodes, on random DAGs across configs, with live fanout
+// lists on and off. The second half drives an audited serial run node by
+// node and enumerates every dividend after each commit on the run's own
+// state, so the ranks under test are ones commits repaired, not reseeded.
 func TestCandidateEnumerationEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(777))
 	for trial := 0; trial < 12; trial++ {
@@ -223,25 +224,68 @@ func TestCandidateEnumerationEquivalence(t *testing.T) {
 			nw.EnableFanouts()
 		}
 		var es enumScratch
+		es.rank.seed(nw, nw.TopoOrderIDs())
 		for _, cfg := range []Config{Basic, Extended} {
 			opt := Options{Config: cfg, POS: true}
 			nc := newNodeCache(nw)
 			for _, f := range nw.SortedNodeNames() {
-				fast := candidateDivisors(nw, nc, f, opt, &es)
-				slow := fullScanCandidates(nw, nc, f, opt)
-				if len(fast) != len(slow) {
-					t.Fatalf("trial %d cfg %v f=%s: fast path found %d candidates, full scan %d",
-						trial, cfg, f, len(fast), len(slow))
+				checkEnumeration(t, fmt.Sprintf("trial %d cfg %v", trial, cfg), nw, nc, f, opt, &es)
+			}
+		}
+	}
+
+	commits := 0
+	for trial := 0; trial < 24; trial++ {
+		base := randomDAG(r, 5, 12)
+		for _, cfg := range []Config{Basic, Extended} {
+			nw := base.Clone()
+			if trial%2 == 0 {
+				nw.EnableFanouts()
+			}
+			rn := newTestRun(nw, Options{Config: cfg, POS: true, Audit: true})
+			ids := nw.TopoOrderIDs()
+			for i := len(ids) - 1; i >= 0; i-- {
+				if !rn.substituteNode(ids[i]) {
+					continue
 				}
-				for i := range fast {
-					if fast[i].name != slow[i].name || fast[i].form != slow[i].form {
-						t.Fatalf("trial %d cfg %v f=%s slot %d: fast (%s form %d) != slow (%s form %d)",
-							trial, cfg, f, i, fast[i].name, fast[i].form, slow[i].name, slow[i].form)
-					}
+				commits++
+				for _, f := range nw.SortedNodeNames() {
+					checkEnumeration(t, fmt.Sprintf("run %d cfg %v after commit at %s", trial, cfg, nw.SigName(ids[i])), nw, rn.nc, f, rn.opt, &rn.enum)
 				}
 			}
 		}
 	}
+	if commits == 0 {
+		t.Fatal("no run committed: repaired ranks were never enumerated against")
+	}
+}
+
+// checkEnumeration compares f's enumeration on es with the full-scan
+// oracle: the candidate list slot by slot, and the refused nodes as a set.
+func checkEnumeration(t *testing.T, label string, nw *network.Network, nc *nodeCache, f string, opt Options, es *enumScratch) {
+	t.Helper()
+	fast := candidateDivisors(nw, nc, f, opt, es)
+	slow, dep := fullScanCandidates(nw, nc, f, opt)
+	if len(fast) != len(slow) {
+		t.Fatalf("%s f=%s: fast path found %d candidates, full scan %d", label, f, len(fast), len(slow))
+	}
+	for i := range fast {
+		if fast[i].name != slow[i].name || fast[i].form != slow[i].form {
+			t.Fatalf("%s f=%s slot %d: fast (%s form %d) != slow (%s form %d)",
+				label, f, i, fast[i].name, fast[i].form, slow[i].name, slow[i].form)
+		}
+	}
+	if !sameIDs(es.dep, dep) {
+		t.Fatalf("%s f=%s: refused %v, full scan refuses %v", label, f, es.dep, dep)
+	}
+}
+
+// sameIDs reports whether a and b hold the same IDs, ignoring order.
+func sameIDs(a, b []network.SigID) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
 }
 
 // TestBatchSchedulerCommits proves the batch path actually commits through
@@ -263,27 +307,27 @@ func TestBatchSchedulerCommits(t *testing.T) {
 
 // fullScanCandidates is the enumeration oracle: every node outside f's
 // transitive fanout, in sorted-name order, through the same form filters
-// and the same total sort key as candidateDivisors.
-func fullScanCandidates(nw *network.Network, nc *nodeCache, f string, opt Options) []candidate {
+// and the same total sort key as candidateDivisors. It also returns the
+// nodes in f's transitive fanout that pass a filter and lie more than two
+// fanout steps from f: the ones the rank search must refuse as dependent
+// on f.
+func fullScanCandidates(nw *network.Network, nc *nodeCache, f string, opt Options) ([]candidate, []network.SigID) {
 	fn := nw.Node(f)
 	fid, _ := nw.IDOf(f)
-	fSigs := nc.sigs(fid)
-	var fcSigs [][]sigLit
-	if opt.POS {
-		if s, _, ok := nc.complSigs(fid); ok {
-			fcSigs = s
-		}
-	}
 	tfo := nw.TFOSetIDs(fid)
 	var out []scored
+	var dep []network.SigID
 	for _, d := range nw.SortedNodeNames() {
 		dn := nw.Node(d)
 		did, _ := nw.IDOf(d)
-		if d == f || tfo[did] {
+		if d == f {
 			continue
 		}
-		if dn.Cover.IsZero() || dn.Cover.NumCubes() == 0 ||
-			(dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {
+		forms := containmentForms(nw, nc, fid, did, opt)
+		if tfo[did] {
+			if len(forms) > 0 && !withinTwoSteps(nw, fid, did) {
+				dep = append(dep, did)
+			}
 			continue
 		}
 		overlap := 0
@@ -292,16 +336,8 @@ func fullScanCandidates(nw *network.Network, nc *nodeCache, f string, opt Option
 				overlap++
 			}
 		}
-		if anyContainment(nc.sigs(did), fSigs) {
-			out = append(out, scored{candidate{name: d}, overlap})
-		}
-		if dcSigs, _, ok := nc.complSigs(did); ok {
-			if anyContainment(dcSigs, fSigs) {
-				out = append(out, scored{candidate{name: d, form: formCompl}, overlap})
-			}
-			if opt.POS && fcSigs != nil && anyContainment(dcSigs, fcSigs) {
-				out = append(out, scored{candidate{name: d, form: formPOS}, overlap})
-			}
+		for _, fm := range forms {
+			out = append(out, scored{candidate{name: d, form: fm}, overlap})
 		}
 	}
 	slices.SortStableFunc(out, compareScored)
@@ -309,7 +345,49 @@ func fullScanCandidates(nw *network.Network, nc *nodeCache, f string, opt Option
 	for i, s := range out {
 		cands[i] = s.c
 	}
-	return cands
+	return cands, dep
+}
+
+// withinTwoSteps reports whether node u reads f, or reads a node that
+// reads f: the nodes enumeration refuses before any filter.
+func withinTwoSteps(nw *network.Network, f, u network.SigID) bool {
+	for _, v := range nw.FaninIDsOf(u) {
+		if v == f || slices.Contains(nw.FaninIDsOf(v), f) {
+			return true
+		}
+	}
+	return false
+}
+
+// containmentForms lists the division forms of node d that pass dividend
+// f's containment filters, as enumeration tests them: none for a constant
+// or universal cover.
+func containmentForms(nw *network.Network, nc *nodeCache, fid, did network.SigID, opt Options) []form {
+	dn := nw.NodeByID(did)
+	if dn == nil || dn.Cover.IsZero() || dn.Cover.NumCubes() == 0 ||
+		(dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {
+		return nil
+	}
+	fSigs := nc.sigs(fid)
+	var fcSigs [][]sigLit
+	if opt.POS {
+		if s, _, ok := nc.complSigs(fid); ok {
+			fcSigs = s
+		}
+	}
+	var forms []form
+	if anyContainment(nc.sigs(did), fSigs) {
+		forms = append(forms, formSOP)
+	}
+	if dcSigs, _, ok := nc.complSigs(did); ok {
+		if anyContainment(dcSigs, fSigs) {
+			forms = append(forms, formCompl)
+		}
+		if opt.POS && fcSigs != nil && anyContainment(dcSigs, fcSigs) {
+			forms = append(forms, formPOS)
+		}
+	}
+	return forms
 }
 
 // TestBatchCarryRebuiltAfterCommit pins when the batch-ending member is
@@ -372,56 +450,28 @@ func TestBatchCarryRebuiltAfterCommit(t *testing.T) {
 // newTestRun is the run state Substitute builds, for driving one scheduler
 // step at a time. The caller enables nw's fanout lists.
 func newTestRun(nw *network.Network, opt Options) *run {
-	return &run{
+	r := &run{
 		nw: nw, opt: opt, maxTrials: 32, ev: newEvaluator(1), st: new(Stats),
 		nc: newNodeCache(nw),
 	}
+	r.enum.rank.seed(nw, nw.TopoOrderIDs())
+	return r
 }
 
-// TestBatchClaimCoversRuleInputs checks the claim against what the eviction
-// rules read: every claiming member's footprint holds the node-driven
-// signals of {f} ∪ fanins(f) ∪ TFO(f) ∪ its candidates, computed here
-// independently of the scheduler's walk, and nothing else, and the claims
-// of one batch stay pairwise disjoint. Cone forests, random DAGs and
+// TestBatchClaimCoversRuleInputs checks every claiming member's claim and
+// rule inputs against checkClaim's independent recomputation, and that the
+// claims of one batch stay pairwise disjoint. Cone forests, random DAGs and
 // entangled random logic all have to form batches, so the check cannot
 // pass vacuously.
 func TestBatchClaimCoversRuleInputs(t *testing.T) {
 	var nw *network.Network
-	batches, done := observeBatches(t, func(m *batchMember) {
-		need := append([]network.SigID{m.id}, nw.FaninIDsOf(m.id)...)
-		for id, inTFO := range nw.TFOSetIDs(m.id) {
-			if inTFO {
-				need = append(need, network.SigID(id))
-			}
-		}
-		for _, c := range m.cands {
-			did, _ := nw.IDOf(c.name)
-			need = append(need, did)
-		}
-		want := make(map[network.SigID]bool, len(need))
-		for _, id := range need {
-			if nw.NodeByID(id) != nil {
-				want[id] = true
-			}
-		}
-		in := make(map[network.SigID]bool, len(m.fp))
-		for _, id := range m.fp {
-			if !want[id] {
-				t.Errorf("%s: claim holds %s, which no rule E1a/E1b/E2 reads", m.f, nw.SigName(id))
-			}
-			in[id] = true
-		}
-		for id := range want {
-			if !in[id] {
-				t.Errorf("%s: claim misses %s, which rules E1a/E1b/E2 read", m.f, nw.SigName(id))
-			}
-		}
-	})
+	var opt Options
+	batches, done := observeBatches(t, func(m *batchMember) { checkClaim(t, nw, opt, m) })
 	defer done()
 
-	check := func(label string, base *network.Network, opt Options) {
+	check := func(label string, base *network.Network, o Options) {
 		t.Helper()
-		nw = base
+		nw, opt = base, o
 		*batches = 0
 		Substitute(nw, opt)
 		if *batches == 0 {
@@ -438,6 +488,54 @@ func TestBatchClaimCoversRuleInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("rand2000", ent, scaleOptions(2))
+}
+
+// checkClaim recomputes, independently of the scheduler, what member m
+// must claim and what its eviction rules must read, on the batch-start
+// network nw: the claim is exactly the node-driven signals of {f} ∪
+// fanins(f) ∪ its candidates; the E1b guard is {f} ∪ fanins(f); and the
+// rule inputs beyond the claim are the nodes in f's transitive fanout that
+// pass one of f's containment filters and lie more than two fanout steps
+// from f (E2), which the rank search refused.
+func checkClaim(t *testing.T, nw *network.Network, opt Options, m *batchMember) {
+	t.Helper()
+	need := append([]network.SigID{m.id}, nw.FaninIDsOf(m.id)...)
+	for _, c := range m.cands {
+		did, _ := nw.IDOf(c.name)
+		need = append(need, did)
+	}
+	want := make(map[network.SigID]bool, len(need))
+	for _, id := range need {
+		if nw.NodeByID(id) != nil {
+			want[id] = true
+		}
+	}
+	in := make(map[network.SigID]bool, len(m.fp))
+	for _, id := range m.fp {
+		if !want[id] {
+			t.Errorf("%s: claim holds %s, which is neither f, a fanin nor a candidate", m.f, nw.SigName(id))
+		}
+		in[id] = true
+	}
+	for id := range want {
+		if !in[id] {
+			t.Errorf("%s: claim misses %s", m.f, nw.SigName(id))
+		}
+	}
+	if guard := append([]network.SigID{m.id}, nw.FaninIDsOf(m.id)...); !sameIDs(m.guard, guard) {
+		t.Errorf("%s: guard %v, want {f} ∪ fanins(f) = %v", m.f, m.guard, guard)
+	}
+	nc := newNodeCache(nw)
+	var dep []network.SigID
+	for id, inTFO := range nw.TFOSetIDs(m.id) {
+		u := network.SigID(id)
+		if inTFO && !withinTwoSteps(nw, m.id, u) && len(containmentForms(nw, nc, m.id, u, opt)) > 0 {
+			dep = append(dep, u)
+		}
+	}
+	if !sameIDs(m.dep, dep) {
+		t.Errorf("%s: E2 reads refused nodes %v, want the filter-passing fanout cone %v", m.f, m.dep, dep)
+	}
 }
 
 // scaleOptions is the scale-tier recipe of BenchmarkSubstituteScale and
@@ -498,37 +596,43 @@ func chainDAG(n int) *network.Network {
 	return nw
 }
 
-// TestBatchSoloResumesCappedWalk pins the over-cap path of phase A. Behind
-// a claiming member, an over-cap dividend is not built at all; with none
-// ahead of it, its capped walk resumes uncapped and it becomes a solo
-// member carrying the candidate list substituteNode would build. The whole
-// run still commits the batch-off BLIF.
-func TestBatchSoloResumesCappedWalk(t *testing.T) {
-	base := chainDAG(batchConeCap + 200)
+// TestBatchClaimsDeepFanoutCone pins that a dividend claims however deep
+// its fanout cone: a chain dividend whose fanout cone holds over 4,096
+// nodes builds a claiming member whose candidate list is the one
+// substituteNode builds, and the whole run commits the batch-off BLIF.
+func TestBatchClaimsDeepFanoutCone(t *testing.T) {
+	const n = 4096 + 300
+	base := chainDAG(n)
 	nw := base.Clone()
 	nw.EnableFanouts()
 	r := newTestRun(nw, scaleOptions(1))
 	s := newBatchScheduler(r)
 	for _, f := range []string{"n40", "n100", "n190"} {
 		id, _ := nw.IDOf(f)
-		if m := s.buildMember(0, id, f, false); m != nil {
-			t.Fatalf("%s: over-cap dividend built behind a claiming member", f)
+		cone := 0
+		for _, in := range nw.TFOSetIDs(id) {
+			if in {
+				cone++
+			}
 		}
-		m := s.buildMember(0, id, f, true)
-		if m == nil || !m.solo || len(m.fp) != 0 {
-			t.Fatalf("%s: over-cap dividend alone in its batch is not an unclaimed solo: %+v", f, m)
+		if cone <= 4096 {
+			t.Fatalf("%s: fanout cone of %d nodes, want over 4,096", f, cone)
 		}
+		m := s.buildMember(0, id, f)
 		want := candidateDivisors(nw, r.nc, f, r.opt, nil)
 		if len(want) > r.maxTrials {
 			want = want[:r.maxTrials]
 		}
 		if len(want) == 0 || len(m.cands) != len(want) {
-			t.Fatalf("%s: solo carries %d candidates, substituteNode builds %d", f, len(m.cands), len(want))
+			t.Fatalf("%s: member carries %d candidates, substituteNode builds %d", f, len(m.cands), len(want))
 		}
 		for i := range want {
 			if m.cands[i].name != want[i].name || m.cands[i].form != want[i].form {
-				t.Fatalf("%s slot %d: solo candidate %+v, substituteNode's %+v", f, i, m.cands[i], want[i])
+				t.Fatalf("%s slot %d: member candidate %+v, substituteNode's %+v", f, i, m.cands[i], want[i])
 			}
+		}
+		if len(m.fp) == 0 || m.fp[0] != id {
+			t.Fatalf("%s: deep-cone dividend does not claim: %v", f, m.fp)
 		}
 		s.release(m)
 	}
@@ -539,6 +643,61 @@ func TestBatchSoloResumesCappedWalk(t *testing.T) {
 	opt.NoBatch = true
 	Substitute(off, opt)
 	if blif.ToString(on) != blif.ToString(off) {
-		t.Fatal("batched run over solo members differs from the batch-off run")
+		t.Fatal("batched run over deep-cone members differs from the batch-off run")
+	}
+}
+
+// TestEvictPooledOnPoolNodeFanoutChange unit-tests rule E5 with hand-set
+// marks: a member whose sequence ran the pooled fallback is evicted when
+// one of its pool nodes — its first poolSize distinct SOP candidates — is
+// support-dirty, whether the attempt planned or not, and kept when it did
+// not run the fallback, or when the dirty node is a non-SOP candidate or
+// beyond the pool.
+func TestEvictPooledOnPoolNodeFanoutChange(t *testing.T) {
+	nw := network.New("pool")
+	nw.AddPI("a")
+	nw.AddPI("b")
+	cov := cube.ParseCover(2, "ab")
+	for _, d := range []string{"f", "d1", "d2", "d3", "d4", "d5", "d6"} {
+		nw.AddNode(d, []string{"a", "b"}, cov.Clone())
+		nw.AddPO(d)
+	}
+	id := func(name string) network.SigID {
+		x, _ := nw.IDOf(name)
+		return x
+	}
+	s := newBatchScheduler(newTestRun(nw, Options{Config: Extended, Pool: true}))
+	m := &batchMember{id: id("f"), guard: []network.SigID{id("f")}}
+	m.f = "f"
+	for _, c := range []struct {
+		name string
+		form form
+	}{{"d1", formCompl}, {"d2", formSOP}, {"d3", formSOP}, {"d2", formPOS}, {"d4", formSOP}, {"d5", formSOP}, {"d6", formSOP}} {
+		m.cands = append(m.cands, candidate{name: c.name, id: id(c.name), form: c.form})
+		m.candIDs = append(m.candIDs, id(c.name))
+	}
+	for _, tc := range []struct {
+		dirty           string
+		pooled, planned bool
+		want            bool
+	}{
+		{"d2", true, false, true},
+		{"d5", true, false, true},
+		{"d3", true, true, true},
+		{"d2", false, false, false},
+		{"d1", true, false, false}, // a complement-phase candidate is no pool node
+		{"d6", true, false, false}, // the fifth SOP candidate is beyond the pool
+	} {
+		s.dirtyCone.Reset()
+		s.dirtySupp.Reset()
+		s.dirtySupp.Mark(id(tc.dirty))
+		m.pooled, m.ok = tc.pooled, tc.planned
+		m.p = plan{}
+		if tc.planned {
+			m.p = plan{target: "f", gain: 1, dec: true, clone: nw.Clone()}
+		}
+		if got := s.evict(m); got != tc.want {
+			t.Errorf("pooled=%v planned=%v, %s support-dirty: evict=%v, want %v", tc.pooled, tc.planned, tc.dirty, got, tc.want)
+		}
 	}
 }

@@ -303,9 +303,9 @@ func planPairImpl(sc *scratch, nw network.Reader, f string, cand candidate, opt 
 }
 
 // planPooled evaluates one multi-node pooled extended division for f using
-// up to four of the SOP candidates as the divisor pool. Like planPair it is
-// pure; ok=false when no pooled division with positive total gain (f plus
-// any created/rewritten nodes) exists. Like planPair it pins nw for the
+// up to poolSize of the SOP candidates as the divisor pool. Like planPair
+// it is pure; ok=false when no pooled division with positive total gain (f
+// plus any created/rewritten nodes) exists. Like planPair it pins nw for the
 // shared base build and cross-checks the reference path under
 // Options.Audit.
 //
@@ -328,17 +328,36 @@ func planPooled(sc *scratch, nw network.Reader, f string, cands []candidate, opt
 	return p, ok
 }
 
+// poolSize is the most divisor nodes one pooled division pools.
+const poolSize = 4
+
+// poolCandidate reports whether cands[i] joins the divisor pool of a
+// pooled division over cands: the pool is the first poolSize distinct SOP
+// candidates.
+func poolCandidate(cands []candidate, i int) bool {
+	c := cands[i]
+	if c.form != formSOP {
+		return false
+	}
+	for _, p := range cands[:i] {
+		if p.form == formSOP && p.name == c.name {
+			return false
+		}
+	}
+	return true
+}
+
 // planPooledImpl is planPooled's trial body. The candidate dedup and the
-// costed-name list are plain slice scans: the pool is capped at four
+// costed-name list are plain slice scans: the pool is capped at poolSize
 // entries, so linear containment beats hashing.
 func planPooledImpl(sc *scratch, nw network.Reader, f string, cands []candidate, opt Options) (plan, bool) {
 	var pool []string
-	for _, c := range cands {
-		if c.form != formSOP || indexOf(pool, c.name) >= 0 {
+	for i := range cands {
+		if !poolCandidate(cands, i) {
 			continue
 		}
-		pool = append(pool, c.name)
-		if len(pool) == 4 {
+		pool = append(pool, cands[i].name)
+		if len(pool) == poolSize {
 			break
 		}
 	}

@@ -20,8 +20,10 @@ func PlannerBookkeepingProbe(nw *network.Network, opt Options) (candidates, lits
 	nw.EnableFanouts()
 	defer nw.DisableFanouts()
 	nc := newNodeCache(nw)
+	order := nw.TopoOrderIDs()
 	var es enumScratch
-	for _, id := range nw.TopoOrderIDs() {
+	es.rank.seed(nw, order)
+	for _, id := range order {
 		fn := nw.NodeByID(id)
 		if fn == nil || fn.Cover.IsZero() {
 			continue

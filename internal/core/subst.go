@@ -201,9 +201,9 @@ func Substitute(nw *network.Network, opt Options) Stats {
 	}
 	st := Stats{LitsBefore: nw.FactoredLits()}
 
-	// Live fanout lists for candidate enumeration and batch cone walks:
-	// every commit patches the edges it changes, so no step of the run
-	// rebuilds a whole-network adjacency.
+	// Live fanout lists for candidate enumeration, rank repairs and the
+	// sweep's cone marks: every commit patches the edges it changes, so no
+	// step of the run rebuilds a whole-network adjacency.
 	nw.EnableFanouts()
 	defer nw.DisableFanouts()
 
@@ -238,6 +238,9 @@ func Substitute(nw *network.Network, opt Options) Stats {
 		// loop mutates the network — exactly the semantics the name
 		// snapshot had, without re-hashing a name per node.
 		ids := append([]network.SigID(nil), nw.TopoOrderIDs()...)
+		// The same order seeds the topological ranks that enumeration's
+		// dependence searches prune with (rank.go); commits repair them.
+		r.enum.rank.seed(nw, ids)
 		// Work outputs-first: substituting into later nodes first tends to
 		// expose more sharing.
 		if r.sched != nil {
@@ -278,25 +281,26 @@ type run struct {
 	ev        *evaluator
 	st        *Stats
 	nc        *nodeCache
-	enum      enumScratch     // candidateDivisors' stamp arenas (serial side)
+	enum      enumScratch     // candidate enumeration's ranks and buffers (serial side)
 	sched     *batchScheduler // nil = batch scheduling off
 }
 
 // commit routes a plan through the serial committer; the network's
-// version moves with it, which retires every scratch's memoized base build.
-// While a batch sweep is active it also folds the commit's touched and
-// support sets into the scheduler's conflict marks, so eviction checks for
-// later members of the sweep see serial re-run commits too — not only the
-// sweep's own plan commits.
+// version moves with it, which retires every scratch's memoized base build,
+// and enumeration's topological ranks are repaired to match. While a batch
+// sweep is active it also folds the commit's touched and support sets into
+// the scheduler's conflict marks, so eviction checks for later members of
+// the sweep see serial re-run commits too — not only the sweep's own plan
+// commits.
 func (r *run) commit(p plan) {
-	s := r.sched
-	if s == nil || !s.sweeping {
+	if s := r.sched; s != nil && s.sweeping {
+		touched := s.precommit(&p)
 		commitPlan(r.nw, p, r.opt, r.nc, r.st)
-		return
+		s.postcommit(&p, touched)
+	} else {
+		commitPlan(r.nw, p, r.opt, r.nc, r.st)
 	}
-	touched := s.precommit(&p)
-	commitPlan(r.nw, p, r.opt, r.nc, r.st)
-	s.postcommit(&p, touched)
+	r.enum.rank.update(&p, r.opt.Audit)
 }
 
 // substituteNode runs the full serial trial-and-commit sequence for one
@@ -586,39 +590,42 @@ func anyContainment(dSigs, fSigs [][]sigLit) bool {
 // likeliest divisors early. The order is deterministic — it is the trial
 // order the driver tries them in.
 //
-// It walks f's transitive fanout into es.tfo and hands the marks to
-// enumerateCandidates; the batch scheduler runs its own capped walk and
-// calls enumerateCandidates directly. es holds the stamp arenas (nil =
-// allocate fresh ones).
+// es holds the enumeration state; its ranks must describe nw (nil = fresh
+// state, ranked from nw's topological order).
 func candidateDivisors(nw *network.Network, nc *nodeCache, f string, opt Options, es *enumScratch) []candidate {
 	if es == nil {
 		es = new(enumScratch)
+		es.rank.seed(nw, nw.TopoOrderIDs())
 	}
 	fid, _ := nw.IDOf(f)
-	es.tfo.Reset()
-	es.tfoIDs, _ = nw.AppendFanoutConeIDs(fid, &es.tfo, es.tfoIDs[:0], 0)
 	return enumerateCandidates(nw, nc, fid, opt, es, nil)
 }
 
 // enumerateCandidates is candidateDivisors' body: it appends f's candidates
-// to dst, in trial order, given es.tfo marking exactly f's transitive
-// fanout in its current generation.
+// to dst, in trial order, and leaves in es.dep the support-sharing nodes
+// that passed a containment filter but that the rank search proved
+// dependent on f (nodes within two fanout steps of f are refused before
+// any filter and are not listed).
 //
-// Enumeration is support-local: only the fanouts of f's fanins are visited,
-// minus f's transitive fanout (divisors there would form cycles). That set
-// provably holds every candidate: every division form requires
+// Enumeration is support-local: only the fanouts of f's fanins are visited.
+// That set provably holds every candidate: every division form requires
 // anyContainment — a non-empty divisor-side cube whose literals are a
 // subset of a dividend-side cube's literals. Literal signatures are
 // (fanin, phase) pairs drawn from the respective nodes' own fanin lists
 // (complement covers keep their node's variable space), so a passing
 // candidate shares at least one fanin signal with f and is therefore a
-// fanout of one of f's fanins. On a network with live fanout lists (the
-// engine enables them for the whole run) the walk costs O(local fanouts).
-// The final sort key (overlap, name, form) is total — no two candidates
-// compare equal — so the visiting order never shows through;
-// TestCandidateEnumerationEquivalence locks the result to a full scan of
-// every node.
+// fanout of one of f's fanins. A node that depends on f (lies in its
+// transitive fanout) would close a cycle. f's readers and their readers
+// are refused up front; for any other node, whether it depends on f is
+// asked only once one of its forms passes containment, by the rank-pruned
+// search (rank.go), so enumeration walks no fanout cone. On a network with
+// live fanout lists (the engine enables them for the whole run) it costs
+// O(local fanouts) plus the searches. The final sort key (overlap, name,
+// form) is total — no two candidates compare equal — so the visiting order
+// never shows through; TestCandidateEnumerationEquivalence locks the result
+// to a full scan of every node.
 func enumerateCandidates(nw *network.Network, nc *nodeCache, fid network.SigID, opt Options, es *enumScratch, dst []candidate) []candidate {
+	es.rank.mustDescribe(nw)
 	fSigs := nc.sigs(fid)
 	fFanins := nw.FaninIDsOf(fid)
 	var fcSigs [][]sigLit
@@ -629,10 +636,19 @@ func enumerateCandidates(nw *network.Network, nc *nodeCache, fid network.SigID, 
 	}
 	es.cand.Reset()
 	es.cand.Mark(fid)
+	// f's readers and their readers depend on f: marking them visited
+	// refuses them for the cost of two steps along fanout lists.
+	for _, u := range nw.FanoutsOf(fid) {
+		es.cand.Mark(u)
+		for _, v := range nw.FanoutsOf(u) {
+			es.cand.Mark(v)
+		}
+	}
+	es.dep = es.dep[:0]
 	out := es.scored[:0]
 	for _, s := range fFanins {
 		for _, u := range nw.FanoutsOf(s) {
-			if es.tfo.Marked(u) || !es.cand.Mark(u) {
+			if !es.cand.Mark(u) {
 				continue
 			}
 			dn := nw.NodeByID(u)
@@ -642,36 +658,44 @@ func enumerateCandidates(nw *network.Network, nc *nodeCache, fid network.SigID, 
 			if dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse() {
 				continue
 			}
-			// Support overlap by slice scan: fanin lists are a handful of
-			// signals, so linear containment beats building a support set per
-			// dividend.
+			// free: u passed a containment filter and does not depend on f.
+			free := false
 			overlap := 0
-			for _, x := range nw.FaninIDsOf(u) {
-				for _, y := range fFanins {
-					if x == y {
-						overlap++
-						break
-					}
-				}
-			}
 			if anyContainment(nc.sigs(u), fSigs) {
+				if es.dependsOn(u, fid, opt) {
+					continue
+				}
+				free, overlap = true, supportOverlap(nw.FaninIDsOf(u), fFanins)
 				out = append(out, scored{candidate{name: dn.Name, id: u}, overlap})
 			}
-			if dcSigs, dcov, ok := nc.complSigs(u); ok {
-				// Complement-phase SOP division (f = q·d' + r) — the phase the
-				// SIS resub -d baseline exploits.
-				if anyContainment(dcSigs, fSigs) {
-					out = append(out, scored{candidate{name: dn.Name, id: u, form: formCompl, carried: true, dc: dcov}, overlap})
+			dcSigs, dcov, ok := nc.complSigs(u)
+			if !ok {
+				continue
+			}
+			// Complement-phase SOP division (f = q·d' + r) — the phase the
+			// SIS resub -d baseline exploits — and POS division.
+			compl := anyContainment(dcSigs, fSigs)
+			pos := opt.POS && fcSigs != nil && anyContainment(dcSigs, fcSigs)
+			if !compl && !pos {
+				continue
+			}
+			if !free {
+				if es.dependsOn(u, fid, opt) {
+					continue
 				}
-				if opt.POS && fcSigs != nil && anyContainment(dcSigs, fcSigs) {
-					c := candidate{name: dn.Name, id: u, form: formPOS}
-					if dcm, ok := nc.complMin(u); ok {
-						if fcm, ok := nc.complMin(fid); ok {
-							c.carried, c.fc, c.dc = true, fcm, dcm
-						}
+				overlap = supportOverlap(nw.FaninIDsOf(u), fFanins)
+			}
+			if compl {
+				out = append(out, scored{candidate{name: dn.Name, id: u, form: formCompl, carried: true, dc: dcov}, overlap})
+			}
+			if pos {
+				c := candidate{name: dn.Name, id: u, form: formPOS}
+				if dcm, ok := nc.complMin(u); ok {
+					if fcm, ok := nc.complMin(fid); ok {
+						c.carried, c.fc, c.dc = true, fcm, dcm
 					}
-					out = append(out, scored{c, overlap})
 				}
+				out = append(out, scored{c, overlap})
 			}
 		}
 	}
@@ -684,14 +708,47 @@ func enumerateCandidates(nw *network.Network, nc *nodeCache, fid network.SigID, 
 	return dst
 }
 
-// enumScratch is candidate enumeration's reusable state: a stamp set for
-// the dividend's transitive fanout (with candidateDivisors' walk buffer),
-// one for the deduplicated candidate walk, and the scored-candidate buffer.
-// Serial side only.
+// supportOverlap counts the signals of fanins that f reads too, by slice
+// scan: fanin lists are a handful of signals, so linear containment beats
+// building a support set per dividend.
+func supportOverlap(fanins, fFanins []network.SigID) int {
+	overlap := 0
+	for _, x := range fanins {
+		for _, y := range fFanins {
+			if x == y {
+				overlap++
+				break
+			}
+		}
+	}
+	return overlap
+}
+
+// dependsOn reports whether node u depends on dividend f, by the
+// rank-pruned search (cross-checked under Options.Audit), and records a
+// dependent u in es.dep.
+func (es *enumScratch) dependsOn(u, f network.SigID, opt Options) bool {
+	var dep bool
+	if opt.Audit {
+		dep = es.rank.auditDependsOn(u, f)
+	} else {
+		dep = es.rank.dependsOn(u, f)
+	}
+	if dep {
+		es.dep = append(es.dep, u)
+	}
+	return dep
+}
+
+// enumScratch is candidate enumeration's state, serial side only: the
+// topological rank that answers dependence, a stamp set for the
+// deduplicated candidate walk, the dependence-refused nodes of the last
+// enumeration and the scored-candidate buffer.
 type enumScratch struct {
-	tfo, cand network.ConeArena
-	tfoIDs    []network.SigID
-	scored    []scored
+	rank   topoRank
+	cand   network.ConeArena
+	dep    []network.SigID
+	scored []scored
 }
 
 // scored is a candidate divisor with its support-overlap score against the

@@ -38,6 +38,7 @@ func checkWindowTrials(t *testing.T, label string, nw *network.Network, opt Opti
 	ref.reference = true
 	nc := newNodeCache(nw)
 	var es enumScratch
+	es.rank.seed(nw, nw.TopoOrderIDs())
 	sc, scRef := newScratch(), newScratch()
 	for _, f := range nw.SortedNodeNames() {
 		if nw.Node(f).Cover.IsZero() {

@@ -1,20 +1,19 @@
 package network
 
 // Flat fanout-cone extraction for the substitution engine (internal/core):
-// candidate enumeration excludes a dividend's transitive fanout, the batch
-// scheduler claims it as part of a member's footprint, and the sweep marks
-// a commit's fanout cone dirty. Each needs the cone as a flat dense-ID list,
-// deduplicated against a reusable stamp arena instead of a per-call map or
-// bool slice. Only node-driven signals are appended, but every visited
-// signal is stamped, so the arena doubles as the cone's membership test and
-// one generation can union several walks.
+// the batch sweep marks a commit's fanout cone dirty. It needs the cone as a
+// flat dense-ID list, deduplicated against a reusable stamp arena instead of
+// a per-call map or bool slice. Only node-driven signals are appended, but
+// every visited signal is stamped, so the arena doubles as the cone's
+// membership test and one generation can union several walks.
 
 // ConeArena is a reusable stamp set over SigIDs. A Reset starts a new
 // generation in O(1); Mark/Marked are O(1) slice probes. Generations start
 // at 1, because Mark grows new slots with stamp 0; a zero arena starts its
 // first generation at its first Mark, so the zero value is ready to use
 // and reads empty. Not safe for concurrent use — each goroutine owns its
-// own arena (the batch scheduler only walks cones on the serial side).
+// own arena (the engine only walks cones and searches fanins on the serial
+// side).
 type ConeArena struct {
 	stamp []uint32
 	cur   uint32
@@ -57,47 +56,23 @@ func (a *ConeArena) Mark(id SigID) bool {
 // fanout cone — id itself excluded — to dst, walking the network's live
 // fanout lists (EnableFanouts; without them it walks a fresh FanoutIDs
 // snapshot). Signals already marked in the arena's current generation are
-// skipped, so successive calls on one generation build a union. limit > 0
-// caps the size of dst: ok=false reports the walk gave up because dst grew
-// past the cap, with dst holding the partial cone and the arena the rest
-// of the walk, which ResumeFanoutConeIDs finishes.
-func (nw *Network) AppendFanoutConeIDs(id SigID, a *ConeArena, dst []SigID, limit int) ([]SigID, bool) {
+// skipped, so successive calls on one generation build a union.
+func (nw *Network) AppendFanoutConeIDs(id SigID, a *ConeArena, dst []SigID) []SigID {
 	fanouts := nw.fanoutIndex()
 	a.stack = a.stack[:0]
 	if int(id) < len(fanouts) {
 		a.stack = append(a.stack, fanouts[id]...)
 	}
-	return nw.walkFanouts(fanouts, a, dst, limit)
-}
-
-// ResumeFanoutConeIDs finishes, uncapped, the walk a capped
-// AppendFanoutConeIDs gave up on, appending the rest of the cone to dst:
-// afterwards the arena marks the whole cone, exactly as an uncapped walk
-// would have. The network must not have changed in between.
-func (nw *Network) ResumeFanoutConeIDs(a *ConeArena, dst []SigID) []SigID {
-	dst, _ = nw.walkFanouts(nw.fanoutIndex(), a, dst, 0)
-	return dst
-}
-
-// walkFanouts runs the walk on the arena's stack. A signal's fanouts are
-// stacked before the cap check, so a capped walk leaves a resumable stack.
-func (nw *Network) walkFanouts(fanouts [][]SigID, a *ConeArena, dst []SigID, limit int) ([]SigID, bool) {
 	for len(a.stack) > 0 {
 		s := a.stack[len(a.stack)-1]
 		a.stack = a.stack[:len(a.stack)-1]
-		if !a.Mark(s) {
-			continue
-		}
-		if nw.defs[s] == nil {
+		if !a.Mark(s) || nw.defs[s] == nil {
 			continue
 		}
 		dst = append(dst, s)
 		if int(s) < len(fanouts) {
 			a.stack = append(a.stack, fanouts[s]...)
 		}
-		if limit > 0 && len(dst) > limit {
-			return dst, false
-		}
 	}
-	return dst, true
+	return dst
 }

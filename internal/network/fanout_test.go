@@ -175,33 +175,31 @@ func TestLiveFanoutsTrackEdits(t *testing.T) {
 	}
 }
 
-// TestResumedConeWalkCoversCone caps fanout-cone walks at every small
-// limit and resumes the ones that give up: the capped part and the resumed
-// rest must list and mark exactly the cone an uncapped walk finds.
-func TestResumedConeWalkCoversCone(t *testing.T) {
+// TestConeWalkCoversCone checks fanout-cone walks against TFOSetIDs, which
+// shares neither the live lists nor the walker: a walk lists exactly the
+// node-driven signals of the cone and marks exactly the cone.
+func TestConeWalkCoversCone(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		nw := randomNetwork(r, 4, 12)
 		nw.EnableFanouts()
 		for id := SigID(0); int(id) < nw.NumSigs(); id++ {
-			var full ConeArena
-			full.Reset()
-			want, _ := nw.AppendFanoutConeIDs(id, &full, nil, 0)
+			var a ConeArena
+			a.Reset()
+			got := nw.AppendFanoutConeIDs(id, &a, nil)
 			tfo := nw.TFOSetIDs(id)
-			for limit := 1; limit <= 3; limit++ {
-				var a ConeArena
-				a.Reset()
-				got, ok := nw.AppendFanoutConeIDs(id, &a, nil, limit)
-				if !ok {
-					got = nw.ResumeFanoutConeIDs(&a, got)
+			var want []SigID
+			for s, in := range tfo {
+				if in && nw.NodeByID(SigID(s)) != nil {
+					want = append(want, SigID(s))
 				}
-				if !sameIDSet(got, want) {
-					t.Fatalf("cone of %s at limit %d: %v, uncapped %v", nw.SigName(id), limit, got, want)
-				}
-				for s := range tfo {
-					if a.Marked(SigID(s)) != tfo[s] {
-						t.Fatalf("cone of %s at limit %d: mark of %s is %v", nw.SigName(id), limit, nw.SigName(SigID(s)), a.Marked(SigID(s)))
-					}
+			}
+			if !sameIDSet(got, want) {
+				t.Fatalf("cone of %s: %v, want %v", nw.SigName(id), got, want)
+			}
+			for s := range tfo {
+				if a.Marked(SigID(s)) != tfo[s] {
+					t.Fatalf("cone of %s: mark of %s is %v", nw.SigName(id), nw.SigName(SigID(s)), a.Marked(SigID(s)))
 				}
 			}
 		}
@@ -219,9 +217,9 @@ func TestFreshConeArenaWalksWholeCone(t *testing.T) {
 		for id := SigID(0); int(id) < nw.NumSigs(); id++ {
 			var reset, fresh ConeArena
 			reset.Reset()
-			want, _ := nw.AppendFanoutConeIDs(id, &reset, nil, 0)
-			got, ok := nw.AppendFanoutConeIDs(id, &fresh, nil, 0)
-			if !ok || !sameIDSet(got, want) {
+			want := nw.AppendFanoutConeIDs(id, &reset, nil)
+			got := nw.AppendFanoutConeIDs(id, &fresh, nil)
+			if !sameIDSet(got, want) {
 				t.Fatalf("cone of %s on a fresh arena: %v, on a Reset one %v", nw.SigName(id), got, want)
 			}
 			for s := SigID(0); int(s) < nw.NumSigs(); s++ {
