@@ -702,7 +702,8 @@ func BenchmarkSubstituteParallel(b *testing.B) {
 // there. Options keep the
 // per-trial cost size-independent (windowed basic division, one pass,
 // capped trials) so the tiers measure scheduling and trials, not
-// algorithmic tails.
+// algorithmic tails. The subs, bcommits, spec and evict metrics are
+// functions of the code alone, so `benchreg -compare` fails when one moves.
 func BenchmarkSubstituteScale(b *testing.B) {
 	tiers := []struct {
 		name    string
@@ -735,6 +736,7 @@ func BenchmarkSubstituteScale(b *testing.B) {
 					b.ReportMetric(float64(st.Substitutions), "subs")
 					b.ReportMetric(float64(st.BatchCommits), "bcommits")
 					b.ReportMetric(float64(st.SpeculatedTrials), "spec")
+					b.ReportMetric(float64(st.ConflictEvictions), "evict")
 				}
 			})
 		}

@@ -20,10 +20,14 @@
 // when the code's allocation behavior actually changed, and a much smaller
 // threshold than the timing one is appropriate. A measured 0 is recorded
 // as 0, and a field is left out only when the run did not measure it, so a
-// benchmark recorded allocation-free warns as soon as it allocates at all. Other non-timing metrics
-// (lits, trials, subs) are carried in the snapshot so a reader can see
-// whether a timing shift came with a behavior shift (results moving would
-// also trip the golden-table test), but are not compared.
+// benchmark recorded allocation-free warns as soon as it allocates at all.
+//
+// The counting metrics the benchmarks report (pinnedMetrics: substitutions,
+// trials, batch commits, speculated trials, evictions, literal totals,
+// fault verdicts, wire scores, candidate counts) are functions of the code,
+// not of the host, so -compare fails when one of them differs from the
+// baseline: a change that claims the same decisions is held to it. Any
+// other metric is carried in the snapshot and reported only.
 //
 // Scaling floors are the one hard-fail dimension. The baseline may carry a
 // "scaling_floors" map from a benchmark family (e.g. "SubstituteScale/cone10k",
@@ -280,7 +284,7 @@ func runCompare(w io.Writer, basePath, curPath string, th thresholds) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	warned := 0
+	warned, failed := 0, 0
 	for _, name := range names {
 		b := base.Benchmarks[name]
 		c, ok := cur.Benchmarks[name]
@@ -292,11 +296,51 @@ func runCompare(w io.Writer, basePath, curPath string, th thresholds) error {
 		warned += compareDim(w, name, "ns/op", &b.NsPerOp, &c.NsPerOp, th.ns)
 		warned += compareDim(w, name, "allocs/op", b.AllocsPerOp, c.AllocsPerOp, th.allocs)
 		warned += compareDim(w, name, "B/op", b.BytesPerOp, c.BytesPerOp, th.bytes)
+		failed += comparePinned(w, name, b.Metrics, c.Metrics)
 	}
 	if warned > 0 {
 		fmt.Fprintf(w, "benchreg: %d warning(s) — investigate before committing, or re-record the baseline\n", warned)
 	}
-	return errors.Join(checkScalingFloors(w, base, cur), checkGrowthCeilings(w, base, cur))
+	var pinErr error
+	if failed > 0 {
+		pinErr = fmt.Errorf("%d pinned-metric failure(s)", failed)
+	}
+	return errors.Join(pinErr, checkScalingFloors(w, base, cur), checkGrowthCeilings(w, base, cur))
+}
+
+// pinnedMetrics are the benchmark metrics that count what the code did,
+// identical in every run of one tree on any host (three runs of ci.sh's
+// bench step read each of them alike).
+var pinnedMetrics = map[string]bool{
+	"subs": true, "trials": true, "bcommits": true, "spec": true, "evict": true,
+	"lits": true, "untestable": true, "witnessed": true, "wires": true, "cands": true,
+}
+
+// comparePinned prints a failure for, and counts, each pinned metric that
+// benchmark name's baseline records and the current run reports
+// differently or not at all. The metric is a count, so any difference
+// means the code decided something else.
+func comparePinned(w io.Writer, name string, base, cur map[string]float64) int {
+	units := make([]string, 0, len(base))
+	for unit := range base {
+		if pinnedMetrics[unit] {
+			units = append(units, unit)
+		}
+	}
+	sort.Strings(units)
+	failed := 0
+	for _, unit := range units {
+		want := base[unit]
+		switch got, ok := cur[unit]; {
+		case !ok:
+			fmt.Fprintf(w, "benchreg: FAIL: %s %s is pinned at %g but not reported in this run\n", name, unit, want)
+			failed++
+		case got != want:
+			fmt.Fprintf(w, "benchreg: FAIL: %s %s is %g, pinned at %g\n", name, unit, got, want)
+			failed++
+		}
+	}
+	return failed
 }
 
 // checkScalingFloors enforces the baseline's scaling_floors block against the

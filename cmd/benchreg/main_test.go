@@ -247,3 +247,44 @@ func writeSnap(t *testing.T, path string, s snapshot) {
 		t.Fatal(err)
 	}
 }
+
+// TestComparePinsCountingMetrics: -compare fails when a pinned counting
+// metric differs from the baseline or goes unreported, and only reports a
+// metric that is not pinned.
+func TestComparePinsCountingMetrics(t *testing.T) {
+	baseMetrics := map[string]float64{"subs": 2172, "evict": 425, "lits": 9000, "ms": 3}
+	for _, tc := range []struct {
+		name string
+		cur  map[string]float64
+		fail string // a substring of the FAIL line, or "" for a pass
+	}{
+		{"identical", map[string]float64{"subs": 2172, "evict": 425, "lits": 9000, "ms": 3}, ""},
+		{"report-only metric moved", map[string]float64{"subs": 2172, "evict": 425, "lits": 9000, "ms": 7}, ""},
+		{"evictions moved", map[string]float64{"subs": 2172, "evict": 426, "lits": 9000, "ms": 3}, "evict is 426, pinned at 425"},
+		{"lits unreported", map[string]float64{"subs": 2172, "evict": 425, "ms": 3}, "lits is pinned at 9000 but not reported"},
+	} {
+		var buf strings.Builder
+		failed := comparePinned(&buf, "SubstituteScale/rand10k/w2", baseMetrics, tc.cur)
+		switch {
+		case tc.fail == "" && failed != 0:
+			t.Errorf("%s: %d unexpected failure(s)\n%s", tc.name, failed, buf.String())
+		case tc.fail != "" && (failed != 1 || !strings.Contains(buf.String(), tc.fail)):
+			t.Errorf("%s: want one FAIL line with %q, got %d\n%s", tc.name, tc.fail, failed, buf.String())
+		}
+	}
+
+	// Through runCompare: a moved pinned metric makes -compare return an error.
+	snap := func(metrics map[string]float64) snapshot {
+		return snapshot{Benchmarks: map[string]measure{
+			"SubstituteScale/rand10k/w2": {NsPerOp: 100, Metrics: metrics},
+		}}
+	}
+	dir := t.TempDir()
+	bp, cp := filepath.Join(dir, "base.json"), filepath.Join(dir, "cur.json")
+	writeSnap(t, bp, snap(baseMetrics))
+	writeSnap(t, cp, snap(map[string]float64{"subs": 2171, "evict": 425, "lits": 9000}))
+	var out strings.Builder
+	if err := runCompare(&out, bp, cp, thresholds{ns: 15, allocs: 5, bytes: 10}); err == nil {
+		t.Fatalf("runCompare passed a run whose subs moved\n%s", out.String())
+	}
+}

@@ -258,6 +258,59 @@ func TestStopAfterLimitsDominatorWalk(t *testing.T) {
 	}
 }
 
+// TestORPinStepsPastSingleFanout locks the one place a region-local proof
+// looks past a node's output: at stopAfter 1 (the bound Basic and Extended
+// trials use), a stuck-at-0 fault on a pin of node f's OR gate steps to
+// that gate's single fanout — a cube gate of f's reader — and asserts its
+// side input, unless the OR gate is a PO or has another fanout. A literal
+// fault's one step ends at the OR gate itself.
+func TestORPinStepsPastSingleFanout(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		po, twice bool
+		want      Value
+	}{
+		{"single non-PO fanout", false, false, One},
+		{"PO", true, false, Unknown},
+		{"two fanouts", false, true, Unknown},
+	} {
+		// f = ab + bc feeds its reader's cube h = f·d (and, twice, k = f·d).
+		nl := netlist.New()
+		a := nl.AddInput("a")
+		b := nl.AddInput("b")
+		c := nl.AddInput("c")
+		d := nl.AddInput("d")
+		g1 := nl.AddGate(netlist.And, a, b)
+		g2 := nl.AddGate(netlist.And, b, c)
+		f := nl.AddGate(netlist.Or, g1, g2)
+		nl.AddGate(netlist.And, f, d)
+		if tc.twice {
+			nl.AddGate(netlist.And, f, d)
+		}
+		if tc.po {
+			nl.MarkPO(f)
+		}
+		e := NewEngine(nl, Options{})
+		e.Reset()
+		if !MandatoryAssignments(e, nl, Fault{Wire: Wire{Gate: f, Pin: 0}, Stuck: Zero}, 1) {
+			t.Fatalf("%s: OR-pin fault: conflict", tc.name)
+		}
+		if e.Val(g1) != One || e.Val(g2) != Zero {
+			t.Errorf("%s: OR-pin fault: activation g1=%v, OR side input g2=%v", tc.name, e.Val(g1), e.Val(g2))
+		}
+		if e.Val(d) != tc.want {
+			t.Errorf("%s: OR-pin fault asserts the reader's side input d=%v, want %v", tc.name, e.Val(d), tc.want)
+		}
+		e.Reset()
+		if !MandatoryAssignments(e, nl, Fault{Wire: Wire{Gate: g1, Pin: 0}, Stuck: One}, 1) {
+			t.Fatalf("%s: literal fault: conflict", tc.name)
+		}
+		if e.Val(g2) != Zero || e.Val(d) != Unknown {
+			t.Errorf("%s: literal fault's step: g2=%v d=%v, want it to end at f's OR gate", tc.name, e.Val(g2), e.Val(d))
+		}
+	}
+}
+
 // TestMandatoryAssignmentsAvoidFaultTFO checks the argument that lets
 // MandatoryAssignments assert side inputs without marking the fault's
 // transitive fanout: on random DAGs (repeated fanins and multi-fanout

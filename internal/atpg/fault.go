@@ -22,9 +22,10 @@ type Fault struct {
 //   - propagation: along the dominator chain from the faulted gate toward
 //     the outputs, every side input must be at the gate's non-controlling
 //     value. The walk stops at the first multi-fanout stem (no unique path
-//     beyond), or after stopAfter dominators when stopAfter ≥ 0 — the
-//     paper's region-local mode treats the dividend node's output as
-//     directly observable.
+//     beyond), or after stopAfter dominators when stopAfter ≥ 0. The
+//     region-local trials walk one step: to the node's OR gate for a
+//     literal fault, and for a fault on an OR pin to that gate's single
+//     fanout, unless the OR gate is a PO.
 //
 // No side input lies in the fault's transitive fanout, where its good and
 // faulty values could differ, so none needs excluding. Each chain gate

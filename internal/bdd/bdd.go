@@ -39,9 +39,19 @@ type Manager struct {
 
 // NewManager creates a manager over n variables.
 func NewManager(n int) *Manager {
-	m := &Manager{unique: make(map[node]Ref), cache: make(map[[3]int64]Ref), nvars: n}
-	m.nodes = append(m.nodes, node{v: termVar}, node{v: termVar}) // 0, 1
+	m := &Manager{unique: make(map[node]Ref), cache: make(map[[3]int64]Ref)}
+	m.Reset(n)
 	return m
+}
+
+// Reset empties m to the state NewManager(n) returns, keeping its node
+// store's and caches' capacity, so one manager can serve many small
+// problems. Refs taken before the Reset are invalid after it.
+func (m *Manager) Reset(n int) {
+	clear(m.unique)
+	clear(m.cache)
+	m.nodes = append(m.nodes[:0], node{v: termVar}, node{v: termVar}) // 0, 1
+	m.nvars = n
 }
 
 // NumVars returns the variable count.

@@ -49,6 +49,30 @@ func TestTerminalsAndVars(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNewManager: a manager reused through Reset builds every
+// function with the same Refs and node count as a fresh NewManager of the
+// new variable count, whatever it held before.
+func TestResetMatchesNewManager(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	reused := NewManager(0)
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + r.Intn(6)
+		f, g := randomCover(r, n, 5), randomCover(r, n, 5)
+		fresh := NewManager(n)
+		reused.Reset(n)
+		if reused.NumVars() != n || reused.NumNodes() != fresh.NumNodes() {
+			t.Fatalf("trial %d: Reset(%d) leaves %d vars and %d nodes, NewManager %d and %d",
+				trial, n, reused.NumVars(), reused.NumNodes(), fresh.NumVars(), fresh.NumNodes())
+		}
+		want := fresh.And(fresh.FromCover(f), fresh.Not(fresh.FromCover(g)))
+		got := reused.And(reused.FromCover(f), reused.Not(reused.FromCover(g)))
+		if got != want || reused.NumNodes() != fresh.NumNodes() {
+			t.Fatalf("trial %d: reused manager gives ref %d over %d nodes, a fresh one %d over %d",
+				trial, got, reused.NumNodes(), want, fresh.NumNodes())
+		}
+	}
+}
+
 func TestCanonicity(t *testing.T) {
 	m := NewManager(4)
 	// (a ∧ b) ∨ c built two ways must be the same node.

@@ -343,14 +343,21 @@ func tentativeCover(t *trialArena, d string, qPart, rem cube.Cover, yPhase cube.
 	return tentative, space
 }
 
+// regionDominators bounds a region-local (Basic or Extended) dominator
+// walk to one step: a literal fault's ends at f's OR gate, and an OR-pin
+// fault's asserts the side inputs of that gate's single fanout when f is no
+// PO — the one look past f's output (DESIGN.md, "Windowed trials: region
+// netlists"), which windows, whose outputs f is one of, never take.
+const regionDominators = 1
+
 // rarOptions returns the implication options and dominator-walk bound of
 // one implication run of cfg on build b about dividend f and the given
 // divisors — a RAR pass (one divisor) or a vote table (a pool of them): for
 // Basic and Extended, region-local implications, scoped to the regions of
-// f and then of each divisor (see appendNodeScope), with f's output
-// treated as directly observable; for ExtendedGDC, global ones with
-// recursive learning that walk real dominators (global don't cares). The
-// scope is sc.scope's, valid until the next call.
+// f and then of each divisor (see appendNodeScope), that walk
+// regionDominators steps; for ExtendedGDC, global ones with recursive
+// learning that walk real dominators (global don't cares). The scope is
+// sc.scope's, valid until the next call.
 //
 //bdslint:hotpath
 func (sc *scratch) rarOptions(cfg Config, b *netlist.Build, f string, divisors ...string) (atpg.Options, int) {
@@ -361,7 +368,7 @@ func (sc *scratch) rarOptions(cfg Config, b *netlist.Build, f string, divisors .
 	for _, d := range divisors {
 		sc.scope = appendNodeScope(sc.scope, b, b.NL, d)
 	}
-	return atpg.Options{Scope: sc.scope}, 1
+	return atpg.Options{Scope: sc.scope}, regionDominators
 }
 
 // regionRARRebuild removes redundant wires inside node f's region of a
@@ -585,15 +592,6 @@ func appendUnion(dst, a, b []string) []string {
 func indexOf(ss []string, s string) int {
 	for i, x := range ss {
 		if x == s {
-			return i
-		}
-	}
-	return -1
-}
-
-func indexOfInt(xs []int, x int) int {
-	for i, v := range xs {
-		if v == x {
 			return i
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,26 +30,26 @@ import (
 // accepts it only if the eviction rules below prove every input of member
 // j's serial computation is identical in S_0 and S_{j-1}:
 //
-//	E1a  dirtyCone[f]: f itself or f's fanin-cone content changed — covers
-//	     the dividend's node data and its trial windows (a cone change puts
-//	     f in TFO(target)).
+//	E1a  f is touched (a commit of this sweep added or replaced it) or
+//	     depends on a touched node: f's node data or its fanin-cone content
+//	     changed — covers the dividend and its trial windows.
 //	E1b  dirtySupp ∩ guard, guard = {f} ∪ supp(f): any commit whose
 //	     touched nodes gained or lost a fanin in the guard. This catches
 //	     candidate-universe drift: every enumeration candidate shares a
 //	     fanin with f (see enumerateCandidates), so a node entering or
 //	     leaving the fanouts of f's fanins, or one of them whose body
 //	     changed, was touched while holding a fanin in supp(f).
-//	E2   dirtyCone[d] for a listed candidate d or a refused node d — a
-//	     fanout of f's fanins that passed containment but that the rank
-//	     search proved dependent on f: d's cone content changed. A
-//	     candidate's trial outcomes (a function of cone(f), cone(d), opts)
-//	     may then differ, and whether d depends on f may flip either way: a
-//	     path from f to d appears or vanishes only by a change to d's fanin
-//	     cone, which postcommit marks. (A node within two fanout steps of f
-//	     is refused without a search and not listed: it stays dependent
-//	     unless an edge of its short path breaks, which E1b sees — the
-//	     first edge's break marks f support-dirty, the second's marks the
-//	     node's old fanins, one of which f reads.)
+//	E2   a listed candidate d or a refused node d — a fanout of f's fanins
+//	     that passed containment but that the rank search proved dependent
+//	     on f — is touched or depends on a touched node: d's cone content
+//	     changed. A candidate's trial outcomes (a function of cone(f),
+//	     cone(d), opts) may then differ, and whether d depends on f may flip
+//	     either way: a path from f to d appears or vanishes only by a change
+//	     to d's fanin cone. (A node within two fanout steps of f is refused
+//	     without a search and not listed: it stays dependent unless an edge
+//	     of its short path breaks, which E1b sees — the first edge's break
+//	     marks f support-dirty, the second's marks the node's old fanins,
+//	     one of which f reads.)
 //	E3   bdcDirty and the plan has added nodes or a clone: a commit added
 //	     a "bdc"-prefixed name, or copied a clone (the only way a "bdc"
 //	     name is deleted: body plans never delete), so the fresh core name
@@ -68,6 +70,13 @@ import (
 //	     commit in its fanout cone drops or adds the last live reader of a
 //	     node the pool node feeds (ROADMAP item 6).
 //
+// Why touched nodes suffice for E1a and E2: a commit changes only edges
+// INTO its touched nodes, so a node whose fanin cone a commit of this sweep
+// changed still depends, at its own slot, on the last touched node along
+// the changed path. Both rules are one rank search (reached) that enters
+// only signals ranked above lo, the lowest rank a touched node had when
+// touched; ranks only rise, so lo stays a lower bound and the search exact.
+//
 // A member that passes every rule behaves, by the rules' coverage of its
 // inputs, exactly as the serial driver would at S_{j-1}: phase B ran the
 // same trial sequence (trialSeq) the serial driver runs, to the same plan.
@@ -75,7 +84,7 @@ import (
 // serial per-node sequence (substituteNode) — so the induction closes
 // either way.
 // Commits performed by eviction re-runs route through run.commit and fold
-// into the same dirty marks, keeping later members' checks sound.
+// into the same marks, keeping later members' checks sound.
 //
 // Conflict-claim soundness note: the claims make conflicts *unlikely*,
 // maximizing surviving speculation; the eviction rules alone carry
@@ -84,20 +93,20 @@ import (
 // cone. A commit of a node plan at g marks g's old and new fanins, a subset
 // of fanins(g) ∪ {d}, support-dirty, and all of those lie in g's claim, so
 // a disjoint claim keeps f's guard clean and f's candidates untouched.
-// What claims do not keep out is a deeper interaction: the commit also
-// marks TFO(g) cone-dirty, which evicts f by E1a when f lies downstream of
-// g, and by E2 when a candidate or refused node of f does. Claiming TFO(g)
-// would take a fanout-cone walk per member, which costs more serial time
-// than those evictions re-run. The rest is left to the rules on purpose —
-// rules E1b/E3/E4/E5 see through interactions (shared primary-input
-// fanins, the global fresh-name counter, multi-node body plans, clone
-// plans and pool-node fanouts) that claim disjointness does not capture.
+// What claims do not keep out is a deeper interaction: f lying downstream
+// of g, which E1a evicts, or a candidate or refused node of f doing so,
+// which E2 evicts. Claiming TFO(g) would take a fanout-cone walk per
+// member, which costs more serial time than those evictions re-run. The
+// rest is left to the rules on purpose — rules E1b/E3/E4/E5 see through
+// interactions (shared primary-input fanins, the global fresh-name counter,
+// multi-node body plans, clone plans and pool-node fanouts) that claim
+// disjointness does not capture.
 
 // batchWindow caps how many claiming (candidate-bearing) members one batch
 // may hold: enough to keep every worker fed several times over, small
 // enough that early-member commits rarely invalidate the tail. On large
 // circuits the cap scales up (see batchWindowFor) so the per-batch fixed
-// costs — the phase-B dispatch and the sweep's mark generation — amortize
+// costs — the phase-B dispatch and the sweep's mark generations — amortize
 // over more members.
 const batchWindow = 32
 
@@ -133,10 +142,8 @@ type batchMember struct {
 	trivial bool          // node was nil/zero-cover at scan time: nothing to do
 	build   int           // build serial number (tells a reuse from a rebuild)
 
-	candIDs []network.SigID // SigID of each candidate (rule E2)
-	dep     []network.SigID // nodes the rank search refused as dependent on f (rule E2)
-
-	fp    []network.SigID // claim: node-driven {f} ∪ fanins(f) ∪ candIDs
+	fp    []network.SigID // claim: node-driven {f} ∪ fanins(f) ∪ candidates (rules E1a, E2)
+	dep   []network.SigID // nodes the rank search refused as dependent on f (rule E2)
 	guard []network.SigID // {f} ∪ raw fanin IDs of f (rule E1b)
 
 	// Phase-B results: the sequence's plan, and how many trial verdicts
@@ -175,11 +182,13 @@ type batchScheduler struct {
 	carry        *batchMember
 	carryVersion uint64
 
-	// dirtyCone/dirtySupp are the sweep's conflict marks (one generation
-	// per sweep): dirtyCone holds touched targets plus their transitive
-	// fanout, dirtySupp holds the old and new fanins of touched nodes.
-	dirtyCone, dirtySupp network.ConeArena
-	coneIDs              []network.SigID // markConeTFO's walk output (discarded)
+	// The sweep's conflict marks, one generation per sweep: touched holds
+	// the nodes a commit added or replaced, listed in touchedIDs for the
+	// audit, dirtySupp their old and new fanins, and lo is the lowest rank
+	// a touched node had when touched.
+	touched, dirtySupp network.ConeArena
+	touchedIDs         []network.SigID
+	lo                 int32
 
 	sweeping  bool // run.commit routes commits through the marks while set
 	bdcDirty  bool // a commit touched the "bdc" fresh-name namespace
@@ -371,8 +380,7 @@ func (s *batchScheduler) release(m *batchMember) {
 	clear(m.cands[:cap(m.cands)])
 	*m = batchMember{
 		trialSeq: trialSeq{cands: m.cands[:0]},
-		candIDs:  m.candIDs[:0], dep: m.dep[:0],
-		fp: m.fp[:0], guard: m.guard[:0],
+		fp:       m.fp[:0], dep: m.dep[:0], guard: m.guard[:0],
 	}
 	s.free = append(s.free, m)
 }
@@ -408,7 +416,6 @@ func (s *batchScheduler) buildMember(pos int, id network.SigID, f string) *batch
 		}
 	}
 	for _, c := range m.cands {
-		m.candIDs = append(m.candIDs, c.id)
 		if s.arena.Mark(c.id) {
 			m.fp = append(m.fp, c.id)
 		}
@@ -435,8 +442,9 @@ func (s *batchScheduler) sweep() bool {
 	nw := r.nw
 	changed := false
 	s.sweeping = true
-	s.dirtyCone.Reset()
+	s.touched.Reset()
 	s.dirtySupp.Reset()
+	s.touchedIDs, s.lo = s.touchedIDs[:0], math.MaxInt32
 	s.bdcDirty, s.allDirty = false, false
 	s.committed = 0
 	for _, m := range s.members {
@@ -482,22 +490,15 @@ func (s *batchScheduler) evict(m *batchMember) bool {
 	if s.allDirty {
 		return true
 	}
-	if s.dirtyCone.Marked(m.id) { // E1a
-		return true
-	}
 	for _, g := range m.guard { // E1b
 		if s.dirtySupp.Marked(g) {
 			return true
 		}
 	}
-	for _, ids := range [2][]network.SigID{m.candIDs, m.dep} { // E2
-		for _, d := range ids {
-			if s.dirtyCone.Marked(d) {
-				return true
-			}
-		}
-	}
 	if m.pooled && s.poolDirty(m.cands) { // E5
+		return true
+	}
+	if s.reached(m) { // E1a, E2
 		return true
 	}
 	if !m.ok {
@@ -508,6 +509,40 @@ func (s *batchScheduler) evict(m *batchMember) bool {
 		return true
 	}
 	return m.p.clone != nil && s.committed > 0 // E4
+}
+
+// reached is rules E1a and E2: one rank search from m's claim, which holds
+// f, f's node fanins and the candidates (while f is not touched, a fanin
+// that reaches a touched node means f does too), and from m's refused
+// nodes. Under Options.Audit the answer is checked.
+func (s *batchScheduler) reached(m *batchMember) bool {
+	if len(s.touchedIDs) == 0 {
+		return false
+	}
+	got := s.r.enum.rank.reaches(s.lo, -1, &s.touched, m.fp, m.dep)
+	if s.r.opt.Audit {
+		s.auditReached(m, got)
+	}
+	return got
+}
+
+// auditReached panics unless got, the rank query's answer for member m, is
+// whether a claimed or refused signal equals or depends on a node of the
+// touched list by the unpruned Network.DependsOn. O(sources × touched ×
+// network) — Options.Audit only.
+func (s *batchScheduler) auditReached(m *batchMember, got bool) {
+	nw := s.r.nw
+	want := false
+	for _, ids := range [...][]network.SigID{m.fp, m.dep} {
+		for _, u := range ids {
+			for _, x := range s.touchedIDs {
+				want = want || nw.DependsOn(nw.SigName(u), nw.SigName(x))
+			}
+		}
+	}
+	if got != want {
+		panic(fmt.Sprintf("core: sweep audit: the rank query says %s reaches a touched node: %v, the unpruned walk says %v", m.f, got, want))
+	}
 }
 
 // poolDirty reports whether a pool node of a pooled attempt over cands —
@@ -529,13 +564,13 @@ func (s *batchScheduler) poolDirty(cands []candidate) bool {
 	return false
 }
 
-// precommit records the commit's old-fanin support marks and the "bdc"
-// namespace against the pre-mutation network, and returns the IDs of the
-// nodes the plan replaces (their old fanins are only readable now). Called
-// by run.commit while sweeping.
-func (s *batchScheduler) precommit(p *plan) []network.SigID {
+// precommit records, against the pre-mutation network, the old fanins of
+// the nodes the plan replaces as support marks (they are only readable
+// now), and whether the plan adds to the "bdc" namespace. Called by
+// run.commit while sweeping.
+func (s *batchScheduler) precommit(p *plan) {
 	if p.clone != nil {
-		return nil // a wholesale copy: postcommit poisons everything
+		return // a wholesale copy: postcommit poisons everything
 	}
 	nw := s.r.nw
 	for _, n := range p.added {
@@ -543,43 +578,47 @@ func (s *batchScheduler) precommit(p *plan) []network.SigID {
 			s.bdcDirty = true
 		}
 	}
-	var touched []network.SigID
 	for _, n := range p.bodies {
 		if id, ok := nw.IDOf(n.Name); ok {
-			touched = append(touched, id)
 			s.markSupp(nw.FaninIDsOf(id))
 		}
 	}
-	return touched
 }
 
-// postcommit completes the marks after a successful commit: added nodes
-// resolve to IDs now, every touched node contributes its new fanins, and
-// every touched signal's transitive fanout goes cone-dirty. The TFO walk
-// runs on the live (post-commit) fanout lists. That covers every node
-// whose fanin cone the commit changed: the only edges a commit changes
-// point INTO its touched nodes, so a node that gained a touched node in its
-// cone reaches it by a post-state path, and a node that lost one had a
-// pre-state path whose last touched node u kept every edge after it — so
-// the node is still in u's post-state fanout.
-func (s *batchScheduler) postcommit(p *plan, touched []network.SigID) {
+// sweepCorrupt, when set (tests only), drops the touched marks of each
+// sweep's first commit but keeps them listed — the corruption-injection
+// seam proving the Options.Audit check of the rank query fires.
+var sweepCorrupt bool
+
+// postcommit completes the marks once run.commit has repaired the ranks:
+// each node the plan replaced or added contributes its new fanins as
+// support marks and, the first time, joins the touched marks and list and
+// lowers lo to its repaired rank. A node touched again ranks no lower than
+// it did then: ranks only rise. Called by run.commit while sweeping.
+func (s *batchScheduler) postcommit(p *plan) {
 	s.committed++
 	if p.clone != nil {
-		s.allDirty = true
-		s.bdcDirty = true
+		s.allDirty, s.bdcDirty = true, true
 		return
 	}
 	nw := s.r.nw
-	for _, n := range p.added {
-		if id, ok := nw.IDOf(n.Name); ok {
-			touched = append(touched, id)
+	for _, ns := range [...][]*network.Node{p.bodies, p.added} {
+		for _, n := range ns {
+			id, ok := nw.IDOf(n.Name)
+			if !ok {
+				continue
+			}
+			if nw.NodeByID(id) != nil {
+				s.markSupp(nw.FaninIDsOf(id))
+			}
+			if s.touched.Mark(id) {
+				s.touchedIDs = append(s.touchedIDs, id)
+				s.lo = min(s.lo, s.r.enum.rank.r[id])
+			}
 		}
 	}
-	for _, id := range touched {
-		if nw.NodeByID(id) != nil {
-			s.markSupp(nw.FaninIDsOf(id))
-		}
-		s.markConeTFO(id)
+	if sweepCorrupt && s.committed == 1 {
+		s.touched.Reset()
 	}
 }
 
@@ -601,13 +640,4 @@ func (s *batchScheduler) markSupp(ids []network.SigID) {
 	for _, id := range ids {
 		s.dirtySupp.Mark(id)
 	}
-}
-
-// markConeTFO marks id and its transitive fanout cone-dirty. A signal
-// already marked ends the walk there: its fanout was marked with it.
-func (s *batchScheduler) markConeTFO(id network.SigID) {
-	if !s.dirtyCone.Mark(id) {
-		return
-	}
-	s.coneIDs = s.r.nw.AppendFanoutConeIDs(id, &s.dirtyCone, s.coneIDs[:0])
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -674,7 +676,6 @@ func TestEvictPooledOnPoolNodeFanoutChange(t *testing.T) {
 		form form
 	}{{"d1", formCompl}, {"d2", formSOP}, {"d3", formSOP}, {"d2", formPOS}, {"d4", formSOP}, {"d5", formSOP}, {"d6", formSOP}} {
 		m.cands = append(m.cands, candidate{name: c.name, id: id(c.name), form: c.form})
-		m.candIDs = append(m.candIDs, id(c.name))
 	}
 	for _, tc := range []struct {
 		dirty           string
@@ -688,7 +689,6 @@ func TestEvictPooledOnPoolNodeFanoutChange(t *testing.T) {
 		{"d1", true, false, false}, // a complement-phase candidate is no pool node
 		{"d6", true, false, false}, // the fifth SOP candidate is beyond the pool
 	} {
-		s.dirtyCone.Reset()
 		s.dirtySupp.Reset()
 		s.dirtySupp.Mark(id(tc.dirty))
 		m.pooled, m.ok = tc.pooled, tc.planned
@@ -699,5 +699,110 @@ func TestEvictPooledOnPoolNodeFanoutChange(t *testing.T) {
 		if got := s.evict(m); got != tc.want {
 			t.Errorf("pooled=%v planned=%v, %s support-dirty: evict=%v, want %v", tc.pooled, tc.planned, tc.dirty, got, tc.want)
 		}
+	}
+}
+
+// TestEvictOnTouchedCone unit-tests rules E1a and E2 with hand-set touched
+// marks on seeded ranks, every answer audited against the unpruned walk: a
+// member is evicted when f, a claimed fanin or candidate, or a refused node
+// is touched or lies downstream of a touched node, and kept when every
+// source ranks at or below lo or no source reaches a touched node.
+func TestEvictOnTouchedCone(t *testing.T) {
+	nw := network.New("rules")
+	for _, pi := range []string{"a", "b", "c"} {
+		nw.AddPI(pi)
+	}
+	and := cube.ParseCover(2, "ab")
+	for _, n := range []struct{ name, x, y string }{
+		{"z", "a", "c"}, // unrelated to every source
+		{"w", "a", "b"}, // upstream of f through x
+		{"x", "w", "c"}, // f's node fanin
+		{"f", "x", "b"},
+		{"v", "b", "c"}, // upstream of the candidate
+		{"d", "v", "a"}, // the candidate
+		{"q", "a", "b"}, // upstream of the refused node only
+		{"r", "f", "q"}, // refused: depends on f
+		{"y", "r", "d"}, // downstream of every source
+	} {
+		nw.AddNode(n.name, []string{n.x, n.y}, and.Clone())
+	}
+	nw.AddPO("y")
+	nw.AddPO("z")
+	nw.EnableFanouts()
+	id := func(name string) network.SigID {
+		x, _ := nw.IDOf(name)
+		return x
+	}
+	s := newBatchScheduler(newTestRun(nw, Options{Config: Basic, Audit: true}))
+	m := &batchMember{
+		id:    id("f"),
+		fp:    []network.SigID{id("f"), id("x"), id("d")},
+		dep:   []network.SigID{id("r")},
+		guard: []network.SigID{id("f"), id("x"), id("b")},
+	}
+	m.f = "f"
+	rank := s.r.enum.rank.r
+	for _, tc := range []struct {
+		touched []string
+		want    bool
+	}{
+		{[]string{"f"}, true},
+		{[]string{"w"}, true}, // f depends on w through its fanin x
+		{[]string{"x"}, true},
+		{[]string{"d"}, true},
+		{[]string{"v"}, true},
+		{[]string{"r"}, true},
+		{[]string{"q"}, true},
+		{[]string{"y", "q"}, true},
+		{[]string{"y"}, false}, // every source ranks below lo
+		{[]string{"z"}, false}, // the search runs and reaches no touched node
+		{[]string{"z", "y"}, false},
+		{nil, false},
+	} {
+		s.touched.Reset()
+		s.touchedIDs, s.lo = s.touchedIDs[:0], math.MaxInt32
+		for _, n := range tc.touched {
+			s.touched.Mark(id(n))
+			s.touchedIDs = append(s.touchedIDs, id(n))
+			s.lo = min(s.lo, rank[id(n)])
+		}
+		if got := s.evict(m); got != tc.want {
+			t.Errorf("touched %v: evict=%v, want %v", tc.touched, got, tc.want)
+		}
+	}
+	if rank[id("z")] >= rank[id("f")] {
+		t.Fatalf("z ranks %d, not below f's %d: the kept-by-search case never searches", rank[id("z")], rank[id("f")])
+	}
+}
+
+// TestSweepAuditOnEntangledLogic runs the batched scheduler under
+// Options.Audit on entangled random logic, where members are evicted, so
+// every rank answer of rules E1a and E2 is checked against the unpruned
+// walk; with the sweepCorrupt seam, which leaves a touched node unmarked,
+// the same run must panic.
+func TestSweepAuditOnEntangledLogic(t *testing.T) {
+	base, err := bench.Generate("rand", 1000, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := scaleOptions(2)
+	opt.Audit = true
+	st := Substitute(base.Clone(), opt)
+	if st.ConflictEvictions == 0 {
+		t.Fatal("no member was evicted: the sweep audit checked no eviction")
+	}
+	defer func() { sweepCorrupt = false }()
+	sweepCorrupt = true
+	msg := func() (msg string) {
+		defer func() {
+			if p := recover(); p != nil {
+				msg, _ = p.(string)
+			}
+		}()
+		Substitute(base.Clone(), opt)
+		return ""
+	}()
+	if !strings.Contains(msg, "sweep audit") {
+		t.Fatalf("an unmarked touched node went unnoticed by the audit (panic %q)", msg)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"repro/internal/network"
 )
 
-// Topological ranks for candidate enumeration.
+// Topological ranks: the engine's one dependence oracle.
 //
 // A divisor that depends on its dividend f would close a cycle, so
 // enumeration must refuse every support-sharing node that lies in f's
@@ -19,6 +19,9 @@ import (
 // pruned search walks it: the answer is exact, and the search stays inside
 // the band of ranks between f and u.
 //
+// The batch sweep asks the same search whether a member depends on a node
+// its commits touched (rules E1a and E2), pruned at the lowest such rank.
+//
 // Ranks are seeded from each pass's topological order and repaired after
 // every commit: each node the plan installs is raised above its fanins,
 // and every raise is carried along fanouts. A rank is never lowered — a
@@ -29,16 +32,16 @@ import (
 // topoRank is a topological rank over one network's signals: signals that
 // drive no node rank 0, and every node ranks above each of its fanins. It
 // is valid while the network is at the version it was seeded or repaired
-// at. It lives on the serial side (enumeration and commit) and reuses its
-// buffers across calls.
+// at. It lives on the serial side (enumeration, commit and the batch
+// sweep) and reuses its buffers across calls.
 type topoRank struct {
 	nw      *network.Network
 	version uint64  // nw's version the ranks describe
 	r       []int32 // by SigID
 
 	heap  []rankItem        // repair's worklist: a min-heap on rank
-	seen  network.ConeArena // dependsOn's visited marks
-	stack []network.SigID   // dependsOn's search stack
+	seen  network.ConeArena // the dependence searches' visited marks
+	stack []network.SigID   // the dependence searches' stack
 }
 
 // rankItem is one repair worklist entry: a node and its rank when queued.
@@ -170,29 +173,34 @@ func (t *topoRank) pop() network.SigID {
 }
 
 // dependsOn reports whether node u depends on node f (f lies in u's fanin
-// cone), u ≠ f, by a backward fanin search from u that enters only signals
-// ranked above f (see the file comment for why that is exact).
+// cone), u ≠ f: the one-target search, pruned at f's rank.
 //
 //bdslint:hotpath
 func (t *topoRank) dependsOn(u, f network.SigID) bool {
-	rf := t.r[f]
-	if t.r[u] <= rf {
-		return false
-	}
-	nw := t.nw
+	return t.reaches(t.r[f], f, nil, []network.SigID{u})
+}
+
+// reaches is the one search loop behind every dependence question: it
+// reports whether a signal of srcs is, or depends on, target or a signal
+// marked in set (target -1 or a nil set asks for nothing), by a backward
+// fanin search that enters only signals ranked above lo. It is exact when
+// no target ranks below lo, since ranks climb strictly along every path.
+//
+//bdslint:hotpath
+func (t *topoRank) reaches(lo int32, target network.SigID, set *network.ConeArena, srcs ...[]network.SigID) bool {
 	t.seen.Reset()
-	t.seen.Mark(u)
-	t.stack = append(t.stack[:0], u)
+	t.stack = t.stack[:0]
+	for _, ids := range srcs {
+		t.stack = append(t.stack, ids...)
+	}
 	for len(t.stack) > 0 {
 		x := t.stack[len(t.stack)-1]
 		t.stack = t.stack[:len(t.stack)-1]
-		for _, y := range nw.FaninIDsOf(x) {
-			if y == f {
-				return true
-			}
-			if t.r[y] > rf && t.seen.Mark(y) {
-				t.stack = append(t.stack, y)
-			}
+		if x == target || set != nil && set.Marked(x) {
+			return true
+		}
+		if t.r[x] > lo && t.seen.Mark(x) {
+			t.stack = append(t.stack, t.nw.FaninIDsOf(x)...)
 		}
 	}
 	return false

@@ -287,20 +287,22 @@ type run struct {
 
 // commit routes a plan through the serial committer; the network's
 // version moves with it, which retires every scratch's memoized base build,
-// and enumeration's topological ranks are repaired to match. While a batch
-// sweep is active it also folds the commit's touched and support sets into
-// the scheduler's conflict marks, so eviction checks for later members of
-// the sweep see serial re-run commits too — not only the sweep's own plan
+// and the topological ranks are repaired to match. While a batch sweep is
+// active it also folds the commit's touched and support sets into the
+// scheduler's conflict marks — after the repair, so the marks record the
+// touched nodes' repaired ranks — and eviction checks for later members of
+// the sweep see serial re-run commits too, not only the sweep's own plan
 // commits.
 func (r *run) commit(p plan) {
-	if s := r.sched; s != nil && s.sweeping {
-		touched := s.precommit(&p)
-		commitPlan(r.nw, p, r.opt, r.nc, r.st)
-		s.postcommit(&p, touched)
-	} else {
-		commitPlan(r.nw, p, r.opt, r.nc, r.st)
+	s := r.sched
+	if s != nil && s.sweeping {
+		s.precommit(&p)
 	}
+	commitPlan(r.nw, p, r.opt, r.nc, r.st)
 	r.enum.rank.update(&p, r.opt.Audit)
+	if s != nil && s.sweeping {
+		s.postcommit(&p)
+	}
 }
 
 // substituteNode runs the full serial trial-and-commit sequence for one
@@ -351,7 +353,7 @@ func (r *run) settle(t *trialSeq, p plan, ok bool) bool {
 // hand-built candidates in tests).
 type candidate struct {
 	name string
-	id   network.SigID // name's SigID (set by enumeration; rule E2)
+	id   network.SigID // name's SigID (set by enumeration; rules E2 and E5)
 	form form
 
 	// dc is d's complement (formCompl) or minimized complement (formPOS);

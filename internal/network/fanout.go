@@ -12,8 +12,10 @@ import "fmt"
 // A live list holds exactly the node IDs of the matching FanoutIDs entry,
 // but in edit-history order rather than creation order, so consumers must
 // treat it as a set (every engine consumer does: candidate enumeration
-// sorts, cone walks stamp). Clones do not carry the lists; CopyFrom
-// rebuilds them. Network.Check audits them against a fresh FanoutIDs.
+// sorts the candidates it collects, and the rank repair raises each node to
+// the same rank whatever order it visits fanouts in). Clones do not carry
+// the lists; CopyFrom rebuilds them. Network.Check audits them against a
+// fresh FanoutIDs.
 
 // EnableFanouts attaches live fanout lists to the network (a no-op when
 // they are already attached). It is meant for the serial owner of a
@@ -60,16 +62,6 @@ func (nw *Network) scanFanouts(id SigID) []SigID {
 		}
 	}
 	return out
-}
-
-// fanoutIndex returns an adjacency to walk: the live lists when attached
-// (possibly shorter than the ID space — index with a bounds check), else a
-// fresh FanoutIDs snapshot.
-func (nw *Network) fanoutIndex() [][]SigID {
-	if nw.fanouts != nil {
-		return nw.fanouts
-	}
-	return nw.FanoutIDs()
 }
 
 // linkFanouts records node id as a fanout of each signal in fids.

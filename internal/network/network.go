@@ -226,15 +226,11 @@ func (nw *Network) NumNodes() int {
 	return c
 }
 
-func (nw *Network) isPI(name string) bool {
-	if id, ok := nw.sym.Lookup(name); ok {
-		return nw.piMark[id]
-	}
-	return false
-}
-
 // IsPI reports whether name is a primary input.
-func (nw *Network) IsPI(name string) bool { return nw.isPI(name) }
+func (nw *Network) IsPI(name string) bool {
+	id, ok := nw.sym.Lookup(name)
+	return ok && nw.piMark[id]
+}
 
 // IsPO reports whether name is declared as a primary output.
 func (nw *Network) IsPO(name string) bool {
@@ -522,8 +518,8 @@ func (nw *Network) DependsOn(a, b string) bool {
 // TFOSetIDs returns a SigID-indexed membership slice of the nodes
 // transitively depending on signal id (excluding id itself). It walks a
 // fresh FanoutIDs snapshot with its own marks, sharing neither the live
-// fanout lists nor the cone walker (AppendFanoutConeIDs), so tests can
-// use it as an independent reference for both.
+// fanout lists nor any engine search, so tests can use it as an
+// independent reference for the engine's dependence answers and claims.
 func (nw *Network) TFOSetIDs(id SigID) []bool {
 	out := make([]bool, nw.sym.Len())
 	fo := nw.FanoutIDs()

@@ -15,22 +15,28 @@ import (
 // positive factored-literal gain. Serves as the baseline the RAR approach
 // is measured against in the ablation benchmarks. Returns the substitution
 // count.
+//
+// A commit rewrites one node's function and adds or removes no node, so
+// each pass lists the divisor names once, and one BDD manager, reset per
+// pair, serves every pair.
 func ResubBDD(nw *network.Network) int {
 	count := 0
+	m := bdd.NewManager(0)
 	for pass := 0; pass < 2; pass++ {
 		changed := false
 		names := nw.TopoOrder()
+		divisors := nw.SortedNodeNames()
 		for i := len(names) - 1; i >= 0; i-- {
 			f := names[i]
 			fn := nw.Node(f)
 			if fn == nil || fn.Cover.IsZero() {
 				continue
 			}
-			for _, d := range nw.SortedNodeNames() {
+			for _, d := range divisors {
 				if d == f || nw.DependsOn(d, f) {
 					continue
 				}
-				if tryBDDResub(nw, f, d) {
+				if tryBDDResub(nw, m, f, d) {
 					count++
 					changed = true
 					break
@@ -47,7 +53,9 @@ func ResubBDD(nw *network.Network) int {
 // maxBDDISOPCubes bounds the covers extracted from BDD division results.
 const maxBDDISOPCubes = 64
 
-func tryBDDResub(nw *network.Network, f, d string) bool {
+// tryBDDResub divides f by d with manager m, which it resets, and commits
+// the rewrite when it gains.
+func tryBDDResub(nw *network.Network, m *bdd.Manager, f, d string) bool {
 	fn, dn := nw.Node(f), nw.Node(d)
 	if dn.Cover.IsZero() || (dn.Cover.NumCubes() == 1 && dn.Cover.Cubes[0].IsUniverse()) {
 		return false
@@ -66,7 +74,7 @@ func tryBDDResub(nw *network.Network, f, d string) bool {
 	union := unionSignals(fn.Fanins, dn.Fanins)
 	fU := network.RemapCover(fn.Cover, fn.Fanins, union)
 	dU := network.RemapCover(dn.Cover, dn.Fanins, union)
-	m := bdd.NewManager(len(union))
+	m.Reset(len(union))
 	fB := m.FromCover(fU)
 	dB := m.FromCover(dU)
 	if dB == bdd.Zero || dB == bdd.One {
